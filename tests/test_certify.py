@@ -501,3 +501,49 @@ def test_cli_out_key_in_config_file(tmp_path):
     cfg.write_text(f"pair = -1,-1\nout = {out}\n")
     assert cli_main(["hilbert", "--config", str(cfg)]) == 0
     assert out.exists()
+
+
+# -- golden bundles ---------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# file name -> (pipeline, overrides, exit code): the README examples, each
+# pipeline's default and pins for the branches the shared certificate code
+# takes.  Regenerate one file with
+#   PYTHONPATH=src python -m covercert.cli PIPELINE --set KEY=VALUE ... --out tests/golden/NAME.json
+# and say in CHANGES.md why its bytes changed.
+GOLDEN = {
+    "dihedral": ("dihedral", [], 0),
+    "dihedral-a-3-5": ("dihedral", ["a=3/5"], 0),
+    "dihedral-a-7": ("dihedral", ["a=7"], 0),
+    "quaternionic": ("quaternionic", [], 1),
+    "quaternionic-quat-h": ("quaternionic", ["h=quat:3/2,1/2,0,0", "k_max=2", "unit_height=6"], 0),
+    "quaternionic-det-2": ("quaternionic", ["h=2,0,0,1", "k_max=2", "unit_height=6"], 0),
+    "quaternionic-k-max-1": ("quaternionic", ["k_max=1"], 0),
+    "quaternionic-d-3": ("quaternionic", ["d=3"], 1),
+    "sl2z": ("sl2z", [], 0),
+    "sl2z-h-2": ("sl2z", ["h=2,0,0,1"], 0),
+    "sl2z-k-max-1": ("sl2z", ["k_max=1"], 0),
+    "sl2z-h-2-claimed-3": ("sl2z", ["h=2,0,0,1", "claimed_index=3"], 0),
+    "hilbert": ("hilbert", [], 0),
+    "hilbert-17-7": ("hilbert", ["pair=17,7"], 0),
+    "units": ("units", [], 0),
+    "units-standard-20": ("units", ["unit_height=20", "order_kind=standard"], 0),
+    "intersect": ("intersect", [], 0),
+    "intersect-quat-h": ("intersect", ["h=quat:3/2,1/2,0,0"], 0),
+    "intersect-half-shift-claimed-3": ("intersect", ["h=1,-1/2,0,1", "claimed_index=3"], 1),
+}
+
+# configs whose bundle a module fixture already computes
+_GOLDEN_FIXTURES = {"quaternionic": "quat_bundle", "sl2z-h-2": "sl2z_bundle"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bundle_bytes(name, request):
+    pipeline, overrides, exit_code = GOLDEN[name]
+    if name in _GOLDEN_FIXTURES:
+        bundle = request.getfixturevalue(_GOLDEN_FIXTURES[name])
+    else:
+        bundle = certify.PIPELINES[pipeline](load_config(None, overrides))
+    assert render_bundle(bundle).encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert bundle_exit_code(bundle) == exit_code
