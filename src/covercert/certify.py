@@ -37,6 +37,7 @@ from .fuchsian import (
     RealQuadElem,
     WordElement,
     find_infinite_elliptic,
+    find_jorgensen_partner,
     jorgensen_violation,
     lift_rational_matrix,
     real_embed,
@@ -53,12 +54,11 @@ from .mobius import (
     invariant_search,
     is_invariant,
 )
-from .modgroup import closure_incremental, group_order
+from .modgroup import ResidueMatrix, closure, group_order
 from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic
 from .units import (
     SATURATED,
     STANDARD,
-    UnitSlice,
     enumerate_units,
     enumerate_units_saturated,
     find_example_algebra,
@@ -83,6 +83,9 @@ WORD_FIELD_D = 2
 
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
+
+SCAN_METHOD = "congruence scan of both conjugation directions at increasing levels until the indices stabilize"
+JORGENSEN_METHOD = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
 
 
 class ConfigError(ValueError):
@@ -544,6 +547,56 @@ def _intersection_witness(report):
     return levels
 
 
+def _index_certificate(claim, method, report, levels, inputs, claimed, depends_on=()):
+    """The intersection-index claim for a stabilization report.
+
+    levels is the pipeline's own per-level witness list.  When claimed is
+    not None the stabilized indices are compared with it, and a mismatch
+    refutes the claim.
+    """
+    witness = {"levels": levels, "stabilized": report.stabilized}
+    verdict = VERIFIED
+    notes = ()
+    if not report.stabilized:
+        verdict = SEARCH_EXHAUSTED
+        notes = ("indices kept changing up to k_max; raise k_max to decide",)
+    else:
+        final = report.final
+        witness["stabilized_at"] = report.stabilized_at
+        witness["computed_index_in_gamma"] = final.index_in_gamma
+        witness["computed_index_in_conjugate"] = final.index_in_gamma_h
+        if claimed is not None:
+            agrees = final.index_in_gamma == claimed and final.index_in_gamma_h == claimed
+            witness["claimed_index"] = claimed
+            witness["agrees_with_claimed"] = agrees
+            if not agrees:
+                verdict = REFUTED
+                notes = ("the computed index supersedes the claimed one at every level checked",)
+    return Certificate(
+        claim=claim,
+        verdict=verdict,
+        method=method,
+        inputs=inputs,
+        witness=witness,
+        depends_on=depends_on,
+        notes=notes,
+    )
+
+
+def _explicit_claim(cfg: RunConfig):
+    """claimed_index when the user set it, else None (nothing to compare)."""
+    return cfg.claimed_index if "claimed_index" in cfg.explicit else None
+
+
+def _conjugator(spec: str, algebra) -> Conjugator:
+    """The Conjugator for an h spec: rational rows, or a quaternion of the
+    algebra that algebra() returns; it is called only for a quaternion."""
+    kind, data = parse_conjugator_spec(spec)
+    if kind == "rational":
+        return Conjugator.from_rows(data)
+    return Conjugator.from_quaternion(algebra().element(*data))
+
+
 def _jorgensen_witness(A_rows_json, report, partner_coords, partner_index, extra=None):
     w = {
         "conjugator_rows": A_rows_json,
@@ -746,64 +799,30 @@ def run_quaternionic(cfg: RunConfig) -> dict:
 
     # stage 5: the intersection index of the conjugated ambient group,
     # compared against the claimed value
-    method_5 = "congruence scan of both conjugation directions at increasing levels until the indices stabilize"
     if blocker:
-        blocked("quaternionic.intersection-index", method_5)
+        blocked("quaternionic.intersection-index", SCAN_METHOD)
     else:
-        kind, data = parse_conjugator_spec(cfg.h)
-        if kind == "rational":
-            conj = Conjugator.from_rows(data)
-        else:
-            conj = Conjugator.from_quaternion(algebra.element(*data))
-        report = stabilized_intersection(conj, k_min=cfg.k_min, k_max=cfg.k_max)
-        levels = _intersection_witness(report)
+        report = stabilized_intersection(_conjugator(cfg.h, lambda: algebra), k_min=cfg.k_min, k_max=cfg.k_max)
+        claims.append(
+            _index_certificate(
+                "quaternionic.intersection-index",
+                SCAN_METHOD,
+                report,
+                _intersection_witness(report),
+                inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max, "claimed_index": cfg.claimed_index},
+                claimed=cfg.claimed_index,
+                depends_on=("quaternionic.congruence-surjectivity",),
+            )
+        )
         if not report.stabilized:
-            claims.append(
-                Certificate(
-                    claim="quaternionic.intersection-index",
-                    verdict=SEARCH_EXHAUSTED,
-                    method=method_5,
-                    inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max, "claimed_index": cfg.claimed_index},
-                    witness={"levels": levels, "stabilized": False},
-                    depends_on=("quaternionic.congruence-surjectivity",),
-                    notes=("indices kept changing up to k_max; raise k_max to decide",),
-                )
-            )
             blocker = "quaternionic.intersection-index"
-        else:
-            final = report.final
-            agrees = final.index_in_gamma == cfg.claimed_index and final.index_in_gamma_h == cfg.claimed_index
-            notes = ()
-            if not agrees:
-                notes = ("the computed index supersedes the claimed one at every level checked",)
-            claims.append(
-                Certificate(
-                    claim="quaternionic.intersection-index",
-                    verdict=VERIFIED if agrees else REFUTED,
-                    method=method_5,
-                    inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max, "claimed_index": cfg.claimed_index},
-                    witness={
-                        "levels": levels,
-                        "stabilized": True,
-                        "stabilized_at": report.stabilized_at,
-                        "computed_index_in_gamma": final.index_in_gamma,
-                        "computed_index_in_conjugate": final.index_in_gamma_h,
-                        "claimed_index": cfg.claimed_index,
-                        "agrees_with_claimed": agrees,
-                    },
-                    depends_on=("quaternionic.congruence-surjectivity",),
-                    notes=notes,
-                )
-            )
 
     # stage 6: the conjugate fails discreteness, witnessed by a unit pair
     # violating the Jorgensen inequality
-    method_6 = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
     if blocker and blocker != "quaternionic.intersection-index":
-        blocked("quaternionic.nondiscrete", method_6)
+        blocked("quaternionic.nondiscrete", JORGENSEN_METHOD)
     else:
-        cert = _nondiscrete_stage(cfg, algebra)
-        claims.append(cert)
+        claims.append(_nondiscrete_stage(cfg, algebra))
 
     claims.append(
         Certificate(
@@ -834,93 +853,59 @@ def run_quaternionic(cfg: RunConfig) -> dict:
 
 
 def _nondiscrete_stage(cfg: RunConfig, algebra) -> Certificate:
-    method = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
-    inputs = {"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height}
+    def cert(verdict, witness, note):
+        return Certificate(
+            claim="quaternionic.nondiscrete",
+            verdict=verdict,
+            method=JORGENSEN_METHOD,
+            inputs={"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height},
+            witness=witness,
+            depends_on=("quaternionic.intersection-index",),
+            notes=(note,),
+        )
+
+    found = "a violating nonelementary pair cannot lie in any discrete group"
     kind, data = parse_conjugator_spec(cfg.h)
     slice_std = enumerate_units(algebra, cfg.unit_height)
-    partners = [real_embed(u) for u in slice_std.elements]
+    partners = [WordElement.seed(f"u{j}", real_embed(u)) for j, u in enumerate(slice_std.elements)]
 
     if kind == "rational":
         rows = data
         if mat_det(rows) != 1:
-            return Certificate(
-                claim="quaternionic.nondiscrete",
-                verdict=SEARCH_EXHAUSTED,
-                method=method,
-                inputs=inputs,
-                witness=None,
-                depends_on=("quaternionic.intersection-index",),
-                notes=("the inequality needs a determinant-one conjugator; this one has another determinant",),
+            return cert(
+                SEARCH_EXHAUSTED, None, "the inequality needs a determinant-one conjugator; this one has another determinant"
             )
-        A = WordElement.seed("h", lift_rational_matrix(rows, cfg.d))
-        for i, B in enumerate(partners):
-            report = jorgensen_violation(A, WordElement.seed(f"u{i}", B))
-            if report.verdict == VIOLATION:
-                witness = _jorgensen_witness(
-                    rows_json(rows), report, slice_std.elements[i].coords(), i, {"field_d": cfg.d}
-                )
-                return Certificate(
-                    claim="quaternionic.nondiscrete",
-                    verdict=VERIFIED,
-                    method=method,
-                    inputs=inputs,
-                    witness=witness,
-                    depends_on=("quaternionic.intersection-index",),
-                    notes=("a violating nonelementary pair cannot lie in any discrete group",),
-                )
-        return Certificate(
-            claim="quaternionic.nondiscrete",
-            verdict=SEARCH_EXHAUSTED,
-            method=method,
-            inputs=inputs,
-            witness=None,
-            depends_on=("quaternionic.intersection-index",),
-            notes=("no violating partner in this slice; a larger unit_height may find one",),
-        )
+        hit = find_jorgensen_partner(WordElement.seed("h", lift_rational_matrix(rows, cfg.d)), partners)
+        if hit is NOT_FOUND:
+            return cert(SEARCH_EXHAUSTED, None, "no violating partner in this slice; a larger unit_height may find one")
+        B, report = hit
+        j = partners.index(B)
+        witness = _jorgensen_witness(rows_json(rows), report, slice_std.elements[j].coords(), j, {"field_d": cfg.d})
+        return cert(VERIFIED, witness, found)
 
     # quaternionic conjugator: determinants are norms, not 1, so test
     # conjugated units (determinant one again) against the slice
     H = real_embed(algebra.element(*data))
     det = mat_det(H)
     H_inv = mat_scale(det.inverse(), mat_adj(H))
-    tried = 0
-    for i, U in enumerate(partners):
-        if tried >= 40:
-            break
-        A = mat_mul(mat_mul(H, U), H_inv)
-        A_word = WordElement.seed(f"c{i}", A)
-        tried += 1
-        for j, B in enumerate(partners):
-            report = jorgensen_violation(A_word, WordElement.seed(f"u{j}", B))
-            if report.verdict == VIOLATION:
-                witness = _jorgensen_witness(
-                    [[quad_json(e) for e in row] for row in A],
-                    report,
-                    slice_std.elements[j].coords(),
-                    j,
-                    {
-                        "field_d": cfg.d,
-                        "conjugated_unit_coords": [frac_str(c) for c in slice_std.elements[i].coords()],
-                    },
-                )
-                return Certificate(
-                    claim="quaternionic.nondiscrete",
-                    verdict=VERIFIED,
-                    method=method,
-                    inputs=inputs,
-                    witness=witness,
-                    depends_on=("quaternionic.intersection-index",),
-                    notes=("a violating nonelementary pair cannot lie in any discrete group",),
-                )
-    return Certificate(
-        claim="quaternionic.nondiscrete",
-        verdict=SEARCH_EXHAUSTED,
-        method=method,
-        inputs=inputs,
-        witness=None,
-        depends_on=("quaternionic.intersection-index",),
-        notes=("no violating pair among the conjugated units tried",),
-    )
+    for i, U in enumerate(partners[:40]):
+        A = mat_mul(mat_mul(H, U.matrix), H_inv)
+        hit = find_jorgensen_partner(WordElement.seed(f"c{i}", A), partners)
+        if hit is not NOT_FOUND:
+            B, report = hit
+            j = partners.index(B)
+            witness = _jorgensen_witness(
+                [[quad_json(e) for e in row] for row in A],
+                report,
+                slice_std.elements[j].coords(),
+                j,
+                {
+                    "field_d": cfg.d,
+                    "conjugated_unit_coords": [frac_str(c) for c in slice_std.elements[i].coords()],
+                },
+            )
+            return cert(VERIFIED, witness, found)
+    return cert(SEARCH_EXHAUSTED, None, "no violating pair among the conjugated units tried")
 
 
 # --------------------------------------------------------------------------
@@ -971,46 +956,16 @@ def run_sl2z(cfg: RunConfig) -> dict:
                 "index_in_conjugate": r.index_in_gamma_h,
             }
         )
-    compare = "claimed_index" in cfg.explicit
-    if not report.stabilized:
-        claims.append(
-            Certificate(
-                claim="sl2z.intersection-index",
-                verdict=SEARCH_EXHAUSTED,
-                method=method_1,
-                inputs={"h": cfg.h, "primes": primes, "k_min": cfg.k_min, "k_max": cfg.k_max},
-                witness={"levels": per_level, "stabilized": False},
-                notes=("indices kept changing up to k_max; raise k_max to decide",),
-            )
+    claims.append(
+        _index_certificate(
+            "sl2z.intersection-index",
+            method_1,
+            report,
+            per_level,
+            inputs={"h": cfg.h, "primes": primes, "k_min": cfg.k_min, "k_max": cfg.k_max},
+            claimed=_explicit_claim(cfg),
         )
-    else:
-        final = report.final
-        witness = {
-            "levels": per_level,
-            "stabilized": True,
-            "stabilized_at": report.stabilized_at,
-            "computed_index_in_gamma": final.index_in_gamma,
-            "computed_index_in_conjugate": final.index_in_gamma_h,
-        }
-        verdict = VERIFIED
-        notes = ()
-        if compare:
-            agrees = final.index_in_gamma == cfg.claimed_index and final.index_in_gamma_h == cfg.claimed_index
-            witness["claimed_index"] = cfg.claimed_index
-            witness["agrees_with_claimed"] = agrees
-            if not agrees:
-                verdict = REFUTED
-                notes = ("the computed index supersedes the claimed one at every level checked",)
-        claims.append(
-            Certificate(
-                claim="sl2z.intersection-index",
-                verdict=verdict,
-                method=method_1,
-                inputs={"h": cfg.h, "primes": primes, "k_min": cfg.k_min, "k_max": cfg.k_max},
-                witness=witness,
-                notes=notes,
-            )
-        )
+    )
 
     method_2 = "breadth-first word search for an infinite-order elliptic element in the amalgam"
     seeds = _word_seeds(rows)
@@ -1114,16 +1069,16 @@ def run_hilbert(cfg: RunConfig) -> dict:
 
 
 def _resolve_algebra(cfg: RunConfig):
-    if "b" in cfg.explicit and cfg.b:
-        return QuaternionAlgebra(cfg.d, cfg.b)
-    return find_example_algebra(cfg.d, cfg.b_search_bound)
+    try:
+        if "b" in cfg.explicit and cfg.b:
+            return QuaternionAlgebra(cfg.d, cfg.b)
+        return find_example_algebra(cfg.d, cfg.b_search_bound)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def run_units(cfg: RunConfig) -> dict:
-    try:
-        algebra = _resolve_algebra(cfg)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    algebra = _resolve_algebra(cfg)
     if cfg.order_kind == SATURATED:
         slice_ = enumerate_units_saturated(algebra, cfg.unit_height)
     else:
@@ -1158,54 +1113,15 @@ def run_units(cfg: RunConfig) -> dict:
 
 
 def run_intersect(cfg: RunConfig) -> dict:
-    kind, data = parse_conjugator_spec(cfg.h)
-    if kind == "rational":
-        conj = Conjugator.from_rows(data)
-    else:
-        try:
-            algebra = _resolve_algebra(cfg)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        conj = Conjugator.from_quaternion(algebra.element(*data))
-    report = stabilized_intersection(conj, k_min=cfg.k_min, k_max=cfg.k_max)
-    levels = _intersection_witness(report)
-    compare = "claimed_index" in cfg.explicit
-    method = "congruence scan of both conjugation directions at increasing levels until the indices stabilize"
-    if not report.stabilized:
-        cert = Certificate(
-            claim="intersect.index",
-            verdict=SEARCH_EXHAUSTED,
-            method=method,
-            inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max},
-            witness={"levels": levels, "stabilized": False},
-            notes=("indices kept changing up to k_max; raise k_max to decide",),
-        )
-    else:
-        final = report.final
-        witness = {
-            "levels": levels,
-            "stabilized": True,
-            "stabilized_at": report.stabilized_at,
-            "computed_index_in_gamma": final.index_in_gamma,
-            "computed_index_in_conjugate": final.index_in_gamma_h,
-        }
-        verdict = VERIFIED
-        notes = ()
-        if compare:
-            agrees = final.index_in_gamma == cfg.claimed_index and final.index_in_gamma_h == cfg.claimed_index
-            witness["claimed_index"] = cfg.claimed_index
-            witness["agrees_with_claimed"] = agrees
-            if not agrees:
-                verdict = REFUTED
-                notes = ("the computed index supersedes the claimed one at every level checked",)
-        cert = Certificate(
-            claim="intersect.index",
-            verdict=verdict,
-            method=method,
-            inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max},
-            witness=witness,
-            notes=notes,
-        )
+    report = stabilized_intersection(_conjugator(cfg.h, lambda: _resolve_algebra(cfg)), k_min=cfg.k_min, k_max=cfg.k_max)
+    cert = _index_certificate(
+        "intersect.index",
+        SCAN_METHOD,
+        report,
+        _intersection_witness(report),
+        inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max},
+        claimed=_explicit_claim(cfg),
+    )
     bundle = make_bundle("intersect", cfg, [cert])
     _check_reverify(bundle)
     return bundle
@@ -1332,54 +1248,45 @@ def _rv_surjectivity(claim, bundle):
         k = entry["level"]
         if entry["group_order"] != group_order(2, k):
             return False
+        split = split_2adic(algebra, k + 8)
         gens = []
         for g in entry["generators"]:
             coords = [parse_frac(c) for c in g["coords"]]
             u = algebra.element(*coords)
             if u.nrd() != 1:
                 return False
-            single = UnitSlice(algebra=algebra, bound=0, order_kind=SATURATED, elements=(u,))
-            split = split_2adic(algebra, k + 8)
-            mat = reduce_units(single, split, k)[0]
-            ra, rb, rc, rd = mat.entries()
-            if [[ra, rb], [rc, rd]] != g["matrix"]:
+            entries = [e.residue(k) for row in split.apply(u) for e in row]
+            if [entries[:2], entries[2:]] != g["matrix"]:
                 return False
-            gens.append(mat)
+            gens.append(ResidueMatrix(*entries, 2**k))
         if entry["surjects"]:
-            table = closure_incremental(gens)
+            table = closure(gens)
             if table.order != entry["group_order"] or table.order != entry["image_order"]:
                 return False
     return True
 
 
-def _rv_intersection(claim, bundle):
+def _rv_index(claim, recompute):
+    """Compare the indices recompute(k) gives at the stabilized level with
+    the witness; an index that never stabilized records nothing to check."""
     w = claim["witness"]
     if not w["stabilized"]:
         return True
-    k = w["stabilized_at"]
-    cfg = _cfg_from_bundle(bundle)
-    kind, data = parse_conjugator_spec(claim["inputs"]["h"])
-    if kind == "rational":
-        conj = Conjugator.from_rows(data)
-    else:
-        conj = Conjugator.from_quaternion(_algebra_from_bundle(bundle).element(*data))
-    result = local_intersection(conj, k)
+    result = recompute(w["stabilized_at"])
     return (
         result.index_in_gamma == w["computed_index_in_gamma"]
         and result.index_in_gamma_h == w["computed_index_in_conjugate"]
     )
+
+
+def _rv_intersection(claim, bundle):
+    h = _conjugator(claim["inputs"]["h"], lambda: _algebra_from_bundle(bundle))
+    return _rv_index(claim, lambda k: local_intersection(h, k))
 
 
 def _rv_sl2z_intersection(claim, bundle):
-    w = claim["witness"]
-    if not w["stabilized"]:
-        return True
     _, rows = parse_conjugator_spec(claim["inputs"]["h"])
-    result = sl2z_case(rows, claim["inputs"]["primes"], w["stabilized_at"])
-    return (
-        result.index_in_gamma == w["computed_index_in_gamma"]
-        and result.index_in_gamma_h == w["computed_index_in_conjugate"]
-    )
+    return _rv_index(claim, lambda k: sl2z_case(rows, claim["inputs"]["primes"], k))
 
 
 def _rv_jorgensen(claim, bundle):

@@ -263,13 +263,12 @@ def _recheck_conjugates(h: Conjugator, p: int, K: int, G: SubgroupTable,
 
 
 def _intersection_at_prime(h: Conjugator, p: int, k: int,
-                           cap: int = DEFAULT_CAP,
-                           ambient: SubgroupTable | None = None) -> IntersectionResult:
+                           cap: int = DEFAULT_CAP) -> IntersectionResult:
     if k < 1:
         raise ValueError("level k must be at least 1")
     v = h.denominator_valuation(p)
     K = k + 2 * v
-    G = enumerate_group(p, K, cap) if ambient is None else ambient
+    G = enumerate_group(p, K, cap)
     A, B, V = _action(h, p, K)
     H1 = _as_subgroup(_scan(G, A, B, V, p), G)
     H2 = _as_subgroup(_scan(G, B, A, V, p), G)
@@ -291,18 +290,6 @@ def local_intersection(h: Conjugator, k: int, cap: int = DEFAULT_CAP) -> Interse
     quaternionic h the splitting at 2 is applied first.
     """
     return _intersection_at_prime(h, 2, k, cap)
-
-
-def intersect_images(image_gamma: SubgroupTable, h: Conjugator, k: int) -> IntersectionResult:
-    """Same scan restricted to a verified finite image of Gamma.
-
-    The image must live at the working modulus 2^(k+2v); indices are then
-    relative to the image and its conjugate rather than the full group.
-    """
-    K = k + 2 * h.denominator_valuation(2)
-    if image_gamma.modulus != 2 ** K:
-        raise ValueError("image level does not match the working level k + 2v")
-    return _intersection_at_prime(h, 2, k, ambient=image_gamma)
 
 
 def sl2z_case(h_rows, primes, k: int = 1, cap: int = DEFAULT_CAP) -> IntersectionResult:

@@ -1,8 +1,8 @@
-"""Exact arithmetic substrate: rationals, residue rings, p-adic approximations
-with explicit precision, and dyadic real intervals.
+"""Exact arithmetic substrate: rationals and p-adic approximations with
+explicit precision.
 
-Every downstream verdict reduces to integer arithmetic done here.  Rational is
-the stdlib Fraction: always reduced, positive denominator, exact ops.
+Every downstream verdict reduces to integer arithmetic done here.  Rationals
+are the stdlib Fraction: always reduced, positive denominator, exact ops.
 """
 
 from dataclasses import dataclass
@@ -10,44 +10,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .util import (frac_valuation, inv_mod, is_prime, is_rational_square,
-                   unit_part, valuation)
-
-Rational = Fraction
-
-
-@dataclass(frozen=True)
-class ResidueElem:
-    """An element of Z/m, normalized to 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("mismatched moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return ResidueElem(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ResidueElem(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ResidueElem(self.value * other.value, self.modulus)
-
-    def inverse(self):
-        return ResidueElem(inv_mod(self.value, self.modulus), self.modulus)
-
-    def __int__(self):
-        return self.value
+                   unit_part)
 
 
 def _check_padic_args(p: int, precision: int):
@@ -118,11 +81,6 @@ class PAdicApprox:
         if self.exact_zero:
             return True
         return self.val >= t
-
-    def valuation_less_than(self, t: int) -> bool:
-        if self.exact_zero or self.known_zero_to_precision:
-            return False
-        return self.val < t
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -196,11 +154,6 @@ class PAdicApprox:
         if self.val + self.prec < k:
             raise ValueError("insufficient precision for residue")
         return self.unit * self.p ** self.val % self.p ** k
-
-    def unit_residue(self) -> ResidueElem:
-        if self.exact_zero or self.known_zero_to_precision:
-            raise ValueError("no unit part")
-        return ResidueElem(self.unit, self.p ** self.prec)
 
 
 def _sqrt_unit_mod_2k(u: int, k: int) -> int:
@@ -279,80 +232,3 @@ def sqrt_padic(r, p: int, precision: int) -> PAdicApprox:
     if su % p > p - su % p:
         su = (m - su) % m
     return PAdicApprox(p, v // 2, su, k)
-
-
-def _dyadic_floor(x: Fraction, n: int) -> Fraction:
-    return Fraction(x.numerator * 4 ** n // x.denominator, 4 ** n)
-
-
-def _dyadic_ceil(x: Fraction, n: int) -> Fraction:
-    return Fraction(-((-x.numerator) * 4 ** n // x.denominator), 4 ** n)
-
-
-@dataclass(frozen=True)
-class RealInterval:
-    """Closed interval with dyadic rational endpoints, directed rounding.
-
-    Addition and multiplication are exact (dyadics are a ring); only sqrt and
-    from_rational round, always outward.
-    """
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
-
-    @staticmethod
-    def from_rational(r, bits: int = 64) -> "RealInterval":
-        r = Fraction(r)
-        return RealInterval(_dyadic_floor(r, bits), _dyadic_ceil(r, bits))
-
-    @staticmethod
-    def exact(r) -> "RealInterval":
-        r = Fraction(r)
-        if r.denominator & (r.denominator - 1):
-            raise ValueError("endpoint is not dyadic")
-        return RealInterval(r, r)
-
-    def __add__(self, other):
-        return RealInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self):
-        return RealInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        return RealInterval(min(prods), max(prods))
-
-    def sqrt(self, bits: int = 64) -> "RealInterval":
-        if self.lo < 0:
-            raise ValueError("interval contains negatives")
-
-        def root_floor(x):
-            num = x.numerator * 4 ** bits // x.denominator
-            return Fraction(isqrt(num), 2 ** bits)
-
-        def root_ceil(x):
-            num = -((-x.numerator * 4 ** bits) // x.denominator)
-            s = isqrt(num)
-            if s * s < num:
-                s += 1
-            return Fraction(s, 2 ** bits)
-
-        return RealInterval(root_floor(self.lo), root_ceil(self.hi))
-
-    def contains(self, r) -> bool:
-        r = Fraction(r)
-        return self.lo <= r <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo

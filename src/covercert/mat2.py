@@ -2,7 +2,7 @@
 
 Matrices are plain tuples ((a, b), (c, d)).  Entries only need +, -, *
 (and scalar coercion where noted), so the same functions serve Fraction,
-PAdicApprox, RealInterval and quadratic-field elements alike.
+PAdicApprox and quadratic-field elements alike.
 """
 
 
@@ -11,12 +11,6 @@ def mat_mul(A, B):
     (e, f), (g, h) = B
     return ((a * e + b * g, a * f + b * h),
             (c * e + d * g, c * f + d * h))
-
-
-def mat_add(A, B):
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return ((a + e, b + f), (c + g, d + h))
 
 
 def mat_sub(A, B):
@@ -43,16 +37,3 @@ def mat_adj(A):
     """Adjugate; equals the inverse whenever det(A) = 1."""
     (a, b), (c, d) = A
     return ((d, -b), (-c, a))
-
-
-def mat_pow(A, n, one):
-    """A**n for n >= 0; `one` is the ring's multiplicative identity."""
-    if n < 0:
-        raise ValueError("negative power needs an inverse; use mat_adj for det 1")
-    R = ((one, one - one), (one - one, one))
-    while n:
-        if n & 1:
-            R = mat_mul(R, A)
-        A = mat_mul(A, A)
-        n >>= 1
-    return R

@@ -190,13 +190,18 @@ def _primitive(vec):
 
 
 def _int_nth_root(m: int, n: int):
+    """Exact integer r >= 0 with r^n = m (n >= 1), or None."""
     if m < 0:
         return None
-    r = round(m ** (1.0 / n)) if m else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == m:
-            return c
-    return None
+    # bisect for the largest r with r^n <= m; r < 2^(bit_length/n + 1)
+    lo, hi = 0, 1 << (m.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** n <= m:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo ** n == m else None
 
 
 def _rational_nth_root(c: Fraction, n: int):

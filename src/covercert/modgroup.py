@@ -5,7 +5,6 @@ deterministic discovery order, so downstream certificates can refer to
 indices and witnesses reproducibly.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,52 +83,45 @@ def group_order(p: int, k: int) -> int:
 
 def closure(generators, cap: int = DEFAULT_CAP) -> SubgroupTable:
     """Breadth-first closure under right multiplication by the generators
-    and their inverses.  Discovery order is deterministic: generators in
-    input order, elements in insertion order."""
+    and their inverses.
+
+    A generator already in the running closure is skipped; any other
+    extends the search from where it stopped instead of restarting it.  The
+    first generator is always kept, so the table's generators are the
+    subsequence actually used.  Discovery order is deterministic:
+    generators in input order, elements in insertion order.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     m = generators[0].m
-    gens = []
-    for g in generators:
-        if g.m != m:
-            raise ValueError("mixed moduli")
-        if g not in gens:
-            gens.append(g)
-    step = list(gens)
-    for g in gens:
-        gi = g.inverse()
-        if gi not in step:
-            step.append(gi)
     ident = ResidueMatrix.identity(m)
     seen = {ident}
     order = [ident]
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in step:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"closure exceeds cap {cap}")
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
-    return SubgroupTable(m, tuple(order), frozenset(seen), tuple(gens))
-
-
-def closure_incremental(generators, cap: int = DEFAULT_CAP) -> SubgroupTable:
-    """Same result as closure(), but skips generators already contained in
-    the running closure.  Much faster when a short prefix of the generator
-    list already generates the whole image."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    used = [generators[0]]
-    table = closure(used, cap)
-    for g in generators[1:]:
-        if g not in table:
-            used.append(g)
-            table = closure(used, cap)
-    return table
+    used, step = [], []
+    for g in generators:
+        if g.m != m:
+            raise ValueError("mixed moduli")
+        if used and g in seen:
+            continue
+        used.append(g)
+        gi = g.inverse()
+        new = [g] if gi == g else [g, gi]
+        step += new
+        # order[:n] is already closed under the earlier generators, so it
+        # needs only the new ones; what they reach needs all of them
+        n = len(order)
+        i = 0
+        while i < len(order):
+            x = order[i]
+            for s in new if i < n else step:
+                y = x * s
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"closure exceeds cap {cap}")
+                    seen.add(y)
+                    order.append(y)
+            i += 1
+    return SubgroupTable(m, tuple(order), frozenset(seen), tuple(used))
 
 
 @lru_cache(maxsize=8)

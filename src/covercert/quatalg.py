@@ -2,14 +2,14 @@
 
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.  Everything here is
 exact: element arithmetic over Fraction, ramification via the local Hilbert
-symbol formulas, and explicit splittings over Q_2 (when a is a 2-adic
-square) and over R (when a > 0).
+symbol formulas, and an explicit splitting over Q_2 (when a is a 2-adic
+square).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PAdicApprox, RealInterval, is_square_padic, sqrt_padic
+from .exact import PAdicApprox, is_square_padic, sqrt_padic
 from .mat2 import mat_det, mat_mul, mat_scale, mat_sub
 from .util import is_prime, is_rational_square, odd_prime_factors, valuation
 
@@ -190,21 +190,18 @@ def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
 
 @dataclass(frozen=True)
 class SplittingMap:
-    """Embedding of the algebra into 2x2 matrices over Q_2 or R.
+    """Embedding of the algebra into 2x2 matrices over Q_2.
 
-    i maps to diag(s, -s) with s a square root of a in the target field and
-    j to [[0,1],[b,0]]; then q = x0 + x1 i + x2 j + x3 k goes to
+    i maps to diag(s, -s) with s a 2-adic square root of a and j to
+    [[0,1],[b,0]]; then q = x0 + x1 i + x2 j + x3 k goes to
     [[x0 + s x1, x2 + s x3], [b (x2 - s x3), x0 - s x1]] and det = nrd(q).
     """
     algebra: QuaternionAlgebra
-    kind: str  # "2-adic" or "real"
-    s: object
+    s: PAdicApprox
     precision: int
 
     def _lift(self, r):
-        if self.kind == "2-adic":
-            return PAdicApprox.from_rational(r, 2, self.precision)
-        return RealInterval.from_rational(r, self.precision)
+        return PAdicApprox.from_rational(r, 2, self.precision)
 
     def image_i(self):
         z = self._lift(0)
@@ -244,37 +241,20 @@ class SplittingMap:
         for q in samples:
             diff = mat_det(self.apply(q)) - self._lift(q.nrd())
             self._assert_vanishes(diff, f"det - nrd at {q.coords()}")
-        return {"kind": self.kind, "precision": self.precision,
+        return {"precision": self.precision,
                 "relations": sorted(checks), "det_samples": len(samples)}
 
     def _assert_vanishes(self, entry, name):
         # slack of 4 digits absorbs denominators of half-integral samples
-        if self.kind == "2-adic":
-            ok = entry.valuation_at_least(self.precision - 4)
-        else:
-            ok = entry.contains_zero() and entry.width() < Fraction(1, 2 ** 30)
-        if not ok:
+        if not entry.valuation_at_least(self.precision - 4):
             raise AssertionError(f"splitting relation {name} fails: {entry}")
 
 
-def split_padic(D: QuaternionAlgebra, p: int, precision: int) -> SplittingMap:
-    if p != 2:
-        raise ValueError("only the 2-adic splitting is provided")
+def split_2adic(D: QuaternionAlgebra, precision: int) -> SplittingMap:
     if hilbert_symbol(D.a, D.b, 2) != 1:
         raise ValueError("algebra is ramified at 2; no splitting exists")
     if not is_square_padic(D.a, 2, max(precision, 3)):
         raise ValueError("a is not a 2-adic square; this construction "
                          "requires the diagonal form of i")
     s = sqrt_padic(D.a, 2, precision + 2)
-    return SplittingMap(D, "2-adic", s, precision + 2)
-
-
-def split_2adic(D: QuaternionAlgebra, precision: int) -> SplittingMap:
-    return split_padic(D, 2, precision)
-
-
-def split_real(D: QuaternionAlgebra, bits: int = 64) -> SplittingMap:
-    if D.a <= 0:
-        raise ValueError("real splitting with diagonal i needs a > 0")
-    s = RealInterval.exact(D.a).sqrt(bits)
-    return SplittingMap(D, "real", s, bits)
+    return SplittingMap(D, s, precision + 2)

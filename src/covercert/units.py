@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .modgroup import (DEFAULT_CAP, ResidueMatrix, SubgroupTable,
-                       closure_incremental, enumerate_group)
+                       closure, enumerate_group)
 from .quatalg import (INF, QuaternionAlgebra, Quaternion, SplittingMap,
                       is_division, is_square_padic, quadratic_embeds,
                       ramified_places, split_2adic)
@@ -115,8 +115,6 @@ def reduce_units(slice_: UnitSlice, split: SplittingMap, k: int):
     The determinant-1 invariant is asserted per element by the
     ResidueMatrix constructor.
     """
-    if split.kind != "2-adic":
-        raise ValueError("need the 2-adic splitting")
     if split.precision < k + 2:
         raise ValueError("insufficient splitting precision for this level")
     out = []
@@ -158,16 +156,10 @@ def surjects_at_level(D: QuaternionAlgebra, B: int, k: int,
 def images_surject(mats, k: int, cap: int = DEFAULT_CAP):
     """Whether the reduced unit images mats generate all of SL2(Z/2^k).
 
-    Returns (flag, image_table).  Duplicates are dropped in first-seen
-    order before closing, so the table's generators are a subsequence of
-    mats.
+    Returns (flag, image_table); the table's generators are the
+    subsequence of mats that the closure used.
     """
-    seen, gens = set(), []
-    for g in mats:
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
-    table = closure_incremental(gens, cap)
+    table = closure(mats, cap)
     G = enumerate_group(2, k)
     return table.element_set == G.element_set, table
 

@@ -1,7 +1,7 @@
 """Small number-theoretic helpers shared across modules."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -59,14 +59,6 @@ def inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    if gcd(m1, m2) != 1:
-        raise ValueError("moduli must be coprime")
-    t = (r2 - r1) * inv_mod(m1 % m2, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2)
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -78,25 +70,6 @@ def is_rational_square(r) -> bool:
     if r < 0:
         return False
     return is_perfect_square(r.numerator) and is_perfect_square(r.denominator)
-
-
-def squarefree_part(n: int) -> int:
-    """Squarefree integer in the same square class as n (n != 0)."""
-    if n == 0:
-        raise ValueError("zero has no squarefree part")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return sign * out * n
 
 
 def odd_prime_factors(n: int) -> list:

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from covercert.commens import (Conjugator, IntersectionResult,
-                               intersect_images, local_intersection, sl2z_case,
+                               local_intersection, sl2z_case,
                                stabilize, stabilized_intersection)
-from covercert.modgroup import ResidueMatrix, SubgroupTable, enumerate_group
 from covercert.quatalg import QuaternionAlgebra
 
 HALF_SHIFT = [[1, Fraction(-1, 2)], [0, 1]]
@@ -117,31 +116,6 @@ def test_quaternionic_conjugator_scan():
     # j has odd reduced norm, so conjugation by it preserves integrality at 2
     res = local_intersection(Conjugator.from_quaternion(D.element(0, 0, 1)), k=1)
     assert res.indices() == (1, 1)
-
-
-def test_intersect_images_full_matches_local():
-    h = Conjugator.from_rows(HALF_SHIFT)
-    res = intersect_images(enumerate_group(2, 3), h, k=1)
-    direct = local_intersection(h, k=1)
-    assert res.indices() == direct.indices()
-    assert res.subgroup.element_set == direct.subgroup.element_set
-
-
-def test_intersect_images_proper_and_trivial():
-    h = Conjugator.from_rows(HALF_SHIFT)
-    direct = local_intersection(h, k=1)
-    # the intersection group itself is preserved by both directions
-    restr = intersect_images(direct.subgroup, h, k=1)
-    assert restr.indices() == (1, 1)
-    trivial = SubgroupTable(8, (ResidueMatrix.identity(8),),
-                            frozenset((ResidueMatrix.identity(8),)), ())
-    assert intersect_images(trivial, h, k=1).indices() == (1, 1)
-
-
-def test_intersect_images_level_mismatch():
-    h = Conjugator.from_rows(HALF_SHIFT)
-    with pytest.raises(ValueError, match="level"):
-        intersect_images(enumerate_group(2, 2), h, k=1)
 
 
 def test_stabilize_generic_and_nonstabilizing():

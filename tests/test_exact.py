@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from covercert.exact import (PAdicApprox, RealInterval, ResidueElem,
-                             is_square_padic, sqrt_padic)
+from covercert.exact import PAdicApprox, is_square_padic, sqrt_padic
 from covercert.util import frac_valuation, unit_part, valuation
 
 
@@ -154,38 +153,3 @@ def test_padic_inverse():
     prod = x * xi
     assert prod.val == 0
     assert prod.unit % 7 ** prod.prec == 1
-
-
-def test_residue_elem():
-    a = ResidueElem(10, 7)
-    assert a.value == 3
-    assert int(a * a.inverse()) == 1
-    assert (a + ResidueElem(4, 7)).value == 0
-    with pytest.raises(ValueError):
-        a + ResidueElem(1, 5)
-
-
-# --- RealInterval ------------------------------------------------------------
-
-def test_interval_contains_exact_values():
-    rng = random.Random(3)
-    for _ in range(80):
-        a = Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
-        b = Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
-        ia = RealInterval.from_rational(a)
-        ib = RealInterval.from_rational(b)
-        assert (ia + ib).contains(a + b)
-        assert (ia - ib).contains(a - b)
-        assert (ia * ib).contains(a * b)
-
-
-def test_interval_sqrt_brackets():
-    for r in (2, 17, Fraction(7, 3), Fraction(1, 4)):
-        iv = RealInterval.from_rational(r).sqrt()
-        assert iv.lo * iv.lo <= r <= iv.hi * iv.hi
-        assert iv.width() < Fraction(1, 2 ** 40)
-
-
-def test_interval_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        RealInterval.from_rational(-1).sqrt()

@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from covercert.cli import main as cli_main
 from covercert.mobius import (INFINITE_ORDER, BinaryFormSpace, InvariantFunction,
-                              MobiusMap, commutator, compose, finite_order,
-                              index_of_invariant_field, invariant_search,
-                              is_invariant)
+                              MobiusMap, _int_nth_root, commutator, compose,
+                              finite_order, index_of_invariant_field,
+                              invariant_search, is_invariant)
 
 SIGMA = MobiusMap.sigma()
 SIGMA2 = MobiusMap.sigma_a(2)
@@ -162,3 +164,19 @@ def test_search_argument_validation():
         invariant_search([SIGMA], 0)
     with pytest.raises(ValueError):
         invariant_search([commutator(SIGMA, SIGMA2)], 2)
+
+
+def test_int_nth_root_exact_beyond_float_range(tmp_path):
+    assert _int_nth_root(3 ** 80, 2) == 3 ** 40
+    assert _int_nth_root(10 ** 400, 2) == 10 ** 200
+    assert _int_nth_root(7 ** 90, 3) == 7 ** 30
+    assert _int_nth_root(0, 4) == 0 and _int_nth_root(1, 5) == 1
+    for m, n in ((3 ** 80 + 1, 2), (10 ** 400 - 1, 2), (7 ** 90 + 7, 3),
+                 (26, 3), (2, 2), (-8, 3)):
+        assert _int_nth_root(m, n) is None, (m, n)
+    # a = 3^40: the exact root of a^2 is what the invariant search needs
+    out = tmp_path / "dihedral.json"
+    assert cli_main(["dihedral", "--set", f"a={3 ** 40}", "--out", str(out)]) == 0
+    claims = json.loads(out.read_text())["claims"]
+    assert len(claims) == 5
+    assert all(c["verdict"] == "verified" for c in claims)

@@ -1,8 +1,7 @@
 import pytest
 
 from covercert.modgroup import (ResidueMatrix, SubgroupTable, closure,
-                                closure_incremental, enumerate_group,
-                                group_order, index)
+                                enumerate_group, group_order, index)
 
 from oracles import sl2_order_bruteforce
 
@@ -83,10 +82,18 @@ def test_closure_cap():
         closure(gens, cap=100)
 
 
-def test_closure_incremental_matches_closure():
-    gens = [ResidueMatrix(1, 1, 0, 1, 8), ResidueMatrix(1, 2, 0, 1, 8),
-            ResidueMatrix(1, 0, 1, 1, 8), ResidueMatrix(5, 2, 2, 1, 8)]
-    assert closure_incremental(gens).element_set == closure(gens).element_set
+def test_closure_skips_contained_generators():
+    ident = ResidueMatrix.identity(8)
+    T = ResidueMatrix(1, 1, 0, 1, 8)
+    U = ResidueMatrix(1, 0, 1, 1, 8)
+    table = closure([ident, T, T * T, U])
+    # the first generator is kept even when it is the identity; T^2 is
+    # already in <T> when it arrives
+    assert table.generators == (ident, T, U)
+    assert table.element_set == enumerate_group(2, 3).element_set
+    assert len(table.elements) == len(table.element_set) == 384
+    with pytest.raises(ValueError, match="cap"):
+        closure([ident, T, T * T, U], cap=100)
 
 
 def test_index():

@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covercert.mat2 import mat_det
 from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
                                is_division, quadratic_embeds, ramified_places,
-                               split_2adic, split_real)
+                               split_2adic)
 from covercert.util import odd_prime_factors
 
 from oracles import (_repr_mask, _squares, conic_solvable_mod, conic_square_class,
@@ -180,7 +179,7 @@ def test_split_2adic_relations_and_det():
                D.element(Fraction(7, 2), Fraction(1, 2), 1, 0)]
     samples += [rand_quat(D, rng, span=5) for _ in range(10)]
     report = sm.verify(samples)
-    assert report["kind"] == "2-adic"
+    assert report["det_samples"] == len(samples)
     # i is diagonal with the canonical 2-adic root of 17 on the diagonal
     s = sm.image_i()[0][0]
     assert (s.unit ** 2 - 17) % 2 ** 6 == 0
@@ -199,16 +198,3 @@ def test_split_2adic_rejects():
         split_2adic(QuaternionAlgebra(3, 7), 4)
     with pytest.raises(ValueError):
         split_2adic(QuaternionAlgebra(-1, -1), 4)
-
-
-def test_split_real():
-    D = QuaternionAlgebra(17, 7)
-    rng = random.Random(5)
-    sm = split_real(D)
-    samples = [D.one(), D.element(5, 1, 1, 0)]
-    samples += [rand_quat(D, rng, span=4) for _ in range(8)]
-    sm.verify(samples)
-    q = D.element(5, 1, 1, 0)
-    assert mat_det(sm.apply(q)).contains(1)
-    with pytest.raises(ValueError):
-        split_real(QuaternionAlgebra(-2, 3))
