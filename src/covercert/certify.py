@@ -54,11 +54,12 @@ from .mobius import (
     invariant_search,
     is_invariant,
 )
-from .modgroup import ResidueMatrix, closure, group_order
+from .modgroup import ResidueMatrix, group_order
 from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic
 from .units import (
     SATURATED,
     STANDARD,
+    UnitSlice,
     enumerate_units,
     enumerate_units_saturated,
     find_example_algebra,
@@ -250,6 +251,8 @@ def parse_conjugator_spec(spec: str):
         return kind, rows
     if all(v == 0 for v in vals):
         raise ConfigError("zero quaternion cannot conjugate")
+    if any(v.denominator & (v.denominator - 1) for v in vals):
+        raise ConfigError("quaternionic conjugator has a denominator away from 2")
     return kind, vals
 
 
@@ -513,6 +516,16 @@ def _two_adic_square(d: int):
     return (v % 2 == 0 and n % 8 == 1), v, n % 8
 
 
+# what the construction asks of (d, b): a division algebra split at 2 and
+# at infinity is exactly one whose _algebra_symbols equal these
+_ADMISSIBLE = {"symbol_at_2": 1, "symbol_at_inf": 1, "division": True}
+
+
+def _algebra_symbols(algebra: QuaternionAlgebra) -> dict:
+    a, b = algebra.a, algebra.b
+    return {"symbol_at_2": hilbert_symbol(a, b, 2), "symbol_at_inf": hilbert_symbol(a, b, INF), "division": is_division(algebra)}
+
+
 def _find_unit_generators(slice_, reduced, table, k):
     """Match the contributing generators of a closure table back to unit
     coordinates from the slice; reduced holds the slice's images mod 2^k,
@@ -650,74 +663,54 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     if blocker:
         blocked("quaternionic.algebra", method_2)
     else:
-        try:
-            if "b" in cfg.explicit and cfg.b:
-                algebra = QuaternionAlgebra(cfg.d, cfg.b)
-                if not (is_division(algebra) and hilbert_symbol(cfg.d, cfg.b, 2) == 1 and hilbert_symbol(cfg.d, cfg.b, INF) == 1):
-                    algebra = None
-            else:
-                algebra = find_example_algebra(cfg.d, cfg.b_search_bound)
-        except ValueError as e:
-            claims.append(
-                Certificate(
-                    claim="quaternionic.algebra",
-                    verdict=SEARCH_EXHAUSTED,
-                    method=method_2,
-                    inputs={"d": cfg.d, "b_search_bound": cfg.b_search_bound},
-                    witness=None,
-                    depends_on=("quaternionic.2adic-square",),
-                    notes=(str(e),),
-                )
+        inputs = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}
+
+        def cert_2(verdict, inputs, witness, note):
+            return Certificate(
+                claim="quaternionic.algebra",
+                verdict=verdict,
+                method=method_2,
+                inputs=inputs,
+                witness=witness,
+                depends_on=("quaternionic.2adic-square",),
+                notes=(note,),
             )
+
+        if "b" in cfg.explicit and cfg.b:
+            algebra = QuaternionAlgebra(cfg.d, cfg.b)
+            witness = _algebra_symbols(algebra)
+            if witness != _ADMISSIBLE:
+                note = "the requested b fails division or splitting at 2 or infinity"
+                claims.append(cert_2(REFUTED, dict(inputs, b=cfg.b), witness, note))
+                algebra = None
+        else:
+            try:
+                algebra = find_example_algebra(cfg.d, cfg.b_search_bound)
+            except ValueError as e:
+                claims.append(cert_2(SEARCH_EXHAUSTED, inputs, None, str(e)))
+        if algebra is None:
             blocker = "quaternionic.algebra"
         else:
-            if algebra is None:
-                claims.append(
-                    Certificate(
-                        claim="quaternionic.algebra",
-                        verdict=REFUTED,
-                        method=method_2,
-                        inputs={"d": cfg.d, "b": cfg.b, "b_search_bound": cfg.b_search_bound},
-                        witness={
-                            "symbol_at_2": hilbert_symbol(cfg.d, cfg.b, 2),
-                            "symbol_at_inf": hilbert_symbol(cfg.d, cfg.b, INF),
-                            "division": is_division(QuaternionAlgebra(cfg.d, cfg.b)),
-                        },
-                        depends_on=("quaternionic.2adic-square",),
-                        notes=("the requested b fails division or splitting at 2 or infinity",),
-                    )
-                )
-                blocker = "quaternionic.algebra"
-            else:
-                b_int = int(algebra.b)
-                claims.append(
-                    Certificate(
-                        claim="quaternionic.algebra",
-                        verdict=VERIFIED,
-                        method=method_2,
-                        inputs={"d": cfg.d, "b_search_bound": cfg.b_search_bound},
-                        witness={
-                            "a": frac_str(algebra.a),
-                            "b": frac_str(algebra.b),
-                            "ramified_places": ramified_places(algebra),
-                            "symbol_at_2": hilbert_symbol(algebra.a, algebra.b, 2),
-                            "symbol_at_inf": hilbert_symbol(algebra.a, algebra.b, INF),
-                            "division": True,
-                        },
-                        depends_on=("quaternionic.2adic-square",),
-                        notes=(
-                            "the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",
-                        ),
-                    )
-                )
+            witness = {
+                "a": frac_str(algebra.a),
+                "b": frac_str(algebra.b),
+                "ramified_places": ramified_places(algebra),
+                "symbol_at_2": hilbert_symbol(algebra.a, algebra.b, 2),
+                "symbol_at_inf": hilbert_symbol(algebra.a, algebra.b, INF),
+                "division": True,
+            }
+            note = "the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra"
+            claims.append(cert_2(VERIFIED, inputs, witness, note))
 
     # stage 3: the unit group is torsion-free, so every congruence cover
-    # in the tower is unramified
+    # in the tower is unramified; the standard slice enumerated here also
+    # serves the obstruction and discreteness stages
     method_3 = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
     if blocker:
         blocked("quaternionic.torsion-free", method_3)
     else:
-        report = torsion_check(algebra, cfg.unit_height)
+        slice_std = enumerate_units(algebra, cfg.unit_height)
+        report = torsion_check(slice_std)
         clean = report["algebra_torsion_free"] and report["slice_torsion_free"]
         witness = dict(report)
         witness["finite_order_in_slice"] = [[frac_str(c) for c in u.coords()] for u in report["finite_order_in_slice"]]
@@ -741,7 +734,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     if blocker:
         blocked("quaternionic.standard-order-obstruction", method_obs)
     else:
-        flag, table = surjects_at_level(algebra, cfg.unit_height, 1, order_kind=STANDARD)
+        flag, table = surjects_at_level(slice_std, 1)
         claims.append(
             Certificate(
                 claim="quaternionic.standard-order-obstruction",
@@ -760,11 +753,13 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         blocked("quaternionic.congruence-surjectivity", method_4)
     else:
         slice_sat = enumerate_units_saturated(algebra, cfg.unit_height)
-        split = split_2adic(algebra, cfg.k_max + 8)
+        # one reduction at k_max; each level takes its residues mod 2^k,
+        # which the ResidueMatrix constructor reduces
+        top = reduce_units(slice_sat, split_2adic(algebra, cfg.k_max + 8), cfg.k_max)
         levels = []
         all_ok = True
         for k in range(cfg.k_min, cfg.k_max + 1):
-            reduced = reduce_units(slice_sat, split, k)
+            reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
             flag, table = images_surject(reduced, k)
             gens = _find_unit_generators(slice_sat, reduced, table, k)
             levels.append(
@@ -822,7 +817,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     if blocker and blocker != "quaternionic.intersection-index":
         blocked("quaternionic.nondiscrete", JORGENSEN_METHOD)
     else:
-        claims.append(_nondiscrete_stage(cfg, algebra))
+        claims.append(_nondiscrete_stage(cfg, algebra, slice_std))
 
     claims.append(
         Certificate(
@@ -852,7 +847,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     return bundle
 
 
-def _nondiscrete_stage(cfg: RunConfig, algebra) -> Certificate:
+def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certificate:
     def cert(verdict, witness, note):
         return Certificate(
             claim="quaternionic.nondiscrete",
@@ -866,7 +861,6 @@ def _nondiscrete_stage(cfg: RunConfig, algebra) -> Certificate:
 
     found = "a violating nonelementary pair cannot lie in any discrete group"
     kind, data = parse_conjugator_spec(cfg.h)
-    slice_std = enumerate_units(algebra, cfg.unit_height)
     partners = [WordElement.seed(f"u{j}", real_embed(u)) for j, u in enumerate(slice_std.elements)]
 
     if kind == "rational":
@@ -1069,9 +1063,12 @@ def run_hilbert(cfg: RunConfig) -> dict:
 
 
 def _resolve_algebra(cfg: RunConfig):
+    if "b" in cfg.explicit and cfg.b:
+        algebra = QuaternionAlgebra(cfg.d, cfg.b)
+        if _algebra_symbols(algebra) != _ADMISSIBLE:
+            raise ConfigError(f"b={cfg.b} does not give a division algebra split at 2 and at infinity")
+        return algebra
     try:
-        if "b" in cfg.explicit and cfg.b:
-            return QuaternionAlgebra(cfg.d, cfg.b)
         return find_example_algebra(cfg.d, cfg.b_search_bound)
     except ValueError as e:
         raise ConfigError(str(e))
@@ -1079,11 +1076,10 @@ def _resolve_algebra(cfg: RunConfig):
 
 def run_units(cfg: RunConfig) -> dict:
     algebra = _resolve_algebra(cfg)
-    if cfg.order_kind == SATURATED:
-        slice_ = enumerate_units_saturated(algebra, cfg.unit_height)
-    else:
-        slice_ = enumerate_units(algebra, cfg.unit_height)
-    torsion = torsion_check(algebra, cfg.unit_height)
+    # torsion is read off the standard slice for either order kind
+    standard = enumerate_units(algebra, cfg.unit_height)
+    slice_ = enumerate_units_saturated(algebra, cfg.unit_height) if cfg.order_kind == SATURATED else standard
+    torsion = torsion_check(standard)
     witness = {
         "a": frac_str(algebra.a),
         "b": frac_str(algebra.b),
@@ -1206,12 +1202,11 @@ def _rv_2adic_square(claim, bundle):
 
 def _rv_algebra(claim, bundle):
     w = claim["witness"]
-    a, b = parse_frac(w["a"]), parse_frac(w["b"])
-    algebra = QuaternionAlgebra(a, b)
+    if claim["verdict"] == REFUTED:
+        return _algebra_symbols(QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"])) == w != _ADMISSIBLE
+    algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
     return (
-        w["symbol_at_2"] == hilbert_symbol(a, b, 2) == 1
-        and w["symbol_at_inf"] == hilbert_symbol(a, b, INF) == 1
-        and is_division(algebra)
+        {key: w[key] for key in _ADMISSIBLE} == _algebra_symbols(algebra) == _ADMISSIBLE
         and ramified_places(algebra) == w["ramified_places"]
     )
 
@@ -1226,7 +1221,7 @@ def _algebra_from_bundle(bundle):
 
 def _rv_torsion(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
-    report = torsion_check(algebra, claim["inputs"]["unit_height"])
+    report = torsion_check(enumerate_units(algebra, claim["inputs"]["unit_height"]))
     w = claim["witness"]
     return (
         report["algebra_torsion_free"] == w["algebra_torsion_free"]
@@ -1238,7 +1233,7 @@ def _rv_torsion(claim, bundle):
 
 def _rv_obstruction(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
-    flag, table = surjects_at_level(algebra, claim["inputs"]["unit_height"], 1, order_kind=STANDARD)
+    flag, table = surjects_at_level(enumerate_units(algebra, claim["inputs"]["unit_height"]), 1)
     return not flag and table.order == claim["witness"]["image_order_mod_2"]
 
 
@@ -1260,8 +1255,8 @@ def _rv_surjectivity(claim, bundle):
                 return False
             gens.append(ResidueMatrix(*entries, 2**k))
         if entry["surjects"]:
-            table = closure(gens)
-            if table.order != entry["group_order"] or table.order != entry["image_order"]:
+            flag, table = images_surject(gens, k)
+            if not flag or table.order != entry["image_order"]:
                 return False
     return True
 

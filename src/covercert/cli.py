@@ -6,7 +6,9 @@ pipeline, and writes the certificate bundle to --out or stdout.
 
 Exit codes: 0 when every claim was verified (or a search came back empty
 or context was recorded), 1 when some claim was refuted at its level,
-2 for configuration or usage errors.
+2 for configuration or usage errors, 3 when the run could not finish (a
+blown budget or an internal fault).  Exit 1 is a verdict, so no error ever
+takes it; codes 2 and 3 print one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -55,15 +57,18 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         bundle = PIPELINES[args.pipeline](cfg)
+        text = render_bundle(bundle)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = render_bundle(bundle)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+        return 3
     return bundle_exit_code(bundle)
 
 

@@ -7,14 +7,18 @@ w = z mod 2.  The distinction matters at the prime 2: the standard order's
 norm-one units land in a proper subgroup of SL2(Z/2) (see
 mod2_image_obstruction), so congruence surjectivity is only visible
 through the saturated slice.
+
+The two enumerators are the only functions here that build a slice.
+Everything downstream (reduce_units, surjects_at_level, torsion_check)
+takes the slice its caller already holds, so a pipeline enumerates each
+slice once and decides which order it works on in one place.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .modgroup import (DEFAULT_CAP, ResidueMatrix, SubgroupTable,
-                       closure, enumerate_group)
+from .modgroup import ResidueMatrix, closure, group_order
 from .quatalg import (INF, QuaternionAlgebra, Quaternion, SplittingMap,
                       is_division, is_square_padic, quadratic_embeds,
                       ramified_places, split_2adic)
@@ -28,7 +32,6 @@ SATURATED = "2-saturated"
 class UnitSlice:
     algebra: QuaternionAlgebra
     bound: int
-    order_kind: str
     elements: tuple
 
     def __len__(self):
@@ -63,8 +66,7 @@ def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
                     if x0:
                         found.append((-x0, x1, x2, x3))
     found.sort()
-    return UnitSlice(D, B, STANDARD,
-                     tuple(D.element(*c) for c in found))
+    return UnitSlice(D, B, tuple(D.element(*c) for c in found))
 
 
 def in_saturated_order(q: Quaternion) -> bool:
@@ -105,8 +107,7 @@ def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
                     if u:
                         found.append((-u, v, w, z))
     found.sort()
-    return UnitSlice(D, B, SATURATED,
-                     tuple(D.element(*(half * t for t in c)) for c in found))
+    return UnitSlice(D, B, tuple(D.element(*(half * t for t in c)) for c in found))
 
 
 def reduce_units(slice_: UnitSlice, split: SplittingMap, k: int):
@@ -135,38 +136,32 @@ def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
             "elements of SL2(Z/2) are reachable")
 
 
-def surjects_at_level(D: QuaternionAlgebra, B: int, k: int,
-                      order_kind: str = SATURATED, cap: int = DEFAULT_CAP):
-    """Whether the height-B slice already generates all of SL2(Z/2^k).
+def surjects_at_level(slice_: UnitSlice, k: int):
+    """Whether the slice already generates all of SL2(Z/2^k).
 
-    Returns (flag, image_table).  The saturated order is the default
-    because the standard order provably cannot reach level 1 (see
-    mod2_image_obstruction); pass order_kind="standard" to watch it fail.
+    Returns (flag, image_table).  Pass a saturated slice to certify
+    surjectivity; the standard order provably cannot reach level 1 (see
+    mod2_image_obstruction), so a standard slice shows the failure.
     """
-    if order_kind == STANDARD:
-        slice_ = enumerate_units(D, B)
-    elif order_kind == SATURATED:
-        slice_ = enumerate_units_saturated(D, B)
-    else:
-        raise ValueError(f"unknown order kind {order_kind!r}")
-    split = split_2adic(D, k + 4)
-    return images_surject(reduce_units(slice_, split, k), k, cap)
+    split = split_2adic(slice_.algebra, k + 4)
+    return images_surject(reduce_units(slice_, split, k), k)
 
 
-def images_surject(mats, k: int, cap: int = DEFAULT_CAP):
+def images_surject(mats, k: int):
     """Whether the reduced unit images mats generate all of SL2(Z/2^k).
 
+    Every ResidueMatrix has determinant 1, so the closure lies inside
+    SL2(Z/2^k) and comparing its order with |SL2(Z/2^k)| decides equality.
     Returns (flag, image_table); the table's generators are the
     subsequence of mats that the closure used.
     """
-    table = closure(mats, cap)
-    G = enumerate_group(2, k)
-    return table.element_set == G.element_set, table
+    table = closure(mats)
+    return table.order == group_order(2, k), table
 
 
-def torsion_check(D: QuaternionAlgebra, B: int) -> dict:
+def torsion_check(slice_: UnitSlice) -> dict:
     """Finite-order search in the slice plus the algebra-level embedding
-    criterion.
+    criterion for the slice's algebra.
 
     In a division algebra a norm-one element has finite order iff its
     reduced trace lies in {-2,-1,0,1,2}, and trace +-2 forces the element
@@ -174,9 +169,9 @@ def torsion_check(D: QuaternionAlgebra, B: int) -> dict:
     The embedding verdicts for sqrt(-1) and sqrt(-3) decide orders 4 and
     3/6 for the whole unit group, not just the slice.
     """
+    D = slice_.algebra
     if not is_division(D):
         raise ValueError("torsion criterion needs a division algebra")
-    slice_ = enumerate_units(D, B)
     offenders = []
     for q in slice_.elements:
         t = q.trd()
@@ -187,7 +182,7 @@ def torsion_check(D: QuaternionAlgebra, B: int) -> dict:
     embeds_i = quadratic_embeds(D, -1)
     embeds_w = quadratic_embeds(D, -3)
     return {
-        "bound": B,
+        "bound": slice_.bound,
         "slice_size": len(slice_),
         "finite_order_in_slice": offenders,
         "slice_torsion_free": not offenders,

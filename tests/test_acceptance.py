@@ -27,7 +27,7 @@ from covercert.mobius import (
 )
 from covercert.modgroup import ResidueMatrix, group_order
 from covercert.quatalg import INF, QuaternionAlgebra, hilbert_symbol
-from covercert.units import torsion_check
+from covercert.units import enumerate_units, torsion_check
 from covercert.util import odd_prime_factors
 
 from oracles import conic_solvable_mod, conic_square_class, sl2_order_bruteforce
@@ -222,7 +222,7 @@ def test_criterion_8_trivial_conjugator_and_torsion(capsys):
     ok = ok and inter["witness"]["computed_index_in_gamma"] == 1
     near = claim_by_id(bundle, "quaternionic.nondiscrete")
     ok = ok and near["verdict"] == "not-found" and near["witness"] is None
-    tc = torsion_check(QuaternionAlgebra(Fraction(-1), Fraction(-1)), 10)
+    tc = torsion_check(enumerate_units(QuaternionAlgebra(Fraction(-1), Fraction(-1)), 10))
     hit = any(c in ((0, 1, 0, 0), (0, -1, 0, 0)) for c in tc["finite_order_in_slice"])
     ok = ok and hit and tc["embeds_sqrt_minus_1"] and not tc["algebra_torsion_free"]
     dt = time.perf_counter() - t0

@@ -487,6 +487,43 @@ def test_cli_config_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["intersect", "--set", "h=quat:1/3,0,0,0"], 2),
+        (["units", "--set", "b=1"], 2),
+        (["intersect", "--set", "h=1,-1/16,0,1"], 3),
+    ],
+)
+def test_cli_errors_exit_with_one_line(args, code):
+    # an input error exits 2 and a blown budget 3; neither may take exit 1,
+    # which means "refuted"
+    proc = subprocess.run([sys.executable, "-m", "covercert.cli", *args], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_quaternionic_refutes_explicit_split_b():
+    # (17, 1) is split: stage 2 refutes it and the bundle re-verifies
+    bundle = certify.run_quaternionic(load_config(None, ["b=1"]))
+    claim = bundle["claims"][1]
+    assert claim["id"] == "quaternionic.algebra" and claim["verdict"] == REFUTED
+    assert claim["witness"] == {"division": False, "symbol_at_2": 1, "symbol_at_inf": 1}
+    assert all(c["verdict"] == ASSUMPTION for c in bundle["claims"][2:])
+    assert bundle_exit_code(bundle) == 1
+    parsed = json.loads(render_bundle(bundle))
+    parsed["claims"][1]["witness"]["division"] = True
+    assert dict(reverify_bundle(parsed))["quaternionic.algebra"] is False
+
+
+def test_config_rejects_quaternion_with_odd_denominator():
+    with pytest.raises(ConfigError):
+        load_config(None, ["h=quat:1/3,1,0,0", "k_max=2", "unit_height=6"])
+    assert parse_conjugator_spec("quat:3/2,1/2,0,-5/8")[0] == "quaternion"
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pair = 17,7\n")

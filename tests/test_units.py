@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from covercert.modgroup import ResidueMatrix
+from covercert.modgroup import ResidueMatrix, enumerate_group
 from covercert.quatalg import QuaternionAlgebra, split_2adic
-from covercert.units import (SATURATED, STANDARD, enumerate_units,
-                             enumerate_units_saturated, find_example_algebra,
+from covercert.units import (enumerate_units, enumerate_units_saturated,
+                             find_example_algebra, images_surject,
                              in_saturated_order, reduce_units,
                              surjects_at_level, torsion_check)
 
@@ -95,34 +95,57 @@ def test_reduce_units_needs_precision():
 
 
 def test_standard_order_mod2_obstruction():
-    ok, table = surjects_at_level(D17, 20, 1, order_kind=STANDARD)
+    ok, table = surjects_at_level(enumerate_units(D17, 20), 1)
     assert not ok
     assert table.order == 2
 
 
 def test_saturated_surjects_levels_1_2():
+    s = enumerate_units_saturated(D17, 20)
     for k in (1, 2):
-        ok, table = surjects_at_level(D17, 20, k)
+        ok, table = surjects_at_level(s, k)
         assert ok
         assert table.order == 6 * 8 ** (k - 1)
 
 
 def test_surjectivity_monotone_in_height():
-    ok_small, _ = surjects_at_level(D17, 8, 1)
-    ok_big, _ = surjects_at_level(D17, 12, 1)
+    ok_small, _ = surjects_at_level(enumerate_units_saturated(D17, 8), 1)
+    ok_big, _ = surjects_at_level(enumerate_units_saturated(D17, 12), 1)
     if ok_small:
         assert ok_big
 
 
+def test_surjectivity_by_order_matches_element_sets():
+    # the order comparison in images_surject against the full group table
+    split = split_2adic(D17, 12)
+    cases = [(enumerate_units_saturated(D17, 6), k) for k in (1, 2, 3, 4)]
+    cases.append((enumerate_units(D17, 6), 1))
+    decided = []
+    for s, k in cases:
+        ok, table = images_surject(reduce_units(s, split, k), k)
+        assert ok == (table.element_set == enumerate_group(2, k).element_set)
+        decided.append(ok)
+    assert True in decided and False in decided
+
+
+def test_reduction_projects_from_top_level():
+    s = enumerate_units_saturated(D17, 6)
+    split = split_2adic(D17, 13)
+    top = reduce_units(s, split, 5)
+    for k in range(1, 6):
+        projected = [ResidueMatrix(x.a, x.b, x.c, x.d, 2 ** k) for x in top]
+        assert projected == reduce_units(s, split, k)
+
+
 def test_torsion_check_negative_control():
-    report = torsion_check(QuaternionAlgebra(-1, -1), 1)
+    report = torsion_check(enumerate_units(QuaternionAlgebra(-1, -1), 1))
     assert not report["slice_torsion_free"]
     assert (0, 1, 0, 0) in report["finite_order_in_slice"]
     assert report["embeds_sqrt_minus_1"] is True
 
 
 def test_torsion_check_17_7():
-    report = torsion_check(D17, 20)
+    report = torsion_check(enumerate_units(D17, 20))
     assert report["slice_torsion_free"]
     assert report["embeds_sqrt_minus_1"] is False
     assert report["embeds_sqrt_minus_3"] is False
@@ -131,7 +154,7 @@ def test_torsion_check_17_7():
 
 def test_torsion_check_rejects_split():
     with pytest.raises(ValueError):
-        torsion_check(QuaternionAlgebra(1, 5), 2)
+        torsion_check(enumerate_units(QuaternionAlgebra(1, 5), 2))
 
 
 def test_find_example_algebra():
