@@ -87,6 +87,7 @@ def test_config_file_and_overrides(tmp_path):
         ["order_kind=maximal"],
         ["h=1,2,2,4"],  # singular
         ["h=1,2,3"],  # arity
+        ["h=quat:1/3,1,0,0"],  # denominator away from 2
         ["primes=4"],
         ["pair=5"],
         ["no_equals_sign"],
@@ -516,12 +517,6 @@ def test_quaternionic_refutes_explicit_split_b():
     parsed = json.loads(render_bundle(bundle))
     parsed["claims"][1]["witness"]["division"] = True
     assert dict(reverify_bundle(parsed))["quaternionic.algebra"] is False
-
-
-def test_config_rejects_quaternion_with_odd_denominator():
-    with pytest.raises(ConfigError):
-        load_config(None, ["h=quat:1/3,1,0,0", "k_max=2", "unit_height=6"])
-    assert parse_conjugator_spec("quat:3/2,1/2,0,-5/8")[0] == "quaternion"
 
 
 def test_cli_config_file(tmp_path, capsys):
