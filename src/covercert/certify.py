@@ -179,7 +179,6 @@ _KEYS = {
     "primes": ("2", _as_str),
     "pair": ("-1,-1", _as_str),
     "order_kind": (SATURATED, _as_str),
-    "seed": ("0", _as_int),
     "out": ("", _as_str),
 }
 
@@ -208,7 +207,6 @@ class RunConfig:
     primes: str = "2"
     pair: str = "-1,-1"
     order_kind: str = SATURATED
-    seed: int = 0
     out: str = ""
     explicit: frozenset = field(default_factory=frozenset)
 
@@ -268,8 +266,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{key} must be positive")
     if not 1 <= cfg.k_min <= cfg.k_max:
         raise ConfigError("need 1 <= k_min <= k_max")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
     if cfg.order_kind not in (STANDARD, SATURATED):
         raise ConfigError(f"order_kind must be {STANDARD!r} or {SATURATED!r}")
     parse_conjugator_spec(cfg.h)
