@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .commens import Conjugator, local_intersection, sl2z_case, stabilize, stabilized_intersection
+from .commens import Conjugator, local_intersection, psi
 from .exact import sqrt_padic
 from .fuchsian import (
     NOT_FOUND,
@@ -85,7 +85,7 @@ WORD_FIELD_D = 2
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
 
-SCAN_METHOD = "congruence scan of both conjugation directions at increasing levels until the indices stabilize"
+INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multiplied over the primes"
 JORGENSEN_METHOD = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
 
 
@@ -540,51 +540,43 @@ def _find_unit_generators(slice_, reduced, table, k):
     return out
 
 
-def _intersection_witness(report):
-    levels = []
-    for k, r in report.results:
-        levels.append(
-            {
-                "level": k,
-                "working_modulus": r.modulus,
-                "ambient_order": r.ambient.order,
-                "intersection_order": r.subgroup.order,
-                "index_in_gamma": r.index_in_gamma,
-                "index_in_conjugate": r.index_in_gamma_h,
-            }
-        )
-    return levels
+RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
+QUATERNION_INDEX_NOTE = (
+    "each split prime contributes the size of a sphere in its Bruhat-Tits tree, each ramified prime 1; "
+    "the algebra is split at infinity, so by strong approximation their product is the global index (Vigneras 1980, III.4)"
+)
 
 
-def _index_certificate(claim, method, report, levels, inputs, claimed, depends_on=()):
-    """The intersection-index claim for a stabilization report.
+def _index_witness(result, claimed):
+    """The index claim's witness: what the formula read, its local factors
+    and, when claimed is not None, the comparison with the claimed index."""
+    witness = {
+        "local_factors": [dict(read, prime=p, exponent=n, factor=psi(p, n)) for p, n, read in result.factors],
+        "computed_index_in_gamma": result.index,
+        "computed_index_in_conjugate": result.index,
+    }
+    if result.matrix is not None:
+        witness["primitive_matrix"] = [list(row) for row in result.matrix]
+    if claimed is not None:
+        witness["claimed_index"] = claimed
+        witness["agrees_with_claimed"] = result.index == claimed
+    return witness
 
-    levels is the pipeline's own per-level witness list.  When claimed is
-    not None the stabilized indices are compared with it, and a mismatch
-    refutes the claim.
-    """
-    witness = {"levels": levels, "stabilized": report.stabilized}
+
+def _index_certificate(claim, h, inputs, claimed, depends_on=()):
+    """The intersection-index claim for conjugator h; a claimed index that
+    differs from the computed one refutes it."""
+    result = local_intersection(h)
+    witness = _index_witness(result, claimed)
+    notes = (RATIONAL_INDEX_NOTE if h.rows is not None else QUATERNION_INDEX_NOTE,)
     verdict = VERIFIED
-    notes = ()
-    if not report.stabilized:
-        verdict = SEARCH_EXHAUSTED
-        notes = ("indices kept changing up to k_max; raise k_max to decide",)
-    else:
-        final = report.final
-        witness["stabilized_at"] = report.stabilized_at
-        witness["computed_index_in_gamma"] = final.index_in_gamma
-        witness["computed_index_in_conjugate"] = final.index_in_gamma_h
-        if claimed is not None:
-            agrees = final.index_in_gamma == claimed and final.index_in_gamma_h == claimed
-            witness["claimed_index"] = claimed
-            witness["agrees_with_claimed"] = agrees
-            if not agrees:
-                verdict = REFUTED
-                notes = ("the computed index supersedes the claimed one at every level checked",)
+    if not witness.get("agrees_with_claimed", True):
+        verdict = REFUTED
+        notes += ("the computed index supersedes the claimed one",)
     return Certificate(
         claim=claim,
         verdict=verdict,
-        method=method,
+        method=INDEX_METHOD,
         inputs=inputs,
         witness=witness,
         depends_on=depends_on,
@@ -599,11 +591,16 @@ def _explicit_claim(cfg: RunConfig):
 
 def _conjugator(spec: str, algebra) -> Conjugator:
     """The Conjugator for an h spec: rational rows, or a quaternion of the
-    algebra that algebra() returns; it is called only for a quaternion."""
+    algebra that algebra() returns; it is called only for a quaternion.  A
+    quaternion whose index the closed form cannot decide is a configuration
+    error."""
     kind, data = parse_conjugator_spec(spec)
     if kind == "rational":
         return Conjugator.from_rows(data)
-    return Conjugator.from_quaternion(algebra().element(*data))
+    try:
+        return Conjugator.from_quaternion(algebra().element(*data))
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def _jorgensen_witness(A_rows_json, report, partner_coords, partner_index, extra=None):
@@ -791,26 +788,21 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     # stage 5: the intersection index of the conjugated ambient group,
     # compared against the claimed value
     if blocker:
-        blocked("quaternionic.intersection-index", SCAN_METHOD)
+        blocked("quaternionic.intersection-index", INDEX_METHOD)
     else:
-        report = stabilized_intersection(_conjugator(cfg.h, lambda: algebra), k_min=cfg.k_min, k_max=cfg.k_max)
         claims.append(
             _index_certificate(
                 "quaternionic.intersection-index",
-                SCAN_METHOD,
-                report,
-                _intersection_witness(report),
-                inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max, "claimed_index": cfg.claimed_index},
+                _conjugator(cfg.h, lambda: algebra),
+                inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
                 claimed=cfg.claimed_index,
                 depends_on=("quaternionic.congruence-surjectivity",),
             )
         )
-        if not report.stabilized:
-            blocker = "quaternionic.intersection-index"
 
     # stage 6: the conjugate fails discreteness, witnessed by a unit pair
     # violating the Jorgensen inequality
-    if blocker and blocker != "quaternionic.intersection-index":
+    if blocker:
         blocked("quaternionic.nondiscrete", JORGENSEN_METHOD)
     else:
         claims.append(_nondiscrete_stage(cfg, algebra, slice_std))
@@ -919,43 +911,7 @@ def run_sl2z(cfg: RunConfig) -> dict:
     if kind != "rational":
         raise ConfigError("this pipeline needs a rational conjugator matrix")
     rows = data
-    primes = cfg.primes_list()
-    claims = []
-
-    method_1 = "per-prime congruence scans at increasing levels until the indices stabilize"
-    try:
-        report = stabilize(lambda k: sl2z_case(rows, primes, k), k_min=cfg.k_min, k_max=cfg.k_max)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    per_level = []
-    for k, r in report.results:
-        per_level.append(
-            {
-                "level": k,
-                "working_modulus": r.modulus,
-                "blocks": [
-                    {
-                        "prime": p,
-                        "working_level": lvl,
-                        "ambient_order": amb.order,
-                        "intersection_order": sub.order,
-                    }
-                    for p, lvl, amb, sub in zip(primes, r.levels, r.ambients, r.subgroups)
-                ],
-                "index_in_gamma": r.index_in_gamma,
-                "index_in_conjugate": r.index_in_gamma_h,
-            }
-        )
-    claims.append(
-        _index_certificate(
-            "sl2z.intersection-index",
-            method_1,
-            report,
-            per_level,
-            inputs={"h": cfg.h, "primes": primes, "k_min": cfg.k_min, "k_max": cfg.k_max},
-            claimed=_explicit_claim(cfg),
-        )
-    )
+    claims = [_index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))]
 
     method_2 = "breadth-first word search for an infinite-order elliptic element in the amalgam"
     seeds = _word_seeds(rows)
@@ -1071,6 +1027,8 @@ def _resolve_algebra(cfg: RunConfig):
 
 
 def run_units(cfg: RunConfig) -> dict:
+    if cfg.order_kind == SATURATED and cfg.d % 4 != 1:
+        raise ConfigError("the 2-saturated order needs d = 1 mod 4")
     algebra = _resolve_algebra(cfg)
     # torsion is read off the standard slice for either order kind
     standard = enumerate_units(algebra, cfg.unit_height)
@@ -1105,15 +1063,8 @@ def run_units(cfg: RunConfig) -> dict:
 
 
 def run_intersect(cfg: RunConfig) -> dict:
-    report = stabilized_intersection(_conjugator(cfg.h, lambda: _resolve_algebra(cfg)), k_min=cfg.k_min, k_max=cfg.k_max)
-    cert = _index_certificate(
-        "intersect.index",
-        SCAN_METHOD,
-        report,
-        _intersection_witness(report),
-        inputs={"h": cfg.h, "k_min": cfg.k_min, "k_max": cfg.k_max},
-        claimed=_explicit_claim(cfg),
-    )
+    h = _conjugator(cfg.h, lambda: _resolve_algebra(cfg))
+    cert = _index_certificate("intersect.index", h, {"h": cfg.h}, _explicit_claim(cfg))
     bundle = make_bundle("intersect", cfg, [cert])
     _check_reverify(bundle)
     return bundle
@@ -1257,27 +1208,10 @@ def _rv_surjectivity(claim, bundle):
     return True
 
 
-def _rv_index(claim, recompute):
-    """Compare the indices recompute(k) gives at the stabilized level with
-    the witness; an index that never stabilized records nothing to check."""
-    w = claim["witness"]
-    if not w["stabilized"]:
-        return True
-    result = recompute(w["stabilized_at"])
-    return (
-        result.index_in_gamma == w["computed_index_in_gamma"]
-        and result.index_in_gamma_h == w["computed_index_in_conjugate"]
-    )
-
-
 def _rv_intersection(claim, bundle):
     h = _conjugator(claim["inputs"]["h"], lambda: _algebra_from_bundle(bundle))
-    return _rv_index(claim, lambda k: local_intersection(h, k))
-
-
-def _rv_sl2z_intersection(claim, bundle):
-    _, rows = parse_conjugator_spec(claim["inputs"]["h"])
-    return _rv_index(claim, lambda k: sl2z_case(rows, claim["inputs"]["primes"], k))
+    w = claim["witness"]
+    return w == _index_witness(local_intersection(h), w.get("claimed_index"))
 
 
 def _rv_jorgensen(claim, bundle):
@@ -1346,7 +1280,7 @@ _REVERIFIERS = {
     "quaternionic.congruence-surjectivity": _rv_surjectivity,
     "quaternionic.intersection-index": _rv_intersection,
     "quaternionic.nondiscrete": _rv_jorgensen,
-    "sl2z.intersection-index": _rv_sl2z_intersection,
+    "sl2z.intersection-index": _rv_intersection,
     "sl2z.nondiscrete": _rv_elliptic,
     "hilbert.symbol-table": _rv_hilbert,
     "units.slice": _rv_units,

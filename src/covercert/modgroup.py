@@ -67,10 +67,6 @@ class SubgroupTable:
     def __contains__(self, x: ResidueMatrix) -> bool:
         return x in self.element_set
 
-    def is_subgroup_of(self, other: "SubgroupTable") -> bool:
-        return (self.modulus == other.modulus
-                and self.element_set <= other.element_set)
-
 
 def group_order(p: int, k: int) -> int:
     """|SL2(Z/p^k)| = p^(3k-2) * (p^2 - 1)."""
@@ -140,10 +136,3 @@ def enumerate_group(p: int, k: int, cap: int = DEFAULT_CAP) -> SubgroupTable:
     assert table.order == want, "enumeration disagrees with the order formula"
     return table
 
-
-def index(H: SubgroupTable, G: SubgroupTable) -> int:
-    """[G : H] for H contained in G, verified element-wise."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not contained in G")
-    assert G.order % H.order == 0, "Lagrange violated: corrupt table"
-    return G.order // H.order

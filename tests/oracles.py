@@ -125,3 +125,116 @@ def brute_norm_one_box(a: int, b: int, B: int):
                     if x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3 == 1:
                         out.append((x0, x1, x2, x3))
     return sorted(out)
+
+
+def _p_val(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _sl2_chunks(p: int, V: int):
+    """SL2(Z/p^V) as (n, 2, 2) integer arrays, one chunk per top-left entry.
+
+    For a unit a every (b, c) occurs, with d = (1 + b c) / a; for a = 0 mod p
+    the determinant forces c to be a unit, and then every (c, d) occurs with
+    b = (a d - 1) / c.  Inverses come from a brute-force table.
+    """
+    m = p ** V
+    r = np.arange(m, dtype=np.int64)
+    prods = r[:, None] * r[None, :] % m
+    inv = np.where(prods == 1, r[None, :], 0).sum(axis=1)
+    for a in range(m):
+        if a % p:
+            b, c = (x.ravel() for x in np.meshgrid(r, r, indexing="ij"))
+            d = (1 + b * c) * inv[a] % m
+        else:
+            c, d = (x.ravel() for x in np.meshgrid(r[r % p != 0], r, indexing="ij"))
+            b = (a * d - 1) * inv[c] % m
+        yield np.stack([np.full_like(b, a), b, c, d], axis=1).reshape(-1, 2, 2)
+
+
+def _det_valuation(B, p: int) -> int:
+    (w, x), (y, z) = B
+    return _p_val(w * z - x * y, p)
+
+
+def _reduced(B, p: int, V: int):
+    """(A, B) mod m = p^V with A the adjugate of the integral matrix B.  For
+    h a rational multiple of B with v_p(det B) = V, h^-1 x h = A x B / det B,
+    so h^-1 x h is p-integral iff A x B = 0 mod m, and h x h^-1 is iff
+    B x A = 0 mod m."""
+    m = p ** V
+    (w, x), (y, z) = B
+    Bm = np.array([[w % m, x % m], [y % m, z % m]], dtype=np.int64)
+    A = np.array([[z % m, -x % m], [-y % m, w % m]], dtype=np.int64)
+    return A, Bm
+
+
+def conjugation_locus(B, p: int):
+    """(elements, in_gamma, in_conjugate): all of SL2(Z/p^V), V = v_p(det B)
+    >= 1, and the masks of x with h^-1 x h, respectively h x h^-1,
+    p-integral."""
+    V = _det_valuation(B, p)
+    A, Bm = _reduced(B, p, V)
+    X = np.concatenate(list(_sl2_chunks(p, V)))
+    in_gamma = ((A @ X @ Bm) % p ** V == 0).all(axis=(1, 2))
+    in_conjugate = ((Bm @ X @ A) % p ** V == 0).all(axis=(1, 2))
+    return X, in_gamma, in_conjugate
+
+
+def _index_mod(B, p: int, V: int) -> int:
+    """|SL2(Z/p^V)| over the number of x with A x B = 0 mod p^V.  The
+    condition contains the kernel of reduction mod p^V, so this count
+    decides the index."""
+    if V == 0:
+        return 1
+    A, Bm = _reduced(B, p, V)
+    total = kept = 0
+    for X in _sl2_chunks(p, V):
+        total += len(X)
+        kept += int(((A @ X @ Bm) % p ** V == 0).all(axis=(1, 2)).sum())
+    assert total % kept == 0, "the integrality locus is not a subgroup"
+    return total // kept
+
+
+def conjugation_index(B, p: int) -> int:
+    """[SL2(Z_p) : SL2(Z_p) cap h SL2(Z_p) h^-1] for h a rational multiple of
+    the integral matrix B, by counting mod p^V with V = v_p(det B)."""
+    return _index_mod(B, p, _det_valuation(B, p))
+
+
+def _root_mod(t: int, p: int, V: int) -> int:
+    """s mod p^V for a p-adic square root s of t, found by brute force mod
+    p^(V+1): every root there agrees with a p-adic root mod p^V."""
+    M = p ** (V + 1)
+    for s in range(M):
+        if (s * s - t) % M == 0:
+            return s % p ** V
+    raise ValueError(f"{t} has no square root mod {M}")
+
+
+def quaternion_conjugation_index(coords, a: int, b: int, p: int) -> int:
+    """The local index at p = 2 or 3 of the quaternion q = x0 + x1 i + x2 j
+    + x3 k of (a, b), through the oracle's own representation mod p^V:
+    at 2, i -> diag(s, -s) and j -> [[0, 1], [b, 0]] with s^2 = a; at 3,
+    i -> [[0, 1], [a, 0]] and j -> diag(s, -s) with s^2 = b.  q is first
+    scaled by the common denominator of its coordinates."""
+    q = [Fraction(x) for x in coords]
+    den = 1
+    for x in q:
+        den = den * x.denominator // gcd(den, x.denominator)
+    y0, y1, y2, y3 = (int(x * den) for x in q)
+    V = _p_val(y0 * y0 - a * y1 * y1 - b * y2 * y2 + a * b * y3 * y3, p)
+    if p == 2:
+        s = _root_mod(a, 2, V)
+        B = [[y0 + s * y1, y2 + s * y3], [b * (y2 - s * y3), y0 - s * y1]]
+    elif p == 3:
+        s = _root_mod(b, 3, V)
+        B = [[y0 + s * y2, y1 - s * y3], [a * (y1 + s * y3), y0 - s * y2]]
+    else:
+        raise ValueError("the oracle represents quaternions at 2 and 3 only")
+    # det B = nrd(den * q) holds mod p^V only, which is all the count reads
+    return _index_mod(B, p, V)

@@ -15,7 +15,7 @@ import pytest
 
 from covercert import certify
 from covercert.certify import load_config, parse_frac, render_bundle
-from covercert.commens import Conjugator, sl2z_case, stabilized_intersection
+from covercert.commens import Conjugator, local_intersection, sl2z_case
 from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic, verify_elliptic
 from covercert.mobius import (
     INFINITE_ORDER,
@@ -30,7 +30,7 @@ from covercert.quatalg import INF, QuaternionAlgebra, hilbert_symbol
 from covercert.units import enumerate_units, torsion_check
 from covercert.util import odd_prime_factors
 
-from oracles import conic_solvable_mod, conic_square_class, sl2_order_bruteforce
+from oracles import conic_solvable_mod, conic_square_class, conjugation_index, sl2_order_bruteforce
 
 
 def _report(capsys, n, ok, detail):
@@ -157,9 +157,8 @@ def test_criterion_4_group_orders(capsys):
 def test_criterion_5_rational_conjugator(capsys):
     t0 = time.perf_counter()
     rows = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
-    r1 = sl2z_case(rows, (2,), 1)
-    r2 = sl2z_case(rows, (2,), 2)
-    ok = r1.indices() == (3, 3) and r2.indices() == (3, 3)
+    res = sl2z_case(rows)
+    ok = res.index == 3 == conjugation_index(res.matrix, 2)
     seeds = certify._word_seeds(rows)
     cert = find_infinite_elliptic(seeds, 12)
     ok = ok and cert is not NOT_FOUND
@@ -171,7 +170,7 @@ def test_criterion_5_rational_conjugator(capsys):
     dt = time.perf_counter() - t0
     ok = ok and dt < 120
     _report(capsys, 5, ok,
-            f"index 3 in both directions at two levels, infinite-order elliptic "
+            f"index 3 in closed form and by the brute-force oracle, infinite-order elliptic "
             f"{word} re-verified from scratch ({dt:.2f}s < 120s)")
 
 
@@ -198,9 +197,9 @@ def test_criterion_7_halfshift_intersection(capsys, default_quat):
     bundle, _ = default_quat
     t0 = time.perf_counter()
     h = Conjugator.from_rows(((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(1))))
-    rep = stabilized_intersection(h, 1, 5)
-    ok = rep.stabilized and len(rep.results) >= 2
-    ok = ok and rep.results[-2][1].indices() == rep.results[-1][1].indices()
+    res = local_intersection(h)
+    oracle = conjugation_index(res.matrix, 2)
+    ok = res.index == oracle == 6
     w = claim_by_id(bundle, "quaternionic.intersection-index")["witness"]
     # the certificate must record both sides of the comparison; whether they
     # agree is the finding, not a precondition
@@ -209,7 +208,7 @@ def test_criterion_7_halfshift_intersection(capsys, default_quat):
     dt = time.perf_counter() - t0
     ok = ok and dt < 60
     _report(capsys, 7, ok,
-            f"indices {rep.final.indices()} stable across consecutive levels, certificate "
+            f"index {res.index} in closed form equals the oracle's {oracle}, certificate "
             f"records computed {w['computed_index_in_gamma']} vs claimed {w['claimed_index']} "
             f"with agreement flag {w['agrees_with_claimed']} ({dt:.2f}s < 60s)")
 

@@ -30,6 +30,8 @@ from covercert.certify import (
 )
 from covercert.cli import main as cli_main
 
+from oracles import conjugation_index
+
 DEFAULT_HASH = "2c1c8918e4b314d5c455c46c81c3df0af7b180f4a63337410cadfcfd581e84b6"
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "src" / "covercert" / "certificate_schema.json").read_text())
@@ -244,15 +246,9 @@ def test_quaternionic_intersection_witness(quat_bundle):
     assert w["computed_index_in_conjugate"] == 6
     assert w["claimed_index"] == 3
     assert w["agrees_with_claimed"] is False
-    assert w["stabilized"] and w["stabilized_at"] == 1
-    assert w["levels"][0] == {
-        "level": 1,
-        "working_modulus": 8,
-        "ambient_order": 384,
-        "intersection_order": 64,
-        "index_in_gamma": 6,
-        "index_in_conjugate": 6,
-    }
+    assert w["primitive_matrix"] == [[2, -1], [0, 2]]
+    assert w["local_factors"] == [{"prime": 2, "exponent": 2, "factor": 6}]
+    assert "levels" not in w
 
 
 def test_quaternionic_nondiscrete_witness(quat_bundle):
@@ -293,7 +289,7 @@ def test_sl2z_bundle(sl2z_bundle):
     assert inter["verdict"] == VERIFIED
     w = inter["witness"]
     assert w["computed_index_in_gamma"] == 3 and w["computed_index_in_conjugate"] == 3
-    assert w["stabilized_at"] == 1
+    assert w["local_factors"] == [{"prime": 2, "exponent": 1, "factor": 3}]
     assert "claimed_index" not in w  # no comparison unless asked for
     near = claim_by_id(sl2z_bundle, "sl2z.nondiscrete")
     assert near["verdict"] == VERIFIED
@@ -325,8 +321,10 @@ def test_sl2z_explicit_claim_comparison():
 
 
 def test_sl2z_rejects_unlisted_support():
-    with pytest.raises(ConfigError):
-        certify.run_sl2z(load_config(None, ["h=6,0,0,1"]))  # needs prime 3 too
+    # the closed form reads every prime of det h: psi(6) = 3 * 4
+    bundle = certify.run_sl2z(load_config(None, ["h=6,0,0,1"]))
+    w = claim_by_id(bundle, "sl2z.intersection-index")["witness"]
+    assert w["computed_index_in_gamma"] == 12 == conjugation_index([[6, 0], [0, 1]], 2) * conjugation_index([[6, 0], [0, 1]], 3)
     with pytest.raises(ConfigError):
         certify.run_sl2z(load_config(None, ["h=quat:1,1,0,0"]))
 
@@ -368,24 +366,9 @@ def test_intersect_bundles():
     b = certify.run_intersect(load_config(None, ["h=1,-1/2,0,1"]))
     w = b["claims"][0]["witness"]
     assert (w["computed_index_in_gamma"], w["computed_index_in_conjugate"]) == (6, 6)
-    assert w["levels"][:2] == [
-        {
-            "level": 1,
-            "working_modulus": 8,
-            "ambient_order": 384,
-            "intersection_order": 64,
-            "index_in_gamma": 6,
-            "index_in_conjugate": 6,
-        },
-        {
-            "level": 2,
-            "working_modulus": 16,
-            "ambient_order": 3072,
-            "intersection_order": 512,
-            "index_in_gamma": 6,
-            "index_in_conjugate": 6,
-        },
-    ]
+    assert w["local_factors"] == [{"prime": 2, "exponent": 2, "factor": 6}]
+    assert w["primitive_matrix"] == [[2, -1], [0, 2]]
+    assert b["claims"][0]["inputs"] == {"h": "1,-1/2,0,1"}
     assert bundle_exit_code(b) == 0  # computation only, nothing claimed
 
     b = certify.run_intersect(load_config(None, ["h=1,-1/2,0,1", "claimed_index=3"]))
@@ -493,12 +476,16 @@ def test_cli_config_errors_exit_two(capsys):
     [
         (["intersect", "--set", "h=quat:1/3,0,0,0"], 2),
         (["units", "--set", "b=1"], 2),
-        (["intersect", "--set", "h=1,-1/16,0,1"], 3),
+        (["hilbert", "--out", "{tmp}/missing-dir/b.json"], 3),
+        (["units", "--set", "d=3", "--set", "b=5"], 2),
+        (["intersect", "--set", "d=3", "--set", "b=5", "--set", "h=quat:1,1,0,0"], 2),
+        (["intersect", "--set", "b=91", "--set", "h=quat:0,0,1,0"], 2),
     ],
 )
-def test_cli_errors_exit_with_one_line(args, code):
-    # an input error exits 2 and a blown budget 3; neither may take exit 1,
-    # which means "refuted"
+def test_cli_errors_exit_with_one_line(args, code, tmp_path):
+    # an input error exits 2 and a run that cannot finish 3; neither may take
+    # exit 1, which means "refuted"
+    args = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run([sys.executable, "-m", "covercert.cli", *args], capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stdout == ""
@@ -551,7 +538,7 @@ GOLDEN = {
     "quaternionic": ("quaternionic", [], 1),
     "quaternionic-quat-h": ("quaternionic", ["h=quat:3/2,1/2,0,0", "k_max=2", "unit_height=6"], 0),
     "quaternionic-det-2": ("quaternionic", ["h=2,0,0,1", "k_max=2", "unit_height=6"], 0),
-    "quaternionic-k-max-1": ("quaternionic", ["k_max=1"], 0),
+    "quaternionic-k-max-1": ("quaternionic", ["k_max=1"], 1),
     "quaternionic-d-3": ("quaternionic", ["d=3"], 1),
     "sl2z": ("sl2z", [], 0),
     "sl2z-h-2": ("sl2z", ["h=2,0,0,1"], 0),

@@ -1,7 +1,7 @@
 import pytest
 
 from covercert.modgroup import (ResidueMatrix, SubgroupTable, closure,
-                                enumerate_group, group_order, index)
+                                enumerate_group, group_order)
 
 from oracles import sl2_order_bruteforce
 
@@ -94,15 +94,3 @@ def test_closure_skips_contained_generators():
     assert len(table.elements) == len(table.element_set) == 384
     with pytest.raises(ValueError, match="cap"):
         closure([ident, T, T * T, U], cap=100)
-
-
-def test_index():
-    G = enumerate_group(2, 1)
-    H = closure([ResidueMatrix(1, 1, 0, 1, 2)])
-    assert index(H, G) == 3
-    assert index(G, G) == 1
-    gamma0 = [g for g in G.elements if g.c == 0]
-    t = closure(gamma0)
-    assert index(t, G) == 3
-    with pytest.raises(ValueError):
-        index(closure([ResidueMatrix(1, 1, 0, 1, 4)]), G)
