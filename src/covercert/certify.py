@@ -88,6 +88,10 @@ SQUARE_PRECISION = 10
 INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multiplied over the primes"
 JORGENSEN_METHOD = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
 
+# How many units of the slice a quaternionic conjugator is conjugated by
+# before the discreteness stage gives up.
+JORGENSEN_TRIES = 40
+
 
 class ConfigError(ValueError):
     """Raised for malformed configuration files or override strings."""
@@ -870,7 +874,8 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certifi
     H = real_embed(algebra.element(*data))
     det = mat_det(H)
     H_inv = mat_scale(det.inverse(), mat_adj(H))
-    for i, U in enumerate(partners[:40]):
+    tried = partners[:JORGENSEN_TRIES]
+    for i, U in enumerate(tried):
         A = mat_mul(mat_mul(H, U.matrix), H_inv)
         hit = find_jorgensen_partner(WordElement.seed(f"c{i}", A), partners)
         if hit is not NOT_FOUND:
@@ -887,7 +892,7 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certifi
                 },
             )
             return cert(VERIFIED, witness, found)
-    return cert(SEARCH_EXHAUSTED, None, "no violating pair among the conjugated units tried")
+    return cert(SEARCH_EXHAUSTED, None, f"no violating pair among the {len(tried)} conjugated units tried")
 
 
 # --------------------------------------------------------------------------
