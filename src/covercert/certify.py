@@ -574,7 +574,7 @@ def _index_certificate(claim, h, inputs, claimed, depends_on=()):
     witness = _index_witness(result, claimed)
     notes = (RATIONAL_INDEX_NOTE if h.rows is not None else QUATERNION_INDEX_NOTE,)
     verdict = VERIFIED
-    if not witness.get("agrees_with_claimed", True):
+    if claimed is not None and result.index != claimed:
         verdict = REFUTED
         notes += ("the computed index supersedes the claimed one",)
     return Certificate(
