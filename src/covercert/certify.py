@@ -69,7 +69,7 @@ from .units import (
     surjects_at_level,
     torsion_check,
 )
-from .util import is_prime, odd_prime_factors
+from .util import odd_prime_factors
 
 VERIFIED = "verified"
 REFUTED = "refuted-at-this-level"
@@ -180,7 +180,6 @@ _KEYS = {
     "invariant_degree": ("8", _as_int),
     "word_length_bound": ("12", _as_int),
     "claimed_index": ("3", _as_int),
-    "primes": ("2", _as_str),
     "pair": ("-1,-1", _as_str),
     "order_kind": (SATURATED, _as_str),
     "out": ("", _as_str),
@@ -208,21 +207,10 @@ class RunConfig:
     invariant_degree: int = 8
     word_length_bound: int = 12
     claimed_index: int = 3
-    primes: str = "2"
     pair: str = "-1,-1"
     order_kind: str = SATURATED
     out: str = ""
     explicit: frozenset = field(default_factory=frozenset)
-
-    def primes_list(self):
-        out = []
-        for part in self.primes.split(","):
-            p = _as_int(part.strip())
-            if not is_prime(p):
-                raise ConfigError(f"{p} is not prime")
-            if p not in out:
-                out.append(p)
-        return sorted(out)
 
     def pair_values(self):
         parts = [p.strip() for p in self.pair.split(",")]
@@ -273,7 +261,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.order_kind not in (STANDARD, SATURATED):
         raise ConfigError(f"order_kind must be {STANDARD!r} or {SATURATED!r}")
     parse_conjugator_spec(cfg.h)
-    cfg.primes_list()
     cfg.pair_values()
     return cfg
 

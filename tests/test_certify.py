@@ -32,7 +32,7 @@ from covercert.cli import main as cli_main
 
 from oracles import conjugation_index
 
-DEFAULT_HASH = "2c1c8918e4b314d5c455c46c81c3df0af7b180f4a63337410cadfcfd581e84b6"
+DEFAULT_HASH = "b7110e785a0813b98e161128ca7d8e14978c79e5c3099cb252d64aeedc0cf0d5"
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "src" / "covercert" / "certificate_schema.json").read_text())
 
