@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .commens import Conjugator, local_intersection, psi
-from .exact import sqrt_padic
+from .exact import sqrt_2adic
 from .fuchsian import (
     NOT_FOUND,
     VIOLATION,
@@ -182,7 +182,6 @@ _KEYS = {
     "claimed_index": ("3", _as_int),
     "pair": ("-1,-1", _as_str),
     "order_kind": (SATURATED, _as_str),
-    "out": ("", _as_str),
 }
 
 
@@ -192,8 +191,7 @@ class RunConfig:
 
     `explicit` records which keys were actually set by the user (file or
     override), as opposed to defaulted.  Pipelines use it to decide whether
-    an index comparison was requested.  `out` participates in neither the
-    canonical mapping nor the hash; it only says where to write.
+    an index comparison was requested.
     """
 
     d: int = 17
@@ -209,7 +207,6 @@ class RunConfig:
     claimed_index: int = 3
     pair: str = "-1,-1"
     order_kind: str = SATURATED
-    out: str = ""
     explicit: frozenset = field(default_factory=frozenset)
 
     def pair_values(self):
@@ -317,9 +314,7 @@ def config_mapping(cfg: RunConfig):
     hash too.
     """
     out = {}
-    for key, (default, parser) in _KEYS.items():
-        if key == "out":
-            continue
+    for key in _KEYS:
         # Fractions print minimally ("2", "-1/2"); everything else is an
         # int or already a string
         out[key] = str(getattr(cfg, key))
@@ -620,8 +615,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     # inside the 2-adic matrix algebra
     ok, v2, odd_mod8 = _two_adic_square(cfg.d)
     if ok:
-        s = sqrt_padic(Fraction(cfg.d), 2, SQUARE_PRECISION)
-        witness = {"precision": SQUARE_PRECISION, "square_root_residue": s.residue(SQUARE_PRECISION)}
+        witness = {"precision": SQUARE_PRECISION, "square_root_residue": sqrt_2adic(cfg.d, SQUARE_PRECISION)}
         verdict = VERIFIED
         notes = ()
     else:
@@ -685,6 +679,9 @@ def run_quaternionic(cfg: RunConfig) -> dict:
             }
             note = "the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra"
             claims.append(cert_2(VERIFIED, inputs, witness, note))
+            # an h the closed form cannot decide is an input error: reject
+            # it before the unit stages enumerate
+            conjugator = _conjugator(cfg.h, lambda: algebra)
 
     # stage 3: the unit group is torsion-free, so every congruence cover
     # in the tower is unramified; the standard slice enumerated here also
@@ -739,7 +736,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         slice_sat = enumerate_units_saturated(algebra, cfg.unit_height)
         # one reduction at k_max; each level takes its residues mod 2^k,
         # which the ResidueMatrix constructor reduces
-        top = reduce_units(slice_sat, split_2adic(algebra, cfg.k_max + 8), cfg.k_max)
+        top = reduce_units(slice_sat, split_2adic(algebra), cfg.k_max)
         levels = []
         all_ok = True
         for k in range(cfg.k_min, cfg.k_max + 1):
@@ -784,7 +781,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         claims.append(
             _index_certificate(
                 "quaternionic.intersection-index",
-                _conjugator(cfg.h, lambda: algebra),
+                conjugator,
                 inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
                 claimed=cfg.claimed_index,
                 depends_on=("quaternionic.congruence-surjectivity",),
@@ -1022,10 +1019,11 @@ def run_units(cfg: RunConfig) -> dict:
     if cfg.order_kind == SATURATED and cfg.d % 4 != 1:
         raise ConfigError("the 2-saturated order needs d = 1 mod 4")
     algebra = _resolve_algebra(cfg)
-    # torsion is read off the standard slice for either order kind
-    standard = enumerate_units(algebra, cfg.unit_height)
-    slice_ = enumerate_units_saturated(algebra, cfg.unit_height) if cfg.order_kind == SATURATED else standard
-    torsion = torsion_check(standard)
+    if cfg.order_kind == SATURATED:
+        slice_ = enumerate_units_saturated(algebra, cfg.unit_height)
+    else:
+        slice_ = enumerate_units(algebra, cfg.unit_height)
+    torsion = torsion_check(slice_)
     witness = {
         "a": frac_str(algebra.a),
         "b": frac_str(algebra.b),
@@ -1085,28 +1083,36 @@ def _cfg_from_bundle(bundle) -> RunConfig:
     return load_config(None, overrides)
 
 
+class _Mismatch(Exception):
+    """A re-verification check failed; the message names the check."""
+
+
+def _expect(ok, what: str):
+    if not ok:
+        raise _Mismatch(what)
+
+
 def _rv_commutator_map(claim, bundle):
     a = parse_frac(claim["inputs"]["a"])
     comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a))
-    return rows_json(comm.rows) == claim["witness"]["matrix"] and comm == MobiusMap.from_rows(
-        ((Fraction(1), Fraction(0)), (Fraction(0), a * a))
-    )
+    _expect(rows_json(comm.rows) == claim["witness"]["matrix"], "recorded matrix differs from the commutator")
+    _expect(comm == MobiusMap.from_rows(((Fraction(1), Fraction(0)), (Fraction(0), a * a))), "commutator is not x -> x / a^2")
 
 
 def _rv_commutator_order(claim, bundle):
     a = parse_frac(claim["inputs"]["a"])
-    comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a))
-    order = finite_order(comm)
+    order = finite_order(commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a)))
     recorded = claim["witness"]["order"]
     if claim["verdict"] == VERIFIED:
-        return order == INFINITE_ORDER and recorded == "infinite"
-    return order == recorded
+        _expect(order == INFINITE_ORDER and recorded == "infinite", "commutator order is not infinite")
+    else:
+        _expect(order == recorded, "recorded order differs from the computed one")
 
 
 def _rv_invariant_index(claim, bundle):
     g = MobiusMap.from_rows(rows_from_json(claim["inputs"]["generator"]))
-    if claim["witness"]["index"] != 2:
-        return False
+    _expect(claim["witness"]["index"] == 2, "recorded index is not 2")
+    _expect(claim["witness"]["invariants"], "no invariant recorded")
     for data in claim["witness"]["invariants"]:
         f = InvariantFunction(
             degree=data["degree"],
@@ -1114,9 +1120,7 @@ def _rv_invariant_index(claim, bundle):
             denominator=tuple(data["denominator"]),
             character=tuple(parse_frac(c) for c in data["character"]),
         )
-        if not is_invariant(f, (g,)):
-            return False
-    return bool(claim["witness"]["invariants"])
+        _expect(is_invariant(f, (g,)), f"recorded degree-{f.degree} function is not invariant")
 
 
 def _rv_invariant_intersection(claim, bundle):
@@ -1125,29 +1129,34 @@ def _rv_invariant_intersection(claim, bundle):
     found = invariant_search(gens, claim["inputs"]["degree_bound"])
     recorded = claim["witness"]["joint_invariants"]
     if claim["verdict"] == VERIFIED:
-        return not found and not recorded
-    return bool(found) and len(found) == len(recorded)
+        _expect(not found and not recorded, "a joint invariant exists up to the degree bound")
+    else:
+        _expect(found and len(found) == len(recorded), "recorded joint invariants differ from the search")
 
 
 def _rv_2adic_square(claim, bundle):
     d = claim["inputs"]["d"]
     if claim["verdict"] == VERIFIED:
         s = claim["witness"]["square_root_residue"]
-        prec = claim["witness"]["precision"]
-        return (s * s - d) % 2**prec == 0
+        _expect((s * s - d) % 2 ** claim["witness"]["precision"] == 0, "recorded root does not square to d")
+        return
     ok, v2, odd = _two_adic_square(d)
-    return not ok and claim["witness"] == {"valuation_at_2": v2, "odd_part_mod_8": odd}
+    _expect(not ok, "d is a 2-adic square")
+    _expect(claim["witness"] == {"valuation_at_2": v2, "odd_part_mod_8": odd}, "recorded valuation or odd part differs")
 
 
 def _rv_algebra(claim, bundle):
     w = claim["witness"]
     if claim["verdict"] == REFUTED:
-        return _algebra_symbols(QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"])) == w != _ADMISSIBLE
+        symbols = _algebra_symbols(QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"]))
+        _expect(symbols == w, "recorded Hilbert symbols differ from the computed ones")
+        _expect(symbols != _ADMISSIBLE, "the refuted algebra is admissible")
+        return
     algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
-    return (
-        {key: w[key] for key in _ADMISSIBLE} == _algebra_symbols(algebra) == _ADMISSIBLE
-        and ramified_places(algebra) == w["ramified_places"]
-    )
+    symbols = _algebra_symbols(algebra)
+    _expect({key: w[key] for key in _ADMISSIBLE} == symbols, "recorded Hilbert symbols differ from the computed ones")
+    _expect(symbols == _ADMISSIBLE, "the algebra is not a division algebra split at 2 and at infinity")
+    _expect(ramified_places(algebra) == w["ramified_places"], "recorded ramified places differ")
 
 
 def _algebra_from_bundle(bundle):
@@ -1158,52 +1167,49 @@ def _algebra_from_bundle(bundle):
     return _resolve_algebra(cfg)
 
 
+def _expect_flags(report, witness, keys):
+    for key in keys:
+        _expect(report[key] == witness[key], f"recorded {key} differs from the computed value")
+
+
 def _rv_torsion(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
     report = torsion_check(enumerate_units(algebra, claim["inputs"]["unit_height"]))
-    w = claim["witness"]
-    return (
-        report["algebra_torsion_free"] == w["algebra_torsion_free"]
-        and report["slice_torsion_free"] == w["slice_torsion_free"]
-        and report["embeds_sqrt_minus_1"] == w["embeds_sqrt_minus_1"]
-        and report["embeds_sqrt_minus_3"] == w["embeds_sqrt_minus_3"]
-    )
+    keys = ("algebra_torsion_free", "slice_torsion_free", "embeds_sqrt_minus_1", "embeds_sqrt_minus_3")
+    _expect_flags(report, claim["witness"], keys)
 
 
 def _rv_obstruction(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
     flag, table = surjects_at_level(enumerate_units(algebra, claim["inputs"]["unit_height"]), 1)
-    return not flag and table.order == claim["witness"]["image_order_mod_2"]
+    _expect(not flag, "the standard slice surjects mod 2")
+    _expect(table.order == claim["witness"]["image_order_mod_2"], "recorded image order mod 2 differs")
 
 
 def _rv_surjectivity(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
+    split = split_2adic(algebra)
     for entry in claim["witness"]["levels"]:
         k = entry["level"]
-        if entry["group_order"] != group_order(2, k):
-            return False
-        split = split_2adic(algebra, k + 8)
+        _expect(entry["group_order"] == group_order(2, k), f"recorded group order at level {k} is wrong")
         gens = []
         for g in entry["generators"]:
-            coords = [parse_frac(c) for c in g["coords"]]
-            u = algebra.element(*coords)
-            if u.nrd() != 1:
-                return False
-            entries = [e.residue(k) for row in split.apply(u) for e in row]
-            if [entries[:2], entries[2:]] != g["matrix"]:
-                return False
+            u = algebra.element(*(parse_frac(c) for c in g["coords"]))
+            _expect(u.nrd() == 1, f"generator {g['coords']} at level {k} has norm other than 1")
+            entries = split.residues(u, k)
+            _expect([list(entries[:2]), list(entries[2:])] == g["matrix"], f"recorded matrix of {g['coords']} at level {k} differs")
             gens.append(ResidueMatrix(*entries, 2**k))
         if entry["surjects"]:
             flag, table = images_surject(gens, k)
-            if not flag or table.order != entry["image_order"]:
-                return False
-    return True
+            _expect(flag and table.order == entry["image_order"], f"generators at level {k} do not close to the full group")
 
 
 def _rv_intersection(claim, bundle):
     h = _conjugator(claim["inputs"]["h"], lambda: _algebra_from_bundle(bundle))
     w = claim["witness"]
-    return w == _index_witness(local_intersection(h), w.get("claimed_index"))
+    expected = _index_witness(local_intersection(h), w.get("claimed_index"))
+    differ = sorted(key for key in set(w) | set(expected) if w.get(key) != expected.get(key))
+    _expect(not differ, f"recorded {', '.join(differ)} differs from the closed form")
 
 
 def _rv_jorgensen(claim, bundle):
@@ -1217,11 +1223,9 @@ def _rv_jorgensen(claim, bundle):
     else:
         A = lift_rational_matrix(rows_from_json(w["conjugator_rows"]), d)
     report = jorgensen_violation(WordElement.seed("A", A), WordElement.seed("B", B))
-    return (
-        report.verdict == VIOLATION
-        and quad_json(report.sum_value) == w["sum_value"]
-        and report.reason == w["reason"]
-    )
+    _expect(report.verdict == VIOLATION, "the pair does not violate the Jorgensen inequality")
+    _expect(quad_json(report.sum_value) == w["sum_value"], "recorded Jorgensen sum differs")
+    _expect(report.reason == w["reason"], "recorded reason differs")
 
 
 def _rv_elliptic(claim, bundle):
@@ -1233,7 +1237,8 @@ def _rv_elliptic(claim, bundle):
     )
     trace = RealQuadElem(w["field_d"], parse_frac(w["trace"]), Fraction(0))
     cert = EllipticCertificate(word=tuple(w["word"]), matrix=matrix, trace=trace)
-    return verify_elliptic(cert, seeds) and len(w["word"]) == w["word_length"]
+    _expect(verify_elliptic(cert, seeds), "the word does not multiply out to the recorded elliptic matrix")
+    _expect(len(w["word"]) == w["word_length"], "recorded word length differs")
 
 
 def _rv_hilbert(claim, bundle):
@@ -1242,10 +1247,9 @@ def _rv_hilbert(claim, bundle):
     product = 1
     for place, s in claim["witness"]["symbols"]:
         v = place if place == INF else int(place)
-        if hilbert_symbol(a, b, v) != s:
-            return False
+        _expect(hilbert_symbol(a, b, v) == s, f"recorded symbol at {place} differs")
         product *= s
-    return product == claim["witness"]["product_over_places"] == 1
+    _expect(product == claim["witness"]["product_over_places"] == 1, "the symbols do not multiply to 1")
 
 
 def _rv_units(claim, bundle):
@@ -1255,8 +1259,10 @@ def _rv_units(claim, bundle):
         slice_ = enumerate_units_saturated(algebra, w["bound"])
     else:
         slice_ = enumerate_units(algebra, w["bound"])
+    _expect(len(slice_.elements) == w["count"], "recorded slice size differs")
     firsts = [[frac_str(c) for c in u.coords()] for u in slice_.elements[:8]]
-    return len(slice_.elements) == w["count"] and firsts == w["first_elements"]
+    _expect(firsts == w["first_elements"], "recorded first elements differ")
+    _expect_flags(torsion_check(slice_), w, ("slice_torsion_free", "algebra_torsion_free"))
 
 
 _REVERIFIERS = {
@@ -1283,22 +1289,27 @@ _REVERIFIERS = {
 def reverify_bundle(bundle: dict):
     """Re-check every witnessed claim from the bundle content alone.
 
-    Returns [(claim id, ok)] covering all claims; claims without a witness
-    (assumptions, exhausted searches) pass vacuously.
+    Returns [(claim id, ok, reason)] covering all claims.  reason is None
+    for a passing claim; otherwise it names the check that failed, or gives
+    the type and message of the exception the checker raised.  Claims
+    without a witness (assumptions, exhausted searches) pass vacuously.
     """
     results = []
     for claim in bundle["claims"]:
-        if claim["witness"] is None:
-            results.append((claim["id"], True))
-            continue
+        reason = None
         checker = _REVERIFIERS.get(claim["id"])
-        if checker is None:
-            results.append((claim["id"], False))
-            continue
-        try:
-            results.append((claim["id"], bool(checker(claim, bundle))))
-        except Exception:
-            results.append((claim["id"], False))
+        if claim["witness"] is None:
+            pass
+        elif checker is None:
+            reason = "no re-verifier for this claim"
+        else:
+            try:
+                checker(claim, bundle)
+            except _Mismatch as e:
+                reason = str(e)
+            except Exception as e:
+                reason = f"{type(e).__name__}: {e}"
+        results.append((claim["id"], reason is None, reason))
     return results
 
 
@@ -1306,6 +1317,6 @@ def _check_reverify(bundle: dict):
     # round-trip through the serialized form so re-verification sees
     # exactly what a reader of the file would see
     parsed = json.loads(render_bundle(bundle))
-    bad = [cid for cid, ok in reverify_bundle(parsed) if not ok]
+    bad = [f"{cid} ({reason})" for cid, ok, reason in reverify_bundle(parsed) if not ok]
     if bad:
-        raise AssertionError(f"witness re-verification failed for: {', '.join(bad)}")
+        raise AssertionError(f"witness re-verification failed for: {'; '.join(bad)}")

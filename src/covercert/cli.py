@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .certify import PIPELINES, ConfigError, bundle_exit_code, load_config, render_bundle
 
@@ -53,13 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
-        bundle = PIPELINES[args.pipeline](cfg)
+        bundle = PIPELINES[args.pipeline](load_config(args.config, args.overrides))
         text = render_bundle(bundle)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

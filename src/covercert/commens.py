@@ -12,7 +12,8 @@ preserves Haar measure on SL2(Q_p).
   elementary divisors are 1 and N = |det M|, so the index is psi(N)
   (Shimura 1971, 3.1).
 - Quaternionic h in (a, b): at 2 the exponent comes from the 2-adic
-  splitting, whose entries have minimum valuation m, so
+  splitting, whose entries have minimum valuation m, read off integer
+  residues, so
   n_2 = v_2(nrd h) - 2m.  At an odd p dividing nrd h but not ab the
   standard order is maximal with Z_p-basis 1, i, j, k, and m is the minimum
   valuation of the coordinates.  At a ramified p dividing ab once the order
@@ -61,7 +62,7 @@ class Conjugator:
                 raise ValueError(
                     "quaternionic conjugator has a denominator away from 2")
         a, b = q.algebra.a, q.algebra.b
-        if not is_square_padic(a, 2, 3):
+        if not is_square_padic(a, 2):
             raise ValueError("a is not a 2-adic square, so the algebra has "
                              "no diagonal splitting at 2")
         for p in odd_prime_factors(n.numerator):
@@ -121,13 +122,13 @@ def _quaternion_case(q: Quaternion) -> IndexResult:
     a, b = q.algebra.a, q.algebra.b
     n = q.nrd()
     v = frac_valuation(n, 2)
-    # entries are known to absolute precision P - t, with 2^t clearing the
-    # coordinates, and some entry has valuation at most v/2 (the
-    # determinant is nrd h); P - t > v/2 makes the minimum exact
-    t = max(0, -min(frac_valuation(c, 2) for c in q.coords() if c))
-    M = split_2adic(q.algebra, t + max(v, 0) + 4).apply(q)
-    m = min(e.val for row in M for e in row
-            if not (e.exact_zero or e.known_zero_to_precision))
+    # 2^t h has integral coordinates and nrd of valuation v + 2t, so some
+    # entry of its image has valuation at most v + 2t; read mod
+    # 2^(v + 2t + 1), each such entry is nonzero with exact trailing zeros
+    t = max(c.denominator for c in q.coords()).bit_length() - 1
+    scaled = q.algebra.element(*(c * 2**t for c in q.coords()))
+    entries = split_2adic(q.algebra).residues(scaled, v + 2 * t + 1)
+    m = min((e & -e).bit_length() - 1 for e in entries if e) - t
     factors = [(2, v - 2 * m, (("nrd_valuation", v), ("min_entry_valuation", m)))]
     for p in odd_prime_factors(n.numerator):
         vp = valuation(n.numerator, p)

@@ -1,8 +1,8 @@
 """2x2 matrix helpers over any commutative coefficient ring.
 
-Matrices are plain tuples ((a, b), (c, d)).  Entries only need +, -, *
-(and scalar coercion where noted), so the same functions serve Fraction,
-PAdicApprox and quadratic-field elements alike.
+Matrices are plain tuples ((a, b), (c, d)).  Entries only need +, -, *,
+so the same functions serve int, Fraction and quadratic-field elements
+alike.
 """
 
 
@@ -11,12 +11,6 @@ def mat_mul(A, B):
     (e, f), (g, h) = B
     return ((a * e + b * g, a * f + b * h),
             (c * e + d * g, c * f + d * h))
-
-
-def mat_sub(A, B):
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return ((a - e, b - f), (c - g, d - h))
 
 
 def mat_scale(s, A):

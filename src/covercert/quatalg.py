@@ -3,14 +3,13 @@
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.  Everything here is
 exact: element arithmetic over Fraction, ramification via the local Hilbert
 symbol formulas, and an explicit splitting over Q_2 (when a is a 2-adic
-square).
+square) whose images are read as integer residues mod 2^k.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import PAdicApprox, is_square_padic, sqrt_padic
-from .mat2 import mat_det, mat_mul, mat_scale, mat_sub
+from .exact import is_square_padic, sqrt_2adic
 from .util import is_prime, is_rational_square, odd_prime_factors, valuation
 
 INF = "inf"
@@ -75,11 +74,6 @@ class Quaternion:
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
 
-    def scale(self, c) -> "Quaternion":
-        c = Fraction(c)
-        return Quaternion(self.algebra, c * self.x0, c * self.x1,
-                          c * self.x2, c * self.x3)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.algebra, self.x0, -self.x1, -self.x2, -self.x3)
 
@@ -90,15 +84,6 @@ class Quaternion:
 
     def trd(self) -> Fraction:
         return 2 * self.x0
-
-    def inverse(self) -> "Quaternion":
-        n = self.nrd()
-        if n == 0:
-            raise ZeroDivisionError("norm-zero element")
-        return self.conjugate().scale(Fraction(1, 1) / n)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords())
 
 
 def _legendre(u: int, p: int) -> int:
@@ -183,78 +168,66 @@ def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
         if v == INF:
             if e > 0:
                 return False
-        elif is_square_padic(e, v, 3):
+        elif is_square_padic(e, v):
             return False
     return True
 
 
 @dataclass(frozen=True)
 class SplittingMap:
-    """Embedding of the algebra into 2x2 matrices over Q_2.
+    """Embedding of the algebra into 2x2 matrices over Z_2, read mod 2^k.
 
-    i maps to diag(s, -s) with s a 2-adic square root of a and j to
-    [[0,1],[b,0]]; then q = x0 + x1 i + x2 j + x3 k goes to
+    i maps to diag(s, -s) with s the canonical 2-adic square root of a
+    (exact.sqrt_2adic) and j to [[0, 1], [b, 0]]; then
+    q = x0 + x1 i + x2 j + x3 k goes to
     [[x0 + s x1, x2 + s x3], [b (x2 - s x3), x0 - s x1]] and det = nrd(q).
+    j^2 = b and ij = -ji hold for these matrices identically, so the only
+    relation to check is i^2 = a, that is s^2 = a, asserted for every root
+    the map computes.  roots caches s mod 2^n by n.
     """
     algebra: QuaternionAlgebra
-    s: PAdicApprox
-    precision: int
+    b: int
+    roots: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _lift(self, r):
-        return PAdicApprox.from_rational(r, 2, self.precision)
+    def _root(self, n: int) -> int:
+        s = self.roots.get(n)
+        if s is None:
+            s = sqrt_2adic(self.algebra.a, n)
+            assert (s * s - self.algebra.a) % (1 << n) == 0, "s^2 = a fails"
+            self.roots[n] = s
+        return s
 
-    def image_i(self):
-        z = self._lift(0)
-        return ((self.s, z), (z, -self.s))
+    def residues(self, q: Quaternion, k: int):
+        """The entries (a, b, c, d) of q's image mod 2^k, row-major.
 
-    def image_j(self):
-        z, o = self._lift(0), self._lift(1)
-        return ((z, o), (self._lift(self.algebra.b), z))
-
-    def apply(self, q: Quaternion):
+        With 2^t the largest coordinate denominator, 2^t q has integral
+        coordinates; its image is computed mod 2^(k+t) and divided by 2^t.
+        Raises ValueError unless every denominator is a power of 2 and the
+        image is integral.
+        """
         if q.algebra != self.algebra:
             raise ValueError("element of a different algebra")
-        b = self._lift(q.algebra.b)
-        x0, x1, x2, x3 = (self._lift(c) for c in q.coords())
-        return ((x0 + self.s * x1, x2 + self.s * x3),
-                (b * (x2 - self.s * x3), x0 - self.s * x1))
-
-    def verify(self, samples=()) -> dict:
-        """Check the defining relations and det = nrd residuals; raises on
-        failure, returns a small report otherwise."""
-        a, b = self.algebra.a, self.algebra.b
-        I, J = self.image_i(), self.image_j()
-        aId = mat_scale(self._lift(a), ((self._lift(1), self._lift(0)),
-                                        (self._lift(0), self._lift(1))))
-        bId = mat_scale(self._lift(b), ((self._lift(1), self._lift(0)),
-                                        (self._lift(0), self._lift(1))))
-        checks = {
-            "i^2 - a": mat_sub(mat_mul(I, I), aId),
-            "j^2 - b": mat_sub(mat_mul(J, J), bId),
-            "ij + ji": mat_sub(mat_mul(I, J), mat_scale(self._lift(-1),
-                                                        mat_mul(J, I))),
-        }
-        for name, R in checks.items():
-            for row in R:
-                for entry in row:
-                    self._assert_vanishes(entry, name)
-        for q in samples:
-            diff = mat_det(self.apply(q)) - self._lift(q.nrd())
-            self._assert_vanishes(diff, f"det - nrd at {q.coords()}")
-        return {"precision": self.precision,
-                "relations": sorted(checks), "det_samples": len(samples)}
-
-    def _assert_vanishes(self, entry, name):
-        # slack of 4 digits absorbs denominators of half-integral samples
-        if not entry.valuation_at_least(self.precision - 4):
-            raise AssertionError(f"splitting relation {name} fails: {entry}")
+        coords = q.coords()
+        den = max(c.denominator for c in coords)
+        if den & (den - 1) or any(den % c.denominator for c in coords):
+            raise ValueError("coordinate denominator away from 2")
+        t = den.bit_length() - 1
+        x0, x1, x2, x3 = (c.numerator * (den // c.denominator) for c in coords)
+        s = self._root(k + t)
+        mask = (1 << (k + t)) - 1
+        entries = ((x0 + s * x1) & mask, (x2 + s * x3) & mask,
+                   self.b * (x2 - s * x3) & mask, (x0 - s * x1) & mask)
+        if any(e & (den - 1) for e in entries):
+            raise ValueError("the image is not integral at 2")
+        return tuple(e >> t for e in entries)
 
 
-def split_2adic(D: QuaternionAlgebra, precision: int) -> SplittingMap:
+def split_2adic(D: QuaternionAlgebra) -> SplittingMap:
     if hilbert_symbol(D.a, D.b, 2) != 1:
         raise ValueError("algebra is ramified at 2; no splitting exists")
-    if not is_square_padic(D.a, 2, max(precision, 3)):
+    if not is_square_padic(D.a, 2):
         raise ValueError("a is not a 2-adic square; this construction "
                          "requires the diagonal form of i")
-    s = sqrt_padic(D.a, 2, precision + 2)
-    return SplittingMap(D, s, precision + 2)
+    if D.a.denominator != 1 or D.b.denominator != 1:
+        raise ValueError("the splitting needs integral structure constants")
+    return SplittingMap(D, int(D.b))

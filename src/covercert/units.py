@@ -116,14 +116,8 @@ def reduce_units(slice_: UnitSlice, split: SplittingMap, k: int):
     The determinant-1 invariant is asserted per element by the
     ResidueMatrix constructor.
     """
-    if split.precision < k + 2:
-        raise ValueError("insufficient splitting precision for this level")
-    out = []
-    for q in slice_.elements:
-        mat = split.apply(q)
-        entries = [e.residue(k) for row in mat for e in row]
-        out.append(ResidueMatrix(*entries, 2 ** k))
-    return out
+    m = 2 ** k
+    return [ResidueMatrix(*split.residues(q, k), m) for q in slice_.elements]
 
 
 def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
@@ -143,8 +137,7 @@ def surjects_at_level(slice_: UnitSlice, k: int):
     surjectivity; the standard order provably cannot reach level 1 (see
     mod2_image_obstruction), so a standard slice shows the failure.
     """
-    split = split_2adic(slice_.algebra, k + 4)
-    return images_surject(reduce_units(slice_, split, k), k)
+    return images_surject(reduce_units(slice_, split_2adic(slice_.algebra), k), k)
 
 
 def images_surject(mats, k: int):
@@ -200,7 +193,7 @@ def find_example_algebra(d: int, search_bound: int = 100) -> QuaternionAlgebra:
         raise ValueError("need d > 6")
     if is_perfect_square(d):
         raise ValueError("d must not be a perfect square")
-    if not is_square_padic(d, 2, 3):
+    if not is_square_padic(d, 2):
         raise ValueError("d must be a 2-adic square")
     for b in range(3, search_bound + 1, 2):
         D = QuaternionAlgebra(d, b)

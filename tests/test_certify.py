@@ -94,6 +94,7 @@ def test_config_file_and_overrides(tmp_path):
         ["no_equals_sign"],
         ["unit_height=-2"],
         ["h=quat:1/3,1,0,0"],  # denominator away from 2
+        ["out=/tmp/x.json"],  # the output path is the --out flag, not a key
     ],
 )
 def test_config_rejects(overrides):
@@ -126,8 +127,6 @@ def test_config_hash_frozen_and_sensitive():
     cfg = load_config()
     assert config_hash(cfg) == DEFAULT_HASH
     assert config_hash(load_config(None, ["d=13"])) != DEFAULT_HASH
-    # the output path is not part of the mathematical input
-    assert config_hash(load_config(None, ["out=/tmp/x.json"])) == DEFAULT_HASH
     # setting claimed_index explicitly changes pipeline behavior, so it
     # must change the hash even at the default value
     assert config_hash(load_config(None, ["claimed_index=3"])) != DEFAULT_HASH
@@ -383,19 +382,39 @@ def test_reverify_default_bundle(quat_bundle):
     parsed = json.loads(render_bundle(quat_bundle))
     results = reverify_bundle(parsed)
     assert len(results) == len(parsed["claims"])
-    assert all(ok for _, ok in results)
+    assert all(ok and reason is None for _, ok, reason in results)
+
+
+def _reverify_by_id(parsed):
+    return {cid: (ok, reason) for cid, ok, reason in reverify_bundle(parsed)}
 
 
 def test_reverify_detects_tampering(sl2z_bundle):
+    # a failed claim says which check failed
     parsed = json.loads(render_bundle(sl2z_bundle))
     parsed["claims"][0]["witness"]["computed_index_in_gamma"] = 4
-    bad = dict(r for r in reverify_bundle(parsed))
-    assert bad["sl2z.intersection-index"] is False
+    ok, reason = _reverify_by_id(parsed)["sl2z.intersection-index"]
+    assert ok is False
+    assert reason == "recorded computed_index_in_gamma differs from the closed form"
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (True, None)
 
     parsed = json.loads(render_bundle(sl2z_bundle))
     parsed["claims"][1]["witness"]["word"] = ["T", "h", "U^-1", "h"]
-    bad = dict(r for r in reverify_bundle(parsed))
-    assert bad["sl2z.nondiscrete"] is False
+    ok, reason = _reverify_by_id(parsed)["sl2z.nondiscrete"]
+    assert ok is False
+    assert reason == "the word does not multiply out to the recorded elliptic matrix"
+
+    # a checker exception becomes a reason with its type and message
+    parsed = json.loads(render_bundle(sl2z_bundle))
+    del parsed["claims"][1]["witness"]["trace"]
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "KeyError: 'trace'")
+
+
+def test_failed_reverification_names_id_and_reason(monkeypatch):
+    # the exit-3 line carries each failing id with its reason
+    monkeypatch.setitem(certify._REVERIFIERS, "hilbert.symbol-table", lambda claim, bundle: 1 // 0)
+    with pytest.raises(AssertionError, match=r"hilbert\.symbol-table \(ZeroDivisionError: integer division or modulo by zero\)"):
+        certify.run_hilbert(load_config())
 
 
 def test_fresh_process_reverification(quat_bundle, tmp_path):
@@ -405,7 +424,7 @@ def test_fresh_process_reverification(quat_bundle, tmp_path):
         "import json, sys\n"
         "from covercert.certify import reverify_bundle\n"
         "results = reverify_bundle(json.load(open(sys.argv[1])))\n"
-        "bad = [cid for cid, ok in results if not ok]\n"
+        "bad = [cid for cid, ok, _ in results if not ok]\n"
         "print('bad:', bad)\n"
         "sys.exit(1 if bad else 0)\n"
     )
@@ -503,7 +522,23 @@ def test_quaternionic_refutes_explicit_split_b():
     assert bundle_exit_code(bundle) == 1
     parsed = json.loads(render_bundle(bundle))
     parsed["claims"][1]["witness"]["division"] = True
-    assert dict(reverify_bundle(parsed))["quaternionic.algebra"] is False
+    ok, reason = _reverify_by_id(parsed)["quaternionic.algebra"]
+    assert ok is False and reason == "recorded Hilbert symbols differ from the computed ones"
+
+
+def test_quaternionic_rejects_h_before_enumerating(monkeypatch):
+    # the closed form cannot decide h = j in (17, 91), so the run stops
+    # with a config error right after stage 2, before any unit slice
+    def refuse(*args):
+        raise RuntimeError("a unit slice was enumerated")
+
+    monkeypatch.setattr(certify, "enumerate_units", refuse)
+    monkeypatch.setattr(certify, "enumerate_units_saturated", refuse)
+    with pytest.raises(ConfigError):
+        certify.run_quaternionic(load_config(None, ["b=91", "h=quat:0,0,1,0"]))
+    # a blocked stage 2 never resolves h: (17, 1) is split, stage 2 refutes
+    bundle = certify.run_quaternionic(load_config(None, ["b=1", "h=quat:0,0,1,0"]))
+    assert bundle_exit_code(bundle) == 1
 
 
 def test_cli_config_file(tmp_path, capsys):
@@ -514,12 +549,18 @@ def test_cli_config_file(tmp_path, capsys):
     assert bundle["claims"][0]["inputs"] == {"a": "17/1", "b": "7/1"}
 
 
-def test_cli_out_key_in_config_file(tmp_path):
+def test_cli_out_key_in_config_file(tmp_path, capsys):
+    # out is not a config key: the --out flag alone names the output file
     out = tmp_path / "from-config.json"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"pair = -1,-1\nout = {out}\n")
-    assert cli_main(["hilbert", "--config", str(cfg)]) == 0
-    assert out.exists()
+    assert cli_main(["hilbert", "--config", str(cfg)]) == 2
+    assert "unknown key 'out'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("pair = -1,-1\n")
+    assert cli_main(["hilbert", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["pipeline"] == "hilbert"
 
 
 # -- golden bundles ---------------------------------------------------------
@@ -566,3 +607,14 @@ def test_golden_bundle_bytes(name, request):
         bundle = certify.PIPELINES[pipeline](load_config(None, overrides))
     assert render_bundle(bundle).encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
     assert bundle_exit_code(bundle) == exit_code
+
+
+def test_units_reverify_checks_torsion_flags():
+    # the units checker re-runs the torsion check on the slice it dumps
+    for order_kind in ("2-saturated", "standard"):
+        bundle = certify.run_units(load_config(None, ["unit_height=6", f"order_kind={order_kind}"]))
+        parsed = json.loads(render_bundle(bundle))
+        assert _reverify_by_id(parsed)["units.slice"] == (True, None)
+        parsed["claims"][0]["witness"]["slice_torsion_free"] = False
+        expected = (False, "recorded slice_torsion_free differs from the computed value")
+        assert _reverify_by_id(parsed)["units.slice"] == expected

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from covercert.exact import PAdicApprox, is_square_padic, sqrt_padic
-from covercert.util import frac_valuation, unit_part, valuation
+from covercert.exact import is_square_padic, sqrt_2adic
+from covercert.util import valuation
 
 
 def oracle_square_padic(r, p):
@@ -23,29 +23,28 @@ def oracle_square_padic(r, p):
 # --- is_square_padic ---------------------------------------------------------
 
 def test_square_2adic_spec_values():
-    assert is_square_padic(17, 2, 3) is True
-    assert is_square_padic(4, 2, 3) is True
-    assert is_square_padic(3, 2, 3) is False
-    assert is_square_padic(-1, 2, 3) is False
-    assert is_square_padic(2, 2, 3) is False
+    assert is_square_padic(17, 2) is True
+    assert is_square_padic(4, 2) is True
+    assert is_square_padic(3, 2) is False
+    assert is_square_padic(-1, 2) is False
+    assert is_square_padic(2, 2) is False
 
 
 def test_square_padic_precision_independent():
-    for prec in (3, 4, 5, 8, 12):
-        assert is_square_padic(17, 2, prec) is True
-        assert is_square_padic(3, 2, prec) is False
-    for prec in (1, 2, 6):
-        assert is_square_padic(2, 7, prec) is True
-        assert is_square_padic(3, 7, prec) is False
+    # the criterion is exact and takes no precision: its answer depends
+    # only on the square class of r
+    for r, p in ((17, 2), (3, 2), (2, 7), (3, 7), (Fraction(-7, 9), 2)):
+        for c in (1, 3, Fraction(1, 5), p, Fraction(1, p ** 2)):
+            assert is_square_padic(r * c * c, p) == is_square_padic(r, p)
+    assert is_square_padic(2, 7) is True
+    assert is_square_padic(3, 7) is False
 
 
 def test_square_padic_rejects_bad_args():
     with pytest.raises(ValueError):
-        is_square_padic(0, 2, 3)
+        is_square_padic(0, 2)
     with pytest.raises(ValueError):
-        is_square_padic(5, 2, 2)
-    with pytest.raises(ValueError):
-        is_square_padic(5, 6, 3)
+        is_square_padic(5, 6)
 
 
 def test_square_padic_vs_bruteforce():
@@ -54,102 +53,59 @@ def test_square_padic_vs_bruteforce():
               for d in (1, 2, 3, 4, 5)]
     for p in (2, 3, 5, 7):
         for r in rng.sample(values, 40):
-            assert is_square_padic(r, p, 5) == oracle_square_padic(r, p), (r, p)
+            assert is_square_padic(r, p) == oracle_square_padic(r, p), (r, p)
 
 
-# --- sqrt_padic --------------------------------------------------------------
+# --- sqrt_2adic --------------------------------------------------------------
 
 def test_sqrt_2adic_of_17():
-    s = sqrt_padic(17, 2, 5)
-    assert s.val == 0
-    assert (s.unit * s.unit - 17) % 2 ** 7 == 0
-    # canonical branch: smaller base residue mod 8
-    assert s.unit % 8 == 1
+    for n in range(1, 12):
+        s = sqrt_2adic(17, n)
+        assert 0 <= s < 2 ** n
+        assert (s * s - 17) % 2 ** n == 0
+    # canonical branch: unit part 1 or 3 mod 8
+    assert sqrt_2adic(17, 10) % 8 == 1
+    assert sqrt_2adic(17, 10) == 745  # the stage-1 witness at d = 17
 
 
 def test_sqrt_exact_squares():
-    assert sqrt_padic(1, 2, 5).residue(5) == 1
-    s = sqrt_padic(9, 5, 4)
-    assert s.residue(1) == 3
-    s = sqrt_padic(Fraction(9, 4), 7, 4)
-    # exact root 3/2
-    assert s.residue(2) == 3 * pow(2, -1, 49) % 49
+    # exact rational squares get their nonnegative rational root, even
+    # when its unit part is 5 or 7 mod 8
+    assert sqrt_2adic(1, 5) == 1
+    assert sqrt_2adic(25, 8) == 5
+    assert sqrt_2adic(49 * 4, 8) == 14
+    assert sqrt_2adic(Fraction(9, 25), 6) == 3 * pow(5, -1, 64) % 64
 
 
 def test_sqrt_branch_canonical():
-    # 41 = 9 mod 16, so the two roots are 3,5 mod 8; canonical picks 3
-    s = sqrt_padic(41, 2, 6)
-    assert s.unit % 8 == 3
-    # roots of 2 mod 7 are 3 and 4; canonical picks 3
-    s = sqrt_padic(2, 7, 4)
-    assert s.unit % 7 == 3
-    assert (s.unit * s.unit - 2) % 7 ** 4 == 0
+    # 41 = 9 mod 16, so the two roots are 3 and 5 mod 8; canonical picks 3
+    s = sqrt_2adic(41, 9)
+    assert s % 8 == 3
+    assert (s * s - 41) % 2 ** 9 == 0
+    # the root of 4 * 17 is 2 * sqrt(17)
+    assert sqrt_2adic(68, 9) == 2 * sqrt_2adic(17, 8)
 
 
 def test_sqrt_random_squares_hit_precision():
+    # every n bits are exact: the roots mod 2^n are the truncations of one
+    # 2-adic integer, and for a unit r the brute-force roots mod 2^n are +-s
     rng = random.Random(5)
-    for p in (2, 3, 5, 13):
-        for _ in range(25):
-            u = rng.randrange(1, 400)
-            r = Fraction(u * u, rng.randrange(1, 20) ** 2) * p ** (2 * rng.randrange(0, 2))
-            if not is_square_padic(r, p, 4):
-                continue
-            prec = 4
-            s = sqrt_padic(r, p, prec)
-            diff = Fraction(s.unit) ** 2 * Fraction(p) ** (2 * s.val) - r
-            if diff != 0:
-                assert frac_valuation(diff, p) >= prec + frac_valuation(r, p)
+    for _ in range(60):
+        u = rng.randrange(1, 400) * 2 + 1
+        r = Fraction(u * u * rng.choice([1, 17, 41, -7]), rng.choice([1, 9, 25]))
+        assert sqrt_2adic(4 * r, 12) == 2 * sqrt_2adic(r, 11)
+        top = sqrt_2adic(r, 12)
+        for n in range(1, 12):
+            s = sqrt_2adic(r, n)
+            assert s == top % 2 ** n
+            m = 2 ** n
+            target = r.numerator * pow(r.denominator, -1, 4 * m) % (4 * m)
+            roots = {x % m for x in range(4 * m) if (x * x - target) % (4 * m) == 0}
+            assert roots == {s, -s % m}, (r, n)
 
 
 def test_sqrt_rejects_nonsquares():
     with pytest.raises(ValueError):
-        sqrt_padic(3, 2, 4)
+        sqrt_2adic(3, 4)
     with pytest.raises(ValueError):
-        sqrt_padic(5, 7, 3)
-
-
-# --- PAdicApprox arithmetic --------------------------------------------------
-
-def test_padic_ring_ops_match_rationals():
-    rng = random.Random(7)
-    for p in (2, 5):
-        for _ in range(60):
-            a = Fraction(rng.randrange(-50, 51), rng.choice([1, 1, 3, p]))
-            b = Fraction(rng.randrange(-50, 51), rng.choice([1, 2, 5]))
-            if a == 0 or b == 0:
-                continue
-            x = PAdicApprox.from_rational(a, p, 8)
-            y = PAdicApprox.from_rational(b, p, 8)
-            for op, exact in ((x + y, a + b), (x * y, a * b), (x - y, a - b)):
-                if exact == 0:
-                    assert op.exact_zero or op.known_zero_to_precision
-                    continue
-                v = frac_valuation(exact, p)
-                assert op.val == v
-                u = unit_part(exact.numerator, p) * pow(
-                    unit_part(exact.denominator, p), -1, p ** op.prec)
-                assert op.unit % p ** min(op.prec, 4) == u % p ** min(op.prec, 4)
-
-
-def test_padic_cancellation_is_flagged():
-    x = PAdicApprox.from_rational(Fraction(3, 5), 2, 6)
-    z = x - x
-    assert z.known_zero_to_precision or z.exact_zero
-    assert z.valuation_at_least(4)
-
-
-def test_padic_residue():
-    x = PAdicApprox.from_rational(12, 2, 6)
-    assert x.residue(4) == 12
-    assert x.residue(2) == 0
-    y = PAdicApprox.from_rational(Fraction(1, 2), 2, 6)
-    with pytest.raises(ValueError):
-        y.residue(2)
-
-
-def test_padic_inverse():
-    x = PAdicApprox.from_rational(Fraction(3, 4), 7, 5)
-    xi = x.inverse()
-    prod = x * xi
-    assert prod.val == 0
-    assert prod.unit % 7 ** prod.prec == 1
+        sqrt_2adic(Fraction(17, 4), 4)  # a square in Q_2, but not in Z_2

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from covercert.mat2 import mat_det, mat_mul, mat_scale
 from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
                                is_division, quadratic_embeds, ramified_places,
                                split_2adic)
@@ -42,12 +43,18 @@ def test_nrd_multiplicative_and_trace_symmetric():
 
 
 def test_inverse():
+    # q times its conjugate is nrd(q): a norm-one unit is inverted by its
+    # conjugate, and a norm-zero element has no inverse
     D = QuaternionAlgebra(17, 7)
     q = D.element(5, 1, 1, 0)
     assert q.nrd() == 1
-    assert q * q.inverse() == D.one()
-    with pytest.raises(ZeroDivisionError):
-        QuaternionAlgebra(1, 1).element(1, 1, 0, 0).inverse()
+    assert q * q.conjugate() == D.one() == q.conjugate() * q
+    rng = random.Random(4)
+    for _ in range(20):
+        r = rand_quat(D, rng)
+        assert r * r.conjugate() == D.element(r.nrd())
+    zero_norm = QuaternionAlgebra(1, 1).element(1, 1, 0, 0)
+    assert zero_norm * zero_norm.conjugate() == QuaternionAlgebra(1, 1).element(0)
 
 
 # --- Hilbert symbol ----------------------------------------------------------
@@ -171,30 +178,93 @@ def test_quadratic_embeds():
 
 # --- splittings --------------------------------------------------------------
 
+def _mat(entries):
+    return ((entries[0], entries[1]), (entries[2], entries[3]))
+
+
+def _mat_mod(A, m):
+    return tuple(tuple(x % m for x in row) for row in A)
+
+
+def _saturated(D, rng, span=9):
+    """A random element (u + vi + wj + zk)/2 with u = v and w = z mod 2."""
+    u, v, w, z = (rng.randrange(-span, span + 1) for _ in range(4))
+    v += (u - v) % 2
+    z += (w - z) % 2
+    return D.element(*(Fraction(c, 2) for c in (u, v, w, z)))
+
+
+def _eighths(D, rng, span=9):
+    """x0 + x1 i + x2 j + x3 k with x1, x3 in (1/8)Z: in (64 * 17, 7),
+    i/8 squares to 17, so these map to integral matrices."""
+    x0, x2 = rng.randrange(-span, span + 1), rng.randrange(-span, span + 1)
+    x1, x3 = (Fraction(rng.randrange(-span, span + 1), 8) for _ in range(2))
+    return D.element(x0, x1, x2, x3)
+
+
 def test_split_2adic_relations_and_det():
     D = QuaternionAlgebra(17, 7)
     rng = random.Random(8)
-    sm = split_2adic(D, 6)
+    sm = split_2adic(D)
+    i, j, k = D.element(0, 1), D.element(0, 0, 1), D.element(0, 0, 0, 1)
     samples = [D.one(), -D.one(), D.element(5, 1, 1, 0),
                D.element(Fraction(7, 2), Fraction(1, 2), 1, 0)]
-    samples += [rand_quat(D, rng, span=5) for _ in range(10)]
-    report = sm.verify(samples)
-    assert report["det_samples"] == len(samples)
-    # i is diagonal with the canonical 2-adic root of 17 on the diagonal
-    s = sm.image_i()[0][0]
-    assert (s.unit ** 2 - 17) % 2 ** 6 == 0
+    samples += [_saturated(D, rng, span=5) for _ in range(10)]
+    for n in range(1, 10):
+        m = 2 ** n
+        # i is diagonal with the canonical 2-adic root of 17 on the
+        # diagonal: 745 mod 2^n, the stage-1 witness at d = 17
+        s = 745 % m
+        assert sm.residues(i, n) == (s, 0, 0, -s % m)
+        assert sm.residues(j, n) == (0, 1, 7 % m, 0)
+        I, J = _mat(sm.residues(i, n)), _mat(sm.residues(j, n))
+        assert _mat_mod(mat_mul(I, I), m) == _mat_mod(((17, 0), (0, 17)), m)
+        assert _mat_mod(mat_mul(J, J), m) == _mat_mod(((7, 0), (0, 7)), m)
+        assert _mat_mod(mat_mul(I, J), m) == _mat_mod(mat_scale(-1, mat_mul(J, I)), m)
+        assert _mat(sm.residues(k, n)) == _mat_mod(mat_mul(I, J), m)
+        for q in samples:
+            assert (mat_det(_mat(sm.residues(q, n))) - q.nrd()) % m == 0
 
 
 def test_split_2adic_exact_square():
-    D = QuaternionAlgebra(1, 5)
-    sm = split_2adic(D, 4)
-    I = sm.image_i()
-    assert I[0][0].residue(4) == 1
-    assert I[1][1].residue(4) == 2 ** 4 - 1
+    # a = 1 is an exact square, so s = 1 at every level
+    sm = split_2adic(QuaternionAlgebra(1, 5))
+    I = QuaternionAlgebra(1, 5).element(0, 1)
+    for n in (1, 4, 9):
+        assert sm.residues(I, n) == (1, 0, 0, 2 ** n - 1)
+    # a = 25: the exact root 5, not the 1-or-3-mod-8 branch -5
+    D = QuaternionAlgebra(25, 3)
+    assert split_2adic(D).residues(D.element(0, 1), 6) == (5, 0, 0, 64 - 5)
+
+
+def test_split_2adic_is_a_ring_homomorphism_mod_2k():
+    rng = random.Random(12)
+    cases = [(QuaternionAlgebra(17, 7), _saturated), (QuaternionAlgebra(64 * 17, 7), _eighths)]
+    for D, draw in cases:
+        sm = split_2adic(D)
+        pairs = [(draw(D, rng), draw(D, rng)) for _ in range(40)]
+        assert max(c.denominator for q, _ in pairs for c in q.coords()) == (2 if draw is _saturated else 8)
+        for k in range(1, 7):
+            m = 2 ** k
+            assert sm.residues(D.one(), k) == (1, 0, 0, 1 % m)
+            for q, r in pairs:
+                Q, R = _mat(sm.residues(q, k)), _mat(sm.residues(r, k))
+                assert _mat(sm.residues(q * r, k)) == _mat_mod(mat_mul(Q, R), m)
+                assert sm.residues(q + r, k) == tuple((x + y) % m for x, y in zip(sm.residues(q, k), sm.residues(r, k)))
+                assert (mat_det(Q) - q.nrd()) % m == 0
+
+
+def test_split_2adic_rejects_non_integral_images():
+    D = QuaternionAlgebra(17, 7)
+    sm = split_2adic(D)
+    with pytest.raises(ValueError):
+        sm.residues(D.element(Fraction(1, 2)), 3)  # image diag(1/2, 1/2)
+    with pytest.raises(ValueError):
+        sm.residues(D.element(Fraction(1, 3)), 3)  # denominator away from 2
 
 
 def test_split_2adic_rejects():
     with pytest.raises(ValueError):
-        split_2adic(QuaternionAlgebra(3, 7), 4)
+        split_2adic(QuaternionAlgebra(3, 7))  # 3 is not a 2-adic square
     with pytest.raises(ValueError):
-        split_2adic(QuaternionAlgebra(-1, -1), 4)
+        split_2adic(QuaternionAlgebra(-1, -1))  # ramified at 2

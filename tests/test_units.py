@@ -73,7 +73,7 @@ def test_saturated_requires_1_mod_4():
 
 
 def test_reduce_units_basics():
-    split = split_2adic(D17, 8)
+    split = split_2adic(D17)
     s = enumerate_units(D17, 8)
     mats = reduce_units(s, split, 2)
     lookup = dict(zip(s.elements, mats))
@@ -85,13 +85,6 @@ def test_reduce_units_basics():
         for r in els[::7]:
             if q * r in lookup:
                 assert lookup[q * r] == lookup[q] * lookup[r]
-
-
-def test_reduce_units_needs_precision():
-    split = split_2adic(D17, 2)
-    s = enumerate_units(D17, 2)
-    with pytest.raises(ValueError):
-        reduce_units(s, split, 6)
 
 
 def test_standard_order_mod2_obstruction():
@@ -117,7 +110,7 @@ def test_surjectivity_monotone_in_height():
 
 def test_surjectivity_by_order_matches_element_sets():
     # the order comparison in images_surject against the full group table
-    split = split_2adic(D17, 12)
+    split = split_2adic(D17)
     cases = [(enumerate_units_saturated(D17, 6), k) for k in (1, 2, 3, 4)]
     cases.append((enumerate_units(D17, 6), 1))
     decided = []
@@ -130,7 +123,7 @@ def test_surjectivity_by_order_matches_element_sets():
 
 def test_reduction_projects_from_top_level():
     s = enumerate_units_saturated(D17, 6)
-    split = split_2adic(D17, 13)
+    split = split_2adic(D17)
     top = reduce_units(s, split, 5)
     for k in range(1, 6):
         projected = [ResidueMatrix(x.a, x.b, x.c, x.d, 2 ** k) for x in top]
