@@ -44,10 +44,23 @@ def _require_integral_constants(D: QuaternionAlgebra):
     return int(D.a), int(D.b)
 
 
+def _band(t: int, c: int, top: int, bound: int) -> range:
+    """The r in [0, bound] with 0 <= t - c*r^2 <= top^2, for c != 0.
+
+    The enumerators solve x^2 = t - c*r^2 for the last coordinate r, and
+    only this band of |r| leaves a square in [0, top^2].
+    """
+    lo, hi = (t - top * top, t) if c > 0 else (t, t - top * top)
+    s_lo, s_hi = max(0, -(-lo // c)), hi // c  # bounds on r^2
+    if s_hi < s_lo:
+        return range(0)
+    return range(isqrt(s_lo - 1) + 1 if s_lo else 0, min(isqrt(s_hi), bound) + 1)
+
+
 def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
     """All integral quaternions of reduced norm 1 with every |coordinate|
     at most B, by solving x0^2 = 1 + a x1^2 + b x2^2 - a b x3^2 over the
-    (x1,x2,x3) grid."""
+    (x1,x2) grid, with |x3| in the band that leaves x0^2 in [0, B^2]."""
     a, b = _require_integral_constants(D)
     if B < 1:
         raise ValueError("bound must be >= 1")
@@ -56,15 +69,14 @@ def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
         t1 = 1 + a * x1 * x1
         for x2 in range(-B, B + 1):
             t2 = t1 + b * x2 * x2
-            for x3 in range(-B, B + 1):
-                rhs = t2 - a * b * x3 * x3
-                if rhs < 0:
-                    continue
+            for r in _band(t2, a * b, B, B):
+                rhs = t2 - a * b * r * r
                 x0 = isqrt(rhs)
-                if x0 * x0 == rhs and x0 <= B:
-                    found.append((x0, x1, x2, x3))
-                    if x0:
-                        found.append((-x0, x1, x2, x3))
+                if x0 * x0 == rhs:
+                    for x3 in (r, -r) if r else (0,):
+                        found.append((x0, x1, x2, x3))
+                        if x0:
+                            found.append((-x0, x1, x2, x3))
     found.sort()
     return UnitSlice(D, B, tuple(D.element(*c) for c in found))
 
@@ -97,15 +109,16 @@ def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
         t1 = 4 + a * v * v
         for w in range(-H, H + 1):
             t2 = t1 + b * w * w
-            for z in range(-H + (H + w) % 2, H + 1, 2):  # z = w mod 2
-                rhs = t2 - a * b * z * z
-                if rhs < 0:
-                    continue
+            for r in _band(t2, a * b, H, H):
+                if (r - w) % 2:
+                    continue  # z = w mod 2
+                rhs = t2 - a * b * r * r
                 u = isqrt(rhs)
-                if u * u == rhs and u <= H and (u - v) % 2 == 0:
-                    found.append((u, v, w, z))
-                    if u:
-                        found.append((-u, v, w, z))
+                if u * u == rhs and (u - v) % 2 == 0:
+                    for z in (r, -r) if r else (0,):
+                        found.append((u, v, w, z))
+                        if u:
+                            found.append((-u, v, w, z))
     found.sort()
     return UnitSlice(D, B, tuple(D.element(*(half * t for t in c)) for c in found))
 

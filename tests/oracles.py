@@ -6,7 +6,7 @@ can be compared in tests.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -125,6 +125,34 @@ def brute_norm_one_box(a: int, b: int, B: int):
                     if x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3 == 1:
                         out.append((x0, x1, x2, x3))
     return sorted(out)
+
+
+def norm_one_triple_loop(a: int, b: int, B: int, saturated: bool = False):
+    """Sorted norm-one coordinate tuples by the full (x1, x2, x3) scan.
+
+    Standard order: integral (x0, x1, x2, x3) with every |coordinate| <= B.
+    Saturated order: (u, v, w, z) standing for (u + vi + wj + zk)/2 with
+    u = v and w = z mod 2 and every |coordinate| <= 2B.  x0 (or u) is read
+    off as the square root of what the other three leave, so only the
+    last coordinate's loop differs from the enumerators in covercert.units.
+    """
+    H, c = (2 * B, 4) if saturated else (B, 1)
+    found = []
+    for x1 in range(-H, H + 1):
+        for x2 in range(-H, H + 1):
+            for x3 in range(-H, H + 1):
+                if saturated and (x2 - x3) % 2:
+                    continue
+                rhs = c + a * x1 * x1 + b * x2 * x2 - a * b * x3 * x3
+                if rhs < 0:
+                    continue
+                x0 = isqrt(rhs)
+                if x0 * x0 != rhs or x0 > H or (saturated and (x0 - x1) % 2):
+                    continue
+                found.append((x0, x1, x2, x3))
+                if x0:
+                    found.append((-x0, x1, x2, x3))
+    return sorted(found)
 
 
 def _p_val(n: int, p: int) -> int:

@@ -9,7 +9,7 @@ from covercert.units import (enumerate_units, enumerate_units_saturated,
                              in_saturated_order, reduce_units,
                              surjects_at_level, torsion_check)
 
-from oracles import brute_norm_one_box
+from oracles import brute_norm_one_box, norm_one_triple_loop
 
 D17 = QuaternionAlgebra(17, 7)
 
@@ -35,6 +35,23 @@ def test_enumeration_complete_for_box():
         got = [tuple(int(c) for c in q.coords())
                for q in enumerate_units(D, B).elements]
         assert got == brute_norm_one_box(*ab, B)
+
+
+@pytest.mark.parametrize("ab, B, saturated", [
+    ((17, 7), 20, False), ((17, 7), 9, True), ((17, 7), 14, True),
+    ((-1, -1), 6, False), ((2, 3), 8, False), ((3, -5), 10, False),
+    ((-7, 3), 7, False), ((17, -3), 9, False),
+    ((5, -7), 6, True), ((13, -5), 6, True), ((-3, 5), 5, True),
+])
+def test_enumerators_match_the_triple_loop(ab, B, saturated):
+    # the band on the last coordinate drops no unit and keeps the order
+    D = QuaternionAlgebra(*ab)
+    if saturated:
+        got = [tuple(int(2 * c) for c in q.coords()) for q in enumerate_units_saturated(D, B).elements]
+    else:
+        got = [tuple(int(c) for c in q.coords()) for q in enumerate_units(D, B).elements]
+    assert got == norm_one_triple_loop(*ab, B, saturated)
+    assert len(got) > 2
 
 
 def test_slice_17_7():
