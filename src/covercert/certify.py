@@ -60,6 +60,7 @@ from .units import (
     SATURATED,
     STANDARD,
     UnitSlice,
+    embedding_flags,
     enumerate_units,
     enumerate_units_saturated,
     find_example_algebra,
@@ -1174,9 +1175,16 @@ def _expect_flags(report, witness, keys):
 
 def _rv_torsion(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
+    w = claim["witness"]
+    flags = embedding_flags(algebra)
+    _expect_flags(flags, w, flags)
+    if flags["algebra_torsion_free"]:
+        # a norm-one unit of finite order other than +-1 generates Q(sqrt(-1))
+        # or Q(sqrt(-3)), and neither embeds, so no slice holds one
+        _expect(w["slice_torsion_free"] and not w["finite_order_in_slice"], "a finite-order unit is recorded in a torsion-free algebra")
+        return
     report = torsion_check(enumerate_units(algebra, claim["inputs"]["unit_height"]))
-    keys = ("algebra_torsion_free", "slice_torsion_free", "embeds_sqrt_minus_1", "embeds_sqrt_minus_3")
-    _expect_flags(report, claim["witness"], keys)
+    _expect_flags(report, w, ("slice_torsion_free",))
 
 
 def _rv_obstruction(claim, bundle):

@@ -185,13 +185,22 @@ def torsion_check(slice_: UnitSlice) -> dict:
             assert q in (D.one(), -D.one()), "non-central trace +-2 unit"
         elif -2 < t < 2:
             offenders.append(q.coords())
-    embeds_i = quadratic_embeds(D, -1)
-    embeds_w = quadratic_embeds(D, -3)
     return {
         "bound": slice_.bound,
         "slice_size": len(slice_),
         "finite_order_in_slice": offenders,
         "slice_torsion_free": not offenders,
+        **embedding_flags(D),
+    }
+
+
+def embedding_flags(D: QuaternionAlgebra) -> dict:
+    """Whether sqrt(-1) and sqrt(-3) embed in D.  A norm-one unit of finite
+    order other than +-1 generates Q(sqrt(-1)) or Q(sqrt(-3)), so when
+    neither embeds the whole unit group is torsion-free."""
+    embeds_i = quadratic_embeds(D, -1)
+    embeds_w = quadratic_embeds(D, -3)
+    return {
         "embeds_sqrt_minus_1": embeds_i,
         "embeds_sqrt_minus_3": embeds_w,
         "algebra_torsion_free": not embeds_i and not embeds_w,

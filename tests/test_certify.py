@@ -618,3 +618,29 @@ def test_units_reverify_checks_torsion_flags():
         parsed["claims"][0]["witness"]["slice_torsion_free"] = False
         expected = (False, "recorded slice_torsion_free differs from the computed value")
         assert _reverify_by_id(parsed)["units.slice"] == expected
+
+
+def test_torsion_reverify_enumerates_only_when_the_algebra_admits_torsion(monkeypatch):
+    # (17, 7) admits neither sqrt(-1) nor sqrt(-3): the flags decide the claim
+    parsed = json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["k_max=2", "unit_height=6"]))))
+
+    def no_enumeration(*args):
+        raise RuntimeError("a unit slice was enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "enumerate_units", no_enumeration)
+        assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (True, None)
+        claim_by_id(parsed, "quaternionic.torsion-free")["witness"]["finite_order_in_slice"] = [["0/1", "1/1", "0/1", "0/1"]]
+        reason = "a finite-order unit is recorded in a torsion-free algebra"
+        assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (False, reason)
+
+    # (17, 3) admits sqrt(-3), so the slice is scanned again
+    bundle = certify.run_quaternionic(load_config(None, ["b=3", "k_max=2", "unit_height=6"]))
+    claim = claim_by_id(bundle, "quaternionic.torsion-free")
+    assert claim["verdict"] == REFUTED and claim["witness"]["embeds_sqrt_minus_3"]
+    parsed = json.loads(render_bundle(bundle))
+    assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (True, None)
+    w = claim_by_id(parsed, "quaternionic.torsion-free")["witness"]
+    w["slice_torsion_free"] = not w["slice_torsion_free"]
+    reason = "recorded slice_torsion_free differs from the computed value"
+    assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (False, reason)
