@@ -54,7 +54,7 @@ from .mobius import (
     invariant_search,
     is_invariant,
 )
-from .modgroup import ResidueMatrix, group_order
+from .modgroup import ResidueMatrix, group_order, kernel_words, power, spans_layer, word_value
 from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic
 from .units import (
     SATURATED,
@@ -509,22 +509,73 @@ def _algebra_symbols(algebra: QuaternionAlgebra) -> dict:
     return {"symbol_at_2": hilbert_symbol(a, b, 2), "symbol_at_inf": hilbert_symbol(a, b, INF), "division": is_division(algebra)}
 
 
-def _find_unit_generators(slice_, reduced, table, k):
-    """Match the contributing generators of a closure table back to unit
-    coordinates from the slice; reduced holds the slice's images mod 2^k,
-    in slice order, as the table was closed from."""
-    out = []
-    for gen in table.generators:
-        idx = reduced.index(gen)
-        a, b, c, d = gen.entries()
-        out.append(
+# Stage 4 closes the unit images only up to BASE_LEVEL, where SL2(Z/8) has
+# 384 elements; each level above it is certified by three kernel words.
+BASE_LEVEL = 3
+BASE_METHOD = "reduce a 2-saturated unit slice mod 2^k and close under multiplication"
+BASE_NOTE = "each level's generators are units whose reductions already close to the full group"
+LIFT_METHOD = (
+    "reduce a 2-saturated unit slice mod 2^k and close under multiplication up to level 3; "
+    "above it, lift layer by layer with three kernel words in the level-3 generators"
+)
+LIFT_NOTES = (
+    "levels up to 3 record units whose reductions close to the full group; each level k above 3 records three words "
+    "in the level-3 generators whose 2^(k-3)-th powers are I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so the "
+    "image holds the kernel of reduction to level k-1 and, being full there, is full at level k",
+    "a closed subgroup of SL2(Z_2) that surjects mod 8 is all of SL2(Z_2) (Dokchitser-Dokchitser, Math. Z. 2012); "
+    "cited as context only, every recorded level is checked by its own witness",
+)
+
+
+def _surjectivity_levels(cfg: RunConfig, slice_sat: UnitSlice) -> list:
+    """Stage 4's level entries.  Levels up to BASE_LEVEL close the slice's
+    images and record the units the closure used; the first level that
+    fails ends the list.  Each level above it records kernel words in the
+    base level's units and the power that carries them into its layer."""
+    split = split_2adic(slice_sat.algebra)
+    top = reduce_units(slice_sat, split, min(cfg.k_max, BASE_LEVEL))
+    levels = []
+    # a lifted level needs the base level below it, even under k_min
+    for k in range(min(cfg.k_min, BASE_LEVEL), min(cfg.k_max, BASE_LEVEL) + 1):
+        reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
+        flag, table = images_surject(reduced, k)
+        units = [slice_sat.elements[reduced.index(g)] for g in table.generators]
+        levels.append(
             {
-                "coords": [frac_str(x) for x in slice_.elements[idx].coords()],
-                "matrix": [[a, b], [c, d]],
-                "modulus": 2**k,
+                "level": k,
+                "group_order": group_order(2, k),
+                "image_order": table.order,
+                "surjects": flag,
+                "generators": [
+                    {"coords": [frac_str(c) for c in u.coords()], "matrix": [[g.a, g.b], [g.c, g.d]], "modulus": 2**k}
+                    for u, g in zip(units, table.generators)
+                ],
             }
         )
-    return out
+        if not flag:
+            return levels
+    if cfg.k_max <= BASE_LEVEL:
+        return levels
+    K = cfg.k_max
+    lifts = [ResidueMatrix(*split.residues(u, K), 2**K) for u in units]
+    words = kernel_words(lifts)
+    assert words is not None, "a full image mod 8 holds every class I + 4X"
+    values = [word_value(lifts, w) for w in words]
+    for k in range(BASE_LEVEL + 1, K + 1):
+        values = [x * x for x in values]  # now the 2^(k-3)-th powers
+        assert spans_layer(values, k), f"kernel words miss layer {k}"
+        if k >= cfg.k_min:
+            levels.append(
+                {
+                    "level": k,
+                    "group_order": group_order(2, k),
+                    "image_order": group_order(2, k),
+                    "surjects": True,
+                    "exponent": 2 ** (k - BASE_LEVEL),
+                    "kernel_words": [[list(letter) for letter in w] for w in words],
+                }
+            )
+    return levels
 
 
 RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
@@ -730,35 +781,17 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         )
 
     # stage 4: unit images fill SL2(Z/2^k) at every level up to k_max
-    method_4 = "reduce a 2-saturated unit slice mod 2^k and close under multiplication"
     if blocker:
-        blocked("quaternionic.congruence-surjectivity", method_4)
+        blocked("quaternionic.congruence-surjectivity", BASE_METHOD)
     else:
-        slice_sat = enumerate_units_saturated(algebra, cfg.unit_height)
-        # one reduction at k_max; each level takes its residues mod 2^k,
-        # which the ResidueMatrix constructor reduces
-        top = reduce_units(slice_sat, split_2adic(algebra), cfg.k_max)
-        levels = []
-        all_ok = True
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
-            flag, table = images_surject(reduced, k)
-            gens = _find_unit_generators(slice_sat, reduced, table, k)
-            levels.append(
-                {
-                    "level": k,
-                    "group_order": group_order(2, k),
-                    "image_order": table.order,
-                    "surjects": flag,
-                    "generators": gens,
-                }
-            )
-            all_ok = all_ok and flag
+        levels = _surjectivity_levels(cfg, enumerate_units_saturated(algebra, cfg.unit_height))
+        all_ok = all(entry["surjects"] for entry in levels)
+        notes = (BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES
         claims.append(
             Certificate(
                 claim="quaternionic.congruence-surjectivity",
                 verdict=VERIFIED if all_ok else REFUTED,
-                method=method_4,
+                method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
                 inputs={
                     "d": cfg.d,
                     "unit_height": cfg.unit_height,
@@ -768,7 +801,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
                 },
                 witness={"levels": levels},
                 depends_on=("quaternionic.torsion-free",),
-                notes=("each level's generators are units whose reductions already close to the full group",),
+                notes=notes,
             )
         )
         if not all_ok:
@@ -1195,21 +1228,48 @@ def _rv_obstruction(claim, bundle):
 
 
 def _rv_surjectivity(claim, bundle):
+    """Close each base level's recorded generators (at most 384 elements)
+    and multiply out each lifted level's kernel words."""
     algebra = _algebra_from_bundle(bundle)
     split = split_2adic(algebra)
-    for entry in claim["witness"]["levels"]:
+    levels = claim["witness"]["levels"]
+    base_units = None
+    previous = None
+    for entry in levels:
         k = entry["level"]
         _expect(entry["group_order"] == group_order(2, k), f"recorded group order at level {k} is wrong")
-        gens = []
-        for g in entry["generators"]:
-            u = algebra.element(*(parse_frac(c) for c in g["coords"]))
-            _expect(u.nrd() == 1, f"generator {g['coords']} at level {k} has norm other than 1")
-            entries = split.residues(u, k)
-            _expect([list(entries[:2]), list(entries[2:])] == g["matrix"], f"recorded matrix of {g['coords']} at level {k} differs")
-            gens.append(ResidueMatrix(*entries, 2**k))
-        if entry["surjects"]:
-            flag, table = images_surject(gens, k)
-            _expect(flag and table.order == entry["image_order"], f"generators at level {k} do not close to the full group")
+        if "generators" in entry:
+            _expect(k <= BASE_LEVEL, f"level {k} records generators to close above level {BASE_LEVEL}")
+            units, gens = [], []
+            for g in entry["generators"]:
+                u = algebra.element(*(parse_frac(c) for c in g["coords"]))
+                _expect(u.nrd() == 1, f"generator {g['coords']} at level {k} has norm other than 1")
+                entries = split.residues(u, k)
+                _expect([list(entries[:2]), list(entries[2:])] == g["matrix"], f"recorded matrix of {g['coords']} at level {k} differs")
+                units.append(u)
+                gens.append(ResidueMatrix(*entries, 2**k))
+            if entry["surjects"]:
+                flag, table = images_surject(gens, k)
+                _expect(flag and table.order == entry["image_order"], f"generators at level {k} do not close to the full group")
+            if k == BASE_LEVEL:
+                base_units = units
+        else:
+            _expect(k > BASE_LEVEL and previous == (k - 1, True), f"level {k} does not follow a surjective level {k - 1}")
+            _expect(base_units, f"level {k} has no level-{BASE_LEVEL} generators to lift")
+            _expect(entry["surjects"] and entry["image_order"] == entry["group_order"], f"level {k} is lifted but not recorded as full")
+            words, e = entry["kernel_words"], entry["exponent"]
+            _expect(all(0 <= i < len(base_units) and s in (1, -1) for w in words for i, s in w), f"a kernel word at level {k} names no level-{BASE_LEVEL} generator")
+            _expect(isinstance(e, int) and e > 0, f"exponent at level {k} is not a positive integer")
+            gens = [ResidueMatrix(*split.residues(u, k), 2**k) for u in base_units]
+            values = [power(word_value(gens, w), e) for w in words]
+            _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
+        previous = (k, entry["surjects"])
+    full = all(entry["surjects"] for entry in levels)
+    if claim["verdict"] == VERIFIED:
+        want = list(range(min(claim["inputs"]["k_min"], BASE_LEVEL), claim["inputs"]["k_max"] + 1))
+        _expect(full and [entry["level"] for entry in levels] == want, "the recorded levels do not cover k_min to k_max")
+    else:
+        _expect(not full, "no recorded level fails")
 
 
 def _rv_intersection(claim, bundle):

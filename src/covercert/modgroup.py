@@ -2,7 +2,9 @@
 
 Everything is stored extensionally: a subgroup is its element list in a
 deterministic discovery order, so downstream certificates can refer to
-indices and witnesses reproducibly.
+indices and witnesses reproducibly.  Above level 3 at p = 2 no table is
+built: the kernel-layer words at the end of this module carry a subgroup
+that is full mod 8 through every higher level.
 """
 
 from dataclasses import dataclass
@@ -136,3 +138,96 @@ def enumerate_group(p: int, k: int, cap: int = DEFAULT_CAP) -> SubgroupTable:
     assert table.order == want, "enumeration disagrees with the order formula"
     return table
 
+
+
+# --------------------------------------------------------------------------
+# kernel layers of SL2(Z/2^k) -> SL2(Z/2^(k-1))
+#
+# For k >= 2 the kernel is {I + 2^(k-1) X : X in sl2(F_2)}, elementary
+# abelian of order 8, so a subgroup that is full mod 2^(k-1) and holds
+# three kernel elements whose X span sl2(F_2) is full mod 2^k.  If
+# g = I + 4X mod 8 then g^(2^(k-3)) = I + 2^(k-1) X mod 2^k for k >= 3, so
+# three such words in the generators serve every layer above 3.
+
+
+def power(x: ResidueMatrix, e: int) -> ResidueMatrix:
+    """x^e for e >= 0, by repeated squaring."""
+    if e < 0:
+        raise ValueError("exponent must be >= 0")
+    out = ResidueMatrix.identity(x.m)
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
+
+
+def word_value(generators, word) -> ResidueMatrix:
+    """The product of word's letters (i, e), each generators[i]^e with
+    e = +-1, from left to right."""
+    out = ResidueMatrix.identity(generators[0].m)
+    for i, e in word:
+        g = generators[i]
+        out = out * (g if e == 1 else g.inverse())
+    return out
+
+
+def layer_vector(x: ResidueMatrix, k: int):
+    """X packed as x + 2y + 4z when x = I + 2^(k-1) X mod 2^k with
+    X = [[x, y], [z, x]] in sl2(F_2); None when x is not I mod 2^(k-1).
+
+    x's modulus must be a multiple of 2^k.
+    """
+    q = 2 ** (k - 1)
+    a, b, c, d = (e % (2 * q) for e in x.entries())
+    a, d = a - 1, d - 1
+    if a % q or b % q or c % q or d % q:
+        return None
+    return (a // q) % 2 | (b // q) % 2 << 1 | (c // q) % 2 << 2
+
+
+def spans_layer(values, k: int) -> bool:
+    """Whether every value is I + 2^(k-1) X mod 2^k with the X spanning
+    sl2(F_2): then the values generate the kernel of reduction from level
+    k to level k-1."""
+    span = {0}
+    for x in values:
+        v = layer_vector(x, k)
+        if v is None:
+            return False
+        span |= {s ^ v for s in span}
+    return len(span) == 8
+
+
+def kernel_words(generators):
+    """Three words in generators whose values are I + 4X mod 8 with the X
+    spanning sl2(F_2), or None when the classes they reach run out first.
+
+    Breadth-first over the classes mod 8 under right multiplication by the
+    generators and their inverses, as closure does, carrying each class's
+    value at the generators' modulus (a multiple of 8) and its word; the
+    first three classes I mod 4 whose X are independent are kept.  At most
+    |SL2(Z/8)| = 384 classes are visited.  A letter is (i, e): generators[i]
+    to the power e = +-1.
+    """
+    letters = [((i, e), g if e == 1 else g.inverse()) for i, g in enumerate(generators) for e in (1, -1)]
+    ident = ResidueMatrix.identity(generators[0].m)
+    seen = {(1, 0, 0, 1)}
+    queue = [(ident, ())]
+    words, span = [], {0}
+    for x, word in queue:
+        for letter, g in letters:
+            y = x * g
+            key = tuple(t % 8 for t in y.entries())
+            if key in seen:
+                continue
+            seen.add(key)
+            queue.append((y, word + (letter,)))
+            v = layer_vector(y, 3)
+            if v is not None and v not in span:
+                words.append(word + (letter,))
+                span |= {s ^ v for s in span}
+                if len(words) == 3:
+                    return words
+    return None

@@ -4,13 +4,14 @@ and the command line front end."""
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from covercert import certify
+from covercert import certify, modgroup, units
 from covercert.certify import (
     ASSUMPTION,
     REFUTED,
@@ -29,6 +30,7 @@ from covercert.certify import (
     reverify_bundle,
 )
 from covercert.cli import main as cli_main
+from covercert.quatalg import QuaternionAlgebra, split_2adic
 
 from oracles import conjugation_index
 
@@ -232,11 +234,106 @@ def test_quaternionic_surjectivity_witness(quat_bundle):
     assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
     assert [lv["group_order"] for lv in levels] == [6, 48, 384, 3072, 24576]
     assert all(lv["surjects"] and lv["image_order"] == lv["group_order"] for lv in levels)
-    for lv in levels:
+    for lv in levels[:3]:
         assert 1 <= len(lv["generators"]) <= 4
+        assert "kernel_words" not in lv and "exponent" not in lv
         for g in lv["generators"]:
             assert len(g["coords"]) == 4
             assert g["modulus"] == 2 ** lv["level"]
+    # above level 3: the same three words in the level-3 generators, raised
+    # to 2^(k-3), with letters (generator index, +-1)
+    words = levels[3]["kernel_words"]
+    assert len(words) == 3
+    for lv in levels[3:]:
+        assert "generators" not in lv
+        assert lv["exponent"] == 2 ** (lv["level"] - 3)
+        assert lv["kernel_words"] == words
+    assert all(0 <= i < len(levels[2]["generators"]) and e in (1, -1) for w in words for i, e in w)
+
+
+@pytest.mark.parametrize("height", [1, 2, 6, 12])
+def test_layer_witness_matches_full_closure(height):
+    # up to level 5 the full closure is the oracle: the same verdict and the
+    # same image order at every recorded level; height 1 fails at level 1
+    D = QuaternionAlgebra(17, 7)
+    slice_ = units.enumerate_units_saturated(D, height)
+    levels = certify._surjectivity_levels(load_config(None, ["k_max=5"]), slice_)
+    split = split_2adic(D)
+    oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
+    recorded = [lv["image_order"] for lv in levels]
+    assert recorded == oracle[: len(recorded)]
+    assert all(lv["surjects"] for lv in levels) == (oracle == [modgroup.group_order(2, k) for k in range(1, 6)])
+    if height == 1:
+        assert [(lv["level"], lv["surjects"]) for lv in levels] == [(1, False)]
+    else:
+        assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
+
+
+def test_layer_witness_keeps_the_base_level_under_k_min():
+    bundle = certify.run_quaternionic(load_config(None, ["k_min=4", "unit_height=6"]))
+    claim = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
+    assert claim["verdict"] == VERIFIED
+    assert [lv["level"] for lv in claim["witness"]["levels"]] == [3, 4, 5]
+
+
+def test_k_max_20_certifies_every_layer(quat_bundle, tmp_path):
+    out = tmp_path / "b.json"
+    assert cli_main(["quaternionic", "--set", "k_max=20", "--out", str(out)]) == 1
+    bundle = json.loads(out.read_text())
+    verdicts = [(c["id"], c["verdict"]) for c in bundle["claims"]]
+    assert verdicts == [(c["id"], c["verdict"]) for c in quat_bundle["claims"]]
+    levels = claim_by_id(bundle, "quaternionic.congruence-surjectivity")["witness"]["levels"]
+    assert [lv["level"] for lv in levels] == list(range(1, 21))
+    assert all(lv["image_order"] == lv["group_order"] == modgroup.group_order(2, lv["level"]) for lv in levels)
+    t0 = time.perf_counter()
+    assert all(ok for _, ok, _ in reverify_bundle(bundle))
+    assert time.perf_counter() - t0 < 30
+
+
+@pytest.mark.parametrize("overrides", [[], ["k_max=20"]])
+def test_no_closure_larger_than_sl2_mod_8(monkeypatch, overrides):
+    # stage 4 and its re-verification close nothing above level 3
+    orders = []
+    real = modgroup.closure
+
+    def recording(*args, **kwargs):
+        table = real(*args, **kwargs)
+        orders.append(table.order)
+        return table
+
+    monkeypatch.setattr(modgroup, "closure", recording)
+    monkeypatch.setattr(units, "closure", recording)
+    certify.run_quaternionic(load_config(None, overrides))
+    assert orders and max(orders) <= modgroup.group_order(2, 3) == 384
+
+
+def test_layer_witness_tampering_names_the_level(quat_bundle):
+    def surjectivity_reason(edit):
+        parsed = json.loads(render_bundle(quat_bundle))
+        edit(claim_by_id(parsed, "quaternionic.congruence-surjectivity")["witness"]["levels"])
+        return _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"]
+
+    def change_word(levels):
+        levels[3]["kernel_words"][2] = levels[3]["kernel_words"][0]
+
+    def change_exponent(levels):
+        levels[4]["exponent"] = 2
+
+    def drop_base_level(levels):
+        del levels[2]
+
+    def drop_top_level(levels):
+        del levels[4]
+
+    def close_above_the_base(levels):
+        levels[3] = dict(levels[2], level=4, group_order=3072, image_order=3072)
+
+    assert surjectivity_reason(lambda levels: None) == (True, None)
+    assert surjectivity_reason(change_word) == (False, "kernel words at level 4 do not span the kernel of reduction to level 3")
+    assert surjectivity_reason(change_exponent) == (False, "kernel words at level 5 do not span the kernel of reduction to level 4")
+    assert surjectivity_reason(drop_base_level) == (False, "level 4 does not follow a surjective level 3")
+    assert surjectivity_reason(drop_top_level) == (False, "the recorded levels do not cover k_min to k_max")
+    assert surjectivity_reason(close_above_the_base) == (False, "level 4 records generators to close above level 3")
 
 
 def test_quaternionic_intersection_witness(quat_bundle):

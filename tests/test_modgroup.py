@@ -1,7 +1,8 @@
 import pytest
 
 from covercert.modgroup import (ResidueMatrix, SubgroupTable, closure,
-                                enumerate_group, group_order)
+                                enumerate_group, group_order, kernel_words,
+                                layer_vector, power, spans_layer, word_value)
 
 from oracles import sl2_order_bruteforce
 
@@ -94,3 +95,24 @@ def test_closure_skips_contained_generators():
     assert len(table.elements) == len(table.element_set) == 384
     with pytest.raises(ValueError, match="cap"):
         closure([ident, T, T * T, U], cap=100)
+
+
+def test_kernel_layers():
+    # I + 2^(k-1) X packs back to X for every X in sl2(F_2)
+    for k in range(2, 7):
+        q = 2 ** (k - 1)
+        for packed in range(8):
+            x, y, z = packed & 1, packed >> 1 & 1, packed >> 2
+            assert layer_vector(ResidueMatrix(1 + q * x, q * y, q * z, 1 + q * x, 2 ** k), k) == packed
+        assert layer_vector(ResidueMatrix(1, 1, 0, 1, 2 ** k), k) is None
+    # the elementary matrices are full mod 8, so their words carry every
+    # layer; the powers of T alone reach one kernel direction only
+    T, U = ResidueMatrix(1, 1, 0, 1, 2 ** 10), ResidueMatrix(1, 0, 1, 1, 2 ** 10)
+    words = kernel_words([T, U])
+    assert len(words) == 3
+    for k in range(3, 11):
+        assert spans_layer([power(word_value([T, U], w), 2 ** (k - 3)) for w in words], k)
+        assert not spans_layer([power(word_value([T, U], w), 2 ** (k - 2)) for w in words], k)
+    assert kernel_words([T]) is None
+    with pytest.raises(ValueError):
+        power(T, -1)
