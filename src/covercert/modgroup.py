@@ -139,7 +139,6 @@ def enumerate_group(p: int, k: int, cap: int = DEFAULT_CAP) -> SubgroupTable:
     return table
 
 
-
 # --------------------------------------------------------------------------
 # kernel layers of SL2(Z/2^k) -> SL2(Z/2^(k-1))
 #
@@ -173,14 +172,14 @@ def word_value(generators, word) -> ResidueMatrix:
     return out
 
 
-def layer_vector(x: ResidueMatrix, k: int):
-    """X packed as x + 2y + 4z when x = I + 2^(k-1) X mod 2^k with
-    X = [[x, y], [z, x]] in sl2(F_2); None when x is not I mod 2^(k-1).
+def layer_vector(g: ResidueMatrix, k: int):
+    """X packed as x + 2y + 4z when g = I + 2^(k-1) X mod 2^k with
+    X = [[x, y], [z, x]] in sl2(F_2); None when g is not I mod 2^(k-1).
 
-    x's modulus must be a multiple of 2^k.
+    g's modulus must be a multiple of 2^k.
     """
     q = 2 ** (k - 1)
-    a, b, c, d = (e % (2 * q) for e in x.entries())
+    a, b, c, d = (e % (2 * q) for e in g.entries())
     a, d = a - 1, d - 1
     if a % q or b % q or c % q or d % q:
         return None
