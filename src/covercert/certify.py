@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -147,9 +147,6 @@ def canonical_json(obj) -> str:
 # --------------------------------------------------------------------------
 # configuration
 
-_TRUE = ("1", "true", "yes")
-
-
 def _as_int(s: str) -> int:
     try:
         return int(s, 10)
@@ -164,35 +161,15 @@ def _as_frac(s: str) -> Fraction:
         raise ConfigError(f"expected a rational, got {s!r}")
 
 
-def _as_str(s: str) -> str:
-    return s
-
-
-# key -> (default value as canonical string, parser)
-_KEYS = {
-    "d": ("17", _as_int),
-    "a": ("2", _as_frac),
-    "b": ("0", _as_int),  # 0 = search for one
-    "b_search_bound": ("100", _as_int),
-    "unit_height": ("50", _as_int),
-    "k_min": ("1", _as_int),
-    "k_max": ("5", _as_int),
-    "h": ("1,-1/2,0,1", _as_str),
-    "invariant_degree": ("8", _as_int),
-    "word_length_bound": ("12", _as_int),
-    "claimed_index": ("3", _as_int),
-    "pair": ("-1,-1", _as_str),
-    "order_kind": (SATURATED, _as_str),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Effective configuration for one pipeline run.
 
-    `explicit` records which keys were actually set by the user (file or
-    override), as opposed to defaulted.  Pipelines use it to decide whether
-    an index comparison was requested.
+    Every field but `explicit` is a config key with its default, and its
+    type (int, Fraction or str) picks the key's parser.  `explicit` records
+    which keys were actually set by the user (file or override), as opposed
+    to defaulted.  Pipelines use it to decide whether an index comparison
+    was requested.
     """
 
     d: int = 17
@@ -218,6 +195,11 @@ class RunConfig:
         if a == 0 or b == 0:
             raise ConfigError("pair entries must be nonzero")
         return a, b
+
+
+# key -> parser; the annotations are strings under postponed evaluation
+_PARSERS = {"int": _as_int, "Fraction": _as_frac, "str": str}
+_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.name != "explicit"}
 
 
 def parse_conjugator_spec(spec: str):
@@ -299,11 +281,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = value
-    fields = {}
-    for key, (default, parser) in _KEYS.items():
-        fields[key] = parser(values.get(key, default))
-    fields["explicit"] = frozenset(values)
-    return _validate(RunConfig(**fields))
+    parsed = {key: parse(values[key]) for key, parse in _KEYS.items() if key in values}
+    return _validate(RunConfig(**parsed, explicit=frozenset(values)))
 
 
 def config_mapping(cfg: RunConfig):
@@ -1158,10 +1137,19 @@ def _rv_invariant_index(claim, bundle):
 
 
 def _rv_invariant_intersection(claim, bundle):
+    """A nonconstant f = P/Q fixed by a group G of Mobius maps bounds |G|
+    by deg f: G acts faithfully on Q(x) fixing Q(f), and x has degree
+    deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when the commutator of the two involutions has infinite order, no
+    degree holds a joint invariant, and a verified claim must record none;
+    that needs no search.  A finite commutator (a = +-1, or a refuted
+    claim) is checked by repeating the search."""
     a = parse_frac(claim["inputs"]["a"])
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
-    found = invariant_search(gens, claim["inputs"]["degree_bound"])
     recorded = claim["witness"]["joint_invariants"]
+    if claim["verdict"] == VERIFIED and finite_order(commutator(*gens)) == INFINITE_ORDER:
+        _expect(not recorded, "a joint invariant is recorded, but the commutator has infinite order")
+        return
+    found = invariant_search(gens, claim["inputs"]["degree_bound"])
     if claim["verdict"] == VERIFIED:
         _expect(not found and not recorded, "a joint invariant exists up to the degree bound")
     else:

@@ -3,10 +3,11 @@
 A rational function f = P/Q in lowest terms is invariant under a Mobius map g
 exactly when P and Q are semi-invariant for the substitution action on binary
 forms, with the same multiplier: P(gv)Q(v) = P(v)Q(gv) and gcd(P,Q) = 1 force
-P(gv) = lam P(v) and Q(gv) = lam Q(v).  For g of finite order n with
-g^n = mu * id as a matrix, lam^n = mu^d on degree-d forms, and lam is rational
-because P, g are; so listing the rational n-th roots of mu^d and intersecting
-eigenspaces over all generators is a complete search in each degree.
+P(gv) = lam P(v) and Q(gv) = lam Q(v).  The search takes involutions only:
+for g with g^2 = mu * id as a matrix, lam^2 = mu^d on degree-d forms, and lam
+is rational because P, g are; so listing the rational square roots of mu^d and
+intersecting eigenspaces over all generators is a complete search in each
+degree.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, isqrt
 
 from .mat2 import mat_adj, mat_mul
+from .util import is_rational_square
 
 INFINITE_ORDER = "infinite"
 
@@ -189,39 +191,19 @@ def _primitive(vec):
     return tuple(ints)
 
 
-def _int_nth_root(m: int, n: int):
-    """Exact integer r >= 0 with r^n = m (n >= 1), or None."""
-    if m < 0:
-        return None
-    # bisect for the largest r with r^n <= m; r < 2^(bit_length/n + 1)
-    lo, hi = 0, 1 << (m.bit_length() // n + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** n <= m:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo ** n == m else None
-
-
-def _rational_nth_root(c: Fraction, n: int):
-    """Exact rational r with r^n = c, or None; for odd n the sign follows c."""
-    sign = 1
-    if c < 0:
-        if n % 2 == 0:
-            return None
-        sign, c = -1, -c
-    num = _int_nth_root(c.numerator, n)
-    den = _int_nth_root(c.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(sign * num, den)
-
-
 def _mat_mul_n(A, B):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
+    """Square matrix product over the nonzero entries of A only; the
+    substitution operators of x -> c/x are antidiagonal, so their squares
+    cost O(n^2), not O(n^3)."""
+    out = []
+    for row in A:
+        acc = [Fraction(0)] * len(row)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(B[k]):
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -288,23 +270,16 @@ def _form_str(coeffs) -> str:
 
 
 def _multiplier_candidates(g: MobiusMap, d: int):
-    """Rational lam admissible for P(gv) = lam P(v) in degree d."""
-    n = finite_order(g)
-    if n == INFINITE_ORDER:
-        raise ValueError("invariant search expects finite-order generators")
-    # canonical matrices drop scalars, so recover mu from the uncanonicalized
-    # product of canonical representatives
-    M = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for _ in range(n):
-        M = mat_mul(M, g.rows)
-    assert M[0][1] == M[1][0] == 0 and M[0][0] == M[1][1]
-    mu = M[0][0]
-    root = _rational_nth_root(mu ** d, n)
-    if root is None:
+    """Rational lam admissible for P(gv) = lam P(v) in degree d: the square
+    roots of mu^d, where the involution g's matrix squares to mu * id."""
+    (mu, q), (r, s) = mat_mul(g.rows, g.rows)
+    if q or r or mu != s or g.is_identity():
+        raise ValueError("invariant search expects involutions")
+    c = mu ** d
+    if not is_rational_square(c):
         return ()
-    if n % 2 == 0:
-        return (root, -root)
-    return (root,)
+    root = Fraction(isqrt(c.numerator), isqrt(c.denominator))
+    return (root, -root)
 
 
 def invariant_search(generators, D: int):
@@ -354,8 +329,6 @@ def is_invariant(func: InvariantFunction, generators) -> bool:
 
 def index_of_invariant_field(g: MobiusMap) -> int:
     """Degree of the minimal nonconstant invariant of an involution."""
-    if finite_order(g) != 2:
-        raise ValueError("not an involution")
     funcs = invariant_search([g], 2)
     assert funcs, "an involution always has a degree-2 invariant"
     return min(f.degree for f in funcs)

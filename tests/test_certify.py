@@ -197,6 +197,45 @@ def test_dihedral_degenerate_a():
     assert all(f["degree"] % 2 == 0 for f in found)
 
 
+def _count_invariant_searches(monkeypatch):
+    calls = []
+    search = certify.invariant_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(certify, "invariant_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("overrides", [[], ["invariant_degree=24"]])
+def test_joint_invariant_reverify_does_not_search_an_infinite_group(monkeypatch, overrides):
+    calls = _count_invariant_searches(monkeypatch)
+    bundle = certify.run_dihedral(load_config(None, overrides))
+    # the pipeline's own searches: one per involution and the joint one;
+    # its in-process re-verification adds none
+    assert len(calls) == 3
+    parsed = json.loads(render_bundle(bundle))
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
+    assert len(calls) == 3
+    # a joint invariant inserted into the verified claim is caught
+    inv = claim_by_id(parsed, "dihedral.invariant-field-index.sigma")["witness"]["invariants"][0]
+    claim_by_id(parsed, "dihedral.invariant-intersection")["witness"]["joint_invariants"].append(inv)
+    reason = "a joint invariant is recorded, but the commutator has infinite order"
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+
+
+def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
+    # a = -1 gives the Klein four group, whose first joint invariant has
+    # degree 4; below it the claim verifies, and only a search can show it
+    bundle = certify.run_dihedral(load_config(None, ["a=-1", "invariant_degree=3"]))
+    assert claim_by_id(bundle, "dihedral.invariant-intersection")["verdict"] == VERIFIED
+    calls = _count_invariant_searches(monkeypatch)
+    assert _reverify_by_id(json.loads(render_bundle(bundle)))["dihedral.invariant-intersection"] == (True, None)
+    assert len(calls) == 1
+
+
 # -- quaternionic -----------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from covercert.cli import main as cli_main
 from covercert.mobius import (INFINITE_ORDER, BinaryFormSpace, InvariantFunction,
-                              MobiusMap, _int_nth_root, commutator, compose,
+                              MobiusMap, commutator, compose,
                               finite_order, index_of_invariant_field,
                               invariant_search, is_invariant)
 
@@ -164,19 +164,26 @@ def test_search_argument_validation():
         invariant_search([SIGMA], 0)
     with pytest.raises(ValueError):
         invariant_search([commutator(SIGMA, SIGMA2)], 2)
+    # order 3: the search covers involutions only
+    with pytest.raises(ValueError, match="involutions"):
+        invariant_search([SIGMA, MobiusMap.from_rows([[0, -1], [1, -1]])], 3)
 
 
-def test_int_nth_root_exact_beyond_float_range(tmp_path):
-    assert _int_nth_root(3 ** 80, 2) == 3 ** 40
-    assert _int_nth_root(10 ** 400, 2) == 10 ** 200
-    assert _int_nth_root(7 ** 90, 3) == 7 ** 30
-    assert _int_nth_root(0, 4) == 0 and _int_nth_root(1, 5) == 1
-    for m, n in ((3 ** 80 + 1, 2), (10 ** 400 - 1, 2), (7 ** 90 + 7, 3),
-                 (26, 3), (2, 2), (-8, 3)):
-        assert _int_nth_root(m, n) is None, (m, n)
-    # a = 3^40: the exact root of a^2 is what the invariant search needs
+def test_dihedral_huge_a_square_root_exact(tmp_path):
+    # a = 3^40: the multiplier is the exact square root of a^d, far beyond
+    # float range
     out = tmp_path / "dihedral.json"
     assert cli_main(["dihedral", "--set", f"a={3 ** 40}", "--out", str(out)]) == 0
     claims = json.loads(out.read_text())["claims"]
     assert len(claims) == 5
     assert all(c["verdict"] == "verified" for c in claims)
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, -2, 3, 4, Fraction(1, 3), Fraction(3, 5), 7])
+def test_joint_invariants_exactly_when_the_commutator_has_finite_order(a):
+    # a group with a nonconstant invariant f has order at most deg f, so the
+    # re-verifier may skip the search when the commutator has infinite order
+    gens = (SIGMA, MobiusMap.sigma_a(a))
+    infinite = finite_order(commutator(*gens)) == INFINITE_ORDER
+    assert infinite == (invariant_search(gens, 8) == [])
+    assert infinite == (a not in (1, -1))
