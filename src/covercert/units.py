@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .modgroup import ResidueMatrix, closure, group_order
-from .quatalg import (INF, QuaternionAlgebra, Quaternion, SplittingMap,
+from .quatalg import (INF, QuaternionAlgebra, SplittingMap,
                       is_division, is_square_padic, quadratic_embeds,
                       ramified_places, split_2adic)
 from .util import is_perfect_square
@@ -57,37 +57,40 @@ def _band(t: int, c: int, top: int, bound: int) -> range:
     return range(isqrt(s_lo - 1) + 1 if s_lo else 0, min(isqrt(s_hi), bound) + 1)
 
 
-def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
-    """All integral quaternions of reduced norm 1 with every |coordinate|
-    at most B, by solving x0^2 = 1 + a x1^2 + b x2^2 - a b x3^2 over the
-    (x1,x2) grid, with |x3| in the band that leaves x0^2 in [0, B^2]."""
+def _norm_one(D: QuaternionAlgebra, B: int, s: int) -> UnitSlice:
+    """All norm-one (u + vi + wj + zk)/s with u = v and w = z mod s and
+    every |coordinate| at most sB, by solving
+    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the (v, w) grid, with |z| in
+    the band that leaves u^2 in [0, (sB)^2]."""
     a, b = _require_integral_constants(D)
     if B < 1:
         raise ValueError("bound must be >= 1")
+    H, ab = s * B, a * b
     found = []
-    for x1 in range(-B, B + 1):
-        t1 = 1 + a * x1 * x1
-        for x2 in range(-B, B + 1):
-            t2 = t1 + b * x2 * x2
-            for r in _band(t2, a * b, B, B):
-                rhs = t2 - a * b * r * r
-                x0 = isqrt(rhs)
-                if x0 * x0 == rhs:
-                    for x3 in (r, -r) if r else (0,):
-                        found.append((x0, x1, x2, x3))
-                        if x0:
-                            found.append((-x0, x1, x2, x3))
+    for v in range(-H, H + 1):
+        t1 = s * s + a * v * v
+        for w in range(-H, H + 1):
+            t2 = t1 + b * w * w
+            for r in _band(t2, ab, H, H):
+                if s > 1 and (r - w) % s:
+                    continue  # z = w mod s (s = 1 skips this hot test)
+                rhs = t2 - ab * r * r
+                u = isqrt(rhs)
+                if u * u == rhs and (u - v) % s == 0:
+                    for z in (r, -r) if r else (0,):
+                        found.append((u, v, w, z))
+                        if u:
+                            found.append((-u, v, w, z))
     found.sort()
+    if s > 1:
+        found = [tuple(Fraction(t, s) for t in c) for c in found]
     return UnitSlice(D, B, tuple(D.element(*c) for c in found))
 
 
-def in_saturated_order(q: Quaternion) -> bool:
-    """Membership in Z<1, (1+i)/2, j, (j+k)/2>."""
-    doubled = [2 * c for c in q.coords()]
-    if any(t.denominator != 1 for t in doubled):
-        return False
-    u, v, w, z = (int(t) for t in doubled)
-    return (u - v) % 2 == 0 and (w - z) % 2 == 0
+def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
+    """All integral quaternions of reduced norm 1 with every |coordinate|
+    at most B."""
+    return _norm_one(D, B, 1)
 
 
 def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
@@ -97,30 +100,9 @@ def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
     Needs a = 1 mod 4, which is what makes the half-integral combinations
     close under multiplication.
     """
-    a, b = _require_integral_constants(D)
-    if a % 4 != 1:
+    if D.a % 4 != 1:
         raise ValueError("2-saturated order needs a = 1 mod 4")
-    if B < 1:
-        raise ValueError("bound must be >= 1")
-    H = 2 * B
-    half = Fraction(1, 2)
-    found = []
-    for v in range(-H, H + 1):
-        t1 = 4 + a * v * v
-        for w in range(-H, H + 1):
-            t2 = t1 + b * w * w
-            for r in _band(t2, a * b, H, H):
-                if (r - w) % 2:
-                    continue  # z = w mod 2
-                rhs = t2 - a * b * r * r
-                u = isqrt(rhs)
-                if u * u == rhs and (u - v) % 2 == 0:
-                    for z in (r, -r) if r else (0,):
-                        found.append((u, v, w, z))
-                        if u:
-                            found.append((-u, v, w, z))
-    found.sort()
-    return UnitSlice(D, B, tuple(D.element(*(half * t for t in c)) for c in found))
+    return _norm_one(D, B, 2)
 
 
 def reduce_units(slice_: UnitSlice, split: SplittingMap, k: int):

@@ -127,6 +127,15 @@ def brute_norm_one_box(a: int, b: int, B: int):
     return sorted(out)
 
 
+def in_saturated_order(q) -> bool:
+    """Membership of a quaternion in Z<1, (1+i)/2, j, (j+k)/2>."""
+    doubled = [2 * c for c in q.coords()]
+    if any(t.denominator != 1 for t in doubled):
+        return False
+    u, v, w, z = (int(t) for t in doubled)
+    return (u - v) % 2 == 0 and (w - z) % 2 == 0
+
+
 def norm_one_triple_loop(a: int, b: int, B: int, saturated: bool = False):
     """Sorted norm-one coordinate tuples by the full (x1, x2, x3) scan.
 

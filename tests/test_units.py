@@ -6,10 +6,10 @@ from covercert.modgroup import ResidueMatrix, enumerate_group
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import (enumerate_units, enumerate_units_saturated,
                              find_example_algebra, images_surject,
-                             in_saturated_order, reduce_units,
+                             reduce_units,
                              surjects_at_level, torsion_check)
 
-from oracles import brute_norm_one_box, norm_one_triple_loop
+from oracles import brute_norm_one_box, in_saturated_order, norm_one_triple_loop
 
 D17 = QuaternionAlgebra(17, 7)
 
