@@ -43,7 +43,7 @@ from .fuchsian import (
     real_embed,
     verify_elliptic,
 )
-from .mat2 import mat_adj, mat_det, mat_mul, mat_scale
+from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
 from .mobius import (
     INFINITE_ORDER,
     InvariantFunction,
@@ -78,10 +78,6 @@ SEARCH_EXHAUSTED = "not-found"
 ASSUMPTION = "assumption"
 
 VERDICTS = (VERIFIED, REFUTED, SEARCH_EXHAUSTED, ASSUMPTION)
-
-# Carrier field for word searches over rational matrices.  Any positive
-# nonsquare d gives the same rational arithmetic; 2 keeps entries small.
-WORD_FIELD_D = 2
 
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
@@ -903,8 +899,8 @@ def _word_seeds(h_rows):
     seeds = []
     for label, rows in pairs:
         inv = mat_scale(Fraction(1) / mat_det(rows), mat_adj(rows))
-        seeds.append(WordElement.seed(label, lift_rational_matrix(rows, WORD_FIELD_D)))
-        seeds.append(WordElement.seed(f"{label}^-1", lift_rational_matrix(inv, WORD_FIELD_D)))
+        seeds.append(WordElement.seed(label, rows))
+        seeds.append(WordElement.seed(f"{label}^-1", inv))
     return seeds
 
 
@@ -937,8 +933,6 @@ def run_sl2z(cfg: RunConfig) -> dict:
             )
         )
     else:
-        assert all(e.is_rational() for row in hit.matrix for e in row) and hit.trace.is_rational()
-        rows_rat = tuple(tuple(e.u for e in row) for row in hit.matrix)
         claims.append(
             Certificate(
                 claim="sl2z.nondiscrete",
@@ -948,9 +942,8 @@ def run_sl2z(cfg: RunConfig) -> dict:
                 witness={
                     "word": list(hit.word),
                     "word_length": len(hit.word),
-                    "matrix": rows_json(rows_rat),
-                    "trace": frac_str(hit.trace.u),
-                    "field_d": WORD_FIELD_D,
+                    "matrix": rows_json(hit.matrix),
+                    "trace": frac_str(hit.trace),
                 },
                 depends_on=("sl2z.intersection-index",),
                 notes=(
@@ -1287,13 +1280,10 @@ def _rv_jorgensen(claim, bundle):
 def _rv_elliptic(claim, bundle):
     w = claim["witness"]
     _, rows = parse_conjugator_spec(claim["inputs"]["h"])
-    seeds = _word_seeds(rows)
-    matrix = tuple(
-        tuple(RealQuadElem(w["field_d"], parse_frac(e), Fraction(0)) for e in row) for row in w["matrix"]
-    )
-    trace = RealQuadElem(w["field_d"], parse_frac(w["trace"]), Fraction(0))
-    cert = EllipticCertificate(word=tuple(w["word"]), matrix=matrix, trace=trace)
-    _expect(verify_elliptic(cert, seeds), "the word does not multiply out to the recorded elliptic matrix")
+    matrix = rows_from_json(w["matrix"])
+    cert = EllipticCertificate(word=tuple(w["word"]), matrix=matrix, trace=parse_frac(w["trace"]))
+    _expect(verify_elliptic(cert, _word_seeds(rows)), "the word does not multiply out to the recorded elliptic matrix")
+    _expect(cert.trace == mat_tr(matrix), "recorded trace differs from the matrix's")
     _expect(len(w["word"]) == w["word_length"], "recorded word length differs")
 
 

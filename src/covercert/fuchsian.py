@@ -120,9 +120,6 @@ class RealQuadElem:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.d}))"
 
@@ -214,7 +211,6 @@ def find_infinite_elliptic(seeds, max_len: int, state_cap: int = 200000):
         raise ValueError("need at least one seed")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    one = seeds[0].matrix[0][0]._coerce(1)
     frontier = deque()
     seen = set()
     for s in seeds:
@@ -225,7 +221,7 @@ def find_infinite_elliptic(seeds, max_len: int, state_cap: int = 200000):
     states = len(seen)
     while frontier:
         w = frontier.popleft()
-        if w.determinant == one and is_infinite_elliptic_trace(w.trace):
+        if w.determinant == 1 and is_infinite_elliptic_trace(w.trace):
             return EllipticCertificate(w.word, w.matrix, w.trace)
         if len(w.word) >= max_len:
             continue
@@ -250,8 +246,7 @@ def verify_elliptic(cert: EllipticCertificate, seeds) -> bool:
         m = mat_mul(m, table[label])
     if m != cert.matrix:
         return False
-    one = m[0][0]._coerce(1)
-    return mat_det(m) == one and is_infinite_elliptic_trace(mat_tr(m))
+    return mat_det(m) == 1 and is_infinite_elliptic_trace(mat_tr(m))
 
 
 @dataclass(frozen=True)
@@ -276,8 +271,7 @@ def jorgensen_violation(A: WordElement, B: WordElement) -> JorgensenReport:
     elliptic A is non-discreteness on its own.  Anything else is reported
     as inconclusive, never upgraded.
     """
-    one = A.matrix[0][0]._coerce(1)
-    if A.determinant != one or B.determinant != one:
+    if A.determinant != 1 or B.determinant != 1:
         raise ValueError("Jorgensen test needs determinant-one inputs")
     comm = mat_mul(mat_mul(A.matrix, B.matrix),
                    mat_mul(mat_adj(A.matrix), mat_adj(B.matrix)))

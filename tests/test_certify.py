@@ -30,6 +30,7 @@ from covercert.certify import (
     reverify_bundle,
 )
 from covercert.cli import main as cli_main
+from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, lift_rational_matrix
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 
 from oracles import conjugation_index
@@ -435,6 +436,19 @@ def test_sl2z_bundle(sl2z_bundle):
     assert bundle_exit_code(sl2z_bundle) == 0
 
 
+@pytest.mark.parametrize("h", ["2,0,0,1", "1,-1/2,0,1", "3,0,0,1", "1,1/3,0,1", "1,0,1/2,1"])
+def test_word_search_over_q_matches_the_lifted_search(h):
+    # lifting rational seeds into Q(sqrt(2)) changes no arithmetic, so the
+    # search over Q finds the same word, matrix and trace
+    _, rows = parse_conjugator_spec(h)
+    seeds = certify._word_seeds(rows)
+    lifted = [WordElement.seed(s.word[0], lift_rational_matrix(s.matrix, 2)) for s in seeds]
+    hit, lifted_hit = find_infinite_elliptic(seeds, 8), find_infinite_elliptic(lifted, 8)
+    assert hit is not NOT_FOUND
+    assert hit.word == lifted_hit.word
+    assert lifted_hit.matrix == lift_rational_matrix(hit.matrix, 2) and lifted_hit.trace == hit.trace
+
+
 def test_sl2z_integral_conjugator_is_trivial():
     bundle = certify.run_sl2z(load_config(None, ["h=1,1,0,1", "word_length_bound=6"]))
     w = claim_by_id(bundle, "sl2z.intersection-index")["witness"]
@@ -544,6 +558,10 @@ def test_reverify_detects_tampering(sl2z_bundle):
     parsed = json.loads(render_bundle(sl2z_bundle))
     del parsed["claims"][1]["witness"]["trace"]
     assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "KeyError: 'trace'")
+
+    parsed = json.loads(render_bundle(sl2z_bundle))
+    parsed["claims"][1]["witness"]["trace"] = "1/2"
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "recorded trace differs from the matrix's")
 
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
