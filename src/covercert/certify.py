@@ -846,7 +846,8 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certifi
 
     found = "a violating nonelementary pair cannot lie in any discrete group"
     kind, data = parse_conjugator_spec(cfg.h)
-    partners = [WordElement.seed(f"u{j}", real_embed(u)) for j, u in enumerate(slice_std.elements)]
+    # lazily, since a rational h usually finds its partner early in the slice
+    embedded = (WordElement.seed(f"u{j}", real_embed(u)) for j, u in enumerate(slice_std.elements))
 
     if kind == "rational":
         rows = data
@@ -854,11 +855,10 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certifi
             return cert(
                 SEARCH_EXHAUSTED, None, "the inequality needs a determinant-one conjugator; this one has another determinant"
             )
-        hit = find_jorgensen_partner(WordElement.seed("h", lift_rational_matrix(rows, cfg.d)), partners)
+        hit = find_jorgensen_partner(WordElement.seed("h", lift_rational_matrix(rows, cfg.d)), embedded)
         if hit is NOT_FOUND:
             return cert(SEARCH_EXHAUSTED, None, "no violating partner in this slice; a larger unit_height may find one")
-        B, report = hit
-        j = partners.index(B)
+        j, report = hit
         witness = _jorgensen_witness(rows_json(rows), report, slice_std.elements[j].coords(), j, {"field_d": cfg.d})
         return cert(VERIFIED, witness, found)
 
@@ -867,13 +867,13 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certifi
     H = real_embed(algebra.element(*data))
     det = mat_det(H)
     H_inv = mat_scale(det.inverse(), mat_adj(H))
+    partners = list(embedded)
     tried = partners[:JORGENSEN_TRIES]
     for i, U in enumerate(tried):
         A = mat_mul(mat_mul(H, U.matrix), H_inv)
         hit = find_jorgensen_partner(WordElement.seed(f"c{i}", A), partners)
         if hit is not NOT_FOUND:
-            B, report = hit
-            j = partners.index(B)
+            j, report = hit
             witness = _jorgensen_witness(
                 [[quad_json(e) for e in row] for row in A],
                 report,

@@ -299,10 +299,11 @@ def jorgensen_violation(A: WordElement, B: WordElement) -> JorgensenReport:
 
 
 def find_jorgensen_partner(A: WordElement, candidates):
-    """First candidate (in the given order) whose pair with A is a certified
-    violation; returns (WordElement, JorgensenReport) or NOT_FOUND."""
-    for cand in candidates:
+    """The first candidate (in the given order) whose pair with A is a
+    certified violation, as (its index, JorgensenReport), or NOT_FOUND.
+    candidates may be a generator; the scan stops at the first hit."""
+    for j, cand in enumerate(candidates):
         report = jorgensen_violation(A, cand)
         if report.verdict == VIOLATION:
-            return cand, report
+            return j, report
     return NOT_FOUND

@@ -395,6 +395,19 @@ def test_quaternionic_nondiscrete_witness(quat_bundle):
     assert w["reason"] == "parabolic generator, commutator trace not 2"
 
 
+def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
+    # the scan stops at index 158, so the other 851 units are never embedded
+    cfg = load_config()
+    algebra = QuaternionAlgebra(17, 7)
+    slice_std = units.enumerate_units(algebra, cfg.unit_height)
+    calls = []
+    embed = certify.real_embed
+    monkeypatch.setattr(certify, "real_embed", lambda u: calls.append(u) or embed(u))
+    claim = certify._nondiscrete_stage(cfg, algebra, slice_std)
+    assert claim.witness["partner_index_in_slice"] == 158
+    assert (len(calls), len(slice_std)) == (159, 1010)
+
+
 def test_quaternionic_bad_d_stops_the_bundle():
     bundle = certify.run_quaternionic(load_config(None, ["d=3"]))
     first = bundle["claims"][0]

@@ -165,8 +165,8 @@ def test_jorgensen_partner_scan_frozen():
     units = enumerate_units(ALG, 50).elements
     cands = (WordElement.seed(f"u{i}", real_embed(u))
              for i, u in enumerate(units))
-    partner, rep = find_jorgensen_partner(A, cands)
-    assert partner.word == ("u158",)
+    j, rep = find_jorgensen_partner(A, cands)
+    assert j == 158
     assert units[158].coords() == (-29, -7, -33, -8)
     assert rep.verdict == VIOLATION
     # the central units alone can never witness a violation
