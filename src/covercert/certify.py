@@ -347,7 +347,8 @@ def _not_run(claim: str, method: str, blocker: str) -> Certificate:
 
 
 def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
-    return {
+    """The pipeline's bundle, re-verified before it is returned."""
+    bundle = {
         "tool": "covercert",
         "tool_version": __version__,
         "pipeline": pipeline,
@@ -355,6 +356,8 @@ def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
         "config_hash": config_hash(cfg),
         "claims": [c.as_dict() for c in claims],
     }
+    _check_reverify(bundle)
+    return bundle
 
 
 def render_bundle(bundle: dict) -> str:
@@ -455,9 +458,7 @@ def run_dihedral(cfg: RunConfig) -> dict:
         )
     )
 
-    bundle = make_bundle("dihedral", cfg, claims)
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("dihedral", cfg, claims)
 
 
 # --------------------------------------------------------------------------
@@ -700,9 +701,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
                 "a": frac_str(algebra.a),
                 "b": frac_str(algebra.b),
                 "ramified_places": ramified_places(algebra),
-                "symbol_at_2": hilbert_symbol(algebra.a, algebra.b, 2),
-                "symbol_at_inf": hilbert_symbol(algebra.a, algebra.b, INF),
-                "division": True,
+                **_algebra_symbols(algebra),
             }
             note = "the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra"
             claims.append(cert_2(VERIFIED, inputs, witness, note))
@@ -827,9 +826,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         )
     )
 
-    bundle = make_bundle("quaternionic", cfg, claims)
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("quaternionic", cfg, claims)
 
 
 def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certificate:
@@ -963,9 +960,7 @@ def run_sl2z(cfg: RunConfig) -> dict:
         )
     )
 
-    bundle = make_bundle("sl2z", cfg, claims)
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("sl2z", cfg, claims)
 
 
 # --------------------------------------------------------------------------
@@ -1004,9 +999,7 @@ def run_hilbert(cfg: RunConfig) -> dict:
             notes=("the symbols multiply to one over all places; ramified places come in pairs",),
         )
     ]
-    bundle = make_bundle("hilbert", cfg, claims)
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("hilbert", cfg, claims)
 
 
 def _resolve_algebra(cfg: RunConfig):
@@ -1053,17 +1046,13 @@ def run_units(cfg: RunConfig) -> dict:
             notes=notes,
         )
     ]
-    bundle = make_bundle("units", cfg, claims)
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("units", cfg, claims)
 
 
 def run_intersect(cfg: RunConfig) -> dict:
     h = _conjugator(cfg.h, lambda: _resolve_algebra(cfg))
     cert = _index_certificate("intersect.index", h, {"h": cfg.h}, _explicit_claim(cfg))
-    bundle = make_bundle("intersect", cfg, [cert])
-    _check_reverify(bundle)
-    return bundle
+    return make_bundle("intersect", cfg, [cert])
 
 
 PIPELINES = {
@@ -1080,7 +1069,7 @@ PIPELINES = {
 # re-verification
 #
 # Every claim with a witness can be re-checked from the bundle alone.  The
-# pipelines call _check_reverify before returning, and a fresh process can
+# pipelines re-verify in make_bundle before returning, and a fresh process can
 # call reverify_bundle on a parsed bundle file.
 
 

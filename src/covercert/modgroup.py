@@ -66,9 +66,6 @@ class SubgroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: ResidueMatrix) -> bool:
-        return x in self.element_set
-
 
 def group_order(p: int, k: int) -> int:
     """|SL2(Z/p^k)| = p^(3k-2) * (p^2 - 1)."""
