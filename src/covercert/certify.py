@@ -1121,10 +1121,11 @@ def _rv_invariant_index(claim, bundle):
 def _rv_invariant_intersection(claim, bundle):
     """A nonconstant f = P/Q fixed by a group G of Mobius maps bounds |G|
     by deg f: G acts faithfully on Q(x) fixing Q(f), and x has degree
-    deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when the commutator of the two involutions has infinite order, no
-    degree holds a joint invariant, and a verified claim must record none;
-    that needs no search.  A finite commutator (a = +-1, or a refuted
-    claim) is checked by repeating the search."""
+    deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when the
+    commutator of the two involutions has infinite order, no degree holds
+    a joint invariant, and a verified claim must record none; that needs
+    no search.  At a = +-1, where the commutator is the identity, and for a
+    refuted claim, the search is repeated."""
     a = parse_frac(claim["inputs"]["a"])
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
     recorded = claim["witness"]["joint_invariants"]

@@ -1,10 +1,11 @@
-"""Non-discreteness certificates from exact arithmetic in a real quadratic field.
+"""Non-discreteness certificates from exact arithmetic over Q or a real quadratic field.
 
 Two mechanisms, both unconditional once they fire: an elliptic element whose
 trace rules out every finite rotation order (its powers then accumulate at the
 identity), and Jorgensen's inequality |tr^2 A - 4| + |tr[A,B] - 2| >= 1, which
-every discrete non-elementary two-generator group must satisfy.  All traces
-live in Q(sqrt(d)) and every sign test is exact; no floating point anywhere.
+every discrete non-elementary two-generator group must satisfy.  Matrix
+entries are Fractions or RealQuadElem values of one Q(sqrt(d)), and every
+sign test is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -163,16 +164,17 @@ class WordElement:
         return WordElement(self.word + (label,), mat_mul(self.matrix, rows))
 
     @property
-    def trace(self) -> RealQuadElem:
+    def trace(self):
         return mat_tr(self.matrix)
 
     @property
-    def determinant(self) -> RealQuadElem:
+    def determinant(self):
         return mat_det(self.matrix)
 
 
-def is_infinite_elliptic_trace(t: RealQuadElem) -> bool:
-    """Trace test for an infinite-order elliptic in PSL2(R), det 1.
+def is_infinite_elliptic_trace(t) -> bool:
+    """Trace test for an infinite-order elliptic in PSL2(R), det 1; t is a
+    Fraction or a RealQuadElem.
 
     Elliptic needs -2 < t < 2.  Finite order would force t = 2cos(pi q/n)
     algebraic of degree at most 2, i.e. one of 0, +-1 (orders 2,3,4,6 in
@@ -195,7 +197,7 @@ def is_infinite_elliptic_trace(t: RealQuadElem) -> bool:
 class EllipticCertificate:
     word: tuple
     matrix: tuple
-    trace: RealQuadElem
+    trace: object  # a Fraction or a RealQuadElem, like the matrix entries
 
 
 def find_infinite_elliptic(seeds, max_len: int, state_cap: int = 200000):

@@ -83,7 +83,7 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int) -> UnitSlice:
                             found.append((-u, v, w, z))
     found.sort()
     if s > 1:
-        found = [tuple(Fraction(t, s) for t in c) for c in found]
+        found = ((Fraction(t, s) for t in c) for c in found)
     return UnitSlice(D, B, tuple(D.element(*c) for c in found))
 
 
