@@ -170,8 +170,8 @@ def test_search_argument_validation():
 
 
 def test_dihedral_huge_a_square_root_exact(tmp_path):
-    # a = 3^40: the multiplier is the exact square root of a^d, far beyond
-    # float range
+    # a = 3^40: the multipliers are the exact square roots of a^(-d), far
+    # beyond float range
     out = tmp_path / "dihedral.json"
     assert cli_main(["dihedral", "--set", f"a={3 ** 40}", "--out", str(out)]) == 0
     claims = json.loads(out.read_text())["claims"]

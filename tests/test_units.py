@@ -6,8 +6,7 @@ from covercert.modgroup import ResidueMatrix, enumerate_group
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import (enumerate_units, enumerate_units_saturated,
                              find_example_algebra, images_surject,
-                             reduce_units,
-                             surjects_at_level, torsion_check)
+                             reduce_units, surjects_at_level, torsion_check)
 
 from oracles import brute_norm_one_box, in_saturated_order, norm_one_triple_loop
 
