@@ -32,25 +32,24 @@ from .commens import Conjugator, local_intersection, psi
 from .exact import sqrt_2adic
 from .fuchsian import (
     NOT_FOUND,
-    VIOLATION,
     EllipticCertificate,
     RealQuadElem,
     WordElement,
     find_infinite_elliptic,
-    find_jorgensen_partner,
-    jorgensen_violation,
+    find_nonintegral_trace,
+    is_algebraic_integer,
     lift_rational_matrix,
+    pair_trace,
     real_embed,
     verify_elliptic,
 )
-from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
+from .mat2 import mat_adj, mat_det, mat_scale, mat_tr
 from .mobius import (
     INFINITE_ORDER,
     InvariantFunction,
     MobiusMap,
     commutator,
     finite_order,
-    index_of_invariant_field,
     invariant_search,
     is_invariant,
 )
@@ -83,11 +82,13 @@ VERDICTS = (VERIFIED, REFUTED, SEARCH_EXHAUSTED, ASSUMPTION)
 SQUARE_PRECISION = 10
 
 INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multiplied over the primes"
-JORGENSEN_METHOD = "scan the unit slice for a partner violating the Jorgensen inequality against the conjugator"
-
-# How many units of the slice a quaternionic conjugator is conjugated by
-# before the discreteness stage gives up.
-JORGENSEN_TRIES = 40
+TRACE_METHOD = ("scan pairs of standard-slice units U, V, in shells of slice index, "
+                "for a trace of U h V h^-1 that is not an algebraic integer")
+TRACE_NOTE = (
+    "a discrete <Gamma, h Gamma h^-1> would contain the cocompact Gamma with some finite index n, so g^(n!) would lie "
+    "in Gamma for each of its elements g; tr(g^(n!)) is then an integer and a monic integer polynomial in tr g, so "
+    "every trace would be an algebraic integer (Takeuchi 1975; Maclachlan-Reid 2003, Thm 8.3.2)"
+)
 
 
 class ConfigError(ValueError):
@@ -118,10 +119,6 @@ def rows_from_json(data):
 
 def quad_json(x: RealQuadElem):
     return {"d": x.d, "u": frac_str(x.u), "v": frac_str(x.v)}
-
-
-def quad_from_json(data) -> RealQuadElem:
-    return RealQuadElem(data["d"], parse_frac(data["u"]), parse_frac(data["v"]))
 
 
 def _reject_floats(obj, path="$"):
@@ -346,6 +343,11 @@ def _not_run(claim: str, method: str, blocker: str) -> Certificate:
     )
 
 
+def _context(claim: str, note: str) -> Certificate:
+    """Standing context, recorded as an assumption without a computation."""
+    return Certificate(claim=claim, verdict=ASSUMPTION, method="recorded, not computed", inputs={}, notes=(note,))
+
+
 def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
     """The pipeline's bundle, re-verified before it is returned."""
     bundle = {
@@ -427,12 +429,12 @@ def run_dihedral(cfg: RunConfig) -> dict:
     # (3) each involution fixes an index-2 subfield, witnessed by its
     # degree-2 invariant
     for label, g in (("sigma", sigma), ("sigma-a", sigma_a)):
-        idx = index_of_invariant_field(g)
         inv = invariant_search((g,), 2)
+        idx = min((f.degree for f in inv), default=None)
         claims.append(
             Certificate(
                 claim=f"dihedral.invariant-field-index.{label}",
-                verdict=VERIFIED if idx == 2 and inv else REFUTED,
+                verdict=VERIFIED if idx == 2 else REFUTED,
                 method="minimal degree of a nonconstant invariant of the involution",
                 inputs={"a": frac_str(a), "generator": rows_json(g.rows)},
                 witness={"index": idx, "invariants": [_invariant_json(f) for f in inv]},
@@ -617,19 +619,12 @@ def _conjugator(spec: str, algebra) -> Conjugator:
         raise ConfigError(str(e))
 
 
-def _jorgensen_witness(A_rows_json, report, partner_coords, partner_index, extra=None):
-    w = {
-        "conjugator_rows": A_rows_json,
-        "partner_coords": [frac_str(c) for c in partner_coords],
-        "partner_index_in_slice": partner_index,
-        "sum_value": quad_json(report.sum_value),
-        "trace_conjugator": quad_json(report.trace_a),
-        "commutator_trace": quad_json(report.commutator_trace),
-        "reason": report.reason,
-    }
-    if extra:
-        w.update(extra)
-    return w
+def _conjugator_matrix(spec: str, algebra):
+    """h as a real matrix; the one place where a quaternion and a rational h differ."""
+    kind, data = parse_conjugator_spec(spec)
+    if kind == "rational":
+        return lift_rational_matrix(data, int(algebra.a))
+    return real_embed(algebra.element(*data))
 
 
 def run_quaternionic(cfg: RunConfig) -> dict:
@@ -796,93 +791,37 @@ def run_quaternionic(cfg: RunConfig) -> dict:
             )
         )
 
-    # stage 6: the conjugate fails discreteness, witnessed by a unit pair
-    # violating the Jorgensen inequality
+    # stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
+    # pair whose trace is not an algebraic integer
     if blocker:
-        blocked("quaternionic.nondiscrete", JORGENSEN_METHOD)
+        blocked("quaternionic.nondiscrete", TRACE_METHOD)
     else:
         claims.append(_nondiscrete_stage(cfg, algebra, slice_std))
 
-    claims.append(
-        Certificate(
-            claim="quaternionic.cocompact-context",
-            verdict=ASSUMPTION,
-            method="recorded, not computed",
-            inputs={},
-            witness=None,
-            notes=(
-                "unit groups of division algebras split at infinity act cocompactly; recorded as standing context",
-            ),
-        )
-    )
-    claims.append(
-        Certificate(
-            claim="quaternionic.degree-two-context",
-            verdict=ASSUMPTION,
-            method="recorded, not computed",
-            inputs={},
-            witness=None,
-            notes=("no degree-two version of this construction exists; recorded as context, nothing here computes it",),
-        )
-    )
+    claims.append(_context("quaternionic.cocompact-context",
+                           "unit groups of division algebras split at infinity act cocompactly; recorded as standing context"))
+    claims.append(_context("quaternionic.degree-two-context",
+                           "no degree-two version of this construction exists; recorded as context, nothing here computes it"))
 
     return make_bundle("quaternionic", cfg, claims)
 
 
 def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certificate:
-    def cert(verdict, witness, note):
-        return Certificate(
-            claim="quaternionic.nondiscrete",
-            verdict=verdict,
-            method=JORGENSEN_METHOD,
-            inputs={"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height},
-            witness=witness,
-            depends_on=("quaternionic.intersection-index",),
-            notes=(note,),
-        )
-
-    found = "a violating nonelementary pair cannot lie in any discrete group"
-    kind, data = parse_conjugator_spec(cfg.h)
-    # lazily, since a rational h usually finds its partner early in the slice
-    embedded = (WordElement.seed(f"u{j}", real_embed(u)) for j, u in enumerate(slice_std.elements))
-
-    if kind == "rational":
-        rows = data
-        if mat_det(rows) != 1:
-            return cert(
-                SEARCH_EXHAUSTED, None, "the inequality needs a determinant-one conjugator; this one has another determinant"
-            )
-        hit = find_jorgensen_partner(WordElement.seed("h", lift_rational_matrix(rows, cfg.d)), embedded)
-        if hit is NOT_FOUND:
-            return cert(SEARCH_EXHAUSTED, None, "no violating partner in this slice; a larger unit_height may find one")
-        j, report = hit
-        witness = _jorgensen_witness(rows_json(rows), report, slice_std.elements[j].coords(), j, {"field_d": cfg.d})
-        return cert(VERIFIED, witness, found)
-
-    # quaternionic conjugator: determinants are norms, not 1, so test
-    # conjugated units (determinant one again) against the slice
-    H = real_embed(algebra.element(*data))
-    det = mat_det(H)
-    H_inv = mat_scale(det.inverse(), mat_adj(H))
-    partners = list(embedded)
-    tried = partners[:JORGENSEN_TRIES]
-    for i, U in enumerate(tried):
-        A = mat_mul(mat_mul(H, U.matrix), H_inv)
-        hit = find_jorgensen_partner(WordElement.seed(f"c{i}", A), partners)
-        if hit is not NOT_FOUND:
-            j, report = hit
-            witness = _jorgensen_witness(
-                [[quad_json(e) for e in row] for row in A],
-                report,
-                slice_std.elements[j].coords(),
-                j,
-                {
-                    "field_d": cfg.d,
-                    "conjugated_unit_coords": [frac_str(c) for c in slice_std.elements[i].coords()],
-                },
-            )
-            return cert(VERIFIED, witness, found)
-    return cert(SEARCH_EXHAUSTED, None, f"no violating pair among the {len(tried)} conjugated units tried")
+    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), slice_std.elements)
+    verdict, witness, note = SEARCH_EXHAUSTED, None, "every pair of units in this slice has an integral trace"
+    if hit is not NOT_FOUND:
+        i, j, t = hit
+        units = [[frac_str(c) for c in slice_std.elements[k].coords()] for k in (i, j)]
+        verdict, witness, note = VERIFIED, {"units": units, "trace": quad_json(t)}, TRACE_NOTE
+    return Certificate(
+        claim="quaternionic.nondiscrete",
+        verdict=verdict,
+        method=TRACE_METHOD,
+        inputs={"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height},
+        witness=witness,
+        depends_on=("quaternionic.intersection-index",),
+        notes=(note,),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -908,57 +847,29 @@ def run_sl2z(cfg: RunConfig) -> dict:
     rows = data
     claims = [_index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))]
 
-    method_2 = "breadth-first word search for an infinite-order elliptic element in the amalgam"
-    seeds = _word_seeds(rows)
+    verdict, witness, notes = SEARCH_EXHAUSTED, None, ()
     try:
-        hit = find_infinite_elliptic(seeds, cfg.word_length_bound)
-        truncated = False
+        hit = find_infinite_elliptic(_word_seeds(rows), cfg.word_length_bound)
     except RuntimeError:
-        hit = NOT_FOUND
-        truncated = True
-    if hit is NOT_FOUND:
-        notes = ("search truncated at the state cap before exhausting the length bound",) if truncated else ()
-        claims.append(
-            Certificate(
-                claim="sl2z.nondiscrete",
-                verdict=SEARCH_EXHAUSTED,
-                method=method_2,
-                inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
-                witness=None,
-                depends_on=("sl2z.intersection-index",),
-                notes=notes,
-            )
-        )
-    else:
-        claims.append(
-            Certificate(
-                claim="sl2z.nondiscrete",
-                verdict=VERIFIED,
-                method=method_2,
-                inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
-                witness={
-                    "word": list(hit.word),
-                    "word_length": len(hit.word),
-                    "matrix": rows_json(hit.matrix),
-                    "trace": frac_str(hit.trace),
-                },
-                depends_on=("sl2z.intersection-index",),
-                notes=(
-                    "an elliptic element of infinite order in the generated group rules out discreteness",
-                ),
-            )
-        )
-
+        hit, notes = NOT_FOUND, ("search truncated at the state cap before exhausting the length bound",)
+    if hit is not NOT_FOUND:
+        verdict, notes = VERIFIED, ("an elliptic element of infinite order in the generated group rules out discreteness",)
+        witness = {"word": list(hit.word), "word_length": len(hit.word),
+                   "matrix": rows_json(hit.matrix), "trace": frac_str(hit.trace)}
     claims.append(
         Certificate(
-            claim="sl2z.ramification-context",
-            verdict=ASSUMPTION,
-            method="recorded, not computed",
-            inputs={},
-            witness=None,
-            notes=("the ambient modular family has cusps, so these covers are ramified there",),
+            claim="sl2z.nondiscrete",
+            verdict=verdict,
+            method="breadth-first word search for an infinite-order elliptic element in the amalgam",
+            inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
+            witness=witness,
+            depends_on=("sl2z.intersection-index",),
+            notes=notes,
         )
     )
+
+    claims.append(_context("sl2z.ramification-context",
+                           "the ambient modular family has cusps, so these covers are ramified there"))
 
     return make_bundle("sl2z", cfg, claims)
 
@@ -1104,39 +1015,49 @@ def _rv_commutator_order(claim, bundle):
         _expect(order == recorded, "recorded order differs from the computed one")
 
 
-def _rv_invariant_index(claim, bundle):
-    g = MobiusMap.from_rows(rows_from_json(claim["inputs"]["generator"]))
-    _expect(claim["witness"]["index"] == 2, "recorded index is not 2")
-    _expect(claim["witness"]["invariants"], "no invariant recorded")
-    for data in claim["witness"]["invariants"]:
+def _expect_invariants(recorded, gens, max_degree):
+    """Each recorded function is a nonconstant invariant of every generator
+    with degree at most max_degree, checked by substitution."""
+    for data in recorded:
         f = InvariantFunction(
             degree=data["degree"],
             numerator=tuple(data["numerator"]),
             denominator=tuple(data["denominator"]),
             character=tuple(parse_frac(c) for c in data["character"]),
         )
-        _expect(is_invariant(f, (g,)), f"recorded degree-{f.degree} function is not invariant")
+        _expect(1 <= f.degree <= max_degree, f"recorded degree {f.degree} is outside 1 to {max_degree}")
+        _expect(f.is_nonconstant(), f"recorded degree-{f.degree} function is constant")
+        _expect(is_invariant(f, gens), f"recorded degree-{f.degree} function is not invariant")
+
+
+def _rv_invariant_index(claim, bundle):
+    g = MobiusMap.from_rows(rows_from_json(claim["inputs"]["generator"]))
+    _expect(claim["witness"]["index"] == 2, "recorded index is not 2")
+    _expect(claim["witness"]["invariants"], "no invariant recorded")
+    _expect_invariants(claim["witness"]["invariants"], (g,), 2)
 
 
 def _rv_invariant_intersection(claim, bundle):
-    """A nonconstant f = P/Q fixed by a group G of Mobius maps bounds |G|
-    by deg f: G acts faithfully on Q(x) fixing Q(f), and x has degree
-    deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when the
-    commutator of the two involutions has infinite order, no degree holds
-    a joint invariant, and a verified claim must record none; that needs
-    no search.  At a = +-1, where the commutator is the identity, and for a
-    refuted claim, the search is repeated."""
+    """A refuted claim is checked by substitution: each recorded joint
+    invariant is nonconstant, within the degree bound and fixed by both
+    involutions.  A nonconstant f = P/Q fixed by a group G of Mobius maps
+    bounds |G| by deg f: G acts faithfully on Q(x) fixing Q(f), and x has
+    degree deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when
+    the commutator of the two involutions has infinite order, no degree
+    holds a joint invariant, and a verified claim must record none; that
+    needs no search.  Only a verified claim at a = +-1, where the commutator
+    is the identity, repeats the search."""
     a = parse_frac(claim["inputs"]["a"])
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
     recorded = claim["witness"]["joint_invariants"]
-    if claim["verdict"] == VERIFIED and finite_order(commutator(*gens)) == INFINITE_ORDER:
+    bound = claim["inputs"]["degree_bound"]
+    if claim["verdict"] != VERIFIED:
+        _expect(recorded, "a refuted claim records no joint invariant")
+        _expect_invariants(recorded, gens, bound)
+    elif finite_order(commutator(*gens)) == INFINITE_ORDER:
         _expect(not recorded, "a joint invariant is recorded, but the commutator has infinite order")
-        return
-    found = invariant_search(gens, claim["inputs"]["degree_bound"])
-    if claim["verdict"] == VERIFIED:
-        _expect(not found and not recorded, "a joint invariant exists up to the degree bound")
     else:
-        _expect(found and len(found) == len(recorded), "recorded joint invariants differ from the search")
+        _expect(not recorded and not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")
 
 
 def _rv_2adic_square(claim, bundle):
@@ -1251,20 +1172,18 @@ def _rv_intersection(claim, bundle):
     _expect(not differ, f"recorded {', '.join(differ)} differs from the closed form")
 
 
-def _rv_jorgensen(claim, bundle):
-    w = claim["witness"]
-    d = w["field_d"]
+def _rv_trace(claim, bundle):
+    """Recompute the trace from the two recorded units and h with three
+    matrix products; no slice is enumerated."""
     algebra = _algebra_from_bundle(bundle)
-    partner = algebra.element(*(parse_frac(c) for c in w["partner_coords"]))
-    B = real_embed(partner)
-    if "conjugated_unit_coords" in w:
-        A = tuple(tuple(quad_from_json(e) for e in row) for row in w["conjugator_rows"])
-    else:
-        A = lift_rational_matrix(rows_from_json(w["conjugator_rows"]), d)
-    report = jorgensen_violation(WordElement.seed("A", A), WordElement.seed("B", B))
-    _expect(report.verdict == VIOLATION, "the pair does not violate the Jorgensen inequality")
-    _expect(quad_json(report.sum_value) == w["sum_value"], "recorded Jorgensen sum differs")
-    _expect(report.reason == w["reason"], "recorded reason differs")
+    w = claim["witness"]
+    U, V = (algebra.element(*(parse_frac(c) for c in coords)) for coords in w["units"])
+    for u in (U, V):
+        integral = all(c.denominator == 1 for c in u.coords())
+        _expect(integral and u.nrd() == 1, f"unit {[frac_str(c) for c in u.coords()]} is not a norm-one standard-order element")
+    t = pair_trace(_conjugator_matrix(claim["inputs"]["h"], algebra), U, V)
+    _expect(quad_json(t) == w["trace"], "recorded trace differs from the recomputed one")
+    _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
 
 
 def _rv_elliptic(claim, bundle):
@@ -1313,7 +1232,7 @@ _REVERIFIERS = {
     "quaternionic.standard-order-obstruction": _rv_obstruction,
     "quaternionic.congruence-surjectivity": _rv_surjectivity,
     "quaternionic.intersection-index": _rv_intersection,
-    "quaternionic.nondiscrete": _rv_jorgensen,
+    "quaternionic.nondiscrete": _rv_trace,
     "sl2z.intersection-index": _rv_intersection,
     "sl2z.nondiscrete": _rv_elliptic,
     "hilbert.symbol-table": _rv_hilbert,

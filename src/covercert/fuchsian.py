@@ -1,11 +1,14 @@
 """Non-discreteness certificates from exact arithmetic over Q or a real quadratic field.
 
-Two mechanisms, both unconditional once they fire: an elliptic element whose
-trace rules out every finite rotation order (its powers then accumulate at the
-identity), and Jorgensen's inequality |tr^2 A - 4| + |tr[A,B] - 2| >= 1, which
-every discrete non-elementary two-generator group must satisfy.  Matrix
-entries are Fractions or RealQuadElem values of one Q(sqrt(d)), and every
-sign test is exact; no floating point anywhere.
+Two mechanisms, both unconditional once they fire: a trace that is not an
+algebraic integer in a group that, were it discrete, would contain a
+cocompact arithmetic group with finite index; and an elliptic element whose
+trace rules out every finite rotation order (its powers then accumulate at
+the identity).  Jorgensen's inequality |tr^2 A - 4| + |tr[A,B] - 2| >= 1,
+which every discrete non-elementary two-generator group must satisfy, is
+kept as an independent cross-check.  Matrix entries are Fractions or
+RealQuadElem values of one Q(sqrt(d)), and every sign test is exact; no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .mat2 import mat_adj, mat_det, mat_mul, mat_tr
+from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
 from .quatalg import Quaternion
 from .util import is_perfect_square
 
@@ -82,9 +86,6 @@ class RealQuadElem:
             raise ZeroDivisionError("zero has no inverse")
         return RealQuadElem(self.d, self.u / n, -self.v / n)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
     def sign(self) -> int:
         """Exact sign of the real number u + v*sqrt(d)."""
         if self.v == 0:
@@ -147,6 +148,53 @@ def real_embed(q: Quaternion):
     x0, x1, x2, x3 = q.coords()
     return ((quad(d, x0, x1), quad(d, x2, x3)),
             (quad(d, b * x2, -b * x3), quad(d, x0, -x1)))
+
+
+def is_algebraic_integer(t: RealQuadElem) -> bool:
+    """p + q*sqrt(d) is a root of x^2 - 2p x + (p^2 - d q^2), so it is an
+    algebraic integer iff 2p and p^2 - d q^2 are integers."""
+    return (2 * t.u).denominator == 1 and t.norm().denominator == 1
+
+
+def pair_trace(H, U: Quaternion, V: Quaternion) -> RealQuadElem:
+    """tr(E(U) H E(V) H^-1) for the real matrix H, with E = real_embed."""
+    H_inv = mat_scale(mat_det(H).inverse(), mat_adj(H))
+    return mat_tr(mat_mul(mat_mul(mat_mul(real_embed(U), H), real_embed(V)), H_inv))
+
+
+def find_nonintegral_trace(H, units):
+    """The first pair (i, j) of integral units, in shells max(i, j) = n,
+    whose pair_trace t is not an algebraic integer, as (i, j, t); or
+    NOT_FOUND.  t is bilinear in the coordinate vectors u, v: t = (uPv +
+    uQv sqrt(d)) / D with integer matrices P, Q read once off the basis, so
+    each pair costs two integer dot products, and a witness in shell n at
+    most (n + 1)^2 of them.  If every entry of the form is integral, so is
+    every trace, and nothing is scanned.
+    """
+    if not units:
+        return NOT_FOUND
+    basis = [units[0].algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
+    form = [pair_trace(H, e, f) for e in basis for f in basis]  # entry 4a + b pairs e_a with e_b
+    if all(is_algebraic_integer(t) for t in form):
+        return NOT_FOUND
+    d, D = form[0].d, 1
+    for x in (x for t in form for x in (t.u, t.v)):
+        D = D * x.denominator // gcd(D, x.denominator)
+    P, Q = [int(t.u * D) for t in form], [int(t.v * D) for t in form]
+    read = []  # per unit read so far: its coordinates, P v and Q v
+    for n, U in enumerate(units):
+        if any(c.denominator != 1 for c in U.coords()):
+            raise ValueError("units need integral coordinates")
+        v = [int(c) for c in U.coords()]
+        Pv, Qv = ([sum(M[4 * a + b] * v[b] for b in range(4)) for a in range(4)] for M in (P, Q))
+        read.append((v, Pv, Qv))
+        for i, j in [(i, n) for i in range(n + 1)] + [(n, j) for j in range(n)]:
+            (u0, u1, u2, u3), (_, (p0, p1, p2, p3), (q0, q1, q2, q3)) = read[i][0], read[j]
+            p = u0 * p0 + u1 * p1 + u2 * p2 + u3 * p3
+            q = u0 * q0 + u1 * q1 + u2 * q2 + u3 * q3
+            if 2 * p % D or (p * p - d * q * q) % (D * D):
+                return i, j, quad(d, Fraction(p, D), Fraction(q, D))
+    return NOT_FOUND
 
 
 @dataclass(frozen=True)
@@ -298,14 +346,3 @@ def jorgensen_violation(A: WordElement, B: WordElement) -> JorgensenReport:
                                "hyperbolic generator, axis not preserved")
     return JorgensenReport(total, ta, tc, INCONCLUSIVE,
                            "cannot rule out an elementary pair")
-
-
-def find_jorgensen_partner(A: WordElement, candidates):
-    """The first candidate (in the given order) whose pair with A is a
-    certified violation, as (its index, JorgensenReport), or NOT_FOUND.
-    candidates may be a generator; the scan stops at the first hit."""
-    for j, cand in enumerate(candidates):
-        report = jorgensen_violation(A, cand)
-        if report.verdict == VIOLATION:
-            return j, report
-    return NOT_FOUND

@@ -230,9 +230,10 @@ class BinaryFormSpace:
         return BinaryFormSpace(d, generators, ops)
 
     def apply(self, which: int, coeffs):
-        U = self.operators[which]
-        return tuple(sum(U[i][j] * coeffs[j] for j in range(len(coeffs)))
-                     for i in range(len(coeffs)))
+        """U coeffs over U's nonzero entries; coeffs needs degree + 1 entries."""
+        if len(coeffs) != self.degree + 1:
+            raise ValueError(f"a degree-{self.degree} form needs {self.degree + 1} coefficients")
+        return tuple(sum(x * c for x, c in zip(row, coeffs) if x) for row in self.operators[which])
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,11 @@ class InvariantFunction:
 
     def dehomogenized(self) -> str:
         return f"({_form_str(self.numerator)}) / ({_form_str(self.denominator)})"
+
+    def is_nonconstant(self) -> bool:
+        """P/Q is a constant exactly when the forms P and Q are dependent."""
+        P, Q = self.numerator, self.denominator
+        return any(P[i] * Q[j] != P[j] * Q[i] for i in range(len(P)) for j in range(i + 1, len(P)))
 
 
 def _form_str(coeffs) -> str:
@@ -309,15 +315,14 @@ def invariant_search(generators, D: int):
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     func = InvariantFunction(d, basis[i], basis[j], character)
-                    if not is_invariant(func, generators):
+                    if not _fixed_by(func, space):
                         raise AssertionError("emitted ratio fails verification")
                     found.append(func)
     return found
 
 
-def is_invariant(func: InvariantFunction, generators) -> bool:
-    """Exact identity P(gv)Q(v) = P(v)Q(gv) for every generator."""
-    space = BinaryFormSpace.build(tuple(generators), func.degree)
+def _fixed_by(func: InvariantFunction, space: BinaryFormSpace) -> bool:
+    """Exact identity P(gv)Q(v) = P(v)Q(gv) for every operator of space."""
     P = tuple(Fraction(c) for c in func.numerator)
     Q = tuple(Fraction(c) for c in func.denominator)
     for which in range(len(space.generators)):
@@ -327,8 +332,6 @@ def is_invariant(func: InvariantFunction, generators) -> bool:
     return True
 
 
-def index_of_invariant_field(g: MobiusMap) -> int:
-    """Degree of the minimal nonconstant invariant of an involution."""
-    funcs = invariant_search([g], 2)
-    assert funcs, "an involution always has a degree-2 invariant"
-    return min(f.degree for f in funcs)
+def is_invariant(func: InvariantFunction, generators) -> bool:
+    """Exact identity P(gv)Q(v) = P(v)Q(gv) for every generator."""
+    return _fixed_by(func, BinaryFormSpace.build(tuple(generators), func.degree))

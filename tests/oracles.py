@@ -275,3 +275,63 @@ def quaternion_conjugation_index(coords, a: int, b: int, p: int) -> int:
         raise ValueError("the oracle represents quaternions at 2 and 3 only")
     # det B = nrd(den * q) holds mod p^V only, which is all the count reads
     return _index_mod(B, p, V)
+
+
+def _quat_mul(x, y, a, b):
+    """Product in (a, b | Q) on coordinate 4-tuples over 1, i, j, k = ij,
+    from i^2 = a, j^2 = b, ji = -k, ik = a j, ki = -a j, jk = -b i,
+    kj = b i and k^2 = -ab."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 + b * (x3 * y2 - x2 * y3),
+            x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def _sqrt_mul(x, y, a):
+    """(p + q sqrt a)(r + s sqrt a) on (p, q) pairs."""
+    return (x[0] * y[0] + a * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _mat_mul_sqrt(A, B, a):
+    return [[tuple(sum(t) for t in zip(_sqrt_mul(A[i][0], B[0][j], a), _sqrt_mul(A[i][1], B[1][j], a)))
+             for j in range(2)] for i in range(2)]
+
+
+def conjugated_unit_trace(a: int, b: int, h, u, v):
+    """tr(U h V h^-1) for units with coordinates u, v of (a, b | Q), as the
+    pair (p, q) of the trace p + q sqrt(a).
+
+    h is ("quaternion", coords): the trace is the reduced trace 2 x0 of
+    U h V h^-1, with h^-1 = conj(h) / nrd(h), by quaternion products, and
+    q = 0.  Or h is ("rational", rows): U and V become 2x2 matrices over
+    Q(sqrt a) by i -> diag(sqrt a, -sqrt a), j -> [[0, 1], [b, 0]], with
+    entries kept as (rational, sqrt a coefficient) pairs, and h^-1 is the
+    adjugate over the determinant.
+    """
+    kind, data = h
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    if kind == "quaternion":
+        x0, x1, x2, x3 = (Fraction(x) for x in data)
+        nrd = x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        h_inv = (x0 / nrd, -x1 / nrd, -x2 / nrd, -x3 / nrd)
+        prod = _quat_mul(_quat_mul(_quat_mul(u, (x0, x1, x2, x3), a, b), v, a, b), h_inv, a, b)
+        return 2 * prod[0], Fraction(0)
+
+    def embed(x):
+        return [[(x[0], x[1]), (x[2], x[3])], [(b * x[2], -b * x[3]), (x[0], -x[1])]]
+
+    (p, q), (r, s) = ([Fraction(e) for e in row] for row in data)
+    det = p * s - q * r
+    H = [[(p, Fraction(0)), (q, Fraction(0))], [(r, Fraction(0)), (s, Fraction(0))]]
+    H_inv = [[(s / det, Fraction(0)), (-q / det, Fraction(0))], [(-r / det, Fraction(0)), (p / det, Fraction(0))]]
+    M = _mat_mul_sqrt(_mat_mul_sqrt(_mat_mul_sqrt(embed(u), H, a), embed(v), a), H_inv, a)
+    return M[0][0][0] + M[1][1][0], M[0][0][1] + M[1][1][1]
+
+
+def is_integral_quadratic(p, q, a: int) -> bool:
+    """p + q sqrt(a), a not a square, is an algebraic integer iff its
+    minimal polynomial x^2 - 2p x + (p^2 - a q^2) has integer coefficients."""
+    return (2 * p).denominator == 1 and (p * p - a * q * q).denominator == 1

@@ -22,7 +22,6 @@ from covercert.mobius import (
     MobiusMap,
     commutator,
     finite_order,
-    index_of_invariant_field,
     invariant_search,
 )
 from covercert.modgroup import ResidueMatrix, group_order
@@ -62,9 +61,9 @@ def test_criterion_1_dihedral_involutions(capsys):
     ok = comm == quarter
     ok = ok and all(isinstance(x, Fraction) for row in comm.rows for x in row)
     ok = ok and finite_order(comm) is INFINITE_ORDER
-    idx = (index_of_invariant_field(sigma), index_of_invariant_field(sigma_a))
+    invariants = (invariant_search((sigma,), 2), invariant_search((sigma_a,), 2))
+    idx = tuple(min((f.degree for f in inv), default=None) for inv in invariants)
     ok = ok and idx == (2, 2)
-    ok = ok and invariant_search((sigma,), 2) and invariant_search((sigma_a,), 2)
     joint = invariant_search((sigma, sigma_a), 8)
     ok = ok and joint == []
     dt = time.perf_counter() - t0

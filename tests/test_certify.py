@@ -10,8 +10,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covercert import certify, modgroup, units
+from covercert import certify, fuchsian, modgroup, units
 from covercert.certify import (
     ASSUMPTION,
     REFUTED,
@@ -33,7 +35,7 @@ from covercert.cli import main as cli_main
 from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, lift_rational_matrix
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 
-from oracles import conjugation_index
+from oracles import conjugated_unit_trace, conjugation_index, is_integral_quadratic
 
 DEFAULT_HASH = "b7110e785a0813b98e161128ca7d8e14978c79e5c3099cb252d64aeedc0cf0d5"
 
@@ -237,6 +239,34 @@ def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
     assert len(calls) == 1
 
 
+def test_refuted_joint_invariant_reverify_substitutes(monkeypatch):
+    # at a = 1 the claim is refuted; each recorded invariant is checked by
+    # substitution, without a search
+    parsed = json.loads(render_bundle(certify.run_dihedral(load_config(None, ["a=1"]))))
+    claim = claim_by_id(parsed, "dihedral.invariant-intersection")
+    assert claim["verdict"] == REFUTED
+    calls = _count_invariant_searches(monkeypatch)
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
+    assert calls == []
+    recorded = claim["witness"]["joint_invariants"]
+    first = dict(recorded[0])
+    tampered = [
+        # x^2 / y^2, not fixed by x -> 1/x
+        (dict(first, degree=2, numerator=[1, 0, 0], denominator=[0, 0, 1]), "recorded degree-2 function is not invariant"),
+        (dict(first, denominator=first["numerator"]), f"recorded degree-{first['degree']} function is constant"),
+        (dict(first, degree=9), "recorded degree 9 is outside 1 to 8"),
+        # a coefficient short of the degree must not truncate the check
+        (dict(first, numerator=first["numerator"][:-1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
+    ]
+    for bad, reason in tampered:
+        claim["witness"]["joint_invariants"] = [bad] + recorded[1:]
+        assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+    claim["witness"]["joint_invariants"] = []
+    reason = "a refuted claim records no joint invariant"
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+    assert calls == []
+
+
 # -- quaternionic -----------------------------------------------------------
 
 
@@ -388,24 +418,107 @@ def test_quaternionic_intersection_witness(quat_bundle):
 
 
 def test_quaternionic_nondiscrete_witness(quat_bundle):
-    w = claim_by_id(quat_bundle, "quaternionic.nondiscrete")["witness"]
-    assert w["partner_coords"] == ["-29/1", "-7/1", "-33/1", "-8/1"]
-    assert w["partner_index_in_slice"] == 158
-    assert w["sum_value"] == {"d": 17, "u": "106673/4", "v": "-6468/1"}
-    assert w["reason"] == "parabolic generator, commutator trace not 2"
+    claim = claim_by_id(quat_bundle, "quaternionic.nondiscrete")
+    w = claim["witness"]
+    # slice units 0 and 8 of the height-50 slice
+    assert w["units"] == [["-49/1", "-32/1", "-41/1", "-15/1"], ["-49/1", "-17/1", "-27/1", "-8/1"]]
+    assert w["trace"] == {"d": 17, "u": "-112783/4", "v": "31241/4"}
+    assert claim["notes"] == [certify.TRACE_NOTE]
 
 
 def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
-    # the scan stops at index 158, so the other 851 units are never embedded
+    # the scan stops in shell 8, so units 9 to 1009 are never read, and only
+    # the four basis elements are embedded, to build the trace form
     cfg = load_config()
     algebra = QuaternionAlgebra(17, 7)
     slice_std = units.enumerate_units(algebra, cfg.unit_height)
-    calls = []
-    embed = certify.real_embed
-    monkeypatch.setattr(certify, "real_embed", lambda u: calls.append(u) or embed(u))
-    claim = certify._nondiscrete_stage(cfg, algebra, slice_std)
-    assert claim.witness["partner_index_in_slice"] == 158
-    assert (len(calls), len(slice_std)) == (159, 1010)
+    read = []
+
+    class Recorded(tuple):
+        def __iter__(self):
+            for k, u in enumerate(tuple.__iter__(self)):
+                read.append(k)
+                yield u
+
+    embedded = set()
+    embed = fuchsian.real_embed
+    monkeypatch.setattr(fuchsian, "real_embed", lambda u: embedded.add(u.coords()) or embed(u))
+    recorded_slice = units.UnitSlice(algebra, cfg.unit_height, Recorded(slice_std.elements))
+    claim = certify._nondiscrete_stage(cfg, algebra, recorded_slice)
+    assert claim.verdict == VERIFIED
+    assert claim.witness["units"][1] == [frac_str(c) for c in slice_std.elements[8].coords()]
+    assert (max(read), len(slice_std)) == (8, 1010)
+    assert embedded == {tuple(int(k == m) for k in range(4)) for m in range(4)}
+
+
+def _nondiscrete_bundle(overrides):
+    return json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["k_max=2", "unit_height=6", *overrides]))))
+
+
+@pytest.mark.parametrize("h", ["quat:3/2,1/2,0,0", "2,0,0,1", "1,-1/2,0,1"])
+def test_nondiscrete_reverify_checks_the_recorded_pair(monkeypatch, h):
+    parsed = _nondiscrete_bundle([f"h={h}"])
+    claim = claim_by_id(parsed, "quaternionic.nondiscrete")
+    assert claim["verdict"] == VERIFIED
+
+    def no_enumeration(*args):
+        raise RuntimeError("a unit slice was enumerated")
+
+    monkeypatch.setattr(certify, "enumerate_units", no_enumeration)
+    monkeypatch.setattr(certify, "enumerate_units_saturated", no_enumeration)
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (True, None)
+    w = claim["witness"]
+    good = json.loads(json.dumps(w))
+    w["trace"]["u"] = "1/2"
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, "recorded trace differs from the recomputed one")
+    w.update(json.loads(json.dumps(good)))
+    w["units"][0] = ["2/1", "0/1", "0/1", "0/1"]
+    reason = "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one standard-order element"
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, reason)
+    # U = V = 1 gives tr(h h^-1) = 2
+    w.update(units=[["1/1", "0/1", "0/1", "0/1"]] * 2, trace={"d": 17, "u": "2/1", "v": "0/1"})
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, "the trace is an algebraic integer")
+
+
+def test_normalising_conjugator_finds_no_trace(tmp_path):
+    # j normalises the standard order, so every trace stays integral
+    out = tmp_path / "bundle.json"
+    t0 = time.perf_counter()
+    cli_main(["quaternionic", "--set", "h=quat:0,0,1,0", "--set", "unit_height=10", "--out", str(out)])
+    claim = claim_by_id(json.loads(out.read_text()), "quaternionic.nondiscrete")
+    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["witness"] is None
+    assert time.perf_counter() - t0 < 3
+
+
+_RATIONAL_H = st.builds(
+    # [[1, s], [0, 1]] diag(det, 1) [[1, 0], [c, 1]]
+    lambda det, s, c: ("rational", ((det + s * c, s), (c, Fraction(1)))),
+    st.sampled_from([1, -1, 2, 3]),
+    st.integers(-4, 4).map(lambda n: Fraction(n, 2)),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+)
+_QUATERNION_H = st.tuples(*[st.integers(-3, 3).map(lambda n: Fraction(n, 2))] * 4).filter(any).map(lambda c: ("quaternion", c))
+
+
+# from height 2 on, the saturated slice fills SL2(Z/2), so stage 6 runs
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(_RATIONAL_H, _QUATERNION_H), st.integers(2, 10))
+def test_nondiscrete_trace_matches_oracle(h, height):
+    kind, data = h
+    entries = data if kind == "quaternion" else [x for row in data for x in row]
+    spec = ("quat:" if kind == "quaternion" else "") + ",".join(str(x) for x in entries)
+    try:
+        bundle = certify.run_quaternionic(load_config(None, [f"h={spec}", "k_max=1", f"unit_height={height}"]))
+    except ConfigError:
+        return  # a quaternion the closed form cannot decide
+    claim = claim_by_id(bundle, "quaternionic.nondiscrete")
+    assert claim["verdict"] in (VERIFIED, SEARCH_EXHAUSTED)
+    if claim["verdict"] == VERIFIED:
+        u, v = ([parse_frac(c) for c in coords] for coords in claim["witness"]["units"])
+        p, q = conjugated_unit_trace(17, 7, h, u, v)
+        assert claim["witness"]["trace"] == {"d": 17, "u": frac_str(p), "v": frac_str(q)}
+        assert not is_integral_quadratic(p, q, 17)
+        assert _reverify_by_id(json.loads(render_bundle(bundle)))["quaternionic.nondiscrete"] == (True, None)
 
 
 def test_quaternionic_bad_d_stops_the_bundle():

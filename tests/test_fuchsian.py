@@ -4,13 +4,13 @@ import pytest
 
 from covercert.fuchsian import (INCONCLUSIVE, NO_VIOLATION, NOT_FOUND, VIOLATION,
                                 EllipticCertificate, RealQuadElem, WordElement,
-                                find_infinite_elliptic, find_jorgensen_partner,
-                                is_infinite_elliptic_trace, jorgensen_violation,
-                                lift_rational_matrix, quad, real_embed,
-                                verify_elliptic)
+                                find_infinite_elliptic, find_nonintegral_trace,
+                                is_algebraic_integer, is_infinite_elliptic_trace,
+                                jorgensen_violation, lift_rational_matrix,
+                                pair_trace, quad, real_embed, verify_elliptic)
 from covercert.mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from covercert.quatalg import QuaternionAlgebra
-from covercert.units import enumerate_units
+from covercert.units import enumerate_units, enumerate_units_saturated
 
 ALG = QuaternionAlgebra(17, 7)
 HALF_SHIFT = [[1, Fraction(-1, 2)], [0, 1]]
@@ -160,19 +160,41 @@ def test_jorgensen_quaternionic_violation_frozen():
     assert rep.commutator_trace != 2
 
 
-def test_jorgensen_partner_scan_frozen():
-    A = WordElement.seed("h", lift_rational_matrix(HALF_SHIFT, 17))
+def test_jorgensen_pair_and_trace_witness_agree():
+    # the half shift violates the inequality with unit 158 of the height-50
+    # slice; the trace search certifies the same h at shell 8
+    H = lift_rational_matrix(HALF_SHIFT, 17)
     units = enumerate_units(ALG, 50).elements
-    cands = (WordElement.seed(f"u{i}", real_embed(u))
-             for i, u in enumerate(units))
-    j, rep = find_jorgensen_partner(A, cands)
-    assert j == 158
     assert units[158].coords() == (-29, -7, -33, -8)
+    rep = jorgensen_violation(WordElement.seed("h", H), WordElement.seed("u", real_embed(units[158])))
     assert rep.verdict == VIOLATION
-    # the central units alone can never witness a violation
-    central = [WordElement.seed("c", real_embed(u))
-               for u in enumerate_units(ALG, 1).elements]
-    assert find_jorgensen_partner(A, central) == NOT_FOUND
+    i, j, t = find_nonintegral_trace(H, units)
+    assert (i, j) == (0, 8)
+    assert t == pair_trace(H, units[0], units[8]) == quad(17, Fraction(-112783, 4), Fraction(31241, 4))
+    assert not is_algebraic_integer(t)
+
+
+def test_algebraic_integer_test():
+    assert is_algebraic_integer(quad(17, Fraction(1, 2), Fraction(1, 2)))  # 17 = 1 mod 4
+    assert is_algebraic_integer(quad(17, 3, -2))
+    assert not is_algebraic_integer(quad(17, Fraction(1, 2)))
+    assert not is_algebraic_integer(quad(17, 0, Fraction(1, 2)))
+    assert not is_algebraic_integer(quad(2, Fraction(1, 2), Fraction(1, 2)))  # norm -1/4
+    assert not is_algebraic_integer(quad(17, Fraction(1, 3), Fraction(1, 3)))  # 2p not integral
+
+
+def test_trace_search_controls():
+    H = lift_rational_matrix(HALF_SHIFT, 17)
+    # +-1 alone give trace +-2 with any conjugate of +-1
+    assert find_nonintegral_trace(H, enumerate_units(ALG, 1).elements) == NOT_FOUND
+    assert find_nonintegral_trace(H, ()) == NOT_FOUND
+    saturated = enumerate_units_saturated(ALG, 2).elements
+    with pytest.raises(ValueError, match="integral coordinates"):
+        find_nonintegral_trace(H, saturated)
+    # the identity and j (which normalises the order) give an integral trace
+    # form, so nothing is scanned, not even the half-integral units
+    for H in (lift_rational_matrix([[1, 0], [0, 1]], 17), real_embed(ALG.element(0, 0, 1, 0))):
+        assert find_nonintegral_trace(H, saturated) == NOT_FOUND
 
 
 def test_jorgensen_discrete_pair_control():

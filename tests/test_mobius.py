@@ -7,8 +7,7 @@ import pytest
 from covercert.cli import main as cli_main
 from covercert.mobius import (INFINITE_ORDER, BinaryFormSpace, InvariantFunction,
                               MobiusMap, commutator, compose,
-                              finite_order, index_of_invariant_field,
-                              invariant_search, is_invariant)
+                              finite_order, invariant_search, is_invariant)
 
 SIGMA = MobiusMap.sigma()
 SIGMA2 = MobiusMap.sigma_a(2)
@@ -149,12 +148,13 @@ def test_eigenspace_search_complete_small_degree():
 
 
 def test_index_of_invariant_field():
-    assert index_of_invariant_field(SIGMA) == 2
-    assert index_of_invariant_field(MobiusMap.sigma_a(5)) == 2
+    # the index is the least degree of an involution's invariants
+    assert min(f.degree for f in invariant_search((SIGMA,), 2)) == 2
+    assert min(f.degree for f in invariant_search((MobiusMap.sigma_a(5),), 2)) == 2
     with pytest.raises(ValueError):
-        index_of_invariant_field(MobiusMap.identity())
+        invariant_search((MobiusMap.identity(),), 2)
     with pytest.raises(ValueError):
-        index_of_invariant_field(commutator(SIGMA, SIGMA2))
+        invariant_search((commutator(SIGMA, SIGMA2),), 2)
 
 
 def test_search_argument_validation():
