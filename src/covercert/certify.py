@@ -46,27 +46,30 @@ from .fuchsian import (
 from .mat2 import mat_adj, mat_det, mat_scale, mat_tr
 from .mobius import (
     INFINITE_ORDER,
+    BinaryFormSpace,
     InvariantFunction,
     MobiusMap,
+    _fixed_by,
     commutator,
     finite_order,
     invariant_search,
-    is_invariant,
 )
 from .modgroup import ResidueMatrix, group_order, kernel_words, power, spans_layer, word_value
 from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic
 from .units import (
     SATURATED,
     STANDARD,
-    UnitSlice,
+    UnitStream,
+    closing_prefix,
     embedding_flags,
     enumerate_units,
     enumerate_units_saturated,
     find_example_algebra,
+    height,
     images_surject,
+    is_torsion,
     mod2_image_obstruction,
     reduce_units,
-    surjects_at_level,
     torsion_check,
 )
 from .util import odd_prime_factors
@@ -119,6 +122,11 @@ def rows_from_json(data):
 
 def quad_json(x: RealQuadElem):
     return {"d": x.d, "u": frac_str(x.u), "v": frac_str(x.v)}
+
+
+def coords_json(q):
+    """A quaternion's coordinates as "num/den" strings."""
+    return [frac_str(c) for c in q.coords()]
 
 
 def _reject_floats(obj, path="$"):
@@ -505,19 +513,21 @@ LIFT_NOTES = (
 )
 
 
-def _surjectivity_levels(cfg: RunConfig, slice_sat: UnitSlice) -> list:
-    """Stage 4's level entries.  Levels up to BASE_LEVEL close the slice's
-    images and record the units the closure used; the first level that
+def _surjectivity_levels(cfg: RunConfig, read) -> list:
+    """Stage 4's level entries for the saturated units read (a slice or a
+    stream's prefix).  Levels up to BASE_LEVEL close the images of the
+    units read and record the units the closure used; the first level that
     fails ends the list.  Each level above it records kernel words in the
     base level's units and the power that carries them into its layer."""
-    split = split_2adic(slice_sat.algebra)
-    top = reduce_units(slice_sat, split, min(cfg.k_max, BASE_LEVEL))
+    read = list(read)
+    split = split_2adic(read[0].algebra)
+    top = reduce_units(read, split, min(cfg.k_max, BASE_LEVEL))
     levels = []
     # a lifted level needs the base level below it, even under k_min
     for k in range(min(cfg.k_min, BASE_LEVEL), min(cfg.k_max, BASE_LEVEL) + 1):
         reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
         flag, table = images_surject(reduced, k)
-        units = [slice_sat.elements[reduced.index(g)] for g in table.generators]
+        units = [read[reduced.index(g)] for g in table.generators]
         levels.append(
             {
                 "level": k,
@@ -525,7 +535,7 @@ def _surjectivity_levels(cfg: RunConfig, slice_sat: UnitSlice) -> list:
                 "image_order": table.order,
                 "surjects": flag,
                 "generators": [
-                    {"coords": [frac_str(c) for c in u.coords()], "matrix": [[g.a, g.b], [g.c, g.d]], "modulus": 2**k}
+                    {"coords": coords_json(u), "matrix": [[g.a, g.b], [g.c, g.d]], "modulus": 2**k}
                     for u, g in zip(units, table.generators)
                 ],
             }
@@ -705,17 +715,24 @@ def run_quaternionic(cfg: RunConfig) -> dict:
             conjugator = _conjugator(cfg.h, lambda: algebra)
 
     # stage 3: the unit group is torsion-free, so every congruence cover
-    # in the tower is unramified; the standard slice enumerated here also
-    # serves the obstruction and discreteness stages
+    # in the tower is unramified.  The embedding flags decide it for the
+    # whole group.  A standard unit of finite order has even trace 2 x0 in
+    # {-1, 0, 1}, so q^2 = -1: only when sqrt(-1) embeds are the standard
+    # units read, up to the first one of finite order.  The unit stages
+    # read one standard stream, each only as far as its witness
     method_3 = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
     if blocker:
         blocked("quaternionic.torsion-free", method_3)
     else:
-        slice_std = enumerate_units(algebra, cfg.unit_height)
-        report = torsion_check(slice_std)
-        clean = report["algebra_torsion_free"] and report["slice_torsion_free"]
-        witness = dict(report)
-        witness["finite_order_in_slice"] = [[frac_str(c) for c in u.coords()] for u in report["finite_order_in_slice"]]
+        std = UnitStream(algebra, STANDARD, cfg.unit_height)
+        flags = embedding_flags(algebra)
+        clean, scan = flags["algebra_torsion_free"], flags["embeds_sqrt_minus_1"]
+        torsion = next((q for q in std if is_torsion(q)), None) if scan else None
+        witness = dict(
+            flags,
+            finite_order_unit=coords_json(torsion) if torsion else None,
+            height_reached=_height_reached(torsion, cfg) if scan else 0,
+        )
         claims.append(
             Certificate(
                 claim="quaternionic.torsion-free",
@@ -736,24 +753,39 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     if blocker:
         blocked("quaternionic.standard-order-obstruction", method_obs)
     else:
-        flag, table = surjects_at_level(slice_std, 1)
+        split = split_2adic(algebra)
+        images, stop = {}, None  # mod-2 image -> the first unit with it
+        for u in std:
+            images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
+            if len(images) == 2:  # all that mod2_image_obstruction allows
+                stop = u
+                break
+        flag, table = images_surject(list(images), 1)
         claims.append(
             Certificate(
                 claim="quaternionic.standard-order-obstruction",
                 verdict=VERIFIED if not flag else REFUTED,
                 method=method_obs,
                 inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
-                witness={"image_order_mod_2": table.order, "group_order_mod_2": group_order(2, 1)},
+                witness={
+                    "image_order_mod_2": table.order,
+                    "group_order_mod_2": group_order(2, 1),
+                    "images": [{"coords": coords_json(u), "matrix": [[g.a, g.b], [g.c, g.d]]} for g, u in images.items()],
+                    "height_reached": _height_reached(stop, cfg),
+                },
                 depends_on=("quaternionic.algebra",),
                 notes=(mod2_image_obstruction(algebra),),
             )
         )
 
-    # stage 4: unit images fill SL2(Z/2^k) at every level up to k_max
+    # stage 4: unit images fill SL2(Z/2^k) at every level up to k_max; the
+    # saturated stream is read until its images close mod 2^min(k_max, 3)
     if blocker:
         blocked("quaternionic.congruence-surjectivity", BASE_METHOD)
     else:
-        levels = _surjectivity_levels(cfg, enumerate_units_saturated(algebra, cfg.unit_height))
+        sat = UnitStream(algebra, SATURATED, cfg.unit_height)
+        read = closing_prefix(sat, split_2adic(algebra), min(cfg.k_max, BASE_LEVEL))
+        levels = _surjectivity_levels(cfg, read)
         all_ok = all(entry["surjects"] for entry in levels)
         notes = (BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES
         claims.append(
@@ -768,7 +800,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
                     "k_max": cfg.k_max,
                     "order_kind": SATURATED,
                 },
-                witness={"levels": levels},
+                witness={"levels": levels, "height_reached": _height_reached(read[-1] if all_ok else None, cfg)},
                 depends_on=("quaternionic.torsion-free",),
                 notes=notes,
             )
@@ -796,7 +828,7 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     if blocker:
         blocked("quaternionic.nondiscrete", TRACE_METHOD)
     else:
-        claims.append(_nondiscrete_stage(cfg, algebra, slice_std))
+        claims.append(_nondiscrete_stage(cfg, algebra, std))
 
     claims.append(_context("quaternionic.cocompact-context",
                            "unit groups of division algebras split at infinity act cocompactly; recorded as standing context"))
@@ -806,13 +838,22 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     return make_bundle("quaternionic", cfg, claims)
 
 
-def _nondiscrete_stage(cfg: RunConfig, algebra, slice_std: UnitSlice) -> Certificate:
-    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), slice_std.elements)
+def _height_reached(stop, cfg: RunConfig) -> int:
+    """A unit stage's reach: the height of the unit it stopped at, or
+    unit_height when it read every unit up to the cap."""
+    return cfg.unit_height if stop is None else height(stop)
+
+
+def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
+    """The trace stage, reading the standard stream in shells up to the
+    first pair with a non-integral trace."""
+    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), std)
     verdict, witness, note = SEARCH_EXHAUSTED, None, "every pair of units in this slice has an integral trace"
     if hit is not NOT_FOUND:
         i, j, t = hit
-        units = [[frac_str(c) for c in slice_std.elements[k].coords()] for k in (i, j)]
-        verdict, witness, note = VERIFIED, {"units": units, "trace": quad_json(t)}, TRACE_NOTE
+        witness = {"units": [coords_json(std.units[k]) for k in (i, j)], "trace": quad_json(t),
+                   "height_reached": height(std.units[max(i, j)])}
+        verdict, note = VERIFIED, TRACE_NOTE
     return Certificate(
         claim="quaternionic.nondiscrete",
         verdict=verdict,
@@ -940,7 +981,7 @@ def run_units(cfg: RunConfig) -> dict:
         "order_kind": cfg.order_kind,
         "bound": cfg.unit_height,
         "count": len(slice_.elements),
-        "first_elements": [[frac_str(c) for c in u.coords()] for u in slice_.elements[:8]],
+        "first_elements": [coords_json(u) for u in slice_.elements[:8]],
         "slice_torsion_free": torsion["slice_torsion_free"],
         "algebra_torsion_free": torsion["algebra_torsion_free"],
     }
@@ -1017,7 +1058,9 @@ def _rv_commutator_order(claim, bundle):
 
 def _expect_invariants(recorded, gens, max_degree):
     """Each recorded function is a nonconstant invariant of every generator
-    with degree at most max_degree, checked by substitution."""
+    with degree at most max_degree, checked by substitution.  The
+    substitution operators are built once per degree."""
+    spaces = {}
     for data in recorded:
         f = InvariantFunction(
             degree=data["degree"],
@@ -1027,7 +1070,9 @@ def _expect_invariants(recorded, gens, max_degree):
         )
         _expect(1 <= f.degree <= max_degree, f"recorded degree {f.degree} is outside 1 to {max_degree}")
         _expect(f.is_nonconstant(), f"recorded degree-{f.degree} function is constant")
-        _expect(is_invariant(f, gens), f"recorded degree-{f.degree} function is not invariant")
+        if f.degree not in spaces:
+            spaces[f.degree] = BinaryFormSpace.build(gens, f.degree)
+        _expect(_fixed_by(f, spaces[f.degree]), f"recorded degree-{f.degree} function is not invariant")
 
 
 def _rv_invariant_index(claim, bundle):
@@ -1098,25 +1143,73 @@ def _expect_flags(report, witness, keys):
         _expect(report[key] == witness[key], f"recorded {key} differs from the computed value")
 
 
+def _standard_unit(algebra, coords):
+    """The recorded unit, which must be a norm-one standard-order element."""
+    u = algebra.element(*(parse_frac(c) for c in coords))
+    integral = all(c.denominator == 1 for c in u.coords())
+    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one standard-order element")
+    return u
+
+
+def _expect_reach(claim, units):
+    """height_reached lies within unit_height and holds every recorded unit."""
+    reach, cap = claim["witness"]["height_reached"], claim["inputs"]["unit_height"]
+    _expect(isinstance(reach, int) and 0 <= reach <= cap, f"height_reached {reach} is above unit_height {cap}")
+    for u in units:
+        _expect(height(u) <= reach, f"unit {coords_json(u)} lies above height_reached {reach}")
+
+
 def _rv_torsion(claim, bundle):
+    """The embedding flags decide the verdict: a norm-one unit of finite
+    order other than +-1 generates Q(sqrt(-1)) or Q(sqrt(-3)).  A recorded
+    finite-order unit is checked by its norm and trace; no slice is
+    enumerated."""
     algebra = _algebra_from_bundle(bundle)
     w = claim["witness"]
     flags = embedding_flags(algebra)
     _expect_flags(flags, w, flags)
-    if flags["algebra_torsion_free"]:
-        # a norm-one unit of finite order other than +-1 generates Q(sqrt(-1))
-        # or Q(sqrt(-3)), and neither embeds, so no slice holds one
-        _expect(w["slice_torsion_free"] and not w["finite_order_in_slice"], "a finite-order unit is recorded in a torsion-free algebra")
-        return
-    report = torsion_check(enumerate_units(algebra, claim["inputs"]["unit_height"]))
-    _expect_flags(report, w, ("slice_torsion_free",))
+    _expect((claim["verdict"] == VERIFIED) == flags["algebra_torsion_free"], "the verdict does not follow from the embedding flags")
+    units = []
+    if w["finite_order_unit"] is not None:
+        _expect(not flags["algebra_torsion_free"], "a finite-order unit is recorded in a torsion-free algebra")
+        u = _standard_unit(algebra, w["finite_order_unit"])
+        _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
+        units.append(u)
+    _expect_reach(claim, units)
 
 
 def _rv_obstruction(claim, bundle):
+    """Check each recorded unit against its mod-2 image and close the
+    images; no slice is enumerated.  The splitting sends every basis
+    element, so every standard-order element, to a matrix [[x, y], [b y, x]]
+    mod 2, and only two of those have determinant 1: the standard order
+    misses SL2(Z/2) at every height."""
     algebra = _algebra_from_bundle(bundle)
-    flag, table = surjects_at_level(enumerate_units(algebra, claim["inputs"]["unit_height"]), 1)
-    _expect(not flag, "the standard slice surjects mod 2")
-    _expect(table.order == claim["witness"]["image_order_mod_2"], "recorded image order mod 2 differs")
+    split = split_2adic(algebra)
+    w = claim["witness"]
+
+    def shaped(entries):  # [[x, y], [b y, x]] mod 2
+        x, y, by, x2 = entries
+        return x == x2 and by == algebra.b * y % 2
+
+    basis = [algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
+    _expect(all(shaped(split.residues(e, 1)) for e in basis), "the standard basis does not reduce mod 2 into [[x, y], [b y, x]]")
+    _expect(w["images"], "no mod-2 image is recorded")
+    units, mats = [], []
+    for entry in w["images"]:
+        u = _standard_unit(algebra, entry["coords"])
+        m = entry["matrix"]
+        _expect(shaped(m[0] + m[1]), f"mod-2 image {m} is not of the form [[x, y], [b y, x]]")
+        entries = split.residues(u, 1)
+        _expect([list(entries[:2]), list(entries[2:])] == m, f"recorded mod-2 image of {entry['coords']} differs from its reduction")
+        units.append(u)
+        mats.append(ResidueMatrix(*entries, 2))
+    _expect(len(set(mats)) == len(mats), "two recorded units share a mod-2 image")
+    _expect_reach(claim, units)
+    flag, table = images_surject(mats, 1)
+    _expect(w["group_order_mod_2"] == group_order(2, 1), "recorded group order mod 2 is not that of SL2(Z/2)")
+    _expect(table.order == w["image_order_mod_2"], "recorded image order mod 2 differs")
+    _expect(not flag and claim["verdict"] == VERIFIED, "the recorded images surject mod 2")
 
 
 def _rv_surjectivity(claim, bundle):
@@ -1127,6 +1220,7 @@ def _rv_surjectivity(claim, bundle):
     levels = claim["witness"]["levels"]
     base_units = None
     previous = None
+    read = []
     for entry in levels:
         k = entry["level"]
         _expect(entry["group_order"] == group_order(2, k), f"recorded group order at level {k} is wrong")
@@ -1140,6 +1234,7 @@ def _rv_surjectivity(claim, bundle):
                 _expect([list(entries[:2]), list(entries[2:])] == g["matrix"], f"recorded matrix of {g['coords']} at level {k} differs")
                 units.append(u)
                 gens.append(ResidueMatrix(*entries, 2**k))
+            read += units
             if entry["surjects"]:
                 flag, table = images_surject(gens, k)
                 _expect(flag and table.order == entry["image_order"], f"generators at level {k} do not close to the full group")
@@ -1156,6 +1251,7 @@ def _rv_surjectivity(claim, bundle):
             values = [power(word_value(gens, w), e) for w in words]
             _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
         previous = (k, entry["surjects"])
+    _expect_reach(claim, read)
     full = all(entry["surjects"] for entry in levels)
     if claim["verdict"] == VERIFIED:
         want = list(range(min(claim["inputs"]["k_min"], BASE_LEVEL), claim["inputs"]["k_max"] + 1))
@@ -1177,10 +1273,8 @@ def _rv_trace(claim, bundle):
     matrix products; no slice is enumerated."""
     algebra = _algebra_from_bundle(bundle)
     w = claim["witness"]
-    U, V = (algebra.element(*(parse_frac(c) for c in coords)) for coords in w["units"])
-    for u in (U, V):
-        integral = all(c.denominator == 1 for c in u.coords())
-        _expect(integral and u.nrd() == 1, f"unit {[frac_str(c) for c in u.coords()]} is not a norm-one standard-order element")
+    U, V = (_standard_unit(algebra, coords) for coords in w["units"])
+    _expect_reach(claim, (U, V))
     t = pair_trace(_conjugator_matrix(claim["inputs"]["h"], algebra), U, V)
     _expect(quad_json(t) == w["trace"], "recorded trace differs from the recomputed one")
     _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
@@ -1215,7 +1309,7 @@ def _rv_units(claim, bundle):
     else:
         slice_ = enumerate_units(algebra, w["bound"])
     _expect(len(slice_.elements) == w["count"], "recorded slice size differs")
-    firsts = [[frac_str(c) for c in u.coords()] for u in slice_.elements[:8]]
+    firsts = [coords_json(u) for u in slice_.elements[:8]]
     _expect(firsts == w["first_elements"], "recorded first elements differ")
     _expect_flags(torsion_check(slice_), w, ("slice_torsion_free", "algebra_torsion_free"))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
@@ -168,12 +169,15 @@ def find_nonintegral_trace(H, units):
     NOT_FOUND.  t is bilinear in the coordinate vectors u, v: t = (uPv +
     uQv sqrt(d)) / D with integer matrices P, Q read once off the basis, so
     each pair costs two integer dot products, and a witness in shell n at
-    most (n + 1)^2 of them.  If every entry of the form is integral, so is
-    every trace, and nothing is scanned.
+    most (n + 1)^2 of them.  units is any iterable, read only up to the
+    witness.  If every entry of the form is integral, so is every trace,
+    and nothing past the first unit is read.
     """
-    if not units:
+    units = iter(units)
+    first = next(units, None)
+    if first is None:
         return NOT_FOUND
-    basis = [units[0].algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
+    basis = [first.algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
     form = [pair_trace(H, e, f) for e in basis for f in basis]  # entry 4a + b pairs e_a with e_b
     if all(is_algebraic_integer(t) for t in form):
         return NOT_FOUND
@@ -182,7 +186,7 @@ def find_nonintegral_trace(H, units):
         D = D * x.denominator // gcd(D, x.denominator)
     P, Q = [int(t.u * D) for t in form], [int(t.v * D) for t in form]
     read = []  # per unit read so far: its coordinates, P v and Q v
-    for n, U in enumerate(units):
+    for n, U in enumerate(chain((first,), units)):
         if any(c.denominator != 1 for c in U.coords()):
             raise ValueError("units need integral coordinates")
         v = [int(c) for c in U.coords()]

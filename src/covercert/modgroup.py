@@ -76,27 +76,27 @@ def group_order(p: int, k: int) -> int:
     return p ** (3 * k - 2) * (p * p - 1)
 
 
-def closure(generators, cap: int = DEFAULT_CAP) -> SubgroupTable:
+def closure(generators, cap: int = DEFAULT_CAP, stop: int = 0) -> SubgroupTable:
     """Breadth-first closure under right multiplication by the generators
     and their inverses.
 
-    A generator already in the running closure is skipped; any other
-    extends the search from where it stopped instead of restarting it.  The
-    first generator is always kept, so the table's generators are the
-    subsequence actually used.  Discovery order is deterministic:
-    generators in input order, elements in insertion order.
+    generators is any iterable, read in order.  A generator already in the
+    running closure is skipped; any other extends the search from where it
+    stopped instead of restarting it.  The first generator is always kept,
+    so the table's generators are the subsequence actually used.  With stop
+    set, no generator is read once the closure holds stop elements.
+    Discovery order is deterministic: generators in input order, elements
+    in insertion order.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    m = generators[0].m
-    ident = ResidueMatrix.identity(m)
-    seen = {ident}
-    order = [ident]
-    used, step = [], []
+    seen, order, used, step = set(), [], [], []
     for g in generators:
-        if g.m != m:
+        if not used:
+            m = g.m
+            order.append(ResidueMatrix.identity(m))
+            seen.add(order[0])
+        elif g.m != m:
             raise ValueError("mixed moduli")
-        if used and g in seen:
+        elif g in seen:
             continue
         used.append(g)
         gi = g.inverse()
@@ -116,6 +116,10 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SubgroupTable:
                     seen.add(y)
                     order.append(y)
             i += 1
+        if len(order) == stop:
+            break
+    if not used:
+        raise ValueError("need at least one generator")
     return SubgroupTable(m, tuple(order), frozenset(seen), tuple(used))
 
 

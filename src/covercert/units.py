@@ -8,10 +8,14 @@ norm-one units land in a proper subgroup of SL2(Z/2) (see
 mod2_image_obstruction), so congruence surjectivity is only visible
 through the saturated slice.
 
-The two enumerators are the only functions here that build a slice.
-Everything downstream (reduce_units, surjects_at_level, torsion_check)
-takes the slice its caller already holds, so a pipeline enumerates each
-slice once and decides which order it works on in one place.
+A unit's height is the least B whose box |coordinate| <= B holds it.  Each
+order's units come from one UnitStream, in (height, coordinates) order and
+enumerated only as far as its reader asks.  enumerate_units and
+enumerate_units_saturated are a stream's prefix up to a bound; the
+certificate stages iterate a stream and stop at their witness.  Everything
+downstream (reduce_units, surjects_at_level, torsion_check) takes the units
+its caller already holds, so a pipeline enumerates each order once and
+decides which order it works on in one place.
 """
 
 from dataclasses import dataclass
@@ -37,6 +41,9 @@ class UnitSlice:
     def __len__(self):
         return len(self.elements)
 
+    def __iter__(self):
+        return iter(self.elements)
+
 
 def _require_integral_constants(D: QuaternionAlgebra):
     if D.a.denominator != 1 or D.b.denominator != 1:
@@ -57,14 +64,17 @@ def _band(t: int, c: int, top: int, bound: int) -> range:
     return range(isqrt(s_lo - 1) + 1 if s_lo else 0, min(isqrt(s_hi), bound) + 1)
 
 
-def _norm_one(D: QuaternionAlgebra, B: int, s: int) -> UnitSlice:
-    """All norm-one (u + vi + wj + zk)/s with u = v and w = z mod s and
-    every |coordinate| at most sB, by solving
-    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the (v, w) grid, with |z| in
-    the band that leaves u^2 in [0, (sB)^2]."""
+def height(q) -> int:
+    """The least B whose box |coordinate| <= B holds q."""
+    return max(-(-abs(c.numerator) // c.denominator) for c in q.coords())
+
+
+def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
+    """The norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
+    height lies in (above, B], in (height, coordinates) order.  Solves
+    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the (v, w) grid of the box
+    |coordinate| <= sB, with |z| in the band that leaves u^2 in [0, (sB)^2]."""
     a, b = _require_integral_constants(D)
-    if B < 1:
-        raise ValueError("bound must be >= 1")
     H, ab = s * B, a * b
     found = []
     for v in range(-H, H + 1):
@@ -81,38 +91,87 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int) -> UnitSlice:
                         found.append((u, v, w, z))
                         if u:
                             found.append((-u, v, w, z))
-    found.sort()
+    # the height of the numerators c is ceil(max |c| / s)
+    keyed = sorted((-(-max(map(abs, c)) // s), c) for c in found)
+    found = [c for h, c in keyed if h > above]
     if s > 1:
         found = ((Fraction(t, s) for t in c) for c in found)
-    return UnitSlice(D, B, tuple(D.element(*c) for c in found))
+    return tuple(D.element(*c) for c in found)
+
+
+_SCALE = {STANDARD: 1, SATURATED: 2}
+
+
+class UnitStream:
+    """The norm-one units of one order with height at most cap, in
+    (height, coordinates) order, enumerated on demand.
+
+    grow(B) enumerates the box at B and appends the units above the height
+    already reached, so a prefix once read never changes.  Iteration grows
+    by doubling (1, 2, 4, ..., then cap) and ends after the cap: box sizes
+    grow fourfold per doubling, so every box before the last costs at most
+    a third of the last one.  A reader that stops at height h has
+    enumerated no box above 2h.
+    """
+
+    def __init__(self, algebra: QuaternionAlgebra, order_kind: str, cap: int):
+        if order_kind == SATURATED and algebra.a % 4 != 1:
+            raise ValueError("2-saturated order needs a = 1 mod 4")
+        if cap < 1:
+            raise ValueError("bound must be >= 1")
+        self.algebra, self.scale, self.cap = algebra, _SCALE[order_kind], cap
+        self.reached = 0
+        self.units = []
+
+    def grow(self, B: int):
+        B = min(B, self.cap)
+        if B > self.reached:
+            self.units += _norm_one(self.algebra, B, self.scale, self.reached)
+            self.reached = B
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.units) or self.reached < self.cap:
+            if i == len(self.units):
+                self.grow(2 * self.reached or 1)
+                continue
+            yield self.units[i]
+            i += 1
+
+
+def _box(D: QuaternionAlgebra, order_kind: str, B: int) -> UnitSlice:
+    """A stream's prefix up to height B: one box, enumerated at once."""
+    stream = UnitStream(D, order_kind, B)
+    stream.grow(B)
+    return UnitSlice(D, B, tuple(stream.units))
 
 
 def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
     """All integral quaternions of reduced norm 1 with every |coordinate|
-    at most B."""
-    return _norm_one(D, B, 1)
+    at most B, in (height, coordinates) order."""
+    return _box(D, STANDARD, B)
 
 
 def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
     """Norm-one elements (u + vi + wj + zk)/2 of the 2-saturated order with
-    |u|,|v|,|w|,|z| <= 2B; a superset of the standard slice at bound B.
+    |u|,|v|,|w|,|z| <= 2B, in (height, coordinates) order; a superset of
+    the standard slice at bound B.
 
     Needs a = 1 mod 4, which is what makes the half-integral combinations
     close under multiplication.
     """
-    if D.a % 4 != 1:
-        raise ValueError("2-saturated order needs a = 1 mod 4")
-    return _norm_one(D, B, 2)
+    return _box(D, SATURATED, B)
 
 
-def reduce_units(slice_: UnitSlice, split: SplittingMap, k: int):
-    """Image of each slice element in SL2(Z/2^k) through the splitting.
+def reduce_units(units, split: SplittingMap, k: int):
+    """Image of each unit (a slice or any iterable) in SL2(Z/2^k) through
+    the splitting.
 
     The determinant-1 invariant is asserted per element by the
     ResidueMatrix constructor.
     """
     m = 2 ** k
-    return [ResidueMatrix(*split.residues(q, k), m) for q in slice_.elements]
+    return [ResidueMatrix(*split.residues(q, k), m) for q in units]
 
 
 def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
@@ -147,26 +206,45 @@ def images_surject(mats, k: int):
     return table.order == group_order(2, k), table
 
 
-def torsion_check(slice_: UnitSlice) -> dict:
-    """Finite-order search in the slice plus the algebra-level embedding
-    criterion for the slice's algebra.
+def closing_prefix(units, split: SplittingMap, k: int) -> list:
+    """The shortest prefix of units whose images generate SL2(Z/2^k), or
+    every unit when none does; one closure is grown as the units are read."""
+    read = []
 
-    In a division algebra a norm-one element has finite order iff its
-    reduced trace lies in {-2,-1,0,1,2}, and trace +-2 forces the element
-    to be +-1 (no nilpotents).  Traces -1, 0, 1 give orders 3 or 6, 4, 3.
+    def images():
+        for u in units:
+            read.append(u)
+            yield ResidueMatrix(*split.residues(u, k), 2**k)
+
+    closure(images(), stop=group_order(2, k))
+    return read
+
+
+def is_torsion(q) -> bool:
+    """Whether the norm-one q of a division algebra has finite order other
+    than 1 and 2.
+
+    Such a q has finite order iff its reduced trace lies in
+    {-2,-1,0,1,2}, and trace +-2 forces q = +-1 (no nilpotents).  Traces
+    -1, 0, 1 give orders 3 or 6, 4, 3.
+    """
+    t = q.trd()
+    if t in (-2, 2):
+        assert q in (q.algebra.one(), -q.algebra.one()), "non-central trace +-2 unit"
+    return -2 < t < 2
+
+
+def torsion_check(slice_: UnitSlice) -> dict:
+    """Finite-order search in the slice (see is_torsion) plus the
+    algebra-level embedding criterion for the slice's algebra.
+
     The embedding verdicts for sqrt(-1) and sqrt(-3) decide orders 4 and
     3/6 for the whole unit group, not just the slice.
     """
     D = slice_.algebra
     if not is_division(D):
         raise ValueError("torsion criterion needs a division algebra")
-    offenders = []
-    for q in slice_.elements:
-        t = q.trd()
-        if t in (-2, 2):
-            assert q in (D.one(), -D.one()), "non-central trace +-2 unit"
-        elif -2 < t < 2:
-            offenders.append(q.coords())
+    offenders = [q.coords() for q in slice_.elements if is_torsion(q)]
     return {
         "bound": slice_.bound,
         "slice_size": len(slice_),

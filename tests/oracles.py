@@ -113,18 +113,35 @@ def sl2_order_bruteforce(m: int) -> int:
     return total
 
 
-def brute_norm_one_box(a: int, b: int, B: int):
-    """All integral (x0,x1,x2,x3) in the closed box of radius B with
-    x0^2 - a x1^2 - b x2^2 + a b x3^2 = 1, by full 4-cube scan."""
+def box_height(c, s: int = 1) -> int:
+    """The least B >= 1 with every |c_i| <= sB, for numerators c over s."""
+    B = 1
+    while any(abs(t) > s * B for t in c):
+        B += 1
+    return B
+
+
+def height_order(found, s: int = 1):
+    """Numerator tuples over s in (height, coordinates) order."""
+    return sorted(found, key=lambda c: (box_height(c, s), c))
+
+
+def brute_norm_one_box(a: int, b: int, B: int, s: int = 1):
+    """All norm-one (x0 + x1 i + x2 j + x3 k)/s with integral numerators in
+    the closed box of radius sB, x0 = x1 and x2 = x3 mod s, by full 4-cube
+    scan: x0^2 - a x1^2 - b x2^2 + a b x3^2 = s^2.  The numerator tuples come
+    in (height, coordinates) order."""
     out = []
-    rng = range(-B, B + 1)
+    rng = range(-s * B, s * B + 1)
     for x0 in rng:
         for x1 in rng:
             for x2 in rng:
                 for x3 in rng:
-                    if x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3 == 1:
+                    if (x0 - x1) % s or (x2 - x3) % s:
+                        continue
+                    if x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3 == s * s:
                         out.append((x0, x1, x2, x3))
-    return sorted(out)
+    return height_order(out, s)
 
 
 def in_saturated_order(q) -> bool:
@@ -137,7 +154,8 @@ def in_saturated_order(q) -> bool:
 
 
 def norm_one_triple_loop(a: int, b: int, B: int, saturated: bool = False):
-    """Sorted norm-one coordinate tuples by the full (x1, x2, x3) scan.
+    """Norm-one coordinate tuples by the full (x1, x2, x3) scan, in
+    (height, coordinates) order.
 
     Standard order: integral (x0, x1, x2, x3) with every |coordinate| <= B.
     Saturated order: (u, v, w, z) standing for (u + vi + wj + zk)/2 with
@@ -161,7 +179,7 @@ def norm_one_triple_loop(a: int, b: int, B: int, saturated: bool = False):
                 found.append((x0, x1, x2, x3))
                 if x0:
                     found.append((-x0, x1, x2, x3))
-    return sorted(found)
+    return height_order(found, 2 if saturated else 1)
 
 
 def _p_val(n: int, p: int) -> int:

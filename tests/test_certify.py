@@ -294,9 +294,15 @@ def test_quaternionic_algebra_witness(quat_bundle):
     assert w["symbol_at_2"] == 1 and w["symbol_at_inf"] == 1 and w["division"]
     t = claim_by_id(quat_bundle, "quaternionic.torsion-free")["witness"]
     assert not t["embeds_sqrt_minus_1"] and not t["embeds_sqrt_minus_3"]
-    assert t["algebra_torsion_free"] and t["slice_torsion_free"]
+    assert t["algebra_torsion_free"] and t["finite_order_unit"] is None and t["height_reached"] == 0
     obs = claim_by_id(quat_bundle, "quaternionic.standard-order-obstruction")["witness"]
     assert obs["image_order_mod_2"] == 2 and obs["group_order_mod_2"] == 6
+    # the third standard unit, of height 5, has the second mod-2 image
+    assert obs["images"] == [
+        {"coords": ["-1/1", "0/1", "0/1", "0/1"], "matrix": [[1, 0], [0, 1]]},
+        {"coords": ["-5/1", "-1/1", "-1/1", "0/1"], "matrix": [[0, 1], [1, 0]]},
+    ]
+    assert obs["height_reached"] == 5
 
 
 def test_quaternionic_surjectivity_witness(quat_bundle):
@@ -420,34 +426,28 @@ def test_quaternionic_intersection_witness(quat_bundle):
 def test_quaternionic_nondiscrete_witness(quat_bundle):
     claim = claim_by_id(quat_bundle, "quaternionic.nondiscrete")
     w = claim["witness"]
-    # slice units 0 and 8 of the height-50 slice
-    assert w["units"] == [["-49/1", "-32/1", "-41/1", "-15/1"], ["-49/1", "-17/1", "-27/1", "-8/1"]]
-    assert w["trace"] == {"d": 17, "u": "-112783/4", "v": "31241/4"}
+    # the third standard unit, of height 5, paired with itself
+    assert w["units"] == [["-5/1", "-1/1", "-1/1", "0/1"]] * 2
+    assert w["trace"] == {"d": 17, "u": "343/4", "v": "0/1"}
+    assert w["height_reached"] == 5
     assert claim["notes"] == [certify.TRACE_NOTE]
 
 
 def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
-    # the scan stops in shell 8, so units 9 to 1009 are never read, and only
-    # the four basis elements are embedded, to build the trace form
+    # the scan stops in shell 2, at the third unit (height 5), so the stream
+    # enumerates no box above height 8 and holds 46 of the 1010 units of
+    # height at most 50; only the four basis elements are embedded, to
+    # build the trace form
     cfg = load_config()
     algebra = QuaternionAlgebra(17, 7)
-    slice_std = units.enumerate_units(algebra, cfg.unit_height)
-    read = []
-
-    class Recorded(tuple):
-        def __iter__(self):
-            for k, u in enumerate(tuple.__iter__(self)):
-                read.append(k)
-                yield u
-
+    stream = units.UnitStream(algebra, units.STANDARD, cfg.unit_height)
     embedded = set()
     embed = fuchsian.real_embed
     monkeypatch.setattr(fuchsian, "real_embed", lambda u: embedded.add(u.coords()) or embed(u))
-    recorded_slice = units.UnitSlice(algebra, cfg.unit_height, Recorded(slice_std.elements))
-    claim = certify._nondiscrete_stage(cfg, algebra, recorded_slice)
+    claim = certify._nondiscrete_stage(cfg, algebra, stream)
     assert claim.verdict == VERIFIED
-    assert claim.witness["units"][1] == [frac_str(c) for c in slice_std.elements[8].coords()]
-    assert (max(read), len(slice_std)) == (8, 1010)
+    assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2].coords()]] * 2
+    assert (stream.reached, len(stream.units)) == (8, 46)
     assert embedded == {tuple(int(k == m) for k in range(4)) for m in range(4)}
 
 
@@ -629,7 +629,7 @@ def test_units_bundles():
     b = certify.run_units(load_config(None, ["unit_height=20", "order_kind=standard"]))
     w = b["claims"][0]["witness"]
     assert w["count"] == 174
-    assert w["first_elements"][0] == ["-19/1", "-8/1", "-7/1", "-3/1"]
+    assert w["first_elements"][:3] == [["-1/1", "0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1", "0/1"], ["-5/1", "-1/1", "-1/1", "0/1"]]
 
 
 def test_intersect_bundles():
@@ -849,9 +849,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # file name -> (pipeline, overrides, exit code): the README examples, each
 # pipeline's default and pins for the branches the shared certificate code
-# takes.  Regenerate one file with
-#   PYTHONPATH=src python -m covercert.cli PIPELINE --set KEY=VALUE ... --out tests/golden/NAME.json
-# and say in CHANGES.md why its bytes changed.
+# takes.  Regenerate files from this table with
+#   PYTHONPATH=src python tests/regen_golden.py [NAME ...]
+# and say in CHANGES.md why their bytes changed.
 GOLDEN = {
     "dihedral": ("dihedral", [], 0),
     "dihedral-a-3-5": ("dihedral", ["a=3/5"], 0),
@@ -900,27 +900,115 @@ def test_units_reverify_checks_torsion_flags():
         assert _reverify_by_id(parsed)["units.slice"] == expected
 
 
-def test_torsion_reverify_enumerates_only_when_the_algebra_admits_torsion(monkeypatch):
-    # (17, 7) admits neither sqrt(-1) nor sqrt(-3): the flags decide the claim
-    parsed = json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["k_max=2", "unit_height=6"]))))
+# -- unit stages read their streams only up to their witness ----------------
 
+UNIT_STAGES = (
+    "quaternionic.torsion-free",
+    "quaternionic.standard-order-obstruction",
+    "quaternionic.congruence-surjectivity",
+    "quaternionic.nondiscrete",
+)
+
+
+def _tampered(bundle, cid, edit):
+    parsed = json.loads(render_bundle(bundle))
+    edit(claim_by_id(parsed, cid)["witness"])
+    return _reverify_by_id(parsed)[cid]
+
+
+@pytest.fixture(scope="module")
+def torsion_bundle():
+    # (17, 21) admits sqrt(-1): the scan stops at a unit of order 4
+    return certify.run_quaternionic(load_config(None, ["b=21", "k_max=2", "unit_height=6"]))
+
+
+def test_unit_stages_stop_at_their_witness(quat_bundle):
+    bundle = certify.run_quaternionic(load_config(None, ["unit_height=1000"]))
+    assert [(c["id"], c["verdict"]) for c in bundle["claims"]] == [(c["id"], c["verdict"]) for c in quat_bundle["claims"]]
+    reached = {cid: claim_by_id(bundle, cid)["witness"]["height_reached"] for cid in UNIT_STAGES}
+    assert reached == {
+        "quaternionic.torsion-free": 0,
+        "quaternionic.standard-order-obstruction": 5,
+        "quaternionic.congruence-surjectivity": 2,
+        "quaternionic.nondiscrete": 5,
+    }
+    # (-1, -1) admits sqrt(-1); the torsion scan stops at -i, of height 1
+    stream = units.UnitStream(QuaternionAlgebra(-1, -1), units.STANDARD, 1000)
+    assert next(q for q in stream if units.is_torsion(q)).coords() == (0, -1, 0, 0)
+    assert stream.reached == 1
+
+
+@pytest.mark.parametrize("height", [1, 2, 4, 5])
+def test_capped_unit_stages_match_the_exhaustive_slice(height):
+    # a stage that reaches the cap reports what the whole slice gives
+    D = QuaternionAlgebra(17, 7)
+    bundle = certify.run_quaternionic(load_config(None, ["k_max=2", f"unit_height={height}"]))
+    obs = claim_by_id(bundle, "quaternionic.standard-order-obstruction")["witness"]
+    _, table = units.surjects_at_level(units.enumerate_units(D, height), 1)
+    assert obs["image_order_mod_2"] == table.order
+    assert obs["height_reached"] == min(height, 5)
+    surj = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
+    full, _ = units.surjects_at_level(units.enumerate_units_saturated(D, height), 2)
+    assert (surj["verdict"] == VERIFIED) == full
+    assert full or surj["witness"]["height_reached"] == height
+
+
+def test_unit_stage_reverifiers_enumerate_nothing(monkeypatch, quat_bundle, torsion_bundle):
     def no_enumeration(*args):
         raise RuntimeError("a unit slice was enumerated")
 
-    with monkeypatch.context() as m:
-        m.setattr(certify, "enumerate_units", no_enumeration)
-        assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (True, None)
-        claim_by_id(parsed, "quaternionic.torsion-free")["witness"]["finite_order_in_slice"] = [["0/1", "1/1", "0/1", "0/1"]]
-        reason = "a finite-order unit is recorded in a torsion-free algebra"
-        assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (False, reason)
+    for module, name in ((units, "_norm_one"), (units, "enumerate_units"), (certify, "enumerate_units"),
+                         (units, "enumerate_units_saturated"), (certify, "enumerate_units_saturated")):
+        monkeypatch.setattr(module, name, no_enumeration)
+    for bundle in (quat_bundle, torsion_bundle):
+        results = _reverify_by_id(json.loads(render_bundle(bundle)))
+        assert all(results[cid] == (True, None) for cid in UNIT_STAGES)
 
-    # (17, 3) admits sqrt(-3), so the slice is scanned again
-    bundle = certify.run_quaternionic(load_config(None, ["b=3", "k_max=2", "unit_height=6"]))
-    claim = claim_by_id(bundle, "quaternionic.torsion-free")
-    assert claim["verdict"] == REFUTED and claim["witness"]["embeds_sqrt_minus_3"]
-    parsed = json.loads(render_bundle(bundle))
-    assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (True, None)
-    w = claim_by_id(parsed, "quaternionic.torsion-free")["witness"]
-    w["slice_torsion_free"] = not w["slice_torsion_free"]
-    reason = "recorded slice_torsion_free differs from the computed value"
-    assert _reverify_by_id(parsed)["quaternionic.torsion-free"] == (False, reason)
+
+def test_torsion_reverify_checks_the_recorded_unit(torsion_bundle, quat_bundle):
+    cid = "quaternionic.torsion-free"
+    claim = claim_by_id(torsion_bundle, cid)
+    assert claim["verdict"] == REFUTED and claim["witness"]["embeds_sqrt_minus_1"]
+    assert claim["witness"]["finite_order_unit"] == ["0/1", "-4/1", "-2/1", "-1/1"]
+    assert claim["witness"]["height_reached"] == 4
+
+    def record(coords):
+        return lambda w: w.update(finite_order_unit=coords)
+
+    reason = "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one standard-order element"
+    assert _tampered(torsion_bundle, cid, record(["2/1", "0/1", "0/1", "0/1"])) == (False, reason)
+    reason = "recorded unit ['-1/1', '0/1', '0/1', '0/1'] has trace -2, not -1, 0 or 1"
+    assert _tampered(torsion_bundle, cid, record(["-1/1", "0/1", "0/1", "0/1"])) == (False, reason)
+    reason = "recorded embeds_sqrt_minus_1 differs from the computed value"
+    assert _tampered(torsion_bundle, cid, lambda w: w.update(embeds_sqrt_minus_1=False)) == (False, reason)
+    # (17, 7) admits neither sqrt(-1) nor sqrt(-3): no unit may be recorded
+    reason = "a finite-order unit is recorded in a torsion-free algebra"
+    assert _tampered(quat_bundle, cid, record(["0/1", "1/1", "0/1", "0/1"])) == (False, reason)
+
+
+def test_obstruction_reverify_checks_the_recorded_images(quat_bundle):
+    cid = "quaternionic.standard-order-obstruction"
+
+    def image(matrix):
+        return lambda w: w["images"][1].update(matrix=matrix)
+
+    assert _tampered(quat_bundle, cid, lambda w: None) == (True, None)
+    reason = "mod-2 image [[1, 1], [0, 1]] is not of the form [[x, y], [b y, x]]"
+    assert _tampered(quat_bundle, cid, image([[1, 1], [0, 1]])) == (False, reason)
+    reason = "recorded mod-2 image of ['-5/1', '-1/1', '-1/1', '0/1'] differs from its reduction"
+    assert _tampered(quat_bundle, cid, image([[1, 0], [0, 1]])) == (False, reason)
+    reason = "recorded image order mod 2 differs"
+    assert _tampered(quat_bundle, cid, lambda w: w.update(image_order_mod_2=6)) == (False, reason)
+    reason = "unit ['-5/1', '-1/1', '-1/1', '1/1'] is not a norm-one standard-order element"
+    assert _tampered(quat_bundle, cid, lambda w: w["images"][1].update(coords=["-5/1", "-1/1", "-1/1", "1/1"])) == (False, reason)
+    reason = "two recorded units share a mod-2 image"
+    assert _tampered(quat_bundle, cid, lambda w: w["images"].append(w["images"][0])) == (False, reason)
+
+
+@pytest.mark.parametrize("cid", UNIT_STAGES)
+def test_height_reached_is_checked(quat_bundle, cid):
+    reason = "height_reached 51 is above unit_height 50"
+    assert _tampered(quat_bundle, cid, lambda w: w.update(height_reached=51)) == (False, reason)
+    if cid != "quaternionic.torsion-free":  # it records no unit here
+        low = _tampered(quat_bundle, cid, lambda w: w.update(height_reached=1))
+        assert not low[0] and low[1].endswith("lies above height_reached 1")

@@ -161,16 +161,16 @@ def test_jorgensen_quaternionic_violation_frozen():
 
 
 def test_jorgensen_pair_and_trace_witness_agree():
-    # the half shift violates the inequality with unit 158 of the height-50
-    # slice; the trace search certifies the same h at shell 8
+    # the half shift violates the inequality with unit 420 of the height-50
+    # slice; the trace search certifies the same h at shell 2
     H = lift_rational_matrix(HALF_SHIFT, 17)
     units = enumerate_units(ALG, 50).elements
-    assert units[158].coords() == (-29, -7, -33, -8)
-    rep = jorgensen_violation(WordElement.seed("h", H), WordElement.seed("u", real_embed(units[158])))
+    assert units[420].coords() == (-29, -7, -33, -8)
+    rep = jorgensen_violation(WordElement.seed("h", H), WordElement.seed("u", real_embed(units[420])))
     assert rep.verdict == VIOLATION
     i, j, t = find_nonintegral_trace(H, units)
-    assert (i, j) == (0, 8)
-    assert t == pair_trace(H, units[0], units[8]) == quad(17, Fraction(-112783, 4), Fraction(31241, 4))
+    assert (i, j) == (2, 2)
+    assert t == pair_trace(H, units[2], units[2]) == quad(17, Fraction(343, 4))
     assert not is_algebraic_integer(t)
 
 

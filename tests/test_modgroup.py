@@ -70,6 +70,22 @@ def test_closure_idempotent_and_lagrange():
         assert G.order % H.order == 0
 
 
+def test_closure_reads_generators_lazily_up_to_stop():
+    read = []
+    gens = [ResidueMatrix(1, 1, 0, 1, 2), ResidueMatrix(1, 0, 1, 1, 2), ResidueMatrix(0, 1, 1, 0, 2)]
+
+    def lazy():
+        for g in gens:
+            read.append(g)
+            yield g
+
+    table = closure(lazy(), stop=6)
+    assert table.order == 6 and read == gens[:2]
+    assert closure(iter(gens)).element_set == table.element_set
+    with pytest.raises(ValueError):
+        closure(iter(()))
+
+
 def test_closure_deterministic():
     gens = [ResidueMatrix(1, 1, 0, 1, 4), ResidueMatrix(1, 0, 1, 1, 4)]
     a = closure(gens)

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercert.modgroup import ResidueMatrix, enumerate_group
 from covercert.quatalg import QuaternionAlgebra, split_2adic
-from covercert.units import (enumerate_units, enumerate_units_saturated,
+from covercert.units import (SATURATED, STANDARD, UnitStream, closing_prefix,
+                             enumerate_units, enumerate_units_saturated,
                              find_example_algebra, images_surject,
                              reduce_units, surjects_at_level, torsion_check)
 
-from oracles import brute_norm_one_box, in_saturated_order, norm_one_triple_loop
+from oracles import (box_height, brute_norm_one_box, in_saturated_order,
+                     norm_one_triple_loop)
 
 D17 = QuaternionAlgebra(17, 7)
 
@@ -51,6 +55,55 @@ def test_enumerators_match_the_triple_loop(ab, B, saturated):
         got = [tuple(int(c) for c in q.coords()) for q in enumerate_units(D, B).elements]
     assert got == norm_one_triple_loop(*ab, B, saturated)
     assert len(got) > 2
+
+
+# (a, b) with a = 1 mod 4 also carry the 2-saturated order
+_STREAM_CASES = st.one_of(
+    st.tuples(st.sampled_from([(17, 7), (-1, -1), (2, 3), (3, -5), (17, -3)]), st.just(1)),
+    st.tuples(st.sampled_from([(17, 7), (5, -7), (13, -5), (-3, 5)]), st.sampled_from([1, 2])),
+)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_STREAM_CASES, st.integers(1, 10), st.integers(1, 10))
+def test_stream_prefix_matches_the_box_oracle(case, B, first):
+    # read the stream lazily (boxes 1, 2, 4, ...) up to height `first`,
+    # then grow it to B: its prefixes up to both heights are the four-cube
+    # scan's units in (height, coordinates) order, and growing the stream
+    # moves nothing already read
+    ab, s = case
+    stream = UnitStream(QuaternionAlgebra(*ab), SATURATED if s == 2 else STANDARD, 10)
+    want = brute_norm_one_box(*ab, max(B, first), s)
+
+    def numerators(q):
+        return tuple(int(s * c) for c in q.coords())
+
+    read = []
+    for q in stream:
+        if box_height(numerators(q), s) > first:
+            break
+        read.append(q)
+    assert [numerators(q) for q in read] == [c for c in want if box_height(c, s) <= first]
+    stream.grow(B)
+    got = [numerators(q) for q in stream.units if box_height(numerators(q), s) <= B]
+    assert len(set(got)) == len(got)
+    assert got == [c for c in want if box_height(c, s) <= B]
+    assert stream.units[: len(read)] == read
+
+
+@pytest.mark.parametrize("k, length", [(1, 4), (2, 5), (3, 5)])
+def test_closing_prefix_is_the_shortest(k, length):
+    # five saturated units, all of height at most 2, generate SL2(Z/8)
+    split = split_2adic(D17)
+    stream = UnitStream(D17, SATURATED, 50)
+    prefix = closing_prefix(stream, split, k)
+    assert len(prefix) == length and stream.reached == 2
+    group = enumerate_group(2, k).element_set
+    assert images_surject(reduce_units(prefix, split, k), k)[1].element_set == group
+    assert not images_surject(reduce_units(prefix[:-1], split, k), k)[0]
+    # the standard order never closes mod 2: the whole stream is read
+    standard = UnitStream(D17, STANDARD, 6)
+    assert closing_prefix(standard, split, 1) == list(enumerate_units(D17, 6).elements)
 
 
 def test_slice_17_7():
