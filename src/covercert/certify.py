@@ -396,6 +396,27 @@ def _invariant_json(f):
     }
 
 
+JOINT_SEARCH_METHOD = "complete search for joint semi-invariant ratios up to the degree bound"
+JOINT_ORDER_METHOD = (
+    "order bound, no search: a group fixing a nonconstant function has order at most its degree, "
+    "and the commutator has infinite order"
+)
+JOINT_ORDER_NOTE = (
+    "a nonconstant f = P/Q fixed by a group G of Mobius maps bounds |G| by deg f: G acts faithfully on Q(x) fixing "
+    "Q(f), and [Q(x) : Q(f)] = deg f, x being a root of P(T) - f Q(T) (the degree formula behind Luroth's theorem); "
+    "the commutator has infinite order, so the two involutions generate an infinite group and their fixed fields "
+    "meet in the constants in every degree"
+)
+
+
+def _joint_method(gens) -> str:
+    """How the joint claim for the two involutions gens is decided, in the
+    pipeline and in re-verification alike: by the order bound of
+    JOINT_ORDER_NOTE when their commutator has infinite order (every
+    a != +-1), else by a complete search up to the degree bound."""
+    return JOINT_ORDER_METHOD if finite_order(commutator(*gens)) == INFINITE_ORDER else JOINT_SEARCH_METHOD
+
+
 def run_dihedral(cfg: RunConfig) -> dict:
     a = cfg.a
     sigma = MobiusMap.sigma()
@@ -449,22 +470,24 @@ def run_dihedral(cfg: RunConfig) -> dict:
             )
         )
 
-    # (4) no joint invariant up to the degree bound
-    joint = invariant_search((sigma, sigma_a), cfg.invariant_degree)
+    # (4) no joint invariant: the commutator's order rules out every degree
+    # at once, and only the finite groups at a = +-1 are searched
+    gens = (sigma, sigma_a)
+    method = _joint_method(gens)
+    joint, rests_on, notes = [], ("dihedral.commutator-order",), (JOINT_ORDER_NOTE,)
+    if method == JOINT_SEARCH_METHOD:
+        joint, rests_on, notes = invariant_search(gens, cfg.invariant_degree), (), ()
+        if joint:
+            notes = ("the two fixed fields share a nonconstant function; their intersection is larger than the constants",)
     claims.append(
         Certificate(
             claim="dihedral.invariant-intersection",
             verdict=VERIFIED if not joint else REFUTED,
-            method="complete search for joint semi-invariant ratios up to the degree bound",
+            method=method,
             inputs={"a": frac_str(a), "degree_bound": cfg.invariant_degree},
             witness={"joint_invariants": [_invariant_json(f) for f in joint]},
-            depends_on=(
-                "dihedral.invariant-field-index.sigma",
-                "dihedral.invariant-field-index.sigma-a",
-            ),
-            notes=()
-            if not joint
-            else ("the two fixed fields share a nonconstant function; their intersection is larger than the constants",),
+            depends_on=rests_on + ("dihedral.invariant-field-index.sigma", "dihedral.invariant-field-index.sigma-a"),
+            notes=notes,
         )
     )
 
@@ -513,20 +536,25 @@ LIFT_NOTES = (
 )
 
 
-def _surjectivity_levels(cfg: RunConfig, read) -> list:
-    """Stage 4's level entries for the saturated units read (a slice or a
-    stream's prefix).  Levels up to BASE_LEVEL close the images of the
-    units read and record the units the closure used; the first level that
+def _surjectivity_levels(cfg: RunConfig, read, top_table) -> list:
+    """Stage 4's level entries for the saturated units read, with
+    top_table the closure of their images at the top closed level
+    min(k_max, BASE_LEVEL), as closing_prefix returns them.  Levels up to
+    BASE_LEVEL close the images of the units read (the top one reuses
+    top_table) and record the units the closure used; the first level that
     fails ends the list.  Each level above it records kernel words in the
     base level's units and the power that carries them into its layer."""
-    read = list(read)
     split = split_2adic(read[0].algebra)
-    top = reduce_units(read, split, min(cfg.k_max, BASE_LEVEL))
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    top = reduce_units(read, split, k_top)
     levels = []
     # a lifted level needs the base level below it, even under k_min
-    for k in range(min(cfg.k_min, BASE_LEVEL), min(cfg.k_max, BASE_LEVEL) + 1):
+    for k in range(min(cfg.k_min, BASE_LEVEL), k_top + 1):
         reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
-        flag, table = images_surject(reduced, k)
+        if k == k_top:  # closing_prefix has closed this level already
+            flag, table = top_table.order == group_order(2, k), top_table
+        else:
+            flag, table = images_surject(reduced, k)
         units = [read[reduced.index(g)] for g in table.generators]
         levels.append(
             {
@@ -784,8 +812,8 @@ def run_quaternionic(cfg: RunConfig) -> dict:
         blocked("quaternionic.congruence-surjectivity", BASE_METHOD)
     else:
         sat = UnitStream(algebra, SATURATED, cfg.unit_height)
-        read = closing_prefix(sat, split_2adic(algebra), min(cfg.k_max, BASE_LEVEL))
-        levels = _surjectivity_levels(cfg, read)
+        read, table = closing_prefix(sat, split_2adic(algebra), min(cfg.k_max, BASE_LEVEL))
+        levels = _surjectivity_levels(cfg, read, table)
         all_ok = all(entry["surjects"] for entry in levels)
         notes = (BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES
         claims.append(
@@ -1083,23 +1111,23 @@ def _rv_invariant_index(claim, bundle):
 
 
 def _rv_invariant_intersection(claim, bundle):
-    """A refuted claim is checked by substitution: each recorded joint
-    invariant is nonconstant, within the degree bound and fixed by both
-    involutions.  A nonconstant f = P/Q fixed by a group G of Mobius maps
-    bounds |G| by deg f: G acts faithfully on Q(x) fixing Q(f), and x has
-    degree deg f over Q(f), with minimal polynomial P(T) - f Q(T).  So when
-    the commutator of the two involutions has infinite order, no degree
-    holds a joint invariant, and a verified claim must record none; that
-    needs no search.  Only a verified claim at a = +-1, where the commutator
-    is the identity, repeats the search."""
+    """The claim must rest on the rule _joint_method picks.  A refuted
+    claim is checked by substitution: each recorded joint invariant is
+    nonconstant, within the degree bound and fixed by both involutions.  A
+    verified claim decided by the commutator's infinite order must record
+    no joint invariant, which needs no search (JOINT_ORDER_NOTE).  Only a
+    verified claim at a = +-1, where the group is finite, repeats the
+    search."""
     a = parse_frac(claim["inputs"]["a"])
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
     recorded = claim["witness"]["joint_invariants"]
     bound = claim["inputs"]["degree_bound"]
+    method = _joint_method(gens)
+    _expect(claim["method"] == method, "recorded method is not the rule the commutator's order calls for")
     if claim["verdict"] != VERIFIED:
         _expect(recorded, "a refuted claim records no joint invariant")
         _expect_invariants(recorded, gens, bound)
-    elif finite_order(commutator(*gens)) == INFINITE_ORDER:
+    elif method == JOINT_ORDER_METHOD:
         _expect(not recorded, "a joint invariant is recorded, but the commutator has infinite order")
     else:
         _expect(not recorded and not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")

@@ -177,8 +177,11 @@ def find_nonintegral_trace(H, units):
     first = next(units, None)
     if first is None:
         return NOT_FOUND
-    basis = [first.algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
-    form = [pair_trace(H, e, f) for e in basis for f in basis]  # entry 4a + b pairs e_a with e_b
+    basis = [real_embed(first.algebra.element(*(int(k == m) for k in range(4)))) for m in range(4)]
+    H_inv = mat_scale(mat_det(H).inverse(), mat_adj(H))
+    conjugates = [mat_mul(mat_mul(H, E), H_inv) for E in basis]  # H E(e_b) H^-1, formed once per b
+    # entry 4a + b is pair_trace(H, e_a, e_b) = tr(E(e_a) C_b), read off the entries of E(e_a) and C_b
+    form = [sum(E[r][c] * C[c][r] for r in range(2) for c in range(2)) for E in basis for C in conjugates]
     if all(is_algebraic_integer(t) for t in form):
         return NOT_FOUND
     d, D = form[0].d, 1

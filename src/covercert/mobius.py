@@ -330,8 +330,3 @@ def _fixed_by(func: InvariantFunction, space: BinaryFormSpace) -> bool:
         if _poly_mul(UP, Q) != _poly_mul(P, UQ):
             return False
     return True
-
-
-def is_invariant(func: InvariantFunction, generators) -> bool:
-    """Exact identity P(gv)Q(v) = P(v)Q(gv) for every generator."""
-    return _fixed_by(func, BinaryFormSpace.build(tuple(generators), func.degree))

@@ -20,10 +20,11 @@ decides which order it works on in one place.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .modgroup import ResidueMatrix, closure, group_order
-from .quatalg import (INF, QuaternionAlgebra, SplittingMap,
+from .quatalg import (INF, Quaternion, QuaternionAlgebra, SplittingMap,
                       is_division, is_square_padic, quadratic_embeds,
                       ramified_places, split_2adic)
 from .util import is_perfect_square
@@ -69,34 +70,36 @@ def height(q) -> int:
     return max(-(-abs(c.numerator) // c.denominator) for c in q.coords())
 
 
+def _signs(x: int) -> tuple:
+    return (x, -x) if x else (0,)
+
+
 def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     """The norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
     height lies in (above, B], in (height, coordinates) order.  Solves
-    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the (v, w) grid of the box
-    |coordinate| <= sB, with |z| in the band that leaves u^2 in [0, (sB)^2]."""
+    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the quadrant v, w >= 0 of the
+    box |coordinate| <= sB, with z >= 0 in the band that leaves u^2 in
+    [0, (sB)^2], and then expands the signs: the norm and both parity
+    tests see only squares and residues mod s <= 2."""
     a, b = _require_integral_constants(D)
     H, ab = s * B, a * b
     found = []
-    for v in range(-H, H + 1):
+    for v in range(H + 1):
         t1 = s * s + a * v * v
-        for w in range(-H, H + 1):
+        for w in range(H + 1):
             t2 = t1 + b * w * w
-            for r in _band(t2, ab, H, H):
-                if s > 1 and (r - w) % s:
+            for z in _band(t2, ab, H, H):
+                if s > 1 and (z - w) % s:
                     continue  # z = w mod s (s = 1 skips this hot test)
-                rhs = t2 - ab * r * r
+                rhs = t2 - ab * z * z
                 u = isqrt(rhs)
                 if u * u == rhs and (u - v) % s == 0:
-                    for z in (r, -r) if r else (0,):
-                        found.append((u, v, w, z))
-                        if u:
-                            found.append((-u, v, w, z))
+                    found.append((u, v, w, z))
     # the height of the numerators c is ceil(max |c| / s)
-    keyed = sorted((-(-max(map(abs, c)) // s), c) for c in found)
-    found = [c for h, c in keyed if h > above]
-    if s > 1:
-        found = ((Fraction(t, s) for t in c) for c in found)
-    return tuple(D.element(*c) for c in found)
+    keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
+    # each coordinate value becomes a Fraction once, not once per unit
+    value = [Fraction(t, s) for t in range(-H, H + 1)]
+    return tuple(Quaternion(D, *(value[t + H] for t in c)) for h, c in keyed if h > above)
 
 
 _SCALE = {STANDARD: 1, SATURATED: 2}
@@ -206,9 +209,10 @@ def images_surject(mats, k: int):
     return table.order == group_order(2, k), table
 
 
-def closing_prefix(units, split: SplittingMap, k: int) -> list:
+def closing_prefix(units, split: SplittingMap, k: int):
     """The shortest prefix of units whose images generate SL2(Z/2^k), or
-    every unit when none does; one closure is grown as the units are read."""
+    every unit when none does, with the closure of its images; one closure
+    is grown as the units are read.  Returns (prefix, table)."""
     read = []
 
     def images():
@@ -216,8 +220,8 @@ def closing_prefix(units, split: SplittingMap, k: int) -> list:
             read.append(u)
             yield ResidueMatrix(*split.residues(u, k), 2**k)
 
-    closure(images(), stop=group_order(2, k))
-    return read
+    table = closure(images(), stop=group_order(2, k))
+    return read, table
 
 
 def is_torsion(q) -> bool:

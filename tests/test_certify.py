@@ -1,6 +1,7 @@
 """Bundle pipelines: configuration, serialization, verdicts, re-verification,
 and the command line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercert import certify, fuchsian, modgroup, units
+from covercert import certify, fuchsian, mobius, modgroup, units
 from covercert.certify import (
     ASSUMPTION,
     REFUTED,
@@ -216,17 +217,63 @@ def _count_invariant_searches(monkeypatch):
 def test_joint_invariant_reverify_does_not_search_an_infinite_group(monkeypatch, overrides):
     calls = _count_invariant_searches(monkeypatch)
     bundle = certify.run_dihedral(load_config(None, overrides))
-    # the pipeline's own searches: one per involution and the joint one;
-    # its in-process re-verification adds none
-    assert len(calls) == 3
+    # the pipeline's own searches: one per involution and no joint one; its
+    # in-process re-verification adds none
+    assert len(calls) == 2
     parsed = json.loads(render_bundle(bundle))
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
-    assert len(calls) == 3
+    assert len(calls) == 2
     # a joint invariant inserted into the verified claim is caught
     inv = claim_by_id(parsed, "dihedral.invariant-field-index.sigma")["witness"]["invariants"][0]
     claim_by_id(parsed, "dihedral.invariant-intersection")["witness"]["joint_invariants"].append(inv)
     reason = "a joint invariant is recorded, but the commutator has infinite order"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+    # so is a claim that says it searched
+    claim_by_id(parsed, "dihedral.invariant-intersection")["method"] = certify.JOINT_SEARCH_METHOD
+    reason = "recorded method is not the rule the commutator's order calls for"
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(lambda a: a not in (0, 1, -1)),
+    st.integers(1, 1000),
+)
+def test_infinite_group_joint_claim_needs_no_search(a, degree):
+    # every a other than 0 and +-1 gives a commutator x -> x / a^2 of
+    # infinite order: the joint claim is verified at any degree bound with
+    # no joint search, and the bundle re-verifies
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_invariant_searches(mp)
+        bundle = certify.run_dihedral(load_config(None, [f"a={a}", f"invariant_degree={degree}"]))
+    assert [len(gens) for gens, _ in calls] == [1, 1]  # one per involution, none joint
+    claim = claim_by_id(bundle, "dihedral.invariant-intersection")
+    assert claim["verdict"] == VERIFIED and claim["witness"] == {"joint_invariants": []}
+    assert claim["method"] == certify.JOINT_ORDER_METHOD
+    assert claim["depends_on"][0] == "dihedral.commutator-order"
+    assert claim_by_id(bundle, "dihedral.commutator-order")["verdict"] == VERIFIED
+    assert all(ok for _, ok, _ in reverify_bundle(json.loads(render_bundle(bundle))))
+    # the independent oracle: a complete search finds nothing either
+    assert mobius.invariant_search((mobius.MobiusMap.sigma(), mobius.MobiusMap.sigma_a(a)), 6) == []
+
+
+# sha256 of the a = +-1 bundles, whose finite groups are decided by the
+# complete search: a refuted claim at a = 1, and at a = -1 (the Klein four
+# group, first joint invariant in degree 4) a verified and a refuted one
+_FINITE_GROUP_BUNDLES = {
+    ("a=1",): "7f9afdcda98a9b247338f4eb73e9ba7334819b2e8d8219c65d3cf4bb26cf35b7",
+    ("a=-1", "invariant_degree=3"): "1063a5969af1c7b45eb27a3158bbfcdaa59025caaf846770bfba7661cb0288aa",
+    ("a=-1", "invariant_degree=4"): "e0b2fa0ea472fd09b4710723fe3da1d2d8b9754d3f8e369503272efecbb07fc0",
+}
+
+
+@pytest.mark.parametrize("overrides, verdict", [(("a=1",), REFUTED), (("a=-1", "invariant_degree=3"), VERIFIED),
+                                                (("a=-1", "invariant_degree=4"), REFUTED)])
+def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
+    bundle = certify.run_dihedral(load_config(None, list(overrides)))
+    claim = claim_by_id(bundle, "dihedral.invariant-intersection")
+    assert claim["verdict"] == verdict and claim["method"] == certify.JOINT_SEARCH_METHOD
+    assert hashlib.sha256(render_bundle(bundle).encode("utf-8")).hexdigest() == _FINITE_GROUP_BUNDLES[overrides]
 
 
 def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
@@ -333,8 +380,8 @@ def test_layer_witness_matches_full_closure(height):
     # same image order at every recorded level; height 1 fails at level 1
     D = QuaternionAlgebra(17, 7)
     slice_ = units.enumerate_units_saturated(D, height)
-    levels = certify._surjectivity_levels(load_config(None, ["k_max=5"]), slice_)
     split = split_2adic(D)
+    levels = certify._surjectivity_levels(load_config(None, ["k_max=5"]), *units.closing_prefix(slice_, split, 3))
     oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]

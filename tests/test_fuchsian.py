@@ -174,6 +174,24 @@ def test_jorgensen_pair_and_trace_witness_agree():
     assert not is_algebraic_integer(t)
 
 
+@pytest.mark.parametrize("H", [
+    lift_rational_matrix(HALF_SHIFT, 17),
+    lift_rational_matrix([[2, 0], [0, 1]], 17),
+    lift_rational_matrix([[3, 1], [Fraction(1, 4), 5]], 17),
+    real_embed(ALG.element(Fraction(3, 2), Fraction(1, 2), 0, 0)),
+    real_embed(ALG.element(Fraction(3, 2), Fraction(1, 2), 1, 0)),
+])
+def test_trace_form_agrees_with_pair_trace(H):
+    # the search reads its traces off a form built from four conjugates;
+    # pair_trace multiplies each pair out, shell by shell, as the oracle
+    units = enumerate_units(ALG, 6).elements
+    i, j, t = find_nonintegral_trace(H, units)
+    assert t == pair_trace(H, units[i], units[j]) and not is_algebraic_integer(t)
+    shells = [p for n in range(max(i, j) + 1) for p in [(k, n) for k in range(n + 1)] + [(n, k) for k in range(n)]]
+    earlier = shells[: shells.index((i, j))]
+    assert all(is_algebraic_integer(pair_trace(H, units[a], units[b])) for a, b in earlier)
+
+
 def test_algebraic_integer_test():
     assert is_algebraic_integer(quad(17, Fraction(1, 2), Fraction(1, 2)))  # 17 = 1 mod 4
     assert is_algebraic_integer(quad(17, 3, -2))

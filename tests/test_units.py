@@ -96,14 +96,17 @@ def test_closing_prefix_is_the_shortest(k, length):
     # five saturated units, all of height at most 2, generate SL2(Z/8)
     split = split_2adic(D17)
     stream = UnitStream(D17, SATURATED, 50)
-    prefix = closing_prefix(stream, split, k)
+    prefix, table = closing_prefix(stream, split, k)
     assert len(prefix) == length and stream.reached == 2
     group = enumerate_group(2, k).element_set
-    assert images_surject(reduce_units(prefix, split, k), k)[1].element_set == group
+    assert images_surject(reduce_units(prefix, split, k), k)[1] == table
+    assert table.element_set == group
     assert not images_surject(reduce_units(prefix[:-1], split, k), k)[0]
     # the standard order never closes mod 2: the whole stream is read
     standard = UnitStream(D17, STANDARD, 6)
-    assert closing_prefix(standard, split, 1) == list(enumerate_units(D17, 6).elements)
+    prefix, table = closing_prefix(standard, split, 1)
+    assert prefix == list(enumerate_units(D17, 6).elements)
+    assert images_surject(reduce_units(prefix, split, 1), 1)[1] == table
 
 
 def test_slice_17_7():
