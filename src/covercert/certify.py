@@ -10,9 +10,17 @@ the bundle alone.  Verdicts come from a fixed four-word vocabulary:
   not-found              a search exhausted its budget without a witness
   assumption             context recorded without a computation
 
-A stage that is not verified invalidates the stages after it; those are
-still listed (verdict "assumption", with a note saying why they did not
-run) so the bundle always shows the full stage plan.
+Each claim id has one rule, in the table at the end of this module, that
+decides its verdict from its witness: no witness gives not-found, and
+otherwise the verdict is verified when the rule holds and
+refuted-at-this-level when it does not.  Re-verification applies the same
+rule.  Only context and stages that did not run are assumptions.
+
+A quaternionic stage that later stages rest on (the 2-adic square, the
+algebra, torsion-freeness, congruence surjectivity) stops the run when it
+is not verified; the obstruction and index stages stop nothing.  The
+stages that did not run are still listed (verdict "assumption", with a
+note saying why) so the bundle always shows the full stage plan.
 
 Bundles are deterministic: object keys are sorted, rationals are rendered
 as "num/den" strings, matrices are row-major arrays, and nothing depends
@@ -55,7 +63,7 @@ from .mobius import (
     invariant_search,
 )
 from .modgroup import ResidueMatrix, group_order, kernel_words, power, spans_layer, word_value
-from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic
+from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic, symbol_table
 from .units import (
     SATURATED,
     STANDARD,
@@ -72,7 +80,6 @@ from .units import (
     reduce_units,
     torsion_check,
 )
-from .util import odd_prime_factors
 
 VERIFIED = "verified"
 REFUTED = "refuted-at-this-level"
@@ -315,15 +322,20 @@ def config_hash(cfg: RunConfig) -> str:
 
 @dataclass
 class Certificate:
+    """One claim.  Its verdict is what the claim's rule gives for the
+    witness; only context and stages that did not run pass one."""
+
     claim: str
-    verdict: str
     method: str
     inputs: dict
     witness: dict | None = None
     depends_on: tuple = ()
     notes: tuple = ()
+    verdict: str | None = None
 
     def __post_init__(self):
+        if self.verdict is None:
+            self.verdict = _rule_verdict(self.claim, self.witness, self.inputs)
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
@@ -351,9 +363,19 @@ def _not_run(claim: str, method: str, blocker: str) -> Certificate:
     )
 
 
-def _context(claim: str, note: str) -> Certificate:
+# claim id -> note, in bundle order
+_CONTEXTS = {
+    "quaternionic.cocompact-context":
+        "unit groups of division algebras split at infinity act cocompactly; recorded as standing context",
+    "quaternionic.degree-two-context":
+        "no degree-two version of this construction exists; recorded as context, nothing here computes it",
+    "sl2z.ramification-context": "the ambient modular family has cusps, so these covers are ramified there",
+}
+
+
+def _context(claim: str) -> Certificate:
     """Standing context, recorded as an assumption without a computation."""
-    return Certificate(claim=claim, verdict=ASSUMPTION, method="recorded, not computed", inputs={}, notes=(note,))
+    return Certificate(claim=claim, verdict=ASSUMPTION, method="recorded, not computed", inputs={}, notes=(_CONTEXTS[claim],))
 
 
 def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
@@ -425,11 +447,9 @@ def run_dihedral(cfg: RunConfig) -> dict:
 
     # (1) the commutator is x -> x / a^2
     comm = commutator(sigma, sigma_a)
-    expected = MobiusMap.from_rows(((Fraction(1), Fraction(0)), (Fraction(0), a * a)))
     claims.append(
         Certificate(
             claim="dihedral.commutator-map",
-            verdict=VERIFIED if comm == expected else REFUTED,
             method="compose the two involutions both ways and compare with the scaling map",
             inputs={"a": frac_str(a)},
             witness={"matrix": rows_json(comm.rows), "scale_factor": frac_str(a * a)},
@@ -439,17 +459,15 @@ def run_dihedral(cfg: RunConfig) -> dict:
     # (2) that map has infinite order away from a = +-1
     order = finite_order(comm)
     ratio = comm.trace() ** 2 / comm.determinant()
-    infinite = order == INFINITE_ORDER
     notes = ()
-    if not infinite:
+    if order != INFINITE_ORDER:
         notes = ("the two involutions generate a finite group here; no free product",)
     claims.append(
         Certificate(
             claim="dihedral.commutator-order",
-            verdict=VERIFIED if infinite else REFUTED,
             method="power scan backed by the trace-squared-over-determinant test",
             inputs={"a": frac_str(a)},
-            witness={"order": "infinite" if infinite else order, "trace_sq_over_det": frac_str(ratio)},
+            witness={"order": order, "trace_sq_over_det": frac_str(ratio)},
             depends_on=("dihedral.commutator-map",),
             notes=notes,
         )
@@ -463,7 +481,6 @@ def run_dihedral(cfg: RunConfig) -> dict:
         claims.append(
             Certificate(
                 claim=f"dihedral.invariant-field-index.{label}",
-                verdict=VERIFIED if idx == 2 else REFUTED,
                 method="minimal degree of a nonconstant invariant of the involution",
                 inputs={"a": frac_str(a), "generator": rows_json(g.rows)},
                 witness={"index": idx, "invariants": [_invariant_json(f) for f in inv]},
@@ -482,7 +499,6 @@ def run_dihedral(cfg: RunConfig) -> dict:
     claims.append(
         Certificate(
             claim="dihedral.invariant-intersection",
-            verdict=VERIFIED if not joint else REFUTED,
             method=method,
             inputs={"a": frac_str(a), "degree_bound": cfg.invariant_degree},
             witness={"joint_invariants": [_invariant_json(f) for f in joint]},
@@ -516,6 +532,11 @@ _ADMISSIBLE = {"symbol_at_2": 1, "symbol_at_inf": 1, "division": True}
 def _algebra_symbols(algebra: QuaternionAlgebra) -> dict:
     a, b = algebra.a, algebra.b
     return {"symbol_at_2": hilbert_symbol(a, b, 2), "symbol_at_inf": hilbert_symbol(a, b, INF), "division": is_division(algebra)}
+
+
+def _residue_rows(g: ResidueMatrix):
+    """A unit's image as the witnesses record it."""
+    return [[g.a, g.b], [g.c, g.d]]
 
 
 # Stage 4 closes the unit images only up to BASE_LEVEL, where SL2(Z/8) has
@@ -563,7 +584,7 @@ def _surjectivity_levels(cfg: RunConfig, read, top_table) -> list:
                 "image_order": table.order,
                 "surjects": flag,
                 "generators": [
-                    {"coords": coords_json(u), "matrix": [[g.a, g.b], [g.c, g.d]], "modulus": 2**k}
+                    {"coords": coords_json(u), "matrix": _residue_rows(g), "modulus": 2**k}
                     for u, g in zip(units, table.generators)
                 ],
             }
@@ -623,13 +644,10 @@ def _index_certificate(claim, h, inputs, claimed, depends_on=()):
     result = local_intersection(h)
     witness = _index_witness(result, claimed)
     notes = (RATIONAL_INDEX_NOTE if h.rows is not None else QUATERNION_INDEX_NOTE,)
-    verdict = VERIFIED
-    if claimed is not None and result.index != claimed:
-        verdict = REFUTED
+    if witness.get("agrees_with_claimed") is False:
         notes += ("the computed index supersedes the claimed one",)
     return Certificate(
         claim=claim,
-        verdict=verdict,
         method=INDEX_METHOD,
         inputs=inputs,
         witness=witness,
@@ -665,82 +683,77 @@ def _conjugator_matrix(spec: str, algebra):
     return real_embed(algebra.element(*data))
 
 
+SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
+ALGEBRA_METHOD = "search b by increasing height and test ramification by Hilbert symbols"
+TORSION_METHOD = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
+OBSTRUCTION_METHOD = "reduce the standard-basis unit slice mod 2 and close"
+
+# the quaternionic stages in bundle order, with the method a stage that did
+# not run records
+_QUATERNIONIC_STAGES = (
+    ("quaternionic.2adic-square", SQUARE_METHOD),
+    ("quaternionic.algebra", ALGEBRA_METHOD),
+    ("quaternionic.torsion-free", TORSION_METHOD),
+    ("quaternionic.standard-order-obstruction", OBSTRUCTION_METHOD),
+    ("quaternionic.congruence-surjectivity", BASE_METHOD),
+    ("quaternionic.intersection-index", INDEX_METHOD),
+    ("quaternionic.nondiscrete", TRACE_METHOD),
+)
+# the stages no later stage rests on: one that is not verified stops nothing
+_NON_BLOCKING = ("quaternionic.standard-order-obstruction", "quaternionic.intersection-index")
+
+
+def _choose_algebra(cfg: RunConfig) -> QuaternionAlgebra:
+    """(d, b) for an explicit b, else the first admissible algebra that
+    find_example_algebra reaches; ValueError when its search ends empty."""
+    if cfg.b:
+        return QuaternionAlgebra(cfg.d, cfg.b)
+    return find_example_algebra(cfg.d, cfg.b_search_bound)
+
+
 def run_quaternionic(cfg: RunConfig) -> dict:
     claims = []
-    blocker = None
+    for claim in _quaternionic_stages(cfg):
+        claims.append(claim)
+        if claim.verdict != VERIFIED and claim.claim not in _NON_BLOCKING:
+            break
+    claims += [_not_run(cid, method, claims[-1].claim) for cid, method in _QUATERNIONIC_STAGES[len(claims):]]
+    claims += [_context("quaternionic.cocompact-context"), _context("quaternionic.degree-two-context")]
+    return make_bundle("quaternionic", cfg, claims)
 
-    def blocked(claim_id, method):
-        claims.append(_not_run(claim_id, method, blocker))
 
+def _quaternionic_stages(cfg: RunConfig):
+    """Yield the claims of _QUATERNIONIC_STAGES in order.  run_quaternionic
+    reads no further than a blocking stage that is not verified, so each
+    stage may use what the stages before it computed."""
     # stage 1: d must be a 2-adic square so the quadratic field sits
     # inside the 2-adic matrix algebra
     ok, v2, odd_mod8 = _two_adic_square(cfg.d)
     if ok:
-        witness = {"precision": SQUARE_PRECISION, "square_root_residue": sqrt_2adic(cfg.d, SQUARE_PRECISION)}
-        verdict = VERIFIED
-        notes = ()
+        witness, notes = {"precision": SQUARE_PRECISION, "square_root_residue": sqrt_2adic(cfg.d, SQUARE_PRECISION)}, ()
     else:
         witness = {"valuation_at_2": v2, "odd_part_mod_8": odd_mod8}
-        verdict = REFUTED
         notes = ("a 2-adic square needs even valuation at 2 and odd part 1 mod 8",)
-    claims.append(
-        Certificate(
-            claim="quaternionic.2adic-square",
-            verdict=verdict,
-            method="Hensel lift of a square root of d in the 2-adic integers",
-            inputs={"d": cfg.d},
-            witness=witness,
-            notes=notes,
-        )
-    )
-    if verdict != VERIFIED:
-        blocker = "quaternionic.2adic-square"
+    yield Certificate(claim="quaternionic.2adic-square", method=SQUARE_METHOD, inputs={"d": cfg.d}, witness=witness, notes=notes)
 
     # stage 2: a division algebra (d, b) split at 2 and at infinity
-    algebra = None
-    method_2 = "search b by increasing height and test ramification by Hilbert symbols"
-    if blocker:
-        blocked("quaternionic.algebra", method_2)
+    inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
+    try:
+        algebra = _choose_algebra(cfg)
+    except ValueError as e:
+        notes = (str(e),)
     else:
-        inputs = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}
-
-        def cert_2(verdict, inputs, witness, note):
-            return Certificate(
-                claim="quaternionic.algebra",
-                verdict=verdict,
-                method=method_2,
-                inputs=inputs,
-                witness=witness,
-                depends_on=("quaternionic.2adic-square",),
-                notes=(note,),
-            )
-
-        if "b" in cfg.explicit and cfg.b:
-            algebra = QuaternionAlgebra(cfg.d, cfg.b)
-            witness = _algebra_symbols(algebra)
-            if witness != _ADMISSIBLE:
-                note = "the requested b fails division or splitting at 2 or infinity"
-                claims.append(cert_2(REFUTED, dict(inputs, b=cfg.b), witness, note))
-                algebra = None
+        witness = _algebra_symbols(algebra)
+        if witness != _ADMISSIBLE:  # only an explicit b can miss
+            inputs, notes = dict(inputs, b=cfg.b), ("the requested b fails division or splitting at 2 or infinity",)
         else:
-            try:
-                algebra = find_example_algebra(cfg.d, cfg.b_search_bound)
-            except ValueError as e:
-                claims.append(cert_2(SEARCH_EXHAUSTED, inputs, None, str(e)))
-        if algebra is None:
-            blocker = "quaternionic.algebra"
-        else:
-            witness = {
-                "a": frac_str(algebra.a),
-                "b": frac_str(algebra.b),
-                "ramified_places": ramified_places(algebra),
-                **_algebra_symbols(algebra),
-            }
-            note = "the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra"
-            claims.append(cert_2(VERIFIED, inputs, witness, note))
+            witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
+            notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
             # an h the closed form cannot decide is an input error: reject
             # it before the unit stages enumerate
             conjugator = _conjugator(cfg.h, lambda: algebra)
+    yield Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
+                      depends_on=("quaternionic.2adic-square",), notes=notes)
 
     # stage 3: the unit group is torsion-free, so every congruence cover
     # in the tower is unramified.  The embedding flags decide it for the
@@ -748,122 +761,75 @@ def run_quaternionic(cfg: RunConfig) -> dict:
     # {-1, 0, 1}, so q^2 = -1: only when sqrt(-1) embeds are the standard
     # units read, up to the first one of finite order.  The unit stages
     # read one standard stream, each only as far as its witness
-    method_3 = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
-    if blocker:
-        blocked("quaternionic.torsion-free", method_3)
-    else:
-        std = UnitStream(algebra, STANDARD, cfg.unit_height)
-        flags = embedding_flags(algebra)
-        clean, scan = flags["algebra_torsion_free"], flags["embeds_sqrt_minus_1"]
-        torsion = next((q for q in std if is_torsion(q)), None) if scan else None
-        witness = dict(
+    std = UnitStream(algebra, STANDARD, cfg.unit_height)
+    flags = embedding_flags(algebra)
+    scan = flags["embeds_sqrt_minus_1"]
+    torsion = next((q for q in std if is_torsion(q)), None) if scan else None
+    yield Certificate(
+        claim="quaternionic.torsion-free",
+        method=TORSION_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height},
+        witness=dict(
             flags,
             finite_order_unit=coords_json(torsion) if torsion else None,
             height_reached=_height_reached(torsion, cfg) if scan else 0,
-        )
-        claims.append(
-            Certificate(
-                claim="quaternionic.torsion-free",
-                verdict=VERIFIED if clean else REFUTED,
-                method=method_3,
-                inputs={"d": cfg.d, "unit_height": cfg.unit_height},
-                witness=witness,
-                depends_on=("quaternionic.algebra",),
-                notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
-            )
-        )
-        if not clean:
-            blocker = "quaternionic.torsion-free"
+        ),
+        depends_on=("quaternionic.algebra",),
+        notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
+    )
 
     # the standard-basis order misses surjectivity mod 2; recorded so the
     # choice of the 2-saturated order below is visible
-    method_obs = "reduce the standard-basis unit slice mod 2 and close"
-    if blocker:
-        blocked("quaternionic.standard-order-obstruction", method_obs)
-    else:
-        split = split_2adic(algebra)
-        images, stop = {}, None  # mod-2 image -> the first unit with it
-        for u in std:
-            images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
-            if len(images) == 2:  # all that mod2_image_obstruction allows
-                stop = u
-                break
-        flag, table = images_surject(list(images), 1)
-        claims.append(
-            Certificate(
-                claim="quaternionic.standard-order-obstruction",
-                verdict=VERIFIED if not flag else REFUTED,
-                method=method_obs,
-                inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
-                witness={
-                    "image_order_mod_2": table.order,
-                    "group_order_mod_2": group_order(2, 1),
-                    "images": [{"coords": coords_json(u), "matrix": [[g.a, g.b], [g.c, g.d]]} for g, u in images.items()],
-                    "height_reached": _height_reached(stop, cfg),
-                },
-                depends_on=("quaternionic.algebra",),
-                notes=(mod2_image_obstruction(algebra),),
-            )
-        )
+    split = split_2adic(algebra)
+    images, stop = {}, None  # mod-2 image -> the first unit with it
+    for u in std:
+        images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
+        if len(images) == 2:  # all that mod2_image_obstruction allows
+            stop = u
+            break
+    _, table = images_surject(list(images), 1)
+    yield Certificate(
+        claim="quaternionic.standard-order-obstruction",
+        method=OBSTRUCTION_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
+        witness={
+            "image_order_mod_2": table.order,
+            "group_order_mod_2": group_order(2, 1),
+            "images": [{"coords": coords_json(u), "matrix": _residue_rows(g)} for g, u in images.items()],
+            "height_reached": _height_reached(stop, cfg),
+        },
+        depends_on=("quaternionic.algebra",),
+        notes=(mod2_image_obstruction(algebra),),
+    )
 
     # stage 4: unit images fill SL2(Z/2^k) at every level up to k_max; the
     # saturated stream is read until its images close mod 2^min(k_max, 3)
-    if blocker:
-        blocked("quaternionic.congruence-surjectivity", BASE_METHOD)
-    else:
-        sat = UnitStream(algebra, SATURATED, cfg.unit_height)
-        read, table = closing_prefix(sat, split_2adic(algebra), min(cfg.k_max, BASE_LEVEL))
-        levels = _surjectivity_levels(cfg, read, table)
-        all_ok = all(entry["surjects"] for entry in levels)
-        notes = (BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES
-        claims.append(
-            Certificate(
-                claim="quaternionic.congruence-surjectivity",
-                verdict=VERIFIED if all_ok else REFUTED,
-                method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
-                inputs={
-                    "d": cfg.d,
-                    "unit_height": cfg.unit_height,
-                    "k_min": cfg.k_min,
-                    "k_max": cfg.k_max,
-                    "order_kind": SATURATED,
-                },
-                witness={"levels": levels, "height_reached": _height_reached(read[-1] if all_ok else None, cfg)},
-                depends_on=("quaternionic.torsion-free",),
-                notes=notes,
-            )
-        )
-        if not all_ok:
-            blocker = "quaternionic.congruence-surjectivity"
+    sat = UnitStream(algebra, SATURATED, cfg.unit_height)
+    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
+    levels = _surjectivity_levels(cfg, read, table)
+    full = all(entry["surjects"] for entry in levels)
+    yield Certificate(
+        claim="quaternionic.congruence-surjectivity",
+        method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_min": cfg.k_min, "k_max": cfg.k_max, "order_kind": SATURATED},
+        witness={"levels": levels, "height_reached": _height_reached(read[-1] if full else None, cfg)},
+        depends_on=("quaternionic.torsion-free",),
+        notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
+    )
 
     # stage 5: the intersection index of the conjugated ambient group,
     # compared against the claimed value
-    if blocker:
-        blocked("quaternionic.intersection-index", INDEX_METHOD)
-    else:
-        claims.append(
-            _index_certificate(
-                "quaternionic.intersection-index",
-                conjugator,
-                inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
-                claimed=cfg.claimed_index,
-                depends_on=("quaternionic.congruence-surjectivity",),
-            )
-        )
+    yield _index_certificate(
+        "quaternionic.intersection-index",
+        conjugator,
+        inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
+        claimed=cfg.claimed_index,
+        depends_on=("quaternionic.congruence-surjectivity",),
+    )
 
     # stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
     # pair whose trace is not an algebraic integer
-    if blocker:
-        blocked("quaternionic.nondiscrete", TRACE_METHOD)
-    else:
-        claims.append(_nondiscrete_stage(cfg, algebra, std))
-
-    claims.append(_context("quaternionic.cocompact-context",
-                           "unit groups of division algebras split at infinity act cocompactly; recorded as standing context"))
-    claims.append(_context("quaternionic.degree-two-context",
-                           "no degree-two version of this construction exists; recorded as context, nothing here computes it"))
-
-    return make_bundle("quaternionic", cfg, claims)
+    yield _nondiscrete_stage(cfg, algebra, std)
 
 
 def _height_reached(stop, cfg: RunConfig) -> int:
@@ -876,15 +842,14 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
     """The trace stage, reading the standard stream in shells up to the
     first pair with a non-integral trace."""
     hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), std)
-    verdict, witness, note = SEARCH_EXHAUSTED, None, "every pair of units in this slice has an integral trace"
+    witness, note = None, "every pair of units in this slice has an integral trace"
     if hit is not NOT_FOUND:
         i, j, t = hit
         witness = {"units": [coords_json(std.units[k]) for k in (i, j)], "trace": quad_json(t),
                    "height_reached": height(std.units[max(i, j)])}
-        verdict, note = VERIFIED, TRACE_NOTE
+        note = TRACE_NOTE
     return Certificate(
         claim="quaternionic.nondiscrete",
-        verdict=verdict,
         method=TRACE_METHOD,
         inputs={"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height},
         witness=witness,
@@ -916,19 +881,18 @@ def run_sl2z(cfg: RunConfig) -> dict:
     rows = data
     claims = [_index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))]
 
-    verdict, witness, notes = SEARCH_EXHAUSTED, None, ()
+    witness, notes = None, ()
     try:
         hit = find_infinite_elliptic(_word_seeds(rows), cfg.word_length_bound)
     except RuntimeError:
         hit, notes = NOT_FOUND, ("search truncated at the state cap before exhausting the length bound",)
     if hit is not NOT_FOUND:
-        verdict, notes = VERIFIED, ("an elliptic element of infinite order in the generated group rules out discreteness",)
+        notes = ("an elliptic element of infinite order in the generated group rules out discreteness",)
         witness = {"word": list(hit.word), "word_length": len(hit.word),
                    "matrix": rows_json(hit.matrix), "trace": frac_str(hit.trace)}
     claims.append(
         Certificate(
             claim="sl2z.nondiscrete",
-            verdict=verdict,
             method="breadth-first word search for an infinite-order elliptic element in the amalgam",
             inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
             witness=witness,
@@ -937,8 +901,7 @@ def run_sl2z(cfg: RunConfig) -> dict:
         )
     )
 
-    claims.append(_context("sl2z.ramification-context",
-                           "the ambient modular family has cusps, so these covers are ramified there"))
+    claims.append(_context("sl2z.ramification-context"))
 
     return make_bundle("sl2z", cfg, claims)
 
@@ -947,35 +910,25 @@ def run_sl2z(cfg: RunConfig) -> dict:
 # ad-hoc pipelines: hilbert, units, intersect
 
 
-def _symbol_places(a: Fraction, b: Fraction):
-    places = {2}
-    for x in (a, b):
-        places.update(odd_prime_factors(abs(x.numerator * x.denominator)))
-    return sorted(places)
+def _hilbert_witness(a: Fraction, b: Fraction) -> dict:
+    table = symbol_table(a, b)
+    ramified = [str(v) for v, s in table if s == -1]
+    return {
+        "symbols": [[str(v), s] for v, s in table],
+        "product_over_places": (-1) ** len(ramified),  # every symbol is +-1
+        "ramified_places": ramified,
+        "division": bool(ramified),
+    }
 
 
 def run_hilbert(cfg: RunConfig) -> dict:
     a, b = cfg.pair_values()
-    places = _symbol_places(a, b)
-    table = [[str(p), hilbert_symbol(a, b, p)] for p in places]
-    table.append([INF, hilbert_symbol(a, b, INF)])
-    product = 1
-    for _, s in table:
-        product *= s
-    algebra = QuaternionAlgebra(a, b)
-    ram = ramified_places(algebra)
     claims = [
         Certificate(
             claim="hilbert.symbol-table",
-            verdict=VERIFIED if product == 1 else REFUTED,
             method="Hilbert symbols at 2, the odd primes of both square classes, and infinity",
             inputs={"a": frac_str(a), "b": frac_str(b)},
-            witness={
-                "symbols": table,
-                "product_over_places": product,
-                "ramified_places": [str(p) for p in ram],
-                "division": is_division(algebra),
-            },
+            witness=_hilbert_witness(a, b),
             notes=("the symbols multiply to one over all places; ramified places come in pairs",),
         )
     ]
@@ -983,15 +936,13 @@ def run_hilbert(cfg: RunConfig) -> dict:
 
 
 def _resolve_algebra(cfg: RunConfig):
-    if "b" in cfg.explicit and cfg.b:
-        algebra = QuaternionAlgebra(cfg.d, cfg.b)
-        if _algebra_symbols(algebra) != _ADMISSIBLE:
-            raise ConfigError(f"b={cfg.b} does not give a division algebra split at 2 and at infinity")
-        return algebra
     try:
-        return find_example_algebra(cfg.d, cfg.b_search_bound)
+        algebra = _choose_algebra(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
+    if _algebra_symbols(algebra) != _ADMISSIBLE:
+        raise ConfigError(f"b={cfg.b} does not give a division algebra split at 2 and at infinity")
+    return algebra
 
 
 def run_units(cfg: RunConfig) -> dict:
@@ -1019,7 +970,6 @@ def run_units(cfg: RunConfig) -> dict:
     claims = [
         Certificate(
             claim="units.slice",
-            verdict=VERIFIED,
             method="exhaustive norm-one coordinate enumeration up to the height bound",
             inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": cfg.order_kind},
             witness=witness,
@@ -1067,21 +1017,21 @@ def _expect(ok, what: str):
         raise _Mismatch(what)
 
 
+def _expect_same(recorded: dict, expected: dict, source: str):
+    differ = sorted(key for key in set(recorded) | set(expected) if recorded.get(key) != expected.get(key))
+    _expect(not differ, f"recorded {', '.join(differ)} differs from {source}")
+
+
 def _rv_commutator_map(claim, bundle):
     a = parse_frac(claim["inputs"]["a"])
     comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a))
     _expect(rows_json(comm.rows) == claim["witness"]["matrix"], "recorded matrix differs from the commutator")
-    _expect(comm == MobiusMap.from_rows(((Fraction(1), Fraction(0)), (Fraction(0), a * a))), "commutator is not x -> x / a^2")
 
 
 def _rv_commutator_order(claim, bundle):
     a = parse_frac(claim["inputs"]["a"])
     order = finite_order(commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a)))
-    recorded = claim["witness"]["order"]
-    if claim["verdict"] == VERIFIED:
-        _expect(order == INFINITE_ORDER and recorded == "infinite", "commutator order is not infinite")
-    else:
-        _expect(order == recorded, "recorded order differs from the computed one")
+    _expect(claim["witness"]["order"] == order, "recorded order differs from the computed one")
 
 
 def _expect_invariants(recorded, gens, max_degree):
@@ -1111,51 +1061,51 @@ def _rv_invariant_index(claim, bundle):
 
 
 def _rv_invariant_intersection(claim, bundle):
-    """The claim must rest on the rule _joint_method picks.  A refuted
-    claim is checked by substitution: each recorded joint invariant is
-    nonconstant, within the degree bound and fixed by both involutions.  A
-    verified claim decided by the commutator's infinite order must record
-    no joint invariant, which needs no search (JOINT_ORDER_NOTE).  Only a
-    verified claim at a = +-1, where the group is finite, repeats the
-    search."""
+    """The claim must rest on the rule _joint_method picks.  Under the
+    commutator's infinite order no joint invariant may be recorded, which
+    needs no search (JOINT_ORDER_NOTE).  Recorded joint invariants are
+    checked by substitution: each is nonconstant, within the degree bound
+    and fixed by both involutions.  Only an empty list at a = +-1, where the
+    group is finite, repeats the search."""
     a = parse_frac(claim["inputs"]["a"])
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
     recorded = claim["witness"]["joint_invariants"]
     bound = claim["inputs"]["degree_bound"]
     method = _joint_method(gens)
     _expect(claim["method"] == method, "recorded method is not the rule the commutator's order calls for")
-    if claim["verdict"] != VERIFIED:
-        _expect(recorded, "a refuted claim records no joint invariant")
-        _expect_invariants(recorded, gens, bound)
-    elif method == JOINT_ORDER_METHOD:
+    if method == JOINT_ORDER_METHOD:
         _expect(not recorded, "a joint invariant is recorded, but the commutator has infinite order")
+    elif recorded:
+        _expect_invariants(recorded, gens, bound)
     else:
-        _expect(not recorded and not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")
+        _expect(claim["verdict"] == VERIFIED, "a refuted claim records no joint invariant")
+        _expect(not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")
 
 
 def _rv_2adic_square(claim, bundle):
-    d = claim["inputs"]["d"]
-    if claim["verdict"] == VERIFIED:
-        s = claim["witness"]["square_root_residue"]
-        _expect((s * s - d) % 2 ** claim["witness"]["precision"] == 0, "recorded root does not square to d")
-        return
+    d, w = claim["inputs"]["d"], claim["witness"]
     ok, v2, odd = _two_adic_square(d)
+    if "square_root_residue" in w:
+        s = w["square_root_residue"]
+        _expect((s * s - d) % 2 ** w["precision"] == 0, "recorded root does not square to d")
+        # a root mod a low power of 2 proves nothing: the valuation and the odd part decide
+        _expect(ok, "d is not a 2-adic square")
+        return
     _expect(not ok, "d is a 2-adic square")
-    _expect(claim["witness"] == {"valuation_at_2": v2, "odd_part_mod_8": odd}, "recorded valuation or odd part differs")
+    _expect(w == {"valuation_at_2": v2, "odd_part_mod_8": odd}, "recorded valuation or odd part differs")
 
 
 def _rv_algebra(claim, bundle):
+    """A found algebra records its parameters and ramified places; a
+    requested b that fails records only the symbols of (d, b)."""
     w = claim["witness"]
-    if claim["verdict"] == REFUTED:
-        symbols = _algebra_symbols(QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"]))
-        _expect(symbols == w, "recorded Hilbert symbols differ from the computed ones")
-        _expect(symbols != _ADMISSIBLE, "the refuted algebra is admissible")
-        return
-    algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
-    symbols = _algebra_symbols(algebra)
-    _expect({key: w[key] for key in _ADMISSIBLE} == symbols, "recorded Hilbert symbols differ from the computed ones")
-    _expect(symbols == _ADMISSIBLE, "the algebra is not a division algebra split at 2 and at infinity")
-    _expect(ramified_places(algebra) == w["ramified_places"], "recorded ramified places differ")
+    if "a" in w:
+        algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
+    else:
+        algebra = QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"])
+    _expect({key: w[key] for key in _ADMISSIBLE} == _algebra_symbols(algebra), "recorded Hilbert symbols differ from the computed ones")
+    if "a" in w:
+        _expect(ramified_places(algebra) == w["ramified_places"], "recorded ramified places differ")
 
 
 def _algebra_from_bundle(bundle):
@@ -1171,12 +1121,23 @@ def _expect_flags(report, witness, keys):
         _expect(report[key] == witness[key], f"recorded {key} differs from the computed value")
 
 
-def _standard_unit(algebra, coords):
-    """The recorded unit, which must be a norm-one standard-order element."""
+def _order_unit(algebra, coords, kind=STANDARD):
+    """The recorded unit, which must have norm one; a standard-order one
+    must be integral, and a 2-saturated one integral at 2, which reducing
+    it checks."""
     u = algebra.element(*(parse_frac(c) for c in coords))
-    integral = all(c.denominator == 1 for c in u.coords())
-    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one standard-order element")
+    integral = kind == SATURATED or all(c.denominator == 1 for c in u.coords())
+    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one {kind}-order element")
     return u
+
+
+def _unit_image(algebra, split, entry, k, kind):
+    """The unit recorded in entry and its image mod 2^k, which must be the
+    entry's matrix."""
+    u = _order_unit(algebra, entry["coords"], kind)
+    image = ResidueMatrix(*split.residues(u, k), 2**k)
+    _expect(_residue_rows(image) == entry["matrix"], f"recorded mod-{2**k} image of {entry['coords']} differs from its reduction")
+    return u, image
 
 
 def _expect_reach(claim, units):
@@ -1188,19 +1149,18 @@ def _expect_reach(claim, units):
 
 
 def _rv_torsion(claim, bundle):
-    """The embedding flags decide the verdict: a norm-one unit of finite
-    order other than +-1 generates Q(sqrt(-1)) or Q(sqrt(-3)).  A recorded
+    """The embedding flags are recomputed: a norm-one unit of finite order
+    other than +-1 generates Q(sqrt(-1)) or Q(sqrt(-3)).  A recorded
     finite-order unit is checked by its norm and trace; no slice is
     enumerated."""
     algebra = _algebra_from_bundle(bundle)
     w = claim["witness"]
     flags = embedding_flags(algebra)
     _expect_flags(flags, w, flags)
-    _expect((claim["verdict"] == VERIFIED) == flags["algebra_torsion_free"], "the verdict does not follow from the embedding flags")
     units = []
     if w["finite_order_unit"] is not None:
         _expect(not flags["algebra_torsion_free"], "a finite-order unit is recorded in a torsion-free algebra")
-        u = _standard_unit(algebra, w["finite_order_unit"])
+        u = _order_unit(algebra, w["finite_order_unit"])
         _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
         units.append(u)
     _expect_reach(claim, units)
@@ -1225,19 +1185,17 @@ def _rv_obstruction(claim, bundle):
     _expect(w["images"], "no mod-2 image is recorded")
     units, mats = [], []
     for entry in w["images"]:
-        u = _standard_unit(algebra, entry["coords"])
         m = entry["matrix"]
         _expect(shaped(m[0] + m[1]), f"mod-2 image {m} is not of the form [[x, y], [b y, x]]")
-        entries = split.residues(u, 1)
-        _expect([list(entries[:2]), list(entries[2:])] == m, f"recorded mod-2 image of {entry['coords']} differs from its reduction")
+        u, image = _unit_image(algebra, split, entry, 1, STANDARD)
         units.append(u)
-        mats.append(ResidueMatrix(*entries, 2))
+        mats.append(image)
     _expect(len(set(mats)) == len(mats), "two recorded units share a mod-2 image")
     _expect_reach(claim, units)
     flag, table = images_surject(mats, 1)
     _expect(w["group_order_mod_2"] == group_order(2, 1), "recorded group order mod 2 is not that of SL2(Z/2)")
     _expect(table.order == w["image_order_mod_2"], "recorded image order mod 2 differs")
-    _expect(not flag and claim["verdict"] == VERIFIED, "the recorded images surject mod 2")
+    _expect(not flag, "the recorded images surject mod 2")
 
 
 def _rv_surjectivity(claim, bundle):
@@ -1256,16 +1214,12 @@ def _rv_surjectivity(claim, bundle):
             _expect(k <= BASE_LEVEL, f"level {k} records generators to close above level {BASE_LEVEL}")
             units, gens = [], []
             for g in entry["generators"]:
-                u = algebra.element(*(parse_frac(c) for c in g["coords"]))
-                _expect(u.nrd() == 1, f"generator {g['coords']} at level {k} has norm other than 1")
-                entries = split.residues(u, k)
-                _expect([list(entries[:2]), list(entries[2:])] == g["matrix"], f"recorded matrix of {g['coords']} at level {k} differs")
+                u, image = _unit_image(algebra, split, g, k, SATURATED)
                 units.append(u)
-                gens.append(ResidueMatrix(*entries, 2**k))
+                gens.append(image)
             read += units
-            if entry["surjects"]:
-                flag, table = images_surject(gens, k)
-                _expect(flag and table.order == entry["image_order"], f"generators at level {k} do not close to the full group")
+            flag, table = images_surject(gens, k)
+            _expect(flag == entry["surjects"] and table.order == entry["image_order"], f"generators at level {k} do not close to the recorded image")
             if k == BASE_LEVEL:
                 base_units = units
         else:
@@ -1280,20 +1234,15 @@ def _rv_surjectivity(claim, bundle):
             _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
         previous = (k, entry["surjects"])
     _expect_reach(claim, read)
-    full = all(entry["surjects"] for entry in levels)
-    if claim["verdict"] == VERIFIED:
+    if all(entry["surjects"] for entry in levels):
         want = list(range(min(claim["inputs"]["k_min"], BASE_LEVEL), claim["inputs"]["k_max"] + 1))
-        _expect(full and [entry["level"] for entry in levels] == want, "the recorded levels do not cover k_min to k_max")
-    else:
-        _expect(not full, "no recorded level fails")
+        _expect([entry["level"] for entry in levels] == want, "the recorded levels do not cover k_min to k_max")
 
 
 def _rv_intersection(claim, bundle):
     h = _conjugator(claim["inputs"]["h"], lambda: _algebra_from_bundle(bundle))
     w = claim["witness"]
-    expected = _index_witness(local_intersection(h), w.get("claimed_index"))
-    differ = sorted(key for key in set(w) | set(expected) if w.get(key) != expected.get(key))
-    _expect(not differ, f"recorded {', '.join(differ)} differs from the closed form")
+    _expect_same(w, _index_witness(local_intersection(h), w.get("claimed_index")), "the closed form")
 
 
 def _rv_trace(claim, bundle):
@@ -1301,7 +1250,7 @@ def _rv_trace(claim, bundle):
     matrix products; no slice is enumerated."""
     algebra = _algebra_from_bundle(bundle)
     w = claim["witness"]
-    U, V = (_standard_unit(algebra, coords) for coords in w["units"])
+    U, V = (_order_unit(algebra, coords) for coords in w["units"])
     _expect_reach(claim, (U, V))
     t = pair_trace(_conjugator_matrix(claim["inputs"]["h"], algebra), U, V)
     _expect(quad_json(t) == w["trace"], "recorded trace differs from the recomputed one")
@@ -1319,14 +1268,9 @@ def _rv_elliptic(claim, bundle):
 
 
 def _rv_hilbert(claim, bundle):
-    a = parse_frac(claim["inputs"]["a"])
-    b = parse_frac(claim["inputs"]["b"])
-    product = 1
-    for place, s in claim["witness"]["symbols"]:
-        v = place if place == INF else int(place)
-        _expect(hilbert_symbol(a, b, v) == s, f"recorded symbol at {place} differs")
-        product *= s
-    _expect(product == claim["witness"]["product_over_places"] == 1, "the symbols do not multiply to 1")
+    """The whole witness must be what the pair's symbol table gives."""
+    a, b = (parse_frac(claim["inputs"][key]) for key in ("a", "b"))
+    _expect_same(claim["witness"], _hilbert_witness(a, b), "the symbol table")
 
 
 def _rv_units(claim, bundle):
@@ -1342,51 +1286,103 @@ def _rv_units(claim, bundle):
     _expect_flags(torsion_check(slice_), w, ("slice_torsion_free", "algebra_torsion_free"))
 
 
-_REVERIFIERS = {
-    "dihedral.commutator-map": _rv_commutator_map,
-    "dihedral.commutator-order": _rv_commutator_order,
-    "dihedral.invariant-field-index.sigma": _rv_invariant_index,
-    "dihedral.invariant-field-index.sigma-a": _rv_invariant_index,
-    "dihedral.invariant-intersection": _rv_invariant_intersection,
-    "quaternionic.2adic-square": _rv_2adic_square,
-    "quaternionic.algebra": _rv_algebra,
-    "quaternionic.torsion-free": _rv_torsion,
-    "quaternionic.standard-order-obstruction": _rv_obstruction,
-    "quaternionic.congruence-surjectivity": _rv_surjectivity,
-    "quaternionic.intersection-index": _rv_intersection,
-    "quaternionic.nondiscrete": _rv_trace,
-    "sl2z.intersection-index": _rv_intersection,
-    "sl2z.nondiscrete": _rv_elliptic,
-    "hilbert.symbol-table": _rv_hilbert,
-    "units.slice": _rv_units,
-    "intersect.index": _rv_intersection,
+def _scales_by_a_squared(witness, inputs):
+    a = parse_frac(inputs["a"])
+    return MobiusMap.from_rows(rows_from_json(witness["matrix"])) == MobiusMap.from_rows(((1, 0), (0, a * a)))
+
+
+def _index_agrees(witness, inputs):
+    return witness.get("agrees_with_claimed", True)
+
+
+def _witnessed(witness, inputs):
+    """The rule of a claim that records a witness only when it holds: what a
+    search found, or the unit dump."""
+    return True
+
+
+# claim id -> (holds, check), in bundle order.  holds(witness, inputs) is
+# the rule that decides a witnessed claim's verdict, in the pipelines and in
+# re-verification alike; check(claim, bundle) re-checks the witness itself.
+_CLAIM_KINDS = {
+    "dihedral.commutator-map": (_scales_by_a_squared, _rv_commutator_map),
+    "dihedral.commutator-order": (lambda w, _: w["order"] == INFINITE_ORDER, _rv_commutator_order),
+    "dihedral.invariant-field-index.sigma": (lambda w, _: w["index"] == 2, _rv_invariant_index),
+    "dihedral.invariant-field-index.sigma-a": (lambda w, _: w["index"] == 2, _rv_invariant_index),
+    "dihedral.invariant-intersection": (lambda w, _: not w["joint_invariants"], _rv_invariant_intersection),
+    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _rv_2adic_square),
+    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _rv_algebra),
+    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _rv_torsion),
+    "quaternionic.standard-order-obstruction":
+        (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _rv_obstruction),
+    "quaternionic.congruence-surjectivity": (lambda w, _: all(e["surjects"] for e in w["levels"]), _rv_surjectivity),
+    "quaternionic.intersection-index": (_index_agrees, _rv_intersection),
+    "quaternionic.nondiscrete": (_witnessed, _rv_trace),
+    "sl2z.intersection-index": (_index_agrees, _rv_intersection),
+    "sl2z.nondiscrete": (_witnessed, _rv_elliptic),
+    "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, _rv_hilbert),
+    "units.slice": (_witnessed, _rv_units),
+    "intersect.index": (_index_agrees, _rv_intersection),
 }
 
 
-def reverify_bundle(bundle: dict):
-    """Re-check every witnessed claim from the bundle content alone.
+def _rule_verdict(claim_id: str, witness, inputs) -> str:
+    if witness is None:
+        return SEARCH_EXHAUSTED
+    holds, _ = _CLAIM_KINDS[claim_id]
+    return VERIFIED if holds(witness, inputs) else REFUTED
 
-    Returns [(claim id, ok, reason)] covering all claims.  reason is None
+
+def _reverify_claim(claim, bundle):
+    """The witness checker first, then the verdict the claim's rule gives."""
+    if claim["witness"] is None:
+        _expect(claim["verdict"] in (SEARCH_EXHAUSTED, ASSUMPTION), f"a claim without a witness cannot be {claim['verdict']}")
+        return
+    _expect(claim["id"] in _CLAIM_KINDS, "no re-verifier for this claim")
+    _, check = _CLAIM_KINDS[claim["id"]]
+    check(claim, bundle)
+    want = _rule_verdict(claim["id"], claim["witness"], claim["inputs"])
+    _expect(claim["verdict"] == want, f"the rule gives {want} for this witness, not {claim['verdict']}")
+
+
+def _claim_list_problem(bundle):
+    """Why the bundle does not list its pipeline's claim ids, once each and
+    in order, or None when it does."""
+    pipeline = bundle["pipeline"]
+    want = [cid for cid in (*_CLAIM_KINDS, *_CONTEXTS) if cid.split(".")[0] == pipeline]
+    got = [claim["id"] for claim in bundle["claims"]]
+    missing = [cid for cid in want if cid not in got]
+    if missing:
+        return f"the bundle lists no {missing[0]} claim"
+    if got != want:
+        return f"the claims are not the {pipeline} pipeline's, once each and in order"
+    return None
+
+
+def reverify_bundle(bundle: dict):
+    """Re-check every claim from the bundle content alone.
+
+    Each witnessed claim's checker re-checks its witness, and its verdict
+    must then be the one its rule gives; a claim without a witness must be
+    not-found or an assumption.  Returns [(claim id, ok, reason)] covering
+    all claims, plus a failing entry under the pipeline's name when the
+    bundle does not list that pipeline's claims in order.  reason is None
     for a passing claim; otherwise it names the check that failed, or gives
-    the type and message of the exception the checker raised.  Claims
-    without a witness (assumptions, exhausted searches) pass vacuously.
+    the type and message of the exception the checker raised.
     """
     results = []
     for claim in bundle["claims"]:
         reason = None
-        checker = _REVERIFIERS.get(claim["id"])
-        if claim["witness"] is None:
-            pass
-        elif checker is None:
-            reason = "no re-verifier for this claim"
-        else:
-            try:
-                checker(claim, bundle)
-            except _Mismatch as e:
-                reason = str(e)
-            except Exception as e:
-                reason = f"{type(e).__name__}: {e}"
+        try:
+            _reverify_claim(claim, bundle)
+        except _Mismatch as e:
+            reason = str(e)
+        except Exception as e:
+            reason = f"{type(e).__name__}: {e}"
         results.append((claim["id"], reason is None, reason))
+    problem = _claim_list_problem(bundle)
+    if problem:
+        results.append((bundle["pipeline"], False, problem))
     return results
 
 

@@ -127,26 +127,25 @@ def hilbert_symbol(a, b, place) -> int:
     return sign
 
 
-def ramified_places(D: QuaternionAlgebra):
-    """Sorted list of places with symbol -1; primes ascending, "inf" last.
+def symbol_table(a, b):
+    """[(place, (a,b)_place)] at 2, the odd primes of the square classes of
+    a and b ascending, then "inf".
 
-    Only finitely many places can ramify: at any odd p dividing neither
-    numerator nor denominator of a and b both valuations vanish and the
-    symbol is +1.  The product formula is asserted as a self-check.
+    Only these places can ramify: at any odd p dividing neither numerator
+    nor denominator of a and b both valuations vanish and the symbol is +1.
     """
-    candidates = {2}
-    for r in (D.a, D.b):
-        candidates.update(odd_prime_factors(abs(_square_class_int(r))))
-    ram = sorted(p for p in candidates if hilbert_symbol(D.a, D.b, p) == -1)
-    product = 1
-    for p in candidates:
-        product *= hilbert_symbol(D.a, D.b, p)
-    at_inf = hilbert_symbol(D.a, D.b, INF)
-    product *= at_inf
-    assert product == 1, "Hilbert product formula violated"
-    if at_inf == -1:
-        ram.append(INF)
-    assert len(ram) % 2 == 0, "ramification set must have even cardinality"
+    a, b = Fraction(a), Fraction(b)
+    odd = set()
+    for r in (a, b):
+        odd.update(odd_prime_factors(abs(_square_class_int(r))))
+    return [(v, hilbert_symbol(a, b, v)) for v in (2, *sorted(odd), INF)]
+
+
+def ramified_places(D: QuaternionAlgebra):
+    """The places of symbol_table with symbol -1; primes ascending, "inf"
+    last.  The product formula is asserted as a self-check."""
+    ram = [v for v, s in symbol_table(D.a, D.b) if s == -1]
+    assert len(ram) % 2 == 0, "Hilbert product formula violated"
     return ram
 
 

@@ -739,7 +739,8 @@ def test_reverify_detects_tampering(sl2z_bundle):
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
     # the exit-3 line carries each failing id with its reason
-    monkeypatch.setitem(certify._REVERIFIERS, "hilbert.symbol-table", lambda claim, bundle: 1 // 0)
+    holds, _ = certify._CLAIM_KINDS["hilbert.symbol-table"]
+    monkeypatch.setitem(certify._CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda claim, bundle: 1 // 0))
     with pytest.raises(AssertionError, match=r"hilbert\.symbol-table \(ZeroDivisionError: integer division or modulo by zero\)"):
         certify.run_hilbert(load_config())
 
@@ -934,6 +935,69 @@ def test_golden_bundle_bytes(name, request):
         bundle = certify.PIPELINES[pipeline](load_config(None, overrides))
     assert render_bundle(bundle).encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
     assert bundle_exit_code(bundle) == exit_code
+
+
+def _golden(name):
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_verdict_flip_is_caught(name):
+    # each witnessed claim's verdict is what its rule gives: flipped to any
+    # other verdict it fails with the rule's reason, and a verified claim
+    # whose witness is dropped fails too; the other claims still pass
+    bundle = _golden(name)
+    for i, claim in enumerate(bundle["claims"]):
+        if claim["witness"] is None:
+            continue
+        tampered = [(v, f"the rule gives {claim['verdict']} for this witness, not {v}", False)
+                    for v in certify.VERDICTS if v != claim["verdict"]]
+        if claim["verdict"] == VERIFIED:
+            tampered.append((VERIFIED, "a claim without a witness cannot be verified", True))
+        for verdict, reason, drop in tampered:
+            parsed = json.loads(json.dumps(bundle))
+            parsed["claims"][i]["verdict"] = verdict
+            if drop:
+                parsed["claims"][i]["witness"] = None
+            results = reverify_bundle(parsed)
+            assert results[i] == (claim["id"], False, reason)
+            assert all(ok for j, (_, ok, _) in enumerate(results) if j != i)
+
+
+def test_hilbert_reverify_checks_the_whole_table():
+    parsed = _golden("hilbert-17-7")
+    w = parsed["claims"][0]["witness"]
+    assert _reverify_by_id(parsed)["hilbert.symbol-table"] == (True, None)
+    w.update(symbols=[row for row in w["symbols"] if row[0] not in ("7", "17")], ramified_places=[], division=False)
+    reason = "recorded division, ramified_places, symbols differs from the symbol table"
+    assert _reverify_by_id(parsed)["hilbert.symbol-table"] == (False, reason)
+
+
+def test_2adic_square_reverify_tests_d():
+    # a root of 3 mod 2 would turn the refuted stage 1 of d = 3 into a verified one
+    parsed = _golden("quaternionic-d-3")
+    parsed["claims"][0].update(verdict=VERIFIED, witness={"precision": 1, "square_root_residue": 1})
+    assert _reverify_by_id(parsed)["quaternionic.2adic-square"] == (False, "d is not a 2-adic square")
+
+
+def test_reverify_checks_the_claim_list():
+    # deleting the refuted index claim would turn exit 1 into exit 0
+    bundle = _golden("quaternionic")
+    assert [cid for cid, ok, _ in reverify_bundle(bundle) if not ok] == []
+    parsed = json.loads(json.dumps(bundle))
+    del parsed["claims"][5]
+    assert bundle_exit_code(parsed) == 0
+    results = reverify_bundle(parsed)
+    assert results[-1] == ("quaternionic", False, "the bundle lists no quaternionic.intersection-index claim")
+    assert all(ok for _, ok, _ in results[:-1])
+    parsed = json.loads(json.dumps(bundle))
+    parsed["claims"][5], parsed["claims"][6] = parsed["claims"][6], parsed["claims"][5]
+    reason = "the claims are not the quaternionic pipeline's, once each and in order"
+    assert reverify_bundle(parsed)[-1] == ("quaternionic", False, reason)
+    parsed = _golden("hilbert")
+    parsed["claims"].append(_golden("intersect")["claims"][0])
+    reason = "the claims are not the hilbert pipeline's, once each and in order"
+    assert reverify_bundle(parsed)[-1] == ("hilbert", False, reason)
 
 
 def test_units_reverify_checks_torsion_flags():
