@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import __version__
@@ -439,39 +439,39 @@ def _joint_method(gens) -> str:
     return JOINT_ORDER_METHOD if finite_order(commutator(*gens)) == INFINITE_ORDER else JOINT_SEARCH_METHOD
 
 
+def _commutator_map_claim(cfg: RunConfig) -> Certificate:
+    """(1) the commutator is x -> x / a^2"""
+    comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(cfg.a))
+    return Certificate(
+        claim="dihedral.commutator-map",
+        method="compose the two involutions both ways and compare with the scaling map",
+        inputs={"a": frac_str(cfg.a)},
+        witness={"matrix": rows_json(comm.rows), "scale_factor": frac_str(cfg.a * cfg.a)},
+    )
+
+
+def _commutator_order_claim(cfg: RunConfig) -> Certificate:
+    """(2) that map has infinite order away from a = +-1"""
+    comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(cfg.a))
+    order = finite_order(comm)
+    notes = ()
+    if order != INFINITE_ORDER:
+        notes = ("the two involutions generate a finite group here; no free product",)
+    return Certificate(
+        claim="dihedral.commutator-order",
+        method="power scan backed by the trace-squared-over-determinant test",
+        inputs={"a": frac_str(cfg.a)},
+        witness={"order": order, "trace_sq_over_det": frac_str(comm.trace() ** 2 / comm.determinant())},
+        depends_on=("dihedral.commutator-map",),
+        notes=notes,
+    )
+
+
 def run_dihedral(cfg: RunConfig) -> dict:
     a = cfg.a
     sigma = MobiusMap.sigma()
     sigma_a = MobiusMap.sigma_a(a)
-    claims = []
-
-    # (1) the commutator is x -> x / a^2
-    comm = commutator(sigma, sigma_a)
-    claims.append(
-        Certificate(
-            claim="dihedral.commutator-map",
-            method="compose the two involutions both ways and compare with the scaling map",
-            inputs={"a": frac_str(a)},
-            witness={"matrix": rows_json(comm.rows), "scale_factor": frac_str(a * a)},
-        )
-    )
-
-    # (2) that map has infinite order away from a = +-1
-    order = finite_order(comm)
-    ratio = comm.trace() ** 2 / comm.determinant()
-    notes = ()
-    if order != INFINITE_ORDER:
-        notes = ("the two involutions generate a finite group here; no free product",)
-    claims.append(
-        Certificate(
-            claim="dihedral.commutator-order",
-            method="power scan backed by the trace-squared-over-determinant test",
-            inputs={"a": frac_str(a)},
-            witness={"order": order, "trace_sq_over_det": frac_str(ratio)},
-            depends_on=("dihedral.commutator-map",),
-            notes=notes,
-        )
-    )
+    claims = [_commutator_map_claim(cfg), _commutator_order_claim(cfg)]
 
     # (3) each involution fixes an index-2 subfield, witnessed by its
     # degree-2 invariant
@@ -512,16 +512,6 @@ def run_dihedral(cfg: RunConfig) -> dict:
 
 # --------------------------------------------------------------------------
 # quaternionic pipeline
-
-
-def _two_adic_square(d: int):
-    """(is_square, valuation, odd_part mod 8)."""
-    v = 0
-    n = d
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return (v % 2 == 0 and n % 8 == 1), v, n % 8
 
 
 # what the construction asks of (d, b): a division algebra split at 2 and
@@ -622,9 +612,12 @@ QUATERNION_INDEX_NOTE = (
 )
 
 
-def _index_witness(result, claimed):
-    """The index claim's witness: what the formula read, its local factors
-    and, when claimed is not None, the comparison with the claimed index."""
+def _index_certificate(claim, h, inputs, claimed, depends_on=()):
+    """The intersection-index claim for conjugator h.  Its witness records
+    what the formula read, its local factors and, when claimed is not None,
+    the comparison with the claimed index, which refutes the claim when the
+    two differ."""
+    result = local_intersection(h)
     witness = {
         "local_factors": [dict(read, prime=p, exponent=n, factor=psi(p, n)) for p, n, read in result.factors],
         "computed_index_in_gamma": result.index,
@@ -632,28 +625,12 @@ def _index_witness(result, claimed):
     }
     if result.matrix is not None:
         witness["primitive_matrix"] = [list(row) for row in result.matrix]
-    if claimed is not None:
-        witness["claimed_index"] = claimed
-        witness["agrees_with_claimed"] = result.index == claimed
-    return witness
-
-
-def _index_certificate(claim, h, inputs, claimed, depends_on=()):
-    """The intersection-index claim for conjugator h; a claimed index that
-    differs from the computed one refutes it."""
-    result = local_intersection(h)
-    witness = _index_witness(result, claimed)
     notes = (RATIONAL_INDEX_NOTE if h.rows is not None else QUATERNION_INDEX_NOTE,)
-    if witness.get("agrees_with_claimed") is False:
-        notes += ("the computed index supersedes the claimed one",)
-    return Certificate(
-        claim=claim,
-        method=INDEX_METHOD,
-        inputs=inputs,
-        witness=witness,
-        depends_on=depends_on,
-        notes=notes,
-    )
+    if claimed is not None:
+        witness.update(claimed_index=claimed, agrees_with_claimed=result.index == claimed)
+        if result.index != claimed:
+            notes += ("the computed index supersedes the claimed one",)
+    return Certificate(claim=claim, method=INDEX_METHOD, inputs=inputs, witness=witness, depends_on=depends_on, notes=notes)
 
 
 def _explicit_claim(cfg: RunConfig):
@@ -711,32 +688,21 @@ def _choose_algebra(cfg: RunConfig) -> QuaternionAlgebra:
     return find_example_algebra(cfg.d, cfg.b_search_bound)
 
 
-def run_quaternionic(cfg: RunConfig) -> dict:
-    claims = []
-    for claim in _quaternionic_stages(cfg):
-        claims.append(claim)
-        if claim.verdict != VERIFIED and claim.claim not in _NON_BLOCKING:
-            break
-    claims += [_not_run(cid, method, claims[-1].claim) for cid, method in _QUATERNIONIC_STAGES[len(claims):]]
-    claims += [_context("quaternionic.cocompact-context"), _context("quaternionic.degree-two-context")]
-    return make_bundle("quaternionic", cfg, claims)
-
-
-def _quaternionic_stages(cfg: RunConfig):
-    """Yield the claims of _QUATERNIONIC_STAGES in order.  run_quaternionic
-    reads no further than a blocking stage that is not verified, so each
-    stage may use what the stages before it computed."""
-    # stage 1: d must be a 2-adic square so the quadratic field sits
-    # inside the 2-adic matrix algebra
-    ok, v2, odd_mod8 = _two_adic_square(cfg.d)
-    if ok:
+def _square_claim(cfg: RunConfig) -> Certificate:
+    """Stage 1: d must be a 2-adic square so the quadratic field sits
+    inside the 2-adic matrix algebra."""
+    v2 = (cfg.d & -cfg.d).bit_length() - 1  # the valuation of d at 2
+    odd_mod8 = (cfg.d >> v2) % 8
+    if v2 % 2 == 0 and odd_mod8 == 1:
         witness, notes = {"precision": SQUARE_PRECISION, "square_root_residue": sqrt_2adic(cfg.d, SQUARE_PRECISION)}, ()
     else:
         witness = {"valuation_at_2": v2, "odd_part_mod_8": odd_mod8}
         notes = ("a 2-adic square needs even valuation at 2 and odd part 1 mod 8",)
-    yield Certificate(claim="quaternionic.2adic-square", method=SQUARE_METHOD, inputs={"d": cfg.d}, witness=witness, notes=notes)
+    return Certificate(claim="quaternionic.2adic-square", method=SQUARE_METHOD, inputs={"d": cfg.d}, witness=witness, notes=notes)
 
-    # stage 2: a division algebra (d, b) split at 2 and at infinity
+
+def _algebra_claim(cfg: RunConfig) -> Certificate:
+    """Stage 2: a division algebra (d, b) split at 2 and at infinity."""
     inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
     try:
         algebra = _choose_algebra(cfg)
@@ -749,11 +715,48 @@ def _quaternionic_stages(cfg: RunConfig):
         else:
             witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
             notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
-            # an h the closed form cannot decide is an input error: reject
-            # it before the unit stages enumerate
-            conjugator = _conjugator(cfg.h, lambda: algebra)
-    yield Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
-                      depends_on=("quaternionic.2adic-square",), notes=notes)
+    return Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
+                       depends_on=("quaternionic.2adic-square",), notes=notes)
+
+
+def _quaternionic_index_claim(cfg: RunConfig) -> Certificate:
+    """Stage 5: the intersection index of the conjugated ambient group,
+    compared against the claimed value."""
+    return _index_certificate(
+        "quaternionic.intersection-index",
+        _conjugator(cfg.h, lambda: _choose_algebra(cfg)),
+        inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
+        claimed=cfg.claimed_index,
+        depends_on=("quaternionic.congruence-surjectivity",),
+    )
+
+
+def _blocks(claim_id: str, verdict: str) -> bool:
+    """Whether a quaternionic stage with this verdict stops the run."""
+    return verdict != VERIFIED and claim_id not in _NON_BLOCKING
+
+
+def run_quaternionic(cfg: RunConfig) -> dict:
+    claims = []
+    for claim in _quaternionic_stages(cfg):
+        claims.append(claim)
+        if _blocks(claim.claim, claim.verdict):
+            break
+    claims += [_not_run(cid, method, claims[-1].claim) for cid, method in _QUATERNIONIC_STAGES[len(claims):]]
+    claims += [_context("quaternionic.cocompact-context"), _context("quaternionic.degree-two-context")]
+    return make_bundle("quaternionic", cfg, claims)
+
+
+def _quaternionic_stages(cfg: RunConfig):
+    """Yield the claims of _QUATERNIONIC_STAGES in order.  run_quaternionic
+    reads no further than a blocking stage that is not verified, so each
+    stage may use what the stages before it computed."""
+    yield _square_claim(cfg)
+    yield _algebra_claim(cfg)
+    algebra = _choose_algebra(cfg)
+    # an h the closed form cannot decide is an input error: reject it
+    # before the unit stages enumerate
+    _conjugator(cfg.h, lambda: algebra)
 
     # stage 3: the unit group is torsion-free, so every congruence cover
     # in the tower is unramified.  The embedding flags decide it for the
@@ -817,15 +820,7 @@ def _quaternionic_stages(cfg: RunConfig):
         notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
     )
 
-    # stage 5: the intersection index of the conjugated ambient group,
-    # compared against the claimed value
-    yield _index_certificate(
-        "quaternionic.intersection-index",
-        conjugator,
-        inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
-        claimed=cfg.claimed_index,
-        depends_on=("quaternionic.congruence-surjectivity",),
-    )
+    yield _quaternionic_index_claim(cfg)
 
     # stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
     # pair whose trace is not an algebraic integer
@@ -874,12 +869,16 @@ def _word_seeds(h_rows):
     return seeds
 
 
-def run_sl2z(cfg: RunConfig) -> dict:
-    kind, data = parse_conjugator_spec(cfg.h)
+def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
+    kind, rows = parse_conjugator_spec(cfg.h)
     if kind != "rational":
         raise ConfigError("this pipeline needs a rational conjugator matrix")
-    rows = data
-    claims = [_index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))]
+    return _index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))
+
+
+def run_sl2z(cfg: RunConfig) -> dict:
+    claims = [_sl2z_index_claim(cfg)]
+    _, rows = parse_conjugator_spec(cfg.h)
 
     witness, notes = None, ()
     try:
@@ -910,29 +909,26 @@ def run_sl2z(cfg: RunConfig) -> dict:
 # ad-hoc pipelines: hilbert, units, intersect
 
 
-def _hilbert_witness(a: Fraction, b: Fraction) -> dict:
+def _symbol_table_claim(cfg: RunConfig) -> Certificate:
+    a, b = cfg.pair_values()
     table = symbol_table(a, b)
     ramified = [str(v) for v, s in table if s == -1]
-    return {
-        "symbols": [[str(v), s] for v, s in table],
-        "product_over_places": (-1) ** len(ramified),  # every symbol is +-1
-        "ramified_places": ramified,
-        "division": bool(ramified),
-    }
+    return Certificate(
+        claim="hilbert.symbol-table",
+        method="Hilbert symbols at 2, the odd primes of both square classes, and infinity",
+        inputs={"a": frac_str(a), "b": frac_str(b)},
+        witness={
+            "symbols": [[str(v), s] for v, s in table],
+            "product_over_places": (-1) ** len(ramified),  # every symbol is +-1
+            "ramified_places": ramified,
+            "division": bool(ramified),
+        },
+        notes=("the symbols multiply to one over all places; ramified places come in pairs",),
+    )
 
 
 def run_hilbert(cfg: RunConfig) -> dict:
-    a, b = cfg.pair_values()
-    claims = [
-        Certificate(
-            claim="hilbert.symbol-table",
-            method="Hilbert symbols at 2, the odd primes of both square classes, and infinity",
-            inputs={"a": frac_str(a), "b": frac_str(b)},
-            witness=_hilbert_witness(a, b),
-            notes=("the symbols multiply to one over all places; ramified places come in pairs",),
-        )
-    ]
-    return make_bundle("hilbert", cfg, claims)
+    return make_bundle("hilbert", cfg, [_symbol_table_claim(cfg)])
 
 
 def _resolve_algebra(cfg: RunConfig):
@@ -945,7 +941,7 @@ def _resolve_algebra(cfg: RunConfig):
     return algebra
 
 
-def run_units(cfg: RunConfig) -> dict:
+def _units_slice_claim(cfg: RunConfig) -> Certificate:
     if cfg.order_kind == SATURATED and cfg.d % 4 != 1:
         raise ConfigError("the 2-saturated order needs d = 1 mod 4")
     algebra = _resolve_algebra(cfg)
@@ -967,22 +963,26 @@ def run_units(cfg: RunConfig) -> dict:
     notes = ()
     if cfg.order_kind == SATURATED:
         notes = (mod2_image_obstruction(algebra),)
-    claims = [
-        Certificate(
-            claim="units.slice",
-            method="exhaustive norm-one coordinate enumeration up to the height bound",
-            inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": cfg.order_kind},
-            witness=witness,
-            notes=notes,
-        )
-    ]
-    return make_bundle("units", cfg, claims)
+    return Certificate(
+        claim="units.slice",
+        method="exhaustive norm-one coordinate enumeration up to the height bound",
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": cfg.order_kind},
+        witness=witness,
+        notes=notes,
+    )
+
+
+def run_units(cfg: RunConfig) -> dict:
+    return make_bundle("units", cfg, [_units_slice_claim(cfg)])
+
+
+def _intersect_index_claim(cfg: RunConfig) -> Certificate:
+    h = _conjugator(cfg.h, lambda: _resolve_algebra(cfg))
+    return _index_certificate("intersect.index", h, {"h": cfg.h}, _explicit_claim(cfg))
 
 
 def run_intersect(cfg: RunConfig) -> dict:
-    h = _conjugator(cfg.h, lambda: _resolve_algebra(cfg))
-    cert = _index_certificate("intersect.index", h, {"h": cfg.h}, _explicit_claim(cfg))
-    return make_bundle("intersect", cfg, [cert])
+    return make_bundle("intersect", cfg, [_intersect_index_claim(cfg)])
 
 
 PIPELINES = {
@@ -998,14 +998,11 @@ PIPELINES = {
 # --------------------------------------------------------------------------
 # re-verification
 #
-# Every claim with a witness can be re-checked from the bundle alone.  The
-# pipelines re-verify in make_bundle before returning, and a fresh process can
-# call reverify_bundle on a parsed bundle file.
-
-
-def _cfg_from_bundle(bundle) -> RunConfig:
-    overrides = [f"{k}={v}" for k, v in bundle["config"].items() if k in _KEYS]
-    return load_config(None, overrides)
+# Every claim can be re-checked from the bundle alone.  A computed claim is
+# rebuilt from the bundle's config, which must round-trip and match
+# config_hash; a search witness is checked as recorded.  The pipelines
+# re-verify in make_bundle before returning, and a fresh process can call
+# reverify_bundle on a parsed bundle file.
 
 
 class _Mismatch(Exception):
@@ -1017,21 +1014,38 @@ def _expect(ok, what: str):
         raise _Mismatch(what)
 
 
-def _expect_same(recorded: dict, expected: dict, source: str):
-    differ = sorted(key for key in set(recorded) | set(expected) if recorded.get(key) != expected.get(key))
-    _expect(not differ, f"recorded {', '.join(differ)} differs from {source}")
+def _cfg_from_bundle(bundle) -> RunConfig:
+    """The run's config read back from the bundle, claimed_index counting as
+    set exactly when compare_claimed is "1".  The recorded config must be
+    the one config_mapping gives for it and hash to config_hash."""
+    recorded = bundle["config"]
+    cfg = load_config(None, [f"{k}={v}" for k, v in recorded.items() if k in _KEYS])
+    cfg = replace(cfg, explicit=frozenset({"claimed_index"} if recorded.get("compare_claimed") == "1" else ()))
+    _expect(config_mapping(cfg) == recorded, "the recorded config is not the canonical form of a config")
+    _expect(config_hash(cfg) == bundle["config_hash"], "config_hash is not the hash of the recorded config")
+    return cfg
 
 
-def _rv_commutator_map(claim, bundle):
-    a = parse_frac(claim["inputs"]["a"])
-    comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a))
-    _expect(rows_json(comm.rows) == claim["witness"]["matrix"], "recorded matrix differs from the commutator")
+def rebuilt(build):
+    """The check of a computed claim: build(cfg) rebuilds it from the
+    bundle's checked config, as the pipeline built it, and every field but
+    the verdict must be the same.  The claim's rule then checks the verdict.
+    The reason names each field that differs, and each differing key of the
+    inputs and the witness."""
 
+    def check(claim, bundle):
+        want = json.loads(json.dumps(build(_cfg_from_bundle(bundle)).as_dict()))
+        differ = []
+        for key in sorted((set(claim) | set(want)) - {"verdict"}):
+            got, expected = claim.get(key), want.get(key)
+            if isinstance(got, dict) and isinstance(expected, dict):
+                differ += [f"{key}.{k}" for k in sorted(set(got) | set(expected)) if got.get(k) != expected.get(k)]
+            elif got != expected:
+                differ.append(key)
+        _expect(not differ, f"the claim rebuilt from the config differs in {', '.join(differ)}")
 
-def _rv_commutator_order(claim, bundle):
-    a = parse_frac(claim["inputs"]["a"])
-    order = finite_order(commutator(MobiusMap.sigma(), MobiusMap.sigma_a(a)))
-    _expect(claim["witness"]["order"] == order, "recorded order differs from the computed one")
+    check.build = build
+    return check
 
 
 def _expect_invariants(recorded, gens, max_degree):
@@ -1082,43 +1096,9 @@ def _rv_invariant_intersection(claim, bundle):
         _expect(not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")
 
 
-def _rv_2adic_square(claim, bundle):
-    d, w = claim["inputs"]["d"], claim["witness"]
-    ok, v2, odd = _two_adic_square(d)
-    if "square_root_residue" in w:
-        s = w["square_root_residue"]
-        _expect((s * s - d) % 2 ** w["precision"] == 0, "recorded root does not square to d")
-        # a root mod a low power of 2 proves nothing: the valuation and the odd part decide
-        _expect(ok, "d is not a 2-adic square")
-        return
-    _expect(not ok, "d is a 2-adic square")
-    _expect(w == {"valuation_at_2": v2, "odd_part_mod_8": odd}, "recorded valuation or odd part differs")
-
-
-def _rv_algebra(claim, bundle):
-    """A found algebra records its parameters and ramified places; a
-    requested b that fails records only the symbols of (d, b)."""
-    w = claim["witness"]
-    if "a" in w:
-        algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
-    else:
-        algebra = QuaternionAlgebra(claim["inputs"]["d"], claim["inputs"]["b"])
-    _expect({key: w[key] for key in _ADMISSIBLE} == _algebra_symbols(algebra), "recorded Hilbert symbols differ from the computed ones")
-    if "a" in w:
-        _expect(ramified_places(algebra) == w["ramified_places"], "recorded ramified places differ")
-
-
 def _algebra_from_bundle(bundle):
-    for claim in bundle["claims"]:
-        if claim["id"].endswith(".algebra") and claim["witness"]:
-            return QuaternionAlgebra(parse_frac(claim["witness"]["a"]), parse_frac(claim["witness"]["b"]))
-    cfg = _cfg_from_bundle(bundle)
-    return _resolve_algebra(cfg)
-
-
-def _expect_flags(report, witness, keys):
-    for key in keys:
-        _expect(report[key] == witness[key], f"recorded {key} differs from the computed value")
+    """The algebra that the bundle's checked config gives."""
+    return _resolve_algebra(_cfg_from_bundle(bundle))
 
 
 def _order_unit(algebra, coords, kind=STANDARD):
@@ -1156,7 +1136,8 @@ def _rv_torsion(claim, bundle):
     algebra = _algebra_from_bundle(bundle)
     w = claim["witness"]
     flags = embedding_flags(algebra)
-    _expect_flags(flags, w, flags)
+    for key in flags:
+        _expect(flags[key] == w[key], f"recorded {key} differs from the computed value")
     units = []
     if w["finite_order_unit"] is not None:
         _expect(not flags["algebra_torsion_free"], "a finite-order unit is recorded in a torsion-free algebra")
@@ -1239,12 +1220,6 @@ def _rv_surjectivity(claim, bundle):
         _expect([entry["level"] for entry in levels] == want, "the recorded levels do not cover k_min to k_max")
 
 
-def _rv_intersection(claim, bundle):
-    h = _conjugator(claim["inputs"]["h"], lambda: _algebra_from_bundle(bundle))
-    w = claim["witness"]
-    _expect_same(w, _index_witness(local_intersection(h), w.get("claimed_index")), "the closed form")
-
-
 def _rv_trace(claim, bundle):
     """Recompute the trace from the two recorded units and h with three
     matrix products; no slice is enumerated."""
@@ -1267,25 +1242,6 @@ def _rv_elliptic(claim, bundle):
     _expect(len(w["word"]) == w["word_length"], "recorded word length differs")
 
 
-def _rv_hilbert(claim, bundle):
-    """The whole witness must be what the pair's symbol table gives."""
-    a, b = (parse_frac(claim["inputs"][key]) for key in ("a", "b"))
-    _expect_same(claim["witness"], _hilbert_witness(a, b), "the symbol table")
-
-
-def _rv_units(claim, bundle):
-    w = claim["witness"]
-    algebra = QuaternionAlgebra(parse_frac(w["a"]), parse_frac(w["b"]))
-    if w["order_kind"] == SATURATED:
-        slice_ = enumerate_units_saturated(algebra, w["bound"])
-    else:
-        slice_ = enumerate_units(algebra, w["bound"])
-    _expect(len(slice_.elements) == w["count"], "recorded slice size differs")
-    firsts = [coords_json(u) for u in slice_.elements[:8]]
-    _expect(firsts == w["first_elements"], "recorded first elements differ")
-    _expect_flags(torsion_check(slice_), w, ("slice_torsion_free", "algebra_torsion_free"))
-
-
 def _scales_by_a_squared(witness, inputs):
     a = parse_frac(inputs["a"])
     return MobiusMap.from_rows(rows_from_json(witness["matrix"])) == MobiusMap.from_rows(((1, 0), (0, a * a)))
@@ -1303,26 +1259,27 @@ def _witnessed(witness, inputs):
 
 # claim id -> (holds, check), in bundle order.  holds(witness, inputs) is
 # the rule that decides a witnessed claim's verdict, in the pipelines and in
-# re-verification alike; check(claim, bundle) re-checks the witness itself.
+# re-verification alike; check(claim, bundle) re-checks the claim itself, a
+# computed claim by rebuilding it and a search witness as recorded.
 _CLAIM_KINDS = {
-    "dihedral.commutator-map": (_scales_by_a_squared, _rv_commutator_map),
-    "dihedral.commutator-order": (lambda w, _: w["order"] == INFINITE_ORDER, _rv_commutator_order),
+    "dihedral.commutator-map": (_scales_by_a_squared, rebuilt(_commutator_map_claim)),
+    "dihedral.commutator-order": (lambda w, _: w["order"] == INFINITE_ORDER, rebuilt(_commutator_order_claim)),
     "dihedral.invariant-field-index.sigma": (lambda w, _: w["index"] == 2, _rv_invariant_index),
     "dihedral.invariant-field-index.sigma-a": (lambda w, _: w["index"] == 2, _rv_invariant_index),
     "dihedral.invariant-intersection": (lambda w, _: not w["joint_invariants"], _rv_invariant_intersection),
-    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _rv_2adic_square),
-    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _rv_algebra),
+    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, rebuilt(_square_claim)),
+    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), rebuilt(_algebra_claim)),
     "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _rv_torsion),
     "quaternionic.standard-order-obstruction":
         (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _rv_obstruction),
     "quaternionic.congruence-surjectivity": (lambda w, _: all(e["surjects"] for e in w["levels"]), _rv_surjectivity),
-    "quaternionic.intersection-index": (_index_agrees, _rv_intersection),
+    "quaternionic.intersection-index": (_index_agrees, rebuilt(_quaternionic_index_claim)),
     "quaternionic.nondiscrete": (_witnessed, _rv_trace),
-    "sl2z.intersection-index": (_index_agrees, _rv_intersection),
+    "sl2z.intersection-index": (_index_agrees, rebuilt(_sl2z_index_claim)),
     "sl2z.nondiscrete": (_witnessed, _rv_elliptic),
-    "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, _rv_hilbert),
-    "units.slice": (_witnessed, _rv_units),
-    "intersect.index": (_index_agrees, _rv_intersection),
+    "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, rebuilt(_symbol_table_claim)),
+    "units.slice": (_witnessed, rebuilt(_units_slice_claim)),
+    "intersect.index": (_index_agrees, rebuilt(_intersect_index_claim)),
 }
 
 
@@ -1333,16 +1290,47 @@ def _rule_verdict(claim_id: str, witness, inputs) -> str:
     return VERIFIED if holds(witness, inputs) else REFUTED
 
 
-def _reverify_claim(claim, bundle):
-    """The witness checker first, then the verdict the claim's rule gives."""
-    if claim["witness"] is None:
-        _expect(claim["verdict"] in (SEARCH_EXHAUSTED, ASSUMPTION), f"a claim without a witness cannot be {claim['verdict']}")
+def _reverify_claim(claim, bundle, stub):
+    """A stage that did not run must equal stub, its _not_run claim (stub
+    is None for any other claim), and a context its _context claim.  Any
+    other claim is checked, and its verdict must then be the one its rule
+    gives.  It may go without a witness only as not-found, and only when its
+    rule is _witnessed or its rebuild decides."""
+    cid, verdict = claim["id"], claim["verdict"]
+    if stub is not None:
+        _expect(claim == stub, f"{stub['depends_on'][0]} is not verified, so this stage must be the stub of one that did not run")
         return
-    _expect(claim["id"] in _CLAIM_KINDS, "no re-verifier for this claim")
-    _, check = _CLAIM_KINDS[claim["id"]]
+    if cid in _CONTEXTS:
+        _expect(claim == _context(cid).as_dict(), "the context differs from the standing one")
+        return
+    _expect(cid in _CLAIM_KINDS, "no re-verifier for this claim")
+    holds, check = _CLAIM_KINDS[cid]
+    if claim["witness"] is None:
+        _expect(verdict != ASSUMPTION, "only context and stages that did not run are assumptions")
+        _expect(verdict == SEARCH_EXHAUSTED, f"a claim without a witness cannot be {verdict}")
+        if not hasattr(check, "build"):
+            _expect(holds is _witnessed, "this claim always records a witness")
+            return
     check(claim, bundle)
-    want = _rule_verdict(claim["id"], claim["witness"], claim["inputs"])
-    _expect(claim["verdict"] == want, f"the rule gives {want} for this witness, not {claim['verdict']}")
+    want = _rule_verdict(cid, claim["witness"], claim["inputs"])
+    _expect(verdict == want, f"the rule gives {want} for this witness, not {verdict}")
+
+
+def _stage_verdict(claim, bundle) -> str:
+    """The verdict that places a quaternionic bundle's stubs: a rebuilt
+    stage's rebuilt verdict, else the one the rule gives its witness, so
+    that a tampered verdict or witness fails once, on its own claim.  A
+    claim without a witness keeps its recorded verdict, and so does one
+    whose config or witness cannot be read."""
+    _, check = _CLAIM_KINDS[claim["id"]]
+    try:
+        if hasattr(check, "build"):
+            return check.build(_cfg_from_bundle(bundle)).verdict
+        if claim["witness"] is not None:
+            return _rule_verdict(claim["id"], claim["witness"], claim["inputs"])
+    except Exception:
+        pass  # the claim's own check makes the same calls and reports what they raise
+    return claim["verdict"]
 
 
 def _claim_list_problem(bundle):
@@ -1362,24 +1350,31 @@ def _claim_list_problem(bundle):
 def reverify_bundle(bundle: dict):
     """Re-check every claim from the bundle content alone.
 
-    Each witnessed claim's checker re-checks its witness, and its verdict
-    must then be the one its rule gives; a claim without a witness must be
-    not-found or an assumption.  Returns [(claim id, ok, reason)] covering
-    all claims, plus a failing entry under the pipeline's name when the
-    bundle does not list that pipeline's claims in order.  reason is None
-    for a passing claim; otherwise it names the check that failed, or gives
-    the type and message of the exception the checker raised.
+    A computed claim is rebuilt from the bundle's config, which must
+    round-trip and hash to config_hash; a search witness is checked as
+    recorded.  Either way the verdict must then be the one the claim's rule
+    gives.  A quaternionic stage that follows the first blocking stage
+    that is not verified must be its _not_run stub, and no other stage may
+    be one.  Returns [(claim id, ok, reason)] covering all claims, plus a
+    failing entry under the pipeline's name when the bundle does not list
+    that pipeline's claims in order.  reason is None for a passing claim;
+    otherwise it names the check that failed, or gives the type and message
+    of the exception the checker raised.
     """
-    results = []
+    methods = dict(_QUATERNIONIC_STAGES)
+    results, blocker = [], None
     for claim in bundle["claims"]:
-        reason = None
+        cid, reason = claim["id"], None
+        stub = _not_run(cid, methods[cid], blocker).as_dict() if blocker and cid in methods else None
         try:
-            _reverify_claim(claim, bundle)
+            _reverify_claim(claim, bundle, stub)
         except _Mismatch as e:
             reason = str(e)
         except Exception as e:
             reason = f"{type(e).__name__}: {e}"
-        results.append((claim["id"], reason is None, reason))
+        results.append((cid, reason is None, reason))
+        if cid in methods and not blocker and _blocks(cid, _stage_verdict(claim, bundle)):
+            blocker = cid
     problem = _claim_list_problem(bundle)
     if problem:
         results.append((bundle["pipeline"], False, problem))

@@ -718,7 +718,7 @@ def test_reverify_detects_tampering(sl2z_bundle):
     parsed["claims"][0]["witness"]["computed_index_in_gamma"] = 4
     ok, reason = _reverify_by_id(parsed)["sl2z.intersection-index"]
     assert ok is False
-    assert reason == "recorded computed_index_in_gamma differs from the closed form"
+    assert reason == "the claim rebuilt from the config differs in witness.computed_index_in_gamma"
     assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (True, None)
 
     parsed = json.loads(render_bundle(sl2z_bundle))
@@ -851,7 +851,7 @@ def test_quaternionic_refutes_explicit_split_b():
     parsed = json.loads(render_bundle(bundle))
     parsed["claims"][1]["witness"]["division"] = True
     ok, reason = _reverify_by_id(parsed)["quaternionic.algebra"]
-    assert ok is False and reason == "recorded Hilbert symbols differ from the computed ones"
+    assert ok is False and reason == "the claim rebuilt from the config differs in witness.division"
 
 
 def test_quaternionic_rejects_h_before_enumerating(monkeypatch):
@@ -969,7 +969,7 @@ def test_hilbert_reverify_checks_the_whole_table():
     w = parsed["claims"][0]["witness"]
     assert _reverify_by_id(parsed)["hilbert.symbol-table"] == (True, None)
     w.update(symbols=[row for row in w["symbols"] if row[0] not in ("7", "17")], ramified_places=[], division=False)
-    reason = "recorded division, ramified_places, symbols differs from the symbol table"
+    reason = "the claim rebuilt from the config differs in witness.division, witness.ramified_places, witness.symbols"
     assert _reverify_by_id(parsed)["hilbert.symbol-table"] == (False, reason)
 
 
@@ -977,7 +977,8 @@ def test_2adic_square_reverify_tests_d():
     # a root of 3 mod 2 would turn the refuted stage 1 of d = 3 into a verified one
     parsed = _golden("quaternionic-d-3")
     parsed["claims"][0].update(verdict=VERIFIED, witness={"precision": 1, "square_root_residue": 1})
-    assert _reverify_by_id(parsed)["quaternionic.2adic-square"] == (False, "d is not a 2-adic square")
+    reason = "the claim rebuilt from the config differs in witness.odd_part_mod_8, witness.precision, witness.square_root_residue, witness.valuation_at_2"
+    assert _reverify_by_id(parsed)["quaternionic.2adic-square"] == (False, reason)
 
 
 def test_reverify_checks_the_claim_list():
@@ -1007,8 +1008,162 @@ def test_units_reverify_checks_torsion_flags():
         parsed = json.loads(render_bundle(bundle))
         assert _reverify_by_id(parsed)["units.slice"] == (True, None)
         parsed["claims"][0]["witness"]["slice_torsion_free"] = False
-        expected = (False, "recorded slice_torsion_free differs from the computed value")
+        expected = (False, "the claim rebuilt from the config differs in witness.slice_torsion_free")
         assert _reverify_by_id(parsed)["units.slice"] == expected
+
+
+# -- computed claims are rebuilt from the checked config --------------------
+
+# the claims that are pure functions of the config
+REBUILT = {
+    "dihedral.commutator-map", "dihedral.commutator-order", "quaternionic.2adic-square", "quaternionic.algebra",
+    "quaternionic.intersection-index", "sl2z.intersection-index", "intersect.index", "hilbert.symbol-table",
+    "units.slice",
+}
+HASH_REASON = "config_hash is not the hash of the recorded config"
+
+
+def test_computed_claims_share_the_rebuild_check():
+    assert {cid for cid, (_, check) in certify._CLAIM_KINDS.items() if hasattr(check, "build")} == REBUILT
+
+
+def _ran_and_rebuilt(claim):
+    return claim["id"] in REBUILT and claim["verdict"] != ASSUMPTION  # a stub is checked as one
+
+
+def _rebuilt_reasons(parsed):
+    results = zip(parsed["claims"], reverify_bundle(parsed))
+    return {cid: (ok, reason) for claim, (cid, ok, reason) in results if _ran_and_rebuilt(claim)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_config_round_trips(name):
+    # the recorded config reads back to the run's config, claimed_index
+    # counting as set only when compare_claimed says so; a changed value, a
+    # value in another spelling or a changed hash fails every rebuilt claim
+    bundle = _golden(name)
+    cfg = certify._cfg_from_bundle(bundle)
+    assert certify.config_mapping(cfg) == bundle["config"]
+    assert config_hash(cfg) == bundle["config_hash"]
+    assert ("claimed_index" in cfg.explicit) == any(o.startswith("claimed_index=") for o in GOLDEN[name][1])
+    tampered = [
+        ("word_length_bound", str(int(bundle["config"]["word_length_bound"]) + 1), HASH_REASON),
+        ("d", "0" + bundle["config"]["d"], "the recorded config is not the canonical form of a config"),
+        ("config_hash", "0" * 64, HASH_REASON),
+    ]
+    for key, value, reason in tampered:
+        parsed = json.loads(json.dumps(bundle))
+        if key == "config_hash":
+            parsed[key] = value
+        else:
+            parsed["config"][key] = value
+        reasons = _rebuilt_reasons(parsed)
+        assert reasons and set(reasons.values()) == {(False, reason)}
+
+
+@pytest.mark.parametrize("name, cid", [("intersect-half-shift-claimed-3", "intersect.index"),
+                                       ("quaternionic", "quaternionic.intersection-index")])
+def test_claimed_index_is_read_from_the_config(name, cid):
+    # dropping the comparison from a refuted index claim would turn exit 1
+    # into exit 0
+    parsed = _golden(name)
+    claim = claim_by_id(parsed, cid)
+    del claim["witness"]["claimed_index"], claim["witness"]["agrees_with_claimed"]
+    claim["verdict"] = VERIFIED
+    assert bundle_exit_code(parsed) == 0
+    reason = "the claim rebuilt from the config differs in witness.agrees_with_claimed, witness.claimed_index"
+    assert [(c, reason_) for c, ok, reason_ in reverify_bundle(parsed) if not ok] == [(cid, reason)]
+
+
+def _stub(cid, blocker):
+    return certify._not_run(cid, dict(certify._QUATERNIONIC_STAGES)[cid], blocker).as_dict()
+
+
+def _failures(parsed):
+    return [(cid, reason) for cid, ok, reason in reverify_bundle(parsed) if not ok]
+
+
+def test_a_stage_that_ran_is_not_a_stub():
+    # the refuted index claim, replaced by the stub a blocked run records
+    parsed = _golden("quaternionic")
+    parsed["claims"][5] = _stub("quaternionic.intersection-index", "quaternionic.congruence-surjectivity")
+    assert bundle_exit_code(parsed) == 0
+    reason = "only context and stages that did not run are assumptions"
+    assert _failures(parsed) == [("quaternionic.intersection-index", reason)]
+
+
+def test_a_blocking_stage_records_a_witness():
+    # stage 4 as a search that found nothing, with the two stages after it
+    # stubbed: the stubs are in place, but stage 4 always records a witness
+    parsed = _golden("quaternionic")
+    parsed["claims"][4].update(witness=None, verdict=SEARCH_EXHAUSTED)
+    blocker = "quaternionic.congruence-surjectivity"
+    parsed["claims"][5:7] = [_stub(c["id"], blocker) for c in parsed["claims"][5:7]]
+    assert bundle_exit_code(parsed) == 0
+    assert _failures(parsed) == [(blocker, "this claim always records a witness")]
+
+
+def test_stubs_follow_the_first_blocking_stage():
+    parsed = _golden("quaternionic-d-3")
+    assert _failures(parsed) == []
+    reason = "quaternionic.2adic-square is not verified, so this stage must be the stub of one that did not run"
+    for edit in (lambda c: c["notes"].append("x"), lambda c: c.update(depends_on=["quaternionic.algebra"]),
+                 lambda c: c.update(verdict=SEARCH_EXHAUSTED)):
+        tampered = json.loads(json.dumps(parsed))
+        edit(tampered["claims"][3])
+        assert _failures(tampered) == [(tampered["claims"][3]["id"], reason)]
+    # a stage that ran, where a stub belongs
+    tampered = json.loads(json.dumps(parsed))
+    tampered["claims"][5] = claim_by_id(_golden("quaternionic"), "quaternionic.intersection-index")
+    assert _failures(tampered) == [("quaternionic.intersection-index", reason)]
+    # a context is its standing note
+    tampered = json.loads(json.dumps(parsed))
+    tampered["claims"][7]["notes"] = ["edited"]
+    assert _failures(tampered) == [("quaternionic.cocompact-context", "the context differs from the standing one")]
+
+
+def _leaves(obj, path=()):
+    """The path to each scalar in obj."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return "0" if value is None else value + "0"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_leaf_of_a_rebuilt_claim_is_checked(name):
+    # changing any one scalar in a rebuilt claim's inputs, witness or notes
+    # fails that claim with the field named; the other claims still pass
+    bundle = _golden(name)
+    swept = 0
+    for i, claim in enumerate(bundle["claims"]):
+        if not _ran_and_rebuilt(claim):
+            continue
+        for part in ("inputs", "witness", "notes"):
+            for path in _leaves(claim[part]):
+                parsed = json.loads(json.dumps(bundle))
+                target = parsed["claims"][i][part]
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = _changed(target[path[-1]])
+                field = f"{part}.{path[0]}" if part != "notes" else part
+                results = reverify_bundle(parsed)
+                assert results[i] == (claim["id"], False, f"the claim rebuilt from the config differs in {field}")
+                assert all(ok for j, (_, ok, _) in enumerate(results) if j != i)
+                swept += 1
+    assert swept
 
 
 # -- unit stages read their streams only up to their witness ----------------
