@@ -10,11 +10,11 @@ the bundle alone.  Verdicts come from a fixed four-word vocabulary:
   not-found              a search exhausted its budget without a witness
   assumption             context recorded without a computation
 
-Each claim id has one rule, in the table at the end of this module, that
-decides its verdict from its witness: no witness gives not-found, and
-otherwise the verdict is verified when the rule holds and
-refuted-at-this-level when it does not.  Re-verification applies the same
-rule.  Only context and stages that did not run are assumptions.
+Each claim id has one builder, which its pipeline and re-verification both
+call, and one rule, in the table at the end of this module, that decides
+its verdict from its witness: no witness gives not-found, and otherwise the
+verdict is verified when the rule holds and refuted-at-this-level when it
+does not.  Only context and stages that did not run are assumptions.
 
 A quaternionic stage that later stages rest on (the 2-adic square, the
 algebra, torsion-freeness, congruence surjectivity) stops the run when it
@@ -34,24 +34,24 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache, partial, reduce
 
 from . import __version__
 from .commens import Conjugator, local_intersection, psi
 from .exact import sqrt_2adic
 from .fuchsian import (
     NOT_FOUND,
-    EllipticCertificate,
     RealQuadElem,
     WordElement,
     find_infinite_elliptic,
     find_nonintegral_trace,
     is_algebraic_integer,
+    is_infinite_elliptic_trace,
     lift_rational_matrix,
     pair_trace,
     real_embed,
-    verify_elliptic,
 )
-from .mat2 import mat_adj, mat_det, mat_scale, mat_tr
+from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
 from .mobius import (
     INFINITE_ORDER,
     BinaryFormSpace,
@@ -59,10 +59,11 @@ from .mobius import (
     MobiusMap,
     _fixed_by,
     commutator,
+    compose,
     finite_order,
     invariant_search,
 )
-from .modgroup import ResidueMatrix, group_order, kernel_words, power, spans_layer, word_value
+from .modgroup import ResidueMatrix, group_order, kernel_words, spans_layer, word_value
 from .quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, ramified_places, split_2adic, symbol_table
 from .units import (
     SATURATED,
@@ -204,6 +205,15 @@ class RunConfig:
             raise ConfigError("pair entries must be nonzero")
         return a, b
 
+    @cached_property
+    def algebra(self) -> QuaternionAlgebra:
+        """(d, b) for an explicit b, else the first admissible algebra that
+        find_example_algebra reaches; ValueError when its search ends
+        empty.  Resolved once per config."""
+        if self.b:
+            return QuaternionAlgebra(self.d, self.b)
+        return find_example_algebra(self.d, self.b_search_bound)
+
 
 # key -> parser; the annotations are strings under postponed evaluation
 _PARSERS = {"int": _as_int, "Fraction": _as_frac, "str": str}
@@ -320,6 +330,16 @@ def config_hash(cfg: RunConfig) -> str:
 # certificates and bundles
 
 
+class _Mismatch(Exception):
+    """A check on a claim failed; the message names the check.  In a
+    pipeline it is an internal fault."""
+
+
+def _expect(ok, what: str):
+    if not ok:
+        raise _Mismatch(what)
+
+
 @dataclass
 class Certificate:
     """One claim.  Its verdict is what the claim's rule gives for the
@@ -431,12 +451,20 @@ JOINT_ORDER_NOTE = (
 )
 
 
-def _joint_method(gens) -> str:
-    """How the joint claim for the two involutions gens is decided, in the
-    pipeline and in re-verification alike: by the order bound of
-    JOINT_ORDER_NOTE when their commutator has infinite order (every
-    a != +-1), else by a complete search up to the degree bound."""
-    return JOINT_ORDER_METHOD if finite_order(commutator(*gens)) == INFINITE_ORDER else JOINT_SEARCH_METHOD
+@lru_cache(maxsize=64)
+def _joint_plan(a, invariant_degree: int):
+    """The two involutions, how the joint claim for them is decided and its
+    degree bound, in the pipeline and in re-verification alike.  Their
+    group G is infinite exactly when rho = sigma sigma_a has infinite order
+    (every a != +-1), and the order bound of JOINT_ORDER_NOTE decides the
+    claim.  At a = +-1, G is finite of order 2 ord(rho) and has a joint
+    invariant of degree |G|, so the complete search runs to
+    max(invariant_degree, |G|): a cap never decides verified."""
+    gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
+    order = finite_order(compose(*gens))
+    if order == INFINITE_ORDER:
+        return gens, JOINT_ORDER_METHOD, invariant_degree
+    return gens, JOINT_SEARCH_METHOD, max(invariant_degree, 2 * order)
 
 
 def _commutator_map_claim(cfg: RunConfig) -> Certificate:
@@ -467,46 +495,47 @@ def _commutator_order_claim(cfg: RunConfig) -> Certificate:
     )
 
 
-def run_dihedral(cfg: RunConfig) -> dict:
-    a = cfg.a
-    sigma = MobiusMap.sigma()
-    sigma_a = MobiusMap.sigma_a(a)
-    claims = [_commutator_map_claim(cfg), _commutator_order_claim(cfg)]
+def _involution(label: str, a) -> MobiusMap:
+    return MobiusMap.sigma() if label == "sigma" else MobiusMap.sigma_a(a)
 
-    # (3) each involution fixes an index-2 subfield, witnessed by its
-    # degree-2 invariant
-    for label, g in (("sigma", sigma), ("sigma-a", sigma_a)):
-        inv = invariant_search((g,), 2)
-        idx = min((f.degree for f in inv), default=None)
-        claims.append(
-            Certificate(
-                claim=f"dihedral.invariant-field-index.{label}",
-                method="minimal degree of a nonconstant invariant of the involution",
-                inputs={"a": frac_str(a), "generator": rows_json(g.rows)},
-                witness={"index": idx, "invariants": [_invariant_json(f) for f in inv]},
-            )
-        )
 
-    # (4) no joint invariant: the commutator's order rules out every degree
-    # at once, and only the finite groups at a = +-1 are searched
-    gens = (sigma, sigma_a)
-    method = _joint_method(gens)
-    joint, rests_on, notes = [], ("dihedral.commutator-order",), (JOINT_ORDER_NOTE,)
-    if method == JOINT_SEARCH_METHOD:
-        joint, rests_on, notes = invariant_search(gens, cfg.invariant_degree), (), ()
-        if joint:
-            notes = ("the two fixed fields share a nonconstant function; their intersection is larger than the constants",)
-    claims.append(
-        Certificate(
-            claim="dihedral.invariant-intersection",
-            method=method,
-            inputs={"a": frac_str(a), "degree_bound": cfg.invariant_degree},
-            witness={"joint_invariants": [_invariant_json(f) for f in joint]},
-            depends_on=rests_on + ("dihedral.invariant-field-index.sigma", "dihedral.invariant-field-index.sigma-a"),
-            notes=notes,
-        )
+def _field_index_claim(label: str, cfg: RunConfig, found) -> Certificate:
+    """(3) the involution fixes an index-2 subfield, witnessed by the
+    invariants of degree at most 2 that its search found"""
+    return Certificate(
+        claim=f"dihedral.invariant-field-index.{label}",
+        method="minimal degree of a nonconstant invariant of the involution",
+        inputs={"a": frac_str(cfg.a), "generator": rows_json(_involution(label, cfg.a).rows)},
+        witness={"index": min((f.degree for f in found), default=None), "invariants": [_invariant_json(f) for f in found]},
     )
 
+
+def _joint_claim(cfg: RunConfig, found) -> Certificate:
+    """(4) no joint invariant: the commutator's order rules out every degree
+    at once, and only the finite groups at a = +-1 are searched; found is
+    the joint invariants that search found"""
+    _, method, bound = _joint_plan(cfg.a, cfg.invariant_degree)
+    rests_on, notes = ("dihedral.commutator-order",), (JOINT_ORDER_NOTE,)
+    if method == JOINT_SEARCH_METHOD:
+        rests_on, notes = (), ()
+        if found:
+            notes = ("the two fixed fields share a nonconstant function; their intersection is larger than the constants",)
+    return Certificate(
+        claim="dihedral.invariant-intersection",
+        method=method,
+        inputs={"a": frac_str(cfg.a), "degree_bound": bound},
+        witness={"joint_invariants": [_invariant_json(f) for f in found]},
+        depends_on=rests_on + ("dihedral.invariant-field-index.sigma", "dihedral.invariant-field-index.sigma-a"),
+        notes=notes,
+    )
+
+
+def run_dihedral(cfg: RunConfig) -> dict:
+    claims = [_commutator_map_claim(cfg), _commutator_order_claim(cfg)]
+    for label in ("sigma", "sigma-a"):
+        claims.append(_field_index_claim(label, cfg, invariant_search((_involution(label, cfg.a),), 2)))
+    gens, method, bound = _joint_plan(cfg.a, cfg.invariant_degree)
+    claims.append(_joint_claim(cfg, invariant_search(gens, bound) if method == JOINT_SEARCH_METHOD else []))
     return make_bundle("dihedral", cfg, claims)
 
 
@@ -547,25 +576,26 @@ LIFT_NOTES = (
 )
 
 
-def _surjectivity_levels(cfg: RunConfig, read, top_table) -> list:
-    """Stage 4's level entries for the saturated units read, with
-    top_table the closure of their images at the top closed level
-    min(k_max, BASE_LEVEL), as closing_prefix returns them.  Levels up to
-    BASE_LEVEL close the images of the units read (the top one reuses
-    top_table) and record the units the closure used; the first level that
-    fails ends the list.  Each level above it records kernel words in the
-    base level's units and the power that carries them into its layer."""
-    split = split_2adic(read[0].algebra)
+def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
+    """Stage 4: unit images fill SL2(Z/2^k) at every level up to k_max.
+    found is what its search found: the saturated units read; the closure
+    of their images at the top closed level min(k_max, BASE_LEVEL), as
+    closing_prefix returns it; and kernel words in the units it used, or
+    None.  Levels up to BASE_LEVEL close the images of the units read (the
+    top one reuses the closure) and record the units the closure used; the
+    first level that fails ends the list.  A unit used at one level is used
+    at every level above it, so the units recorded at the last closed level
+    rebuild every entry.  Each level above BASE_LEVEL records the kernel
+    words and the power that carries them into its layer."""
+    read, top_table, words = found
+    split = split_2adic(cfg.algebra)
     k_top = min(cfg.k_max, BASE_LEVEL)
     top = reduce_units(read, split, k_top)
     levels = []
     # a lifted level needs the base level below it, even under k_min
     for k in range(min(cfg.k_min, BASE_LEVEL), k_top + 1):
         reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
-        if k == k_top:  # closing_prefix has closed this level already
-            flag, table = top_table.order == group_order(2, k), top_table
-        else:
-            flag, table = images_surject(reduced, k)
+        flag, table = (top_table.order == group_order(2, k), top_table) if k == k_top else images_surject(reduced, k)
         units = [read[reduced.index(g)] for g in table.generators]
         levels.append(
             {
@@ -580,29 +610,45 @@ def _surjectivity_levels(cfg: RunConfig, read, top_table) -> list:
             }
         )
         if not flag:
-            return levels
-    if cfg.k_max <= BASE_LEVEL:
-        return levels
-    K = cfg.k_max
-    lifts = [ResidueMatrix(*split.residues(u, K), 2**K) for u in units]
-    words = kernel_words(lifts)
-    assert words is not None, "a full image mod 8 holds every class I + 4X"
-    values = [word_value(lifts, w) for w in words]
-    for k in range(BASE_LEVEL + 1, K + 1):
-        values = [x * x for x in values]  # now the 2^(k-3)-th powers
-        assert spans_layer(values, k), f"kernel words miss layer {k}"
-        if k >= cfg.k_min:
-            levels.append(
-                {
-                    "level": k,
-                    "group_order": group_order(2, k),
-                    "image_order": group_order(2, k),
-                    "surjects": True,
-                    "exponent": 2 ** (k - BASE_LEVEL),
-                    "kernel_words": [[list(letter) for letter in w] for w in words],
-                }
-            )
-    return levels
+            break
+    full = levels[-1]["surjects"]
+    if full and cfg.k_max > BASE_LEVEL:
+        _expect(words is not None, f"no kernel words lift level {BASE_LEVEL}")
+        lifts = [ResidueMatrix(*split.residues(u, cfg.k_max), 2**cfg.k_max) for u in units]
+        values = [word_value(lifts, w) for w in words]
+        for k in range(BASE_LEVEL + 1, cfg.k_max + 1):
+            values = [x * x for x in values]  # now the 2^(k-3)-th powers
+            _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
+            if k >= cfg.k_min:
+                levels.append(
+                    {
+                        "level": k,
+                        "group_order": group_order(2, k),
+                        "image_order": group_order(2, k),
+                        "surjects": True,
+                        "exponent": 2 ** (k - BASE_LEVEL),
+                        "kernel_words": [[list(letter) for letter in w] for w in words],
+                    }
+                )
+    return Certificate(
+        claim="quaternionic.congruence-surjectivity",
+        method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_min": cfg.k_min, "k_max": cfg.k_max, "order_kind": SATURATED},
+        witness={"levels": levels, "height_reached": _height_reached(read[-1] if full else None, cfg)},
+        depends_on=("quaternionic.torsion-free",),
+        notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
+    )
+
+
+def _kernel_words(cfg: RunConfig, split, read, table):
+    """Kernel words in the units whose images the closure table used at
+    BASE_LEVEL, when k_max lies above that level and the images fill it;
+    else None."""
+    if cfg.k_max <= BASE_LEVEL or table.order != group_order(2, BASE_LEVEL):
+        return None
+    images = reduce_units(read, split, BASE_LEVEL)
+    units = [read[images.index(g)] for g in table.generators]
+    return kernel_words([ResidueMatrix(*split.residues(u, cfg.k_max), 2**cfg.k_max) for u in units])
 
 
 RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
@@ -680,14 +726,6 @@ _QUATERNIONIC_STAGES = (
 _NON_BLOCKING = ("quaternionic.standard-order-obstruction", "quaternionic.intersection-index")
 
 
-def _choose_algebra(cfg: RunConfig) -> QuaternionAlgebra:
-    """(d, b) for an explicit b, else the first admissible algebra that
-    find_example_algebra reaches; ValueError when its search ends empty."""
-    if cfg.b:
-        return QuaternionAlgebra(cfg.d, cfg.b)
-    return find_example_algebra(cfg.d, cfg.b_search_bound)
-
-
 def _square_claim(cfg: RunConfig) -> Certificate:
     """Stage 1: d must be a 2-adic square so the quadratic field sits
     inside the 2-adic matrix algebra."""
@@ -705,7 +743,7 @@ def _algebra_claim(cfg: RunConfig) -> Certificate:
     """Stage 2: a division algebra (d, b) split at 2 and at infinity."""
     inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
     try:
-        algebra = _choose_algebra(cfg)
+        algebra = cfg.algebra
     except ValueError as e:
         notes = (str(e),)
     else:
@@ -724,7 +762,7 @@ def _quaternionic_index_claim(cfg: RunConfig) -> Certificate:
     compared against the claimed value."""
     return _index_certificate(
         "quaternionic.intersection-index",
-        _conjugator(cfg.h, lambda: _choose_algebra(cfg)),
+        _conjugator(cfg.h, lambda: cfg.algebra),
         inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
         claimed=cfg.claimed_index,
         depends_on=("quaternionic.congruence-surjectivity",),
@@ -753,78 +791,76 @@ def _quaternionic_stages(cfg: RunConfig):
     stage may use what the stages before it computed."""
     yield _square_claim(cfg)
     yield _algebra_claim(cfg)
-    algebra = _choose_algebra(cfg)
+    algebra = cfg.algebra
     # an h the closed form cannot decide is an input error: reject it
     # before the unit stages enumerate
     _conjugator(cfg.h, lambda: algebra)
 
-    # stage 3: the unit group is torsion-free, so every congruence cover
-    # in the tower is unramified.  The embedding flags decide it for the
-    # whole group.  A standard unit of finite order has even trace 2 x0 in
-    # {-1, 0, 1}, so q^2 = -1: only when sqrt(-1) embeds are the standard
-    # units read, up to the first one of finite order.  The unit stages
+    # stage 3: only when sqrt(-1) embeds are the standard units read, up to
+    # the first one of finite order (see _torsion_claim).  The unit stages
     # read one standard stream, each only as far as its witness
     std = UnitStream(algebra, STANDARD, cfg.unit_height)
-    flags = embedding_flags(algebra)
-    scan = flags["embeds_sqrt_minus_1"]
-    torsion = next((q for q in std if is_torsion(q)), None) if scan else None
-    yield Certificate(
+    scan = embedding_flags(algebra)["embeds_sqrt_minus_1"]
+    yield _torsion_claim(cfg, next((q for q in std if is_torsion(q)), None) if scan else None)
+
+    split = split_2adic(algebra)
+    images = {}  # mod-2 image -> the first unit with it
+    for u in std:
+        images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
+        if len(images) == 2:  # all that mod2_image_obstruction allows
+            break
+    yield _obstruction_claim(cfg, list(images.values()))
+
+    # stage 4: the saturated stream is read until its images close mod
+    # 2^min(k_max, 3)
+    sat = UnitStream(algebra, SATURATED, cfg.unit_height)
+    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
+    yield _surjectivity_claim(cfg, (read, table, _kernel_words(cfg, split, read, table)))
+
+    yield _quaternionic_index_claim(cfg)
+    yield _nondiscrete_stage(cfg, algebra, std)
+
+
+def _torsion_claim(cfg: RunConfig, found) -> Certificate:
+    """Stage 3: the unit group is torsion-free, so every congruence cover in
+    the tower is unramified.  The embedding flags decide it for the whole
+    group.  A standard unit of finite order has even trace 2 x0 in
+    {-1, 0, 1}, so q^2 = -1: only when sqrt(-1) embeds is the standard
+    stream scanned, and found is the first unit of finite order or None."""
+    flags = embedding_flags(cfg.algebra)
+    return Certificate(
         claim="quaternionic.torsion-free",
         method=TORSION_METHOD,
         inputs={"d": cfg.d, "unit_height": cfg.unit_height},
         witness=dict(
             flags,
-            finite_order_unit=coords_json(torsion) if torsion else None,
-            height_reached=_height_reached(torsion, cfg) if scan else 0,
+            finite_order_unit=None if found is None else coords_json(found),
+            height_reached=_height_reached(found, cfg) if flags["embeds_sqrt_minus_1"] else 0,
         ),
         depends_on=("quaternionic.algebra",),
         notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
     )
 
-    # the standard-basis order misses surjectivity mod 2; recorded so the
-    # choice of the 2-saturated order below is visible
-    split = split_2adic(algebra)
-    images, stop = {}, None  # mod-2 image -> the first unit with it
-    for u in std:
-        images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
-        if len(images) == 2:  # all that mod2_image_obstruction allows
-            stop = u
-            break
-    _, table = images_surject(list(images), 1)
-    yield Certificate(
+
+def _obstruction_claim(cfg: RunConfig, found) -> Certificate:
+    """The standard-basis order misses surjectivity mod 2; recorded so the
+    choice of the 2-saturated order is visible.  found is the first
+    standard unit of each mod-2 image, read until there are two."""
+    images = reduce_units(found, split_2adic(cfg.algebra), 1)
+    _, table = images_surject(images, 1)
+    return Certificate(
         claim="quaternionic.standard-order-obstruction",
         method=OBSTRUCTION_METHOD,
         inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
         witness={
             "image_order_mod_2": table.order,
             "group_order_mod_2": group_order(2, 1),
-            "images": [{"coords": coords_json(u), "matrix": _residue_rows(g)} for g, u in images.items()],
-            "height_reached": _height_reached(stop, cfg),
+            "images": [{"coords": coords_json(u), "matrix": _residue_rows(g)} for u, g in zip(found, images)],
+            "height_reached": _height_reached(found[-1] if len(found) == 2 else None, cfg),
         },
         depends_on=("quaternionic.algebra",),
-        notes=(mod2_image_obstruction(algebra),),
+        notes=(mod2_image_obstruction(cfg.algebra),),
     )
-
-    # stage 4: unit images fill SL2(Z/2^k) at every level up to k_max; the
-    # saturated stream is read until its images close mod 2^min(k_max, 3)
-    sat = UnitStream(algebra, SATURATED, cfg.unit_height)
-    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
-    levels = _surjectivity_levels(cfg, read, table)
-    full = all(entry["surjects"] for entry in levels)
-    yield Certificate(
-        claim="quaternionic.congruence-surjectivity",
-        method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
-        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_min": cfg.k_min, "k_max": cfg.k_max, "order_kind": SATURATED},
-        witness={"levels": levels, "height_reached": _height_reached(read[-1] if full else None, cfg)},
-        depends_on=("quaternionic.torsion-free",),
-        notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
-    )
-
-    yield _quaternionic_index_claim(cfg)
-
-    # stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
-    # pair whose trace is not an algebraic integer
-    yield _nondiscrete_stage(cfg, algebra, std)
 
 
 def _height_reached(stop, cfg: RunConfig) -> int:
@@ -833,15 +869,15 @@ def _height_reached(stop, cfg: RunConfig) -> int:
     return cfg.unit_height if stop is None else height(stop)
 
 
-def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
-    """The trace stage, reading the standard stream in shells up to the
-    first pair with a non-integral trace."""
-    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), std)
+def _nondiscrete_claim(cfg: RunConfig, found) -> Certificate:
+    """Stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
+    pair whose trace is not an algebraic integer.  found is the pair U, V
+    and its trace, or None."""
     witness, note = None, "every pair of units in this slice has an integral trace"
-    if hit is not NOT_FOUND:
-        i, j, t = hit
-        witness = {"units": [coords_json(std.units[k]) for k in (i, j)], "trace": quad_json(t),
-                   "height_reached": height(std.units[max(i, j)])}
+    if found is not None:
+        U, V, t = found
+        _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
+        witness = {"units": [coords_json(U), coords_json(V)], "trace": quad_json(t), "height_reached": max(height(U), height(V))}
         note = TRACE_NOTE
     return Certificate(
         claim="quaternionic.nondiscrete",
@@ -851,6 +887,13 @@ def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
         depends_on=("quaternionic.intersection-index",),
         notes=(note,),
     )
+
+
+def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
+    """The trace stage, reading the standard stream in shells up to the
+    first pair with a non-integral trace."""
+    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), std)
+    return _nondiscrete_claim(cfg, None if hit is NOT_FOUND else (std.units[hit[0]], std.units[hit[1]], hit[2]))
 
 
 # --------------------------------------------------------------------------
@@ -876,32 +919,42 @@ def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
     return _index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))
 
 
-def run_sl2z(cfg: RunConfig) -> dict:
-    claims = [_sl2z_index_claim(cfg)]
-    _, rows = parse_conjugator_spec(cfg.h)
+# what the sl2z word search found when it hit its state cap
+TRUNCATED = "truncated"
+TRUNCATED_NOTE = "search truncated at the state cap before exhausting the length bound"
 
-    witness, notes = None, ()
-    try:
-        hit = find_infinite_elliptic(_word_seeds(rows), cfg.word_length_bound)
-    except RuntimeError:
-        hit, notes = NOT_FOUND, ("search truncated at the state cap before exhausting the length bound",)
-    if hit is not NOT_FOUND:
+
+def _elliptic_claim(cfg: RunConfig, found) -> Certificate:
+    """found is the word the search found, None when it came back empty,
+    or TRUNCATED; a word's product must be an elliptic of infinite order."""
+    witness, notes = None, (TRUNCATED_NOTE,) if found == TRUNCATED else ()
+    if found not in (None, TRUNCATED):
+        letters = {s.word[0]: s.matrix for s in _word_seeds(parse_conjugator_spec(cfg.h)[1])}
+        matrix = reduce(mat_mul, (letters[label] for label in found))
+        trace = mat_tr(matrix)
+        _expect(mat_det(matrix) == 1 and is_infinite_elliptic_trace(trace),
+                "the word does not multiply out to an elliptic element of infinite order")
         notes = ("an elliptic element of infinite order in the generated group rules out discreteness",)
-        witness = {"word": list(hit.word), "word_length": len(hit.word),
-                   "matrix": rows_json(hit.matrix), "trace": frac_str(hit.trace)}
-    claims.append(
-        Certificate(
-            claim="sl2z.nondiscrete",
-            method="breadth-first word search for an infinite-order elliptic element in the amalgam",
-            inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
-            witness=witness,
-            depends_on=("sl2z.intersection-index",),
-            notes=notes,
-        )
+        witness = {"word": list(found), "word_length": len(found), "matrix": rows_json(matrix), "trace": frac_str(trace)}
+    return Certificate(
+        claim="sl2z.nondiscrete",
+        method="breadth-first word search for an infinite-order elliptic element in the amalgam",
+        inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
+        witness=witness,
+        depends_on=("sl2z.intersection-index",),
+        notes=notes,
     )
 
-    claims.append(_context("sl2z.ramification-context"))
 
+def run_sl2z(cfg: RunConfig) -> dict:
+    claims = [_sl2z_index_claim(cfg)]
+    try:
+        hit = find_infinite_elliptic(_word_seeds(parse_conjugator_spec(cfg.h)[1]), cfg.word_length_bound)
+        found = None if hit is NOT_FOUND else hit.word
+    except RuntimeError:
+        found = TRUNCATED
+    claims.append(_elliptic_claim(cfg, found))
+    claims.append(_context("sl2z.ramification-context"))
     return make_bundle("sl2z", cfg, claims)
 
 
@@ -933,7 +986,7 @@ def run_hilbert(cfg: RunConfig) -> dict:
 
 def _resolve_algebra(cfg: RunConfig):
     try:
-        algebra = _choose_algebra(cfg)
+        algebra = cfg.algebra
     except ValueError as e:
         raise ConfigError(str(e))
     if _algebra_symbols(algebra) != _ADMISSIBLE:
@@ -998,20 +1051,15 @@ PIPELINES = {
 # --------------------------------------------------------------------------
 # re-verification
 #
-# Every claim can be re-checked from the bundle alone.  A computed claim is
-# rebuilt from the bundle's config, which must round-trip and match
-# config_hash; a search witness is checked as recorded.  The pipelines
-# re-verify in make_bundle before returning, and a fresh process can call
-# reverify_bundle on a parsed bundle file.
-
-
-class _Mismatch(Exception):
-    """A re-verification check failed; the message names the check."""
-
-
-def _expect(ok, what: str):
-    if not ok:
-        raise _Mismatch(what)
+# Every claim is re-checked by rebuilding it.  The bundle's config is read
+# once, and it must round-trip and match config_hash.  A search claim's
+# found objects are read back from its witness and checked to be what they
+# claim to be, and what the pipeline took from its search (a closure, a
+# trace) is recomputed; no search runs again but the complete joint search
+# that an empty list at a = +-1 rests on.  The claim's builder rebuilds it,
+# every field but the verdict must match, and the claim's rule checks the
+# verdict.  The pipelines re-verify in make_bundle before returning, and a
+# fresh process can call reverify_bundle on a parsed bundle file.
 
 
 def _cfg_from_bundle(bundle) -> RunConfig:
@@ -1026,33 +1074,23 @@ def _cfg_from_bundle(bundle) -> RunConfig:
     return cfg
 
 
-def rebuilt(build):
-    """The check of a computed claim: build(cfg) rebuilds it from the
-    bundle's checked config, as the pipeline built it, and every field but
-    the verdict must be the same.  The claim's rule then checks the verdict.
-    The reason names each field that differs, and each differing key of the
-    inputs and the witness."""
-
-    def check(claim, bundle):
-        want = json.loads(json.dumps(build(_cfg_from_bundle(bundle)).as_dict()))
-        differ = []
-        for key in sorted((set(claim) | set(want)) - {"verdict"}):
-            got, expected = claim.get(key), want.get(key)
-            if isinstance(got, dict) and isinstance(expected, dict):
-                differ += [f"{key}.{k}" for k in sorted(set(got) | set(expected)) if got.get(k) != expected.get(k)]
-            elif got != expected:
-                differ.append(key)
-        _expect(not differ, f"the claim rebuilt from the config differs in {', '.join(differ)}")
-
-    check.build = build
-    return check
+def _read_unit(coords, cfg: RunConfig, kind=STANDARD):
+    """A recorded unit, which must have norm one and height at most
+    unit_height; a standard-order one must be integral, and a 2-saturated
+    one integral at 2, which reducing it checks."""
+    u = cfg.algebra.element(*(parse_frac(c) for c in coords))
+    integral = kind == SATURATED or all(c.denominator == 1 for c in u.coords())
+    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one {kind}-order element")
+    _expect(height(u) <= cfg.unit_height, f"unit {coords_json(u)} lies above unit_height {cfg.unit_height}")
+    return u
 
 
-def _expect_invariants(recorded, gens, max_degree):
-    """Each recorded function is a nonconstant invariant of every generator
-    with degree at most max_degree, checked by substitution.  The
-    substitution operators are built once per degree."""
-    spaces = {}
+def _read_invariants(recorded, gens, max_degree):
+    """The recorded functions, each a nonconstant invariant of every
+    generator with degree at most max_degree, checked by substitution
+    against its character.  The substitution operators are built once per
+    degree."""
+    spaces, found = {}, []
     for data in recorded:
         f = InvariantFunction(
             degree=data["degree"],
@@ -1065,181 +1103,87 @@ def _expect_invariants(recorded, gens, max_degree):
         if f.degree not in spaces:
             spaces[f.degree] = BinaryFormSpace.build(gens, f.degree)
         _expect(_fixed_by(f, spaces[f.degree]), f"recorded degree-{f.degree} function is not invariant")
+        found.append(f)
+    return found
 
 
-def _rv_invariant_index(claim, bundle):
-    g = MobiusMap.from_rows(rows_from_json(claim["inputs"]["generator"]))
-    _expect(claim["witness"]["index"] == 2, "recorded index is not 2")
-    _expect(claim["witness"]["invariants"], "no invariant recorded")
-    _expect_invariants(claim["witness"]["invariants"], (g,), 2)
+def _read_field_invariants(label: str, claim, cfg: RunConfig):
+    found = _read_invariants(claim["witness"]["invariants"], (_involution(label, cfg.a),), 2)
+    _expect(found, "no invariant recorded")
+    return found
 
 
-def _rv_invariant_intersection(claim, bundle):
-    """The claim must rest on the rule _joint_method picks.  Under the
-    commutator's infinite order no joint invariant may be recorded, which
-    needs no search (JOINT_ORDER_NOTE).  Recorded joint invariants are
-    checked by substitution: each is nonconstant, within the degree bound
-    and fixed by both involutions.  Only an empty list at a = +-1, where the
-    group is finite, repeats the search."""
-    a = parse_frac(claim["inputs"]["a"])
-    gens = (MobiusMap.sigma(), MobiusMap.sigma_a(a))
-    recorded = claim["witness"]["joint_invariants"]
-    bound = claim["inputs"]["degree_bound"]
-    method = _joint_method(gens)
-    _expect(claim["method"] == method, "recorded method is not the rule the commutator's order calls for")
-    if method == JOINT_ORDER_METHOD:
-        _expect(not recorded, "a joint invariant is recorded, but the commutator has infinite order")
-    elif recorded:
-        _expect_invariants(recorded, gens, bound)
-    else:
-        _expect(claim["verdict"] == VERIFIED, "a refuted claim records no joint invariant")
+def _read_joint_invariants(claim, cfg: RunConfig):
+    """Only an empty list under the search method, at a = +-1, repeats the
+    search, and only for a verified claim: a refuted one fails its rule."""
+    gens, method, bound = _joint_plan(cfg.a, cfg.invariant_degree)
+    found = _read_invariants(claim["witness"]["joint_invariants"], gens, bound)
+    if not found and method == JOINT_SEARCH_METHOD and claim["verdict"] == VERIFIED:
         _expect(not invariant_search(gens, bound), "a joint invariant exists up to the degree bound")
+    return found
 
 
-def _algebra_from_bundle(bundle):
-    """The algebra that the bundle's checked config gives."""
-    return _resolve_algebra(_cfg_from_bundle(bundle))
-
-
-def _order_unit(algebra, coords, kind=STANDARD):
-    """The recorded unit, which must have norm one; a standard-order one
-    must be integral, and a 2-saturated one integral at 2, which reducing
-    it checks."""
-    u = algebra.element(*(parse_frac(c) for c in coords))
-    integral = kind == SATURATED or all(c.denominator == 1 for c in u.coords())
-    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one {kind}-order element")
+def _read_torsion_unit(claim, cfg: RunConfig):
+    """The recorded finite-order unit, checked by its norm and trace.  The
+    stream is scanned only when sqrt(-1) embeds."""
+    coords = claim["witness"]["finite_order_unit"]
+    if coords is None:
+        return None
+    _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
+    u = _read_unit(coords, cfg)
+    _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
     return u
 
 
-def _unit_image(algebra, split, entry, k, kind):
-    """The unit recorded in entry and its image mod 2^k, which must be the
-    entry's matrix."""
-    u = _order_unit(algebra, entry["coords"], kind)
-    image = ResidueMatrix(*split.residues(u, k), 2**k)
-    _expect(_residue_rows(image) == entry["matrix"], f"recorded mod-{2**k} image of {entry['coords']} differs from its reduction")
-    return u, image
-
-
-def _expect_reach(claim, units):
-    """height_reached lies within unit_height and holds every recorded unit."""
-    reach, cap = claim["witness"]["height_reached"], claim["inputs"]["unit_height"]
-    _expect(isinstance(reach, int) and 0 <= reach <= cap, f"height_reached {reach} is above unit_height {cap}")
-    for u in units:
-        _expect(height(u) <= reach, f"unit {coords_json(u)} lies above height_reached {reach}")
-
-
-def _rv_torsion(claim, bundle):
-    """The embedding flags are recomputed: a norm-one unit of finite order
-    other than +-1 generates Q(sqrt(-1)) or Q(sqrt(-3)).  A recorded
-    finite-order unit is checked by its norm and trace; no slice is
-    enumerated."""
-    algebra = _algebra_from_bundle(bundle)
-    w = claim["witness"]
-    flags = embedding_flags(algebra)
-    for key in flags:
-        _expect(flags[key] == w[key], f"recorded {key} differs from the computed value")
-    units = []
-    if w["finite_order_unit"] is not None:
-        _expect(not flags["algebra_torsion_free"], "a finite-order unit is recorded in a torsion-free algebra")
-        u = _order_unit(algebra, w["finite_order_unit"])
-        _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
-        units.append(u)
-    _expect_reach(claim, units)
-
-
-def _rv_obstruction(claim, bundle):
-    """Check each recorded unit against its mod-2 image and close the
-    images; no slice is enumerated.  The splitting sends every basis
-    element, so every standard-order element, to a matrix [[x, y], [b y, x]]
-    mod 2, and only two of those have determinant 1: the standard order
-    misses SL2(Z/2) at every height."""
-    algebra = _algebra_from_bundle(bundle)
+def _read_obstruction_units(claim, cfg: RunConfig):
+    """The recorded units, whose mod-2 images must differ.  The splitting
+    must send every basis element, so every standard-order element, to a
+    matrix [[x, y], [b y, x]] mod 2; only two of those have determinant 1,
+    so the standard order misses SL2(Z/2) at every height."""
+    algebra = cfg.algebra
     split = split_2adic(algebra)
-    w = claim["witness"]
-
-    def shaped(entries):  # [[x, y], [b y, x]] mod 2
-        x, y, by, x2 = entries
-        return x == x2 and by == algebra.b * y % 2
-
-    basis = [algebra.element(*(int(k == m) for k in range(4))) for m in range(4)]
-    _expect(all(shaped(split.residues(e, 1)) for e in basis), "the standard basis does not reduce mod 2 into [[x, y], [b y, x]]")
-    _expect(w["images"], "no mod-2 image is recorded")
-    units, mats = [], []
-    for entry in w["images"]:
-        m = entry["matrix"]
-        _expect(shaped(m[0] + m[1]), f"mod-2 image {m} is not of the form [[x, y], [b y, x]]")
-        u, image = _unit_image(algebra, split, entry, 1, STANDARD)
-        units.append(u)
-        mats.append(image)
-    _expect(len(set(mats)) == len(mats), "two recorded units share a mod-2 image")
-    _expect_reach(claim, units)
-    flag, table = images_surject(mats, 1)
-    _expect(w["group_order_mod_2"] == group_order(2, 1), "recorded group order mod 2 is not that of SL2(Z/2)")
-    _expect(table.order == w["image_order_mod_2"], "recorded image order mod 2 differs")
-    _expect(not flag, "the recorded images surject mod 2")
+    basis = [split.residues(algebra.element(*(int(k == m) for k in range(4))), 1) for m in range(4)]
+    _expect(all(x == x2 and by == algebra.b * y % 2 for x, y, by, x2 in basis),
+            "the standard basis does not reduce mod 2 into [[x, y], [b y, x]]")
+    found = [_read_unit(entry["coords"], cfg) for entry in claim["witness"]["images"]]
+    _expect(len(set(reduce_units(found, split, 1))) == len(found), "two recorded units share a mod-2 image")
+    return found
 
 
-def _rv_surjectivity(claim, bundle):
-    """Close each base level's recorded generators (at most 384 elements)
-    and multiply out each lifted level's kernel words."""
-    algebra = _algebra_from_bundle(bundle)
-    split = split_2adic(algebra)
+def _read_surjectivity(claim, cfg: RunConfig):
+    """The saturated units recorded at the last closed level, the closure of
+    their images at min(k_max, BASE_LEVEL), recomputed, and the kernel
+    words of the first lifted level, whose letters must name those units."""
     levels = claim["witness"]["levels"]
-    base_units = None
-    previous = None
-    read = []
-    for entry in levels:
-        k = entry["level"]
-        _expect(entry["group_order"] == group_order(2, k), f"recorded group order at level {k} is wrong")
-        if "generators" in entry:
-            _expect(k <= BASE_LEVEL, f"level {k} records generators to close above level {BASE_LEVEL}")
-            units, gens = [], []
-            for g in entry["generators"]:
-                u, image = _unit_image(algebra, split, g, k, SATURATED)
-                units.append(u)
-                gens.append(image)
-            read += units
-            flag, table = images_surject(gens, k)
-            _expect(flag == entry["surjects"] and table.order == entry["image_order"], f"generators at level {k} do not close to the recorded image")
-            if k == BASE_LEVEL:
-                base_units = units
-        else:
-            _expect(k > BASE_LEVEL and previous == (k - 1, True), f"level {k} does not follow a surjective level {k - 1}")
-            _expect(base_units, f"level {k} has no level-{BASE_LEVEL} generators to lift")
-            _expect(entry["surjects"] and entry["image_order"] == entry["group_order"], f"level {k} is lifted but not recorded as full")
-            words, e = entry["kernel_words"], entry["exponent"]
-            _expect(all(0 <= i < len(base_units) and s in (1, -1) for w in words for i, s in w), f"a kernel word at level {k} names no level-{BASE_LEVEL} generator")
-            _expect(isinstance(e, int) and e > 0, f"exponent at level {k} is not a positive integer")
-            gens = [ResidueMatrix(*split.residues(u, k), 2**k) for u in base_units]
-            values = [power(word_value(gens, w), e) for w in words]
-            _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
-        previous = (k, entry["surjects"])
-    _expect_reach(claim, read)
-    if all(entry["surjects"] for entry in levels):
-        want = list(range(min(claim["inputs"]["k_min"], BASE_LEVEL), claim["inputs"]["k_max"] + 1))
-        _expect([entry["level"] for entry in levels] == want, "the recorded levels do not cover k_min to k_max")
+    read = [_read_unit(g["coords"], cfg, SATURATED) for g in [e for e in levels if "generators" in e][-1]["generators"]]
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    _, table = images_surject(reduce_units(read, split_2adic(cfg.algebra), k_top), k_top)
+    lifted = [e for e in levels if "kernel_words" in e]
+    if not lifted:
+        return read, table, None
+    words, k = lifted[0]["kernel_words"], lifted[0]["level"]
+    _expect(all(0 <= i < len(read) and s in (1, -1) for w in words for i, s in w),
+            f"a kernel word at level {k} names no level-{BASE_LEVEL} generator")
+    return read, table, [tuple(map(tuple, w)) for w in words]
 
 
-def _rv_trace(claim, bundle):
-    """Recompute the trace from the two recorded units and h with three
-    matrix products; no slice is enumerated."""
-    algebra = _algebra_from_bundle(bundle)
-    w = claim["witness"]
-    U, V = (_order_unit(algebra, coords) for coords in w["units"])
-    _expect_reach(claim, (U, V))
-    t = pair_trace(_conjugator_matrix(claim["inputs"]["h"], algebra), U, V)
-    _expect(quad_json(t) == w["trace"], "recorded trace differs from the recomputed one")
-    _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
+def _read_trace_pair(claim, cfg: RunConfig):
+    """The recorded units U, V, with the trace of U h V h^-1 recomputed by
+    three matrix products; no slice is enumerated."""
+    if claim["witness"] is None:
+        return None
+    U, V = (_read_unit(coords, cfg) for coords in claim["witness"]["units"])
+    return U, V, pair_trace(_conjugator_matrix(cfg.h, cfg.algebra), U, V)
 
 
-def _rv_elliptic(claim, bundle):
-    w = claim["witness"]
-    _, rows = parse_conjugator_spec(claim["inputs"]["h"])
-    matrix = rows_from_json(w["matrix"])
-    cert = EllipticCertificate(word=tuple(w["word"]), matrix=matrix, trace=parse_frac(w["trace"]))
-    _expect(verify_elliptic(cert, _word_seeds(rows)), "the word does not multiply out to the recorded elliptic matrix")
-    _expect(cert.trace == mat_tr(matrix), "recorded trace differs from the matrix's")
-    _expect(len(w["word"]) == w["word_length"], "recorded word length differs")
+def _read_word(claim, cfg: RunConfig):
+    """The recorded word, whose letters must come from the search's
+    alphabet."""
+    if claim["witness"] is None:
+        return TRUNCATED if claim["notes"] == [TRUNCATED_NOTE] else None
+    alphabet = {s.word[0] for s in _word_seeds(parse_conjugator_spec(cfg.h)[1])}
+    _expect(all(label in alphabet for label in claim["witness"]["word"]), "a letter of the word is not T, U, h or an inverse")
+    return tuple(claim["witness"]["word"])
 
 
 def _scales_by_a_squared(witness, inputs):
@@ -1257,80 +1201,86 @@ def _witnessed(witness, inputs):
     return True
 
 
-# claim id -> (holds, check), in bundle order.  holds(witness, inputs) is
-# the rule that decides a witnessed claim's verdict, in the pipelines and in
-# re-verification alike; check(claim, bundle) re-checks the claim itself, a
-# computed claim by rebuilding it and a search witness as recorded.
+# claim id -> (holds, build, read), in bundle order.  holds(witness, inputs)
+# is the rule that decides a witnessed claim's verdict, in the pipelines and
+# in re-verification alike.  build is the claim's one builder, which its
+# pipeline calls too: build(cfg) for a computed claim, whose read is None,
+# and build(cfg, found) for a search claim, whose read(claim, cfg) reads
+# found back from the witness.
 _CLAIM_KINDS = {
-    "dihedral.commutator-map": (_scales_by_a_squared, rebuilt(_commutator_map_claim)),
-    "dihedral.commutator-order": (lambda w, _: w["order"] == INFINITE_ORDER, rebuilt(_commutator_order_claim)),
-    "dihedral.invariant-field-index.sigma": (lambda w, _: w["index"] == 2, _rv_invariant_index),
-    "dihedral.invariant-field-index.sigma-a": (lambda w, _: w["index"] == 2, _rv_invariant_index),
-    "dihedral.invariant-intersection": (lambda w, _: not w["joint_invariants"], _rv_invariant_intersection),
-    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, rebuilt(_square_claim)),
-    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), rebuilt(_algebra_claim)),
-    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _rv_torsion),
+    "dihedral.commutator-map": (_scales_by_a_squared, _commutator_map_claim, None),
+    "dihedral.commutator-order": (lambda w, _: w["order"] == INFINITE_ORDER, _commutator_order_claim, None),
+    "dihedral.invariant-field-index.sigma":
+        (lambda w, _: w["index"] == 2, partial(_field_index_claim, "sigma"), partial(_read_field_invariants, "sigma")),
+    "dihedral.invariant-field-index.sigma-a":
+        (lambda w, _: w["index"] == 2, partial(_field_index_claim, "sigma-a"), partial(_read_field_invariants, "sigma-a")),
+    "dihedral.invariant-intersection": (lambda w, _: not w["joint_invariants"], _joint_claim, _read_joint_invariants),
+    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _square_claim, None),
+    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _algebra_claim, None),
+    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _read_torsion_unit),
     "quaternionic.standard-order-obstruction":
-        (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _rv_obstruction),
-    "quaternionic.congruence-surjectivity": (lambda w, _: all(e["surjects"] for e in w["levels"]), _rv_surjectivity),
-    "quaternionic.intersection-index": (_index_agrees, rebuilt(_quaternionic_index_claim)),
-    "quaternionic.nondiscrete": (_witnessed, _rv_trace),
-    "sl2z.intersection-index": (_index_agrees, rebuilt(_sl2z_index_claim)),
-    "sl2z.nondiscrete": (_witnessed, _rv_elliptic),
-    "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, rebuilt(_symbol_table_claim)),
-    "units.slice": (_witnessed, rebuilt(_units_slice_claim)),
-    "intersect.index": (_index_agrees, rebuilt(_intersect_index_claim)),
+        (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _obstruction_claim, _read_obstruction_units),
+    "quaternionic.congruence-surjectivity":
+        (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _read_surjectivity),
+    "quaternionic.intersection-index": (_index_agrees, _quaternionic_index_claim, None),
+    "quaternionic.nondiscrete": (_witnessed, _nondiscrete_claim, _read_trace_pair),
+    "sl2z.intersection-index": (_index_agrees, _sl2z_index_claim, None),
+    "sl2z.nondiscrete": (_witnessed, _elliptic_claim, _read_word),
+    "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, _symbol_table_claim, None),
+    "units.slice": (_witnessed, _units_slice_claim, None),
+    "intersect.index": (_index_agrees, _intersect_index_claim, None),
 }
 
 
 def _rule_verdict(claim_id: str, witness, inputs) -> str:
     if witness is None:
         return SEARCH_EXHAUSTED
-    holds, _ = _CLAIM_KINDS[claim_id]
+    holds, _, _ = _CLAIM_KINDS[claim_id]
     return VERIFIED if holds(witness, inputs) else REFUTED
 
 
-def _reverify_claim(claim, bundle, stub):
-    """A stage that did not run must equal stub, its _not_run claim (stub
-    is None for any other claim), and a context its _context claim.  Any
-    other claim is checked, and its verdict must then be the one its rule
-    gives.  It may go without a witness only as not-found, and only when its
-    rule is _witnessed or its rebuild decides."""
-    cid, verdict = claim["id"], claim["verdict"]
+def _expected(claim, cfg, stub) -> dict:
+    """The claim as it must read: stub for a stage that did not run (None
+    for any other claim), a context's standing claim, and any other claim as
+    its builder rebuilds it, from the checked config cfg (or the exception
+    that reading it raised) and, for a search claim, from what it found.  A
+    claim may go without a witness only as not-found."""
+    cid = claim["id"]
+    if stub is not None:
+        return stub
+    if cid in _CONTEXTS:
+        return _context(cid).as_dict()
+    _expect(cid in _CLAIM_KINDS, "no re-verifier for this claim")
+    holds, build, read = _CLAIM_KINDS[cid]
+    if claim["witness"] is None:
+        _expect(claim["verdict"] != ASSUMPTION, "only context and stages that did not run are assumptions")
+        _expect(claim["verdict"] == SEARCH_EXHAUSTED, f"a claim without a witness cannot be {claim['verdict']}")
+        _expect(read is None or holds is _witnessed, "this claim always records a witness")
+    if isinstance(cfg, Exception):
+        raise cfg
+    want = build(cfg) if read is None else build(cfg, read(claim, cfg))
+    return json.loads(json.dumps(want.as_dict()))
+
+
+def _expect_as_rebuilt(claim, want, stub):
+    """A stub and a context must be as expected.  Any other claim must match
+    its rebuild in every field but the verdict, and the reason names each
+    field that differs, and each differing key of the inputs and the
+    witness; then its verdict must be the one its rule gives."""
     if stub is not None:
         _expect(claim == stub, f"{stub['depends_on'][0]} is not verified, so this stage must be the stub of one that did not run")
-        return
-    if cid in _CONTEXTS:
-        _expect(claim == _context(cid).as_dict(), "the context differs from the standing one")
-        return
-    _expect(cid in _CLAIM_KINDS, "no re-verifier for this claim")
-    holds, check = _CLAIM_KINDS[cid]
-    if claim["witness"] is None:
-        _expect(verdict != ASSUMPTION, "only context and stages that did not run are assumptions")
-        _expect(verdict == SEARCH_EXHAUSTED, f"a claim without a witness cannot be {verdict}")
-        if not hasattr(check, "build"):
-            _expect(holds is _witnessed, "this claim always records a witness")
-            return
-    check(claim, bundle)
-    want = _rule_verdict(cid, claim["witness"], claim["inputs"])
-    _expect(verdict == want, f"the rule gives {want} for this witness, not {verdict}")
-
-
-def _stage_verdict(claim, bundle) -> str:
-    """The verdict that places a quaternionic bundle's stubs: a rebuilt
-    stage's rebuilt verdict, else the one the rule gives its witness, so
-    that a tampered verdict or witness fails once, on its own claim.  A
-    claim without a witness keeps its recorded verdict, and so does one
-    whose config or witness cannot be read."""
-    _, check = _CLAIM_KINDS[claim["id"]]
-    try:
-        if hasattr(check, "build"):
-            return check.build(_cfg_from_bundle(bundle)).verdict
-        if claim["witness"] is not None:
-            return _rule_verdict(claim["id"], claim["witness"], claim["inputs"])
-    except Exception:
-        pass  # the claim's own check makes the same calls and reports what they raise
-    return claim["verdict"]
+    elif claim["id"] in _CONTEXTS:
+        _expect(claim == want, "the context differs from the standing one")
+    else:
+        differ = []
+        for key in sorted((set(claim) | set(want)) - {"verdict"}):
+            got, expected = claim.get(key), want.get(key)
+            if isinstance(got, dict) and isinstance(expected, dict):
+                differ += [f"{key}.{k}" for k in sorted(set(got) | set(expected)) if got.get(k) != expected.get(k)]
+            elif got != expected:
+                differ.append(key)
+        _expect(not differ, f"the claim rebuilt from the config differs in {', '.join(differ)}")
+        _expect(claim["verdict"] == want["verdict"], f"the rule gives {want['verdict']} for this witness, not {claim['verdict']}")
 
 
 def _claim_list_problem(bundle):
@@ -1350,30 +1300,38 @@ def _claim_list_problem(bundle):
 def reverify_bundle(bundle: dict):
     """Re-check every claim from the bundle content alone.
 
-    A computed claim is rebuilt from the bundle's config, which must
-    round-trip and hash to config_hash; a search witness is checked as
-    recorded.  Either way the verdict must then be the one the claim's rule
-    gives.  A quaternionic stage that follows the first blocking stage
-    that is not verified must be its _not_run stub, and no other stage may
-    be one.  Returns [(claim id, ok, reason)] covering all claims, plus a
-    failing entry under the pipeline's name when the bundle does not list
-    that pipeline's claims in order.  reason is None for a passing claim;
-    otherwise it names the check that failed, or gives the type and message
-    of the exception the checker raised.
+    The config is read once; it must round-trip and hash to config_hash.
+    Every claim is rebuilt by its builder, a search claim from what it
+    found, read back from its witness, and must match the rebuild; its
+    verdict must then be the one the claim's rule gives.  A quaternionic
+    stage that follows the first blocking stage that is not verified must
+    be its _not_run stub, and no other stage may be one; the rebuilt
+    verdict places the stubs, so a tampered verdict or witness fails once,
+    on its own claim.  Returns [(claim id, ok, reason)] covering all
+    claims, plus a failing entry under the pipeline's name when the bundle
+    does not list that pipeline's claims in order.  reason is None for a
+    passing claim; otherwise it names the check that failed, or gives the
+    type and message of the exception the check raised.
     """
+    try:
+        cfg = _cfg_from_bundle(bundle)
+    except Exception as e:  # every claim that needs the config fails with it
+        cfg = e
     methods = dict(_QUATERNIONIC_STAGES)
     results, blocker = [], None
     for claim in bundle["claims"]:
-        cid, reason = claim["id"], None
+        cid, reason, verdict = claim["id"], None, claim["verdict"]
         stub = _not_run(cid, methods[cid], blocker).as_dict() if blocker and cid in methods else None
         try:
-            _reverify_claim(claim, bundle, stub)
+            want = _expected(claim, cfg, stub)
+            verdict = want["verdict"]  # a claim that cannot be rebuilt keeps its own
+            _expect_as_rebuilt(claim, want, stub)
         except _Mismatch as e:
             reason = str(e)
         except Exception as e:
             reason = f"{type(e).__name__}: {e}"
         results.append((cid, reason is None, reason))
-        if cid in methods and not blocker and _blocks(cid, _stage_verdict(claim, bundle)):
+        if cid in methods and not blocker and _blocks(cid, verdict):
             blocker = cid
     problem = _claim_list_problem(bundle)
     if problem:

@@ -322,11 +322,13 @@ def invariant_search(generators, D: int):
 
 
 def _fixed_by(func: InvariantFunction, space: BinaryFormSpace) -> bool:
-    """Exact identity P(gv)Q(v) = P(v)Q(gv) for every operator of space."""
-    P = tuple(Fraction(c) for c in func.numerator)
-    Q = tuple(Fraction(c) for c in func.denominator)
-    for which in range(len(space.generators)):
-        UP, UQ = space.apply(which, P), space.apply(which, Q)
-        if _poly_mul(UP, Q) != _poly_mul(P, UQ):
-            return False
+    """Exact identities P(gv) = lam P(v) and Q(gv) = lam Q(v) for every
+    operator g of space, lam being the function's character at g; they
+    imply P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q."""
+    if len(func.character) != len(space.generators):
+        return False
+    for which, lam in enumerate(func.character):
+        for form in (func.numerator, func.denominator):
+            if space.apply(which, tuple(Fraction(c) for c in form)) != tuple(lam * c for c in form):
+                return False
     return True

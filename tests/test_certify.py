@@ -35,6 +35,7 @@ from covercert.certify import (
 from covercert.cli import main as cli_main
 from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, lift_rational_matrix
 from covercert.quatalg import QuaternionAlgebra, split_2adic
+from covercert.units import SATURATED as SATURATED_KIND
 
 from oracles import conjugated_unit_trace, conjugation_index, is_integral_quadratic
 
@@ -223,15 +224,18 @@ def test_joint_invariant_reverify_does_not_search_an_infinite_group(monkeypatch,
     parsed = json.loads(render_bundle(bundle))
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
     assert len(calls) == 2
-    # a joint invariant inserted into the verified claim is caught
+    # a joint invariant inserted into the verified claim is caught: no
+    # nonconstant function is fixed by an infinite group
     inv = claim_by_id(parsed, "dihedral.invariant-field-index.sigma")["witness"]["invariants"][0]
-    claim_by_id(parsed, "dihedral.invariant-intersection")["witness"]["joint_invariants"].append(inv)
-    reason = "a joint invariant is recorded, but the commutator has infinite order"
-    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+    joint = claim_by_id(parsed, "dihedral.invariant-intersection")
+    joint["witness"]["joint_invariants"].append(inv)
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, "recorded degree-2 function is not invariant")
     # so is a claim that says it searched
-    claim_by_id(parsed, "dihedral.invariant-intersection")["method"] = certify.JOINT_SEARCH_METHOD
-    reason = "recorded method is not the rule the commutator's order calls for"
+    joint["witness"]["joint_invariants"] = []
+    joint["method"] = certify.JOINT_SEARCH_METHOD
+    reason = "the claim rebuilt from the config differs in method"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
+    assert len(calls) == 2
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -259,15 +263,16 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
 
 # sha256 of the a = +-1 bundles, whose finite groups are decided by the
 # complete search: a refuted claim at a = 1, and at a = -1 (the Klein four
-# group, first joint invariant in degree 4) a verified and a refuted one
+# group, first joint invariant in degree 4) a refuted one whose degree
+# bound invariant_degree = 3 is raised to |G| = 4, and one at 4
 _FINITE_GROUP_BUNDLES = {
     ("a=1",): "7f9afdcda98a9b247338f4eb73e9ba7334819b2e8d8219c65d3cf4bb26cf35b7",
-    ("a=-1", "invariant_degree=3"): "1063a5969af1c7b45eb27a3158bbfcdaa59025caaf846770bfba7661cb0288aa",
+    ("a=-1", "invariant_degree=3"): "cce63d150894d1cf6ab0997c54def9aff097e72c3d3038808235a5ae449c2c19",
     ("a=-1", "invariant_degree=4"): "e0b2fa0ea472fd09b4710723fe3da1d2d8b9754d3f8e369503272efecbb07fc0",
 }
 
 
-@pytest.mark.parametrize("overrides, verdict", [(("a=1",), REFUTED), (("a=-1", "invariant_degree=3"), VERIFIED),
+@pytest.mark.parametrize("overrides, verdict", [(("a=1",), REFUTED), (("a=-1", "invariant_degree=3"), REFUTED),
                                                 (("a=-1", "invariant_degree=4"), REFUTED)])
 def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
     bundle = certify.run_dihedral(load_config(None, list(overrides)))
@@ -278,11 +283,15 @@ def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
 
 def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
     # a = -1 gives the Klein four group, whose first joint invariant has
-    # degree 4; below it the claim verifies, and only a search can show it
-    bundle = certify.run_dihedral(load_config(None, ["a=-1", "invariant_degree=3"]))
-    assert claim_by_id(bundle, "dihedral.invariant-intersection")["verdict"] == VERIFIED
+    # degree 4; a verified claim with no joint invariant is the one claim
+    # whose re-verification searches, and the search refutes it
+    parsed = json.loads(render_bundle(certify.run_dihedral(load_config(None, ["a=-1", "invariant_degree=3"]))))
+    claim = claim_by_id(parsed, "dihedral.invariant-intersection")
+    assert claim["verdict"] == REFUTED and claim["inputs"]["degree_bound"] == 4
+    claim.update(verdict=VERIFIED, witness={"joint_invariants": []}, notes=[])
     calls = _count_invariant_searches(monkeypatch)
-    assert _reverify_by_id(json.loads(render_bundle(bundle)))["dihedral.invariant-intersection"] == (True, None)
+    reason = "a joint invariant exists up to the degree bound"
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
     assert len(calls) == 1
 
 
@@ -309,7 +318,7 @@ def test_refuted_joint_invariant_reverify_substitutes(monkeypatch):
         claim["witness"]["joint_invariants"] = [bad] + recorded[1:]
         assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
     claim["witness"]["joint_invariants"] = []
-    reason = "a refuted claim records no joint invariant"
+    reason = "the claim rebuilt from the config differs in notes"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
     assert calls == []
 
@@ -381,7 +390,9 @@ def test_layer_witness_matches_full_closure(height):
     D = QuaternionAlgebra(17, 7)
     slice_ = units.enumerate_units_saturated(D, height)
     split = split_2adic(D)
-    levels = certify._surjectivity_levels(load_config(None, ["k_max=5"]), *units.closing_prefix(slice_, split, 3))
+    cfg = load_config(None, ["k_max=5"])
+    read, table = units.closing_prefix(slice_, split, 3)
+    levels = certify._surjectivity_claim(cfg, (read, table, certify._kernel_words(cfg, split, read, table))).witness["levels"]
     oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
@@ -451,12 +462,34 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
     def close_above_the_base(levels):
         levels[3] = dict(levels[2], level=4, group_order=3072, image_order=3072)
 
+    rebuilt = (False, "the claim rebuilt from the config differs in witness.levels")
     assert surjectivity_reason(lambda levels: None) == (True, None)
     assert surjectivity_reason(change_word) == (False, "kernel words at level 4 do not span the kernel of reduction to level 3")
-    assert surjectivity_reason(change_exponent) == (False, "kernel words at level 5 do not span the kernel of reduction to level 4")
-    assert surjectivity_reason(drop_base_level) == (False, "level 4 does not follow a surjective level 3")
-    assert surjectivity_reason(drop_top_level) == (False, "the recorded levels do not cover k_min to k_max")
-    assert surjectivity_reason(close_above_the_base) == (False, "level 4 records generators to close above level 3")
+    assert surjectivity_reason(change_exponent) == rebuilt
+    assert surjectivity_reason(drop_base_level) == rebuilt
+    assert surjectivity_reason(drop_top_level) == rebuilt
+    assert surjectivity_reason(close_above_the_base) == rebuilt
+
+
+def test_kernel_word_letters_are_checked():
+    # word_value reads any exponent but 1 as -1, so only the letter check
+    # tells (i, 5) from (i, -1); d = 41 records words with inverse letters
+    parsed = json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["d=41", "unit_height=10"]))))
+    claim = claim_by_id(parsed, "quaternionic.congruence-surjectivity")
+    assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (True, None)
+    inverse = [letter for lv in claim["witness"]["levels"][3:] for w in lv["kernel_words"] for letter in w if letter[1] == -1]
+    assert inverse
+    for letter in inverse:
+        letter[1] = 5
+    reason = "a kernel word at level 4 names no level-3 generator"
+    assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (False, reason)
+
+
+def test_a_failed_check_in_a_pipeline_is_an_internal_fault(monkeypatch, capsys):
+    # words that span no layer fail the builder's check: exit 3, never 1
+    monkeypatch.setattr(certify, "kernel_words", lambda lifts: [((0, 1),)] * 3)
+    assert cli_main(["quaternionic"]) == 3
+    assert "kernel words at level 4 do not span the kernel of reduction to level 3" in capsys.readouterr().err
 
 
 def test_quaternionic_intersection_witness(quat_bundle):
@@ -517,10 +550,16 @@ def test_nondiscrete_reverify_checks_the_recorded_pair(monkeypatch, h):
     w = claim["witness"]
     good = json.loads(json.dumps(w))
     w["trace"]["u"] = "1/2"
-    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, "recorded trace differs from the recomputed one")
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, "the claim rebuilt from the config differs in witness.trace")
     w.update(json.loads(json.dumps(good)))
     w["units"][0] = ["2/1", "0/1", "0/1", "0/1"]
     reason = "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one standard-order element"
+    assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, reason)
+    # a unit above unit_height = 6, of norm one all the same
+    high = next(u for u in units.UnitStream(QuaternionAlgebra(17, 7), units.STANDARD, 20) if units.height(u) > 6)
+    w.update(json.loads(json.dumps(good)))
+    w["units"][0] = [frac_str(c) for c in high.coords()]
+    reason = f"unit {w['units'][0]} lies above unit_height 6"
     assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, reason)
     # U = V = 1 gives tr(h h^-1) = 2
     w.update(units=[["1/1", "0/1", "0/1", "0/1"]] * 2, trace={"d": 17, "u": "2/1", "v": "0/1"})
@@ -620,6 +659,26 @@ def test_word_search_over_q_matches_the_lifted_search(h):
     assert hit is not NOT_FOUND
     assert hit.word == lifted_hit.word
     assert lifted_hit.matrix == lift_rational_matrix(hit.matrix, 2) and lifted_hit.trace == hit.trace
+
+
+def test_truncated_word_search_is_rebuilt(monkeypatch):
+    # a search stopped by its state cap is not-found with a note that says
+    # so, and it re-verifies as one, as it does without the note; a word
+    # recorded without the note its builder gives does not
+    def truncated(*args):
+        raise RuntimeError("word search state cap exceeded")
+
+    monkeypatch.setattr(certify, "find_infinite_elliptic", truncated)
+    parsed = json.loads(render_bundle(certify.run_sl2z(load_config())))
+    claim = claim_by_id(parsed, "sl2z.nondiscrete")
+    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.TRUNCATED_NOTE]
+    assert _failures(parsed) == []
+    claim["notes"] = []
+    assert _failures(parsed) == []
+    claim["witness"] = _golden("sl2z")["claims"][1]["witness"]
+    claim["verdict"] = VERIFIED
+    reason = "the claim rebuilt from the config differs in notes"
+    assert _failures(parsed) == [("sl2z.nondiscrete", reason)]
 
 
 def test_sl2z_integral_conjugator_is_trivial():
@@ -725,22 +784,30 @@ def test_reverify_detects_tampering(sl2z_bundle):
     parsed["claims"][1]["witness"]["word"] = ["T", "h", "U^-1", "h"]
     ok, reason = _reverify_by_id(parsed)["sl2z.nondiscrete"]
     assert ok is False
-    assert reason == "the word does not multiply out to the recorded elliptic matrix"
+    assert reason == "the word does not multiply out to an elliptic element of infinite order"
 
-    # a checker exception becomes a reason with its type and message
+    parsed = json.loads(render_bundle(sl2z_bundle))
+    parsed["claims"][1]["witness"]["word"] = ["T", "h", "U^-1", "g"]
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "a letter of the word is not T, U, h or an inverse")
+
     parsed = json.loads(render_bundle(sl2z_bundle))
     del parsed["claims"][1]["witness"]["trace"]
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "KeyError: 'trace'")
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "the claim rebuilt from the config differs in witness.trace")
+
+    # a check's exception becomes a reason with its type and message
+    parsed = json.loads(render_bundle(sl2z_bundle))
+    del parsed["claims"][1]["witness"]["word"]
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "KeyError: 'word'")
 
     parsed = json.loads(render_bundle(sl2z_bundle))
     parsed["claims"][1]["witness"]["trace"] = "1/2"
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "recorded trace differs from the matrix's")
+    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "the claim rebuilt from the config differs in witness.trace")
 
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
     # the exit-3 line carries each failing id with its reason
-    holds, _ = certify._CLAIM_KINDS["hilbert.symbol-table"]
-    monkeypatch.setitem(certify._CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda claim, bundle: 1 // 0))
+    holds, _, read = certify._CLAIM_KINDS["hilbert.symbol-table"]
+    monkeypatch.setitem(certify._CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda cfg: 1 // 0, read))
     with pytest.raises(AssertionError, match=r"hilbert\.symbol-table \(ZeroDivisionError: integer division or modulo by zero\)"):
         certify.run_hilbert(load_config())
 
@@ -1012,10 +1079,11 @@ def test_units_reverify_checks_torsion_flags():
         assert _reverify_by_id(parsed)["units.slice"] == expected
 
 
-# -- computed claims are rebuilt from the checked config --------------------
+# -- every claim is rebuilt from the checked config -------------------------
 
-# the claims that are pure functions of the config
-REBUILT = {
+# the claims that are pure functions of the config; every other claim id
+# records what a search found
+COMPUTED = {
     "dihedral.commutator-map", "dihedral.commutator-order", "quaternionic.2adic-square", "quaternionic.algebra",
     "quaternionic.intersection-index", "sl2z.intersection-index", "intersect.index", "hilbert.symbol-table",
     "units.slice",
@@ -1023,12 +1091,16 @@ REBUILT = {
 HASH_REASON = "config_hash is not the hash of the recorded config"
 
 
-def test_computed_claims_share_the_rebuild_check():
-    assert {cid for cid, (_, check) in certify._CLAIM_KINDS.items() if hasattr(check, "build")} == REBUILT
+def test_every_claim_id_is_rebuilt():
+    # one builder per claim id; a search claim's builder also takes what
+    # the search found, which re-verification reads back from the witness
+    assert len(certify._CLAIM_KINDS) == 17
+    assert {cid for cid, (_, _, read) in certify._CLAIM_KINDS.items() if read is None} == COMPUTED
+    assert all(callable(build) for _, build, _ in certify._CLAIM_KINDS.values())
 
 
 def _ran_and_rebuilt(claim):
-    return claim["id"] in REBUILT and claim["verdict"] != ASSUMPTION  # a stub is checked as one
+    return claim["id"] in certify._CLAIM_KINDS and claim["verdict"] != ASSUMPTION  # a stub is checked as one
 
 
 def _rebuilt_reasons(parsed):
@@ -1073,6 +1145,83 @@ def test_claimed_index_is_read_from_the_config(name, cid):
     assert bundle_exit_code(parsed) == 0
     reason = "the claim rebuilt from the config differs in witness.agrees_with_claimed, witness.claimed_index"
     assert [(c, reason_) for c, ok, reason_ in reverify_bundle(parsed) if not ok] == [(cid, reason)]
+
+
+def _edit(path, value):
+    def edit(claim):
+        *keys, last = path
+        target = claim
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+def _drop_top_level(claim):
+    claim["inputs"]["k_max"] = 4
+    del claim["witness"]["levels"][4]
+
+
+def _made_verified(claim):
+    # a refuted claim at a = 1 dressed as one decided by the order bound
+    claim.update(verdict=VERIFIED, method=certify.JOINT_ORDER_METHOD, notes=[certify.JOINT_ORDER_NOTE],
+                 depends_on=["dihedral.commutator-order", *claim["depends_on"]], witness={"joint_invariants": []})
+    claim["inputs"]["a"] = "2/1"
+
+
+@pytest.mark.parametrize("overrides, cid, edit, reason", [
+    pytest.param(["quaternionic"], "quaternionic.congruence-surjectivity", _drop_top_level,
+                 "inputs.k_max, witness.levels", id="k_max-and-top-level"),
+    pytest.param(["quaternionic"], "quaternionic.nondiscrete", _edit(("inputs", "unit_height"), 5),
+                 "inputs.unit_height", id="unit_height"),
+    pytest.param(["quaternionic"], "quaternionic.standard-order-obstruction", _edit(("inputs", "order_kind"), SATURATED_KIND),
+                 "inputs.order_kind", id="order_kind"),
+    pytest.param(["dihedral"], "dihedral.invariant-intersection", _edit(("inputs", "degree_bound"), 100),
+                 "inputs.degree_bound", id="degree_bound"),
+    pytest.param(["sl2z"], "sl2z.nondiscrete", _edit(("inputs", "word_length_bound"), 4),
+                 "inputs.word_length_bound", id="word_length_bound"),
+    pytest.param(["dihedral", "a=1", "invariant_degree=4"], "dihedral.invariant-intersection", _made_verified,
+                 None, id="a-flip"),
+])
+def test_search_claims_are_rebuilt_from_the_config(overrides, cid, edit, reason):
+    # a search claim's inputs come from the config, not from the claim
+    pipeline, *settings = overrides
+    parsed = json.loads(render_bundle(certify.PIPELINES[pipeline](load_config(None, settings))))
+    edit(claim_by_id(parsed, cid))
+    reason = f"the claim rebuilt from the config differs in {reason}" if reason else "a joint invariant exists up to the degree bound"
+    assert _failures(parsed) == [(cid, reason)]
+
+
+def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
+    reads, resolves = [], []
+    load, find = certify.load_config, certify.find_example_algebra
+    monkeypatch.setattr(certify, "load_config", lambda *args: reads.append(args) or load(*args))
+    monkeypatch.setattr(certify, "find_example_algebra", lambda *args: resolves.append(args) or find(*args))
+
+    def no_search(*args):
+        raise RuntimeError("a search ran")
+
+    for name in ("kernel_words", "find_infinite_elliptic", "find_nonintegral_trace", "closing_prefix", "invariant_search"):
+        monkeypatch.setattr(certify, name, no_search)
+    for name in ("quaternionic", "sl2z", "dihedral"):
+        reads.clear()
+        resolves.clear()
+        assert _failures(_golden(name)) == []
+        assert len(reads) == 1 and len(resolves) <= 1
+    assert len(resolves) == 0  # dihedral
+
+
+@pytest.mark.parametrize("a, degree, order", [("1", 1, 2), ("-1", 3, 4)])
+def test_a_cap_never_decides_a_finite_group(a, degree, order):
+    # at a = +-1 the two involutions generate a group G of order 2 or 4,
+    # with a joint invariant of degree |G|: the search runs to |G| however
+    # low invariant_degree is set, and refutes the claim
+    bundle = certify.run_dihedral(load_config(None, [f"a={a}", f"invariant_degree={degree}"]))
+    claim = claim_by_id(bundle, "dihedral.invariant-intersection")
+    assert claim["verdict"] == REFUTED and claim["inputs"]["degree_bound"] == order
+    assert min(f["degree"] for f in claim["witness"]["joint_invariants"]) == order
+    assert _failures(json.loads(render_bundle(bundle))) == []
+    assert bundle_exit_code(bundle) == 1
 
 
 def _stub(cid, blocker):
@@ -1144,25 +1293,28 @@ def _changed(value):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_every_leaf_of_a_rebuilt_claim_is_checked(name):
-    # changing any one scalar in a rebuilt claim's inputs, witness or notes
-    # fails that claim with the field named; the other claims still pass
+    # changing any one scalar in the inputs, witness, notes, method or
+    # depends_on of a claim that ran fails that claim, and the other claims
+    # still pass.  Outside a search claim's witness the rebuild names the
+    # field; inside it, a check on what the search found may fail first
     bundle = _golden(name)
     swept = 0
     for i, claim in enumerate(bundle["claims"]):
         if not _ran_and_rebuilt(claim):
             continue
-        for part in ("inputs", "witness", "notes"):
-            for path in _leaves(claim[part]):
-                parsed = json.loads(json.dumps(bundle))
-                target = parsed["claims"][i][part]
-                for key in path[:-1]:
-                    target = target[key]
-                target[path[-1]] = _changed(target[path[-1]])
-                field = f"{part}.{path[0]}" if part != "notes" else part
-                results = reverify_bundle(parsed)
-                assert results[i] == (claim["id"], False, f"the claim rebuilt from the config differs in {field}")
-                assert all(ok for j, (_, ok, _) in enumerate(results) if j != i)
-                swept += 1
+        for path in _leaves({part: claim[part] for part in ("inputs", "witness", "notes", "method", "depends_on")}):
+            parsed = json.loads(json.dumps(bundle))
+            target = parsed["claims"][i]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = _changed(target[path[-1]])
+            results = reverify_bundle(parsed)
+            assert results[i][:2] == (claim["id"], False)
+            if path[0] != "witness" or claim["id"] in COMPUTED:
+                field = ".".join(str(key) for key in path[:2]) if path[0] in ("inputs", "witness") else path[0]
+                assert results[i][2] == f"the claim rebuilt from the config differs in {field}"
+            assert all(ok for j, (_, ok, _) in enumerate(results) if j != i)
+            swept += 1
     assert swept
 
 
@@ -1245,10 +1397,10 @@ def test_torsion_reverify_checks_the_recorded_unit(torsion_bundle, quat_bundle):
     assert _tampered(torsion_bundle, cid, record(["2/1", "0/1", "0/1", "0/1"])) == (False, reason)
     reason = "recorded unit ['-1/1', '0/1', '0/1', '0/1'] has trace -2, not -1, 0 or 1"
     assert _tampered(torsion_bundle, cid, record(["-1/1", "0/1", "0/1", "0/1"])) == (False, reason)
-    reason = "recorded embeds_sqrt_minus_1 differs from the computed value"
+    reason = "the claim rebuilt from the config differs in witness.embeds_sqrt_minus_1"
     assert _tampered(torsion_bundle, cid, lambda w: w.update(embeds_sqrt_minus_1=False)) == (False, reason)
     # (17, 7) admits neither sqrt(-1) nor sqrt(-3): no unit may be recorded
-    reason = "a finite-order unit is recorded in a torsion-free algebra"
+    reason = "a finite-order unit is recorded, but sqrt(-1) does not embed"
     assert _tampered(quat_bundle, cid, record(["0/1", "1/1", "0/1", "0/1"])) == (False, reason)
 
 
@@ -1259,11 +1411,10 @@ def test_obstruction_reverify_checks_the_recorded_images(quat_bundle):
         return lambda w: w["images"][1].update(matrix=matrix)
 
     assert _tampered(quat_bundle, cid, lambda w: None) == (True, None)
-    reason = "mod-2 image [[1, 1], [0, 1]] is not of the form [[x, y], [b y, x]]"
+    reason = "the claim rebuilt from the config differs in witness.images"
     assert _tampered(quat_bundle, cid, image([[1, 1], [0, 1]])) == (False, reason)
-    reason = "recorded mod-2 image of ['-5/1', '-1/1', '-1/1', '0/1'] differs from its reduction"
     assert _tampered(quat_bundle, cid, image([[1, 0], [0, 1]])) == (False, reason)
-    reason = "recorded image order mod 2 differs"
+    reason = "the claim rebuilt from the config differs in witness.image_order_mod_2"
     assert _tampered(quat_bundle, cid, lambda w: w.update(image_order_mod_2=6)) == (False, reason)
     reason = "unit ['-5/1', '-1/1', '-1/1', '1/1'] is not a norm-one standard-order element"
     assert _tampered(quat_bundle, cid, lambda w: w["images"][1].update(coords=["-5/1", "-1/1", "-1/1", "1/1"])) == (False, reason)
@@ -1273,8 +1424,7 @@ def test_obstruction_reverify_checks_the_recorded_images(quat_bundle):
 
 @pytest.mark.parametrize("cid", UNIT_STAGES)
 def test_height_reached_is_checked(quat_bundle, cid):
-    reason = "height_reached 51 is above unit_height 50"
+    # the builder derives height_reached from the units the stage found
+    reason = "the claim rebuilt from the config differs in witness.height_reached"
     assert _tampered(quat_bundle, cid, lambda w: w.update(height_reached=51)) == (False, reason)
-    if cid != "quaternionic.torsion-free":  # it records no unit here
-        low = _tampered(quat_bundle, cid, lambda w: w.update(height_reached=1))
-        assert not low[0] and low[1].endswith("lies above height_reached 1")
+    assert _tampered(quat_bundle, cid, lambda w: w.update(height_reached=1)) == (False, reason)

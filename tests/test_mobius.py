@@ -112,6 +112,19 @@ def test_emitted_functions_verify():
     assert not _fixed_by(bogus, BinaryFormSpace.build([SIGMA], 2))
 
 
+def test_fixed_by_checks_the_character():
+    # x y / (x^2 + y^2) is fixed by x -> 1/x with multiplier 1: the same
+    # forms under any other recorded multiplier, or a multiplier for too
+    # few generators, fail
+    space = BinaryFormSpace.build([SIGMA], 2)
+    f = next(g for g in invariant_search([SIGMA], 2) if g.character == (1,))
+    assert _fixed_by(f, space)
+    for character in ((-1,), (Fraction(1, 2),), ()):
+        assert not _fixed_by(InvariantFunction(2, f.numerator, f.denominator, character), space)
+    joint = BinaryFormSpace.build([SIGMA, MobiusMap.sigma_a(1)], 2)
+    assert not _fixed_by(f, joint)
+
+
 def test_eigenspace_search_complete_small_degree():
     # every invariant ratio of quadratic forms found by brute force must be
     # a pair of semi-invariants with a common multiplier
