@@ -410,6 +410,15 @@ def test_layer_witness_keeps_the_base_level_under_k_min():
     assert [lv["level"] for lv in claim["witness"]["levels"]] == [3, 4, 5]
 
 
+def test_lifted_levels_under_k_min_re_verify():
+    # levels below k_min are left out above the base level too; the words
+    # still carry the base through them, so the bundle re-verifies
+    bundle = certify.run_quaternionic(load_config(None, ["k_min=5", "k_max=6", "unit_height=6"]))
+    claim = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
+    assert claim["verdict"] == VERIFIED
+    assert [lv["level"] for lv in claim["witness"]["levels"]] == [3, 5, 6]
+
+
 def test_k_max_20_certifies_every_layer(quat_bundle, tmp_path):
     out = tmp_path / "b.json"
     assert cli_main(["quaternionic", "--set", "k_max=20", "--out", str(out)]) == 1
