@@ -34,24 +34,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 
 from . import __version__
 from .commens import Conjugator, local_intersection, psi
 from .exact import sqrt_2adic
 from .fuchsian import (
-    NOT_FOUND,
     RealQuadElem,
-    WordElement,
-    find_infinite_elliptic,
     find_nonintegral_trace,
     is_algebraic_integer,
-    is_infinite_elliptic_trace,
-    lift_rational_matrix,
     pair_trace,
+    quaternion_basis,
     real_embed,
 )
-from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
 from .mobius import (
     INFINITE_ORDER,
     BinaryFormSpace,
@@ -96,9 +91,10 @@ INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multipli
 TRACE_METHOD = ("scan pairs of standard-slice units U, V, in shells of slice index, "
                 "for a trace of U h V h^-1 that is not an algebraic integer")
 TRACE_NOTE = (
-    "a discrete <Gamma, h Gamma h^-1> would contain the cocompact Gamma with some finite index n, so g^(n!) would lie "
-    "in Gamma for each of its elements g; tr(g^(n!)) is then an integer and a monic integer polynomial in tr g, so "
-    "every trace would be an algebraic integer (Takeuchi 1975; Maclachlan-Reid 2003, Thm 8.3.2)"
+    "Gamma has finite covolume and covolumes of Fuchsian groups are bounded below (Siegel), so a discrete "
+    "<Gamma, h Gamma h^-1> would contain Gamma with some finite index n, and g^(n!) would lie in Gamma for each of "
+    "its elements g; tr(g^(n!)) is then an integer and a monic integer polynomial in tr g, so every trace would be "
+    "an algebraic integer (Takeuchi 1975; Maclachlan-Reid 2003, Thm 8.3.2)"
 )
 
 
@@ -190,7 +186,6 @@ class RunConfig:
     k_max: int = 5
     h: str = "1,-1/2,0,1"
     invariant_degree: int = 8
-    word_length_bound: int = 12
     claimed_index: int = 3
     pair: str = "-1,-1"
     order_kind: str = SATURATED
@@ -251,7 +246,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("a must be nonzero")
     if cfg.b < 0:
         raise ConfigError("b must be nonnegative (0 = search)")
-    for key in ("b_search_bound", "unit_height", "invariant_degree", "word_length_bound", "claimed_index"):
+    for key in ("b_search_bound", "unit_height", "invariant_degree", "claimed_index"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
     if not 1 <= cfg.k_min <= cfg.k_max:
@@ -640,6 +635,15 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
     )
 
 
+def _surjectivity_search(cfg: RunConfig, split):
+    """Stage 4's search: the saturated stream read until its images close
+    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do,
+    with the closure and the kernel words."""
+    sat = UnitStream(split.algebra, SATURATED, cfg.unit_height)
+    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
+    return read, table, _kernel_words(cfg, split, read, table)
+
+
 def _kernel_words(cfg: RunConfig, split, read, table):
     """Kernel words in the units whose images the closure table used at
     BASE_LEVEL, when k_max lies above that level and the images fill it;
@@ -701,9 +705,7 @@ def _conjugator(spec: str, algebra) -> Conjugator:
 def _conjugator_matrix(spec: str, algebra):
     """h as a real matrix; the one place where a quaternion and a rational h differ."""
     kind, data = parse_conjugator_spec(spec)
-    if kind == "rational":
-        return lift_rational_matrix(data, int(algebra.a))
-    return real_embed(algebra.element(*data))
+    return data if kind == "rational" else real_embed(algebra.element(*data))
 
 
 SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
@@ -811,11 +813,7 @@ def _quaternionic_stages(cfg: RunConfig):
             break
     yield _obstruction_claim(cfg, list(images.values()))
 
-    # stage 4: the saturated stream is read until its images close mod
-    # 2^min(k_max, 3)
-    sat = UnitStream(algebra, SATURATED, cfg.unit_height)
-    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
-    yield _surjectivity_claim(cfg, (read, table, _kernel_words(cfg, split, read, table)))
+    yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split))
 
     yield _quaternionic_index_claim(cfg)
     yield _nondiscrete_stage(cfg, algebra, std)
@@ -869,93 +867,78 @@ def _height_reached(stop, cfg: RunConfig) -> int:
     return cfg.unit_height if stop is None else height(stop)
 
 
-def _nondiscrete_claim(cfg: RunConfig, found) -> Certificate:
-    """Stage 6: <Gamma, h Gamma h^-1> is not discrete, witnessed by a unit
-    pair whose trace is not an algebraic integer.  found is the pair U, V
-    and its trace, or None."""
-    witness, note = None, "every pair of units in this slice has an integral trace"
-    if found is not None:
-        U, V, t = found
-        _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
-        witness = {"units": [coords_json(U), coords_json(V)], "trace": quad_json(t), "height_reached": max(height(U), height(V))}
-        note = TRACE_NOTE
-    return Certificate(
-        claim="quaternionic.nondiscrete",
-        method=TRACE_METHOD,
-        inputs={"d": cfg.d, "h": cfg.h, "unit_height": cfg.unit_height},
-        witness=witness,
-        depends_on=("quaternionic.intersection-index",),
-        notes=(note,),
-    )
-
-
 def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
     """The trace stage, reading the standard stream in shells up to the
     first pair with a non-integral trace."""
-    hit = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), std)
-    return _nondiscrete_claim(cfg, None if hit is NOT_FOUND else (std.units[hit[0]], std.units[hit[1]], hit[2]))
+    found = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), quaternion_basis(algebra), (u.coords() for u in std))
+    return _nondiscrete_claim("quaternionic", cfg, found)
+
+
+# --------------------------------------------------------------------------
+# non-discreteness, one trace claim for quaternionic and sl2z
+
+
+# I, T, U and [[2, 1], [1, 1]] as coordinate vectors in the matrix units,
+# that is, by their entries: four elements of SL2(Z) whose coordinate
+# matrix has determinant -1, so they span M2(Z) over Z
+SL2Z_SPAN = ((1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1))
+MATRIX_UNITS = tuple(((int(m == 0), int(m == 1)), (int(m == 2), int(m == 3))) for m in range(4))
+SL2Z_TRACE_METHOD = "scan pairs X, Y of I, T, U and [[2,1],[1,1]], which span M2(Z), for a non-integral tr(X h Y h^-1)"
+NORMALISER_NOTE = ("every pair of the four has an integral trace, so by bilinearity h M2(Z) h^-1 = M2(Z): h lies in "
+                   "Q^x GL2(Z) and normalises Gamma, and <Gamma, h Gamma h^-1> is Gamma itself")
+
+# pipeline -> the claim's method, its note without a witness, and the config keys its inputs record
+_TRACE_PLANS = {
+    "quaternionic": (TRACE_METHOD, "every pair of units in this slice has an integral trace", ("d", "h", "unit_height")),
+    "sl2z": (SL2Z_TRACE_METHOD, NORMALISER_NOTE, ("h",)),
+}
+
+
+def _nondiscrete_claim(pipeline: str, cfg: RunConfig, found) -> Certificate:
+    """<Gamma, h Gamma h^-1> is not discrete, witnessed by X, Y in Gamma
+    whose trace tr(X h Y h^-1) is not an algebraic integer.  found is the
+    coordinate vectors of X and Y and that trace, or None.  quaternionic
+    reads standard units up to unit_height and records how high it read;
+    sl2z scans the four elements of SL2Z_SPAN, which decide every h."""
+    method, note, keys = _TRACE_PLANS[pipeline]
+    witness = None
+    if found is not None:
+        u, v, t = found
+        _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
+        trace = quad_json(t) if isinstance(t, RealQuadElem) else frac_str(t)
+        witness = {"units": [[frac_str(c) for c in u], [frac_str(c) for c in v]], "trace": trace}
+        if "unit_height" in keys:
+            witness["height_reached"] = int(max(abs(c) for c in (*u, *v)))
+        note = TRACE_NOTE
+    return Certificate(
+        claim=f"{pipeline}.nondiscrete",
+        method=method,
+        inputs={key: getattr(cfg, key) for key in keys},
+        witness=witness,
+        depends_on=(f"{pipeline}.intersection-index",),
+        notes=(note,),
+    )
 
 
 # --------------------------------------------------------------------------
 # modular pipeline
 
 
-def _word_seeds(h_rows):
-    T = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    U = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
-    pairs = [("T", T), ("U", U), ("h", h_rows)]
-    seeds = []
-    for label, rows in pairs:
-        inv = mat_scale(Fraction(1) / mat_det(rows), mat_adj(rows))
-        seeds.append(WordElement.seed(label, rows))
-        seeds.append(WordElement.seed(f"{label}^-1", inv))
-    return seeds
-
-
-def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
+def _sl2z_rows(cfg: RunConfig):
     kind, rows = parse_conjugator_spec(cfg.h)
     if kind != "rational":
         raise ConfigError("this pipeline needs a rational conjugator matrix")
-    return _index_certificate("sl2z.intersection-index", Conjugator.from_rows(rows), {"h": cfg.h}, _explicit_claim(cfg))
+    return rows
 
 
-# what the sl2z word search found when it hit its state cap
-TRUNCATED = "truncated"
-TRUNCATED_NOTE = "search truncated at the state cap before exhausting the length bound"
-
-
-def _elliptic_claim(cfg: RunConfig, found) -> Certificate:
-    """found is the word the search found, None when it came back empty,
-    or TRUNCATED; a word's product must be an elliptic of infinite order."""
-    witness, notes = None, (TRUNCATED_NOTE,) if found == TRUNCATED else ()
-    if found not in (None, TRUNCATED):
-        letters = {s.word[0]: s.matrix for s in _word_seeds(parse_conjugator_spec(cfg.h)[1])}
-        matrix = reduce(mat_mul, (letters[label] for label in found))
-        trace = mat_tr(matrix)
-        _expect(mat_det(matrix) == 1 and is_infinite_elliptic_trace(trace),
-                "the word does not multiply out to an elliptic element of infinite order")
-        notes = ("an elliptic element of infinite order in the generated group rules out discreteness",)
-        witness = {"word": list(found), "word_length": len(found), "matrix": rows_json(matrix), "trace": frac_str(trace)}
-    return Certificate(
-        claim="sl2z.nondiscrete",
-        method="breadth-first word search for an infinite-order elliptic element in the amalgam",
-        inputs={"h": cfg.h, "word_length_bound": cfg.word_length_bound},
-        witness=witness,
-        depends_on=("sl2z.intersection-index",),
-        notes=notes,
-    )
+def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
+    return _index_certificate("sl2z.intersection-index", Conjugator.from_rows(_sl2z_rows(cfg)), {"h": cfg.h}, _explicit_claim(cfg))
 
 
 def run_sl2z(cfg: RunConfig) -> dict:
-    claims = [_sl2z_index_claim(cfg)]
-    try:
-        hit = find_infinite_elliptic(_word_seeds(parse_conjugator_spec(cfg.h)[1]), cfg.word_length_bound)
-        found = None if hit is NOT_FOUND else hit.word
-    except RuntimeError:
-        found = TRUNCATED
-    claims.append(_elliptic_claim(cfg, found))
-    claims.append(_context("sl2z.ramification-context"))
-    return make_bundle("sl2z", cfg, claims)
+    index = _sl2z_index_claim(cfg)
+    found = find_nonintegral_trace(_sl2z_rows(cfg), MATRIX_UNITS, SL2Z_SPAN)  # at most 16 pairs
+    return make_bundle("sl2z", cfg, [index, _nondiscrete_claim("sl2z", cfg, found), _context("sl2z.ramification-context")])
 
 
 # --------------------------------------------------------------------------
@@ -1055,11 +1038,13 @@ PIPELINES = {
 # once, and it must round-trip and match config_hash.  A search claim's
 # found objects are read back from its witness and checked to be what they
 # claim to be, and what the pipeline took from its search (a closure, a
-# trace) is recomputed; no search runs again but the complete joint search
-# that an empty list at a = +-1 rests on.  The claim's builder rebuilds it,
-# every field but the verdict must match, and the claim's rule checks the
-# verdict.  The pipelines re-verify in make_bundle before returning, and a
-# fresh process can call reverify_bundle on a parsed bundle file.
+# trace) is recomputed.  A search runs again only where the claim rests on
+# its exhaustion: the joint search behind an empty list at a = +-1, a
+# refuted surjectivity search, and a trace search that recorded no pair.
+# The claim's builder rebuilds it, every field but the verdict must match,
+# and the claim's rule checks the verdict.  The pipelines re-verify in
+# make_bundle before returning, and a fresh process can call
+# reverify_bundle on a parsed bundle file.
 
 
 def _cfg_from_bundle(bundle) -> RunConfig:
@@ -1153,11 +1138,15 @@ def _read_obstruction_units(claim, cfg: RunConfig):
 def _read_surjectivity(claim, cfg: RunConfig):
     """The saturated units recorded at the last closed level, the closure of
     their images at min(k_max, BASE_LEVEL), recomputed, and the kernel
-    words of the first lifted level, whose letters must name those units."""
-    levels = claim["witness"]["levels"]
+    words of the first lifted level, whose letters must name those units.
+    Levels that end in one that does not surject say that the search read
+    every unit up to unit_height, so the search runs again."""
+    levels, split = claim["witness"]["levels"], split_2adic(cfg.algebra)
+    if not levels[-1]["surjects"]:
+        return _surjectivity_search(cfg, split)
     read = [_read_unit(g["coords"], cfg, SATURATED) for g in [e for e in levels if "generators" in e][-1]["generators"]]
     k_top = min(cfg.k_max, BASE_LEVEL)
-    _, table = images_surject(reduce_units(read, split_2adic(cfg.algebra), k_top), k_top)
+    _, table = images_surject(reduce_units(read, split, k_top), k_top)
     lifted = [e for e in levels if "kernel_words" in e]
     if not lifted:
         return read, table, None
@@ -1167,23 +1156,29 @@ def _read_surjectivity(claim, cfg: RunConfig):
     return read, table, [tuple(map(tuple, w)) for w in words]
 
 
-def _read_trace_pair(claim, cfg: RunConfig):
-    """The recorded units U, V, with the trace of U h V h^-1 recomputed by
-    three matrix products; no slice is enumerated."""
-    if claim["witness"] is None:
-        return None
-    U, V = (_read_unit(coords, cfg) for coords in claim["witness"]["units"])
-    return U, V, pair_trace(_conjugator_matrix(cfg.h, cfg.algebra), U, V)
+def _read_sl2z_element(entries):
+    """A recorded element of SL2(Z), as its entries a, b, c, d."""
+    a, b, c, d = x = tuple(parse_frac(e) for e in entries)
+    _expect(all(e.denominator == 1 for e in x), f"element {entries} has an entry that is not an integer")
+    _expect(a * d - b * c == 1, f"element {entries} has determinant {a * d - b * c}, not 1")
+    return x
 
 
-def _read_word(claim, cfg: RunConfig):
-    """The recorded word, whose letters must come from the search's
-    alphabet."""
+def _read_trace_pair(pipeline: str, claim, cfg: RunConfig):
+    """The recorded pair X, Y, each checked to lie in Gamma, as coordinate
+    vectors, and the trace of X h Y h^-1 recomputed by three matrix
+    products; no slice is enumerated.  With no pair recorded, the search
+    runs again: over the 16 sl2z pairs, or over the standard units up to
+    unit_height, which it reads only when the trace form is not integral."""
+    if pipeline == "sl2z":
+        H, basis, read = _sl2z_rows(cfg), MATRIX_UNITS, _read_sl2z_element
+    else:
+        H, basis, read = _conjugator_matrix(cfg.h, cfg.algebra), quaternion_basis(cfg.algebra), lambda c: _read_unit(c, cfg).coords()
     if claim["witness"] is None:
-        return TRUNCATED if claim["notes"] == [TRUNCATED_NOTE] else None
-    alphabet = {s.word[0] for s in _word_seeds(parse_conjugator_spec(cfg.h)[1])}
-    _expect(all(label in alphabet for label in claim["witness"]["word"]), "a letter of the word is not T, U, h or an inverse")
-    return tuple(claim["witness"]["word"])
+        units = SL2Z_SPAN if pipeline == "sl2z" else (u.coords() for u in UnitStream(cfg.algebra, STANDARD, cfg.unit_height))
+        return find_nonintegral_trace(H, basis, units)
+    u, v = (read(entry) for entry in claim["witness"]["units"])
+    return u, v, pair_trace(H, basis, u, v)
 
 
 def _scales_by_a_squared(witness, inputs):
@@ -1223,9 +1218,10 @@ _CLAIM_KINDS = {
     "quaternionic.congruence-surjectivity":
         (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _read_surjectivity),
     "quaternionic.intersection-index": (_index_agrees, _quaternionic_index_claim, None),
-    "quaternionic.nondiscrete": (_witnessed, _nondiscrete_claim, _read_trace_pair),
+    "quaternionic.nondiscrete":
+        (_witnessed, partial(_nondiscrete_claim, "quaternionic"), partial(_read_trace_pair, "quaternionic")),
     "sl2z.intersection-index": (_index_agrees, _sl2z_index_claim, None),
-    "sl2z.nondiscrete": (_witnessed, _elliptic_claim, _read_word),
+    "sl2z.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "sl2z"), partial(_read_trace_pair, "sl2z")),
     "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, _symbol_table_claim, None),
     "units.slice": (_witnessed, _units_slice_claim, None),
     "intersect.index": (_index_agrees, _intersect_index_claim, None),

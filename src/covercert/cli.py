@@ -21,7 +21,7 @@ from .certify import PIPELINES, ConfigError, bundle_exit_code, load_config, rend
 _HELP = {
     "dihedral": "involution pair over Q: commutator order and invariant subfields",
     "quaternionic": "staged run: algebra, torsion, surjectivity, intersection index, discreteness",
-    "sl2z": "integral-matrix conjugation: intersection indices and an elliptic word search",
+    "sl2z": "rational conjugation of SL2(Z): intersection index and a non-integral trace",
     "hilbert": "Hilbert symbol table for one pair of rationals",
     "units": "dump a norm-one unit slice of a quaternion order",
     "intersect": "intersection index for one conjugator",

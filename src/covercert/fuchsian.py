@@ -1,14 +1,12 @@
 """Non-discreteness certificates from exact arithmetic over Q or a real quadratic field.
 
-Two mechanisms, both unconditional once they fire: a trace that is not an
-algebraic integer in a group that, were it discrete, would contain a
-cocompact arithmetic group with finite index; and an elliptic element whose
-trace rules out every finite rotation order (its powers then accumulate at
-the identity).  Jorgensen's inequality |tr^2 A - 4| + |tr[A,B] - 2| >= 1,
-which every discrete non-elementary two-generator group must satisfy, is
-kept as an independent cross-check.  Matrix entries are Fractions or
-RealQuadElem values of one Q(sqrt(d)), and every sign test is exact; no
-floating point anywhere.
+Both pipelines certify that <Gamma, h Gamma h^-1> is not discrete by a pair
+X, Y in Gamma whose trace tr(X h Y h^-1) is not an algebraic integer, which
+find_nonintegral_trace finds over a basis of real matrices.  The elliptic
+word search and Jorgensen's inequality |tr^2 A - 4| + |tr[A,B] - 2| >= 1 are
+independent cross-checks that no pipeline calls.  Matrix entries are
+Fractions or RealQuadElem values of one Q(sqrt(d)), and every sign test is
+exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
@@ -74,6 +71,9 @@ class RealQuadElem:
 
     def __rmul__(self, other):
         return self * other
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def conjugate(self) -> "RealQuadElem":
         return RealQuadElem(self.d, self.u, -self.v)
@@ -151,48 +151,58 @@ def real_embed(q: Quaternion):
             (quad(d, b * x2, -b * x3), quad(d, x0, -x1)))
 
 
-def is_algebraic_integer(t: RealQuadElem) -> bool:
-    """p + q*sqrt(d) is a root of x^2 - 2p x + (p^2 - d q^2), so it is an
-    algebraic integer iff 2p and p^2 - d q^2 are integers."""
-    return (2 * t.u).denominator == 1 and t.norm().denominator == 1
+def quaternion_basis(algebra):
+    """real_embed of 1, i, j, k, the basis a quaternion's coordinates refer to."""
+    return [real_embed(algebra.element(*(int(k == m) for k in range(4)))) for m in range(4)]
 
 
-def pair_trace(H, U: Quaternion, V: Quaternion) -> RealQuadElem:
-    """tr(E(U) H E(V) H^-1) for the real matrix H, with E = real_embed."""
-    H_inv = mat_scale(mat_det(H).inverse(), mat_adj(H))
-    return mat_tr(mat_mul(mat_mul(mat_mul(real_embed(U), H), real_embed(V)), H_inv))
+def is_algebraic_integer(t) -> bool:
+    """A rational is an algebraic integer iff it is an integer; p + q*sqrt(d)
+    is a root of x^2 - 2p x + (p^2 - d q^2), so it is one iff 2p and
+    p^2 - d q^2 are integers."""
+    if isinstance(t, RealQuadElem):
+        return (2 * t.u).denominator == 1 and t.norm().denominator == 1
+    return Fraction(t).denominator == 1
 
 
-def find_nonintegral_trace(H, units):
-    """The first pair (i, j) of integral units, in shells max(i, j) = n,
-    whose pair_trace t is not an algebraic integer, as (i, j, t); or
-    NOT_FOUND.  t is bilinear in the coordinate vectors u, v: t = (uPv +
-    uQv sqrt(d)) / D with integer matrices P, Q read once off the basis, so
-    each pair costs two integer dot products, and a witness in shell n at
-    most (n + 1)^2 of them.  units is any iterable, read only up to the
-    witness.  If every entry of the form is integral, so is every trace,
-    and nothing past the first unit is read.
+def _combine(basis, v):
+    """The matrix with coordinate vector v in basis."""
+    return tuple(tuple(sum(x * B[r][c] for x, B in zip(v, basis)) for c in range(2)) for r in range(2))
+
+
+def pair_trace(H, basis, u, v):
+    """tr(X H Y H^-1) for the real matrix H, where X and Y have the
+    coordinate vectors u and v in basis."""
+    H_inv = mat_scale(Fraction(1) / mat_det(H), mat_adj(H))
+    return mat_tr(mat_mul(mat_mul(mat_mul(_combine(basis, u), H), _combine(basis, v)), H_inv))
+
+
+def find_nonintegral_trace(H, basis, vectors):
+    """The first pair u, v of integer coordinate vectors, at indices i, j
+    in shells max(i, j) = n, whose pair_trace t in the four-matrix basis is
+    not an algebraic integer, as (u, v, t); or None.  t is bilinear in the
+    vectors u, v: t = (uPv + uQv sqrt(d)) / D with integer matrices P, Q
+    read once off the basis (Q = 0 over Q), so each pair costs two integer
+    dot products, and a witness in shell n at most (n + 1)^2 of them.
+    vectors is any iterable, read only up to the witness.  If every entry
+    of the form is integral, so is every trace, and no vector is read.
     """
-    units = iter(units)
-    first = next(units, None)
-    if first is None:
-        return NOT_FOUND
-    basis = [real_embed(first.algebra.element(*(int(k == m) for k in range(4)))) for m in range(4)]
-    H_inv = mat_scale(mat_det(H).inverse(), mat_adj(H))
-    conjugates = [mat_mul(mat_mul(H, E), H_inv) for E in basis]  # H E(e_b) H^-1, formed once per b
-    # entry 4a + b is pair_trace(H, e_a, e_b) = tr(E(e_a) C_b), read off the entries of E(e_a) and C_b
+    H_inv = mat_scale(Fraction(1) / mat_det(H), mat_adj(H))
+    conjugates = [mat_mul(mat_mul(H, E), H_inv) for E in basis]  # H E_b H^-1, formed once per b
+    # entry 4a + b is tr(E_a C_b), read off the entries of E_a and C_b
     form = [sum(E[r][c] * C[c][r] for r in range(2) for c in range(2)) for E in basis for C in conjugates]
     if all(is_algebraic_integer(t) for t in form):
-        return NOT_FOUND
-    d, D = form[0].d, 1
-    for x in (x for t in form for x in (t.u, t.v)):
+        return None
+    parts = [(t.u, t.v, t.d) if isinstance(t, RealQuadElem) else (Fraction(t), Fraction(0), 0) for t in form]
+    d, D = parts[0][2], 1
+    for x in (x for u, v, _ in parts for x in (u, v)):
         D = D * x.denominator // gcd(D, x.denominator)
-    P, Q = [int(t.u * D) for t in form], [int(t.v * D) for t in form]
-    read = []  # per unit read so far: its coordinates, P v and Q v
-    for n, U in enumerate(chain((first,), units)):
-        if any(c.denominator != 1 for c in U.coords()):
+    P, Q = [int(u * D) for u, _, _ in parts], [int(v * D) for _, v, _ in parts]
+    read = []  # per vector read so far: its coordinates, P v and Q v
+    for n, coords in enumerate(vectors):
+        if any(c.denominator != 1 for c in coords):
             raise ValueError("units need integral coordinates")
-        v = [int(c) for c in U.coords()]
+        v = [int(c) for c in coords]
         Pv, Qv = ([sum(M[4 * a + b] * v[b] for b in range(4)) for a in range(4)] for M in (P, Q))
         read.append((v, Pv, Qv))
         for i, j in [(i, n) for i in range(n + 1)] + [(n, j) for j in range(n)]:
@@ -200,8 +210,8 @@ def find_nonintegral_trace(H, units):
             p = u0 * p0 + u1 * p1 + u2 * p2 + u3 * p3
             q = u0 * q0 + u1 * q1 + u2 * q2 + u3 * q3
             if 2 * p % D or (p * p - d * q * q) % (D * D):
-                return i, j, quad(d, Fraction(p, D), Fraction(q, D))
-    return NOT_FOUND
+                return tuple(read[i][0]), tuple(read[j][0]), Fraction(p, D) if d == 0 else quad(d, Fraction(p, D), Fraction(q, D))
+    return None
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ from functools import lru_cache
 
 from .util import is_prime
 
-DEFAULT_CAP = 1 << 24
-
 
 @dataclass(frozen=True, slots=True)
 class ResidueMatrix:
@@ -76,7 +74,7 @@ def group_order(p: int, k: int) -> int:
     return p ** (3 * k - 2) * (p * p - 1)
 
 
-def closure(generators, cap: int = DEFAULT_CAP, stop: int = 0) -> SubgroupTable:
+def closure(generators, stop: int = 0) -> SubgroupTable:
     """Breadth-first closure under right multiplication by the generators
     and their inverses.
 
@@ -111,8 +109,6 @@ def closure(generators, cap: int = DEFAULT_CAP, stop: int = 0) -> SubgroupTable:
             for s in new if i < n else step:
                 y = x * s
                 if y not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"closure exceeds cap {cap}")
                     seen.add(y)
                     order.append(y)
             i += 1
@@ -124,18 +120,15 @@ def closure(generators, cap: int = DEFAULT_CAP, stop: int = 0) -> SubgroupTable:
 
 
 @lru_cache(maxsize=8)
-def enumerate_group(p: int, k: int, cap: int = DEFAULT_CAP) -> SubgroupTable:
+def enumerate_group(p: int, k: int) -> SubgroupTable:
     """The full SL2(Z/p^k) via closure of the two elementary matrices.
 
     They generate SL2(Z), and reduction mod p^k is surjective, so the
     closure is the whole group; the order formula is asserted as a check.
     """
     want = group_order(p, k)
-    if want > cap:
-        raise ValueError(f"group order {want} exceeds cap {cap}")
     m = p ** k
-    table = closure([ResidueMatrix(1, 1, 0, 1, m),
-                     ResidueMatrix(1, 0, 1, 1, m)], cap)
+    table = closure([ResidueMatrix(1, 1, 0, 1, m), ResidueMatrix(1, 0, 1, 1, m)])
     assert table.order == want, "enumeration disagrees with the order formula"
     return table
 

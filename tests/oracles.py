@@ -353,3 +353,17 @@ def is_integral_quadratic(p, q, a: int) -> bool:
     """p + q sqrt(a), a not a square, is an algebraic integer iff its
     minimal polynomial x^2 - 2p x + (p^2 - a q^2) has integer coefficients."""
     return (2 * p).denominator == 1 and (p * p - a * q * q).denominator == 1
+
+
+def rational_pair_trace(h, x, y):
+    """tr(X h Y h^-1) for rational 2x2 matrices: h as rows, X and Y by their
+    four entries row-major; h^-1 is the adjugate over the determinant."""
+
+    def mul(A, B):
+        return [[sum(A[r][k] * B[k][c] for k in range(2)) for c in range(2)] for r in range(2)]
+
+    (p, q), (r, s) = ([Fraction(e) for e in row] for row in h)
+    det = p * s - q * r
+    X, Y = ([[Fraction(e[0]), Fraction(e[1])], [Fraction(e[2]), Fraction(e[3])]] for e in (x, y))
+    M = mul(mul(mul(X, [[p, q], [r, s]]), Y), [[s / det, -q / det], [-r / det, p / det]])
+    return M[0][0] + M[1][1]

@@ -30,6 +30,7 @@ from covercert.units import enumerate_units, torsion_check
 from covercert.util import odd_prime_factors
 
 from oracles import conic_solvable_mod, conic_square_class, conjugation_index, sl2_order_bruteforce
+from wordsearch import word_seeds
 
 
 def _report(capsys, n, ok, detail):
@@ -158,7 +159,7 @@ def test_criterion_5_rational_conjugator(capsys):
     rows = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
     res = sl2z_case(rows)
     ok = res.index == 3 == conjugation_index(res.matrix, 2)
-    seeds = certify._word_seeds(rows)
+    seeds = word_seeds(rows)
     cert = find_infinite_elliptic(seeds, 12)
     ok = ok and cert is not NOT_FOUND
     if cert is not NOT_FOUND:

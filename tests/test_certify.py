@@ -37,9 +37,10 @@ from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, l
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import SATURATED as SATURATED_KIND
 
-from oracles import conjugated_unit_trace, conjugation_index, is_integral_quadratic
+from oracles import conjugated_unit_trace, conjugation_index, is_integral_quadratic, rational_pair_trace
+from wordsearch import word_seeds
 
-DEFAULT_HASH = "b7110e785a0813b98e161128ca7d8e14978c79e5c3099cb252d64aeedc0cf0d5"
+DEFAULT_HASH = "06e8b4e670083446a027b89c4301ddff02a2eac46b92317d154fb20d92b29521"
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "src" / "covercert" / "certificate_schema.json").read_text())
 
@@ -102,6 +103,7 @@ def test_config_file_and_overrides(tmp_path):
         ["unit_height=-2"],
         ["h=quat:1/3,1,0,0"],  # denominator away from 2
         ["out=/tmp/x.json"],  # the output path is the --out flag, not a key
+        ["word_length_bound=12"],  # the word search left the pipeline with its bound
     ],
 )
 def test_config_rejects(overrides):
@@ -266,9 +268,9 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
 # group, first joint invariant in degree 4) a refuted one whose degree
 # bound invariant_degree = 3 is raised to |G| = 4, and one at 4
 _FINITE_GROUP_BUNDLES = {
-    ("a=1",): "7f9afdcda98a9b247338f4eb73e9ba7334819b2e8d8219c65d3cf4bb26cf35b7",
-    ("a=-1", "invariant_degree=3"): "cce63d150894d1cf6ab0997c54def9aff097e72c3d3038808235a5ae449c2c19",
-    ("a=-1", "invariant_degree=4"): "e0b2fa0ea472fd09b4710723fe3da1d2d8b9754d3f8e369503272efecbb07fc0",
+    ("a=1",): "e6335754986ade81fc30f2f7bc984776296d18233d44c4fdf67e1d2aa5e98feb",
+    ("a=-1", "invariant_degree=3"): "520b6c8997da3b20ee89622a3af9bcbbf27f196d38377fcb31f12150226fe6f9",
+    ("a=-1", "invariant_degree=4"): "38c4eff8c48e4a284a71973be3e10536fdb1d073c8cfe8644f3f74fe1d80a57b",
 }
 
 
@@ -480,6 +482,41 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
     assert surjectivity_reason(close_above_the_base) == rebuilt
 
 
+def test_a_shorter_refuted_search_is_read_again():
+    # stage 4 built from the first saturated unit alone refutes at level 1
+    # and says it read every unit up to unit_height; with stages 5 and 6
+    # stubbed the bundle exits 1, so re-verification reads the stream again
+    parsed = _golden("quaternionic")
+    cfg = certify._cfg_from_bundle(parsed)
+    split = split_2adic(cfg.algebra)
+    first = next(iter(units.UnitStream(cfg.algebra, SATURATED_KIND, cfg.unit_height)))
+    _, table = units.images_surject(units.reduce_units([first], split, 3), 3)
+    short = json.loads(json.dumps(certify._surjectivity_claim(cfg, ([first], table, None)).as_dict()))
+    assert short["verdict"] == REFUTED and [lv["level"] for lv in short["witness"]["levels"]] == [1]
+    blocker = "quaternionic.congruence-surjectivity"
+    parsed["claims"][4] = short
+    parsed["claims"][5:7] = [_stub(c["id"], blocker) for c in parsed["claims"][5:7]]
+    assert bundle_exit_code(parsed) == 1
+    # the search fills every level again, so stages 5 and 6 ran and no stub belongs there
+    stub = "only context and stages that did not run are assumptions"
+    assert _failures(parsed) == [
+        (blocker, "the claim rebuilt from the config differs in witness.height_reached, witness.levels"),
+        ("quaternionic.intersection-index", stub),
+        ("quaternionic.nondiscrete", stub),
+    ]
+
+
+def test_an_honest_refuted_search_re_verifies():
+    # at unit_height = 1 the saturated units never fill SL2(Z/2): the same
+    # bytes as before, refuted, and they re-verify by reading the stream again
+    bundle = certify.run_quaternionic(load_config(None, ["unit_height=1"]))
+    assert claim_by_id(bundle, "quaternionic.congruence-surjectivity")["verdict"] == REFUTED
+    assert bundle_exit_code(bundle) == 1
+    text = render_bundle(bundle)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "d5fc27e4175831473258d4ab6b1496d7a54978414e645dd727cbb26a72ad7d4f"
+    assert _failures(json.loads(text)) == []
+
+
 def test_kernel_word_letters_are_checked():
     # word_value reads any exponent but 1 as -1, so only the letter check
     # tells (i, 5) from (i, -1); d = 41 records words with inverse letters
@@ -650,9 +687,9 @@ def test_sl2z_bundle(sl2z_bundle):
     assert "claimed_index" not in w  # no comparison unless asked for
     near = claim_by_id(sl2z_bundle, "sl2z.nondiscrete")
     assert near["verdict"] == VERIFIED
-    assert near["witness"]["word"] == ["T", "h", "U^-1", "h^-1"]
-    assert near["witness"]["trace"] == "3/2"
-    assert near["witness"]["word_length"] == 4
+    # T and U, the pair (1, 2) of the four spanning elements
+    assert near["witness"] == {"units": [["1/1", "1/1", "0/1", "1/1"], ["1/1", "0/1", "1/1", "1/1"]], "trace": "5/2"}
+    assert near["notes"] == [certify.TRACE_NOTE]
     assert claim_by_id(sl2z_bundle, "sl2z.ramification-context")["verdict"] == ASSUMPTION
     assert bundle_exit_code(sl2z_bundle) == 0
 
@@ -662,7 +699,7 @@ def test_word_search_over_q_matches_the_lifted_search(h):
     # lifting rational seeds into Q(sqrt(2)) changes no arithmetic, so the
     # search over Q finds the same word, matrix and trace
     _, rows = parse_conjugator_spec(h)
-    seeds = certify._word_seeds(rows)
+    seeds = word_seeds(rows)
     lifted = [WordElement.seed(s.word[0], lift_rational_matrix(s.matrix, 2)) for s in seeds]
     hit, lifted_hit = find_infinite_elliptic(seeds, 8), find_infinite_elliptic(lifted, 8)
     assert hit is not NOT_FOUND
@@ -670,28 +707,8 @@ def test_word_search_over_q_matches_the_lifted_search(h):
     assert lifted_hit.matrix == lift_rational_matrix(hit.matrix, 2) and lifted_hit.trace == hit.trace
 
 
-def test_truncated_word_search_is_rebuilt(monkeypatch):
-    # a search stopped by its state cap is not-found with a note that says
-    # so, and it re-verifies as one, as it does without the note; a word
-    # recorded without the note its builder gives does not
-    def truncated(*args):
-        raise RuntimeError("word search state cap exceeded")
-
-    monkeypatch.setattr(certify, "find_infinite_elliptic", truncated)
-    parsed = json.loads(render_bundle(certify.run_sl2z(load_config())))
-    claim = claim_by_id(parsed, "sl2z.nondiscrete")
-    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.TRUNCATED_NOTE]
-    assert _failures(parsed) == []
-    claim["notes"] = []
-    assert _failures(parsed) == []
-    claim["witness"] = _golden("sl2z")["claims"][1]["witness"]
-    claim["verdict"] = VERIFIED
-    reason = "the claim rebuilt from the config differs in notes"
-    assert _failures(parsed) == [("sl2z.nondiscrete", reason)]
-
-
 def test_sl2z_integral_conjugator_is_trivial():
-    bundle = certify.run_sl2z(load_config(None, ["h=1,1,0,1", "word_length_bound=6"]))
+    bundle = certify.run_sl2z(load_config(None, ["h=1,1,0,1"]))
     w = claim_by_id(bundle, "sl2z.intersection-index")["witness"]
     assert w["computed_index_in_gamma"] == 1 and w["computed_index_in_conjugate"] == 1
     assert claim_by_id(bundle, "sl2z.nondiscrete")["verdict"] == SEARCH_EXHAUSTED
@@ -789,28 +806,76 @@ def test_reverify_detects_tampering(sl2z_bundle):
     assert reason == "the claim rebuilt from the config differs in witness.computed_index_in_gamma"
     assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (True, None)
 
-    parsed = json.loads(render_bundle(sl2z_bundle))
-    parsed["claims"][1]["witness"]["word"] = ["T", "h", "U^-1", "h"]
-    ok, reason = _reverify_by_id(parsed)["sl2z.nondiscrete"]
-    assert ok is False
-    assert reason == "the word does not multiply out to an elliptic element of infinite order"
+    def nondiscrete_reason(edit):
+        parsed = json.loads(render_bundle(sl2z_bundle))
+        edit(parsed["claims"][1]["witness"])
+        return _reverify_by_id(parsed)["sl2z.nondiscrete"]
 
-    parsed = json.loads(render_bundle(sl2z_bundle))
-    parsed["claims"][1]["witness"]["word"] = ["T", "h", "U^-1", "g"]
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "a letter of the word is not T, U, h or an inverse")
+    def unit(entries):
+        return lambda w: w["units"].__setitem__(0, entries)
 
-    parsed = json.loads(render_bundle(sl2z_bundle))
-    del parsed["claims"][1]["witness"]["trace"]
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "the claim rebuilt from the config differs in witness.trace")
-
+    reason = "element ['2/1', '0/1', '0/1', '1/1'] has determinant 2, not 1"
+    assert nondiscrete_reason(unit(["2/1", "0/1", "0/1", "1/1"])) == (False, reason)
+    reason = "element ['1/1', '1/2', '0/1', '1/1'] has an entry that is not an integer"
+    assert nondiscrete_reason(unit(["1/1", "1/2", "0/1", "1/1"])) == (False, reason)
+    # I with U gives tr(h U h^-1) = 2
+    assert nondiscrete_reason(unit(["1/1", "0/1", "0/1", "1/1"])) == (False, "the trace is an algebraic integer")
+    rebuilt = (False, "the claim rebuilt from the config differs in witness.trace")
+    assert nondiscrete_reason(lambda w: w.update(trace="1/2")) == rebuilt
+    assert nondiscrete_reason(lambda w: w.pop("trace")) == rebuilt
     # a check's exception becomes a reason with its type and message
-    parsed = json.loads(render_bundle(sl2z_bundle))
-    del parsed["claims"][1]["witness"]["word"]
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "KeyError: 'word'")
+    assert nondiscrete_reason(lambda w: w.pop("units")) == (False, "KeyError: 'units'")
 
-    parsed = json.loads(render_bundle(sl2z_bundle))
-    parsed["claims"][1]["witness"]["trace"] = "1/2"
-    assert _reverify_by_id(parsed)["sl2z.nondiscrete"] == (False, "the claim rebuilt from the config differs in witness.trace")
+
+@pytest.mark.parametrize("name, cid", [("sl2z-h-2", "sl2z.nondiscrete"), ("quaternionic", "quaternionic.nondiscrete")])
+def test_a_dropped_trace_pair_is_searched_again(name, cid):
+    # a verified claim recorded as not-found, with the note of a search
+    # that found nothing: re-verification runs the search again and finds
+    # the pair
+    parsed = _golden(name)
+    claim = claim_by_id(parsed, cid)
+    claim.update(verdict=SEARCH_EXHAUSTED, witness=None, notes=[certify._TRACE_PLANS[cid.split(".")[0]][1]])
+    assert _failures(parsed) == [(cid, "the claim rebuilt from the config differs in notes, witness")]
+
+
+def test_sl2z_not_found_repeats_the_sixteen_pairs(monkeypatch):
+    # an honest not-found re-verifies, and its check reads the four
+    # spanning elements only
+    calls = []
+    scan = certify.find_nonintegral_trace
+    monkeypatch.setattr(certify, "find_nonintegral_trace", lambda *args: calls.append(args[2]) or scan(*args))
+    bundle = json.loads(render_bundle(certify.run_sl2z(load_config(None, ["h=0,-1,1,0"]))))
+    claim = claim_by_id(bundle, "sl2z.nondiscrete")
+    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.NORMALISER_NOTE]
+    assert _failures(bundle) == []
+    assert len(calls) == 3 and all(vectors == certify.SL2Z_SPAN for vectors in calls)
+
+
+_SMALL_RATIONAL_H = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 4).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: ("rational", ((e[0], e[1]), (e[2], e[3]))))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(_RATIONAL_H, _SMALL_RATIONAL_H))
+def test_sl2z_trace_decides_every_rational_h(h):
+    # the 16 pairs find a non-integral trace exactly when h lies outside
+    # Q^x GL2(Z), that is, when the index is above 1
+    rows = h[1]
+    cfg = load_config(None, ["h=" + ",".join(str(x) for row in rows for x in row)])
+    text = render_bundle(certify.run_sl2z(cfg))
+    assert render_bundle(certify.run_sl2z(cfg)) == text
+    bundle = json.loads(text)
+    index = claim_by_id(bundle, "sl2z.intersection-index")["witness"]["computed_index_in_gamma"]
+    claim = claim_by_id(bundle, "sl2z.nondiscrete")
+    assert (claim["verdict"] == VERIFIED) == (index > 1)
+    if claim["verdict"] == VERIFIED:
+        x, y = ([parse_frac(e) for e in entries] for entries in claim["witness"]["units"])
+        assert all(e.denominator == 1 for e in x + y) and x[0] * x[3] - x[1] * x[2] == y[0] * y[3] - y[1] * y[2] == 1
+        t = rational_pair_trace(rows, x, y)
+        assert t.denominator != 1 and claim["witness"]["trace"] == frac_str(t)
+    else:
+        assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.NORMALISER_NOTE]
+    assert _failures(bundle) == []
 
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
@@ -1128,7 +1193,7 @@ def test_config_round_trips(name):
     assert config_hash(cfg) == bundle["config_hash"]
     assert ("claimed_index" in cfg.explicit) == any(o.startswith("claimed_index=") for o in GOLDEN[name][1])
     tampered = [
-        ("word_length_bound", str(int(bundle["config"]["word_length_bound"]) + 1), HASH_REASON),
+        ("unit_height", str(int(bundle["config"]["unit_height"]) + 1), HASH_REASON),
         ("d", "0" + bundle["config"]["d"], "the recorded config is not the canonical form of a config"),
         ("config_hash", "0" * 64, HASH_REASON),
     ]
@@ -1187,8 +1252,7 @@ def _made_verified(claim):
                  "inputs.order_kind", id="order_kind"),
     pytest.param(["dihedral"], "dihedral.invariant-intersection", _edit(("inputs", "degree_bound"), 100),
                  "inputs.degree_bound", id="degree_bound"),
-    pytest.param(["sl2z"], "sl2z.nondiscrete", _edit(("inputs", "word_length_bound"), 4),
-                 "inputs.word_length_bound", id="word_length_bound"),
+    pytest.param(["sl2z"], "sl2z.nondiscrete", _edit(("inputs", "h"), "2,0,0,1"), "inputs.h", id="sl2z-h"),
     pytest.param(["dihedral", "a=1", "invariant_degree=4"], "dihedral.invariant-intersection", _made_verified,
                  None, id="a-flip"),
 ])
@@ -1210,7 +1274,7 @@ def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
     def no_search(*args):
         raise RuntimeError("a search ran")
 
-    for name in ("kernel_words", "find_infinite_elliptic", "find_nonintegral_trace", "closing_prefix", "invariant_search"):
+    for name in ("kernel_words", "find_nonintegral_trace", "closing_prefix", "invariant_search"):
         monkeypatch.setattr(certify, name, no_search)
     for name in ("quaternionic", "sl2z", "dihedral"):
         reads.clear()

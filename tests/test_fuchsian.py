@@ -7,13 +7,19 @@ from covercert.fuchsian import (INCONCLUSIVE, NO_VIOLATION, NOT_FOUND, VIOLATION
                                 find_infinite_elliptic, find_nonintegral_trace,
                                 is_algebraic_integer, is_infinite_elliptic_trace,
                                 jorgensen_violation, lift_rational_matrix,
-                                pair_trace, quad, real_embed, verify_elliptic)
+                                pair_trace, quad, quaternion_basis, real_embed,
+                                verify_elliptic)
 from covercert.mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from covercert.quatalg import QuaternionAlgebra
 from covercert.units import enumerate_units, enumerate_units_saturated
 
 ALG = QuaternionAlgebra(17, 7)
+BASIS = quaternion_basis(ALG)
 HALF_SHIFT = [[1, Fraction(-1, 2)], [0, 1]]
+
+
+def coords(units):
+    return [u.coords() for u in units]
 
 
 def sl2z_seeds(with_h=True):
@@ -168,9 +174,9 @@ def test_jorgensen_pair_and_trace_witness_agree():
     assert units[420].coords() == (-29, -7, -33, -8)
     rep = jorgensen_violation(WordElement.seed("h", H), WordElement.seed("u", real_embed(units[420])))
     assert rep.verdict == VIOLATION
-    i, j, t = find_nonintegral_trace(H, units)
-    assert (i, j) == (2, 2)
-    assert t == pair_trace(H, units[2], units[2]) == quad(17, Fraction(343, 4))
+    u, v, t = find_nonintegral_trace(H, BASIS, coords(units))
+    assert u == v == units[2].coords()
+    assert t == pair_trace(H, BASIS, units[2].coords(), units[2].coords()) == quad(17, Fraction(343, 4))
     assert not is_algebraic_integer(t)
 
 
@@ -184,15 +190,17 @@ def test_jorgensen_pair_and_trace_witness_agree():
 def test_trace_form_agrees_with_pair_trace(H):
     # the search reads its traces off a form built from four conjugates;
     # pair_trace multiplies each pair out, shell by shell, as the oracle
-    units = enumerate_units(ALG, 6).elements
-    i, j, t = find_nonintegral_trace(H, units)
-    assert t == pair_trace(H, units[i], units[j]) and not is_algebraic_integer(t)
+    units = coords(enumerate_units(ALG, 6).elements)
+    u, v, t = find_nonintegral_trace(H, BASIS, units)
+    i, j = units.index(u), units.index(v)
+    assert t == pair_trace(H, BASIS, u, v) and not is_algebraic_integer(t)
     shells = [p for n in range(max(i, j) + 1) for p in [(k, n) for k in range(n + 1)] + [(n, k) for k in range(n)]]
     earlier = shells[: shells.index((i, j))]
-    assert all(is_algebraic_integer(pair_trace(H, units[a], units[b])) for a, b in earlier)
+    assert all(is_algebraic_integer(pair_trace(H, BASIS, units[a], units[b])) for a, b in earlier)
 
 
 def test_algebraic_integer_test():
+    assert is_algebraic_integer(Fraction(-3)) and not is_algebraic_integer(Fraction(5, 2))
     assert is_algebraic_integer(quad(17, Fraction(1, 2), Fraction(1, 2)))  # 17 = 1 mod 4
     assert is_algebraic_integer(quad(17, 3, -2))
     assert not is_algebraic_integer(quad(17, Fraction(1, 2)))
@@ -204,15 +212,15 @@ def test_algebraic_integer_test():
 def test_trace_search_controls():
     H = lift_rational_matrix(HALF_SHIFT, 17)
     # +-1 alone give trace +-2 with any conjugate of +-1
-    assert find_nonintegral_trace(H, enumerate_units(ALG, 1).elements) == NOT_FOUND
-    assert find_nonintegral_trace(H, ()) == NOT_FOUND
-    saturated = enumerate_units_saturated(ALG, 2).elements
+    assert find_nonintegral_trace(H, BASIS, coords(enumerate_units(ALG, 1).elements)) is None
+    assert find_nonintegral_trace(H, BASIS, ()) is None
+    saturated = coords(enumerate_units_saturated(ALG, 2).elements)
     with pytest.raises(ValueError, match="integral coordinates"):
-        find_nonintegral_trace(H, saturated)
+        find_nonintegral_trace(H, BASIS, saturated)
     # the identity and j (which normalises the order) give an integral trace
     # form, so nothing is scanned, not even the half-integral units
     for H in (lift_rational_matrix([[1, 0], [0, 1]], 17), real_embed(ALG.element(0, 0, 1, 0))):
-        assert find_nonintegral_trace(H, saturated) == NOT_FOUND
+        assert find_nonintegral_trace(H, BASIS, saturated) is None
 
 
 def test_jorgensen_discrete_pair_control():

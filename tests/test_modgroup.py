@@ -93,12 +93,6 @@ def test_closure_deterministic():
     assert a.elements == b.elements
 
 
-def test_closure_cap():
-    gens = [ResidueMatrix(1, 1, 0, 1, 16), ResidueMatrix(1, 0, 1, 1, 16)]
-    with pytest.raises(ValueError):
-        closure(gens, cap=100)
-
-
 def test_closure_skips_contained_generators():
     ident = ResidueMatrix.identity(8)
     T = ResidueMatrix(1, 1, 0, 1, 8)
@@ -109,8 +103,6 @@ def test_closure_skips_contained_generators():
     assert table.generators == (ident, T, U)
     assert table.element_set == enumerate_group(2, 3).element_set
     assert len(table.elements) == len(table.element_set) == 384
-    with pytest.raises(ValueError, match="cap"):
-        closure([ident, T, T * T, U], cap=100)
 
 
 def test_kernel_layers():
