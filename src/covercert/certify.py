@@ -182,7 +182,6 @@ class RunConfig:
     b: int = 0
     b_search_bound: int = 100
     unit_height: int = 50
-    k_min: int = 1
     k_max: int = 5
     h: str = "1,-1/2,0,1"
     invariant_degree: int = 8
@@ -246,11 +245,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("a must be nonzero")
     if cfg.b < 0:
         raise ConfigError("b must be nonnegative (0 = search)")
-    for key in ("b_search_bound", "unit_height", "invariant_degree", "claimed_index"):
+    for key in ("b_search_bound", "unit_height", "k_max", "invariant_degree", "claimed_index"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
-    if not 1 <= cfg.k_min <= cfg.k_max:
-        raise ConfigError("need 1 <= k_min <= k_max")
     if cfg.order_kind not in (STANDARD, SATURATED):
         raise ConfigError(f"order_kind must be {STANDARD!r} or {SATURATED!r}")
     parse_conjugator_spec(cfg.h)
@@ -284,7 +281,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 values = parse_config_text(fh.read())
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}")
     for item in overrides:
         if "=" not in item:
@@ -553,19 +550,23 @@ def _residue_rows(g: ResidueMatrix):
     return [[g.a, g.b], [g.c, g.d]]
 
 
-# Stage 4 closes the unit images only up to BASE_LEVEL, where SL2(Z/8) has
-# 384 elements; each level above it is certified by three kernel words.
+# Stage 4 closes the unit images only at the top level min(k_max,
+# BASE_LEVEL), where SL2(Z/8) has 384 elements; each lower level is that
+# closure reduced, and each level above it is certified by three kernel words.
 BASE_LEVEL = 3
 BASE_METHOD = "reduce a 2-saturated unit slice mod 2^k and close under multiplication"
-BASE_NOTE = "each level's generators are units whose reductions already close to the full group"
+BASE_NOTE = (
+    "the generators are units whose images mod 2^k, at the top level k, the closure used; reduction mod 2^j is a "
+    "homomorphism, so the image at each level j below k is the closure reduced mod 2^j"
+)
 LIFT_METHOD = (
     "reduce a 2-saturated unit slice mod 2^k and close under multiplication up to level 3; "
     "above it, lift layer by layer with three kernel words in the level-3 generators"
 )
 LIFT_NOTES = (
-    "levels up to 3 record units whose reductions close to the full group; each level k above 3 records three words "
-    "in the level-3 generators whose 2^(k-3)-th powers are I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so the "
-    "image holds the kernel of reduction to level k-1 and, being full there, is full at level k",
+    "levels up to 3 reduce the closure of the generators' images mod 8; each level k above 3 raises the three kernel "
+    "words in the generators to the 2^(k-3)-th power, which is I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so "
+    "the image holds the kernel of reduction to level k-1 and, being full there, is full at level k",
     "a closed subgroup of SL2(Z_2) that surjects mod 8 is all of SL2(Z_2) (Dokchitser-Dokchitser, Math. Z. 2012); "
     "cited as context only, every recorded level is checked by its own witness",
 )
@@ -573,63 +574,45 @@ LIFT_NOTES = (
 
 def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
     """Stage 4: unit images fill SL2(Z/2^k) at every level up to k_max.
-    found is what its search found: the saturated units read; the closure
-    of their images at the top closed level min(k_max, BASE_LEVEL), as
-    closing_prefix returns it; and kernel words in the units it used, or
-    None.  Levels up to BASE_LEVEL close the images of the units read (the
-    top one reuses the closure) and record the units the closure used; the
-    first level that fails ends the list.  A unit used at one level is used
-    at every level above it, so the units recorded at the last closed level
-    rebuild every entry.  Each level above BASE_LEVEL records the kernel
-    words and the power that carries them into its layer."""
-    read, top_table, words = found
-    split = split_2adic(cfg.algebra)
+    found is what its search found: the saturated units whose images the
+    closure used, in order; that closure at the top level min(k_max,
+    BASE_LEVEL); and kernel words in those units, or None.  The witness
+    records the units once, with their images at the top level.  Each level
+    up to the top counts the closure's distinct reductions, and the first
+    level that fails ends the list.  Each level above BASE_LEVEL records the
+    power that carries the kernel words, recorded once, into its layer."""
+    units, table, words = found
     k_top = min(cfg.k_max, BASE_LEVEL)
-    top = reduce_units(read, split, k_top)
     levels = []
-    # a lifted level needs the base level below it, even under k_min
-    for k in range(min(cfg.k_min, BASE_LEVEL), k_top + 1):
-        reduced = [ResidueMatrix(x.a, x.b, x.c, x.d, 2**k) for x in top]
-        flag, table = (top_table.order == group_order(2, k), top_table) if k == k_top else images_surject(reduced, k)
-        units = [read[reduced.index(g)] for g in table.generators]
-        levels.append(
-            {
-                "level": k,
-                "group_order": group_order(2, k),
-                "image_order": table.order,
-                "surjects": flag,
-                "generators": [
-                    {"coords": coords_json(u), "matrix": _residue_rows(g), "modulus": 2**k}
-                    for u, g in zip(units, table.generators)
-                ],
-            }
-        )
-        if not flag:
+    for k in range(1, k_top + 1):
+        order, size = len({tuple(e % 2**k for e in x.entries()) for x in table.elements}), group_order(2, k)
+        levels.append({"level": k, "group_order": size, "image_order": order, "surjects": order == size})
+        if order != size:
             break
     full = levels[-1]["surjects"]
+    witness = {
+        "generators": [
+            {"coords": coords_json(u), "matrix": _residue_rows(g), "modulus": 2**k_top} for u, g in zip(units, table.generators)
+        ],
+        "levels": levels,
+        # a closure that fills the group stops at the unit that fills it
+        "height_reached": _height_reached(units[-1] if full else None, cfg),
+    }
     if full and cfg.k_max > BASE_LEVEL:
         _expect(words is not None, f"no kernel words lift level {BASE_LEVEL}")
-        lifts = [ResidueMatrix(*split.residues(u, cfg.k_max), 2**cfg.k_max) for u in units]
+        lifts = reduce_units(units, split_2adic(cfg.algebra), cfg.k_max)
         values = [word_value(lifts, w) for w in words]
         for k in range(BASE_LEVEL + 1, cfg.k_max + 1):
             values = [x * x for x in values]  # now the 2^(k-3)-th powers
             _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
-            if k >= cfg.k_min:
-                levels.append(
-                    {
-                        "level": k,
-                        "group_order": group_order(2, k),
-                        "image_order": group_order(2, k),
-                        "surjects": True,
-                        "exponent": 2 ** (k - BASE_LEVEL),
-                        "kernel_words": [[list(letter) for letter in w] for w in words],
-                    }
-                )
+            size = group_order(2, k)
+            levels.append({"level": k, "group_order": size, "image_order": size, "surjects": True, "exponent": 2 ** (k - BASE_LEVEL)})
+        witness["kernel_words"] = [[list(letter) for letter in w] for w in words]
     return Certificate(
         claim="quaternionic.congruence-surjectivity",
         method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
-        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_min": cfg.k_min, "k_max": cfg.k_max, "order_kind": SATURATED},
-        witness={"levels": levels, "height_reached": _height_reached(read[-1] if full else None, cfg)},
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_max": cfg.k_max, "order_kind": SATURATED},
+        witness=witness,
         depends_on=("quaternionic.torsion-free",),
         notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
     )
@@ -637,22 +620,18 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
 
 def _surjectivity_search(cfg: RunConfig, split):
     """Stage 4's search: the saturated stream read until its images close
-    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do,
-    with the closure and the kernel words."""
-    sat = UnitStream(split.algebra, SATURATED, cfg.unit_height)
-    read, table = closing_prefix(sat, split, min(cfg.k_max, BASE_LEVEL))
-    return read, table, _kernel_words(cfg, split, read, table)
-
-
-def _kernel_words(cfg: RunConfig, split, read, table):
-    """Kernel words in the units whose images the closure table used at
-    BASE_LEVEL, when k_max lies above that level and the images fill it;
-    else None."""
-    if cfg.k_max <= BASE_LEVEL or table.order != group_order(2, BASE_LEVEL):
-        return None
-    images = reduce_units(read, split, BASE_LEVEL)
+    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do.
+    Returns the units whose images the closure used, the closure, and
+    kernel words in those units when k_max lies above BASE_LEVEL and the
+    images fill it, else None."""
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    read, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, k_top)
+    images = reduce_units(read, split, k_top)
     units = [read[images.index(g)] for g in table.generators]
-    return kernel_words([ResidueMatrix(*split.residues(u, cfg.k_max), 2**cfg.k_max) for u in units])
+    words = None
+    if cfg.k_max > BASE_LEVEL and table.order == group_order(2, BASE_LEVEL):
+        words = kernel_words(reduce_units(units, split, cfg.k_max))
+    return units, table, words
 
 
 RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
@@ -700,12 +679,6 @@ def _conjugator(spec: str, algebra) -> Conjugator:
         return Conjugator.from_quaternion(algebra().element(*data))
     except ValueError as e:
         raise ConfigError(str(e))
-
-
-def _conjugator_matrix(spec: str, algebra):
-    """h as a real matrix; the one place where a quaternion and a rational h differ."""
-    kind, data = parse_conjugator_spec(spec)
-    return data if kind == "rational" else real_embed(algebra.element(*data))
 
 
 SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
@@ -816,7 +789,7 @@ def _quaternionic_stages(cfg: RunConfig):
     yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split))
 
     yield _quaternionic_index_claim(cfg)
-    yield _nondiscrete_stage(cfg, algebra, std)
+    yield _nondiscrete_stage(cfg, std)
 
 
 def _torsion_claim(cfg: RunConfig, found) -> Certificate:
@@ -867,10 +840,10 @@ def _height_reached(stop, cfg: RunConfig) -> int:
     return cfg.unit_height if stop is None else height(stop)
 
 
-def _nondiscrete_stage(cfg: RunConfig, algebra, std: UnitStream) -> Certificate:
+def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
     """The trace stage, reading the standard stream in shells up to the
     first pair with a non-integral trace."""
-    found = find_nonintegral_trace(_conjugator_matrix(cfg.h, algebra), quaternion_basis(algebra), (u.coords() for u in std))
+    found = find_nonintegral_trace(*_trace_frame("quaternionic", cfg), (u.coords() for u in std))
     return _nondiscrete_claim("quaternionic", cfg, found)
 
 
@@ -892,6 +865,17 @@ _TRACE_PLANS = {
     "quaternionic": (TRACE_METHOD, "every pair of units in this slice has an integral trace", ("d", "h", "unit_height")),
     "sl2z": (SL2Z_TRACE_METHOD, NORMALISER_NOTE, ("h",)),
 }
+
+
+def _trace_frame(pipeline: str, cfg: RunConfig):
+    """(H, basis): h as a real matrix, and the four real matrices in whose
+    span the pipeline's elements of Gamma are integer coordinate vectors.
+    The trace search and its re-verification both take them from here."""
+    if pipeline == "sl2z":
+        return _sl2z_rows(cfg), MATRIX_UNITS
+    kind, data = parse_conjugator_spec(cfg.h)
+    algebra = cfg.algebra
+    return data if kind == "rational" else real_embed(algebra.element(*data)), quaternion_basis(algebra)
 
 
 def _nondiscrete_claim(pipeline: str, cfg: RunConfig, found) -> Certificate:
@@ -937,7 +921,7 @@ def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
 
 def run_sl2z(cfg: RunConfig) -> dict:
     index = _sl2z_index_claim(cfg)
-    found = find_nonintegral_trace(_sl2z_rows(cfg), MATRIX_UNITS, SL2Z_SPAN)  # at most 16 pairs
+    found = find_nonintegral_trace(*_trace_frame("sl2z", cfg), SL2Z_SPAN)  # at most 16 pairs
     return make_bundle("sl2z", cfg, [index, _nondiscrete_claim("sl2z", cfg, found), _context("sl2z.ramification-context")])
 
 
@@ -1136,24 +1120,23 @@ def _read_obstruction_units(claim, cfg: RunConfig):
 
 
 def _read_surjectivity(claim, cfg: RunConfig):
-    """The saturated units recorded at the last closed level, the closure of
-    their images at min(k_max, BASE_LEVEL), recomputed, and the kernel
-    words of the first lifted level, whose letters must name those units.
-    Levels that end in one that does not surject say that the search read
-    every unit up to unit_height, so the search runs again."""
-    levels, split = claim["witness"]["levels"], split_2adic(cfg.algebra)
-    if not levels[-1]["surjects"]:
+    """The recorded saturated units, the closure of their images at
+    min(k_max, BASE_LEVEL), recomputed, and the recorded kernel words, whose
+    letters must name those units.  Levels that end in one that does not
+    surject say that the search read every unit up to unit_height, so the
+    search runs again."""
+    witness, split = claim["witness"], split_2adic(cfg.algebra)
+    if not witness["levels"][-1]["surjects"]:
         return _surjectivity_search(cfg, split)
-    read = [_read_unit(g["coords"], cfg, SATURATED) for g in [e for e in levels if "generators" in e][-1]["generators"]]
+    units = [_read_unit(g["coords"], cfg, SATURATED) for g in witness["generators"]]
     k_top = min(cfg.k_max, BASE_LEVEL)
-    _, table = images_surject(reduce_units(read, split, k_top), k_top)
-    lifted = [e for e in levels if "kernel_words" in e]
-    if not lifted:
-        return read, table, None
-    words, k = lifted[0]["kernel_words"], lifted[0]["level"]
-    _expect(all(0 <= i < len(read) and s in (1, -1) for w in words for i, s in w),
-            f"a kernel word at level {k} names no level-{BASE_LEVEL} generator")
-    return read, table, [tuple(map(tuple, w)) for w in words]
+    _, table = images_surject(reduce_units(units, split, k_top), k_top)
+    _expect(len(table.generators) == len(units), "a recorded generator lies in the closure of the ones before it")
+    words = witness.get("kernel_words")
+    if words is None:
+        return units, table, None
+    _expect(all(0 <= i < len(units) and s in (1, -1) for w in words for i, s in w), "a kernel word names no recorded generator")
+    return units, table, [tuple(map(tuple, w)) for w in words]
 
 
 def _read_sl2z_element(entries):
@@ -1170,13 +1153,14 @@ def _read_trace_pair(pipeline: str, claim, cfg: RunConfig):
     products; no slice is enumerated.  With no pair recorded, the search
     runs again: over the 16 sl2z pairs, or over the standard units up to
     unit_height, which it reads only when the trace form is not integral."""
+    H, basis = _trace_frame(pipeline, cfg)
     if pipeline == "sl2z":
-        H, basis, read = _sl2z_rows(cfg), MATRIX_UNITS, _read_sl2z_element
+        vectors, read = SL2Z_SPAN, _read_sl2z_element
     else:
-        H, basis, read = _conjugator_matrix(cfg.h, cfg.algebra), quaternion_basis(cfg.algebra), lambda c: _read_unit(c, cfg).coords()
+        stream = UnitStream(cfg.algebra, STANDARD, cfg.unit_height)
+        vectors, read = (u.coords() for u in stream), lambda c: _read_unit(c, cfg).coords()
     if claim["witness"] is None:
-        units = SL2Z_SPAN if pipeline == "sl2z" else (u.coords() for u in UnitStream(cfg.algebra, STANDARD, cfg.unit_height))
-        return find_nonintegral_trace(H, basis, units)
+        return find_nonintegral_trace(H, basis, vectors)
     u, v = (read(entry) for entry in claim["witness"]["units"])
     return u, v, pair_trace(H, basis, u, v)
 

@@ -54,18 +54,25 @@ def main(argv=None) -> int:
     try:
         bundle = PIPELINES[args.pipeline](load_config(args.config, args.overrides))
         text = render_bundle(bundle)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
+        if not args.out:
             sys.stdout.write(text)
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(str(e), 2)
     except Exception as e:
-        print(f"error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
-        return 3
+        return _error(f"{type(e).__name__}: {e}", 3)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            return _error(f"cannot write --out: {e}", 2)
     return bundle_exit_code(bundle)
+
+
+def _error(message: str, code: int) -> int:
+    """Print message as one "error:" line on stderr and return code."""
+    print(f"error: {' '.join(message.split())}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -113,6 +113,24 @@ def sl2_order_bruteforce(m: int) -> int:
     return total
 
 
+def generated_order(mats, m: int) -> int:
+    """The order of the subgroup of GL_2(Z/m) generated by mats, each four
+    entries row-major, found by multiplying every element reached by every
+    generator until nothing new appears.  The group is finite, so the
+    products of generators already hold their inverses."""
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
+                (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
+
+    gens = [tuple(e % m for e in g) for g in mats]
+    seen = {(1 % m, 0, 0, 1 % m)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {mul(x, g) for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
 def box_height(c, s: int = 1) -> int:
     """The least B >= 1 with every |c_i| <= sB, for numerators c over s."""
     B = 1

@@ -37,10 +37,11 @@ from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, l
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import SATURATED as SATURATED_KIND
 
-from oracles import conjugated_unit_trace, conjugation_index, is_integral_quadratic, rational_pair_trace
+from oracles import (conjugated_unit_trace, conjugation_index, generated_order, is_integral_quadratic, rational_pair_trace,
+                     sl2_order_bruteforce)
 from wordsearch import word_seeds
 
-DEFAULT_HASH = "06e8b4e670083446a027b89c4301ddff02a2eac46b92317d154fb20d92b29521"
+DEFAULT_HASH = "fbebfd855c9bf4681bd981b208dedc73959142093037dea4623c3230e6deafe9"
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "src" / "covercert" / "certificate_schema.json").read_text())
 
@@ -71,7 +72,7 @@ def test_default_config():
     assert cfg.d == 17
     assert cfg.a == Fraction(2)
     assert cfg.unit_height == 50
-    assert (cfg.k_min, cfg.k_max) == (1, 5)
+    assert cfg.k_max == 5
     assert cfg.h == "1,-1/2,0,1"
     assert cfg.claimed_index == 3
     assert cfg.invariant_degree == 8
@@ -93,7 +94,8 @@ def test_config_file_and_overrides(tmp_path):
         ["nonsense=1"],
         ["d=zero"],
         ["a=0"],
-        ["k_min=3", "k_max=2"],
+        ["k_max=0"],
+        ["k_min=1"],  # the level range is 1 to k_max; k_min only trimmed the witness
         ["order_kind=maximal"],
         ["h=1,2,2,4"],  # singular
         ["h=1,2,3"],  # arity
@@ -268,9 +270,9 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
 # group, first joint invariant in degree 4) a refuted one whose degree
 # bound invariant_degree = 3 is raised to |G| = 4, and one at 4
 _FINITE_GROUP_BUNDLES = {
-    ("a=1",): "e6335754986ade81fc30f2f7bc984776296d18233d44c4fdf67e1d2aa5e98feb",
-    ("a=-1", "invariant_degree=3"): "520b6c8997da3b20ee89622a3af9bcbbf27f196d38377fcb31f12150226fe6f9",
-    ("a=-1", "invariant_degree=4"): "38c4eff8c48e4a284a71973be3e10536fdb1d073c8cfe8644f3f74fe1d80a57b",
+    ("a=1",): "0e3285d8d558514bb3e2f256804721e1430cc79732d8967d7fe06d11a44cd0c5",
+    ("a=-1", "invariant_degree=3"): "05c969d96c81444ac8872185686b88265881288e1a146ba00b2b7120443bdb51",
+    ("a=-1", "invariant_degree=4"): "5e5637f5099115ccef1d1427273b92c653a33bcbcb4f02d751ae069ef7946dd0",
 }
 
 
@@ -364,25 +366,25 @@ def test_quaternionic_algebra_witness(quat_bundle):
 
 
 def test_quaternionic_surjectivity_witness(quat_bundle):
-    levels = claim_by_id(quat_bundle, "quaternionic.congruence-surjectivity")["witness"]["levels"]
+    w = claim_by_id(quat_bundle, "quaternionic.congruence-surjectivity")["witness"]
+    levels = w["levels"]
     assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
     assert [lv["group_order"] for lv in levels] == [6, 48, 384, 3072, 24576]
     assert all(lv["surjects"] and lv["image_order"] == lv["group_order"] for lv in levels)
+    # the units the level-3 closure used, recorded once with their images mod 8
+    assert 1 <= len(w["generators"]) <= 4
+    for g in w["generators"]:
+        assert len(g["coords"]) == 4 and g["modulus"] == 8
     for lv in levels[:3]:
-        assert 1 <= len(lv["generators"]) <= 4
-        assert "kernel_words" not in lv and "exponent" not in lv
-        for g in lv["generators"]:
-            assert len(g["coords"]) == 4
-            assert g["modulus"] == 2 ** lv["level"]
-    # above level 3: the same three words in the level-3 generators, raised
+        assert set(lv) == {"level", "group_order", "image_order", "surjects"}
+    # above level 3: the three words in those units, recorded once, raised
     # to 2^(k-3), with letters (generator index, +-1)
-    words = levels[3]["kernel_words"]
+    words = w["kernel_words"]
     assert len(words) == 3
     for lv in levels[3:]:
-        assert "generators" not in lv
+        assert set(lv) == {"level", "group_order", "image_order", "surjects", "exponent"}
         assert lv["exponent"] == 2 ** (lv["level"] - 3)
-        assert lv["kernel_words"] == words
-    assert all(0 <= i < len(levels[2]["generators"]) and e in (1, -1) for w in words for i, e in w)
+    assert all(0 <= i < len(w["generators"]) and e in (1, -1) for word in words for i, e in word)
 
 
 @pytest.mark.parametrize("height", [1, 2, 6, 12])
@@ -392,9 +394,8 @@ def test_layer_witness_matches_full_closure(height):
     D = QuaternionAlgebra(17, 7)
     slice_ = units.enumerate_units_saturated(D, height)
     split = split_2adic(D)
-    cfg = load_config(None, ["k_max=5"])
-    read, table = units.closing_prefix(slice_, split, 3)
-    levels = certify._surjectivity_claim(cfg, (read, table, certify._kernel_words(cfg, split, read, table))).witness["levels"]
+    cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
+    levels = certify._surjectivity_claim(cfg, certify._surjectivity_search(cfg, split)).witness["levels"]
     oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
@@ -405,20 +406,23 @@ def test_layer_witness_matches_full_closure(height):
         assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
 
 
-def test_layer_witness_keeps_the_base_level_under_k_min():
-    bundle = certify.run_quaternionic(load_config(None, ["k_min=4", "unit_height=6"]))
-    claim = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
-    assert claim["verdict"] == VERIFIED
-    assert [lv["level"] for lv in claim["witness"]["levels"]] == [3, 4, 5]
-
-
-def test_lifted_levels_under_k_min_re_verify():
-    # levels below k_min are left out above the base level too; the words
-    # still carry the base through them, so the bundle re-verifies
-    bundle = certify.run_quaternionic(load_config(None, ["k_min=5", "k_max=6", "unit_height=6"]))
-    claim = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
-    assert claim["verdict"] == VERIFIED
-    assert [lv["level"] for lv in claim["witness"]["levels"]] == [3, 5, 6]
+@pytest.mark.parametrize("overrides", [[], ["unit_height=1"], ["d=41", "unit_height=2"], ["k_max=1"], ["k_max=2"]])
+def test_reduced_levels_match_an_independent_closure(overrides):
+    # each level up to 3 reduces the top level's closure; the oracle closes
+    # the recorded units' images at that level by itself
+    cfg = load_config(None, overrides)
+    w = claim_by_id(certify.run_quaternionic(cfg), "quaternionic.congruence-surjectivity")["witness"]
+    split = split_2adic(cfg.algebra)
+    recorded = [cfg.algebra.element(*(parse_frac(c) for c in g["coords"])) for g in w["generators"]]
+    top = min(cfg.k_max, 3)
+    assert [g["matrix"] for g in w["generators"]] == [[[x.a, x.b], [x.c, x.d]] for x in units.reduce_units(recorded, split, top)]
+    for lv in w["levels"]:
+        if lv["level"] > 3:
+            break
+        m = 2 ** lv["level"]
+        images = [tuple(e % m for row in g["matrix"] for e in row) for g in w["generators"]]
+        assert lv["image_order"] == generated_order(images, m)
+        assert lv["surjects"] == (lv["image_order"] == sl2_order_bruteforce(m))
 
 
 def test_k_max_20_certifies_every_layer(quat_bundle, tmp_path):
@@ -427,8 +431,12 @@ def test_k_max_20_certifies_every_layer(quat_bundle, tmp_path):
     bundle = json.loads(out.read_text())
     verdicts = [(c["id"], c["verdict"]) for c in bundle["claims"]]
     assert verdicts == [(c["id"], c["verdict"]) for c in quat_bundle["claims"]]
-    levels = claim_by_id(bundle, "quaternionic.congruence-surjectivity")["witness"]["levels"]
+    w = claim_by_id(bundle, "quaternionic.congruence-surjectivity")["witness"]
+    levels = w["levels"]
     assert [lv["level"] for lv in levels] == list(range(1, 21))
+    # the three kernel words serve all 17 lifted levels and are recorded once
+    assert len(w["kernel_words"]) == 3 and not any("kernel_words" in lv for lv in levels)
+    assert out.read_text().count('"kernel_words"') == 1
     assert all(lv["image_order"] == lv["group_order"] == modgroup.group_order(2, lv["level"]) for lv in levels)
     t0 = time.perf_counter()
     assert all(ok for _, ok, _ in reverify_bundle(bundle))
@@ -455,31 +463,40 @@ def test_no_closure_larger_than_sl2_mod_8(monkeypatch, overrides):
 def test_layer_witness_tampering_names_the_level(quat_bundle):
     def surjectivity_reason(edit):
         parsed = json.loads(render_bundle(quat_bundle))
-        edit(claim_by_id(parsed, "quaternionic.congruence-surjectivity")["witness"]["levels"])
+        edit(claim_by_id(parsed, "quaternionic.congruence-surjectivity")["witness"])
         return _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"]
 
-    def change_word(levels):
-        levels[3]["kernel_words"][2] = levels[3]["kernel_words"][0]
+    def change_word(w):
+        w["kernel_words"][2] = w["kernel_words"][0]
 
-    def change_exponent(levels):
-        levels[4]["exponent"] = 2
+    def change_exponent(w):
+        w["levels"][4]["exponent"] = 2
 
-    def drop_base_level(levels):
-        del levels[2]
+    def drop_base_level(w):
+        del w["levels"][2]
 
-    def drop_top_level(levels):
-        del levels[4]
+    def drop_top_level(w):
+        del w["levels"][4]
 
-    def close_above_the_base(levels):
-        levels[3] = dict(levels[2], level=4, group_order=3072, image_order=3072)
+    def close_above_the_base(w):
+        w["levels"][3] = dict(w["levels"][2], level=4, group_order=3072, image_order=3072)
 
-    rebuilt = (False, "the claim rebuilt from the config differs in witness.levels")
-    assert surjectivity_reason(lambda levels: None) == (True, None)
+    def add_generator(w):
+        w["generators"].append(w["generators"][1])
+
+    def raise_a_generator(w):
+        # the first saturated unit of height 51, above unit_height 50
+        w["generators"][0]["coords"] = ["-101/2", "-79/2", "-20/1", "-15/1"]
+
+    rebuilt = "the claim rebuilt from the config differs in witness.levels"
+    assert surjectivity_reason(lambda w: None) == (True, None)
     assert surjectivity_reason(change_word) == (False, "kernel words at level 4 do not span the kernel of reduction to level 3")
-    assert surjectivity_reason(change_exponent) == rebuilt
-    assert surjectivity_reason(drop_base_level) == rebuilt
-    assert surjectivity_reason(drop_top_level) == rebuilt
-    assert surjectivity_reason(close_above_the_base) == rebuilt
+    assert surjectivity_reason(change_exponent) == (False, rebuilt)
+    assert surjectivity_reason(drop_base_level) == (False, rebuilt)
+    assert surjectivity_reason(drop_top_level) == (False, rebuilt)
+    assert surjectivity_reason(close_above_the_base) == (False, rebuilt)
+    assert surjectivity_reason(add_generator) == (False, "a recorded generator lies in the closure of the ones before it")
+    assert surjectivity_reason(raise_a_generator) == (False, "unit ['-101/2', '-79/2', '-20/1', '-15/1'] lies above unit_height 50")
 
 
 def test_a_shorter_refuted_search_is_read_again():
@@ -500,7 +517,7 @@ def test_a_shorter_refuted_search_is_read_again():
     # the search fills every level again, so stages 5 and 6 ran and no stub belongs there
     stub = "only context and stages that did not run are assumptions"
     assert _failures(parsed) == [
-        (blocker, "the claim rebuilt from the config differs in witness.height_reached, witness.levels"),
+        (blocker, "the claim rebuilt from the config differs in witness.generators, witness.height_reached, witness.kernel_words, witness.levels"),
         ("quaternionic.intersection-index", stub),
         ("quaternionic.nondiscrete", stub),
     ]
@@ -513,7 +530,7 @@ def test_an_honest_refuted_search_re_verifies():
     assert claim_by_id(bundle, "quaternionic.congruence-surjectivity")["verdict"] == REFUTED
     assert bundle_exit_code(bundle) == 1
     text = render_bundle(bundle)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "d5fc27e4175831473258d4ab6b1496d7a54978414e645dd727cbb26a72ad7d4f"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "4f16c07cb19b05bdf452b92b04e62b7935983ca18830d47104030f8ec57fc82c"
     assert _failures(json.loads(text)) == []
 
 
@@ -523,11 +540,11 @@ def test_kernel_word_letters_are_checked():
     parsed = json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["d=41", "unit_height=10"]))))
     claim = claim_by_id(parsed, "quaternionic.congruence-surjectivity")
     assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (True, None)
-    inverse = [letter for lv in claim["witness"]["levels"][3:] for w in lv["kernel_words"] for letter in w if letter[1] == -1]
+    inverse = [letter for w in claim["witness"]["kernel_words"] for letter in w if letter[1] == -1]
     assert inverse
     for letter in inverse:
         letter[1] = 5
-    reason = "a kernel word at level 4 names no level-3 generator"
+    reason = "a kernel word names no recorded generator"
     assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (False, reason)
 
 
@@ -570,7 +587,7 @@ def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
     embedded = set()
     embed = fuchsian.real_embed
     monkeypatch.setattr(fuchsian, "real_embed", lambda u: embedded.add(u.coords()) or embed(u))
-    claim = certify._nondiscrete_stage(cfg, algebra, stream)
+    claim = certify._nondiscrete_stage(cfg, stream)
     assert claim.verdict == VERIFIED
     assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2].coords()]] * 2
     assert (stream.reached, len(stream.units)) == (8, 46)
@@ -964,21 +981,26 @@ def test_cli_config_errors_exit_two(capsys):
     [
         (["intersect", "--set", "h=quat:1/3,0,0,0"], 2),
         (["units", "--set", "b=1"], 2),
-        (["hilbert", "--out", "{tmp}/missing-dir/b.json"], 3),
+        (["hilbert", "--out", "{tmp}/missing-dir/b.json"], 2),
         (["units", "--set", "d=3", "--set", "b=5"], 2),
         (["intersect", "--set", "d=3", "--set", "b=5", "--set", "h=quat:1,1,0,0"], 2),
         (["intersect", "--set", "b=91", "--set", "h=quat:0,0,1,0"], 2),
+        (["hilbert", "--out", "{tmp}"], 2),  # a directory
+        (["hilbert", "--config", "{tmp}/latin-1.cfg"], 2),
     ],
 )
 def test_cli_errors_exit_with_one_line(args, code, tmp_path):
     # an input error exits 2 and a run that cannot finish 3; neither may take
     # exit 1, which means "refuted"
+    (tmp_path / "latin-1.cfg").write_bytes("pair = -1,-1  # \u00e9\n".encode("latin-1"))
     args = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run([sys.executable, "-m", "covercert.cli", *args], capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    # an input error names no raw exception type
+    assert "Traceback" not in proc.stderr and (code != 2 or "Error:" not in lines[0])
 
 
 def test_quaternionic_refutes_explicit_split_b():
