@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .certify import PIPELINES, ConfigError, bundle_exit_code, load_config, render_bundle
+from .core import PIPELINE_NAMES, ConfigError, bundle_exit_code, load_config, pipeline_runner, render_bundle
 
 _HELP = {
     "dihedral": "involution pair over Q: commutator order and invariant subfields",
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify cover-intersection claims and emit certificate bundles",
     )
     sub = parser.add_subparsers(dest="pipeline", required=True, metavar="PIPELINE")
-    for name in PIPELINES:
+    for name in PIPELINE_NAMES:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", metavar="PATH", default=None, help="config file of key = value lines")
         p.add_argument(
@@ -52,7 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        bundle = PIPELINES[args.pipeline](load_config(args.config, args.overrides))
+        cfg = load_config(args.config, args.overrides)
+        # the one pipeline module this run needs is imported here, so a
+        # module that fails to import exits 3 like any other fault
+        bundle = pipeline_runner(args.pipeline)(cfg)
         text = render_bundle(bundle)
         if not args.out:
             sys.stdout.write(text)

@@ -1,0 +1,388 @@
+"""The quaternionic pipeline: the full division-algebra construction.
+
+Its stages run in order: the 2-adic square, the algebra, torsion-freeness,
+the standard-order obstruction, congruence surjectivity, the intersection
+index for h and the non-discreteness of <Gamma, h Gamma h^-1>.  A stage
+that later stages rest on (the 2-adic square, the algebra,
+torsion-freeness, congruence surjectivity) stops the run when it is not
+verified; the obstruction and index stages stop nothing.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from ..core import (
+    Certificate,
+    RunConfig,
+    _blocks,
+    _context,
+    _expect,
+    _not_run,
+    _witnessed,
+    coords_json,
+    frac_str,
+    make_bundle,
+    parse_frac,
+)
+from ..exact import sqrt_2adic
+from ..fuchsian import find_nonintegral_trace
+from ..modgroup import ResidueMatrix, group_order, kernel_words, spans_layer, word_value
+from ..quatalg import ramified_places, split_2adic
+from ..units import (
+    SATURATED,
+    STANDARD,
+    UnitStream,
+    closing_prefix,
+    embedding_flags,
+    height,
+    images_surject,
+    is_torsion,
+    mod2_image_obstruction,
+    reduce_units,
+)
+from .hilbert import _ADMISSIBLE, _algebra_symbols
+from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
+from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame
+
+# Precision used for the 2-adic square-root witness in stage 1.
+SQUARE_PRECISION = 10
+
+
+def _residue_rows(g: ResidueMatrix):
+    """A unit's image as the witnesses record it."""
+    return [[g.a, g.b], [g.c, g.d]]
+
+
+# Stage 4 closes the unit images only at the top level min(k_max,
+# BASE_LEVEL), where SL2(Z/8) has 384 elements; each lower level is that
+# closure reduced, and each level above it is certified by three kernel words.
+BASE_LEVEL = 3
+BASE_METHOD = "reduce a 2-saturated unit slice mod 2^k and close under multiplication"
+BASE_NOTE = (
+    "the generators are units whose images mod 2^k, at the top level k, the closure used; reduction mod 2^j is a "
+    "homomorphism, so the image at each level j below k is the closure reduced mod 2^j"
+)
+LIFT_METHOD = (
+    "reduce a 2-saturated unit slice mod 2^k and close under multiplication up to level 3; "
+    "above it, lift layer by layer with three kernel words in the level-3 generators"
+)
+LIFT_NOTES = (
+    "levels up to 3 reduce the closure of the generators' images mod 8; each level k above 3 raises the three kernel "
+    "words in the generators to the 2^(k-3)-th power, which is I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so "
+    "the image holds the kernel of reduction to level k-1 and, being full there, is full at level k",
+    "a closed subgroup of SL2(Z_2) that surjects mod 8 is all of SL2(Z_2) (Dokchitser-Dokchitser, Math. Z. 2012); "
+    "cited as context only, every recorded level is checked by its own witness",
+)
+
+
+def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
+    """Stage 4: unit images fill SL2(Z/2^k) at every level up to k_max.
+    found is what its search found: the saturated units whose images the
+    closure used, in order; that closure at the top level min(k_max,
+    BASE_LEVEL); and kernel words in those units, or None.  The witness
+    records the units once, with their images at the top level.  Each level
+    up to the top counts the closure's distinct reductions, and the first
+    level that fails ends the list.  Each level above BASE_LEVEL records the
+    power that carries the kernel words, recorded once, into its layer."""
+    units, table, words = found
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    levels = []
+    for k in range(1, k_top + 1):
+        order, size = len({tuple(e % 2**k for e in x.entries()) for x in table.elements}), group_order(2, k)
+        levels.append({"level": k, "group_order": size, "image_order": order, "surjects": order == size})
+        if order != size:
+            break
+    full = levels[-1]["surjects"]
+    witness = {
+        "generators": [
+            {"coords": coords_json(u), "matrix": _residue_rows(g), "modulus": 2**k_top} for u, g in zip(units, table.generators)
+        ],
+        "levels": levels,
+        # a closure that fills the group stops at the unit that fills it
+        "height_reached": _height_reached(units[-1] if full else None, cfg),
+    }
+    if full and cfg.k_max > BASE_LEVEL:
+        _expect(words is not None, f"no kernel words lift level {BASE_LEVEL}")
+        lifts = reduce_units(units, split_2adic(cfg.algebra), cfg.k_max)
+        values = [word_value(lifts, w) for w in words]
+        for k in range(BASE_LEVEL + 1, cfg.k_max + 1):
+            values = [x * x for x in values]  # now the 2^(k-3)-th powers
+            _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
+            size = group_order(2, k)
+            levels.append({"level": k, "group_order": size, "image_order": size, "surjects": True, "exponent": 2 ** (k - BASE_LEVEL)})
+        witness["kernel_words"] = [[list(letter) for letter in w] for w in words]
+    return Certificate(
+        claim="quaternionic.congruence-surjectivity",
+        method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_max": cfg.k_max, "order_kind": SATURATED},
+        witness=witness,
+        depends_on=("quaternionic.torsion-free",),
+        notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
+    )
+
+
+def _surjectivity_search(cfg: RunConfig, split):
+    """Stage 4's search: the saturated stream read until its images close
+    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do.
+    Returns the units whose images the closure used, the closure, and
+    kernel words in those units when k_max lies above BASE_LEVEL and the
+    images fill it, else None."""
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    read, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, k_top)
+    images = reduce_units(read, split, k_top)
+    units = [read[images.index(g)] for g in table.generators]
+    words = None
+    if cfg.k_max > BASE_LEVEL and table.order == group_order(2, BASE_LEVEL):
+        words = kernel_words(reduce_units(units, split, cfg.k_max))
+    return units, table, words
+
+
+SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
+ALGEBRA_METHOD = "search b by increasing height and test ramification by Hilbert symbols"
+TORSION_METHOD = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
+OBSTRUCTION_METHOD = "reduce the standard-basis unit slice mod 2 and close"
+
+# the stages in bundle order -> the method a stage that did not run records
+STAGES = {
+    "quaternionic.2adic-square": SQUARE_METHOD,
+    "quaternionic.algebra": ALGEBRA_METHOD,
+    "quaternionic.torsion-free": TORSION_METHOD,
+    "quaternionic.standard-order-obstruction": OBSTRUCTION_METHOD,
+    "quaternionic.congruence-surjectivity": BASE_METHOD,
+    "quaternionic.intersection-index": INDEX_METHOD,
+    "quaternionic.nondiscrete": TRACE_METHOD,
+}
+# the stages no later stage rests on: one that is not verified stops nothing
+NON_BLOCKING = ("quaternionic.standard-order-obstruction", "quaternionic.intersection-index")
+
+
+def _square_claim(cfg: RunConfig) -> Certificate:
+    """Stage 1: d must be a 2-adic square so the quadratic field sits
+    inside the 2-adic matrix algebra."""
+    v2 = (cfg.d & -cfg.d).bit_length() - 1  # the valuation of d at 2
+    odd_mod8 = (cfg.d >> v2) % 8
+    if v2 % 2 == 0 and odd_mod8 == 1:
+        witness, notes = {"precision": SQUARE_PRECISION, "square_root_residue": sqrt_2adic(cfg.d, SQUARE_PRECISION)}, ()
+    else:
+        witness = {"valuation_at_2": v2, "odd_part_mod_8": odd_mod8}
+        notes = ("a 2-adic square needs even valuation at 2 and odd part 1 mod 8",)
+    return Certificate(claim="quaternionic.2adic-square", method=SQUARE_METHOD, inputs={"d": cfg.d}, witness=witness, notes=notes)
+
+
+def _algebra_claim(cfg: RunConfig) -> Certificate:
+    """Stage 2: a division algebra (d, b) split at 2 and at infinity."""
+    inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
+    try:
+        algebra = cfg.algebra
+    except ValueError as e:
+        notes = (str(e),)
+    else:
+        witness = _algebra_symbols(algebra)
+        if witness != _ADMISSIBLE:  # only an explicit b can miss
+            inputs, notes = dict(inputs, b=cfg.b), ("the requested b fails division or splitting at 2 or infinity",)
+        else:
+            witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
+            notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
+    return Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
+                       depends_on=("quaternionic.2adic-square",), notes=notes)
+
+
+def _quaternionic_index_claim(cfg: RunConfig) -> Certificate:
+    """Stage 5: the intersection index of the conjugated ambient group,
+    compared against the claimed value."""
+    return _index_certificate(
+        "quaternionic.intersection-index",
+        _conjugator(cfg.h, lambda: cfg.algebra),
+        inputs={"h": cfg.h, "claimed_index": cfg.claimed_index},
+        claimed=cfg.claimed_index,
+        depends_on=("quaternionic.congruence-surjectivity",),
+    )
+
+
+def run_quaternionic(cfg: RunConfig) -> dict:
+    claims = []
+    for claim in _quaternionic_stages(cfg):
+        claims.append(claim)
+        if _blocks(claim.claim, claim.verdict):
+            break
+    claims += [_not_run(cid, method, claims[-1].claim) for cid, method in list(STAGES.items())[len(claims):]]
+    claims += [_context(cid) for cid in CONTEXTS]
+    return make_bundle("quaternionic", cfg, claims)
+
+
+def _quaternionic_stages(cfg: RunConfig):
+    """Yield the claims of STAGES in order.  run_quaternionic reads no
+    further than a blocking stage that is not verified, so each stage may
+    use what the stages before it computed."""
+    yield _square_claim(cfg)
+    yield _algebra_claim(cfg)
+    algebra = cfg.algebra
+    # an h the closed form cannot decide is an input error: reject it
+    # before the unit stages enumerate
+    _conjugator(cfg.h, lambda: algebra)
+
+    # stage 3: only when sqrt(-1) embeds are the standard units read, up to
+    # the first one of finite order (see _torsion_claim).  The unit stages
+    # read one standard stream, each only as far as its witness
+    std = UnitStream(algebra, STANDARD, cfg.unit_height)
+    scan = embedding_flags(algebra)["embeds_sqrt_minus_1"]
+    yield _torsion_claim(cfg, next((q for q in std if is_torsion(q)), None) if scan else None)
+
+    split = split_2adic(algebra)
+    images = {}  # mod-2 image -> the first unit with it
+    for u in std:
+        images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
+        if len(images) == 2:  # all that mod2_image_obstruction allows
+            break
+    yield _obstruction_claim(cfg, list(images.values()))
+
+    yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split))
+
+    yield _quaternionic_index_claim(cfg)
+    yield _nondiscrete_stage(cfg, std)
+
+
+def _torsion_claim(cfg: RunConfig, found) -> Certificate:
+    """Stage 3: the unit group is torsion-free, so every congruence cover in
+    the tower is unramified.  The embedding flags decide it for the whole
+    group.  A standard unit of finite order has even trace 2 x0 in
+    {-1, 0, 1}, so q^2 = -1: only when sqrt(-1) embeds is the standard
+    stream scanned, and found is the first unit of finite order or None."""
+    flags = embedding_flags(cfg.algebra)
+    return Certificate(
+        claim="quaternionic.torsion-free",
+        method=TORSION_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height},
+        witness=dict(
+            flags,
+            finite_order_unit=None if found is None else coords_json(found),
+            height_reached=_height_reached(found, cfg) if flags["embeds_sqrt_minus_1"] else 0,
+        ),
+        depends_on=("quaternionic.algebra",),
+        notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
+    )
+
+
+def _obstruction_claim(cfg: RunConfig, found) -> Certificate:
+    """The standard-basis order misses surjectivity mod 2; recorded so the
+    choice of the 2-saturated order is visible.  found is the first
+    standard unit of each mod-2 image, read until there are two."""
+    images = reduce_units(found, split_2adic(cfg.algebra), 1)
+    _, table = images_surject(images, 1)
+    return Certificate(
+        claim="quaternionic.standard-order-obstruction",
+        method=OBSTRUCTION_METHOD,
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
+        witness={
+            "image_order_mod_2": table.order,
+            "group_order_mod_2": group_order(2, 1),
+            "images": [{"coords": coords_json(u), "matrix": _residue_rows(g)} for u, g in zip(found, images)],
+            "height_reached": _height_reached(found[-1] if len(found) == 2 else None, cfg),
+        },
+        depends_on=("quaternionic.algebra",),
+        notes=(mod2_image_obstruction(cfg.algebra),),
+    )
+
+
+def _height_reached(stop, cfg: RunConfig) -> int:
+    """A unit stage's reach: the height of the unit it stopped at, or
+    unit_height when it read every unit up to the cap."""
+    return cfg.unit_height if stop is None else height(stop)
+
+
+def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
+    """The trace stage, reading the standard stream in shells up to the
+    first pair with a non-integral trace."""
+    found = find_nonintegral_trace(*_trace_frame("quaternionic", cfg), (u.coords() for u in std))
+    return _nondiscrete_claim("quaternionic", cfg, found)
+
+
+# --------------------------------------------------------------------------
+# re-verification
+
+
+def _read_unit(coords, cfg: RunConfig, kind=STANDARD):
+    """A recorded unit, which must have norm one and height at most
+    unit_height; a standard-order one must be integral, and a 2-saturated
+    one integral at 2, which reducing it checks."""
+    u = cfg.algebra.element(*(parse_frac(c) for c in coords))
+    integral = kind == SATURATED or all(c.denominator == 1 for c in u.coords())
+    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one {kind}-order element")
+    _expect(height(u) <= cfg.unit_height, f"unit {coords_json(u)} lies above unit_height {cfg.unit_height}")
+    return u
+
+
+def _read_torsion_unit(claim, cfg: RunConfig):
+    """The recorded finite-order unit, checked by its norm and trace.  The
+    stream is scanned only when sqrt(-1) embeds."""
+    coords = claim["witness"]["finite_order_unit"]
+    if coords is None:
+        return None
+    _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
+    u = _read_unit(coords, cfg)
+    _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
+    return u
+
+
+def _read_obstruction_units(claim, cfg: RunConfig):
+    """The recorded units, whose mod-2 images must differ.  The splitting
+    must send every basis element, so every standard-order element, to a
+    matrix [[x, y], [b y, x]] mod 2; only two of those have determinant 1,
+    so the standard order misses SL2(Z/2) at every height."""
+    algebra = cfg.algebra
+    split = split_2adic(algebra)
+    basis = [split.residues(algebra.element(*(int(k == m) for k in range(4))), 1) for m in range(4)]
+    _expect(all(x == x2 and by == algebra.b * y % 2 for x, y, by, x2 in basis),
+            "the standard basis does not reduce mod 2 into [[x, y], [b y, x]]")
+    found = [_read_unit(entry["coords"], cfg) for entry in claim["witness"]["images"]]
+    _expect(len(set(reduce_units(found, split, 1))) == len(found), "two recorded units share a mod-2 image")
+    return found
+
+
+def _read_surjectivity(claim, cfg: RunConfig):
+    """The recorded saturated units, the closure of their images at
+    min(k_max, BASE_LEVEL), recomputed, and the recorded kernel words, whose
+    letters must name those units.  Levels that end in one that does not
+    surject say that the search read every unit up to unit_height, so the
+    search runs again."""
+    witness, split = claim["witness"], split_2adic(cfg.algebra)
+    if not witness["levels"][-1]["surjects"]:
+        return _surjectivity_search(cfg, split)
+    units = [_read_unit(g["coords"], cfg, SATURATED) for g in witness["generators"]]
+    k_top = min(cfg.k_max, BASE_LEVEL)
+    _, table = images_surject(reduce_units(units, split, k_top), k_top)
+    _expect(len(table.generators) == len(units), "a recorded generator lies in the closure of the ones before it")
+    words = witness.get("kernel_words")
+    if words is None:
+        return units, table, None
+    _expect(all(0 <= i < len(units) and s in (1, -1) for w in words for i, s in w), "a kernel word names no recorded generator")
+    return units, table, [tuple(map(tuple, w)) for w in words]
+
+
+def _read_trace_units(claim, cfg: RunConfig):
+    """The trace claim's pair of standard units; with no pair recorded, the
+    standard units up to unit_height are searched again."""
+    stream = UnitStream(cfg.algebra, STANDARD, cfg.unit_height)
+    return _read_trace_pair("quaternionic", claim, cfg, (u.coords() for u in stream), lambda c: _read_unit(c, cfg).coords())
+
+
+# claim id -> (holds, build, read), in bundle order; see core
+CLAIM_KINDS = {
+    "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _square_claim, None),
+    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _algebra_claim, None),
+    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _read_torsion_unit),
+    "quaternionic.standard-order-obstruction":
+        (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _obstruction_claim, _read_obstruction_units),
+    "quaternionic.congruence-surjectivity":
+        (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _read_surjectivity),
+    "quaternionic.intersection-index": (_index_agrees, _quaternionic_index_claim, None),
+    "quaternionic.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "quaternionic"), _read_trace_units),
+}
+# claim id -> note, listed after the claims
+CONTEXTS = {
+    "quaternionic.cocompact-context":
+        "unit groups of division algebras split at infinity act cocompactly; recorded as standing context",
+    "quaternionic.degree-two-context":
+        "no degree-two version of this construction exists; recorded as context, nothing here computes it",
+}

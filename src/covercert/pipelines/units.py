@@ -1,0 +1,48 @@
+"""The units pipeline: a norm-one unit slice dump with torsion flags."""
+
+from __future__ import annotations
+
+from ..core import Certificate, ConfigError, RunConfig, _witnessed, coords_json, frac_str, make_bundle
+from ..units import SATURATED, enumerate_units, enumerate_units_saturated, mod2_image_obstruction, torsion_check
+from .hilbert import _resolve_algebra
+
+
+def _units_slice_claim(cfg: RunConfig) -> Certificate:
+    if cfg.order_kind == SATURATED and cfg.d % 4 != 1:
+        raise ConfigError("the 2-saturated order needs d = 1 mod 4")
+    algebra = _resolve_algebra(cfg)
+    if cfg.order_kind == SATURATED:
+        slice_ = enumerate_units_saturated(algebra, cfg.unit_height)
+    else:
+        slice_ = enumerate_units(algebra, cfg.unit_height)
+    torsion = torsion_check(slice_)
+    witness = {
+        "a": frac_str(algebra.a),
+        "b": frac_str(algebra.b),
+        "order_kind": cfg.order_kind,
+        "bound": cfg.unit_height,
+        "count": len(slice_.elements),
+        "first_elements": [coords_json(u) for u in slice_.elements[:8]],
+        "slice_torsion_free": torsion["slice_torsion_free"],
+        "algebra_torsion_free": torsion["algebra_torsion_free"],
+    }
+    notes = ()
+    if cfg.order_kind == SATURATED:
+        notes = (mod2_image_obstruction(algebra),)
+    return Certificate(
+        claim="units.slice",
+        method="exhaustive norm-one coordinate enumeration up to the height bound",
+        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": cfg.order_kind},
+        witness=witness,
+        notes=notes,
+    )
+
+
+def run_units(cfg: RunConfig) -> dict:
+    return make_bundle("units", cfg, [_units_slice_claim(cfg)])
+
+
+# claim id -> (holds, build, read); see core
+CLAIM_KINDS = {
+    "units.slice": (_witnessed, _units_slice_claim, None),
+}

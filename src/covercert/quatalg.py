@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import is_square_padic, sqrt_2adic
-from .util import is_prime, is_rational_square, odd_prime_factors, valuation
+from .util import is_perfect_square, is_prime, is_rational_square, odd_prime_factors, valuation
 
 INF = "inf"
 
@@ -170,6 +170,27 @@ def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
         elif is_square_padic(e, v):
             return False
     return True
+
+
+def find_example_algebra(d: int, search_bound: int = 100) -> QuaternionAlgebra:
+    """Scan odd b = 3, 5, 7, ... for the smallest b making (d, b) a division
+    algebra, unramified at 2 and at infinity, admitting neither sqrt(-1)
+    nor sqrt(-3); d must be a non-square 2-adic square greater than 6."""
+    if d <= 6:
+        raise ValueError("need d > 6")
+    if is_perfect_square(d):
+        raise ValueError("d must not be a perfect square")
+    if not is_square_padic(d, 2):
+        raise ValueError("d must be a 2-adic square")
+    for b in range(3, search_bound + 1, 2):
+        D = QuaternionAlgebra(d, b)
+        ram = ramified_places(D)
+        if not ram or 2 in ram or INF in ram:
+            continue
+        if quadratic_embeds(D, -1) or quadratic_embeds(D, -3):
+            continue
+        return D
+    raise ValueError(f"no admissible b up to {search_bound}")
 
 
 @dataclass(frozen=True)

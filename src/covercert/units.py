@@ -24,10 +24,8 @@ from itertools import product
 from math import isqrt
 
 from .modgroup import ResidueMatrix, closure, group_order
-from .quatalg import (INF, Quaternion, QuaternionAlgebra, SplittingMap,
-                      is_division, is_square_padic, quadratic_embeds,
-                      ramified_places, split_2adic)
-from .util import is_perfect_square
+from .quatalg import (Quaternion, QuaternionAlgebra, SplittingMap, is_division,
+                      quadratic_embeds, split_2adic)
 
 STANDARD = "standard"
 SATURATED = "2-saturated"
@@ -269,24 +267,3 @@ def embedding_flags(D: QuaternionAlgebra) -> dict:
         "embeds_sqrt_minus_3": embeds_w,
         "algebra_torsion_free": not embeds_i and not embeds_w,
     }
-
-
-def find_example_algebra(d: int, search_bound: int = 100) -> QuaternionAlgebra:
-    """Scan odd b = 3, 5, 7, ... for the smallest b making (d, b) a division
-    algebra, unramified at 2 and at infinity, admitting neither sqrt(-1)
-    nor sqrt(-3); d must be a non-square 2-adic square greater than 6."""
-    if d <= 6:
-        raise ValueError("need d > 6")
-    if is_perfect_square(d):
-        raise ValueError("d must not be a perfect square")
-    if not is_square_padic(d, 2):
-        raise ValueError("d must be a 2-adic square")
-    for b in range(3, search_bound + 1, 2):
-        D = QuaternionAlgebra(d, b)
-        ram = ramified_places(D)
-        if not ram or 2 in ram or INF in ram:
-            continue
-        if quadratic_embeds(D, -1) or quadratic_embeds(D, -3):
-            continue
-        return D
-    raise ValueError(f"no admissible b up to {search_bound}")

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from covercert import certify
-from covercert.certify import load_config, parse_frac, render_bundle
+from covercert.certify import load_config, render_bundle
+from covercert.core import parse_frac
 from covercert.commens import Conjugator, local_intersection, sl2z_case
 from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic, verify_elliptic
 from covercert.mobius import (

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercert import certify, fuchsian, mobius, modgroup, units
-from covercert.certify import (
+from covercert import certify, core, fuchsian, mobius, modgroup, quatalg, units
+from covercert.cli import main as cli_main
+from covercert.core import (
     ASSUMPTION,
     REFUTED,
     SEARCH_EXHAUSTED,
@@ -32,8 +33,8 @@ from covercert.certify import (
     render_bundle,
     reverify_bundle,
 )
-from covercert.cli import main as cli_main
 from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, lift_rational_matrix
+from covercert.pipelines import dihedral, hilbert, quaternionic, sl2z
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import SATURATED as SATURATED_KIND
 
@@ -208,13 +209,13 @@ def test_dihedral_degenerate_a():
 
 def _count_invariant_searches(monkeypatch):
     calls = []
-    search = certify.invariant_search
+    search = dihedral.invariant_search
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(certify, "invariant_search", counted)
+    monkeypatch.setattr(dihedral, "invariant_search", counted)
     return calls
 
 
@@ -236,7 +237,7 @@ def test_joint_invariant_reverify_does_not_search_an_infinite_group(monkeypatch,
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, "recorded degree-2 function is not invariant")
     # so is a claim that says it searched
     joint["witness"]["joint_invariants"] = []
-    joint["method"] = certify.JOINT_SEARCH_METHOD
+    joint["method"] = dihedral.JOINT_SEARCH_METHOD
     reason = "the claim rebuilt from the config differs in method"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
     assert len(calls) == 2
@@ -257,7 +258,7 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
     assert [len(gens) for gens, _ in calls] == [1, 1]  # one per involution, none joint
     claim = claim_by_id(bundle, "dihedral.invariant-intersection")
     assert claim["verdict"] == VERIFIED and claim["witness"] == {"joint_invariants": []}
-    assert claim["method"] == certify.JOINT_ORDER_METHOD
+    assert claim["method"] == dihedral.JOINT_ORDER_METHOD
     assert claim["depends_on"][0] == "dihedral.commutator-order"
     assert claim_by_id(bundle, "dihedral.commutator-order")["verdict"] == VERIFIED
     assert all(ok for _, ok, _ in reverify_bundle(json.loads(render_bundle(bundle))))
@@ -281,7 +282,7 @@ _FINITE_GROUP_BUNDLES = {
 def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
     bundle = certify.run_dihedral(load_config(None, list(overrides)))
     claim = claim_by_id(bundle, "dihedral.invariant-intersection")
-    assert claim["verdict"] == verdict and claim["method"] == certify.JOINT_SEARCH_METHOD
+    assert claim["verdict"] == verdict and claim["method"] == dihedral.JOINT_SEARCH_METHOD
     assert hashlib.sha256(render_bundle(bundle).encode("utf-8")).hexdigest() == _FINITE_GROUP_BUNDLES[overrides]
 
 
@@ -395,7 +396,7 @@ def test_layer_witness_matches_full_closure(height):
     slice_ = units.enumerate_units_saturated(D, height)
     split = split_2adic(D)
     cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
-    levels = certify._surjectivity_claim(cfg, certify._surjectivity_search(cfg, split)).witness["levels"]
+    levels = quaternionic._surjectivity_claim(cfg, quaternionic._surjectivity_search(cfg, split)).witness["levels"]
     oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
@@ -504,11 +505,11 @@ def test_a_shorter_refuted_search_is_read_again():
     # and says it read every unit up to unit_height; with stages 5 and 6
     # stubbed the bundle exits 1, so re-verification reads the stream again
     parsed = _golden("quaternionic")
-    cfg = certify._cfg_from_bundle(parsed)
+    cfg = core._cfg_from_bundle(parsed)
     split = split_2adic(cfg.algebra)
     first = next(iter(units.UnitStream(cfg.algebra, SATURATED_KIND, cfg.unit_height)))
     _, table = units.images_surject(units.reduce_units([first], split, 3), 3)
-    short = json.loads(json.dumps(certify._surjectivity_claim(cfg, ([first], table, None)).as_dict()))
+    short = json.loads(json.dumps(quaternionic._surjectivity_claim(cfg, ([first], table, None)).as_dict()))
     assert short["verdict"] == REFUTED and [lv["level"] for lv in short["witness"]["levels"]] == [1]
     blocker = "quaternionic.congruence-surjectivity"
     parsed["claims"][4] = short
@@ -550,7 +551,7 @@ def test_kernel_word_letters_are_checked():
 
 def test_a_failed_check_in_a_pipeline_is_an_internal_fault(monkeypatch, capsys):
     # words that span no layer fail the builder's check: exit 3, never 1
-    monkeypatch.setattr(certify, "kernel_words", lambda lifts: [((0, 1),)] * 3)
+    monkeypatch.setattr(quaternionic, "kernel_words", lambda lifts: [((0, 1),)] * 3)
     assert cli_main(["quaternionic"]) == 3
     assert "kernel words at level 4 do not span the kernel of reduction to level 3" in capsys.readouterr().err
 
@@ -573,7 +574,7 @@ def test_quaternionic_nondiscrete_witness(quat_bundle):
     assert w["units"] == [["-5/1", "-1/1", "-1/1", "0/1"]] * 2
     assert w["trace"] == {"d": 17, "u": "343/4", "v": "0/1"}
     assert w["height_reached"] == 5
-    assert claim["notes"] == [certify.TRACE_NOTE]
+    assert claim["notes"] == [sl2z.TRACE_NOTE]
 
 
 def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
@@ -587,7 +588,7 @@ def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
     embedded = set()
     embed = fuchsian.real_embed
     monkeypatch.setattr(fuchsian, "real_embed", lambda u: embedded.add(u.coords()) or embed(u))
-    claim = certify._nondiscrete_stage(cfg, stream)
+    claim = quaternionic._nondiscrete_stage(cfg, stream)
     assert claim.verdict == VERIFIED
     assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2].coords()]] * 2
     assert (stream.reached, len(stream.units)) == (8, 46)
@@ -607,8 +608,8 @@ def test_nondiscrete_reverify_checks_the_recorded_pair(monkeypatch, h):
     def no_enumeration(*args):
         raise RuntimeError("a unit slice was enumerated")
 
-    monkeypatch.setattr(certify, "enumerate_units", no_enumeration)
-    monkeypatch.setattr(certify, "enumerate_units_saturated", no_enumeration)
+    monkeypatch.setattr(units, "enumerate_units", no_enumeration)
+    monkeypatch.setattr(units, "enumerate_units_saturated", no_enumeration)
     assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (True, None)
     w = claim["witness"]
     good = json.loads(json.dumps(w))
@@ -706,7 +707,7 @@ def test_sl2z_bundle(sl2z_bundle):
     assert near["verdict"] == VERIFIED
     # T and U, the pair (1, 2) of the four spanning elements
     assert near["witness"] == {"units": [["1/1", "1/1", "0/1", "1/1"], ["1/1", "0/1", "1/1", "1/1"]], "trace": "5/2"}
-    assert near["notes"] == [certify.TRACE_NOTE]
+    assert near["notes"] == [sl2z.TRACE_NOTE]
     assert claim_by_id(sl2z_bundle, "sl2z.ramification-context")["verdict"] == ASSUMPTION
     assert bundle_exit_code(sl2z_bundle) == 0
 
@@ -851,7 +852,7 @@ def test_a_dropped_trace_pair_is_searched_again(name, cid):
     # the pair
     parsed = _golden(name)
     claim = claim_by_id(parsed, cid)
-    claim.update(verdict=SEARCH_EXHAUSTED, witness=None, notes=[certify._TRACE_PLANS[cid.split(".")[0]][1]])
+    claim.update(verdict=SEARCH_EXHAUSTED, witness=None, notes=[sl2z._TRACE_PLANS[cid.split(".")[0]][1]])
     assert _failures(parsed) == [(cid, "the claim rebuilt from the config differs in notes, witness")]
 
 
@@ -859,13 +860,13 @@ def test_sl2z_not_found_repeats_the_sixteen_pairs(monkeypatch):
     # an honest not-found re-verifies, and its check reads the four
     # spanning elements only
     calls = []
-    scan = certify.find_nonintegral_trace
-    monkeypatch.setattr(certify, "find_nonintegral_trace", lambda *args: calls.append(args[2]) or scan(*args))
+    scan = sl2z.find_nonintegral_trace
+    monkeypatch.setattr(sl2z, "find_nonintegral_trace", lambda *args: calls.append(args[2]) or scan(*args))
     bundle = json.loads(render_bundle(certify.run_sl2z(load_config(None, ["h=0,-1,1,0"]))))
     claim = claim_by_id(bundle, "sl2z.nondiscrete")
-    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.NORMALISER_NOTE]
+    assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [sl2z.NORMALISER_NOTE]
     assert _failures(bundle) == []
-    assert len(calls) == 3 and all(vectors == certify.SL2Z_SPAN for vectors in calls)
+    assert len(calls) == 3 and all(vectors == sl2z.SL2Z_SPAN for vectors in calls)
 
 
 _SMALL_RATIONAL_H = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 4).filter(
@@ -891,14 +892,14 @@ def test_sl2z_trace_decides_every_rational_h(h):
         t = rational_pair_trace(rows, x, y)
         assert t.denominator != 1 and claim["witness"]["trace"] == frac_str(t)
     else:
-        assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [certify.NORMALISER_NOTE]
+        assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [sl2z.NORMALISER_NOTE]
     assert _failures(bundle) == []
 
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
     # the exit-3 line carries each failing id with its reason
-    holds, _, read = certify._CLAIM_KINDS["hilbert.symbol-table"]
-    monkeypatch.setitem(certify._CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda cfg: 1 // 0, read))
+    holds, _, read = hilbert.CLAIM_KINDS["hilbert.symbol-table"]
+    monkeypatch.setitem(hilbert.CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda cfg: 1 // 0, read))
     with pytest.raises(AssertionError, match=r"hilbert\.symbol-table \(ZeroDivisionError: integer division or modulo by zero\)"):
         certify.run_hilbert(load_config())
 
@@ -1023,8 +1024,8 @@ def test_quaternionic_rejects_h_before_enumerating(monkeypatch):
     def refuse(*args):
         raise RuntimeError("a unit slice was enumerated")
 
-    monkeypatch.setattr(certify, "enumerate_units", refuse)
-    monkeypatch.setattr(certify, "enumerate_units_saturated", refuse)
+    monkeypatch.setattr(units, "enumerate_units", refuse)
+    monkeypatch.setattr(units, "enumerate_units_saturated", refuse)
     with pytest.raises(ConfigError):
         certify.run_quaternionic(load_config(None, ["b=91", "h=quat:0,0,1,0"]))
     # a blocked stage 2 never resolves h: (17, 1) is split, stage 2 refutes
@@ -1114,7 +1115,7 @@ def test_every_verdict_flip_is_caught(name):
         if claim["witness"] is None:
             continue
         tampered = [(v, f"the rule gives {claim['verdict']} for this witness, not {v}", False)
-                    for v in certify.VERDICTS if v != claim["verdict"]]
+                    for v in core.VERDICTS if v != claim["verdict"]]
         if claim["verdict"] == VERIFIED:
             tampered.append((VERIFIED, "a claim without a witness cannot be verified", True))
         for verdict, reason, drop in tampered:
@@ -1185,18 +1186,20 @@ COMPUTED = {
     "units.slice",
 }
 HASH_REASON = "config_hash is not the hash of the recorded config"
+# claim id -> (holds, build, read), over every pipeline module
+CLAIM_KINDS = {cid: kind for name in core.PIPELINE_NAMES for cid, kind in core.pipeline_module(name).CLAIM_KINDS.items()}
 
 
 def test_every_claim_id_is_rebuilt():
     # one builder per claim id; a search claim's builder also takes what
     # the search found, which re-verification reads back from the witness
-    assert len(certify._CLAIM_KINDS) == 17
-    assert {cid for cid, (_, _, read) in certify._CLAIM_KINDS.items() if read is None} == COMPUTED
-    assert all(callable(build) for _, build, _ in certify._CLAIM_KINDS.values())
+    assert len(CLAIM_KINDS) == 17
+    assert {cid for cid, (_, _, read) in CLAIM_KINDS.items() if read is None} == COMPUTED
+    assert all(callable(build) for _, build, _ in CLAIM_KINDS.values())
 
 
 def _ran_and_rebuilt(claim):
-    return claim["id"] in certify._CLAIM_KINDS and claim["verdict"] != ASSUMPTION  # a stub is checked as one
+    return claim["id"] in CLAIM_KINDS and claim["verdict"] != ASSUMPTION  # a stub is checked as one
 
 
 def _rebuilt_reasons(parsed):
@@ -1210,8 +1213,8 @@ def test_config_round_trips(name):
     # counting as set only when compare_claimed says so; a changed value, a
     # value in another spelling or a changed hash fails every rebuilt claim
     bundle = _golden(name)
-    cfg = certify._cfg_from_bundle(bundle)
-    assert certify.config_mapping(cfg) == bundle["config"]
+    cfg = core._cfg_from_bundle(bundle)
+    assert core.config_mapping(cfg) == bundle["config"]
     assert config_hash(cfg) == bundle["config_hash"]
     assert ("claimed_index" in cfg.explicit) == any(o.startswith("claimed_index=") for o in GOLDEN[name][1])
     tampered = [
@@ -1260,7 +1263,7 @@ def _drop_top_level(claim):
 
 def _made_verified(claim):
     # a refuted claim at a = 1 dressed as one decided by the order bound
-    claim.update(verdict=VERIFIED, method=certify.JOINT_ORDER_METHOD, notes=[certify.JOINT_ORDER_NOTE],
+    claim.update(verdict=VERIFIED, method=dihedral.JOINT_ORDER_METHOD, notes=[dihedral.JOINT_ORDER_NOTE],
                  depends_on=["dihedral.commutator-order", *claim["depends_on"]], witness={"joint_invariants": []})
     claim["inputs"]["a"] = "2/1"
 
@@ -1289,15 +1292,16 @@ def test_search_claims_are_rebuilt_from_the_config(overrides, cid, edit, reason)
 
 def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
     reads, resolves = [], []
-    load, find = certify.load_config, certify.find_example_algebra
-    monkeypatch.setattr(certify, "load_config", lambda *args: reads.append(args) or load(*args))
-    monkeypatch.setattr(certify, "find_example_algebra", lambda *args: resolves.append(args) or find(*args))
+    load, find = core.load_config, quatalg.find_example_algebra
+    monkeypatch.setattr(core, "load_config", lambda *args: reads.append(args) or load(*args))
+    monkeypatch.setattr(quatalg, "find_example_algebra", lambda *args: resolves.append(args) or find(*args))
 
     def no_search(*args):
         raise RuntimeError("a search ran")
 
-    for name in ("kernel_words", "find_nonintegral_trace", "closing_prefix", "invariant_search"):
-        monkeypatch.setattr(certify, name, no_search)
+    for module, name in ((quaternionic, "kernel_words"), (quaternionic, "find_nonintegral_trace"), (sl2z, "find_nonintegral_trace"),
+                         (quaternionic, "closing_prefix"), (dihedral, "invariant_search")):
+        monkeypatch.setattr(module, name, no_search)
     for name in ("quaternionic", "sl2z", "dihedral"):
         reads.clear()
         resolves.clear()
@@ -1320,7 +1324,7 @@ def test_a_cap_never_decides_a_finite_group(a, degree, order):
 
 
 def _stub(cid, blocker):
-    return certify._not_run(cid, dict(certify._QUATERNIONIC_STAGES)[cid], blocker).as_dict()
+    return core._not_run(cid, quaternionic.STAGES[cid], blocker).as_dict()
 
 
 def _failures(parsed):
@@ -1470,8 +1474,7 @@ def test_unit_stage_reverifiers_enumerate_nothing(monkeypatch, quat_bundle, tors
     def no_enumeration(*args):
         raise RuntimeError("a unit slice was enumerated")
 
-    for module, name in ((units, "_norm_one"), (units, "enumerate_units"), (certify, "enumerate_units"),
-                         (units, "enumerate_units_saturated"), (certify, "enumerate_units_saturated")):
+    for module, name in ((units, "_norm_one"), (units, "enumerate_units"), (units, "enumerate_units_saturated")):
         monkeypatch.setattr(module, name, no_enumeration)
     for bundle in (quat_bundle, torsion_bundle):
         results = _reverify_by_id(json.loads(render_bundle(bundle)))

@@ -31,6 +31,6 @@ def test_lint_catches_each_kind():
     assert [line for line, _ in float_uses(ast.parse(code))] == [1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_floats_in_package(path):
     assert float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert.modgroup import ResidueMatrix, enumerate_group
-from covercert.quatalg import QuaternionAlgebra, split_2adic
+from covercert.quatalg import QuaternionAlgebra, find_example_algebra, split_2adic
 from covercert.units import (SATURATED, STANDARD, UnitStream, closing_prefix,
                              enumerate_units, enumerate_units_saturated,
-                             find_example_algebra, images_surject,
-                             reduce_units, surjects_at_level, torsion_check)
+                             images_surject, reduce_units, surjects_at_level,
+                             torsion_check)
 
 from oracles import (box_height, brute_norm_one_box, in_saturated_order,
                      norm_one_triple_loop)

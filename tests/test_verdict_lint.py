@@ -39,6 +39,6 @@ def test_lint_catches_each_kind():
     assert verdict_sites(ast.parse(code)) == [(4, "stage"), (6, "other"), (7, None)]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
 def test_only_assumptions_pass_a_verdict(path):
     assert verdict_sites(ast.parse(path.read_text(encoding="utf-8"))) == []
