@@ -111,9 +111,6 @@ class RealQuadElem:
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
     def __gt__(self, other):
         return (self - other).sign() > 0
 
@@ -122,9 +119,6 @@ class RealQuadElem:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def __repr__(self):
-        return f"({self.u} + {self.v}*sqrt({self.d}))"
 
 
 def quad(d: int, u, v=0) -> RealQuadElem:

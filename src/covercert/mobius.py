@@ -3,18 +3,23 @@
 A rational function f = P/Q in lowest terms is invariant under a Mobius map g
 exactly when P and Q are semi-invariant for the substitution action on binary
 forms, with the same multiplier: P(gv)Q(v) = P(v)Q(gv) and gcd(P,Q) = 1 force
-P(gv) = lam P(v) and Q(gv) = lam Q(v).  The search takes involutions only:
-for g with g^2 = mu * id as a matrix, lam^2 = mu^d on degree-d forms, and lam
-is rational because P, g are; so listing the rational square roots of mu^d and
-intersecting eigenspaces over all generators is a complete search in each
-degree.
+P(gv) = lam P(v) and Q(gv) = lam Q(v).  So the invariants of degree d are the
+ratios of two independent forms in one common eigenspace of the generators.
+
+The search takes the involutions x -> c/x only, the maps 1/x and a/x of the
+dihedral pipeline.  On degree-d forms x -> c/x sends the coefficient p_i of
+x^(d-i) y^i to c^-(d-i) p_(d-i): it only swaps the index i with d - i, so it
+squares to c^-d, and its rational multipliers are the rational square roots
+of c^-d.  Each common eigenspace is then read off the index pairs
+(i, d - i) in closed form (see invariant_search), which makes the search
+complete in each degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import gcd, isqrt
 
 from .mat2 import mat_adj, mat_mul
@@ -134,47 +139,6 @@ def _substitution_matrix(g: MobiusMap, d: int):
     return tuple(tuple(cols[j][i] for j in range(d + 1)) for i in range(d + 1))
 
 
-def _rref(rows):
-    rows = [list(r) for r in rows]
-    pivots = []
-    lead = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        inv = 1 / rows[lead][col]
-        rows[lead] = [x * inv for x in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows, pivots
-
-
-def _nullspace(rows):
-    """Canonical basis: one vector per free column, that coordinate set to 1."""
-    if not rows:
-        return []
-    reduced, pivots = _rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -reduced[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def _primitive(vec):
     """Scale to coprime integers with positive leading coefficient."""
     den = 1
@@ -191,21 +155,6 @@ def _primitive(vec):
     return tuple(ints)
 
 
-def _mat_mul_n(A, B):
-    """Square matrix product over the nonzero entries of A only; the
-    substitution operators of x -> c/x are antidiagonal, so their squares
-    cost O(n^2), not O(n^3)."""
-    out = []
-    for row in A:
-        acc = [Fraction(0)] * len(row)
-        for k, x in enumerate(row):
-            if x:
-                for j, y in enumerate(B[k]):
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BinaryFormSpace:
     """Substitution operators of a generator tuple on degree-d binary forms."""
@@ -217,17 +166,7 @@ class BinaryFormSpace:
     @staticmethod
     def build(generators, d: int) -> "BinaryFormSpace":
         generators = tuple(generators)
-        ops = tuple(_substitution_matrix(g, d) for g in generators)
-        for g, U in zip(generators, ops):
-            _, pivots = _rref(U)
-            if len(pivots) != d + 1:
-                raise AssertionError("substitution operator not invertible")
-            if finite_order(g) == 2:
-                sq = _mat_mul_n(U, U)
-                if any(sq[i][j] != (sq[0][0] if i == j else 0)
-                       for i in range(d + 1) for j in range(d + 1)):
-                    raise AssertionError("involution operator square not scalar")
-        return BinaryFormSpace(d, generators, ops)
+        return BinaryFormSpace(d, generators, tuple(_substitution_matrix(g, d) for g in generators))
 
     def apply(self, which: int, coeffs):
         """U coeffs over U's nonzero entries; coeffs needs degree + 1 entries."""
@@ -275,49 +214,62 @@ def _form_str(coeffs) -> str:
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _multiplier_candidates(g: MobiusMap, d: int):
-    """Rational lam admissible for P(gv) = lam P(v) in degree d: the square
-    roots of mu^d, where the involution g's matrix squares to mu * id."""
-    (mu, q), (r, s) = mat_mul(g.rows, g.rows)
-    if q or r or mu != s or g.is_identity():
-        raise ValueError("invariant search expects involutions")
-    c = mu ** d
-    if not is_rational_square(c):
+def _scale(g: MobiusMap) -> Fraction:
+    """c for the involution g: x -> c/x, whose normalized rows are
+    [[0, 1], [1/c, 0]]; ValueError for any other map."""
+    (p, _), (r, s) = g.rows
+    if p or s:
+        raise ValueError("invariant search expects involutions x -> c/x")
+    return 1 / r
+
+
+def _multiplier_candidates(c: Fraction, d: int):
+    """Rational lam admissible for P(gv) = lam P(v) in degree d, g being
+    x -> c/x: the square roots of c^-d."""
+    square = c ** -d
+    if not is_rational_square(square):
         return ()
-    root = Fraction(isqrt(c.numerator), isqrt(c.denominator))
+    root = Fraction(isqrt(square.numerator), isqrt(square.denominator))
     return (root, -root)
 
 
 def invariant_search(generators, D: int):
-    """All invariant ratios of forms of degree at most D, per character.
+    """All invariant ratios of forms of degree at most D, per character,
+    for generators x -> c_k/x.
 
-    Complete in each degree by the semi-invariance argument in the module
-    docstring; emitted pairs are re-verified by exact polynomial identity.
+    A common eigenvector with multipliers lam_k splits into the independent
+    index pairs of the module docstring.  A pair i < j = d - i is free
+    exactly when every generator gives the same ratio p_j/p_i = lam_k c_k^j,
+    and it then holds one line of eigenvectors; the middle index d/2 is free
+    exactly when every lam_k = c_k^(-d/2); every other coordinate is 0.  One
+    vector per free column j, in increasing j, is the reduced-row-echelon
+    basis of the eigenspace, and every pair of basis vectors is emitted.
+    Each basis vector is checked against the general substitution operator.
     """
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     if D < 1:
         raise ValueError("degree bound must be positive")
+    scales = [_scale(g) for g in generators]
     found = []
     for d in range(1, D + 1):
-        space = BinaryFormSpace.build(generators, d)
-        options = [_multiplier_candidates(g, d) for g in generators]
-        if any(not opt for opt in options):
+        options = [_multiplier_candidates(c, d) for c in scales]
+        if not all(options):
             continue
+        space = BinaryFormSpace.build(generators, d)
         for character in iter_product(*options):
-            rows = []
-            for U, lam in zip(space.operators, character):
-                for i in range(d + 1):
-                    rows.append(tuple(U[i][j] - (lam if i == j else 0)
-                                      for j in range(d + 1)))
-            basis = [_primitive(v) for v in _nullspace(rows)]
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    func = InvariantFunction(d, basis[i], basis[j], character)
-                    if not _fixed_by(func, space):
-                        raise AssertionError("emitted ratio fails verification")
-                    found.append(func)
+            basis = []
+            for j in range((d + 1) // 2, d + 1):
+                ratios = {lam * c**j for c, lam in zip(scales, character)}
+                if len(ratios) == 1 and (j > d - j or ratios == {1}):
+                    v = [0] * (d + 1)
+                    v[d - j], v[j] = 1, ratios.pop()  # at the middle j = d - j, and the ratio is 1
+                    basis.append(_primitive(v))
+            for v in basis:
+                if any(space.apply(k, v) != tuple(lam * x for x in v) for k, lam in enumerate(character)):
+                    raise AssertionError("emitted eigenvector fails verification")
+            found += [InvariantFunction(d, P, Q, character) for P, Q in combinations(basis, 2)]
     return found
 
 

@@ -1,7 +1,8 @@
 """The hilbert pipeline: one Hilbert-symbol table with the product-formula
 check.  It also holds the Hilbert symbols that make an algebra admissible,
 which the quaternionic, units and intersect pipelines read: they need
-quatalg alone."""
+quatalg alone.  And it holds the config check for the 2-saturated order,
+which the quaternionic and units pipelines share."""
 
 from __future__ import annotations
 
@@ -26,6 +27,12 @@ def _resolve_algebra(cfg: RunConfig):
     if _algebra_symbols(algebra) != _ADMISSIBLE:
         raise ConfigError(f"b={cfg.b} does not give a division algebra split at 2 and at infinity")
     return algebra
+
+
+def _require_saturated_order(d: int):
+    """The 2-saturated order of (d, b) exists only for d = 1 mod 4."""
+    if d % 4 != 1:
+        raise ConfigError("the 2-saturated order needs d = 1 mod 4")
 
 
 def _symbol_table_claim(cfg: RunConfig) -> Certificate:

@@ -11,6 +11,7 @@ verified; the obstruction and index stages stop nothing.
 from __future__ import annotations
 
 from functools import partial
+from math import isqrt
 
 from ..core import (
     Certificate,
@@ -41,7 +42,7 @@ from ..units import (
     mod2_image_obstruction,
     reduce_units,
 )
-from .hilbert import _ADMISSIBLE, _algebra_symbols
+from .hilbert import _ADMISSIBLE, _algebra_symbols, _require_saturated_order
 from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
 from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame
 
@@ -142,6 +143,11 @@ SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
 ALGEBRA_METHOD = "search b by increasing height and test ramification by Hilbert symbols"
 TORSION_METHOD = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
 OBSTRUCTION_METHOD = "reduce the standard-basis unit slice mod 2 and close"
+SQUARE_D_METHOD = "read the square root of d: (d, b) is split for every b"
+SQUARE_D_NOTE = (
+    "d = r^2 is the norm r^2 - b 0^2 from Q(sqrt b) for every b, so every Hilbert symbol of (d, b) is 1 and (d, b) "
+    "is split: no b gives a division algebra"
+)
 
 # the stages in bundle order -> the method a stage that did not run records
 STAGES = {
@@ -171,8 +177,14 @@ def _square_claim(cfg: RunConfig) -> Certificate:
 
 
 def _algebra_claim(cfg: RunConfig) -> Certificate:
-    """Stage 2: a division algebra (d, b) split at 2 and at infinity."""
+    """Stage 2: a division algebra (d, b) split at 2 and at infinity.  With
+    b = 0 a perfect square d is refuted by its square root, with no search."""
     inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
+    root = isqrt(cfg.d)
+    if not cfg.b and root * root == cfg.d:
+        witness = {"symbol_at_2": 1, "symbol_at_inf": 1, "division": False, "square_root_of_d": root}
+        return Certificate(claim="quaternionic.algebra", method=SQUARE_D_METHOD, inputs=inputs, witness=witness,
+                           depends_on=("quaternionic.2adic-square",), notes=(SQUARE_D_NOTE,))
     try:
         algebra = cfg.algebra
     except ValueError as e:
@@ -218,8 +230,10 @@ def _quaternionic_stages(cfg: RunConfig):
     yield _square_claim(cfg)
     yield _algebra_claim(cfg)
     algebra = cfg.algebra
-    # an h the closed form cannot decide is an input error: reject it
-    # before the unit stages enumerate
+    # a d without a 2-saturated order (stage 4 reads that order) and an h
+    # the closed form cannot decide are input errors: reject them before
+    # the unit stages enumerate
+    _require_saturated_order(cfg.d)
     _conjugator(cfg.h, lambda: algebra)
 
     # stage 3: only when sqrt(-1) embeds are the standard units read, up to

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from ..core import Certificate, ConfigError, RunConfig, _witnessed, coords_json, frac_str, make_bundle
+from ..core import Certificate, RunConfig, _witnessed, coords_json, frac_str, make_bundle
 from ..units import SATURATED, enumerate_units, enumerate_units_saturated, mod2_image_obstruction, torsion_check
-from .hilbert import _resolve_algebra
+from .hilbert import _require_saturated_order, _resolve_algebra
 
 
 def _units_slice_claim(cfg: RunConfig) -> Certificate:
-    if cfg.order_kind == SATURATED and cfg.d % 4 != 1:
-        raise ConfigError("the 2-saturated order needs d = 1 mod 4")
+    if cfg.order_kind == SATURATED:
+        _require_saturated_order(cfg.d)
     algebra = _resolve_algebra(cfg)
     if cfg.order_kind == SATURATED:
         slice_ = enumerate_units_saturated(algebra, cfg.unit_height)

@@ -57,9 +57,6 @@ class Quaternion:
     def __neg__(self):
         return Quaternion(self.algebra, -self.x0, -self.x1, -self.x2, -self.x3)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check(other)
         a, b = self.algebra.a, self.algebra.b

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import jsonschema
@@ -988,6 +989,10 @@ def test_cli_config_errors_exit_two(capsys):
         (["intersect", "--set", "b=91", "--set", "h=quat:0,0,1,0"], 2),
         (["hilbert", "--out", "{tmp}"], 2),  # a directory
         (["hilbert", "--config", "{tmp}/latin-1.cfg"], 2),
+        # 2-adic squares 4^k m with k >= 1 have no 2-saturated order
+        (["quaternionic", "--set", "d=68"], 2),
+        (["quaternionic", "--set", "d=164"], 2),
+        (["quaternionic", "--set", "d=272"], 2),
     ],
 )
 def test_cli_errors_exit_with_one_line(args, code, tmp_path):
@@ -1016,6 +1021,43 @@ def test_quaternionic_refutes_explicit_split_b():
     parsed["claims"][1]["witness"]["division"] = True
     ok, reason = _reverify_by_id(parsed)["quaternionic.algebra"]
     assert ok is False and reason == "the claim rebuilt from the config differs in witness.division"
+
+
+@pytest.mark.parametrize("d", [9, 25, 49, 289])
+def test_quaternionic_refutes_a_perfect_square_d(d):
+    # (r^2, b) is split for every b: stage 2 records r instead of searching
+    bundle = certify.run_quaternionic(load_config(None, [f"d={d}"]))
+    claim = bundle["claims"][1]
+    assert claim["id"] == "quaternionic.algebra" and claim["verdict"] == REFUTED
+    assert claim["witness"] == {"division": False, "symbol_at_2": 1, "symbol_at_inf": 1, "square_root_of_d": isqrt(d)}
+    assert all(c["verdict"] == ASSUMPTION for c in bundle["claims"][2:])
+    assert bundle_exit_code(bundle) == 1
+    parsed = json.loads(render_bundle(bundle))
+    assert all(ok for _, ok, _ in reverify_bundle(parsed))
+    parsed["claims"][1]["witness"]["square_root_of_d"] += 1
+    ok, reason = _reverify_by_id(parsed)["quaternionic.algebra"]
+    assert ok is False and reason == "the claim rebuilt from the config differs in witness.square_root_of_d"
+
+
+def test_quaternionic_raises_only_config_errors_below_300():
+    # every accepted d either gives a bundle or is a config error, never
+    # another exception, which would exit 3
+    for d in range(1, 300):
+        try:
+            certify.run_quaternionic(load_config(None, [f"d={d}"]))
+        except ConfigError:
+            assert d % 4 == 0, d
+
+
+def test_quaternionic_rejects_d_without_a_saturated_order_before_enumerating(monkeypatch):
+    # d = 68 is a 2-adic square whose 2-saturated order does not exist: a
+    # config error right after stage 2, before any unit box
+    def refuse(*args):
+        raise RuntimeError("a unit box was enumerated")
+
+    monkeypatch.setattr(units, "_norm_one", refuse)
+    with pytest.raises(ConfigError, match="d = 1 mod 4"):
+        certify.run_quaternionic(load_config(None, ["d=68"]))
 
 
 def test_quaternionic_rejects_h_before_enumerating(monkeypatch):

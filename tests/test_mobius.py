@@ -1,13 +1,14 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+import sympy
 
 from covercert.cli import main as cli_main
 from covercert.mobius import (INFINITE_ORDER, BinaryFormSpace, InvariantFunction,
-                              MobiusMap, _fixed_by, commutator, compose,
-                              finite_order, invariant_search)
+                              MobiusMap, _fixed_by, _primitive, _substitution_matrix,
+                              commutator, compose, finite_order, invariant_search)
 
 SIGMA = MobiusMap.sigma()
 SIGMA2 = MobiusMap.sigma_a(2)
@@ -200,3 +201,48 @@ def test_joint_invariants_exactly_when_the_commutator_has_finite_order(a):
     infinite = finite_order(commutator(*gens)) == INFINITE_ORDER
     assert infinite == (invariant_search(gens, 8) == [])
     assert infinite == (a not in (1, -1))
+
+
+def _nullspace_pairs(gens, d):
+    """(degree, character) -> the pairs of a primitive basis of the common
+    eigenspace, computed by sympy from the general substitution operators:
+    every rational lam_k whose square is the scalar U_k^2, and the nullspace
+    of the stacked U_k - lam_k I."""
+    ops = [sympy.Matrix(_substitution_matrix(g, d)) for g in gens]
+    options = []
+    for U in ops:
+        square = (U * U)[0, 0]
+        assert U * U == square * sympy.eye(d + 1)
+        root = sympy.sqrt(square)
+        options.append((root, -root) if root.is_rational else ())
+    pairs = {}
+    for character in product(*options):
+        stacked = sympy.Matrix.vstack(*(U - lam * sympy.eye(d + 1) for U, lam in zip(ops, character)))
+        basis = [_primitive([Fraction(int(x.p), int(x.q)) for x in v]) for v in stacked.nullspace()]
+        if len(basis) > 1:
+            pairs[d, tuple(Fraction(int(lam.p), int(lam.q)) for lam in character)] = list(combinations(basis, 2))
+    return pairs
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, -2, 4, Fraction(1, 4), Fraction(-1, 4), Fraction(3, 5), 9, 3**10])
+def test_search_matches_an_independent_nullspace(a):
+    # the closed form emits, in each degree and character, exactly the
+    # pairs of the nullspace that sympy computes from the general operators
+    for gens in ((SIGMA,), (MobiusMap.sigma_a(a),), (SIGMA, MobiusMap.sigma_a(a))):
+        emitted = {}
+        for f in invariant_search(gens, 10):
+            emitted.setdefault((f.degree, f.character), []).append((f.numerator, f.denominator))
+        expected = {}
+        for d in range(1, 11):
+            expected.update(_nullspace_pairs(gens, d))
+        assert emitted == expected
+
+
+@pytest.mark.parametrize("rows", [[[-1, 0], [0, 1]], [[1, 1], [1, -1]], [[-1, 1], [0, 1]]],
+                         ids=["minus-x", "x-plus-1-over-x-minus-1", "one-minus-x"])
+def test_search_takes_only_maps_x_to_c_over_x(rows):
+    # three involutions that are not x -> c/x
+    g = MobiusMap.from_rows(rows)
+    assert finite_order(g) == 2
+    with pytest.raises(ValueError, match="x -> c/x"):
+        invariant_search([g], 4)
