@@ -137,7 +137,6 @@ class RunConfig:
     d: int = 17
     a: Fraction = Fraction(2)
     b: int = 0
-    b_search_bound: int = 100
     unit_height: int = 50
     k_max: int = 5
     h: str = "1,-1/2,0,1"
@@ -159,14 +158,14 @@ class RunConfig:
     @cached_property
     def algebra(self):
         """(d, b) for an explicit b, else the first admissible algebra that
-        find_example_algebra reaches; ValueError when its search ends
-        empty.  Resolved once per config."""
+        find_example_algebra finds; ValueError for a d that is a perfect
+        square or not a 2-adic square.  Resolved once per config."""
         # imported here: a pipeline that reads no algebra loads no quatalg
         from .quatalg import QuaternionAlgebra, find_example_algebra
 
         if self.b:
             return QuaternionAlgebra(self.d, self.b)
-        return find_example_algebra(self.d, self.b_search_bound)
+        return find_example_algebra(self.d)
 
 
 # key -> parser; the annotations are strings under postponed evaluation
@@ -205,7 +204,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("a must be nonzero")
     if cfg.b < 0:
         raise ConfigError("b must be nonnegative (0 = search)")
-    for key in ("b_search_bound", "unit_height", "k_max", "invariant_degree", "claimed_index"):
+    for key in ("unit_height", "k_max", "invariant_degree", "claimed_index"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
     if cfg.order_kind not in ORDER_KINDS:

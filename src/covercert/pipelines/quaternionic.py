@@ -59,15 +59,12 @@ def _residue_rows(g: ResidueMatrix):
 # BASE_LEVEL), where SL2(Z/8) has 384 elements; each lower level is that
 # closure reduced, and each level above it is certified by three kernel words.
 BASE_LEVEL = 3
-BASE_METHOD = "reduce a 2-saturated unit slice mod 2^k and close under multiplication"
+BASE_METHOD = "close the 2-saturated unit images under multiplication once, mod 2^min(k_max, 3), and reduce to each lower level"
 BASE_NOTE = (
     "the generators are units whose images mod 2^k, at the top level k, the closure used; reduction mod 2^j is a "
     "homomorphism, so the image at each level j below k is the closure reduced mod 2^j"
 )
-LIFT_METHOD = (
-    "reduce a 2-saturated unit slice mod 2^k and close under multiplication up to level 3; "
-    "above it, lift layer by layer with three kernel words in the level-3 generators"
-)
+LIFT_METHOD = BASE_METHOD + "; above level 3, lift layer by layer with three kernel words in the level-3 generators"
 LIFT_NOTES = (
     "levels up to 3 reduce the closure of the generators' images mod 8; each level k above 3 raises the three kernel "
     "words in the generators to the 2^(k-3)-th power, which is I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so "
@@ -178,24 +175,21 @@ def _square_claim(cfg: RunConfig) -> Certificate:
 
 def _algebra_claim(cfg: RunConfig) -> Certificate:
     """Stage 2: a division algebra (d, b) split at 2 and at infinity.  With
-    b = 0 a perfect square d is refuted by its square root, with no search."""
-    inputs, witness = {"d": cfg.d, "b_search_bound": cfg.b_search_bound}, None
+    b = 0 a perfect square d is refuted by its square root, with no search;
+    any other d passed stage 1, so the search ends (find_example_algebra)."""
+    inputs = {"d": cfg.d}
     root = isqrt(cfg.d)
     if not cfg.b and root * root == cfg.d:
         witness = {"symbol_at_2": 1, "symbol_at_inf": 1, "division": False, "square_root_of_d": root}
         return Certificate(claim="quaternionic.algebra", method=SQUARE_D_METHOD, inputs=inputs, witness=witness,
                            depends_on=("quaternionic.2adic-square",), notes=(SQUARE_D_NOTE,))
-    try:
-        algebra = cfg.algebra
-    except ValueError as e:
-        notes = (str(e),)
+    algebra = cfg.algebra
+    witness = _algebra_symbols(algebra)
+    if witness != _ADMISSIBLE:  # only an explicit b can miss
+        inputs, notes = dict(inputs, b=cfg.b), ("the requested b fails division or splitting at 2 or infinity",)
     else:
-        witness = _algebra_symbols(algebra)
-        if witness != _ADMISSIBLE:  # only an explicit b can miss
-            inputs, notes = dict(inputs, b=cfg.b), ("the requested b fails division or splitting at 2 or infinity",)
-        else:
-            witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
-            notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
+        witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
+        notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
     return Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
                        depends_on=("quaternionic.2adic-square",), notes=notes)
 

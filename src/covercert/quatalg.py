@@ -8,6 +8,7 @@ square) whose images are read as integer residues mod 2^k.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .exact import is_square_padic, sqrt_2adic
 from .util import is_perfect_square, is_prime, is_rational_square, odd_prime_factors, valuation
@@ -169,17 +170,20 @@ def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
     return True
 
 
-def find_example_algebra(d: int, search_bound: int = 100) -> QuaternionAlgebra:
+def find_example_algebra(d: int) -> QuaternionAlgebra:
     """Scan odd b = 3, 5, 7, ... for the smallest b making (d, b) a division
     algebra, unramified at 2 and at infinity, admitting neither sqrt(-1)
-    nor sqrt(-3); d must be a non-square 2-adic square greater than 6."""
-    if d <= 6:
-        raise ValueError("need d > 6")
+    nor sqrt(-3); d must be a non-square 2-adic square.  The scan ends by
+    the least prime q = 1 mod 12 with (d/q) = -1: (d, q)_q = -1, (d, q)_2 = 1
+    as d is a 2-adic square, (d, q)_inf = 1 as q > 0, and -1 and -3 are
+    squares in Q_q, so neither embeds (Vigneras 1980).  Such q exist by
+    Dirichlet: the square-free part s of d is 1 mod 8 and not 1, so (d/q) =
+    (q/|s|) is a non-trivial character on the primes q = 1 mod 12."""
     if is_perfect_square(d):
         raise ValueError("d must not be a perfect square")
     if not is_square_padic(d, 2):
         raise ValueError("d must be a 2-adic square")
-    for b in range(3, search_bound + 1, 2):
+    for b in count(3, 2):
         D = QuaternionAlgebra(d, b)
         ram = ramified_places(D)
         if not ram or 2 in ram or INF in ram:
@@ -187,7 +191,6 @@ def find_example_algebra(d: int, search_bound: int = 100) -> QuaternionAlgebra:
         if quadratic_embeds(D, -1) or quadratic_embeds(D, -3):
             continue
         return D
-    raise ValueError(f"no admissible b up to {search_bound}")
 
 
 @dataclass(frozen=True)

@@ -385,3 +385,14 @@ def rational_pair_trace(h, x, y):
     X, Y = ([[Fraction(e[0]), Fraction(e[1])], [Fraction(e[2]), Fraction(e[3])]] for e in (x, y))
     M = mul(mul(mul(X, [[p, q], [r, s]]), Y), [[s / det, -q / det], [-r / det, p / det]])
     return M[0][0] + M[1][1]
+
+
+def dirichlet_prime(d: int) -> int:
+    """The least prime q = 1 mod 12 with (d/q) = -1, by Euler's criterion
+    d^((q-1)/2) = -1 mod q and trial division.  For a non-square 2-adic
+    square d, (d, q) is a division algebra split at 2 and at infinity that
+    admits neither sqrt(-1) nor sqrt(-3), so the algebra search stops by q."""
+    q = 13
+    while any(q % m == 0 for m in range(2, isqrt(q) + 1)) or pow(d, (q - 1) // 2, q) != q - 1:
+        q += 12
+    return q

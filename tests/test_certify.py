@@ -43,7 +43,7 @@ from oracles import (conjugated_unit_trace, conjugation_index, generated_order, 
                      sl2_order_bruteforce)
 from wordsearch import word_seeds
 
-DEFAULT_HASH = "fbebfd855c9bf4681bd981b208dedc73959142093037dea4623c3230e6deafe9"
+DEFAULT_HASH = "e417e8cf3a59c29bc8f2ce237b04cba288cde92ce927f6243eda949c4849b469"
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "src" / "covercert" / "certificate_schema.json").read_text())
 
@@ -108,6 +108,7 @@ def test_config_file_and_overrides(tmp_path):
         ["h=quat:1/3,1,0,0"],  # denominator away from 2
         ["out=/tmp/x.json"],  # the output path is the --out flag, not a key
         ["word_length_bound=12"],  # the word search left the pipeline with its bound
+        ["b_search_bound=100"],  # the algebra search always ends, so it has no bound
     ],
 )
 def test_config_rejects(overrides):
@@ -272,9 +273,9 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
 # group, first joint invariant in degree 4) a refuted one whose degree
 # bound invariant_degree = 3 is raised to |G| = 4, and one at 4
 _FINITE_GROUP_BUNDLES = {
-    ("a=1",): "0e3285d8d558514bb3e2f256804721e1430cc79732d8967d7fe06d11a44cd0c5",
-    ("a=-1", "invariant_degree=3"): "05c969d96c81444ac8872185686b88265881288e1a146ba00b2b7120443bdb51",
-    ("a=-1", "invariant_degree=4"): "5e5637f5099115ccef1d1427273b92c653a33bcbcb4f02d751ae069ef7946dd0",
+    ("a=1",): "ca17207fae296c0f9c9b3cf1a45c4d311c0918ed62858bdbcdb53c4d0643133d",
+    ("a=-1", "invariant_degree=3"): "4c80b1cdf1de57a4c1ad4f449a24f95c9548180004b11858a79167b916339b86",
+    ("a=-1", "invariant_degree=4"): "f1341fc0c0f255f4a7fd3f68fcf11ffe18b21d33056d1c0581ea9e1299411171",
 }
 
 
@@ -532,7 +533,7 @@ def test_an_honest_refuted_search_re_verifies():
     assert claim_by_id(bundle, "quaternionic.congruence-surjectivity")["verdict"] == REFUTED
     assert bundle_exit_code(bundle) == 1
     text = render_bundle(bundle)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "4f16c07cb19b05bdf452b92b04e62b7935983ca18830d47104030f8ec57fc82c"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "ecc616410fe5ade9be688277a227a5bbd6cc728ac70eef1d6ff8e463726b7ae9"
     assert _failures(json.loads(text)) == []
 
 
@@ -1039,6 +1040,20 @@ def test_quaternionic_refutes_a_perfect_square_d(d):
     assert ok is False and reason == "the claim rebuilt from the config differs in witness.square_root_of_d"
 
 
+def test_quaternionic_finds_an_algebra_past_b_100():
+    # the smallest admissible b for d = 11769 is 157: stage 2 verifies
+    bundle = certify.run_quaternionic(load_config(None, ["d=11769"]))
+    claim = claim_by_id(bundle, "quaternionic.algebra")
+    assert claim["verdict"] == VERIFIED and claim["witness"]["b"] == "157/1"
+    assert claim["inputs"] == {"d": 11769}
+    assert _failures(json.loads(render_bundle(bundle))) == []
+
+
+def test_units_finds_an_algebra_past_b_100(capsys):
+    assert cli_main(["units", "--set", "d=11769"]) == 0
+    assert json.loads(capsys.readouterr().out)["claims"][0]["witness"]["b"] == "157/1"
+
+
 def test_quaternionic_raises_only_config_errors_below_300():
     # every accepted d either gives a bundle or is a config error, never
     # another exception, which would exit 3
@@ -1062,12 +1077,11 @@ def test_quaternionic_rejects_d_without_a_saturated_order_before_enumerating(mon
 
 def test_quaternionic_rejects_h_before_enumerating(monkeypatch):
     # the closed form cannot decide h = j in (17, 91), so the run stops
-    # with a config error right after stage 2, before any unit slice
+    # with a config error right after stage 2, before any unit box
     def refuse(*args):
-        raise RuntimeError("a unit slice was enumerated")
+        raise RuntimeError("a unit box was enumerated")
 
-    monkeypatch.setattr(units, "enumerate_units", refuse)
-    monkeypatch.setattr(units, "enumerate_units_saturated", refuse)
+    monkeypatch.setattr(units, "_norm_one", refuse)
     with pytest.raises(ConfigError):
         certify.run_quaternionic(load_config(None, ["b=91", "h=quat:0,0,1,0"]))
     # a blocked stage 2 never resolves h: (17, 1) is split, stage 2 refutes

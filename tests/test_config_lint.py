@@ -102,5 +102,5 @@ def test_key_table_lint_catches_a_stale_row():
 
 def test_readme_key_table_lists_every_key_with_its_default():
     defaults = {key: core.config_mapping(core.RunConfig())[key] for key in core._KEYS}
-    assert len(defaults) == 11
+    assert len(defaults) == 10
     assert key_table_problems(README.read_text(encoding="utf-8"), defaults) == []

@@ -1,17 +1,19 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert.modgroup import ResidueMatrix, enumerate_group
-from covercert.quatalg import QuaternionAlgebra, find_example_algebra, split_2adic
+from covercert.quatalg import (INF, QuaternionAlgebra, find_example_algebra, quadratic_embeds,
+                               ramified_places, split_2adic)
 from covercert.units import (SATURATED, STANDARD, UnitStream, closing_prefix,
                              enumerate_units, enumerate_units_saturated,
                              images_surject, reduce_units, surjects_at_level,
                              torsion_check)
 
-from oracles import (box_height, brute_norm_one_box, in_saturated_order,
+from oracles import (box_height, brute_norm_one_box, dirichlet_prime, in_saturated_order,
                      norm_one_triple_loop)
 
 D17 = QuaternionAlgebra(17, 7)
@@ -223,10 +225,34 @@ def test_torsion_check_rejects_split():
 
 
 def test_find_example_algebra():
-    D = find_example_algebra(17, 100)
+    D = find_example_algebra(17)
     assert (D.a, D.b) == (17, 7)
     for bad in (4, 3, 6):
         with pytest.raises(ValueError):
-            find_example_algebra(bad, 100)
-    with pytest.raises(ValueError):
-        find_example_algebra(33, 3)
+            find_example_algebra(bad)
+
+
+@pytest.mark.parametrize("d, b", [(11769, 157), (13569, 109), (78729, 101), (83841, 193)])
+def test_find_example_algebra_searches_past_b_100(d, b):
+    assert find_example_algebra(d).b == b
+
+
+def _admissible(D):
+    ram = ramified_places(D)
+    return bool(ram) and 2 not in ram and INF not in ram and not (quadratic_embeds(D, -1) or quadratic_embeds(D, -3))
+
+
+def test_find_example_algebra_stops_by_the_dirichlet_prime():
+    # the search's termination argument, checked for every non-square
+    # 2-adic square d below 10^4: the least prime q = 1 mod 12 with
+    # (d/q) = -1 gives an admissible (d, q), so the search stops by q
+    checked = 0
+    for d in range(1, 10**4):
+        v = (d & -d).bit_length() - 1
+        if isqrt(d) ** 2 == d or v % 2 or (d >> v) % 8 != 1:
+            continue
+        q = dirichlet_prime(d)
+        assert _admissible(QuaternionAlgebra(d, q)), d
+        assert find_example_algebra(d).b <= q, d
+        checked += 1
+    assert checked == 1570
