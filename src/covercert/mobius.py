@@ -7,12 +7,13 @@ P(gv) = lam P(v) and Q(gv) = lam Q(v).  So the invariants of degree d are the
 ratios of two independent forms in one common eigenspace of the generators.
 
 The search takes the involutions x -> c/x only, the maps 1/x and a/x of the
-dihedral pipeline.  On degree-d forms x -> c/x sends the coefficient p_i of
-x^(d-i) y^i to c^-(d-i) p_(d-i): it only swaps the index i with d - i, so it
-squares to c^-d, and its rational multipliers are the rational square roots
-of c^-d.  Each common eigenspace is then read off the index pairs
-(i, d - i) in closed form (see invariant_search), which makes the search
-complete in each degree.
+dihedral pipeline.  With normalized rows [[0, 1], [1/c, 0]], x -> c/x sends
+the coefficient p_i of x^(d-i) y^i to c^-(d-i) p_(d-i): it only swaps the
+index i with d - i, so it squares to c^-d, and its rational multipliers are
+the rational square roots of c^-d.  Each common eigenspace is then read off
+the index pairs (i, d - i) in closed form (see invariant_search), which makes
+the search complete in each degree.  The search and re-verification
+(_fixed_by) check forms through this one action, _act.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class MobiusMap:
         return MobiusMap(((p / lead, q / lead), (r / lead, s / lead)))
 
     @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap.from_rows(((1, 0), (0, 1)))
-
-    @staticmethod
     def sigma() -> "MobiusMap":
         """x -> 1/x."""
         return MobiusMap.from_rows(((0, 1), (1, 0)))
@@ -70,13 +67,6 @@ class MobiusMap:
     def trace(self) -> Fraction:
         return self.rows[0][0] + self.rows[1][1]
 
-    def apply(self, x):
-        (p, q), (r, s) = self.rows
-        x = Fraction(x)
-        if r * x + s == 0:
-            raise ZeroDivisionError("pole of the transformation")
-        return (p * x + q) / (r * x + s)
-
     def inverse(self) -> "MobiusMap":
         return MobiusMap.from_rows(mat_adj(self.rows))
 
@@ -89,7 +79,12 @@ def commutator(g1: MobiusMap, g2: MobiusMap) -> MobiusMap:
     return compose(compose(g1, g2), compose(g1.inverse(), g2.inverse()))
 
 
-def finite_order(g: MobiusMap, n_max: int = 24):
+# powers finite_order tries; it must pass 6, the largest finite order the
+# trace test below allows, for an infinite verdict to rest on that test
+ORDER_SCAN = 24
+
+
+def finite_order(g: MobiusMap):
     """Smallest n with g^n = id, or INFINITE_ORDER.
 
     The power scan is backed by an exact criterion: the eigenvalue ratio of
@@ -97,12 +92,10 @@ def finite_order(g: MobiusMap, n_max: int = 24):
     rational values of 4cos^2(pi/n); those force order 2, 3, 4 or 6 (or a
     parabolic at the value 4), all inside the scan range.
     """
-    if n_max < 12:
-        raise ValueError("n_max below 12 cannot certify infinite order")
     if g.is_identity():
         return 1
     power = g
-    for n in range(2, n_max + 1):
+    for n in range(2, ORDER_SCAN + 1):
         power = compose(power, g)
         if power.is_identity():
             return n
@@ -112,31 +105,6 @@ def finite_order(g: MobiusMap, n_max: int = 24):
     # rational elliptic orders are 2,3,4,6 and the scan covered them
     assert r not in (0, 1, 2, 3), "power scan missed a finite order"
     return INFINITE_ORDER
-
-
-def _poly_mul(u, v):
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] += ui * vj
-    return tuple(out)
-
-
-def _substitution_matrix(g: MobiusMap, d: int):
-    """Matrix of P(v) -> P(gv) on coefficient vectors (c_0..c_d),
-    P = sum c_i x^(d-i) y^i."""
-    (p, q), (r, s) = g.rows
-    top, bot = (p, q), (r, s)
-    cols = []
-    for j in range(d + 1):
-        col = (Fraction(1),)
-        for _ in range(d - j):
-            col = _poly_mul(col, top)
-        for _ in range(j):
-            col = _poly_mul(col, bot)
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(d + 1)) for i in range(d + 1))
 
 
 def _primitive(vec):
@@ -153,26 +121,6 @@ def _primitive(vec):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-@dataclass(frozen=True)
-class BinaryFormSpace:
-    """Substitution operators of a generator tuple on degree-d binary forms."""
-
-    degree: int
-    generators: tuple
-    operators: tuple
-
-    @staticmethod
-    def build(generators, d: int) -> "BinaryFormSpace":
-        generators = tuple(generators)
-        return BinaryFormSpace(d, generators, tuple(_substitution_matrix(g, d) for g in generators))
-
-    def apply(self, which: int, coeffs):
-        """U coeffs over U's nonzero entries; coeffs needs degree + 1 entries."""
-        if len(coeffs) != self.degree + 1:
-            raise ValueError(f"a degree-{self.degree} form needs {self.degree + 1} coefficients")
-        return tuple(sum(x * c for x, c in zip(row, coeffs) if x) for row in self.operators[which])
 
 
 @dataclass(frozen=True)
@@ -223,6 +171,15 @@ def _scale(g: MobiusMap) -> Fraction:
     return 1 / r
 
 
+def _act(c: Fraction, d: int, coeffs):
+    """P(gv) for g: x -> c/x and the degree-d form P = coeffs: coefficient j
+    is c^-(d-j) p_(d-j).  d comes from the caller, so coeffs of any other
+    length raise rather than read as a form of another degree."""
+    if len(coeffs) != d + 1:
+        raise ValueError(f"a degree-{d} form needs {d + 1} coefficients")
+    return tuple(c ** (j - d) * coeffs[d - j] for j in range(d + 1))
+
+
 def _multiplier_candidates(c: Fraction, d: int):
     """Rational lam admissible for P(gv) = lam P(v) in degree d, g being
     x -> c/x: the square roots of c^-d."""
@@ -244,7 +201,7 @@ def invariant_search(generators, D: int):
     exactly when every lam_k = c_k^(-d/2); every other coordinate is 0.  One
     vector per free column j, in increasing j, is the reduced-row-echelon
     basis of the eigenspace, and every pair of basis vectors is emitted.
-    Each basis vector is checked against the general substitution operator.
+    Each basis vector is checked against the action _act.
     """
     generators = tuple(generators)
     if not generators:
@@ -257,7 +214,6 @@ def invariant_search(generators, D: int):
         options = [_multiplier_candidates(c, d) for c in scales]
         if not all(options):
             continue
-        space = BinaryFormSpace.build(generators, d)
         for character in iter_product(*options):
             basis = []
             for j in range((d + 1) // 2, d + 1):
@@ -267,20 +223,21 @@ def invariant_search(generators, D: int):
                     v[d - j], v[j] = 1, ratios.pop()  # at the middle j = d - j, and the ratio is 1
                     basis.append(_primitive(v))
             for v in basis:
-                if any(space.apply(k, v) != tuple(lam * x for x in v) for k, lam in enumerate(character)):
+                if any(_act(c, d, v) != tuple(lam * x for x in v) for c, lam in zip(scales, character)):
                     raise AssertionError("emitted eigenvector fails verification")
             found += [InvariantFunction(d, P, Q, character) for P, Q in combinations(basis, 2)]
     return found
 
 
-def _fixed_by(func: InvariantFunction, space: BinaryFormSpace) -> bool:
+def _fixed_by(func: InvariantFunction, generators) -> bool:
     """Exact identities P(gv) = lam P(v) and Q(gv) = lam Q(v) for every
-    operator g of space, lam being the function's character at g; they
-    imply P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q."""
-    if len(func.character) != len(space.generators):
+    generator g, lam being the function's character at g; they imply
+    P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q."""
+    if len(func.character) != len(generators):
         return False
-    for which, lam in enumerate(func.character):
+    for g, lam in zip(generators, func.character):
+        c = _scale(g)
         for form in (func.numerator, func.denominator):
-            if space.apply(which, tuple(Fraction(c) for c in form)) != tuple(lam * c for c in form):
+            if _act(c, func.degree, tuple(Fraction(x) for x in form)) != tuple(lam * x for x in form):
                 return False
     return True

@@ -8,7 +8,6 @@ from functools import lru_cache, partial
 from ..core import VERIFIED, Certificate, RunConfig, _expect, frac_str, make_bundle, parse_frac, rows_from_json, rows_json
 from ..mobius import (
     INFINITE_ORDER,
-    BinaryFormSpace,
     InvariantFunction,
     MobiusMap,
     _fixed_by,
@@ -137,9 +136,8 @@ def run_dihedral(cfg: RunConfig) -> dict:
 def _read_invariants(recorded, gens, max_degree):
     """The recorded functions, each a nonconstant invariant of every
     generator with degree at most max_degree, checked by substitution
-    against its character.  The substitution operators are built once per
-    degree."""
-    spaces, found = {}, []
+    against its character."""
+    found = []
     for data in recorded:
         f = InvariantFunction(
             degree=data["degree"],
@@ -149,9 +147,7 @@ def _read_invariants(recorded, gens, max_degree):
         )
         _expect(1 <= f.degree <= max_degree, f"recorded degree {f.degree} is outside 1 to {max_degree}")
         _expect(f.is_nonconstant(), f"recorded degree-{f.degree} function is constant")
-        if f.degree not in spaces:
-            spaces[f.degree] = BinaryFormSpace.build(gens, f.degree)
-        _expect(_fixed_by(f, spaces[f.degree]), f"recorded degree-{f.degree} function is not invariant")
+        _expect(_fixed_by(f, gens), f"recorded degree-{f.degree} function is not invariant")
         found.append(f)
     return found
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import isqrt
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covercert import certify, core, fuchsian, mobius, modgroup, quatalg, units
@@ -268,6 +269,23 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
     assert mobius.invariant_search((mobius.MobiusMap.sigma(), mobius.MobiusMap.sigma_a(a)), 6) == []
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool), st.integers(1, 6))
+@example(Fraction(1), 1)
+@example(Fraction(-1), 3)
+def test_dihedral_cli_contract(a, degree):
+    # every small a, and +-1 always, through the command line: exit 0 or 1,
+    # the same bytes on a second run, and a bundle that re-verifies
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp, f"run{i}.json") for i in (1, 2)]
+        codes = {cli_main(["dihedral", "--set", f"a={a}", "--set", f"invariant_degree={degree}", "--out", str(out)])
+                 for out in outs}
+        first, second = (out.read_bytes() for out in outs)
+    assert codes <= {0, 1} and len(codes) == 1
+    assert first == second
+    assert all(ok for _, ok, _ in reverify_bundle(json.loads(first)))
+
+
 # sha256 of the a = +-1 bundles, whose finite groups are decided by the
 # complete search: a refuted claim at a = 1, and at a = -1 (the Klein four
 # group, first joint invariant in degree 4) a refuted one whose degree
@@ -320,6 +338,8 @@ def test_refuted_joint_invariant_reverify_substitutes(monkeypatch):
         (dict(first, degree=9), "recorded degree 9 is outside 1 to 8"),
         # a coefficient short of the degree must not truncate the check
         (dict(first, numerator=first["numerator"][:-1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
+        # nor may a coefficient past it be read as a form of higher degree
+        (dict(first, numerator=first["numerator"] + [1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
     ]
     for bad, reason in tampered:
         claim["witness"]["joint_invariants"] = [bad] + recorded[1:]

@@ -55,8 +55,6 @@ ALLOWED = {
     "fuchsian.find_infinite_elliptic": TRACED,
     "fuchsian.verify_elliptic": oracle("tests/test_acceptance.py::test_criterion_5_rational_conjugator"),
     "fuchsian.jorgensen_violation": TRACED,
-    "mobius.MobiusMap.identity": oracle("tests/test_mobius.py::test_compose"),
-    "mobius.MobiusMap.apply": oracle("tests/test_mobius.py::test_apply_matches_composition"),
     "modgroup.enumerate_group": TRACED,
     "modgroup.power": oracle("tests/test_modgroup.py::test_kernel_layers"),
     "quatalg.Quaternion._check": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),
