@@ -137,8 +137,11 @@ class InvariantFunction:
         return f"({_form_str(self.numerator)}) / ({_form_str(self.denominator)})"
 
     def is_nonconstant(self) -> bool:
-        """P/Q is a constant exactly when the forms P and Q are dependent."""
+        """P/Q is a constant exactly when the forms P and Q are dependent.
+        Both must have degree + 1 coefficients."""
         P, Q = self.numerator, self.denominator
+        _require_form(self.degree, P)
+        _require_form(self.degree, Q)
         return any(P[i] * Q[j] != P[j] * Q[i] for i in range(len(P)) for j in range(i + 1, len(P)))
 
 
@@ -171,12 +174,17 @@ def _scale(g: MobiusMap) -> Fraction:
     return 1 / r
 
 
+def _require_form(d: int, coeffs):
+    """ValueError unless coeffs has the d + 1 coefficients of a degree-d form."""
+    if len(coeffs) != d + 1:
+        raise ValueError(f"a degree-{d} form needs {d + 1} coefficients")
+
+
 def _act(c: Fraction, d: int, coeffs):
     """P(gv) for g: x -> c/x and the degree-d form P = coeffs: coefficient j
     is c^-(d-j) p_(d-j).  d comes from the caller, so coeffs of any other
     length raise rather than read as a form of another degree."""
-    if len(coeffs) != d + 1:
-        raise ValueError(f"a degree-{d} form needs {d + 1} coefficients")
+    _require_form(d, coeffs)
     return tuple(c ** (j - d) * coeffs[d - j] for j in range(d + 1))
 
 

@@ -5,6 +5,12 @@ deterministic discovery order, so downstream certificates can refer to
 indices and witnesses reproducibly.  Above level 3 at p = 2 no table is
 built: the kernel-layer words at the end of this module carry a subgroup
 that is full mod 8 through every higher level.
+
+ResidueMatrix, which checks its determinant when it is built, is the
+boundary type: callers pass generators as ResidueMatrix.  The loops of
+closure and kernel_words run on plain entry tuples (a, b, c, d) reduced
+mod m, with the product written out, and a table's elements are such
+tuples.
 """
 
 from dataclasses import dataclass
@@ -78,37 +84,41 @@ def closure(generators, stop: int = 0) -> SubgroupTable:
     """Breadth-first closure under right multiplication by the generators
     and their inverses.
 
-    generators is any iterable, read in order.  A generator already in the
-    running closure is skipped; any other extends the search from where it
-    stopped instead of restarting it.  The first generator is always kept,
-    so the table's generators are the subsequence actually used.  With stop
-    set, no generator is read once the closure holds stop elements.
-    Discovery order is deterministic: generators in input order, elements
-    in insertion order.
+    generators is any iterable of ResidueMatrix, read in order.  A
+    generator already in the running closure is skipped; any other extends
+    the search from where it stopped instead of restarting it.  The first
+    generator is always kept, so the table's generators are the subsequence
+    actually used.  With stop set, no generator is read once the closure
+    holds stop elements.  Discovery order is deterministic: generators in
+    input order, elements in insertion order.  The elements are entry
+    tuples (a, b, c, d) reduced mod m, each checked to have determinant 1
+    as it enters; every product is one of them or a new one.
     """
     seen, order, used, step = set(), [], [], []
     for g in generators:
         if not used:
             m = g.m
-            order.append(ResidueMatrix.identity(m))
+            order.append((1, 0, 0, 1))
             seen.add(order[0])
         elif g.m != m:
             raise ValueError("mixed moduli")
-        elif g in seen:
+        elif g.entries() in seen:
             continue
         used.append(g)
         gi = g.inverse()
-        new = [g] if gi == g else [g, gi]
+        new = [g.entries()] if gi == g else [g.entries(), gi.entries()]
         step += new
         # order[:n] is already closed under the earlier generators, so it
         # needs only the new ones; what they reach needs all of them
         n = len(order)
         i = 0
         while i < len(order):
-            x = order[i]
-            for s in new if i < n else step:
-                y = x * s
+            a, b, c, d = order[i]
+            for p, q, r, s in new if i < n else step:
+                y = ((a * p + b * r) % m, (a * q + b * s) % m, (c * p + d * r) % m, (c * q + d * s) % m)
                 if y not in seen:
+                    if (y[0] * y[3] - y[1] * y[2]) % m != 1:
+                        raise ValueError("determinant is not 1 at this modulus")
                     seen.add(y)
                     order.append(y)
             i += 1
@@ -143,19 +153,6 @@ def enumerate_group(p: int, k: int) -> SubgroupTable:
 # three such words in the generators serve every layer above 3.
 
 
-def power(x: ResidueMatrix, e: int) -> ResidueMatrix:
-    """x^e for e >= 0, by repeated squaring."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    out = ResidueMatrix.identity(x.m)
-    while e:
-        if e & 1:
-            out = out * x
-        x = x * x
-        e >>= 1
-    return out
-
-
 def word_value(generators, word) -> ResidueMatrix:
     """The product of word's letters (i, e), each generators[i]^e with
     e = +-1, from left to right."""
@@ -166,14 +163,15 @@ def word_value(generators, word) -> ResidueMatrix:
     return out
 
 
-def layer_vector(g: ResidueMatrix, k: int):
-    """X packed as x + 2y + 4z when g = I + 2^(k-1) X mod 2^k with
-    X = [[x, y], [z, x]] in sl2(F_2); None when g is not I mod 2^(k-1).
+def layer_vector(entries, k: int):
+    """X packed as x + 2y + 4z when the matrix with entry tuple
+    (a, b, c, d) is I + 2^(k-1) X mod 2^k with X = [[x, y], [z, x]] in
+    sl2(F_2); None when it is not I mod 2^(k-1).
 
-    g's modulus must be a multiple of 2^k.
+    The entries must be reduced mod a multiple of 2^k.
     """
     q = 2 ** (k - 1)
-    a, b, c, d = (e % (2 * q) for e in g.entries())
+    a, b, c, d = (e % (2 * q) for e in entries)
     a, d = a - 1, d - 1
     if a % q or b % q or c % q or d % q:
         return None
@@ -186,7 +184,7 @@ def spans_layer(values, k: int) -> bool:
     k to level k-1."""
     span = {0}
     for x in values:
-        v = layer_vector(x, k)
+        v = layer_vector(x.entries(), k)
         if v is None:
             return False
         span |= {s ^ v for s in span}
@@ -199,28 +197,30 @@ def kernel_words(generators):
 
     Breadth-first over the classes mod 8 under right multiplication by the
     generators and their inverses, as closure does, carrying each class's
-    value at the generators' modulus (a multiple of 8) and its word; the
-    first three classes I mod 4 whose X are independent are kept.  At most
-    |SL2(Z/8)| = 384 classes are visited.  A letter is (i, e): generators[i]
-    to the power e = +-1.
+    value at the generators' modulus m (a multiple of 8), as an entry
+    tuple, and its word; the first three classes I mod 4 whose X are
+    independent are kept.  At most |SL2(Z/8)| = 384 classes are visited.
+    A letter is (i, e): generators[i] to the power e = +-1.
     """
-    letters = [((i, e), g if e == 1 else g.inverse()) for i, g in enumerate(generators) for e in (1, -1)]
-    ident = ResidueMatrix.identity(generators[0].m)
+    m = generators[0].m
+    if any(g.m != m for g in generators):
+        raise ValueError("mixed moduli")
+    letters = [((i, e), (g if e == 1 else g.inverse()).entries()) for i, g in enumerate(generators) for e in (1, -1)]
     seen = {(1, 0, 0, 1)}
-    queue = [(ident, ())]
+    queue = [((1, 0, 0, 1), ())]
     words, span = [], {0}
-    for x, word in queue:
-        for letter, g in letters:
-            y = x * g
-            key = tuple(t % 8 for t in y.entries())
+    for (a, b, c, d), word in queue:
+        for letter, (p, q, r, s) in letters:
+            y = ((a * p + b * r) % m, (a * q + b * s) % m, (c * p + d * r) % m, (c * q + d * s) % m)
+            key = (y[0] % 8, y[1] % 8, y[2] % 8, y[3] % 8)
             if key in seen:
                 continue
             seen.add(key)
             queue.append((y, word + (letter,)))
-            v = layer_vector(y, 3)
+            v = layer_vector(key, 3)
             if v is not None and v not in span:
                 words.append(word + (letter,))
-                span |= {s ^ v for s in span}
+                span |= {t ^ v for t in span}
                 if len(words) == 3:
                     return words
     return None

@@ -87,7 +87,8 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
     k_top = min(cfg.k_max, BASE_LEVEL)
     levels = []
     for k in range(1, k_top + 1):
-        order, size = len({tuple(e % 2**k for e in x.entries()) for x in table.elements}), group_order(2, k)
+        m = 2**k
+        order, size = len({(a % m, b % m, c % m, d % m) for a, b, c, d in table.elements}), group_order(2, k)
         levels.append({"level": k, "group_order": size, "image_order": order, "surjects": order == size})
         if order != size:
             break
@@ -127,9 +128,7 @@ def _surjectivity_search(cfg: RunConfig, split):
     kernel words in those units when k_max lies above BASE_LEVEL and the
     images fill it, else None."""
     k_top = min(cfg.k_max, BASE_LEVEL)
-    read, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, k_top)
-    images = reduce_units(read, split, k_top)
-    units = [read[images.index(g)] for g in table.generators]
+    _, units, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, k_top)
     words = None
     if cfg.k_max > BASE_LEVEL and table.order == group_order(2, BASE_LEVEL):
         words = kernel_words(reduce_units(units, split, cfg.k_max))

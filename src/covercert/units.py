@@ -198,10 +198,10 @@ def surjects_at_level(slice_: UnitSlice, k: int):
 def images_surject(mats, k: int):
     """Whether the reduced unit images mats generate all of SL2(Z/2^k).
 
-    Every ResidueMatrix has determinant 1, so the closure lies inside
-    SL2(Z/2^k) and comparing its order with |SL2(Z/2^k)| decides equality.
-    Returns (flag, image_table); the table's generators are the
-    subsequence of mats that the closure used.
+    closure checks that every element it adds has determinant 1, so the
+    closure lies inside SL2(Z/2^k) and comparing its order with
+    |SL2(Z/2^k)| decides equality.  Returns (flag, image_table); the
+    table's generators are the subsequence of mats that the closure used.
     """
     table = closure(mats)
     return table.order == group_order(2, k), table
@@ -210,16 +210,23 @@ def images_surject(mats, k: int):
 def closing_prefix(units, split: SplittingMap, k: int):
     """The shortest prefix of units whose images generate SL2(Z/2^k), or
     every unit when none does, with the closure of its images; one closure
-    is grown as the units are read.  Returns (prefix, table)."""
-    read = []
+    is grown as the units are read.  Returns (prefix, used, table), used
+    being the units whose images the closure used, in order.
+
+    The closure uses an image only when it is not yet in the closure, so
+    no unit read before it has that image: used[i] is the first unit read
+    with image table.generators[i]."""
+    read, first = [], {}
 
     def images():
         for u in units:
             read.append(u)
-            yield ResidueMatrix(*split.residues(u, k), 2**k)
+            g = ResidueMatrix(*split.residues(u, k), 2**k)
+            first.setdefault(g, u)
+            yield g
 
     table = closure(images(), stop=group_order(2, k))
-    return read, table
+    return read, [first[g] for g in table.generators], table
 
 
 def is_torsion(q) -> bool:

@@ -41,7 +41,7 @@ from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import SATURATED as SATURATED_KIND
 
 from oracles import (conjugated_unit_trace, conjugation_index, generated_order, is_integral_quadratic, rational_pair_trace,
-                     sl2_order_bruteforce)
+                     reference_closure, sl2_order_bruteforce)
 from wordsearch import word_seeds
 
 DEFAULT_HASH = "e417e8cf3a59c29bc8f2ce237b04cba288cde92ce927f6243eda949c4849b469"
@@ -340,6 +340,9 @@ def test_refuted_joint_invariant_reverify_substitutes(monkeypatch):
         (dict(first, numerator=first["numerator"][:-1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
         # nor may a coefficient past it be read as a form of higher degree
         (dict(first, numerator=first["numerator"] + [1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
+        # a numerator one longer than the denominator and proportional to it
+        # in its first d + 1 entries must not reach past the denominator
+        (dict(first, numerator=first["denominator"] + [5]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
     ]
     for bad, reason in tampered:
         claim["witness"]["joint_invariants"] = [bad] + recorded[1:]
@@ -412,14 +415,15 @@ def test_quaternionic_surjectivity_witness(quat_bundle):
 
 @pytest.mark.parametrize("height", [1, 2, 6, 12])
 def test_layer_witness_matches_full_closure(height):
-    # up to level 5 the full closure is the oracle: the same verdict and the
-    # same image order at every recorded level; height 1 fails at level 1
+    # up to level 5 the full closure, by the ResidueMatrix reference, is the
+    # oracle: the same verdict and the same image order at every recorded
+    # level; height 1 fails at level 1
     D = QuaternionAlgebra(17, 7)
     slice_ = units.enumerate_units_saturated(D, height)
     split = split_2adic(D)
     cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
     levels = quaternionic._surjectivity_claim(cfg, quaternionic._surjectivity_search(cfg, split)).witness["levels"]
-    oracle = [modgroup.closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
+    oracle = [reference_closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
     assert all(lv["surjects"] for lv in levels) == (oracle == [modgroup.group_order(2, k) for k in range(1, 6)])

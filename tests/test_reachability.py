@@ -56,7 +56,6 @@ ALLOWED = {
     "fuchsian.verify_elliptic": oracle("tests/test_acceptance.py::test_criterion_5_rational_conjugator"),
     "fuchsian.jorgensen_violation": TRACED,
     "modgroup.enumerate_group": TRACED,
-    "modgroup.power": oracle("tests/test_modgroup.py::test_kernel_layers"),
     "quatalg.Quaternion._check": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),
     "quatalg.Quaternion.__add__": oracle("tests/test_quatalg.py::test_split_2adic_is_a_ring_homomorphism_mod_2k"),
     "quatalg.Quaternion.__mul__": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),

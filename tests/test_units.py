@@ -98,16 +98,21 @@ def test_closing_prefix_is_the_shortest(k, length):
     # five saturated units, all of height at most 2, generate SL2(Z/8)
     split = split_2adic(D17)
     stream = UnitStream(D17, SATURATED, 50)
-    prefix, table = closing_prefix(stream, split, k)
+    prefix, used, table = closing_prefix(stream, split, k)
     assert len(prefix) == length and stream.reached == 2
+    # the units the closure used are the first with each generator's image
+    images = reduce_units(prefix, split, k)
+    assert used == [prefix[images.index(g)] for g in table.generators]
+    assert reduce_units(used, split, k) == list(table.generators)
     group = enumerate_group(2, k).element_set
     assert images_surject(reduce_units(prefix, split, k), k)[1] == table
     assert table.element_set == group
     assert not images_surject(reduce_units(prefix[:-1], split, k), k)[0]
     # the standard order never closes mod 2: the whole stream is read
     standard = UnitStream(D17, STANDARD, 6)
-    prefix, table = closing_prefix(standard, split, 1)
+    prefix, used, table = closing_prefix(standard, split, 1)
     assert prefix == list(enumerate_units(D17, 6).elements)
+    assert reduce_units(used, split, 1) == list(table.generators)
     assert images_surject(reduce_units(prefix, split, 1), 1)[1] == table
 
 
