@@ -2,15 +2,14 @@
 
 Everything is stored extensionally: a subgroup is its element list in a
 deterministic discovery order, so downstream certificates can refer to
-indices and witnesses reproducibly.  Above level 3 at p = 2 no table is
-built: the kernel-layer words at the end of this module carry a subgroup
-that is full mod 8 through every higher level.
+indices and witnesses reproducibly.  At p = 2 no table above level 3 is
+needed: a closed subgroup of SL2(Z_2) that is full mod 8 is full at every
+level (the squaring argument in pipelines.quaternionic's TOWER_NOTES).
 
 ResidueMatrix, which checks its determinant when it is built, is the
-boundary type: callers pass generators as ResidueMatrix.  The loops of
-closure and kernel_words run on plain entry tuples (a, b, c, d) reduced
-mod m, with the product written out, and a table's elements are such
-tuples.
+boundary type: callers pass generators as ResidueMatrix.  The loop of
+closure runs on plain entry tuples (a, b, c, d) reduced mod m, with the
+product written out, and a table's elements are such tuples.
 """
 
 from dataclasses import dataclass
@@ -34,22 +33,6 @@ class ResidueMatrix:
             object.__setattr__(self, f, getattr(self, f) % self.m)
         if (self.a * self.d - self.b * self.c) % self.m != 1:
             raise ValueError("determinant is not 1 at this modulus")
-
-    @classmethod
-    def identity(cls, m: int) -> "ResidueMatrix":
-        return cls(1, 0, 0, 1, m)
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if self.m != other.m:
-            raise ValueError("mixed moduli")
-        m = self.m
-        return ResidueMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            m,
-        )
 
     def inverse(self) -> "ResidueMatrix":
         # adjugate = inverse since det = 1
@@ -141,86 +124,3 @@ def enumerate_group(p: int, k: int) -> SubgroupTable:
     table = closure([ResidueMatrix(1, 1, 0, 1, m), ResidueMatrix(1, 0, 1, 1, m)])
     assert table.order == want, "enumeration disagrees with the order formula"
     return table
-
-
-# --------------------------------------------------------------------------
-# kernel layers of SL2(Z/2^k) -> SL2(Z/2^(k-1))
-#
-# For k >= 2 the kernel is {I + 2^(k-1) X : X in sl2(F_2)}, elementary
-# abelian of order 8, so a subgroup that is full mod 2^(k-1) and holds
-# three kernel elements whose X span sl2(F_2) is full mod 2^k.  If
-# g = I + 4X mod 8 then g^(2^(k-3)) = I + 2^(k-1) X mod 2^k for k >= 3, so
-# three such words in the generators serve every layer above 3.
-
-
-def word_value(generators, word) -> ResidueMatrix:
-    """The product of word's letters (i, e), each generators[i]^e with
-    e = +-1, from left to right."""
-    out = ResidueMatrix.identity(generators[0].m)
-    for i, e in word:
-        g = generators[i]
-        out = out * (g if e == 1 else g.inverse())
-    return out
-
-
-def layer_vector(entries, k: int):
-    """X packed as x + 2y + 4z when the matrix with entry tuple
-    (a, b, c, d) is I + 2^(k-1) X mod 2^k with X = [[x, y], [z, x]] in
-    sl2(F_2); None when it is not I mod 2^(k-1).
-
-    The entries must be reduced mod a multiple of 2^k.
-    """
-    q = 2 ** (k - 1)
-    a, b, c, d = (e % (2 * q) for e in entries)
-    a, d = a - 1, d - 1
-    if a % q or b % q or c % q or d % q:
-        return None
-    return (a // q) % 2 | (b // q) % 2 << 1 | (c // q) % 2 << 2
-
-
-def spans_layer(values, k: int) -> bool:
-    """Whether every value is I + 2^(k-1) X mod 2^k with the X spanning
-    sl2(F_2): then the values generate the kernel of reduction from level
-    k to level k-1."""
-    span = {0}
-    for x in values:
-        v = layer_vector(x.entries(), k)
-        if v is None:
-            return False
-        span |= {s ^ v for s in span}
-    return len(span) == 8
-
-
-def kernel_words(generators):
-    """Three words in generators whose values are I + 4X mod 8 with the X
-    spanning sl2(F_2), or None when the classes they reach run out first.
-
-    Breadth-first over the classes mod 8 under right multiplication by the
-    generators and their inverses, as closure does, carrying each class's
-    value at the generators' modulus m (a multiple of 8), as an entry
-    tuple, and its word; the first three classes I mod 4 whose X are
-    independent are kept.  At most |SL2(Z/8)| = 384 classes are visited.
-    A letter is (i, e): generators[i] to the power e = +-1.
-    """
-    m = generators[0].m
-    if any(g.m != m for g in generators):
-        raise ValueError("mixed moduli")
-    letters = [((i, e), (g if e == 1 else g.inverse()).entries()) for i, g in enumerate(generators) for e in (1, -1)]
-    seen = {(1, 0, 0, 1)}
-    queue = [((1, 0, 0, 1), ())]
-    words, span = [], {0}
-    for (a, b, c, d), word in queue:
-        for letter, (p, q, r, s) in letters:
-            y = ((a * p + b * r) % m, (a * q + b * s) % m, (c * p + d * r) % m, (c * q + d * s) % m)
-            key = (y[0] % 8, y[1] % 8, y[2] % 8, y[3] % 8)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((y, word + (letter,)))
-            v = layer_vector(key, 3)
-            if v is not None and v not in span:
-                words.append(word + (letter,))
-                span |= {t ^ v for t in span}
-                if len(words) == 3:
-                    return words
-    return None

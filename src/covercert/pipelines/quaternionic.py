@@ -28,7 +28,7 @@ from ..core import (
 )
 from ..exact import sqrt_2adic
 from ..fuchsian import find_nonintegral_trace
-from ..modgroup import ResidueMatrix, group_order, kernel_words, spans_layer, word_value
+from ..modgroup import ResidueMatrix, group_order
 from ..quatalg import ramified_places, split_2adic
 from ..units import (
     SATURATED,
@@ -57,33 +57,35 @@ def _residue_rows(g: ResidueMatrix):
 
 # Stage 4 closes the unit images only at the top level min(k_max,
 # BASE_LEVEL), where SL2(Z/8) has 384 elements; each lower level is that
-# closure reduced, and each level above it is certified by three kernel words.
+# closure reduced, and no level above it needs a closure (TOWER_NOTES).
 BASE_LEVEL = 3
 BASE_METHOD = "close the 2-saturated unit images under multiplication once, mod 2^min(k_max, 3), and reduce to each lower level"
 BASE_NOTE = (
     "the generators are units whose images mod 2^k, at the top level k, the closure used; reduction mod 2^j is a "
     "homomorphism, so the image at each level j below k is the closure reduced mod 2^j"
 )
-LIFT_METHOD = BASE_METHOD + "; above level 3, lift layer by layer with three kernel words in the level-3 generators"
-LIFT_NOTES = (
-    "levels up to 3 reduce the closure of the generators' images mod 8; each level k above 3 raises the three kernel "
-    "words in the generators to the 2^(k-3)-th power, which is I + 2^(k-1)X mod 2^k with the X spanning sl2(F_2), so "
-    "the image holds the kernel of reduction to level k-1 and, being full there, is full at level k",
-    "a closed subgroup of SL2(Z_2) that surjects mod 8 is all of SL2(Z_2) (Dokchitser-Dokchitser, Math. Z. 2012); "
-    "cited as context only, every recorded level is checked by its own witness",
+TOWER_METHOD = BASE_METHOD + "; a closure that fills SL2(Z/8) is all of SL2(Z_2), by squaring into each kernel layer"
+TOWER_NOTES = (
+    BASE_NOTE,
+    "when the closure fills SL2(Z/8), the closure H of the unit group's image in SL2(Z_2) is all of SL2(Z_2). For "
+    "k >= 3 the kernel of SL2(Z/2^(k+1)) -> SL2(Z/2^k) is {I + 2^k X : tr X even}, which has 8 elements. Let H be "
+    "full mod 2^k and X have even trace: I + 2^(k-1) X has determinant 1 mod 2^k, so H holds an h = I + 2^(k-1) X + "
+    "2^k Y, and h^2 = I + 2^k X mod 2^(k+1) because 2(k-1) >= k+1. So H holds that whole kernel mod 2^(k+1) and is "
+    "full mod 2^(k+1); by induction from k = 3 it is full at every level, and being closed it is SL2(Z_2). At k = 2 "
+    "the X^2 term survives, which is why level 3 is the base",
+    "the same result is in Dokchitser-Dokchitser, Math. Z. 2012; cited as context only",
 )
 
 
 def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
-    """Stage 4: unit images fill SL2(Z/2^k) at every level up to k_max.
-    found is what its search found: the saturated units whose images the
-    closure used, in order; that closure at the top level min(k_max,
-    BASE_LEVEL); and kernel words in those units, or None.  The witness
-    records the units once, with their images at the top level.  Each level
-    up to the top counts the closure's distinct reductions, and the first
-    level that fails ends the list.  Each level above BASE_LEVEL records the
-    power that carries the kernel words, recorded once, into its layer."""
-    units, table, words = found
+    """Stage 4: unit images fill SL2(Z/2^k) at every level up to min(k_max,
+    BASE_LEVEL), and from BASE_LEVEL on the claim is that their closure is
+    SL2(Z_2) (TOWER_NOTES).  found is what its search found: the saturated
+    units whose images the closure used, in order, and that closure at the
+    top level.  The witness records the units once, with their images at
+    the top level.  Each level counts the closure's distinct reductions,
+    and the first level that fails ends the list."""
+    units, table = found
     k_top = min(cfg.k_max, BASE_LEVEL)
     levels = []
     for k in range(1, k_top + 1):
@@ -101,38 +103,23 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
         # a closure that fills the group stops at the unit that fills it
         "height_reached": _height_reached(units[-1] if full else None, cfg),
     }
-    if full and cfg.k_max > BASE_LEVEL:
-        _expect(words is not None, f"no kernel words lift level {BASE_LEVEL}")
-        lifts = reduce_units(units, split_2adic(cfg.algebra), cfg.k_max)
-        values = [word_value(lifts, w) for w in words]
-        for k in range(BASE_LEVEL + 1, cfg.k_max + 1):
-            values = [x * x for x in values]  # now the 2^(k-3)-th powers
-            _expect(spans_layer(values, k), f"kernel words at level {k} do not span the kernel of reduction to level {k - 1}")
-            size = group_order(2, k)
-            levels.append({"level": k, "group_order": size, "image_order": size, "surjects": True, "exponent": 2 ** (k - BASE_LEVEL)})
-        witness["kernel_words"] = [[list(letter) for letter in w] for w in words]
+    tower = k_top == BASE_LEVEL
     return Certificate(
         claim="quaternionic.congruence-surjectivity",
-        method=BASE_METHOD if cfg.k_max <= BASE_LEVEL else LIFT_METHOD,
+        method=TOWER_METHOD if tower else BASE_METHOD,
         inputs={"d": cfg.d, "unit_height": cfg.unit_height, "k_max": cfg.k_max, "order_kind": SATURATED},
         witness=witness,
         depends_on=("quaternionic.torsion-free",),
-        notes=(BASE_NOTE,) if cfg.k_max <= BASE_LEVEL else LIFT_NOTES,
+        notes=TOWER_NOTES if tower else (BASE_NOTE,),
     )
 
 
 def _surjectivity_search(cfg: RunConfig, split):
     """Stage 4's search: the saturated stream read until its images close
     mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do.
-    Returns the units whose images the closure used, the closure, and
-    kernel words in those units when k_max lies above BASE_LEVEL and the
-    images fill it, else None."""
-    k_top = min(cfg.k_max, BASE_LEVEL)
-    _, units, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, k_top)
-    words = None
-    if cfg.k_max > BASE_LEVEL and table.order == group_order(2, BASE_LEVEL):
-        words = kernel_words(reduce_units(units, split, cfg.k_max))
-    return units, table, words
+    Returns the units whose images the closure used and the closure."""
+    _, units, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, min(cfg.k_max, BASE_LEVEL))
+    return units, table
 
 
 SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
@@ -348,11 +335,10 @@ def _read_obstruction_units(claim, cfg: RunConfig):
 
 
 def _read_surjectivity(claim, cfg: RunConfig):
-    """The recorded saturated units, the closure of their images at
-    min(k_max, BASE_LEVEL), recomputed, and the recorded kernel words, whose
-    letters must name those units.  Levels that end in one that does not
-    surject say that the search read every unit up to unit_height, so the
-    search runs again."""
+    """The recorded saturated units and the closure of their images at
+    min(k_max, BASE_LEVEL), recomputed.  Levels that end in one that does
+    not surject say that the search read every unit up to unit_height, so
+    the search runs again."""
     witness, split = claim["witness"], split_2adic(cfg.algebra)
     if not witness["levels"][-1]["surjects"]:
         return _surjectivity_search(cfg, split)
@@ -360,11 +346,7 @@ def _read_surjectivity(claim, cfg: RunConfig):
     k_top = min(cfg.k_max, BASE_LEVEL)
     _, table = images_surject(reduce_units(units, split, k_top), k_top)
     _expect(len(table.generators) == len(units), "a recorded generator lies in the closure of the ones before it")
-    words = witness.get("kernel_words")
-    if words is None:
-        return units, table, None
-    _expect(all(0 <= i < len(units) and s in (1, -1) for w in words for i, s in w), "a kernel word names no recorded generator")
-    return units, table, [tuple(map(tuple, w)) for w in words]
+    return units, table
 
 
 def _read_trace_units(claim, cfg: RunConfig):

@@ -3,9 +3,9 @@
 Nothing here may call into covercert's formula implementations: these
 functions decide the same questions by exhaustive search so the two roads
 can be compared in tests.  The one import from covercert is the boundary
-type ResidueMatrix, whose checked per-object products the reference
-closure and kernel-word search below are built from, and the SubgroupTable
-they return.
+type ResidueMatrix, whose checked per-object products (identity and mul
+below) the reference closure is built from, and the SubgroupTable it
+returns.
 """
 
 from fractions import Fraction
@@ -403,6 +403,18 @@ def dirichlet_prime(d: int) -> int:
     return q
 
 
+def identity(m: int) -> ResidueMatrix:
+    return ResidueMatrix(1, 0, 0, 1, m)
+
+
+def mul(x: ResidueMatrix, y: ResidueMatrix) -> ResidueMatrix:
+    """The product x y, a new ResidueMatrix whose constructor reduces it and
+    checks its determinant."""
+    if x.m != y.m:
+        raise ValueError("mixed moduli")
+    return ResidueMatrix(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d, x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d, x.m)
+
+
 def reference_closure(generators, stop: int = 0) -> SubgroupTable:
     """modgroup.closure as it was built on ResidueMatrix products: every
     product is a new object whose constructor reduces it and checks its
@@ -411,7 +423,7 @@ def reference_closure(generators, stop: int = 0) -> SubgroupTable:
     for g in generators:
         if not used:
             m = g.m
-            order.append(ResidueMatrix.identity(m))
+            order.append(identity(m))
             seen.add(order[0])
         elif g.m != m:
             raise ValueError("mixed moduli")
@@ -428,7 +440,7 @@ def reference_closure(generators, stop: int = 0) -> SubgroupTable:
         while i < len(order):
             x = order[i]
             for s in new if i < n else step:
-                y = x * s
+                y = mul(x, s)
                 if y not in seen:
                     seen.add(y)
                     order.append(y)
@@ -438,54 +450,3 @@ def reference_closure(generators, stop: int = 0) -> SubgroupTable:
     if not used:
         raise ValueError("need at least one generator")
     return SubgroupTable(m, tuple(order), frozenset(seen), tuple(used))
-
-
-def power(x: ResidueMatrix, e: int) -> ResidueMatrix:
-    """x^e for e >= 0, by repeated squaring."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    out = ResidueMatrix.identity(x.m)
-    while e:
-        if e & 1:
-            out = out * x
-        x = x * x
-        e >>= 1
-    return out
-
-
-def layer_vector(g: ResidueMatrix, k: int):
-    """X packed as x + 2y + 4z when g = I + 2^(k-1) X mod 2^k with
-    X = [[x, y], [z, x]] in sl2(F_2); None when g is not I mod 2^(k-1)."""
-    q = 2 ** (k - 1)
-    a, b, c, d = (e % (2 * q) for e in g.entries())
-    a, d = a - 1, d - 1
-    if a % q or b % q or c % q or d % q:
-        return None
-    return (a // q) % 2 | (b // q) % 2 << 1 | (c // q) % 2 << 2
-
-
-def reference_kernel_words(generators):
-    """modgroup.kernel_words as it was built on ResidueMatrix products:
-    breadth-first over the classes mod 8, each class carrying its value as
-    a ResidueMatrix at the generators' modulus and its word, keeping the
-    first three classes I mod 4 whose X are independent."""
-    letters = [((i, e), g if e == 1 else g.inverse()) for i, g in enumerate(generators) for e in (1, -1)]
-    ident = ResidueMatrix.identity(generators[0].m)
-    seen = {(1, 0, 0, 1)}
-    queue = [(ident, ())]
-    words, span = [], {0}
-    for x, word in queue:
-        for letter, g in letters:
-            y = x * g
-            key = tuple(t % 8 for t in y.entries())
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((y, word + (letter,)))
-            v = layer_vector(y, 3)
-            if v is not None and v not in span:
-                words.append(word + (letter,))
-                span |= {s ^ v for s in span}
-                if len(words) == 3:
-                    return words
-    return None

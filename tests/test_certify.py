@@ -394,30 +394,28 @@ def test_quaternionic_algebra_witness(quat_bundle):
 def test_quaternionic_surjectivity_witness(quat_bundle):
     w = claim_by_id(quat_bundle, "quaternionic.congruence-surjectivity")["witness"]
     levels = w["levels"]
-    assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
-    assert [lv["group_order"] for lv in levels] == [6, 48, 384, 3072, 24576]
+    assert [lv["level"] for lv in levels] == [1, 2, 3]
+    assert [lv["group_order"] for lv in levels] == [6, 48, 384]
     assert all(lv["surjects"] and lv["image_order"] == lv["group_order"] for lv in levels)
     # the units the level-3 closure used, recorded once with their images mod 8
     assert 1 <= len(w["generators"]) <= 4
     for g in w["generators"]:
         assert len(g["coords"]) == 4 and g["modulus"] == 8
-    for lv in levels[:3]:
+    for lv in levels:
         assert set(lv) == {"level", "group_order", "image_order", "surjects"}
-    # above level 3: the three words in those units, recorded once, raised
-    # to 2^(k-3), with letters (generator index, +-1)
-    words = w["kernel_words"]
-    assert len(words) == 3
-    for lv in levels[3:]:
-        assert set(lv) == {"level", "group_order", "image_order", "surjects", "exponent"}
-        assert lv["exponent"] == 2 ** (lv["level"] - 3)
-    assert all(0 <= i < len(w["generators"]) and e in (1, -1) for word in words for i, e in word)
+    assert set(w) == {"generators", "levels", "height_reached"}
+    # the claim covers every level above 3 by the squaring argument in its note
+    claim = claim_by_id(quat_bundle, "quaternionic.congruence-surjectivity")
+    assert claim["method"] == quaternionic.TOWER_METHOD and tuple(claim["notes"]) == quaternionic.TOWER_NOTES
+    assert "h^2 = I + 2^k X mod 2^(k+1) because 2(k-1) >= k+1" in claim["notes"][1]
 
 
 @pytest.mark.parametrize("height", [1, 2, 6, 12])
 def test_layer_witness_matches_full_closure(height):
     # up to level 5 the full closure, by the ResidueMatrix reference, is the
-    # oracle: the same verdict and the same image order at every recorded
-    # level; height 1 fails at level 1
+    # oracle: the same image order at every recorded level, and levels 1 to
+    # 3 surject exactly when every level up to 5 is full; height 1 fails at
+    # level 1
     D = QuaternionAlgebra(17, 7)
     slice_ = units.enumerate_units_saturated(D, height)
     split = split_2adic(D)
@@ -430,7 +428,7 @@ def test_layer_witness_matches_full_closure(height):
     if height == 1:
         assert [(lv["level"], lv["surjects"]) for lv in levels] == [(1, False)]
     else:
-        assert [lv["level"] for lv in levels] == [1, 2, 3, 4, 5]
+        assert [lv["level"] for lv in levels] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("overrides", [[], ["unit_height=1"], ["d=41", "unit_height=2"], ["k_max=1"], ["k_max=2"]])
@@ -444,8 +442,6 @@ def test_reduced_levels_match_an_independent_closure(overrides):
     top = min(cfg.k_max, 3)
     assert [g["matrix"] for g in w["generators"]] == [[[x.a, x.b], [x.c, x.d]] for x in units.reduce_units(recorded, split, top)]
     for lv in w["levels"]:
-        if lv["level"] > 3:
-            break
         m = 2 ** lv["level"]
         images = [tuple(e % m for row in g["matrix"] for e in row) for g in w["generators"]]
         assert lv["image_order"] == generated_order(images, m)
@@ -453,21 +449,24 @@ def test_reduced_levels_match_an_independent_closure(overrides):
 
 
 def test_k_max_20_certifies_every_layer(quat_bundle, tmp_path):
-    out = tmp_path / "b.json"
-    assert cli_main(["quaternionic", "--set", "k_max=20", "--out", str(out)]) == 1
-    bundle = json.loads(out.read_text())
-    verdicts = [(c["id"], c["verdict"]) for c in bundle["claims"]]
-    assert verdicts == [(c["id"], c["verdict"]) for c in quat_bundle["claims"]]
-    w = claim_by_id(bundle, "quaternionic.congruence-surjectivity")["witness"]
-    levels = w["levels"]
-    assert [lv["level"] for lv in levels] == list(range(1, 21))
-    # the three kernel words serve all 17 lifted levels and are recorded once
-    assert len(w["kernel_words"]) == 3 and not any("kernel_words" in lv for lv in levels)
-    assert out.read_text().count('"kernel_words"') == 1
-    assert all(lv["image_order"] == lv["group_order"] == modgroup.group_order(2, lv["level"]) for lv in levels)
-    t0 = time.perf_counter()
-    assert all(ok for _, ok, _ in reverify_bundle(bundle))
-    assert time.perf_counter() - t0 < 30
+    # from k_max = 3 up the claim is the same: levels 1 to 3 and the note
+    # that carries them to every level, in the run and its re-verification
+    claims = {}
+    for k_max in (3, 5, 20):
+        out = tmp_path / f"{k_max}.json"
+        assert cli_main(["quaternionic", "--set", f"k_max={k_max}", "--out", str(out)]) == 1
+        bundle = json.loads(out.read_text())
+        assert all(ok for _, ok, _ in reverify_bundle(bundle))
+        verdicts = [(c["id"], c["verdict"]) for c in bundle["claims"]]
+        assert verdicts == [(c["id"], c["verdict"]) for c in quat_bundle["claims"]]
+        claim = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
+        assert claim["inputs"]["k_max"] == k_max
+        claims[k_max] = claim, bundle["config_hash"]
+    for k_max in (3, 20):
+        (claim, digest), (want, want_digest) = claims[k_max], claims[5]
+        assert digest != want_digest
+        assert all(claim[key] == want[key] for key in ("method", "notes", "verdict", "witness"))
+    assert [lv["level"] for lv in claims[20][0]["witness"]["levels"]] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("overrides", [[], ["k_max=20"]])
@@ -493,20 +492,11 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
         edit(claim_by_id(parsed, "quaternionic.congruence-surjectivity")["witness"])
         return _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"]
 
-    def change_word(w):
-        w["kernel_words"][2] = w["kernel_words"][0]
-
-    def change_exponent(w):
-        w["levels"][4]["exponent"] = 2
-
     def drop_base_level(w):
         del w["levels"][2]
 
-    def drop_top_level(w):
-        del w["levels"][4]
-
-    def close_above_the_base(w):
-        w["levels"][3] = dict(w["levels"][2], level=4, group_order=3072, image_order=3072)
+    def append_level_4(w):
+        w["levels"].append(dict(w["levels"][2], level=4, group_order=3072, image_order=3072))
 
     def add_generator(w):
         w["generators"].append(w["generators"][1])
@@ -517,11 +507,8 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
 
     rebuilt = "the claim rebuilt from the config differs in witness.levels"
     assert surjectivity_reason(lambda w: None) == (True, None)
-    assert surjectivity_reason(change_word) == (False, "kernel words at level 4 do not span the kernel of reduction to level 3")
-    assert surjectivity_reason(change_exponent) == (False, rebuilt)
     assert surjectivity_reason(drop_base_level) == (False, rebuilt)
-    assert surjectivity_reason(drop_top_level) == (False, rebuilt)
-    assert surjectivity_reason(close_above_the_base) == (False, rebuilt)
+    assert surjectivity_reason(append_level_4) == (False, rebuilt)
     assert surjectivity_reason(add_generator) == (False, "a recorded generator lies in the closure of the ones before it")
     assert surjectivity_reason(raise_a_generator) == (False, "unit ['-101/2', '-79/2', '-20/1', '-15/1'] lies above unit_height 50")
 
@@ -535,7 +522,7 @@ def test_a_shorter_refuted_search_is_read_again():
     split = split_2adic(cfg.algebra)
     first = next(iter(units.UnitStream(cfg.algebra, SATURATED_KIND, cfg.unit_height)))
     _, table = units.images_surject(units.reduce_units([first], split, 3), 3)
-    short = json.loads(json.dumps(quaternionic._surjectivity_claim(cfg, ([first], table, None)).as_dict()))
+    short = json.loads(json.dumps(quaternionic._surjectivity_claim(cfg, ([first], table)).as_dict()))
     assert short["verdict"] == REFUTED and [lv["level"] for lv in short["witness"]["levels"]] == [1]
     blocker = "quaternionic.congruence-surjectivity"
     parsed["claims"][4] = short
@@ -544,42 +531,28 @@ def test_a_shorter_refuted_search_is_read_again():
     # the search fills every level again, so stages 5 and 6 ran and no stub belongs there
     stub = "only context and stages that did not run are assumptions"
     assert _failures(parsed) == [
-        (blocker, "the claim rebuilt from the config differs in witness.generators, witness.height_reached, witness.kernel_words, witness.levels"),
+        (blocker, "the claim rebuilt from the config differs in witness.generators, witness.height_reached, witness.levels"),
         ("quaternionic.intersection-index", stub),
         ("quaternionic.nondiscrete", stub),
     ]
 
 
 def test_an_honest_refuted_search_re_verifies():
-    # at unit_height = 1 the saturated units never fill SL2(Z/2): the same
-    # bytes as before, refuted, and they re-verify by reading the stream again
+    # at unit_height = 1 the saturated units never fill SL2(Z/2): pinned
+    # bytes, refuted, and they re-verify by reading the stream again
     bundle = certify.run_quaternionic(load_config(None, ["unit_height=1"]))
     assert claim_by_id(bundle, "quaternionic.congruence-surjectivity")["verdict"] == REFUTED
     assert bundle_exit_code(bundle) == 1
     text = render_bundle(bundle)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "ecc616410fe5ade9be688277a227a5bbd6cc728ac70eef1d6ff8e463726b7ae9"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "2d186f16b7f6962c4d1a965b6955b9ec63c50af5db6c2cddd27b6cd90a84c374"
     assert _failures(json.loads(text)) == []
 
 
-def test_kernel_word_letters_are_checked():
-    # word_value reads any exponent but 1 as -1, so only the letter check
-    # tells (i, 5) from (i, -1); d = 41 records words with inverse letters
-    parsed = json.loads(render_bundle(certify.run_quaternionic(load_config(None, ["d=41", "unit_height=10"]))))
-    claim = claim_by_id(parsed, "quaternionic.congruence-surjectivity")
-    assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (True, None)
-    inverse = [letter for w in claim["witness"]["kernel_words"] for letter in w if letter[1] == -1]
-    assert inverse
-    for letter in inverse:
-        letter[1] = 5
-    reason = "a kernel word names no recorded generator"
-    assert _reverify_by_id(parsed)["quaternionic.congruence-surjectivity"] == (False, reason)
-
-
 def test_a_failed_check_in_a_pipeline_is_an_internal_fault(monkeypatch, capsys):
-    # words that span no layer fail the builder's check: exit 3, never 1
-    monkeypatch.setattr(quaternionic, "kernel_words", lambda lifts: [((0, 1),)] * 3)
+    # a trace the builder's check calls integral fails it: exit 3, never 1
+    monkeypatch.setattr(sl2z, "is_algebraic_integer", lambda t: True)
     assert cli_main(["quaternionic"]) == 3
-    assert "kernel words at level 4 do not span the kernel of reduction to level 3" in capsys.readouterr().err
+    assert "the trace is an algebraic integer" in capsys.readouterr().err
 
 
 def test_quaternionic_intersection_witness(quat_bundle):
@@ -1337,8 +1310,8 @@ def _edit(path, value):
 
 
 def _drop_top_level(claim):
-    claim["inputs"]["k_max"] = 4
-    del claim["witness"]["levels"][4]
+    claim["inputs"]["k_max"] = 2
+    del claim["witness"]["levels"][2]
 
 
 def _made_verified(claim):
@@ -1379,7 +1352,7 @@ def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
     def no_search(*args):
         raise RuntimeError("a search ran")
 
-    for module, name in ((quaternionic, "kernel_words"), (quaternionic, "find_nonintegral_trace"), (sl2z, "find_nonintegral_trace"),
+    for module, name in ((quaternionic, "find_nonintegral_trace"), (sl2z, "find_nonintegral_trace"),
                          (quaternionic, "closing_prefix"), (dihedral, "invariant_search")):
         monkeypatch.setattr(module, name, no_search)
     for name in ("quaternionic", "sl2z", "dihedral"):

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covercert.modgroup import (ResidueMatrix, SubgroupTable, closure,
-                                enumerate_group, group_order, kernel_words,
-                                layer_vector, spans_layer, word_value)
+from covercert import units
+from covercert.core import load_config
+from covercert.modgroup import ResidueMatrix, SubgroupTable, closure, enumerate_group, group_order
+from covercert.pipelines import quaternionic
+from covercert.quatalg import split_2adic
 
-from oracles import power, reference_closure, reference_kernel_words, sl2_order_bruteforce
+from oracles import generated_order, identity, mul, reference_closure, sl2_order_bruteforce
 
 PRIME_POWERS_64 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                    (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1),
@@ -36,7 +40,7 @@ def test_enumerate_group_small():
     # non-abelian, hence the symmetric group on 3 letters
     x = ResidueMatrix(1, 1, 0, 1, 2)
     y = ResidueMatrix(1, 0, 1, 1, 2)
-    assert x * y != y * x
+    assert mul(x, y) != mul(y, x)
     assert enumerate_group(2, 2).order == 48
     assert enumerate_group(2, 3).order == 384
     assert enumerate_group(3, 2).order == 648
@@ -45,14 +49,12 @@ def test_enumerate_group_small():
 def test_residue_matrix_validation():
     with pytest.raises(ValueError):
         ResidueMatrix(1, 0, 0, 2, 4)
-    with pytest.raises(ValueError):
-        ResidueMatrix(1, 0, 0, 1, 4) * ResidueMatrix(1, 0, 0, 1, 8)
     g = ResidueMatrix(2, 1, 1, 1, 7)
-    assert g * g.inverse() == ResidueMatrix.identity(7)
+    assert mul(g, g.inverse()) == identity(7)
 
 
 def test_closure_basics():
-    ident = ResidueMatrix.identity(4)
+    ident = identity(4)
     assert closure([ident]).order == 1
     u = ResidueMatrix(1, 1, 0, 1, 2)
     assert closure([u]).order == 2
@@ -96,36 +98,15 @@ def test_closure_deterministic():
 
 
 def test_closure_skips_contained_generators():
-    ident = ResidueMatrix.identity(8)
+    ident = identity(8)
     T = ResidueMatrix(1, 1, 0, 1, 8)
     U = ResidueMatrix(1, 0, 1, 1, 8)
-    table = closure([ident, T, T * T, U])
+    table = closure([ident, T, mul(T, T), U])
     # the first generator is kept even when it is the identity; T^2 is
     # already in <T> when it arrives
     assert table.generators == (ident, T, U)
     assert table.element_set == enumerate_group(2, 3).element_set
     assert len(table.elements) == len(table.element_set) == 384
-
-
-def test_kernel_layers():
-    # I + 2^(k-1) X packs back to X for every X in sl2(F_2)
-    for k in range(2, 7):
-        q = 2 ** (k - 1)
-        for packed in range(8):
-            x, y, z = packed & 1, packed >> 1 & 1, packed >> 2
-            assert layer_vector(ResidueMatrix(1 + q * x, q * y, q * z, 1 + q * x, 2 ** k).entries(), k) == packed
-        assert layer_vector(ResidueMatrix(1, 1, 0, 1, 2 ** k).entries(), k) is None
-    # the elementary matrices are full mod 8, so their words carry every
-    # layer; the powers of T alone reach one kernel direction only
-    T, U = ResidueMatrix(1, 1, 0, 1, 2 ** 10), ResidueMatrix(1, 0, 1, 1, 2 ** 10)
-    words = kernel_words([T, U])
-    assert len(words) == 3
-    for k in range(3, 11):
-        assert spans_layer([power(word_value([T, U], w), 2 ** (k - 3)) for w in words], k)
-        assert not spans_layer([power(word_value([T, U], w), 2 ** (k - 2)) for w in words], k)
-    assert kernel_words([T]) is None
-    with pytest.raises(ValueError):
-        power(T, -1)
 
 
 def _elementary_product(exponents, m):
@@ -145,7 +126,7 @@ def _generator_lists(draw, moduli):
     element = st.lists(st.integers(0, m - 1), min_size=1, max_size=5).map(lambda xs: _elementary_product(xs, m))
     gens = draw(st.lists(element, min_size=1, max_size=4))
     if draw(st.booleans()):
-        gens = [ResidueMatrix.identity(m)] + gens
+        gens = [identity(m)] + gens
     if draw(st.booleans()):
         gens.append(draw(st.sampled_from(gens)))
     return gens
@@ -156,7 +137,7 @@ T8, U8 = ResidueMatrix(1, 1, 0, 1, 8), ResidueMatrix(1, 0, 1, 1, 8)
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_generator_lists([2, 4, 8, 16, 7, 9]), st.integers(0, 6))
-@example([ResidueMatrix.identity(8), T8, T8 * T8, U8], 0)
+@example([identity(8), T8, mul(T8, T8), U8], 0)
 @example([T8, T8, U8, T8], 3)
 def test_closure_matches_the_reference(gens, j):
     # the tuple closure against the ResidueMatrix one: the same elements in
@@ -181,15 +162,36 @@ def test_closure_matches_the_reference(gens, j):
 
 def test_closure_rejects_mixed_moduli():
     with pytest.raises(ValueError, match="mixed moduli"):
-        closure([ResidueMatrix.identity(4), ResidueMatrix(1, 1, 0, 1, 8)])
-    with pytest.raises(ValueError, match="mixed moduli"):
-        kernel_words([ResidueMatrix(1, 1, 0, 1, 16), ResidueMatrix(1, 0, 1, 1, 8)])
+        closure([identity(4), ResidueMatrix(1, 1, 0, 1, 8)])
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(_generator_lists([8, 16, 32, 64, 128]))
-@example([ResidueMatrix(1, 1, 0, 1, 32)])
-@example([ResidueMatrix(1, 1, 0, 1, 128), ResidueMatrix(1, 0, 1, 1, 128)])
-def test_kernel_words_match_the_reference(gens):
-    # the same three words, or None, as the ResidueMatrix search
-    assert kernel_words(gens) == reference_kernel_words(gens)
+def _random_sl2(rng, m):
+    """A uniform element of SL2(Z/m) as an entry tuple, by rejection."""
+    while True:
+        a, b, c, d = (rng.randrange(m) for _ in range(4))
+        if (a * d - b * c) % m == 1:
+            return a, b, c, d
+
+
+def test_full_mod_8_is_full_mod_32():
+    # the squaring argument behind stage 4's claim, checked by the oracle's
+    # own closure: every drawn pair of SL2(Z/32) whose reduction fills
+    # SL2(Z/8) generates all 24,576 elements
+    rng = random.Random(26)
+    full = 0
+    for _ in range(27):
+        gens = [_random_sl2(rng, 32) for _ in range(2)]
+        if generated_order(gens, 8) == group_order(2, 3):
+            assert generated_order(gens, 32) == group_order(2, 5) == 24576
+            full += 1
+    assert full == 16
+
+
+@pytest.mark.parametrize("d", [17, 41, 73, 89, 97, 113, 137])
+def test_recorded_stage_4_generators_fill_sl2_mod_32(d):
+    # the units stage 4 records, which fill SL2(Z/8), fill SL2(Z/32) too
+    cfg = load_config(None, [f"d={d}"])
+    split = split_2adic(cfg.algebra)
+    used, table = quaternionic._surjectivity_search(cfg, split)
+    assert table.order == group_order(2, 3)
+    assert generated_order([g.entries() for g in units.reduce_units(used, split, 5)], 32) == group_order(2, 5)
