@@ -237,15 +237,18 @@ def invariant_search(generators, D: int):
     return found
 
 
-def _fixed_by(func: InvariantFunction, generators) -> bool:
+def _fixed_by(func: InvariantFunction, generators, passed=None) -> bool:
     """Exact identities P(gv) = lam P(v) and Q(gv) = lam Q(v) for every
     generator g, lam being the function's character at g; they imply
-    P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q."""
+    P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q.  passed holds the (degree,
+    character, form) already checked against these generators, so a caller
+    that keeps it checks a form shared by several functions once."""
     if len(func.character) != len(generators):
         return False
-    for g, lam in zip(generators, func.character):
-        c = _scale(g)
-        for form in (func.numerator, func.denominator):
-            if _act(c, func.degree, tuple(Fraction(x) for x in form)) != tuple(lam * x for x in form):
-                return False
+    passed = set() if passed is None else passed
+    for form in {(func.degree, func.character, f) for f in (func.numerator, func.denominator)} - passed:
+        v = tuple(Fraction(x) for x in form[2])
+        if any(_act(_scale(g), func.degree, v) != tuple(lam * x for x in v) for g, lam in zip(generators, func.character)):
+            return False
+        passed.add(form)
     return True

@@ -46,7 +46,6 @@ class ResidueMatrix:
 class SubgroupTable:
     modulus: int
     elements: tuple
-    element_set: frozenset
     generators: tuple
 
     @property
@@ -109,7 +108,7 @@ def closure(generators, stop: int = 0) -> SubgroupTable:
             break
     if not used:
         raise ValueError("need at least one generator")
-    return SubgroupTable(m, tuple(order), frozenset(seen), tuple(used))
+    return SubgroupTable(m, tuple(order), tuple(used))
 
 
 @lru_cache(maxsize=8)

@@ -136,8 +136,9 @@ def run_dihedral(cfg: RunConfig) -> dict:
 def _read_invariants(recorded, gens, max_degree):
     """The recorded functions, each a nonconstant invariant of every
     generator with degree at most max_degree, checked by substitution
-    against its character."""
-    found = []
+    against its character; a form shared by several functions is checked
+    once."""
+    found, passed = [], set()
     for data in recorded:
         f = InvariantFunction(
             degree=data["degree"],
@@ -147,7 +148,7 @@ def _read_invariants(recorded, gens, max_degree):
         )
         _expect(1 <= f.degree <= max_degree, f"recorded degree {f.degree} is outside 1 to {max_degree}")
         _expect(f.is_nonconstant(), f"recorded degree-{f.degree} function is constant")
-        _expect(_fixed_by(f, gens), f"recorded degree-{f.degree} function is not invariant")
+        _expect(_fixed_by(f, gens, passed), f"recorded degree-{f.degree} function is not invariant")
         found.append(f)
     return found
 

@@ -3,14 +3,15 @@
 Its stages run in order: the 2-adic square, the algebra, torsion-freeness,
 the standard-order obstruction, congruence surjectivity, the intersection
 index for h and the non-discreteness of <Gamma, h Gamma h^-1>.  A stage
-that later stages rest on (the 2-adic square, the algebra,
-torsion-freeness, congruence surjectivity) stops the run when it is not
-verified; the obstruction and index stages stop nothing.
+that is not verified stops the run, except the index stage, which no later
+stage rests on; the obstruction is verified on every algebra that reaches
+it.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 from math import isqrt
 
 from ..core import (
@@ -28,7 +29,7 @@ from ..core import (
 )
 from ..exact import sqrt_2adic
 from ..fuchsian import find_nonintegral_trace
-from ..modgroup import ResidueMatrix, group_order
+from ..modgroup import group_order
 from ..quatalg import ramified_places, split_2adic
 from ..units import (
     SATURATED,
@@ -50,9 +51,9 @@ from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_fra
 SQUARE_PRECISION = 10
 
 
-def _residue_rows(g: ResidueMatrix):
-    """A unit's image as the witnesses record it."""
-    return [[g.a, g.b], [g.c, g.d]]
+def _rows(e):
+    """Residue matrix entries (a, b, c, d) as the witnesses record them."""
+    return [list(e[:2]), list(e[2:])]
 
 
 # Stage 4 closes the unit images only at the top level min(k_max,
@@ -97,7 +98,7 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
     full = levels[-1]["surjects"]
     witness = {
         "generators": [
-            {"coords": coords_json(u), "matrix": _residue_rows(g), "modulus": 2**k_top} for u, g in zip(units, table.generators)
+            {"coords": coords_json(u), "matrix": _rows(g.entries()), "modulus": 2**k_top} for u, g in zip(units, table.generators)
         ],
         "levels": levels,
         # a closure that fills the group stops at the unit that fills it
@@ -125,7 +126,7 @@ def _surjectivity_search(cfg: RunConfig, split):
 SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
 ALGEBRA_METHOD = "search b by increasing height and test ramification by Hilbert symbols"
 TORSION_METHOD = "quadratic embedding tests for sqrt(-1) and sqrt(-3), plus a finite-order scan of the unit slice"
-OBSTRUCTION_METHOD = "reduce the standard-basis unit slice mod 2 and close"
+OBSTRUCTION_METHOD = "reduce the standard basis 1, i, j, k mod 2 and list the determinant-one matrices in its Z/2-span"
 SQUARE_D_METHOD = "read the square root of d: (d, b) is split for every b"
 SQUARE_D_NOTE = (
     "d = r^2 is the norm r^2 - b 0^2 from Q(sqrt b) for every b, so every Hilbert symbol of (d, b) is 1 and (d, b) "
@@ -143,7 +144,7 @@ STAGES = {
     "quaternionic.nondiscrete": TRACE_METHOD,
 }
 # the stages no later stage rests on: one that is not verified stops nothing
-NON_BLOCKING = ("quaternionic.standard-order-obstruction", "quaternionic.intersection-index")
+NON_BLOCKING = ("quaternionic.intersection-index",)
 
 
 def _square_claim(cfg: RunConfig) -> Certificate:
@@ -217,21 +218,15 @@ def _quaternionic_stages(cfg: RunConfig):
     _conjugator(cfg.h, lambda: algebra)
 
     # stage 3: only when sqrt(-1) embeds are the standard units read, up to
-    # the first one of finite order (see _torsion_claim).  The unit stages
-    # read one standard stream, each only as far as its witness
+    # the first one of finite order (see _torsion_claim).  The torsion scan and
+    # the trace stage read one standard stream, each only as far as its witness
     std = UnitStream(algebra, STANDARD, cfg.unit_height)
     scan = embedding_flags(algebra)["embeds_sqrt_minus_1"]
     yield _torsion_claim(cfg, next((q for q in std if is_torsion(q)), None) if scan else None)
 
-    split = split_2adic(algebra)
-    images = {}  # mod-2 image -> the first unit with it
-    for u in std:
-        images.setdefault(ResidueMatrix(*split.residues(u, 1), 2), u)
-        if len(images) == 2:  # all that mod2_image_obstruction allows
-            break
-    yield _obstruction_claim(cfg, list(images.values()))
+    yield _obstruction_claim(cfg)
 
-    yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split))
+    yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split_2adic(algebra)))
 
     yield _quaternionic_index_claim(cfg)
     yield _nondiscrete_stage(cfg, std)
@@ -258,21 +253,24 @@ def _torsion_claim(cfg: RunConfig, found) -> Certificate:
     )
 
 
-def _obstruction_claim(cfg: RunConfig, found) -> Certificate:
-    """The standard-basis order misses surjectivity mod 2; recorded so the
-    choice of the 2-saturated order is visible.  found is the first
-    standard unit of each mod-2 image, read until there are two."""
-    images = reduce_units(found, split_2adic(cfg.algebra), 1)
-    _, table = images_surject(images, 1)
+def _obstruction_claim(cfg: RunConfig) -> Certificate:
+    """The standard order's units miss SL2(Z/2), recorded so the choice of
+    the 2-saturated order is visible: their images mod 2 have determinant 1
+    and lie in the Z/2-span of the images of 1, i, j, k.  Never refuted: as
+    d = 1 mod 4 (_require_saturated_order), s = sqrt(d) is odd and the basis
+    reduces to I, I, J, J with J = [[0, 1], [b, 0]]; of the span {0, I, J,
+    I + J} only I and one of J (odd b) and I + J (even b) have det 1."""
+    algebra, split = cfg.algebra, split_2adic(cfg.algebra)
+    basis = [split.residues(algebra.element(*(int(k == m) for k in range(4))), 1) for m in range(4)]
+    span = {tuple(sum(c * x for c, x in zip(cs, entry)) % 2 for entry in zip(*basis)) for cs in product((0, 1), repeat=4)}
     return Certificate(
         claim="quaternionic.standard-order-obstruction",
         method=OBSTRUCTION_METHOD,
-        inputs={"d": cfg.d, "unit_height": cfg.unit_height, "order_kind": STANDARD},
+        inputs={"d": cfg.d, "order_kind": STANDARD},
         witness={
-            "image_order_mod_2": table.order,
+            "basis_images_mod_2": [_rows(e) for e in basis],
+            "det_one_in_span_mod_2": sorted(_rows(e) for e in span if (e[0] * e[3] - e[1] * e[2]) % 2 == 1),
             "group_order_mod_2": group_order(2, 1),
-            "images": [{"coords": coords_json(u), "matrix": _residue_rows(g)} for u, g in zip(found, images)],
-            "height_reached": _height_reached(found[-1] if len(found) == 2 else None, cfg),
         },
         depends_on=("quaternionic.algebra",),
         notes=(mod2_image_obstruction(cfg.algebra),),
@@ -319,21 +317,6 @@ def _read_torsion_unit(claim, cfg: RunConfig):
     return u
 
 
-def _read_obstruction_units(claim, cfg: RunConfig):
-    """The recorded units, whose mod-2 images must differ.  The splitting
-    must send every basis element, so every standard-order element, to a
-    matrix [[x, y], [b y, x]] mod 2; only two of those have determinant 1,
-    so the standard order misses SL2(Z/2) at every height."""
-    algebra = cfg.algebra
-    split = split_2adic(algebra)
-    basis = [split.residues(algebra.element(*(int(k == m) for k in range(4))), 1) for m in range(4)]
-    _expect(all(x == x2 and by == algebra.b * y % 2 for x, y, by, x2 in basis),
-            "the standard basis does not reduce mod 2 into [[x, y], [b y, x]]")
-    found = [_read_unit(entry["coords"], cfg) for entry in claim["witness"]["images"]]
-    _expect(len(set(reduce_units(found, split, 1))) == len(found), "two recorded units share a mod-2 image")
-    return found
-
-
 def _read_surjectivity(claim, cfg: RunConfig):
     """The recorded saturated units and the closure of their images at
     min(k_max, BASE_LEVEL), recomputed.  Levels that end in one that does
@@ -362,7 +345,7 @@ CLAIM_KINDS = {
     "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _algebra_claim, None),
     "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _read_torsion_unit),
     "quaternionic.standard-order-obstruction":
-        (lambda w, _: w["image_order_mod_2"] < w["group_order_mod_2"], _obstruction_claim, _read_obstruction_units),
+        (lambda w, _: len(w["det_one_in_span_mod_2"]) < w["group_order_mod_2"], _obstruction_claim, None),
     "quaternionic.congruence-surjectivity":
         (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _read_surjectivity),
     "quaternionic.intersection-index": (_index_agrees, _quaternionic_index_claim, None),

@@ -176,13 +176,12 @@ def reduce_units(units, split: SplittingMap, k: int):
 
 
 def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
-    """Why the standard order cannot surject at level 2 when a and b are odd
-    and a is a 2-adic square: with s = sqrt(a) odd, every integral unit maps
-    to [[x0+x1, x2+x3], [x2+x3, x0+x1]] mod 2, a set of at most two matrices.
-    Recorded in certificates that fall back to the saturated order."""
-    return ("standard-order units reduce mod 2 to matrices with equal "
-            "diagonal and equal off-diagonal entries; at most 2 of the 6 "
-            "elements of SL2(Z/2) are reachable")
+    """Why the standard order cannot surject onto SL2(Z/2) when a is an odd
+    2-adic square: with s = sqrt(a) odd, every integral element maps to
+    [[x, y], [b y, x]] mod 2, so a unit maps to [[x, y], [y, x]] for odd b
+    and to [[x, y], [0, x]] for even b, at most two matrices either way."""
+    shape = "matrices with equal diagonal and equal off-diagonal entries" if D.b % 2 else "matrices [[x, y], [0, x]]"
+    return f"standard-order units reduce mod 2 to {shape}; at most 2 of the 6 elements of SL2(Z/2) are reachable"
 
 
 def surjects_at_level(slice_: UnitSlice, k: int):

@@ -449,4 +449,4 @@ def reference_closure(generators, stop: int = 0) -> SubgroupTable:
             break
     if not used:
         raise ValueError("need at least one generator")
-    return SubgroupTable(m, tuple(order), frozenset(seen), tuple(used))
+    return SubgroupTable(m, tuple(order), tuple(used))

@@ -381,14 +381,14 @@ def test_quaternionic_algebra_witness(quat_bundle):
     t = claim_by_id(quat_bundle, "quaternionic.torsion-free")["witness"]
     assert not t["embeds_sqrt_minus_1"] and not t["embeds_sqrt_minus_3"]
     assert t["algebra_torsion_free"] and t["finite_order_unit"] is None and t["height_reached"] == 0
-    obs = claim_by_id(quat_bundle, "quaternionic.standard-order-obstruction")["witness"]
-    assert obs["image_order_mod_2"] == 2 and obs["group_order_mod_2"] == 6
-    # the third standard unit, of height 5, has the second mod-2 image
-    assert obs["images"] == [
-        {"coords": ["-1/1", "0/1", "0/1", "0/1"], "matrix": [[1, 0], [0, 1]]},
-        {"coords": ["-5/1", "-1/1", "-1/1", "0/1"], "matrix": [[0, 1], [1, 0]]},
-    ]
-    assert obs["height_reached"] == 5
+    obs = claim_by_id(quat_bundle, "quaternionic.standard-order-obstruction")
+    # s = sqrt(17) is odd and b = 7: 1 and i reduce to I, j and k to [[0, 1], [1, 0]]
+    assert obs["inputs"] == {"d": 17, "order_kind": "standard"}
+    assert obs["witness"] == {
+        "basis_images_mod_2": [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [1, 0]]],
+        "det_one_in_span_mod_2": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+        "group_order_mod_2": 6,
+    }
 
 
 def test_quaternionic_surjectivity_witness(quat_bundle):
@@ -544,7 +544,7 @@ def test_an_honest_refuted_search_re_verifies():
     assert claim_by_id(bundle, "quaternionic.congruence-surjectivity")["verdict"] == REFUTED
     assert bundle_exit_code(bundle) == 1
     text = render_bundle(bundle)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "2d186f16b7f6962c4d1a965b6955b9ec63c50af5db6c2cddd27b6cd90a84c374"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "692de91b7444c3b5873d7b19dec64a6290f3810ebeb353eb43def034b6a8fe52"
     assert _failures(json.loads(text)) == []
 
 
@@ -1126,6 +1126,7 @@ GOLDEN = {
     "quaternionic-det-2": ("quaternionic", ["h=2,0,0,1", "k_max=2", "unit_height=6"], 0),
     "quaternionic-k-max-1": ("quaternionic", ["k_max=1"], 1),
     "quaternionic-d-3": ("quaternionic", ["d=3"], 1),
+    "quaternionic-b-14": ("quaternionic", ["b=14"], 1),
     "sl2z": ("sl2z", [], 0),
     "sl2z-h-2": ("sl2z", ["h=2,0,0,1"], 0),
     "sl2z-k-max-1": ("sl2z", ["k_max=1"], 0),
@@ -1235,8 +1236,8 @@ def test_units_reverify_checks_torsion_flags():
 # records what a search found
 COMPUTED = {
     "dihedral.commutator-map", "dihedral.commutator-order", "quaternionic.2adic-square", "quaternionic.algebra",
-    "quaternionic.intersection-index", "sl2z.intersection-index", "intersect.index", "hilbert.symbol-table",
-    "units.slice",
+    "quaternionic.intersection-index", "quaternionic.standard-order-obstruction", "sl2z.intersection-index",
+    "intersect.index", "hilbert.symbol-table", "units.slice",
 }
 HASH_REASON = "config_hash is not the hash of the recorded config"
 # claim id -> (holds, build, read), over every pipeline module
@@ -1326,7 +1327,7 @@ def _made_verified(claim):
                  "inputs.k_max, witness.levels", id="k_max-and-top-level"),
     pytest.param(["quaternionic"], "quaternionic.nondiscrete", _edit(("inputs", "unit_height"), 5),
                  "inputs.unit_height", id="unit_height"),
-    pytest.param(["quaternionic"], "quaternionic.standard-order-obstruction", _edit(("inputs", "order_kind"), SATURATED_KIND),
+    pytest.param(["quaternionic"], "quaternionic.congruence-surjectivity", _edit(("inputs", "order_kind"), units.STANDARD),
                  "inputs.order_kind", id="order_kind"),
     pytest.param(["dihedral"], "dihedral.invariant-intersection", _edit(("inputs", "degree_bound"), 100),
                  "inputs.degree_bound", id="degree_bound"),
@@ -1472,9 +1473,10 @@ def test_every_leaf_of_a_rebuilt_claim_is_checked(name):
 
 # -- unit stages read their streams only up to their witness ----------------
 
+OBSTRUCTION = "quaternionic.standard-order-obstruction"
+
 UNIT_STAGES = (
     "quaternionic.torsion-free",
-    "quaternionic.standard-order-obstruction",
     "quaternionic.congruence-surjectivity",
     "quaternionic.nondiscrete",
 )
@@ -1498,7 +1500,6 @@ def test_unit_stages_stop_at_their_witness(quat_bundle):
     reached = {cid: claim_by_id(bundle, cid)["witness"]["height_reached"] for cid in UNIT_STAGES}
     assert reached == {
         "quaternionic.torsion-free": 0,
-        "quaternionic.standard-order-obstruction": 5,
         "quaternionic.congruence-surjectivity": 2,
         "quaternionic.nondiscrete": 5,
     }
@@ -1509,14 +1510,16 @@ def test_unit_stages_stop_at_their_witness(quat_bundle):
 
 
 @pytest.mark.parametrize("height", [1, 2, 4, 5])
-def test_capped_unit_stages_match_the_exhaustive_slice(height):
-    # a stage that reaches the cap reports what the whole slice gives
+def test_capped_unit_stages_match_the_exhaustive_slice(height, quat_bundle):
+    # a stage that reaches the cap reports what the whole slice gives; the
+    # obstruction reads no unit, so its claim is the same at every cap and
+    # the slice's mod-2 images lie in its span
     D = QuaternionAlgebra(17, 7)
     bundle = certify.run_quaternionic(load_config(None, ["k_max=2", f"unit_height={height}"]))
-    obs = claim_by_id(bundle, "quaternionic.standard-order-obstruction")["witness"]
+    obs = claim_by_id(bundle, OBSTRUCTION)
+    assert obs == claim_by_id(quat_bundle, OBSTRUCTION)
     _, table = units.surjects_at_level(units.enumerate_units(D, height), 1)
-    assert obs["image_order_mod_2"] == table.order
-    assert obs["height_reached"] == min(height, 5)
+    assert set(table.elements) <= {tuple(e for row in m for e in row) for m in obs["witness"]["det_one_in_span_mod_2"]}
     surj = claim_by_id(bundle, "quaternionic.congruence-surjectivity")
     full, _ = units.surjects_at_level(units.enumerate_units_saturated(D, height), 2)
     assert (surj["verdict"] == VERIFIED) == full
@@ -1555,22 +1558,33 @@ def test_torsion_reverify_checks_the_recorded_unit(torsion_bundle, quat_bundle):
     assert _tampered(quat_bundle, cid, record(["0/1", "1/1", "0/1", "0/1"])) == (False, reason)
 
 
-def test_obstruction_reverify_checks_the_recorded_images(quat_bundle):
-    cid = "quaternionic.standard-order-obstruction"
+def test_obstruction_reverify_rebuilds_the_span(quat_bundle):
+    # the claim is computed from the config: an edited basis image, span
+    # or group order fails the rebuild, even where it would flip the rule
+    assert _tampered(quat_bundle, OBSTRUCTION, lambda w: None) == (True, None)
+    edits = {
+        "basis_images_mod_2": lambda w: w["basis_images_mod_2"][2].__setitem__(1, [0, 0]),
+        "det_one_in_span_mod_2": lambda w: w["det_one_in_span_mod_2"].append([[1, 1], [0, 1]]),
+        "group_order_mod_2": lambda w: w.update(group_order_mod_2=2),
+    }
+    for key, edit in edits.items():
+        assert _tampered(quat_bundle, OBSTRUCTION, edit) == (False, f"the claim rebuilt from the config differs in witness.{key}")
 
-    def image(matrix):
-        return lambda w: w["images"][1].update(matrix=matrix)
 
-    assert _tampered(quat_bundle, cid, lambda w: None) == (True, None)
-    reason = "the claim rebuilt from the config differs in witness.images"
-    assert _tampered(quat_bundle, cid, image([[1, 1], [0, 1]])) == (False, reason)
-    assert _tampered(quat_bundle, cid, image([[1, 0], [0, 1]])) == (False, reason)
-    reason = "the claim rebuilt from the config differs in witness.image_order_mod_2"
-    assert _tampered(quat_bundle, cid, lambda w: w.update(image_order_mod_2=6)) == (False, reason)
-    reason = "unit ['-5/1', '-1/1', '-1/1', '1/1'] is not a norm-one standard-order element"
-    assert _tampered(quat_bundle, cid, lambda w: w["images"][1].update(coords=["-5/1", "-1/1", "-1/1", "1/1"])) == (False, reason)
-    reason = "two recorded units share a mod-2 image"
-    assert _tampered(quat_bundle, cid, lambda w: w["images"].append(w["images"][0])) == (False, reason)
+@pytest.mark.parametrize("overrides", [["d=17"], ["d=17", "b=14"], ["d=41"], ["d=41", "b=14"], ["d=73"], ["d=73", "b=10"]], ids=",".join)
+def test_obstruction_span_holds_every_standard_unit_image(overrides):
+    # oracle: every standard unit up to height 12, reduced mod 2, lies in
+    # the recorded determinant-one span, which holds 2 of the 6 elements of
+    # SL2(Z/2) for odd and even b alike
+    cfg = load_config(None, overrides)
+    assert quaternionic._algebra_claim(cfg).verdict == VERIFIED
+    claim = quaternionic._obstruction_claim(cfg)
+    assert claim.verdict == VERIFIED
+    one, j = [[1, 0], [0, 1]], [[0, 1], [int(cfg.algebra.b) % 2, 0]]
+    assert claim.witness["basis_images_mod_2"] == [one, one, j, j]
+    span = {tuple(e for row in m for e in row) for m in claim.witness["det_one_in_span_mod_2"]}
+    images = {g.entries() for g in units.reduce_units(units.enumerate_units(cfg.algebra, 12), split_2adic(cfg.algebra), 1)}
+    assert images <= span and len(span) == 2
 
 
 @pytest.mark.parametrize("cid", UNIT_STAGES)

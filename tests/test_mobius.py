@@ -128,6 +128,10 @@ def test_fixed_by_checks_the_character():
     for character in ((-1,), (Fraction(1, 2),), ()):
         assert not _fixed_by(InvariantFunction(2, f.numerator, f.denominator, character), [SIGMA])
     assert not _fixed_by(f, [SIGMA, MobiusMap.sigma_a(1)])
+    # forms that passed under one multiplier are checked again under another
+    passed = set()
+    assert _fixed_by(f, [SIGMA], passed) and len(passed) == 2
+    assert not any(_fixed_by(InvariantFunction(2, f.numerator, f.denominator, c), [SIGMA], passed) for c in ((-1,), (2,)))
 
 
 def test_eigenspace_search_complete_small_degree():

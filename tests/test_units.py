@@ -104,9 +104,9 @@ def test_closing_prefix_is_the_shortest(k, length):
     images = reduce_units(prefix, split, k)
     assert used == [prefix[images.index(g)] for g in table.generators]
     assert reduce_units(used, split, k) == list(table.generators)
-    group = enumerate_group(2, k).element_set
+    group = set(enumerate_group(2, k).elements)
     assert images_surject(reduce_units(prefix, split, k), k)[1] == table
-    assert table.element_set == group
+    assert set(table.elements) == group
     assert not images_surject(reduce_units(prefix[:-1], split, k), k)[0]
     # the standard order never closes mod 2: the whole stream is read
     standard = UnitStream(D17, STANDARD, 6)
@@ -195,7 +195,7 @@ def test_surjectivity_by_order_matches_element_sets():
     decided = []
     for s, k in cases:
         ok, table = images_surject(reduce_units(s, split, k), k)
-        assert ok == (table.element_set == enumerate_group(2, k).element_set)
+        assert ok == (set(table.elements) == set(enumerate_group(2, k).elements))
         decided.append(ok)
     assert True in decided and False in decided
 
