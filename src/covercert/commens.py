@@ -25,7 +25,7 @@ preserves Haar measure on SL2(Q_p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -35,13 +35,11 @@ from .quatalg import Quaternion, hilbert_symbol, split_2adic
 from .util import frac_valuation, odd_prime_factors, valuation
 
 
-@dataclass(frozen=True)
-class Conjugator:
+class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, None))):
     """Invertible conjugating element: a 2x2 rational matrix, or a
     quaternion whose index the local factors above can decide."""
 
-    rows: tuple | None = None
-    quaternion: Quaternion | None = None
+    __slots__ = ()
 
     @staticmethod
     def from_rows(rows) -> "Conjugator":
@@ -78,14 +76,12 @@ def psi(p: int, n: int) -> int:
     return 1 if n == 0 else (p + 1) * p ** (n - 1)
 
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(namedtuple("IndexResult", "factors matrix", defaults=(None,))):
     """Local factors as (p, n_p, read) triples, ascending in p; read holds
     the (name, value) pairs n_p was computed from.  matrix is the primitive
     integral multiple of a rational h."""
 
-    factors: tuple
-    matrix: tuple | None = None
+    __slots__ = ()
 
     @property
     def modulus(self) -> int:

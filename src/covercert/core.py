@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -123,28 +123,31 @@ def _as_frac(s: str) -> Fraction:
         raise ConfigError(f"expected a rational, got {s!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# config key -> default; a default's type (int, Fraction or str) picks the
+# key's parser
+_DEFAULTS = {
+    "d": 17,
+    "a": Fraction(2),
+    "b": 0,
+    "unit_height": 50,
+    "k_max": 5,
+    "h": "1,-1/2,0,1",
+    "invariant_degree": 8,
+    "claimed_index": 3,
+    "pair": "-1,-1",
+    "order_kind": "2-saturated",
+}
+
+
+class RunConfig(namedtuple("RunConfig", [*_DEFAULTS, "explicit"], defaults=[*_DEFAULTS.values(), frozenset()])):
     """Effective configuration for one pipeline run.
 
-    Every field but `explicit` is a config key with its default, and its
-    type (int, Fraction or str) picks the key's parser.  `explicit` records
-    which keys were actually set by the user (file or override), as opposed
-    to defaulted.  Pipelines use it to decide whether an index comparison
-    was requested.
+    Every field but `explicit` is a config key with its default.
+    `explicit` records which keys were actually set by the user (file or
+    override), as opposed to defaulted.  Pipelines use it to decide whether
+    an index comparison was requested.  There are no __slots__, so that
+    algebra can be cached on the instance.
     """
-
-    d: int = 17
-    a: Fraction = Fraction(2)
-    b: int = 0
-    unit_height: int = 50
-    k_max: int = 5
-    h: str = "1,-1/2,0,1"
-    invariant_degree: int = 8
-    claimed_index: int = 3
-    pair: str = "-1,-1"
-    order_kind: str = "2-saturated"
-    explicit: frozenset = field(default_factory=frozenset)
 
     def pair_values(self):
         parts = [p.strip() for p in self.pair.split(",")]
@@ -168,9 +171,9 @@ class RunConfig:
         return find_example_algebra(self.d)
 
 
-# key -> parser; the annotations are strings under postponed evaluation
-_PARSERS = {"int": _as_int, "Fraction": _as_frac, "str": str}
-_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.name != "explicit"}
+# key -> parser
+_PARSERS = {int: _as_int, Fraction: _as_frac, str: str}
+_KEYS = {key: _PARSERS[type(default)] for key, default in _DEFAULTS.items()}
 
 
 def parse_conjugator_spec(spec: str):
@@ -327,24 +330,20 @@ def _expect(ok, what: str):
         raise _Mismatch(what)
 
 
-@dataclass
 class Certificate:
     """One claim.  Its verdict is what the claim's rule gives for the
     witness; only context and stages that did not run pass one."""
 
-    claim: str
-    method: str
-    inputs: dict
-    witness: dict | None = None
-    depends_on: tuple = ()
-    notes: tuple = ()
-    verdict: str | None = None
+    __slots__ = ("claim", "method", "inputs", "witness", "depends_on", "notes", "verdict")
 
-    def __post_init__(self):
-        if self.verdict is None:
-            self.verdict = _rule_verdict(self.claim, self.witness, self.inputs)
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, claim: str, method: str, inputs: dict, witness: dict | None = None,
+                 depends_on: tuple = (), notes: tuple = (), verdict: str | None = None):
+        if verdict is None:
+            verdict = _rule_verdict(claim, witness, inputs)
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        self.claim, self.method, self.inputs, self.witness = claim, method, inputs, witness
+        self.depends_on, self.notes, self.verdict = depends_on, notes, verdict
 
     def as_dict(self):
         return {
@@ -431,7 +430,7 @@ def _cfg_from_bundle(bundle) -> RunConfig:
     the one config_mapping gives for it and hash to config_hash."""
     recorded = bundle["config"]
     cfg = load_config(None, [f"{k}={v}" for k, v in recorded.items() if k in _KEYS])
-    cfg = replace(cfg, explicit=frozenset({"claimed_index"} if recorded.get("compare_claimed") == "1" else ()))
+    cfg = cfg._replace(explicit=frozenset({"claimed_index"} if recorded.get("compare_claimed") == "1" else ()))
     _expect(config_mapping(cfg) == recorded, "the recorded config is not the canonical form of a config")
     _expect(config_hash(cfg) == bundle["config_hash"], "config_hash is not the hash of the recorded config")
     return cfg

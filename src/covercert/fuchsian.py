@@ -11,8 +11,7 @@ exact; no floating point anywhere.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -27,19 +26,15 @@ NO_VIOLATION = "no-violation"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, eq=False)
 class RealQuadElem:
     """u + v*sqrt(d) with exact rational u, v; d a positive non-square."""
 
-    d: int
-    u: Fraction
-    v: Fraction
+    __slots__ = ("d", "u", "v")
 
-    def __post_init__(self):
-        if self.d <= 0 or is_perfect_square(self.d):
+    def __init__(self, d: int, u, v):
+        if d <= 0 or is_perfect_square(d):
             raise ValueError("d must be positive and not a square")
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        self.d, self.u, self.v = d, Fraction(u), Fraction(v)
 
     def _coerce(self, other):
         if isinstance(other, RealQuadElem):
@@ -208,12 +203,10 @@ def find_nonintegral_trace(H, basis, vectors):
     return None
 
 
-@dataclass(frozen=True)
-class WordElement:
+class WordElement(namedtuple("WordElement", "word matrix")):
     """A product of generator images, remembering its spelling."""
 
-    word: tuple
-    matrix: tuple
+    __slots__ = ()
 
     @staticmethod
     def seed(label: str, matrix) -> "WordElement":
@@ -252,11 +245,8 @@ def is_infinite_elliptic_trace(t) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EllipticCertificate:
-    word: tuple
-    matrix: tuple
-    trace: object  # a Fraction or a RealQuadElem, like the matrix entries
+# trace is a Fraction or a RealQuadElem, like the matrix entries
+EllipticCertificate = namedtuple("EllipticCertificate", "word matrix trace")
 
 
 def find_infinite_elliptic(seeds, max_len: int, state_cap: int = 200000):
@@ -310,13 +300,8 @@ def verify_elliptic(cert: EllipticCertificate, seeds) -> bool:
     return mat_det(m) == 1 and is_infinite_elliptic_trace(mat_tr(m))
 
 
-@dataclass(frozen=True)
-class JorgensenReport:
-    sum_value: RealQuadElem      # |tr^2 A - 4| + |tr[A,B] - 2|
-    trace_a: RealQuadElem
-    commutator_trace: RealQuadElem
-    verdict: str
-    reason: str
+# sum_value is |tr^2 A - 4| + |tr[A,B] - 2|; the three values are RealQuadElem
+JorgensenReport = namedtuple("JorgensenReport", "sum_value trace_a commutator_trace verdict reason")
 
 
 def jorgensen_violation(A: WordElement, B: WordElement) -> JorgensenReport:

@@ -18,7 +18,7 @@ the search complete in each degree.  The search and re-verification
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import gcd, isqrt
@@ -29,12 +29,11 @@ from .util import is_rational_square
 INFINITE_ORDER = "infinite"
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class MobiusMap(namedtuple("MobiusMap", "rows")):
     """x -> (px + q)/(rx + s), kept as the matrix [[p,q],[r,s]] with the
     first nonzero entry normalized to 1 (unique per projective class)."""
 
-    rows: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_rows(rows) -> "MobiusMap":
@@ -123,15 +122,11 @@ def _primitive(vec):
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class InvariantFunction:
+class InvariantFunction(namedtuple("InvariantFunction", "degree numerator denominator character")):
     """Ratio of two independent degree-d forms with a common multiplier
     character; the dehomogenized quotient is fixed by every generator."""
 
-    degree: int
-    numerator: tuple
-    denominator: tuple
-    character: tuple
+    __slots__ = ()
 
     def dehomogenized(self) -> str:
         return f"({_form_str(self.numerator)}) / ({_form_str(self.denominator)})"

@@ -12,27 +12,22 @@ closure runs on plain entry tuples (a, b, c, d) reduced mod m, with the
 product written out, and a table's elements are such tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .util import is_prime
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
-    m: int
+class ResidueMatrix(namedtuple("ResidueMatrix", "a b c d m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __new__(cls, a: int, b: int, c: int, d: int, m: int):
+        if m < 2:
             raise ValueError("modulus must be >= 2")
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, getattr(self, f) % self.m)
-        if (self.a * self.d - self.b * self.c) % self.m != 1:
+        a, b, c, d = a % m, b % m, c % m, d % m
+        if (a * d - b * c) % m != 1:
             raise ValueError("determinant is not 1 at this modulus")
+        return super().__new__(cls, a, b, c, d, m)
 
     def inverse(self) -> "ResidueMatrix":
         # adjugate = inverse since det = 1
@@ -42,11 +37,8 @@ class ResidueMatrix:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class SubgroupTable:
-    modulus: int
-    elements: tuple
-    generators: tuple
+class SubgroupTable(namedtuple("SubgroupTable", "modulus elements generators")):
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -313,7 +313,7 @@ def _read_torsion_unit(claim, cfg: RunConfig):
         return None
     _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
     u = _read_unit(coords, cfg)
-    _expect(u.trd() in (-1, 0, 1), f"recorded unit {coords_json(u)} has trace {u.trd()}, not -1, 0 or 1")
+    _expect(is_torsion(u), f"recorded unit {coords_json(u)} has trace {2 * u.x0}, not -1, 0 or 1")
     return u
 
 

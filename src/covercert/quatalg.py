@@ -6,7 +6,7 @@ symbol formulas, and an explicit splitting over Q_2 (when a is a 2-adic
 square) whose images are read as integer residues mod 2^k.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 
@@ -16,16 +16,14 @@ from .util import is_perfect_square, is_prime, is_rational_square, odd_prime_fac
 INF = "inf"
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    a: Fraction
-    b: Fraction
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0 or self.b == 0:
+    def __new__(cls, a, b):
+        a, b = Fraction(a), Fraction(b)
+        if a == 0 or b == 0:
             raise ValueError("structure constants must be nonzero")
+        return super().__new__(cls, a, b)
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quaternion":
         return Quaternion(self, Fraction(x0), Fraction(x1),
@@ -35,13 +33,14 @@ class QuaternionAlgebra:
         return self.element(1)
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    algebra: QuaternionAlgebra
-    x0: Fraction
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
+    __slots__ = ("algebra", "x0", "x1", "x2", "x3")
+
+    def __init__(self, algebra: QuaternionAlgebra, x0: Fraction, x1: Fraction, x2: Fraction, x3: Fraction):
+        self.algebra, self.x0, self.x1, self.x2, self.x3 = algebra, x0, x1, x2, x3
+
+    def __eq__(self, other):
+        return isinstance(other, Quaternion) and self.algebra == other.algebra and self.coords() == other.coords()
 
     def coords(self):
         return (self.x0, self.x1, self.x2, self.x3)
@@ -79,9 +78,6 @@ class Quaternion:
         a, b = self.algebra.a, self.algebra.b
         return (self.x0 ** 2 - a * self.x1 ** 2 - b * self.x2 ** 2
                 + a * b * self.x3 ** 2)
-
-    def trd(self) -> Fraction:
-        return 2 * self.x0
 
 
 def _legendre(u: int, p: int) -> int:
@@ -193,7 +189,6 @@ def find_example_algebra(d: int) -> QuaternionAlgebra:
         return D
 
 
-@dataclass(frozen=True)
 class SplittingMap:
     """Embedding of the algebra into 2x2 matrices over Z_2, read mod 2^k.
 
@@ -205,9 +200,11 @@ class SplittingMap:
     relation to check is i^2 = a, that is s^2 = a, asserted for every root
     the map computes.  roots caches s mod 2^n by n.
     """
-    algebra: QuaternionAlgebra
-    b: int
-    roots: dict = field(default_factory=dict, compare=False, repr=False)
+
+    __slots__ = ("algebra", "b", "roots")
+
+    def __init__(self, algebra: QuaternionAlgebra, b: int):
+        self.algebra, self.b, self.roots = algebra, b, {}
 
     def _root(self, n: int) -> int:
         s = self.roots.get(n)

@@ -18,7 +18,6 @@ its caller already holds, so a pipeline enumerates each order once and
 decides which order it works on in one place.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -31,11 +30,11 @@ STANDARD = "standard"
 SATURATED = "2-saturated"
 
 
-@dataclass(frozen=True)
 class UnitSlice:
-    algebra: QuaternionAlgebra
-    bound: int
-    elements: tuple
+    __slots__ = ("algebra", "bound", "elements")
+
+    def __init__(self, algebra: QuaternionAlgebra, bound: int, elements: tuple):
+        self.algebra, self.bound, self.elements = algebra, bound, elements
 
     def __len__(self):
         return len(self.elements)
@@ -50,19 +49,6 @@ def _require_integral_constants(D: QuaternionAlgebra):
     return int(D.a), int(D.b)
 
 
-def _band(t: int, c: int, top: int, bound: int) -> range:
-    """The r in [0, bound] with 0 <= t - c*r^2 <= top^2, for c != 0.
-
-    The enumerators solve x^2 = t - c*r^2 for the last coordinate r, and
-    only this band of |r| leaves a square in [0, top^2].
-    """
-    lo, hi = (t - top * top, t) if c > 0 else (t, t - top * top)
-    s_lo, s_hi = max(0, -(-lo // c)), hi // c  # bounds on r^2
-    if s_hi < s_lo:
-        return range(0)
-    return range(isqrt(s_lo - 1) + 1 if s_lo else 0, min(isqrt(s_hi), bound) + 1)
-
-
 def height(q) -> int:
     """The least B whose box |coordinate| <= B holds q."""
     return max(-(-abs(c.numerator) // c.denominator) for c in q.coords())
@@ -75,21 +61,29 @@ def _signs(x: int) -> tuple:
 def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     """The norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
     height lies in (above, B], in (height, coordinates) order.  Solves
-    u^2 = s^2 + a v^2 + b w^2 - a b z^2 over the quadrant v, w >= 0 of the
-    box |coordinate| <= sB, with z >= 0 in the band that leaves u^2 in
-    [0, (sB)^2], and then expands the signs: the norm and both parity
-    tests see only squares and residues mod s <= 2."""
+    u^2 = t - a b z^2, t = s^2 + a v^2 + b w^2, over the quadrant v, w >= 0
+    of the box |coordinate| <= H = sB, and then expands the signs: the norm
+    and both parity tests see only squares and residues mod s <= 2.  For
+    each (v, w), z >= 0 runs over the band that leaves u^2 in [0, H^2],
+    lo <= z^2 <= hi with lo = ceil((t - H^2)/ab), hi = floor(t/ab) for
+    ab > 0 and the two ends swapped for ab < 0, in steps of s from the
+    first z = w mod s."""
     a, b = _require_integral_constants(D)
     H, ab = s * B, a * b
+    HH = H * H
+    # (t - lo_off) / ab and (t - hi_off) / ab are the ends of the band on z^2
+    lo_off, hi_off = (HH, 0) if ab > 0 else (0, HH)
     found = []
     for v in range(H + 1):
         t1 = s * s + a * v * v
         for w in range(H + 1):
-            t2 = t1 + b * w * w
-            for z in _band(t2, ab, H, H):
-                if s > 1 and (z - w) % s:
-                    continue  # z = w mod s (s = 1 skips this hot test)
-                rhs = t2 - ab * z * z
+            t = t1 + b * w * w
+            lo, hi = -((lo_off - t) // ab), (t - hi_off) // ab
+            if hi < lo or hi < 0:
+                continue
+            z0 = isqrt(lo - 1) + 1 if lo > 0 else 0
+            for z in range(z0 + (w - z0) % s, (H if hi >= HH else isqrt(hi)) + 1, s):
+                rhs = t - ab * z * z
                 u = isqrt(rhs)
                 if u * u == rhs and (u - v) % s == 0:
                     found.append((u, v, w, z))
@@ -97,7 +91,8 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
     # each coordinate value becomes a Fraction once, not once per unit
     value = [Fraction(t, s) for t in range(-H, H + 1)]
-    return tuple(Quaternion(D, *(value[t + H] for t in c)) for h, c in keyed if h > above)
+    return tuple(Quaternion(D, value[u + H], value[v + H], value[w + H], value[z + H])
+                 for h, (u, v, w, z) in keyed if h > above)
 
 
 _SCALE = {STANDARD: 1, SATURATED: 2}
@@ -232,14 +227,15 @@ def is_torsion(q) -> bool:
     """Whether the norm-one q of a division algebra has finite order other
     than 1 and 2.
 
-    Such a q has finite order iff its reduced trace lies in
+    Such a q has finite order iff its reduced trace 2 x0 lies in
     {-2,-1,0,1,2}, and trace +-2 forces q = +-1 (no nilpotents).  Traces
-    -1, 0, 1 give orders 3 or 6, 4, 3.
+    -1, 0, 1 give orders 3 or 6, 4, 3.  |2 x0| < 2 is decided on x0's
+    numerator n and denominator m as |n| < m, and trace +-2 is |n| = m.
     """
-    t = q.trd()
-    if t in (-2, 2):
+    n, m = abs(q.x0.numerator), q.x0.denominator
+    if n == m:
         assert q in (q.algebra.one(), -q.algebra.one()), "non-central trace +-2 unit"
-    return -2 < t < 2
+    return n < m
 
 
 def torsion_check(slice_: UnitSlice) -> dict:

@@ -2,18 +2,20 @@
 
 Nothing here may call into covercert's formula implementations: these
 functions decide the same questions by exhaustive search so the two roads
-can be compared in tests.  The one import from covercert is the boundary
+can be compared in tests.  The imports from covercert are the boundary
 type ResidueMatrix, whose checked per-object products (identity and mul
-below) the reference closure is built from, and the SubgroupTable it
-returns.
+below) the reference closure is built from, the SubgroupTable it returns,
+and the Quaternion that the reference unit enumerator returns.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
 
 from covercert.modgroup import ResidueMatrix, SubgroupTable
+from covercert.quatalg import Quaternion
 
 
 def conic_square_class(r, p: int) -> int:
@@ -203,6 +205,43 @@ def norm_one_triple_loop(a: int, b: int, B: int, saturated: bool = False):
                 if x0:
                     found.append((-x0, x1, x2, x3))
     return height_order(found, 2 if saturated else 1)
+
+
+def _band(t: int, c: int, top: int, bound: int) -> range:
+    """The r in [0, bound] with 0 <= t - c*r^2 <= top^2, for c != 0."""
+    lo, hi = (t - top * top, t) if c > 0 else (t, t - top * top)
+    s_lo, s_hi = max(0, -(-lo // c)), hi // c  # bounds on r^2
+    if s_hi < s_lo:
+        return range(0)
+    return range(isqrt(s_lo - 1) + 1 if s_lo else 0, min(isqrt(s_hi), bound) + 1)
+
+
+def _signs(x: int) -> tuple:
+    return (x, -x) if x else (0,)
+
+
+def band_norm_one(D, B: int, s: int, above: int = 0) -> tuple:
+    """units._norm_one as it was written with one _band call per (v, w):
+    the norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
+    height lies in (above, B], as Quaternions in (height, coordinates)
+    order, z running over every r of the band and skipping z != w mod s."""
+    a, b = int(D.a), int(D.b)
+    H, ab = s * B, a * b
+    found = []
+    for v in range(H + 1):
+        t1 = s * s + a * v * v
+        for w in range(H + 1):
+            t2 = t1 + b * w * w
+            for z in _band(t2, ab, H, H):
+                if s > 1 and (z - w) % s:
+                    continue
+                rhs = t2 - ab * z * z
+                u = isqrt(rhs)
+                if u * u == rhs and (u - v) % s == 0:
+                    found.append((u, v, w, z))
+    keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
+    value = [Fraction(t, s) for t in range(-H, H + 1)]
+    return tuple(Quaternion(D, *(value[t + H] for t in c)) for h, c in keyed if h > above)
 
 
 def _p_val(n: int, p: int) -> int:

@@ -1,6 +1,7 @@
 """Each command-line run loads the core, its own pipeline module and the
-layers that pipeline reaches, and nothing else; its output is the golden
-bundle byte for byte.  A name read from a bundle is never imported, and
+layers that pipeline reaches, and nothing else, and neither dataclasses
+nor the inspect module it imports; its output is the golden bundle byte
+for byte.  A name read from a bundle is never imported, and
 the traced benchmark run still finds every function it wraps."""
 
 import json
@@ -32,14 +33,19 @@ LAYERS = {
     "intersect": {"pipelines.intersect", "pipelines.hilbert", "commens", "quatalg", "exact", "mat2", "util"},
 }
 
+# standard-library modules that no run loads: defining a dataclass costs a
+# millisecond or more in every process, and importing dataclasses loads
+# inspect
+UNLOADED = ("dataclasses", "inspect")
+
 # run the command line with argv[2:], then write the loaded covercert
-# modules to the file argv[1]
+# modules and those of UNLOADED to the file argv[1]
 RUN_CLI = (
     "import json, sys\n"
     "from covercert.cli import main\n"
     "rc = main(sys.argv[2:])\n"
     "with open(sys.argv[1], 'w') as fh:\n"
-    "    json.dump(sorted(name for name in sys.modules if name.startswith('covercert')), fh)\n"
+    f"    json.dump(sorted(name for name in sys.modules if name.startswith('covercert') or name in {UNLOADED}), fh)\n"
     "sys.exit(rc)\n"
 )
 
@@ -56,7 +62,9 @@ def test_a_run_loads_only_its_pipeline(golden, tmp_path):
     expected = (GOLDEN_DIR / f"{golden}.json").read_bytes()
     assert proc.stdout == expected and proc.stderr == b""
     assert proc.returncode == core.bundle_exit_code(json.loads(expected))
-    assert set(json.loads(modules.read_text())) == BASE | {f"covercert.{name}" for name in LAYERS[argv[0]]}
+    loaded = set(json.loads(modules.read_text()))
+    assert loaded.isdisjoint(UNLOADED)
+    assert loaded == BASE | {f"covercert.{name}" for name in LAYERS[argv[0]]}
 
 
 def test_a_pipeline_that_fails_to_import_exits_3():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from covercert.modgroup import ResidueMatrix, enumerate_group
 from covercert.quatalg import (INF, QuaternionAlgebra, find_example_algebra, quadratic_embeds,
                                ramified_places, split_2adic)
-from covercert.units import (SATURATED, STANDARD, UnitStream, closing_prefix,
+from covercert.units import (SATURATED, STANDARD, UnitStream, _norm_one, closing_prefix,
                              enumerate_units, enumerate_units_saturated,
-                             images_surject, reduce_units, surjects_at_level,
+                             images_surject, is_torsion, reduce_units, surjects_at_level,
                              torsion_check)
 
-from oracles import (box_height, brute_norm_one_box, dirichlet_prime, identity, in_saturated_order, mul,
-                     norm_one_triple_loop)
+from oracles import (band_norm_one, box_height, brute_norm_one_box, dirichlet_prime, identity, in_saturated_order,
+                     mul, norm_one_triple_loop)
 
 D17 = QuaternionAlgebra(17, 7)
 
@@ -57,6 +57,21 @@ def test_enumerators_match_the_triple_loop(ab, B, saturated):
         got = [tuple(int(c) for c in q.coords()) for q in enumerate_units(D, B).elements]
     assert got == norm_one_triple_loop(*ab, B, saturated)
     assert len(got) > 2
+
+
+@pytest.mark.parametrize("ab", [(17, 7), (41, find_example_algebra(41).b), (73, 10), (5, -7), (-1, 3)])
+@pytest.mark.parametrize("s", [1, 2])
+def test_norm_one_matches_the_band_loop(ab, s):
+    # the band computed inline and z stepped by s give the reference
+    # enumerator's tuple in the same order, for ab > 0 and for ab < 0, and
+    # the integer torsion test agrees with the trace on every unit; (-1, 3)
+    # has units of trace -1, 0 and 1
+    D = QuaternionAlgebra(*ab)
+    for B in range(1, 13):
+        for above in (0, B // 2):
+            got = _norm_one(D, B, s, above)
+            assert got == band_norm_one(D, B, s, above)
+            assert [is_torsion(q) for q in got] == [-2 < 2 * q.x0 < 2 for q in got]
 
 
 # (a, b) with a = 1 mod 4 also carry the 2-saturated order
@@ -122,14 +137,14 @@ def test_slice_17_7():
     for q in s.elements:
         assert q.nrd() == 1
         if q not in (D17.one(), -D17.one()):
-            assert abs(q.trd()) > 2
+            assert abs(2 * q.x0) > 2  # the reduced trace
 
 
 def test_saturated_slice():
     s = enumerate_units_saturated(D17, 20)
     assert len(s) == 510
-    std = set(enumerate_units(D17, 20).elements)
-    assert std <= set(s.elements)
+    std = {q.coords() for q in enumerate_units(D17, 20).elements}
+    assert std <= {q.coords() for q in s.elements}
     q = D17.element(Fraction(7, 2), Fraction(1, 2), 1, 0)
     assert q.nrd() == 1
     assert q in s.elements
@@ -155,15 +170,15 @@ def test_reduce_units_basics():
     split = split_2adic(D17)
     s = enumerate_units(D17, 8)
     mats = reduce_units(s, split, 2)
-    lookup = dict(zip(s.elements, mats))
-    assert lookup[D17.one()] == identity(4)
-    assert lookup[-D17.one()] == ResidueMatrix(3, 0, 0, 3, 4)
+    lookup = {q.coords(): g for q, g in zip(s.elements, mats)}
+    assert lookup[D17.one().coords()] == identity(4)
+    assert lookup[(-D17.one()).coords()] == ResidueMatrix(3, 0, 0, 3, 4)
     # homomorphism whenever the product stays in the slice
     els = s.elements
     for q in els[::5]:
         for r in els[::7]:
-            if q * r in lookup:
-                assert lookup[q * r] == mul(lookup[q], lookup[r])
+            if (q * r).coords() in lookup:
+                assert lookup[(q * r).coords()] == mul(lookup[q.coords()], lookup[r.coords()])
 
 
 def test_standard_order_mod2_obstruction():
