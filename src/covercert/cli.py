@@ -1,8 +1,8 @@
 """Command line front end.
 
-One subcommand per pipeline.  Every subcommand reads an optional config
-file (key = value lines) plus repeatable --set overrides, runs the
-pipeline, and writes the certificate bundle to --out or stdout.
+covercert PIPELINE [--config PATH] [--set KEY=VALUE]... [--out PATH] runs
+one pipeline on an optional config file (key = value lines) plus --set
+overrides and writes the certificate bundle to --out or stdout.
 
 Exit codes: 0 when every claim was verified (or a search came back empty
 or context was recorded), 1 when some claim was refuted at its level,
@@ -13,7 +13,6 @@ takes it; codes 2 and 3 print one "error:" line on stderr.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .core import PIPELINE_NAMES, ConfigError, bundle_exit_code, load_config, pipeline_runner, render_bundle
@@ -27,45 +26,57 @@ _HELP = {
     "intersect": "intersection index for one conjugator",
 }
 
+_EXPECTED = "expected one of " + ", ".join(PIPELINE_NAMES)
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covercert",
-        description="verify cover-intersection claims and emit certificate bundles",
-    )
-    sub = parser.add_subparsers(dest="pipeline", required=True, metavar="PIPELINE")
-    for name in PIPELINE_NAMES:
-        p = sub.add_parser(name, help=_HELP[name])
-        p.add_argument("--config", metavar="PATH", default=None, help="config file of key = value lines")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-        p.add_argument("--out", metavar="PATH", default=None, help="write the bundle here instead of stdout")
-    return parser
+
+def parse_args(argv):
+    """(pipeline, config, overrides, out) from argv, or None for -h/--help.
+    Each flag takes its value as the next argument or after "="; --set
+    repeats, and a repeated --config or --out keeps its last value.  A usage
+    error prints one "error:" line and raises SystemExit(2)."""
+    pipeline, opts, args = None, {"--config": [None], "--set": [], "--out": [None]}, iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            return None
+        if flag in opts:
+            value = value if eq else next(args, "-")  # a missing value reads as a flag
+            if value.startswith("-") and not eq:
+                raise SystemExit(_error(f"{flag} needs a value", 2))
+            opts[flag].append(value)
+        elif arg.startswith("-"):
+            raise SystemExit(_error(f"unknown option {arg!r}", 2))
+        elif pipeline is None and arg in PIPELINE_NAMES:
+            pipeline = arg
+        else:
+            raise SystemExit(_error(f"unexpected argument {arg!r}" if pipeline else f"unknown pipeline {arg!r}; {_EXPECTED}", 2))
+    if pipeline is None:
+        raise SystemExit(_error(f"no pipeline given; {_EXPECTED}", 2))
+    return pipeline, opts["--config"][-1], opts["--set"], opts["--out"][-1]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        print("usage: covercert PIPELINE [--config PATH] [--set KEY=VALUE]... [--out PATH]\n\npipelines:")
+        print("".join(f"  {name:<14}{_HELP[name]}\n" for name in PIPELINE_NAMES), end="")
+        return 0
+    pipeline, config, overrides, out = args
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(config, overrides)
         # the one pipeline module this run needs is imported here, so a
         # module that fails to import exits 3 like any other fault
-        bundle = pipeline_runner(args.pipeline)(cfg)
+        bundle = pipeline_runner(pipeline)(cfg)
         text = render_bundle(bundle)
-        if not args.out:
+        if not out:
             sys.stdout.write(text)
     except ConfigError as e:
         return _error(str(e), 2)
     except Exception as e:
         return _error(f"{type(e).__name__}: {e}", 3)
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             return _error(f"cannot write --out: {e}", 2)

@@ -31,7 +31,6 @@ from math import gcd
 
 from .exact import is_square_padic
 from .mat2 import mat_det
-from .quatalg import Quaternion, hilbert_symbol, split_2adic
 from .util import frac_valuation, odd_prime_factors, valuation
 
 
@@ -51,7 +50,8 @@ class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, Non
         return Conjugator(rows=rows)
 
     @staticmethod
-    def from_quaternion(q: Quaternion) -> "Conjugator":
+    def from_quaternion(q) -> "Conjugator":
+        from .quatalg import hilbert_symbol  # imported here, so a rational h loads no quatalg
         n = q.nrd()
         if n == 0:
             raise ValueError("conjugator must be invertible")
@@ -114,7 +114,8 @@ def sl2z_case(rows) -> IndexResult:
     return IndexResult(tuple((p, valuation(N, p), ()) for p in primes), M)
 
 
-def _quaternion_case(q: Quaternion) -> IndexResult:
+def _quaternion_case(q) -> IndexResult:
+    from .quatalg import split_2adic  # see from_quaternion
     a, b = q.algebra.a, q.algebra.b
     n = q.nrd()
     v = frac_valuation(n, 2)

@@ -36,12 +36,17 @@ byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+
+# hashlib's built-in fallback: hashlib itself loads OpenSSL in every process
+try:
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from _sha2 import sha256
 
 from . import __version__
 
@@ -277,7 +282,7 @@ def config_mapping(cfg: RunConfig):
 def config_hash(cfg: RunConfig) -> str:
     mapping = config_mapping(cfg)
     blob = "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
-from .quatalg import Quaternion
 from .util import is_perfect_square
 
 NOT_FOUND = "not found"
@@ -125,8 +124,8 @@ def lift_rational_matrix(rows, d: int):
     return tuple(tuple(quad(d, x) for x in row) for row in rows)
 
 
-def real_embed(q: Quaternion):
-    """Image of q under i -> diag(sqrt(a), -sqrt(a)), j -> [[0,1],[b,0]].
+def real_embed(q):
+    """Image of the quaternion q under i -> diag(sqrt(a), -sqrt(a)), j -> [[0,1],[b,0]].
 
     Exact over Q(sqrt(a)); the determinant is nrd(q).  Needs a to be a
     positive non-square integer so the target field is real quadratic.

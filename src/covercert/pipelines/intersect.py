@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from ..commens import Conjugator, local_intersection, psi
 from ..core import Certificate, ConfigError, RunConfig, make_bundle, parse_conjugator_spec
-from .hilbert import _resolve_algebra
 
 INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multiplied over the primes"
 RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
@@ -61,7 +60,11 @@ def _index_agrees(witness, inputs):
 
 
 def _intersect_index_claim(cfg: RunConfig) -> Certificate:
-    h = _conjugator(cfg.h, lambda: _resolve_algebra(cfg))
+    def algebra():  # imported here: a rational h loads neither quatalg nor hilbert
+        from .hilbert import _resolve_algebra
+        return _resolve_algebra(cfg)
+
+    h = _conjugator(cfg.h, algebra)
     return _index_certificate("intersect.index", h, {"h": cfg.h}, _explicit_claim(cfg))
 
 

@@ -1,7 +1,9 @@
 """Bundle pipelines: configuration, serialization, verdicts, re-verification,
 and the command line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -991,6 +993,14 @@ def test_cli_config_errors_exit_two(capsys):
         (["quaternionic", "--set", "d=68"], 2),
         (["quaternionic", "--set", "d=164"], 2),
         (["quaternionic", "--set", "d=272"], 2),
+        # usage errors: no pipeline, an unknown one, a stray argument, a
+        # flag without its value and an unknown flag
+        ([], 2),
+        (["nope"], 2),
+        (["units", "extra"], 2),
+        (["quaternionic", "--set"], 2),
+        (["quaternionic", "--bogus", "1"], 2),
+        (["hilbert", "--out"], 2),
     ],
 )
 def test_cli_errors_exit_with_one_line(args, code, tmp_path):
@@ -1108,6 +1118,86 @@ def test_cli_out_key_in_config_file(tmp_path, capsys):
     assert json.loads(out.read_text())["pipeline"] == "hilbert"
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["units", "-h"], ["units", "--help"]])
+def test_cli_help(argv, capsys):
+    assert cli_main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: covercert PIPELINE") and err == ""
+    assert all(f"  {name} " in out for name in core.PIPELINE_NAMES)
+
+
+def test_cli_flag_value_after_equals_sign(capsys):
+    assert cli_main(["units", "--set=unit_height=3"]) == 0
+    joined = capsys.readouterr().out
+    assert cli_main(["units", "--set", "unit_height=3"]) == 0
+    assert capsys.readouterr().out == joined
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    # the covercert console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["covercert", "hilbert", "--set", "pair=17,7"])
+    assert cli_main() == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "hilbert-17-7.json").read_text(encoding="utf-8")
+
+
+# command-line arguments for the sweep below; {tmp} is a scratch directory
+# holding run.cfg, and every value keeps a run cheap
+_CLI_VALUES = {
+    "d": ["17", "3", "13", "0", "x"],
+    "a": ["2", "1", "-1", "3/5", "0"],
+    "b": ["0", "7", "14", "1"],
+    "unit_height": [str(n) for n in range(-1, 21)],
+    "k_max": ["1", "2", "3", "5"],
+    "h": ["1,-1/2,0,1", "2,0,0,1", "quat:3/2,1/2,0,0", "quat:1/3,0,0,0", "1,2", "0,0,0,0"],
+    "invariant_degree": [str(n) for n in range(-1, 9)],
+    "claimed_index": ["3", "4", "y"],
+    "pair": ["17,7", "-1,-1", "0,1", "2"],
+    "order_kind": ["standard", "2-saturated", "bogus"],
+    "nope": ["1"],
+}
+_CLI_SET = st.sampled_from(sorted(_CLI_VALUES)).flatmap(
+    lambda key: st.sampled_from(_CLI_VALUES[key]).map(lambda value: f"{key}={value}"))
+_CLI_FLAG_VALUES = {
+    "--set": _CLI_SET | st.sampled_from(["novalue", "=1"]),
+    "--config": st.sampled_from(["{tmp}/run.cfg", "{tmp}/missing.cfg", "{tmp}"]),
+    "--out": st.sampled_from(["{tmp}/out.json", "{tmp}/missing-dir/out.json", "{tmp}"]),
+}
+_CLI_FLAG = st.sampled_from(sorted(_CLI_FLAG_VALUES)).flatmap(lambda flag: st.one_of(
+    _CLI_FLAG_VALUES[flag].map(lambda value: [flag, value]),
+    _CLI_FLAG_VALUES[flag].map(lambda value: [f"{flag}={value}"]),
+    st.just([flag]),
+))
+_CLI_TOKEN = st.one_of(
+    st.sampled_from(core.PIPELINE_NAMES).map(lambda name: [name]),
+    _CLI_FLAG,
+    st.sampled_from(["-h", "--help", "nope", "extra", "-x", "--", "--se", "--bogus", "=", ""]).map(lambda t: [t]),
+    _CLI_SET.map(lambda kv: [kv]),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(core.PIPELINE_NAMES), st.lists(_CLI_TOKEN, max_size=5), st.booleans())
+def test_cli_sweep_exits_by_contract(pipeline, tokens, lead):
+    # any command line exits 0-3 without a traceback, and an error exits
+    # 2 or 3 with one "error:" line and nothing on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "run.cfg").write_text("pair = 17,7\nunit_height = 4\n", encoding="utf-8")
+        argv = [arg.format(tmp=tmp) for token in ([[pipeline]] if lead else []) + tokens for arg in token]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(argv)
+            except SystemExit as e:
+                code = e.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code in (2, 3):
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err == ""
+
+
 # -- golden bundles ---------------------------------------------------------
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -1153,6 +1243,15 @@ def test_golden_bundle_bytes(name, request):
         bundle = certify.PIPELINES[pipeline](load_config(None, overrides))
     assert render_bundle(bundle).encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
     assert bundle_exit_code(bundle) == exit_code
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_config_hash_is_the_sha256_of_the_config_blob(name):
+    _, overrides, _ = GOLDEN[name]
+    cfg = load_config(None, overrides)
+    mapping = core.config_mapping(cfg)
+    blob = "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping)).encode("utf-8")
+    assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()
 
 
 def _golden(name):

@@ -1,8 +1,9 @@
 """Each command-line run loads the core, its own pipeline module and the
-layers that pipeline reaches, and nothing else, and neither dataclasses
-nor the inspect module it imports; its output is the golden bundle byte
-for byte.  A name read from a bundle is never imported, and
-the traced benchmark run still finds every function it wraps."""
+layers that pipeline reaches, and nothing else: neither dataclasses nor
+the inspect module it imports, nor argparse, nor OpenSSL; its output is
+the golden bundle byte for byte.  A name read from a bundle is never
+imported, and the traced benchmark run still finds every function it
+wraps."""
 
 import json
 import os
@@ -22,21 +23,25 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.env
 # what every run loads: the package, the command line, the core and the
 # pipelines package
 BASE = {"covercert", "covercert.cli", "covercert.core", "covercert.pipelines"}
+# golden name -> the covercert modules beyond BASE that its run loads; a
+# rational h reads no algebra, so intersect and sl2z load neither quatalg
+# nor the hilbert pipeline
 LAYERS = {
     "dihedral": {"pipelines.dihedral", "mobius", "mat2", "util"},
     "quaternionic": {"pipelines.quaternionic", "pipelines.sl2z", "pipelines.intersect", "pipelines.hilbert", "units",
                      "modgroup", "quatalg", "commens", "fuchsian", "exact", "mat2", "util"},
-    "sl2z": {"pipelines.sl2z", "pipelines.intersect", "pipelines.hilbert", "fuchsian", "commens", "quatalg", "exact",
-             "mat2", "util"},
+    "sl2z": {"pipelines.sl2z", "pipelines.intersect", "fuchsian", "commens", "exact", "mat2", "util"},
     "hilbert": {"pipelines.hilbert", "quatalg", "exact", "util"},
     "units": {"pipelines.units", "pipelines.hilbert", "units", "modgroup", "quatalg", "exact", "util"},
-    "intersect": {"pipelines.intersect", "pipelines.hilbert", "commens", "quatalg", "exact", "mat2", "util"},
+    "intersect": {"pipelines.intersect", "commens", "exact", "mat2", "util"},
+    "intersect-quat-h": {"pipelines.intersect", "pipelines.hilbert", "commens", "quatalg", "exact", "mat2", "util"},
 }
 
 # standard-library modules that no run loads: defining a dataclass costs a
 # millisecond or more in every process, and importing dataclasses loads
-# inspect
-UNLOADED = ("dataclasses", "inspect")
+# inspect; argparse loads gettext and, on its first parser, locale; and
+# hashlib loads OpenSSL's _hashlib
+UNLOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale", "_hashlib")
 
 # run the command line with argv[2:], then write the loaded covercert
 # modules and those of UNLOADED to the file argv[1]
@@ -64,7 +69,7 @@ def test_a_run_loads_only_its_pipeline(golden, tmp_path):
     assert proc.returncode == core.bundle_exit_code(json.loads(expected))
     loaded = set(json.loads(modules.read_text()))
     assert loaded.isdisjoint(UNLOADED)
-    assert loaded == BASE | {f"covercert.{name}" for name in LAYERS[argv[0]]}
+    assert loaded == BASE | {f"covercert.{name}" for name in LAYERS[golden]}
 
 
 def test_a_pipeline_that_fails_to_import_exits_3():
