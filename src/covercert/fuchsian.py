@@ -55,9 +55,6 @@ class RealQuadElem:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         return RealQuadElem(self.d, self.u * other.u + self.d * self.v * other.v,
@@ -68,9 +65,6 @@ class RealQuadElem:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def conjugate(self) -> "RealQuadElem":
-        return RealQuadElem(self.d, self.u, -self.v)
 
     def norm(self) -> Fraction:
         return self.u * self.u - self.d * self.v * self.v

@@ -78,32 +78,23 @@ def commutator(g1: MobiusMap, g2: MobiusMap) -> MobiusMap:
     return compose(compose(g1, g2), compose(g1.inverse(), g2.inverse()))
 
 
-# powers finite_order tries; it must pass 6, the largest finite order the
-# trace test below allows, for an infinite verdict to rest on that test
-ORDER_SCAN = 24
+# tr^2/det of a map of finite order n > 1 -> n (see finite_order)
+_ORDER_BY_TRACE = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 def finite_order(g: MobiusMap):
     """Smallest n with g^n = id, or INFINITE_ORDER.
 
-    The power scan is backed by an exact criterion: the eigenvalue ratio of
-    the matrix is a root of unity only if tr^2/det lies in {0,1,2,3,4}, the
-    rational values of 4cos^2(pi/n); those force order 2, 3, 4 or 6 (or a
-    parabolic at the value 4), all inside the scan range.
+    Read off r = tr^2/det, which does not depend on the scaling of the
+    matrix.  Away from the identity the eigenvalue ratio z satisfies
+    z + 1/z = r - 2, and g^n = id exactly when z^n = 1.  A root of unity z
+    of order n keeps z + 1/z = 2cos(2 pi k/n) rational only for n = 1, 2,
+    3, 4, 6: r = 0, 1, 2, 3 give orders 2, 3, 4, 6, and at r = 4 (z = 1) g
+    is parabolic, of infinite order.
     """
     if g.is_identity():
         return 1
-    power = g
-    for n in range(2, ORDER_SCAN + 1):
-        power = compose(power, g)
-        if power.is_identity():
-            return n
-    r = g.trace() ** 2 / g.determinant()
-    if r == 4:
-        return INFINITE_ORDER  # parabolic, not scalar
-    # rational elliptic orders are 2,3,4,6 and the scan covered them
-    assert r not in (0, 1, 2, 3), "power scan missed a finite order"
-    return INFINITE_ORDER
+    return _ORDER_BY_TRACE.get(g.trace() ** 2 / g.determinant(), INFINITE_ORDER)
 
 
 def _primitive(vec):

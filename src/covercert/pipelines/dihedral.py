@@ -3,7 +3,7 @@ and its order, and the invariant fields of each and of both."""
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from ..core import VERIFIED, Certificate, RunConfig, _expect, frac_str, make_bundle, parse_frac, rows_from_json, rows_json
 from ..mobius import (
@@ -28,6 +28,12 @@ def _invariant_json(f):
     }
 
 
+ORDER_METHOD = "read the order off trace^2/det: 1 for the identity, else 2, 3, 4, 6 at 0, 1, 2, 3 and infinite elsewhere"
+ORDER_NOTE = (
+    "for a map other than the identity the eigenvalue ratio z satisfies z + 1/z = trace^2/det - 2, and the map has "
+    "order n exactly when z is a root of unity of order n; z + 1/z = 2cos(2 pi k/n) is rational only for n = 1, 2, "
+    "3, 4, 6, and n = 1 is the value 4, where the map is parabolic"
+)
 JOINT_SEARCH_METHOD = "complete search for joint semi-invariant ratios up to the degree bound"
 JOINT_ORDER_METHOD = (
     "order bound, no search: a group fixing a nonconstant function has order at most its degree, "
@@ -41,7 +47,6 @@ JOINT_ORDER_NOTE = (
 )
 
 
-@lru_cache(maxsize=64)
 def _joint_plan(a, invariant_degree: int):
     """The two involutions, how the joint claim for them is decided and its
     degree bound, in the pipeline and in re-verification alike.  Their
@@ -72,12 +77,12 @@ def _commutator_order_claim(cfg: RunConfig) -> Certificate:
     """(2) that map has infinite order away from a = +-1"""
     comm = commutator(MobiusMap.sigma(), MobiusMap.sigma_a(cfg.a))
     order = finite_order(comm)
-    notes = ()
+    notes = (ORDER_NOTE,)
     if order != INFINITE_ORDER:
-        notes = ("the two involutions generate a finite group here; no free product",)
+        notes += ("the two involutions generate a finite group here; no free product",)
     return Certificate(
         claim="dihedral.commutator-order",
-        method="power scan backed by the trace-squared-over-determinant test",
+        method=ORDER_METHOD,
         inputs={"a": frac_str(cfg.a)},
         witness={"order": order, "trace_sq_over_det": frac_str(comm.trace() ** 2 / comm.determinant())},
         depends_on=("dihedral.commutator-map",),

@@ -221,8 +221,7 @@ def _quaternionic_stages(cfg: RunConfig):
     # the first one of finite order (see _torsion_claim).  The torsion scan and
     # the trace stage read one standard stream, each only as far as its witness
     std = UnitStream(algebra, STANDARD, cfg.unit_height)
-    scan = embedding_flags(algebra)["embeds_sqrt_minus_1"]
-    yield _torsion_claim(cfg, next((q for q in std if is_torsion(q)), None) if scan else None)
+    yield _torsion_claim(cfg, _torsion_search(cfg, std))
 
     yield _obstruction_claim(cfg)
 
@@ -251,6 +250,14 @@ def _torsion_claim(cfg: RunConfig, found) -> Certificate:
         depends_on=("quaternionic.algebra",),
         notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
     )
+
+
+def _torsion_search(cfg: RunConfig, std: UnitStream):
+    """Stage 3's search: the first standard unit of finite order, or None;
+    the stream is read only when sqrt(-1) embeds (see _torsion_claim)."""
+    if not embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"]:
+        return None
+    return next((q for q in std if is_torsion(q)), None)
 
 
 def _obstruction_claim(cfg: RunConfig) -> Certificate:
@@ -306,11 +313,12 @@ def _read_unit(coords, cfg: RunConfig, kind=STANDARD):
 
 
 def _read_torsion_unit(claim, cfg: RunConfig):
-    """The recorded finite-order unit, checked by its norm and trace.  The
-    stream is scanned only when sqrt(-1) embeds."""
+    """The recorded finite-order unit, checked by its norm and trace.  With
+    no unit recorded, the search runs again, which reads the standard units
+    up to unit_height only when sqrt(-1) embeds."""
     coords = claim["witness"]["finite_order_unit"]
     if coords is None:
-        return None
+        return _torsion_search(cfg, UnitStream(cfg.algebra, STANDARD, cfg.unit_height))
     _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
     u = _read_unit(coords, cfg)
     _expect(is_torsion(u), f"recorded unit {coords_json(u)} has trace {2 * u.x0}, not -1, 0 or 1")

@@ -39,9 +39,6 @@ class UnitSlice:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
 
 def _require_integral_constants(D: QuaternionAlgebra):
     if D.a.denominator != 1 or D.b.denominator != 1:
@@ -160,8 +157,7 @@ def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
 
 
 def reduce_units(units, split: SplittingMap, k: int):
-    """Image of each unit (a slice or any iterable) in SL2(Z/2^k) through
-    the splitting.
+    """Image of each unit in SL2(Z/2^k) through the splitting.
 
     The determinant-1 invariant is asserted per element by the
     ResidueMatrix constructor.
@@ -186,7 +182,7 @@ def surjects_at_level(slice_: UnitSlice, k: int):
     surjectivity; the standard order provably cannot reach level 1 (see
     mod2_image_obstruction), so a standard slice shows the failure.
     """
-    return images_surject(reduce_units(slice_, split_2adic(slice_.algebra), k), k)
+    return images_surject(reduce_units(slice_.elements, split_2adic(slice_.algebra), k), k)
 
 
 def images_surject(mats, k: int):

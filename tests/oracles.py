@@ -442,6 +442,22 @@ def dirichlet_prime(d: int) -> int:
     return q
 
 
+def projective_order_by_powers(p: int, q: int, r: int, s: int, bound: int = 24):
+    """The least n <= bound with [[p, q], [r, s]]^n scalar, or None.
+
+    Multiplies integer matrices and compares each power with a multiple of
+    the identity; no trace or determinant is read.  A rational Mobius map
+    of finite order n has a primitive n-th root of unity as its eigenvalue
+    ratio, of degree phi(n) <= 2, so n <= 6 and bound 24 finds it.
+    """
+    a, b, c, d = p, q, r, s
+    for n in range(1, bound + 1):
+        if b == c == 0 and a == d:
+            return n
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return None
+
+
 def identity(m: int) -> ResidueMatrix:
     return ResidueMatrix(1, 0, 0, 1, m)
 

@@ -288,24 +288,18 @@ def test_dihedral_cli_contract(a, degree):
     assert all(ok for _, ok, _ in reverify_bundle(json.loads(first)))
 
 
-# sha256 of the a = +-1 bundles, whose finite groups are decided by the
-# complete search: a refuted claim at a = 1, and at a = -1 (the Klein four
-# group, first joint invariant in degree 4) a refuted one whose degree
-# bound invariant_degree = 3 is raised to |G| = 4, and one at 4
-_FINITE_GROUP_BUNDLES = {
-    ("a=1",): "ca17207fae296c0f9c9b3cf1a45c4d311c0918ed62858bdbcdb53c4d0643133d",
-    ("a=-1", "invariant_degree=3"): "4c80b1cdf1de57a4c1ad4f449a24f95c9548180004b11858a79167b916339b86",
-    ("a=-1", "invariant_degree=4"): "f1341fc0c0f255f4a7fd3f68fcf11ffe18b21d33056d1c0581ea9e1299411171",
-}
-
-
 @pytest.mark.parametrize("overrides, verdict", [(("a=1",), REFUTED), (("a=-1", "invariant_degree=3"), REFUTED),
                                                 (("a=-1", "invariant_degree=4"), REFUTED)])
 def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
+    # the a = +-1 bundles, whose finite groups are decided by the complete
+    # search: a refuted claim at a = 1, and at a = -1 (the Klein four group,
+    # first joint invariant in degree 4) a refuted one whose degree bound
+    # invariant_degree = 3 is raised to |G| = 4, and one at 4; each is a
+    # GOLDEN config, so test_golden_bundle_bytes pins its bytes
+    assert ("dihedral", list(overrides), 1) in GOLDEN.values()
     bundle = certify.run_dihedral(load_config(None, list(overrides)))
     claim = claim_by_id(bundle, "dihedral.invariant-intersection")
     assert claim["verdict"] == verdict and claim["method"] == dihedral.JOINT_SEARCH_METHOD
-    assert hashlib.sha256(render_bundle(bundle).encode("utf-8")).hexdigest() == _FINITE_GROUP_BUNDLES[overrides]
 
 
 def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
@@ -423,7 +417,7 @@ def test_layer_witness_matches_full_closure(height):
     split = split_2adic(D)
     cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
     levels = quaternionic._surjectivity_claim(cfg, quaternionic._surjectivity_search(cfg, split)).witness["levels"]
-    oracle = [reference_closure(units.reduce_units(slice_, split, k)).order for k in range(1, 6)]
+    oracle = [reference_closure(units.reduce_units(slice_.elements, split, k)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
     assert all(lv["surjects"] for lv in levels) == (oracle == [modgroup.group_order(2, k) for k in range(1, 6)])
@@ -1175,27 +1169,41 @@ _CLI_TOKEN = st.one_of(
 )
 
 
+def _cli_run(argv):
+    """(exit code, stdout, stderr) of one in-process command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from(core.PIPELINE_NAMES), st.lists(_CLI_TOKEN, max_size=5), st.booleans())
 def test_cli_sweep_exits_by_contract(pipeline, tokens, lead):
     # any command line exits 0-3 without a traceback, and an error exits
-    # 2 or 3 with one "error:" line and nothing on stdout
+    # 2 or 3 with one "error:" line and nothing on stdout; a bundle printed
+    # on stdout validates against the schema, re-verifies claim by claim
+    # and is printed byte for byte again by a second run
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "run.cfg").write_text("pair = 17,7\nunit_height = 4\n", encoding="utf-8")
         argv = [arg.format(tmp=tmp) for token in ([[pipeline]] if lead else []) + tokens for arg in token]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(argv)
-            except SystemExit as e:
-                code = e.code
-    out, err = out.getvalue(), err.getvalue()
+        code, out, err = _cli_run(argv)
+        bundle_out = code in (0, 1) and out.startswith("{")
+        if bundle_out:
+            assert _cli_run(argv) == (code, out, err)
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if code in (2, 3):
         lines = err.splitlines()
         assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert err == ""
+    if bundle_out:
+        parsed = json.loads(out)
+        jsonschema.validate(parsed, SCHEMA)
+        assert [(cid, ok) for cid, ok, _ in reverify_bundle(parsed)] == [(c["id"], True) for c in parsed["claims"]]
 
 
 # -- golden bundles ---------------------------------------------------------
@@ -1211,6 +1219,9 @@ GOLDEN = {
     "dihedral": ("dihedral", [], 0),
     "dihedral-a-3-5": ("dihedral", ["a=3/5"], 0),
     "dihedral-a-7": ("dihedral", ["a=7"], 0),
+    "dihedral-a-1": ("dihedral", ["a=1"], 1),
+    "dihedral-a--1-degree-3": ("dihedral", ["a=-1", "invariant_degree=3"], 1),
+    "dihedral-a--1-degree-4": ("dihedral", ["a=-1", "invariant_degree=4"], 1),
     "quaternionic": ("quaternionic", [], 1),
     "quaternionic-quat-h": ("quaternionic", ["h=quat:3/2,1/2,0,0", "k_max=2", "unit_height=6"], 0),
     "quaternionic-det-2": ("quaternionic", ["h=2,0,0,1", "k_max=2", "unit_height=6"], 0),
@@ -1652,6 +1663,10 @@ def test_torsion_reverify_checks_the_recorded_unit(torsion_bundle, quat_bundle):
     assert _tampered(torsion_bundle, cid, record(["-1/1", "0/1", "0/1", "0/1"])) == (False, reason)
     reason = "the claim rebuilt from the config differs in witness.embeds_sqrt_minus_1"
     assert _tampered(torsion_bundle, cid, lambda w: w.update(embeds_sqrt_minus_1=False)) == (False, reason)
+    # a dropped unit, with the scan claimed to reach unit_height, is searched
+    # for again and found
+    reason = "the claim rebuilt from the config differs in witness.finite_order_unit, witness.height_reached"
+    assert _tampered(torsion_bundle, cid, lambda w: w.update(finite_order_unit=None, height_reached=6)) == (False, reason)
     # (17, 7) admits neither sqrt(-1) nor sqrt(-3): no unit may be recorded
     reason = "a finite-order unit is recorded, but sqrt(-1) does not embed"
     assert _tampered(quat_bundle, cid, record(["0/1", "1/1", "0/1", "0/1"])) == (False, reason)
@@ -1682,7 +1697,7 @@ def test_obstruction_span_holds_every_standard_unit_image(overrides):
     one, j = [[1, 0], [0, 1]], [[0, 1], [int(cfg.algebra.b) % 2, 0]]
     assert claim.witness["basis_images_mod_2"] == [one, one, j, j]
     span = {tuple(e for row in m for e in row) for m in claim.witness["det_one_in_span_mod_2"]}
-    images = {g.entries() for g in units.reduce_units(units.enumerate_units(cfg.algebra, 12), split_2adic(cfg.algebra), 1)}
+    images = {g.entries() for g in units.reduce_units(units.enumerate_units(cfg.algebra, 12).elements, split_2adic(cfg.algebra), 1)}
     assert images <= span and len(span) == 2
 
 

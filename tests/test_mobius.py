@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -9,6 +10,7 @@ import sympy
 from covercert.cli import main as cli_main
 from covercert.mobius import (INFINITE_ORDER, InvariantFunction, MobiusMap, _act, _fixed_by,
                               _primitive, commutator, compose, finite_order, invariant_search)
+from oracles import projective_order_by_powers
 
 SIGMA = MobiusMap.sigma()
 SIGMA2 = MobiusMap.sigma_a(2)
@@ -64,6 +66,19 @@ def test_finite_order():
     # SL2 order 6, but projectively this is order 3
     assert finite_order(MobiusMap.from_rows([[1, -1], [1, 0]])) == 3
     assert finite_order(MobiusMap.from_rows([[1, 1], [0, 1]])) == INFINITE_ORDER
+
+
+def test_finite_order_matches_the_power_scan():
+    # every nonsingular integer matrix with entries in [-3, 3]: the order
+    # read off tr^2/det against the smallest scalar power
+    orders = Counter()
+    for p, q, r, s in product(range(-3, 4), repeat=4):
+        if p * s != q * r:
+            order = finite_order(MobiusMap.from_rows([[p, q], [r, s]]))
+            assert order == (projective_order_by_powers(p, q, r, s) or INFINITE_ORDER), (p, q, r, s)
+            orders[order] += 1
+    assert sum(orders.values()) == 2112
+    assert set(orders) == {1, 2, 3, 4, 6, INFINITE_ORDER}
 
 
 def test_commutator_infinite_order():

@@ -37,8 +37,6 @@ def oracle(test):
 # "module.qualname" -> why no run needs to reach it
 ALLOWED = {
     "commens.IndexResult.modulus": "perfbench/traced.py counts the spans of local_intersection and sl2z_case by it",
-    "fuchsian.RealQuadElem.__rsub__": oracle("tests/test_fuchsian.py::test_quad_field_exact_signs"),
-    "fuchsian.RealQuadElem.conjugate": oracle("tests/test_fuchsian.py::test_quad_field_arithmetic"),
     "fuchsian.RealQuadElem.sign": beneath("find_infinite_elliptic", "jorgensen_violation"),
     "fuchsian.RealQuadElem.__eq__": beneath("find_infinite_elliptic", "jorgensen_violation"),
     "fuchsian.RealQuadElem.__hash__": beneath("find_infinite_elliptic"),
@@ -60,7 +58,6 @@ ALLOWED = {
     "quatalg.Quaternion.__add__": oracle("tests/test_quatalg.py::test_split_2adic_is_a_ring_homomorphism_mod_2k"),
     "quatalg.Quaternion.__mul__": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),
     "quatalg.Quaternion.conjugate": oracle("tests/test_quatalg.py::test_nrd_multiplicative_and_trace_symmetric"),
-    "units.UnitSlice.__iter__": beneath("surjects_at_level"),
     "units.surjects_at_level": TRACED,
 }
 

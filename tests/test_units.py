@@ -169,7 +169,7 @@ def test_saturated_requires_1_mod_4():
 def test_reduce_units_basics():
     split = split_2adic(D17)
     s = enumerate_units(D17, 8)
-    mats = reduce_units(s, split, 2)
+    mats = reduce_units(s.elements, split, 2)
     lookup = {q.coords(): g for q, g in zip(s.elements, mats)}
     assert lookup[D17.one().coords()] == identity(4)
     assert lookup[(-D17.one()).coords()] == ResidueMatrix(3, 0, 0, 3, 4)
@@ -209,7 +209,7 @@ def test_surjectivity_by_order_matches_element_sets():
     cases.append((enumerate_units(D17, 6), 1))
     decided = []
     for s, k in cases:
-        ok, table = images_surject(reduce_units(s, split, k), k)
+        ok, table = images_surject(reduce_units(s.elements, split, k), k)
         assert ok == (set(table.elements) == set(enumerate_group(2, k).elements))
         decided.append(ok)
     assert True in decided and False in decided
@@ -218,10 +218,10 @@ def test_surjectivity_by_order_matches_element_sets():
 def test_reduction_projects_from_top_level():
     s = enumerate_units_saturated(D17, 6)
     split = split_2adic(D17)
-    top = reduce_units(s, split, 5)
+    top = reduce_units(s.elements, split, 5)
     for k in range(1, 6):
         projected = [ResidueMatrix(x.a, x.b, x.c, x.d, 2 ** k) for x in top]
-        assert projected == reduce_units(s, split, k)
+        assert projected == reduce_units(s.elements, split, k)
 
 
 def test_torsion_check_negative_control():
