@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact import is_square_padic
 from .mat2 import mat_det
@@ -102,10 +102,7 @@ class IndexResult(namedtuple("IndexResult", "factors matrix", defaults=(None,)))
 def sl2z_case(rows) -> IndexResult:
     """psi(|det M|) for M the primitive integral multiple of rows."""
     rows = Conjugator.from_rows(rows).rows
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in rows for x in row))
     ints = [int(x * den) for row in rows for x in row]
     g = gcd(*ints)
     M = ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))

@@ -421,8 +421,9 @@ def bundle_exit_code(bundle: dict) -> int:
 # found objects are read back from its witness and checked to be what they
 # claim to be, and what the pipeline took from its search (a closure, a
 # trace) is recomputed.  A search runs again only where the claim rests on
-# its exhaustion: the joint search behind an empty list at a = +-1, a
-# refuted surjectivity search, and a trace search that recorded no pair.
+# its exhaustion: a refuted surjectivity search, and a torsion or trace
+# search that recorded no unit or pair.  A computed claim, such as a
+# complete listing of invariants, is rebuilt whole.
 # The claim's builder rebuilds it, every field but the verdict must match,
 # and the claim's rule checks the verdict.  The pipelines re-verify in
 # make_bundle before returning, and a fresh process can call

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .mat2 import mat_adj, mat_det, mat_mul, mat_scale, mat_tr
 from .util import is_perfect_square
@@ -113,11 +113,6 @@ def quad(d: int, u, v=0) -> RealQuadElem:
     return RealQuadElem(d, Fraction(u), Fraction(v))
 
 
-def lift_rational_matrix(rows, d: int):
-    """2x2 rational matrix as a matrix over Q(sqrt(d))."""
-    return tuple(tuple(quad(d, x) for x in row) for row in rows)
-
-
 def real_embed(q):
     """Image of the quaternion q under i -> diag(sqrt(a), -sqrt(a)), j -> [[0,1],[b,0]].
 
@@ -176,9 +171,7 @@ def find_nonintegral_trace(H, basis, vectors):
     if all(is_algebraic_integer(t) for t in form):
         return None
     parts = [(t.u, t.v, t.d) if isinstance(t, RealQuadElem) else (Fraction(t), Fraction(0), 0) for t in form]
-    d, D = parts[0][2], 1
-    for x in (x for u, v, _ in parts for x in (u, v)):
-        D = D * x.denominator // gcd(D, x.denominator)
+    d, D = parts[0][2], lcm(*(x.denominator for u, v, _ in parts for x in (u, v)))
     P, Q = [int(u * D) for u, _, _ in parts], [int(v * D) for _, v, _ in parts]
     read = []  # per vector read so far: its coordinates, P v and Q v
     for n, coords in enumerate(vectors):
@@ -200,10 +193,6 @@ class WordElement(namedtuple("WordElement", "word matrix")):
     """A product of generator images, remembering its spelling."""
 
     __slots__ = ()
-
-    @staticmethod
-    def seed(label: str, matrix) -> "WordElement":
-        return WordElement((label,), tuple(tuple(row) for row in matrix))
 
     def extend(self, label: str, rows) -> "WordElement":
         return WordElement(self.word + (label,), mat_mul(self.matrix, rows))
@@ -279,18 +268,6 @@ def find_infinite_elliptic(seeds, max_len: int, state_cap: int = 200000):
                 raise RuntimeError("word search state cap exceeded")
             frontier.append(nxt)
     return NOT_FOUND
-
-
-def verify_elliptic(cert: EllipticCertificate, seeds) -> bool:
-    """Re-multiply the word from the seed alphabet and re-test every
-    exclusion; certificates must survive this from scratch."""
-    table = {s.word[0]: s.matrix for s in seeds}
-    m = table[cert.word[0]]
-    for label in cert.word[1:]:
-        m = mat_mul(m, table[label])
-    if m != cert.matrix:
-        return False
-    return mat_det(m) == 1 and is_infinite_elliptic_trace(mat_tr(m))
 
 
 # sum_value is |tr^2 A - 4| + |tr[A,B] - 2|; the three values are RealQuadElem

@@ -12,8 +12,8 @@ the coefficient p_i of x^(d-i) y^i to c^-(d-i) p_(d-i): it only swaps the
 index i with d - i, so it squares to c^-d, and its rational multipliers are
 the rational square roots of c^-d.  Each common eigenspace is then read off
 the index pairs (i, d - i) in closed form (see invariant_search), which makes
-the search complete in each degree.  The search and re-verification
-(_fixed_by) check forms through this one action, _act.
+the search complete in each degree.  The search checks each form it
+emits through this one action, _act.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .mat2 import mat_adj, mat_mul
 from .util import is_rational_square
@@ -99,13 +99,9 @@ def finite_order(g: MobiusMap):
 
 def _primitive(vec):
     """Scale to coprime integers with positive leading coefficient."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x)
     if lead < 0:
@@ -121,14 +117,6 @@ class InvariantFunction(namedtuple("InvariantFunction", "degree numerator denomi
 
     def dehomogenized(self) -> str:
         return f"({_form_str(self.numerator)}) / ({_form_str(self.denominator)})"
-
-    def is_nonconstant(self) -> bool:
-        """P/Q is a constant exactly when the forms P and Q are dependent.
-        Both must have degree + 1 coefficients."""
-        P, Q = self.numerator, self.denominator
-        _require_form(self.degree, P)
-        _require_form(self.degree, Q)
-        return any(P[i] * Q[j] != P[j] * Q[i] for i in range(len(P)) for j in range(i + 1, len(P)))
 
 
 def _form_str(coeffs) -> str:
@@ -221,20 +209,3 @@ def invariant_search(generators, D: int):
                     raise AssertionError("emitted eigenvector fails verification")
             found += [InvariantFunction(d, P, Q, character) for P, Q in combinations(basis, 2)]
     return found
-
-
-def _fixed_by(func: InvariantFunction, generators, passed=None) -> bool:
-    """Exact identities P(gv) = lam P(v) and Q(gv) = lam Q(v) for every
-    generator g, lam being the function's character at g; they imply
-    P(gv)Q(v) = P(v)Q(gv), so g fixes P/Q.  passed holds the (degree,
-    character, form) already checked against these generators, so a caller
-    that keeps it checks a form shared by several functions once."""
-    if len(func.character) != len(generators):
-        return False
-    passed = set() if passed is None else passed
-    for form in {(func.degree, func.character, f) for f in (func.numerator, func.denominator)} - passed:
-        v = tuple(Fraction(x) for x in form[2])
-        if any(_act(_scale(g), func.degree, v) != tuple(lam * x for x in v) for g, lam in zip(generators, func.character)):
-            return False
-        passed.add(form)
-    return True

@@ -5,7 +5,8 @@ functions decide the same questions by exhaustive search so the two roads
 can be compared in tests.  The imports from covercert are the boundary
 type ResidueMatrix, whose checked per-object products (identity and mul
 below) the reference closure is built from, the SubgroupTable it returns,
-and the Quaternion that the reference unit enumerator returns.
+and the Quaternion that the reference unit enumerator and the element
+arithmetic here (quat_add, quat_mul, quat_conjugate) return.
 """
 
 from fractions import Fraction
@@ -369,6 +370,25 @@ def _quat_mul(x, y, a, b):
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
 
 
+def _same_algebra(q, r):
+    if q.algebra != r.algebra:
+        raise ValueError("elements of different algebras")
+
+
+def quat_add(q, r) -> Quaternion:
+    _same_algebra(q, r)
+    return Quaternion(q.algebra, *(x + y for x, y in zip(q.coords(), r.coords())))
+
+
+def quat_mul(q, r) -> Quaternion:
+    _same_algebra(q, r)
+    return Quaternion(q.algebra, *_quat_mul(q.coords(), r.coords(), q.algebra.a, q.algebra.b))
+
+
+def quat_conjugate(q) -> Quaternion:
+    return Quaternion(q.algebra, q.x0, -q.x1, -q.x2, -q.x3)
+
+
 def _sqrt_mul(x, y, a):
     """(p + q sqrt a)(r + s sqrt a) on (p, q) pairs."""
     return (x[0] * y[0] + a * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
@@ -505,3 +525,27 @@ def reference_closure(generators, stop: int = 0) -> SubgroupTable:
     if not used:
         raise ValueError("need at least one generator")
     return SubgroupTable(m, tuple(order), tuple(used))
+
+
+def _form_at(coeffs, x, y):
+    """The binary form sum c_i x^(d-i) y^i at the point (x, y)."""
+    d = len(coeffs) - 1
+    return sum(c * x ** (d - i) * y ** i for i, c in enumerate(coeffs))
+
+
+def fixed_by(func, generators) -> bool:
+    """Whether every generator g, with rows [[p, q], [r, s]], fixes the
+    invariant ratio func = P/Q through its recorded character lam at g:
+    P(gv) = lam P(v) and Q(gv) = lam Q(v), gv = (px + qy, rx + sy), which
+    imply P(gv)Q(v) = P(v)Q(gv).  Both sides are degree-d forms, so they are
+    compared at the d + 1 points v = (1, t), t = 0..d, which decide an
+    identity of such forms; no coefficient action is read."""
+    if len(func.character) != len(generators):
+        return False
+    points = [(Fraction(1), Fraction(t)) for t in range(func.degree + 1)]
+    for g, lam in zip(generators, func.character):
+        (p, q), (r, s) = g.rows
+        for form in (func.numerator, func.denominator):
+            if any(_form_at(form, p * x + q * y, r * x + s * y) != lam * _form_at(form, x, y) for x, y in points):
+                return False
+    return True

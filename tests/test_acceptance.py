@@ -17,7 +17,7 @@ from covercert import certify
 from covercert.certify import load_config, render_bundle
 from covercert.core import parse_frac
 from covercert.commens import Conjugator, local_intersection, sl2z_case
-from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic, verify_elliptic
+from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic
 from covercert.mobius import (
     INFINITE_ORDER,
     MobiusMap,
@@ -31,7 +31,7 @@ from covercert.units import enumerate_units, torsion_check
 from covercert.util import odd_prime_factors
 
 from oracles import conic_solvable_mod, conic_square_class, conjugation_index, mul, sl2_order_bruteforce
-from wordsearch import word_seeds
+from wordsearch import verify_elliptic, word_seeds
 
 
 def _report(capsys, n, ok, detail):

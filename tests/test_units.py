@@ -14,7 +14,7 @@ from covercert.units import (SATURATED, STANDARD, UnitStream, _norm_one, closing
                              torsion_check)
 
 from oracles import (band_norm_one, box_height, brute_norm_one_box, dirichlet_prime, identity, in_saturated_order,
-                     mul, norm_one_triple_loop)
+                     mul, norm_one_triple_loop, quat_mul)
 
 D17 = QuaternionAlgebra(17, 7)
 
@@ -158,7 +158,7 @@ def test_saturated_order_closed_under_product():
     els = s.elements
     for q in els[::7]:
         for r in els[::11]:
-            assert in_saturated_order(q * r)
+            assert in_saturated_order(quat_mul(q, r))
 
 
 def test_saturated_requires_1_mod_4():
@@ -177,8 +177,8 @@ def test_reduce_units_basics():
     els = s.elements
     for q in els[::5]:
         for r in els[::7]:
-            if (q * r).coords() in lookup:
-                assert lookup[(q * r).coords()] == mul(lookup[q.coords()], lookup[r.coords()])
+            if quat_mul(q, r).coords() in lookup:
+                assert lookup[quat_mul(q, r).coords()] == mul(lookup[q.coords()], lookup[r.coords()])
 
 
 def test_standard_order_mod2_obstruction():
