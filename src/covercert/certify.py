@@ -9,6 +9,9 @@ canonical JSON, and reverify_bundle re-checks a parsed bundle file.
 
 from __future__ import annotations
 
+# no pipeline imports fuchsian; perfbench/traced.py reads the searches it
+# wraps from sys.modules after importing this module
+from . import fuchsian
 from .core import ConfigError, RunConfig, bundle_exit_code, load_config, render_bundle, reverify_bundle
 from .pipelines.dihedral import run_dihedral
 from .pipelines.hilbert import run_hilbert

@@ -1,8 +1,8 @@
 """2x2 matrix helpers over any commutative coefficient ring.
 
 Matrices are plain tuples ((a, b), (c, d)).  Entries only need +, -, *,
-so the same functions serve int, Fraction and quadratic-field elements
-alike.
+so the same functions serve int, Fraction and the quadratic-field elements
+of the tests alike.
 """
 
 
@@ -11,11 +11,6 @@ def mat_mul(A, B):
     (e, f), (g, h) = B
     return ((a * e + b * g, a * f + b * h),
             (c * e + d * g, c * f + d * h))
-
-
-def mat_scale(s, A):
-    (a, b), (c, d) = A
-    return ((s * a, s * b), (s * c, s * d))
 
 
 def mat_det(A):

@@ -28,7 +28,6 @@ from ..core import (
     parse_frac,
 )
 from ..exact import sqrt_2adic
-from ..fuchsian import find_nonintegral_trace
 from ..modgroup import group_order
 from ..quatalg import ramified_places, split_2adic
 from ..units import (
@@ -45,7 +44,7 @@ from ..units import (
 )
 from .hilbert import _ADMISSIBLE, _algebra_symbols, _require_saturated_order
 from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
-from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame
+from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame, find_nonintegral_trace
 
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
@@ -293,7 +292,7 @@ def _height_reached(stop, cfg: RunConfig) -> int:
 def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
     """The trace stage, reading the standard stream in shells up to the
     first pair with a non-integral trace."""
-    found = find_nonintegral_trace(*_trace_frame("quaternionic", cfg), (u.coords() for u in std))
+    found = find_nonintegral_trace(_trace_frame("quaternionic", cfg), (u.coords() for u in std))
     return _nondiscrete_claim("quaternionic", cfg, found)
 
 

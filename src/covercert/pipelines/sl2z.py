@@ -1,11 +1,15 @@
 """The sl2z pipeline: the intersection index for h acting on SL2(Z), and the
 non-discreteness of <Gamma, h Gamma h^-1> from one non-integral trace.  Its
-trace claim is the one the quaternionic pipeline records too; it needs
-fuchsian alone."""
+trace claim is the one the quaternionic pipeline records too.  The trace is
+computed over Z[sqrt(d)] in integers: p + q sqrt(d) is the pair (p, q), and
+a 2x2 matrix P + Q sqrt(d) the pair (P, Q) of integer matrices; over Q,
+d = 0 and Q = 0."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from ..commens import Conjugator
 from ..core import (
@@ -20,7 +24,7 @@ from ..core import (
     parse_conjugator_spec,
     parse_frac,
 )
-from ..fuchsian import RealQuadElem, find_nonintegral_trace, is_algebraic_integer, pair_trace, quaternion_basis, real_embed
+from ..mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from .intersect import _explicit_claim, _index_agrees, _index_certificate
 
 TRACE_METHOD = ("scan pairs of standard-slice units U, V, in shells of slice index, "
@@ -36,7 +40,8 @@ TRACE_NOTE = (
 # that is, by their entries: four elements of SL2(Z) whose coordinate
 # matrix has determinant -1, so they span M2(Z) over Z
 SL2Z_SPAN = ((1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1))
-MATRIX_UNITS = tuple(((int(m == 0), int(m == 1)), (int(m == 2), int(m == 3))) for m in range(4))
+# the coordinate vectors of the basis: the matrix units, or 1, i, j and k
+BASIS_VECTORS = tuple(tuple(int(k == m) for k in range(4)) for m in range(4))
 SL2Z_TRACE_METHOD = "scan pairs X, Y of I, T, U and [[2,1],[1,1]], which span M2(Z), for a non-integral tr(X h Y h^-1)"
 NORMALISER_NOTE = ("every pair of the four has an integral trace, so by bilinearity h M2(Z) h^-1 = M2(Z): h lies in "
                    "Q^x GL2(Z) and normalises Gamma, and <Gamma, h Gamma h^-1> is Gamma itself")
@@ -48,10 +53,6 @@ _TRACE_PLANS = {
 }
 
 
-def quad_json(x: RealQuadElem):
-    return {"d": x.d, "u": frac_str(x.u), "v": frac_str(x.v)}
-
-
 def _sl2z_rows(cfg: RunConfig):
     kind, rows = parse_conjugator_spec(cfg.h)
     if kind != "rational":
@@ -59,15 +60,100 @@ def _sl2z_rows(cfg: RunConfig):
     return rows
 
 
+def _over_z(x):
+    """The integer matrix with entries x, row by row, as a matrix over Z[sqrt(d)]."""
+    return ((x[0], x[1]), (x[2], x[3])), ((0, 0), (0, 0))
+
+
+def _integral(xs):
+    """The rationals xs times the least common multiple of their denominators."""
+    s = lcm(*(x.denominator for x in xs))
+    return [int(x * s) for x in xs]
+
+
 def _trace_frame(pipeline: str, cfg: RunConfig):
-    """(H, basis): h as a real matrix, and the four real matrices in whose
-    span the pipeline's elements of Gamma are integer coordinate vectors.
-    The trace search and its re-verification both take them from here."""
+    """(d, embed, M): embed maps the integer coordinate vector of an element
+    of Gamma to its matrix over Z[sqrt(d)], and M is h times a scalar, over
+    Z[sqrt(d)] too.  For sl2z a coordinate vector is a matrix's entries; for
+    quaternionic it is x0 + x1 i + x2 j + x3 k, embedded by
+    i -> diag(sqrt(d), -sqrt(d)), j -> [[0, 1], [b, 0]].  The trace search
+    and its re-verification both take them from here."""
     if pipeline == "sl2z":
-        return _sl2z_rows(cfg), MATRIX_UNITS
+        return 0, _over_z, _over_z(_integral([x for row in _sl2z_rows(cfg) for x in row]))
+    d, b = int(cfg.algebra.a), int(cfg.algebra.b)
+
+    def embed(x):
+        return ((x[0], x[2]), (b * x[2], x[0])), ((x[1], x[3]), (-b * x[3], -x[1]))
+
     kind, data = parse_conjugator_spec(cfg.h)
-    algebra = cfg.algebra
-    return data if kind == "rational" else real_embed(algebra.element(*data)), quaternion_basis(algebra)
+    M = embed(_integral(data)) if kind == "quaternion" else _over_z(_integral([x for row in data for x in row]))
+    return d, embed, M
+
+
+def _sum(A, B, k):
+    """A + k B for 2x2 matrices."""
+    return tuple(tuple(x + k * y for x, y in zip(r, s)) for r, s in zip(A, B))
+
+
+def _mul(d, X, Y):
+    """The product of two matrices over Z[sqrt(d)]."""
+    (P, Q), (R, S) = X, Y
+    return _sum(mat_mul(P, R), mat_mul(Q, S), d), _sum(mat_mul(P, S), mat_mul(Q, R), 1)
+
+
+def pair_trace(frame, u, v):
+    """tr(X h Y h^-1) for the X, Y of Gamma with the integer coordinate
+    vectors u, v, as integers (p, q, D) with D > 0, meaning (p + q sqrt(d)) / D.
+    h^-1 is adj M / det M, and det M is rational: M is a rational matrix or
+    the image of a quaternion, whose determinant is its reduced norm."""
+    d, embed, M = frame
+    P, Q = M
+    det = mat_det(P) + d * mat_det(Q)
+    T, S = _mul(d, _mul(d, _mul(d, embed(u), M), embed(v)), (mat_adj(P), mat_adj(Q)))
+    sign = 1 if det > 0 else -1
+    return sign * mat_tr(T), sign * mat_tr(S), sign * det
+
+
+def is_integral_trace(d: int, t) -> bool:
+    """(p + q sqrt(d)) / D is a root of x^2 - (2p / D) x + (p^2 - d q^2) / D^2,
+    so it is an algebraic integer iff D divides 2p and D^2 divides p^2 - d q^2."""
+    p, q, D = t
+    return 2 * p % D == 0 and (p * p - d * q * q) % (D * D) == 0
+
+
+def find_nonintegral_trace(frame, vectors):
+    """The first pair u, v of integer coordinate vectors, at indices i, j
+    in shells max(i, j) = n, whose pair_trace t is not an algebraic
+    integer, as (u, v, t); or None.  t is bilinear in u and v: it is
+    (uPv + uQv sqrt(d)) / D with the 4x4 integer form P, Q read off
+    pair_trace at the 16 pairs of basis vectors, so each pair costs two
+    integer dot products, and a witness in shell n at most (n + 1)^2 of
+    them.  vectors is any iterable, read only up to the witness.  If every
+    entry of the form is integral, so is every trace, and no vector is read.
+    """
+    d = frame[0]
+    form = [pair_trace(frame, a, b) for a in BASIS_VECTORS for b in BASIS_VECTORS]
+    P, Q, D = [t[0] for t in form], [t[1] for t in form], form[0][2]
+
+    def scan(vectors):
+        read = []  # per vector read so far: its coordinates, P v and Q v
+        for n, coords in enumerate(vectors):
+            if any(c.denominator != 1 for c in coords):
+                raise ValueError("units need integral coordinates")
+            v = [int(c) for c in coords]
+            Pv, Qv = ([sum(M[4 * a + b] * v[b] for b in range(4)) for a in range(4)] for M in (P, Q))
+            read.append((v, Pv, Qv))
+            for i, j in [(i, n) for i in range(n + 1)] + [(n, j) for j in range(n)]:
+                (u0, u1, u2, u3), (_, (p0, p1, p2, p3), (q0, q1, q2, q3)) = read[i][0], read[j]
+                p = u0 * p0 + u1 * p1 + u2 * p2 + u3 * p3
+                q = u0 * q0 + u1 * q1 + u2 * q2 + u3 * q3
+                # is_integral_trace, written out in the innermost loop
+                if 2 * p % D or (p * p - d * q * q) % (D * D):
+                    return tuple(read[i][0]), tuple(read[j][0]), (p, q, D)
+        return None
+
+    # scanning the basis vectors tests the form's own entries
+    return scan(BASIS_VECTORS) and scan(vectors)
 
 
 def _nondiscrete_claim(pipeline: str, cfg: RunConfig, found) -> Certificate:
@@ -80,8 +166,10 @@ def _nondiscrete_claim(pipeline: str, cfg: RunConfig, found) -> Certificate:
     witness = None
     if found is not None:
         u, v, t = found
-        _expect(not is_algebraic_integer(t), "the trace is an algebraic integer")
-        trace = quad_json(t) if isinstance(t, RealQuadElem) else frac_str(t)
+        d = cfg.d if "d" in keys else 0
+        _expect(not is_integral_trace(d, t), "the trace is an algebraic integer")
+        p, q, D = t
+        trace = {"d": d, "u": frac_str(Fraction(p, D)), "v": frac_str(Fraction(q, D))} if d else frac_str(Fraction(p, D))
         witness = {"units": [[frac_str(c) for c in u], [frac_str(c) for c in v]], "trace": trace}
         if "unit_height" in keys:
             witness["height_reached"] = int(max(abs(c) for c in (*u, *v)))
@@ -102,7 +190,7 @@ def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
 
 def run_sl2z(cfg: RunConfig) -> dict:
     index = _sl2z_index_claim(cfg)
-    found = find_nonintegral_trace(*_trace_frame("sl2z", cfg), SL2Z_SPAN)  # at most 16 pairs
+    found = find_nonintegral_trace(_trace_frame("sl2z", cfg), SL2Z_SPAN)  # at most 16 pairs
     return make_bundle("sl2z", cfg, [index, _nondiscrete_claim("sl2z", cfg, found), _context("sl2z.ramification-context")])
 
 
@@ -125,11 +213,11 @@ def _read_trace_pair(pipeline: str, claim, cfg: RunConfig, vectors=SL2Z_SPAN, re
     search runs again over vectors: the 16 sl2z pairs by default, and for
     quaternionic the standard units up to unit_height, which it reads only
     when the trace form is not integral."""
-    H, basis = _trace_frame(pipeline, cfg)
+    frame = _trace_frame(pipeline, cfg)
     if claim["witness"] is None:
-        return find_nonintegral_trace(H, basis, vectors)
-    u, v = (read(entry) for entry in claim["witness"]["units"])
-    return u, v, pair_trace(H, basis, u, v)
+        return find_nonintegral_trace(frame, vectors)
+    u, v = (tuple(int(c) for c in read(entry)) for entry in claim["witness"]["units"])
+    return u, v, pair_trace(frame, u, v)
 
 
 # claim id -> (holds, build, read), in bundle order; see core

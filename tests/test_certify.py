@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covercert import certify, core, fuchsian, mobius, modgroup, quatalg, units
+from covercert import certify, core, mobius, modgroup, quatalg, units
 from covercert.cli import main as cli_main
 from covercert.core import (
     ASSUMPTION,
@@ -558,7 +558,7 @@ def test_an_honest_refuted_search_re_verifies():
 
 def test_a_failed_check_in_a_pipeline_is_an_internal_fault(monkeypatch, capsys):
     # a trace the builder's check calls integral fails it: exit 3, never 1
-    monkeypatch.setattr(sl2z, "is_algebraic_integer", lambda t: True)
+    monkeypatch.setattr(sl2z, "is_integral_trace", lambda d, t: True)
     assert cli_main(["quaternionic"]) == 3
     assert "the trace is an algebraic integer" in capsys.readouterr().err
 
@@ -593,8 +593,13 @@ def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
     algebra = QuaternionAlgebra(17, 7)
     stream = units.UnitStream(algebra, units.STANDARD, cfg.unit_height)
     embedded = set()
-    embed = fuchsian.real_embed
-    monkeypatch.setattr(fuchsian, "real_embed", lambda u: embedded.add(u.coords()) or embed(u))
+    frame = sl2z._trace_frame
+
+    def spied_frame(pipeline, cfg):
+        d, embed, M = frame(pipeline, cfg)
+        return d, lambda x: embedded.add(tuple(x)) or embed(x), M
+
+    monkeypatch.setattr(quaternionic, "_trace_frame", spied_frame)
     claim = quaternionic._nondiscrete_stage(cfg, stream)
     assert claim.verdict == VERIFIED
     assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2].coords()]] * 2
@@ -657,24 +662,32 @@ _RATIONAL_H = st.builds(
 _QUATERNION_H = st.tuples(*[st.integers(-3, 3).map(lambda n: Fraction(n, 2))] * 4).filter(any).map(lambda c: ("quaternion", c))
 
 
-# from height 2 on, the saturated slice fills SL2(Z/2), so stage 6 runs
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.one_of(_RATIONAL_H, _QUATERNION_H), st.integers(2, 10))
-def test_nondiscrete_trace_matches_oracle(h, height):
+# census d, each with the b that find_example_algebra finds, and nine unit
+# heights from one at which the saturated slice fills SL2(Z/2), so stage 6
+# runs; at 681 the first pair appears at height 144
+_CENSUS = st.sampled_from([(17, 7, 2), (33, 13, 8), (41, 7, 9), (681, 13, 140)]).flatmap(
+    lambda c: st.tuples(st.just(c[:2]), st.integers(c[2], c[2] + 8)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(_RATIONAL_H, _QUATERNION_H), _CENSUS)
+def test_nondiscrete_trace_matches_oracle(h, census):
+    (d, b), height = census
     kind, data = h
     entries = data if kind == "quaternion" else [x for row in data for x in row]
     spec = ("quat:" if kind == "quaternion" else "") + ",".join(str(x) for x in entries)
     try:
-        bundle = certify.run_quaternionic(load_config(None, [f"h={spec}", "k_max=1", f"unit_height={height}"]))
+        bundle = certify.run_quaternionic(load_config(None, [f"d={d}", f"h={spec}", "k_max=1", f"unit_height={height}"]))
     except ConfigError:
         return  # a quaternion the closed form cannot decide
+    assert claim_by_id(bundle, "quaternionic.algebra")["witness"]["b"] == frac_str(b)
     claim = claim_by_id(bundle, "quaternionic.nondiscrete")
     assert claim["verdict"] in (VERIFIED, SEARCH_EXHAUSTED)
     if claim["verdict"] == VERIFIED:
         u, v = ([parse_frac(c) for c in coords] for coords in claim["witness"]["units"])
-        p, q = conjugated_unit_trace(17, 7, h, u, v)
-        assert claim["witness"]["trace"] == {"d": 17, "u": frac_str(p), "v": frac_str(q)}
-        assert not is_integral_quadratic(p, q, 17)
+        p, q = conjugated_unit_trace(d, b, h, u, v)
+        assert claim["witness"]["trace"] == {"d": d, "u": frac_str(p), "v": frac_str(q)}
+        assert not is_integral_quadratic(p, q, d)
         assert _reverify_by_id(json.loads(render_bundle(bundle)))["quaternionic.nondiscrete"] == (True, None)
 
 
@@ -868,7 +881,7 @@ def test_sl2z_not_found_repeats_the_sixteen_pairs(monkeypatch):
     # spanning elements only
     calls = []
     scan = sl2z.find_nonintegral_trace
-    monkeypatch.setattr(sl2z, "find_nonintegral_trace", lambda *args: calls.append(args[2]) or scan(*args))
+    monkeypatch.setattr(sl2z, "find_nonintegral_trace", lambda *args: calls.append(args[1]) or scan(*args))
     bundle = json.loads(render_bundle(certify.run_sl2z(load_config(None, ["h=0,-1,1,0"]))))
     claim = claim_by_id(bundle, "sl2z.nondiscrete")
     assert claim["verdict"] == SEARCH_EXHAUSTED and claim["notes"] == [sl2z.NORMALISER_NOTE]

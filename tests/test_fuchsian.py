@@ -2,26 +2,36 @@ from fractions import Fraction
 
 import pytest
 
+from covercert.core import load_config, parse_conjugator_spec
 from covercert.fuchsian import (INCONCLUSIVE, NO_VIOLATION, NOT_FOUND, VIOLATION,
-                                EllipticCertificate, RealQuadElem,
-                                find_infinite_elliptic, find_nonintegral_trace,
-                                is_algebraic_integer, is_infinite_elliptic_trace,
-                                jorgensen_violation, pair_trace, quad,
-                                quaternion_basis, real_embed)
+                                EllipticCertificate, find_infinite_elliptic,
+                                is_infinite_elliptic_trace, jorgensen_violation)
 from covercert.mat2 import mat_adj, mat_det, mat_mul, mat_tr
+from covercert.pipelines.sl2z import _trace_frame, find_nonintegral_trace, is_integral_trace, pair_trace
 from covercert.quatalg import QuaternionAlgebra
 from covercert.units import enumerate_units, enumerate_units_saturated
 
-from oracles import quat_mul
-from wordsearch import lift_rational_matrix, seed, verify_elliptic
+from oracles import conjugated_unit_trace, is_integral_quadratic, quat_mul
+from wordsearch import RealQuadElem, lift_rational_matrix, quad, real_embed, seed, verify_elliptic
 
 ALG = QuaternionAlgebra(17, 7)
-BASIS = quaternion_basis(ALG)
 HALF_SHIFT = [[1, Fraction(-1, 2)], [0, 1]]
 
 
 def coords(units):
     return [u.coords() for u in units]
+
+
+def quaternionic_frame(h, d=17):
+    """The quaternionic pipeline's trace frame for h at d, with the b that
+    find_example_algebra finds."""
+    return _trace_frame("quaternionic", load_config(None, [f"d={d}", f"h={h}"]))
+
+
+def value(t):
+    """The trace (p + q sqrt(d)) / D as its two rational coordinates."""
+    p, q, D = t
+    return Fraction(p, D), Fraction(q, D)
 
 
 def sl2z_seeds(with_h=True):
@@ -176,53 +186,63 @@ def test_jorgensen_pair_and_trace_witness_agree():
     assert units[420].coords() == (-29, -7, -33, -8)
     rep = jorgensen_violation(seed("h", H), seed("u", real_embed(units[420])))
     assert rep.verdict == VIOLATION
-    u, v, t = find_nonintegral_trace(H, BASIS, coords(units))
+    frame = quaternionic_frame("1,-1/2,0,1")
+    u, v, t = find_nonintegral_trace(frame, coords(units))
     assert u == v == units[2].coords()
-    assert t == pair_trace(H, BASIS, units[2].coords(), units[2].coords()) == quad(17, Fraction(343, 4))
-    assert not is_algebraic_integer(t)
+    assert t == pair_trace(frame, u, v) and value(t) == (Fraction(343, 4), 0)
+    assert not is_integral_trace(17, t)
 
 
-@pytest.mark.parametrize("H", [
-    lift_rational_matrix(HALF_SHIFT, 17),
-    lift_rational_matrix([[2, 0], [0, 1]], 17),
-    lift_rational_matrix([[3, 1], [Fraction(1, 4), 5]], 17),
-    real_embed(ALG.element(Fraction(3, 2), Fraction(1, 2), 0, 0)),
-    real_embed(ALG.element(Fraction(3, 2), Fraction(1, 2), 1, 0)),
-])
+# d with the b that find_example_algebra finds, a unit height at which each
+# h has a witness, and h
+@pytest.mark.parametrize("H", [(d, height, h) for d, height in [(17, 6), (33, 10), (41, 10), (681, 150)]
+                               for h in ["1,-1/2,0,1", "2,0,0,1", "3,1,1/4,5", "quat:3/2,1/2,0,0", "quat:3/2,1/2,1,0"]])
 def test_trace_form_agrees_with_pair_trace(H):
-    # the search reads its traces off a form built from four conjugates;
-    # pair_trace multiplies each pair out, shell by shell, as the oracle
-    units = coords(enumerate_units(ALG, 6).elements)
-    u, v, t = find_nonintegral_trace(H, BASIS, units)
+    # the search reads its traces off the form at the basis pairs;
+    # pair_trace multiplies each pair out, shell by shell, and the oracle
+    # computes each trace again with Fractions.  quat:3/2,1/2,0,0 has nrd
+    # (9 - d) / 4 < 0, so det M < 0
+    d, height, h = H
+    frame = quaternionic_frame(h, d)
+    algebra = load_config(None, [f"d={d}"]).algebra
+
+    def integral(x, y):
+        t = pair_trace(frame, x, y)
+        p, q = conjugated_unit_trace(d, int(algebra.b), parse_conjugator_spec(h), x, y)
+        assert value(t) == (p, q) and is_integral_trace(d, t) == is_integral_quadratic(p, q, d)
+        return is_integral_trace(d, t)
+
+    units = coords(enumerate_units(algebra, height).elements)
+    u, v, t = find_nonintegral_trace(frame, units)
     i, j = units.index(u), units.index(v)
-    assert t == pair_trace(H, BASIS, u, v) and not is_algebraic_integer(t)
+    assert t == pair_trace(frame, u, v) and not integral(u, v)
     shells = [p for n in range(max(i, j) + 1) for p in [(k, n) for k in range(n + 1)] + [(n, k) for k in range(n)]]
     earlier = shells[: shells.index((i, j))]
-    assert all(is_algebraic_integer(pair_trace(H, BASIS, units[a], units[b])) for a, b in earlier)
+    assert all(integral(units[a], units[b]) for a, b in earlier)
 
 
 def test_algebraic_integer_test():
-    assert is_algebraic_integer(Fraction(-3)) and not is_algebraic_integer(Fraction(5, 2))
-    assert is_algebraic_integer(quad(17, Fraction(1, 2), Fraction(1, 2)))  # 17 = 1 mod 4
-    assert is_algebraic_integer(quad(17, 3, -2))
-    assert not is_algebraic_integer(quad(17, Fraction(1, 2)))
-    assert not is_algebraic_integer(quad(17, 0, Fraction(1, 2)))
-    assert not is_algebraic_integer(quad(2, Fraction(1, 2), Fraction(1, 2)))  # norm -1/4
-    assert not is_algebraic_integer(quad(17, Fraction(1, 3), Fraction(1, 3)))  # 2p not integral
+    assert is_integral_trace(0, (-3, 0, 1)) and not is_integral_trace(0, (5, 0, 2))
+    assert is_integral_trace(17, (1, 1, 2))  # (1 + sqrt17)/2: 17 = 1 mod 4
+    assert is_integral_trace(17, (3, -2, 1))
+    assert not is_integral_trace(17, (1, 0, 2))
+    assert not is_integral_trace(17, (0, 1, 2))
+    assert not is_integral_trace(2, (1, 1, 2))  # norm -1/4
+    assert not is_integral_trace(17, (1, 1, 3))  # 2p not integral
 
 
 def test_trace_search_controls():
-    H = lift_rational_matrix(HALF_SHIFT, 17)
+    frame = quaternionic_frame("1,-1/2,0,1")
     # +-1 alone give trace +-2 with any conjugate of +-1
-    assert find_nonintegral_trace(H, BASIS, coords(enumerate_units(ALG, 1).elements)) is None
-    assert find_nonintegral_trace(H, BASIS, ()) is None
+    assert find_nonintegral_trace(frame, coords(enumerate_units(ALG, 1).elements)) is None
+    assert find_nonintegral_trace(frame, ()) is None
     saturated = coords(enumerate_units_saturated(ALG, 2).elements)
     with pytest.raises(ValueError, match="integral coordinates"):
-        find_nonintegral_trace(H, BASIS, saturated)
+        find_nonintegral_trace(frame, saturated)
     # the identity and j (which normalises the order) give an integral trace
     # form, so nothing is scanned, not even the half-integral units
-    for H in (lift_rational_matrix([[1, 0], [0, 1]], 17), real_embed(ALG.element(0, 0, 1, 0))):
-        assert find_nonintegral_trace(H, BASIS, saturated) is None
+    for h in ("1,0,0,1", "quat:0,0,1,0"):
+        assert find_nonintegral_trace(quaternionic_frame(h), saturated) is None
 
 
 def test_jorgensen_discrete_pair_control():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covercert.mat2 import mat_det, mat_mul, mat_scale
+from covercert.mat2 import mat_det, mat_mul
 from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
                                is_division, quadratic_embeds, ramified_places,
                                split_2adic)
@@ -12,6 +12,7 @@ from covercert.util import odd_prime_factors
 
 from oracles import (_repr_mask, _squares, conic_solvable_mod, conic_square_class,
                      hilbert_oracle, quat_add, quat_conjugate, quat_mul)
+from wordsearch import mat_scale
 
 
 def rand_quat(D, rng, span=9):

@@ -37,13 +37,6 @@ def oracle(test):
 # "module.qualname" -> why no run needs to reach it
 ALLOWED = {
     "commens.IndexResult.modulus": "perfbench/traced.py counts the spans of local_intersection and sl2z_case by it",
-    "fuchsian.RealQuadElem.sign": beneath("find_infinite_elliptic", "jorgensen_violation"),
-    "fuchsian.RealQuadElem.__eq__": beneath("find_infinite_elliptic", "jorgensen_violation"),
-    "fuchsian.RealQuadElem.__hash__": beneath("find_infinite_elliptic"),
-    "fuchsian.RealQuadElem.__lt__": beneath("find_infinite_elliptic", "jorgensen_violation"),
-    "fuchsian.RealQuadElem.__gt__": beneath("find_infinite_elliptic", "jorgensen_violation"),
-    "fuchsian.RealQuadElem.__ge__": beneath("jorgensen_violation"),
-    "fuchsian.RealQuadElem.__abs__": beneath("jorgensen_violation"),
     "fuchsian.WordElement.extend": beneath("find_infinite_elliptic"),
     "fuchsian.WordElement.trace": beneath("find_infinite_elliptic"),
     "fuchsian.WordElement.determinant": beneath("find_infinite_elliptic", "jorgensen_violation"),
