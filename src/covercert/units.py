@@ -20,7 +20,6 @@ decides which order it works on in one place.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 from .modgroup import ResidueMatrix, closure, group_order
 from .quatalg import (Quaternion, QuaternionAlgebra, SplittingMap, is_division,
@@ -57,33 +56,24 @@ def _signs(x: int) -> tuple:
 
 def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     """The norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
-    height lies in (above, B], in (height, coordinates) order.  Solves
-    u^2 = t - a b z^2, t = s^2 + a v^2 + b w^2, over the quadrant v, w >= 0
-    of the box |coordinate| <= H = sB, and then expands the signs: the norm
-    and both parity tests see only squares and residues mod s <= 2.  For
-    each (v, w), z >= 0 runs over the band that leaves u^2 in [0, H^2],
-    lo <= z^2 <= hi with lo = ceil((t - H^2)/ab), hi = floor(t/ab) for
-    ab > 0 and the two ends swapped for ab < 0, in steps of s from the
-    first z = w mod s."""
+    height lies in (above, B], in (height, coordinates) order.  The norm is
+    N(u, v) - b N(w, z) with N(x, y) = x^2 - a y^2, and both pairs obey the
+    same parity rule, so one table serves both sides: it maps N(x, y) to its
+    pairs 0 <= x, y <= H = sB with x = y mod s, and each key n with b
+    dividing n - s^2 is joined with the pairs under (n - s^2)/b.  That
+    gives the quadrant with every coordinate >= 0, and the signs are then
+    expanded: the norm and both parity tests see only squares and residues
+    mod s <= 2.  The table holds about (H + 1)^2/s pairs, the same order as
+    the units the box returns, and roughly doubles the peak memory of a
+    large box."""
     a, b = _require_integral_constants(D)
-    H, ab = s * B, a * b
-    HH = H * H
-    # (t - lo_off) / ab and (t - hi_off) / ab are the ends of the band on z^2
-    lo_off, hi_off = (HH, 0) if ab > 0 else (0, HH)
-    found = []
-    for v in range(H + 1):
-        t1 = s * s + a * v * v
-        for w in range(H + 1):
-            t = t1 + b * w * w
-            lo, hi = -((lo_off - t) // ab), (t - hi_off) // ab
-            if hi < lo or hi < 0:
-                continue
-            z0 = isqrt(lo - 1) + 1 if lo > 0 else 0
-            for z in range(z0 + (w - z0) % s, (H if hi >= HH else isqrt(hi)) + 1, s):
-                rhs = t - ab * z * z
-                u = isqrt(rhs)
-                if u * u == rhs and (u - v) % s == 0:
-                    found.append((u, v, w, z))
+    H, ss = s * B, s * s
+    pairs = {}
+    for x in range(H + 1):
+        for y in range(x % s, H + 1, s):
+            pairs.setdefault(x * x - a * y * y, []).append((x, y))
+    found = [(u, v, w, z) for n, uvs in pairs.items() if (n - ss) % b == 0
+             for w, z in pairs.get((n - ss) // b, ()) for u, v in uvs]
     # the height of the numerators c is ceil(max |c| / s)
     keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
     # each coordinate value becomes a Fraction once, not once per unit

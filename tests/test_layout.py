@@ -140,7 +140,8 @@ def test_a_bundle_names_no_module_to_import(golden):
                                              ("intersect", "commens.local_intersection"),
                                              ("dihedral", "mobius.invariant_search"),
                                              ("sl2z", "commens.sl2z_case"),
-                                             ("quaternionic", "units.reduce_units")])
+                                             ("quaternionic", "units.reduce_units"),
+                                             ("units", "units.enumerate_units_saturated")])
 def test_traced_run_records_its_spans(pipeline, layer, tmp_path):
     spans = tmp_path / "spans.json"
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced.py"), pipeline], capture_output=True, cwd=ROOT,

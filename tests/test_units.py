@@ -49,7 +49,8 @@ def test_enumeration_complete_for_box():
     ((5, -7), 6, True), ((13, -5), 6, True), ((-3, 5), 5, True),
 ])
 def test_enumerators_match_the_triple_loop(ab, B, saturated):
-    # the band on the last coordinate drops no unit and keeps the order
+    # matching the table of N(x, y) against itself drops no unit and
+    # keeps the order
     D = QuaternionAlgebra(*ab)
     if saturated:
         got = [tuple(int(2 * c) for c in q.coords()) for q in enumerate_units_saturated(D, B).elements]
@@ -59,16 +60,18 @@ def test_enumerators_match_the_triple_loop(ab, B, saturated):
     assert len(got) > 2
 
 
-@pytest.mark.parametrize("ab", [(17, 7), (41, find_example_algebra(41).b), (73, 10), (5, -7), (-1, 3)])
+@pytest.mark.parametrize("ab", [(17, 7), (41, find_example_algebra(41).b), (73, 10), (5, -7), (-1, 3), (-1, -1)])
 @pytest.mark.parametrize("s", [1, 2])
 def test_norm_one_matches_the_band_loop(ab, s):
-    # the band computed inline and z stepped by s give the reference
-    # enumerator's tuple in the same order, for ab > 0 and for ab < 0, and
-    # the integer torsion test agrees with the trace on every unit; (-1, 3)
-    # has units of trace -1, 0 and 1
+    # matching the table of N(x, y) = x^2 - a y^2 against itself gives the
+    # band loop's tuple in the same order, for every sign of a and b, and
+    # for a cut `above` at 0, mid-box and just under B; with a, b < 0 every
+    # key is >= 0 and each lookup is at s^2 - n; the integer torsion test
+    # agrees with the trace on every unit; (-1, 3) has units of trace -1,
+    # 0 and 1
     D = QuaternionAlgebra(*ab)
     for B in range(1, 13):
-        for above in (0, B // 2):
+        for above in (0, B // 2, B - 1):
             got = _norm_one(D, B, s, above)
             assert got == band_norm_one(D, B, s, above)
             assert [is_torsion(q) for q in got] == [-2 < 2 * q.x0 < 2 for q in got]
