@@ -95,20 +95,24 @@ def coords_json(q):
     return [frac_str(c) for c in q.coords()]
 
 
-def _reject_floats(obj, path="$"):
-    if isinstance(obj, float):
-        raise TypeError(f"float at {path}; bundles must stay exact")
+_LEAVES = (str, int, type(None))  # checked in place: most of a bundle is leaves
+
+
+def _require_plain(obj, path="$"):
+    """TypeError unless obj holds only dicts with str keys, lists, str, int
+    and None: the values that a JSON round trip returns unchanged."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _reject_floats(v, f"{path}.{k}")
-    elif isinstance(obj, (list, tuple)):
+            if not isinstance(k, str):
+                raise TypeError(f"key {k!r} at {path} is not a string")
+            if not isinstance(v, _LEAVES):
+                _require_plain(v, f"{path}.{k}")
+    elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            _reject_floats(v, f"{path}[{i}]")
-
-
-def canonical_json(obj) -> str:
-    _reject_floats(obj)
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+            if not isinstance(v, _LEAVES):
+                _require_plain(v, f"{path}[{i}]")
+    elif not isinstance(obj, _LEAVES):
+        raise TypeError(f"{type(obj).__name__} at {path}; a bundle holds only exact JSON values")
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +392,7 @@ def _blocks(claim_id: str, verdict: str) -> bool:
 
 
 def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
-    """The pipeline's bundle, re-verified before it is returned."""
+    """The pipeline's bundle, plain and re-verified as built before it is returned."""
     bundle = {
         "tool": "covercert",
         "tool_version": __version__,
@@ -397,12 +401,16 @@ def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
         "config_hash": config_hash(cfg),
         "claims": [c.as_dict() for c in claims],
     }
-    _check_reverify(bundle)
+    _require_plain(bundle)
+    bad = [f"{cid} ({reason})" for cid, ok, reason in reverify_bundle(bundle) if not ok]
+    if bad:
+        raise AssertionError(f"witness re-verification failed for: {'; '.join(bad)}")
     return bundle
 
 
 def render_bundle(bundle: dict) -> str:
-    return canonical_json(bundle)
+    _require_plain(bundle)
+    return json.dumps(bundle, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def bundle_exit_code(bundle: dict) -> int:
@@ -475,8 +483,9 @@ def _expected(claim, cfg, stub) -> dict:
         _expect(read is None or holds is _witnessed, "this claim always records a witness")
     if isinstance(cfg, Exception):
         raise cfg
-    want = build(cfg) if read is None else build(cfg, read(claim, cfg))
-    return json.loads(json.dumps(want.as_dict()))
+    want = (build(cfg) if read is None else build(cfg, read(claim, cfg))).as_dict()
+    _require_plain(want)  # Fraction(1) == 1: a builder's Fraction would match a file's int
+    return want
 
 
 def _expect_as_rebuilt(claim, want, stub):
@@ -555,12 +564,3 @@ def reverify_bundle(bundle: dict):
     if problem:
         results.append((bundle["pipeline"], False, problem))
     return results
-
-
-def _check_reverify(bundle: dict):
-    # round-trip through the serialized form so re-verification sees
-    # exactly what a reader of the file would see
-    parsed = json.loads(render_bundle(bundle))
-    bad = [f"{cid} ({reason})" for cid, ok, reason in reverify_bundle(parsed) if not ok]
-    if bad:
-        raise AssertionError(f"witness re-verification failed for: {'; '.join(bad)}")

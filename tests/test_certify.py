@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -28,7 +29,6 @@ from covercert.core import (
     Certificate,
     ConfigError,
     bundle_exit_code,
-    canonical_json,
     config_hash,
     frac_str,
     load_config,
@@ -160,14 +160,16 @@ def test_frac_round_trip():
 
 
 def test_canonical_json_shape():
-    text = canonical_json({"b": 1, "a": [2, {"z": "x", "y": "w"}]})
+    text = render_bundle({"b": 1, "a": [2, {"z": "x", "y": "w"}]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert text.index('"y"') < text.index('"z"')
-    with pytest.raises(TypeError):
-        canonical_json({"x": 0.5})
-    with pytest.raises(TypeError):
-        canonical_json({"x": [1, [2.0]]})
+    # only values that a JSON round trip returns unchanged: a tuple would
+    # read back as a list, a Fraction or a float is not exact JSON, and an
+    # int key would read back as a string
+    for bad in ({"x": 0.5}, {"x": [1, [2.0]]}, {"x": (1, 2)}, {"x": [Fraction(1, 2)]}, {"x": {1: "y"}}):
+        with pytest.raises(TypeError):
+            render_bundle(bad)
 
 
 def test_certificate_verdict_guard():
@@ -1212,7 +1214,9 @@ def test_cli_sweep_exits_by_contract(pipeline, tokens, lead):
     # 2 or 3 with one "error:" line and nothing on stdout; a bundle printed
     # on stdout validates against the schema, re-verifies claim by claim
     # and is printed byte for byte again by a second run
-    with tempfile.TemporaryDirectory() as tmp:
+    # a bare --out takes the next token as its path, so each command line
+    # runs in the scratch directory
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         Path(tmp, "run.cfg").write_text("pair = 17,7\nunit_height = 4\n", encoding="utf-8")
         argv = [arg.format(tmp=tmp) for token in ([[pipeline]] if lead else []) + tokens for arg in token]
         code, out, err = _cli_run(argv)
@@ -1319,7 +1323,10 @@ def test_golden_bundle_bytes(name, request):
         bundle = request.getfixturevalue(_GOLDEN_FIXTURES[name])
     else:
         bundle = certify.PIPELINES[pipeline](load_config(None, overrides))
-    assert render_bundle(bundle).encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    text = render_bundle(bundle)
+    assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    # the bundle that make_bundle re-verified is the one its file parses to
+    assert json.loads(text) == bundle
     assert bundle_exit_code(bundle) == exit_code
 
 
@@ -1334,6 +1341,43 @@ def test_config_hash_is_the_sha256_of_the_config_blob(name):
 
 def _golden(name):
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
+def test_a_run_renders_once_and_parses_nothing(monkeypatch):
+    # each golden command line serialises its bundle once and parses
+    # nothing back: re-verification checks the bundle as built
+    calls = {"dumps": 0, "loads": 0}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(json, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(core, "json", SimpleNamespace(dumps=counted("dumps"), loads=counted("loads")))
+    for name, (pipeline, overrides, exit_code) in sorted(GOLDEN.items()):
+        calls.update(dumps=0, loads=0)
+        code, out, err = _cli_run([pipeline, *(arg for kv in overrides for arg in ("--set", kv))])
+        assert (code, out, err) == (exit_code, (GOLDEN_DIR / f"{name}.json").read_text(), ""), name
+        assert calls == {"dumps": 1, "loads": 0}, name
+    # a builder whose witness holds a Fraction equal to the file's int: the
+    # run is an internal fault, never a verdict, and the rebuild no longer
+    # matches the file
+    holds, build, read = quaternionic.CLAIM_KINDS["quaternionic.2adic-square"]
+
+    def fraction_precision(cfg):
+        cert = build(cfg)
+        cert.witness = dict(cert.witness, precision=Fraction(cert.witness["precision"]))
+        return cert
+
+    monkeypatch.setattr(quaternionic, "_square_claim", fraction_precision)
+    monkeypatch.setitem(quaternionic.CLAIM_KINDS, "quaternionic.2adic-square", (holds, fraction_precision, read))
+    code, out, err = _cli_run(["quaternionic"])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1 and err.startswith("error: TypeError: ")
+    results = _reverify_by_id(_golden("quaternionic"))
+    assert results["quaternionic.2adic-square"][0] is False
+    assert "Fraction" in results["quaternionic.2adic-square"][1]
+    assert [cid for cid, (ok, _) in results.items() if not ok] == ["quaternionic.2adic-square"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
