@@ -36,7 +36,8 @@ from .util import frac_valuation, odd_prime_factors, valuation
 
 class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, None))):
     """Invertible conjugating element: a 2x2 rational matrix, or a
-    quaternion whose index the local factors above can decide."""
+    quaternion x/2^t whose index the local factors above can decide, held
+    as (algebra, x, t) with x integral."""
 
     __slots__ = ()
 
@@ -50,16 +51,18 @@ class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, Non
         return Conjugator(rows=rows)
 
     @staticmethod
-    def from_quaternion(q) -> "Conjugator":
+    def from_quaternion(algebra, coords) -> "Conjugator":
+        """The quaternion of algebra with the rational coordinates coords."""
         from .quatalg import hilbert_symbol  # imported here, so a rational h loads no quatalg
-        n = q.nrd()
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        if den & (den - 1):
+            raise ValueError("quaternionic conjugator has a denominator away from 2")
+        x = tuple(c.numerator * (den // c.denominator) for c in coords)
+        n = algebra.nrd(x)  # nrd(h) times den^2
         if n == 0:
             raise ValueError("conjugator must be invertible")
-        for c in q.coords():
-            if c.denominator & (c.denominator - 1):
-                raise ValueError(
-                    "quaternionic conjugator has a denominator away from 2")
-        a, b = q.algebra.a, q.algebra.b
+        a, b = algebra.a, algebra.b
         if not is_square_padic(a, 2):
             raise ValueError("a is not a 2-adic square, so the algebra has "
                              "no diagonal splitting at 2")
@@ -68,7 +71,7 @@ class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, Non
             if v and not (v == 1 and hilbert_symbol(a, b, p) == -1):
                 raise ValueError(f"the standard order is not maximal at {p}, "
                                  "which divides nrd(h)")
-        return Conjugator(quaternion=q)
+        return Conjugator(quaternion=(algebra, x, den.bit_length() - 1))
 
 
 def psi(p: int, n: int) -> int:
@@ -111,17 +114,15 @@ def sl2z_case(rows) -> IndexResult:
     return IndexResult(tuple((p, valuation(N, p), ()) for p in primes), M)
 
 
-def _quaternion_case(q) -> IndexResult:
+def _quaternion_case(algebra, x, t) -> IndexResult:
     from .quatalg import split_2adic  # see from_quaternion
-    a, b = q.algebra.a, q.algebra.b
-    n = q.nrd()
-    v = frac_valuation(n, 2)
-    # 2^t h has integral coordinates and nrd of valuation v + 2t, so some
-    # entry of its image has valuation at most v + 2t; read mod
-    # 2^(v + 2t + 1), each such entry is nonzero with exact trailing zeros
-    t = max(c.denominator for c in q.coords()).bit_length() - 1
-    scaled = q.algebra.element(*(c * 2**t for c in q.coords()))
-    entries = split_2adic(q.algebra).residues(scaled, v + 2 * t + 1)
+    a, b = algebra.a, algebra.b
+    n = algebra.nrd(x)  # nrd(h) times 4^t
+    v = frac_valuation(n, 2) - 2 * t
+    # x = 2^t h has nrd of valuation v + 2t, so some entry of its image has
+    # valuation at most v + 2t; read mod 2^(v + 2t + 1), each such entry is
+    # nonzero with exact trailing zeros
+    entries = split_2adic(algebra).residues(x, v + 2 * t + 1)
     m = min((e & -e).bit_length() - 1 for e in entries if e) - t
     factors = [(2, v - 2 * m, (("nrd_valuation", v), ("min_entry_valuation", m)))]
     for p in odd_prime_factors(n.numerator):
@@ -131,7 +132,7 @@ def _quaternion_case(q) -> IndexResult:
             # norm-one group of the maximal order is normal
             factors.append((p, 0, (("nrd_valuation", vp), ("ramified", True))))
             continue
-        mp = min(frac_valuation(c, p) for c in q.coords() if c)
+        mp = min(valuation(c, p) for c in x if c)
         factors.append((p, vp - 2 * mp,
                         (("nrd_valuation", vp), ("min_coordinate_valuation", mp))))
     return IndexResult(tuple(factors))
@@ -142,4 +143,4 @@ def local_intersection(h: Conjugator) -> IndexResult:
     factors (see the module docstring)."""
     if h.rows is not None:
         return sl2z_case(h.rows)
-    return _quaternion_case(h.quaternion)
+    return _quaternion_case(*h.quaternion)

@@ -77,22 +77,14 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def rows_json(rows):
     """Row-major matrix of rationals as nested "num/den" strings."""
     return [[frac_str(e) for e in row] for row in rows]
 
 
-def rows_from_json(data):
-    return tuple(tuple(parse_frac(e) for e in row) for row in data)
-
-
-def coords_json(q):
-    """A quaternion's coordinates as "num/den" strings."""
-    return [frac_str(c) for c in q.coords()]
+def unit_json(x, s=1):
+    """The coordinates of the quaternion x/s as "num/den" strings."""
+    return [frac_str(Fraction(c, s)) for c in x]
 
 
 _LEAVES = (str, int, type(None))  # checked in place: most of a bundle is leaves

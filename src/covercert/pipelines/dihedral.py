@@ -4,9 +4,10 @@ computed from the config, so re-verification rebuilds each one."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 
-from ..core import Certificate, RunConfig, frac_str, make_bundle, parse_frac, rows_from_json, rows_json
+from ..core import Certificate, RunConfig, frac_str, make_bundle, rows_json
 from ..mobius import INFINITE_ORDER, MobiusMap, commutator, compose, finite_order, invariant_search
 
 
@@ -113,8 +114,8 @@ def run_dihedral(cfg: RunConfig) -> dict:
 
 
 def _scales_by_a_squared(witness, inputs):
-    a = parse_frac(inputs["a"])
-    return MobiusMap.from_rows(rows_from_json(witness["matrix"])) == MobiusMap.from_rows(((1, 0), (0, a * a)))
+    a = Fraction(inputs["a"])
+    return MobiusMap.from_rows(witness["matrix"]) == MobiusMap.from_rows(((1, 0), (0, a * a)))
 
 
 # claim id -> (holds, build, read), in bundle order; see core.  Each claim is

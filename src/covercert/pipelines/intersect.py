@@ -50,7 +50,7 @@ def _conjugator(spec: str, algebra) -> Conjugator:
     if kind == "rational":
         return Conjugator.from_rows(data)
     try:
-        return Conjugator.from_quaternion(algebra().element(*data))
+        return Conjugator.from_quaternion(algebra(), data)
     except ValueError as e:
         raise ConfigError(str(e))
 

@@ -10,6 +10,7 @@ it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import isqrt
@@ -22,16 +23,16 @@ from ..core import (
     _expect,
     _not_run,
     _witnessed,
-    coords_json,
     frac_str,
     make_bundle,
-    parse_frac,
+    unit_json,
 )
 from ..exact import sqrt_2adic
 from ..modgroup import group_order
 from ..quatalg import ramified_places, split_2adic
 from ..units import (
     SATURATED,
+    SCALE,
     STANDARD,
     UnitStream,
     closing_prefix,
@@ -44,7 +45,7 @@ from ..units import (
 )
 from .hilbert import _ADMISSIBLE, _algebra_symbols, _require_saturated_order
 from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
-from .sl2z import TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame, find_nonintegral_trace
+from .sl2z import BASIS_VECTORS, TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame, find_nonintegral_trace
 
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
@@ -97,11 +98,12 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
     full = levels[-1]["surjects"]
     witness = {
         "generators": [
-            {"coords": coords_json(u), "matrix": _rows(g.entries()), "modulus": 2**k_top} for u, g in zip(units, table.generators)
+            {"coords": unit_json(u, SCALE[SATURATED]), "matrix": _rows(g.entries()), "modulus": 2**k_top}
+            for u, g in zip(units, table.generators)
         ],
         "levels": levels,
         # a closure that fills the group stops at the unit that fills it
-        "height_reached": _height_reached(units[-1] if full else None, cfg),
+        "height_reached": _height_reached(units[-1] if full else None, cfg, SATURATED),
     }
     tower = k_top == BASE_LEVEL
     return Certificate(
@@ -243,8 +245,8 @@ def _torsion_claim(cfg: RunConfig, found) -> Certificate:
         inputs={"d": cfg.d, "unit_height": cfg.unit_height},
         witness=dict(
             flags,
-            finite_order_unit=None if found is None else coords_json(found),
-            height_reached=_height_reached(found, cfg) if flags["embeds_sqrt_minus_1"] else 0,
+            finite_order_unit=None if found is None else unit_json(found),
+            height_reached=_height_reached(found, cfg, STANDARD) if flags["embeds_sqrt_minus_1"] else 0,
         ),
         depends_on=("quaternionic.algebra",),
         notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
@@ -256,7 +258,7 @@ def _torsion_search(cfg: RunConfig, std: UnitStream):
     the stream is read only when sqrt(-1) embeds (see _torsion_claim)."""
     if not embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"]:
         return None
-    return next((q for q in std if is_torsion(q)), None)
+    return next((x for x in std if is_torsion(x, std.scale)), None)
 
 
 def _obstruction_claim(cfg: RunConfig) -> Certificate:
@@ -267,7 +269,7 @@ def _obstruction_claim(cfg: RunConfig) -> Certificate:
     reduces to I, I, J, J with J = [[0, 1], [b, 0]]; of the span {0, I, J,
     I + J} only I and one of J (odd b) and I + J (even b) have det 1."""
     algebra, split = cfg.algebra, split_2adic(cfg.algebra)
-    basis = [split.residues(algebra.element(*(int(k == m) for k in range(4))), 1) for m in range(4)]
+    basis = [split.residues(x, 1) for x in BASIS_VECTORS]
     span = {tuple(sum(c * x for c, x in zip(cs, entry)) % 2 for entry in zip(*basis)) for cs in product((0, 1), repeat=4)}
     return Certificate(
         claim="quaternionic.standard-order-obstruction",
@@ -283,16 +285,16 @@ def _obstruction_claim(cfg: RunConfig) -> Certificate:
     )
 
 
-def _height_reached(stop, cfg: RunConfig) -> int:
-    """A unit stage's reach: the height of the unit it stopped at, or
-    unit_height when it read every unit up to the cap."""
-    return cfg.unit_height if stop is None else height(stop)
+def _height_reached(stop, cfg: RunConfig, kind) -> int:
+    """A unit stage's reach: the height of the unit of the kind's order it
+    stopped at, or unit_height when it read every unit up to the cap."""
+    return cfg.unit_height if stop is None else height(stop, SCALE[kind])
 
 
 def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
     """The trace stage, reading the standard stream in shells up to the
     first pair with a non-integral trace."""
-    found = find_nonintegral_trace(_trace_frame("quaternionic", cfg), (u.coords() for u in std))
+    found = find_nonintegral_trace(_trace_frame("quaternionic", cfg), std)
     return _nondiscrete_claim("quaternionic", cfg, found)
 
 
@@ -301,14 +303,17 @@ def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
 
 
 def _read_unit(coords, cfg: RunConfig, kind=STANDARD):
-    """A recorded unit, which must have norm one and height at most
-    unit_height; a standard-order one must be integral, and a 2-saturated
-    one integral at 2, which reducing it checks."""
-    u = cfg.algebra.element(*(parse_frac(c) for c in coords))
-    integral = kind == SATURATED or all(c.denominator == 1 for c in u.coords())
-    _expect(integral and u.nrd() == 1, f"unit {coords_json(u)} is not a norm-one {kind}-order element")
-    _expect(height(u) <= cfg.unit_height, f"unit {coords_json(u)} lies above unit_height {cfg.unit_height}")
-    return u
+    """A recorded unit x/s of the kind's order, as its numerators x over
+    that order's scale s: x must be integral with norm s^2, and x/s of
+    height at most unit_height.  A 2-saturated x/2 must also be integral
+    at 2, which reducing it checks."""
+    s = SCALE[kind]
+    x = [Fraction(c) * s for c in coords]
+    shown = unit_json(x, s)
+    integral = all(c.denominator == 1 for c in x)
+    _expect(integral and cfg.algebra.nrd(x) == s * s, f"unit {shown} is not a norm-one {kind}-order element")
+    _expect(height(x, s) <= cfg.unit_height, f"unit {shown} lies above unit_height {cfg.unit_height}")
+    return tuple(c.numerator for c in x)
 
 
 def _read_torsion_unit(claim, cfg: RunConfig):
@@ -320,7 +325,7 @@ def _read_torsion_unit(claim, cfg: RunConfig):
         return _torsion_search(cfg, UnitStream(cfg.algebra, STANDARD, cfg.unit_height))
     _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
     u = _read_unit(coords, cfg)
-    _expect(is_torsion(u), f"recorded unit {coords_json(u)} has trace {2 * u.x0}, not -1, 0 or 1")
+    _expect(is_torsion(u, 1), f"recorded unit {unit_json(u)} has trace {2 * u[0]}, not -1, 0 or 1")
     return u
 
 
@@ -334,7 +339,7 @@ def _read_surjectivity(claim, cfg: RunConfig):
         return _surjectivity_search(cfg, split)
     units = [_read_unit(g["coords"], cfg, SATURATED) for g in witness["generators"]]
     k_top = min(cfg.k_max, BASE_LEVEL)
-    _, table = images_surject(reduce_units(units, split, k_top), k_top)
+    _, table = images_surject(reduce_units(units, split, k_top, SCALE[SATURATED]), k_top)
     _expect(len(table.generators) == len(units), "a recorded generator lies in the closure of the ones before it")
     return units, table
 
@@ -343,7 +348,7 @@ def _read_trace_units(claim, cfg: RunConfig):
     """The trace claim's pair of standard units; with no pair recorded, the
     standard units up to unit_height are searched again."""
     stream = UnitStream(cfg.algebra, STANDARD, cfg.unit_height)
-    return _read_trace_pair("quaternionic", claim, cfg, (u.coords() for u in stream), lambda c: _read_unit(c, cfg).coords())
+    return _read_trace_pair("quaternionic", claim, cfg, stream, lambda c: _read_unit(c, cfg))
 
 
 # claim id -> (holds, build, read), in bundle order; see core

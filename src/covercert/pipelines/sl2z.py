@@ -22,7 +22,7 @@ from ..core import (
     frac_str,
     make_bundle,
     parse_conjugator_spec,
-    parse_frac,
+    unit_json,
 )
 from ..mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from .intersect import _explicit_claim, _index_agrees, _index_certificate
@@ -137,10 +137,7 @@ def find_nonintegral_trace(frame, vectors):
 
     def scan(vectors):
         read = []  # per vector read so far: its coordinates, P v and Q v
-        for n, coords in enumerate(vectors):
-            if any(c.denominator != 1 for c in coords):
-                raise ValueError("units need integral coordinates")
-            v = [int(c) for c in coords]
+        for n, v in enumerate(vectors):
             Pv, Qv = ([sum(M[4 * a + b] * v[b] for b in range(4)) for a in range(4)] for M in (P, Q))
             read.append((v, Pv, Qv))
             for i, j in [(i, n) for i in range(n + 1)] + [(n, j) for j in range(n)]:
@@ -149,7 +146,7 @@ def find_nonintegral_trace(frame, vectors):
                 q = u0 * q0 + u1 * q1 + u2 * q2 + u3 * q3
                 # is_integral_trace, written out in the innermost loop
                 if 2 * p % D or (p * p - d * q * q) % (D * D):
-                    return tuple(read[i][0]), tuple(read[j][0]), (p, q, D)
+                    return read[i][0], read[j][0], (p, q, D)
         return None
 
     # scanning the basis vectors tests the form's own entries
@@ -170,9 +167,9 @@ def _nondiscrete_claim(pipeline: str, cfg: RunConfig, found) -> Certificate:
         _expect(not is_integral_trace(d, t), "the trace is an algebraic integer")
         p, q, D = t
         trace = {"d": d, "u": frac_str(Fraction(p, D)), "v": frac_str(Fraction(q, D))} if d else frac_str(Fraction(p, D))
-        witness = {"units": [[frac_str(c) for c in u], [frac_str(c) for c in v]], "trace": trace}
+        witness = {"units": [unit_json(u), unit_json(v)], "trace": trace}
         if "unit_height" in keys:
-            witness["height_reached"] = int(max(abs(c) for c in (*u, *v)))
+            witness["height_reached"] = max(map(abs, (*u, *v)))
         note = TRACE_NOTE
     return Certificate(
         claim=f"{pipeline}.nondiscrete",
@@ -200,7 +197,7 @@ def run_sl2z(cfg: RunConfig) -> dict:
 
 def _read_sl2z_element(entries):
     """A recorded element of SL2(Z), as its entries a, b, c, d."""
-    a, b, c, d = x = tuple(parse_frac(e) for e in entries)
+    a, b, c, d = x = tuple(Fraction(e) for e in entries)
     _expect(all(e.denominator == 1 for e in x), f"element {entries} has an entry that is not an integer")
     _expect(a * d - b * c == 1, f"element {entries} has determinant {a * d - b * c}, not 1")
     return x

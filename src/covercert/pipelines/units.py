@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import Certificate, RunConfig, _witnessed, coords_json, frac_str, make_bundle
+from ..core import Certificate, RunConfig, _witnessed, frac_str, make_bundle, unit_json
 from ..units import SATURATED, enumerate_units, enumerate_units_saturated, mod2_image_obstruction, torsion_check
 from .hilbert import _require_saturated_order, _resolve_algebra
 
@@ -12,17 +12,17 @@ def _units_slice_claim(cfg: RunConfig) -> Certificate:
         _require_saturated_order(cfg.d)
     algebra = _resolve_algebra(cfg)
     if cfg.order_kind == SATURATED:
-        slice_ = enumerate_units_saturated(algebra, cfg.unit_height)
+        stream = enumerate_units_saturated(algebra, cfg.unit_height)
     else:
-        slice_ = enumerate_units(algebra, cfg.unit_height)
-    torsion = torsion_check(slice_)
+        stream = enumerate_units(algebra, cfg.unit_height)
+    torsion = torsion_check(stream)
     witness = {
         "a": frac_str(algebra.a),
         "b": frac_str(algebra.b),
         "order_kind": cfg.order_kind,
         "bound": cfg.unit_height,
-        "count": len(slice_.elements),
-        "first_elements": [coords_json(u) for u in slice_.elements[:8]],
+        "count": len(stream.units),
+        "first_elements": [unit_json(x, stream.scale) for x in stream.units[:8]],
         "slice_torsion_free": torsion["slice_torsion_free"],
         "algebra_torsion_free": torsion["algebra_torsion_free"],
     }

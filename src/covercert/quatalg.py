@@ -1,9 +1,10 @@
 """Rational quaternion algebras (a,b | Q).
 
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.  Everything here is
-exact: the reduced norm over Fraction, ramification via the local Hilbert
-symbol formulas, and an explicit splitting over Q_2 (when a is a 2-adic
-square) whose images are read as integer residues mod 2^k.
+exact: the reduced norm of a coordinate vector, ramification via the local
+Hilbert symbol formulas, and an explicit splitting over Q_2 (when a is a
+2-adic square) whose images of integer vectors over a power of 2 are read
+as integer residues mod 2^k.
 """
 
 from collections import namedtuple
@@ -25,33 +26,11 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
             raise ValueError("structure constants must be nonzero")
         return super().__new__(cls, a, b)
 
-    def element(self, x0, x1=0, x2=0, x3=0) -> "Quaternion":
-        return Quaternion(self, Fraction(x0), Fraction(x1),
-                          Fraction(x2), Fraction(x3))
-
-    def one(self) -> "Quaternion":
-        return self.element(1)
-
-
-class Quaternion:
-    __slots__ = ("algebra", "x0", "x1", "x2", "x3")
-
-    def __init__(self, algebra: QuaternionAlgebra, x0: Fraction, x1: Fraction, x2: Fraction, x3: Fraction):
-        self.algebra, self.x0, self.x1, self.x2, self.x3 = algebra, x0, x1, x2, x3
-
-    def __eq__(self, other):
-        return isinstance(other, Quaternion) and self.algebra == other.algebra and self.coords() == other.coords()
-
-    def coords(self):
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    def __neg__(self):
-        return Quaternion(self.algebra, -self.x0, -self.x1, -self.x2, -self.x3)
-
-    def nrd(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        return (self.x0 ** 2 - a * self.x1 ** 2 - b * self.x2 ** 2
-                + a * b * self.x3 ** 2)
+    def nrd(self, x):
+        """The reduced norm x0^2 - a x1^2 - b x2^2 + a b x3^2 of
+        x0 + x1 i + x2 j + x3 k."""
+        x0, x1, x2, x3 = x
+        return x0 * x0 - self.a * x1 * x1 - self.b * x2 * x2 + self.a * self.b * x3 * x3
 
 
 def _legendre(u: int, p: int) -> int:
@@ -188,27 +167,19 @@ class SplittingMap:
             self.roots[n] = s
         return s
 
-    def residues(self, q: Quaternion, k: int):
-        """The entries (a, b, c, d) of q's image mod 2^k, row-major.
-
-        With 2^t the largest coordinate denominator, 2^t q has integral
-        coordinates; its image is computed mod 2^(k+t) and divided by 2^t.
-        Raises ValueError unless every denominator is a power of 2 and the
-        image is integral.
+    def residues(self, x, k: int, scale: int = 1):
+        """The entries (a, b, c, d) of the image of x/scale mod 2^k,
+        row-major, for integer numerators x and scale = 2^t: the image of x
+        is computed mod 2^(k+t) and divided by the scale.  Raises ValueError
+        unless that image is integral at 2.
         """
-        if q.algebra != self.algebra:
-            raise ValueError("element of a different algebra")
-        coords = q.coords()
-        den = max(c.denominator for c in coords)
-        if den & (den - 1) or any(den % c.denominator for c in coords):
-            raise ValueError("coordinate denominator away from 2")
-        t = den.bit_length() - 1
-        x0, x1, x2, x3 = (c.numerator * (den // c.denominator) for c in coords)
+        t = scale.bit_length() - 1
+        x0, x1, x2, x3 = x
         s = self._root(k + t)
         mask = (1 << (k + t)) - 1
         entries = ((x0 + s * x1) & mask, (x2 + s * x3) & mask,
                    self.b * (x2 - s * x3) & mask, (x0 - s * x1) & mask)
-        if any(e & (den - 1) for e in entries):
+        if any(e & (scale - 1) for e in entries):
             raise ValueError("the image is not integral at 2")
         return tuple(e >> t for e in entries)
 

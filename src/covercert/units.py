@@ -8,35 +8,28 @@ norm-one units land in a proper subgroup of SL2(Z/2) (see
 mod2_image_obstruction), so congruence surjectivity is only visible
 through the saturated slice.
 
-A unit's height is the least B whose box |coordinate| <= B holds it.  Each
-order's units come from one UnitStream, in (height, coordinates) order and
+A unit is the tuple x of its integer numerators over the scale s of its
+order: x0 + x1 i + x2 j + x3 k over 1 for the standard order, and
+(u + vi + wj + zk)/2 as (u, v, w, z) over 2 for the saturated one.  Its
+height is the least B whose box |coordinate| <= B holds x/s.  Each order's
+units come from one UnitStream, in (height, coordinates) order and
 enumerated only as far as its reader asks.  enumerate_units and
-enumerate_units_saturated are a stream's prefix up to a bound; the
+enumerate_units_saturated return a stream grown to a bound; the
 certificate stages iterate a stream and stop at their witness.  Everything
 downstream (reduce_units, surjects_at_level, torsion_check) takes the units
 its caller already holds, so a pipeline enumerates each order once and
 decides which order it works on in one place.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .modgroup import ResidueMatrix, closure, group_order
-from .quatalg import (Quaternion, QuaternionAlgebra, SplittingMap, is_division,
-                      quadratic_embeds, split_2adic)
+from .quatalg import QuaternionAlgebra, SplittingMap, is_division, quadratic_embeds, split_2adic
 
 STANDARD = "standard"
 SATURATED = "2-saturated"
-
-
-class UnitSlice:
-    __slots__ = ("algebra", "bound", "elements")
-
-    def __init__(self, algebra: QuaternionAlgebra, bound: int, elements: tuple):
-        self.algebra, self.bound, self.elements = algebra, bound, elements
-
-    def __len__(self):
-        return len(self.elements)
+# order kind -> the scale its units' numerators are over
+SCALE = {STANDARD: 1, SATURATED: 2}
 
 
 def _require_integral_constants(D: QuaternionAlgebra):
@@ -45,9 +38,9 @@ def _require_integral_constants(D: QuaternionAlgebra):
     return int(D.a), int(D.b)
 
 
-def height(q) -> int:
-    """The least B whose box |coordinate| <= B holds q."""
-    return max(-(-abs(c.numerator) // c.denominator) for c in q.coords())
+def height(x, s: int) -> int:
+    """The least B whose box |coordinate| <= B holds x/s."""
+    return -(-max(map(abs, x)) // s)
 
 
 def _signs(x: int) -> tuple:
@@ -55,17 +48,17 @@ def _signs(x: int) -> tuple:
 
 
 def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
-    """The norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
-    height lies in (above, B], in (height, coordinates) order.  The norm is
-    N(u, v) - b N(w, z) with N(x, y) = x^2 - a y^2, and both pairs obey the
-    same parity rule, so one table serves both sides: it maps N(x, y) to its
-    pairs 0 <= x, y <= H = sB with x = y mod s, and each key n with b
-    dividing n - s^2 is joined with the pairs under (n - s^2)/b.  That
-    gives the quadrant with every coordinate >= 0, and the signs are then
-    expanded: the norm and both parity tests see only squares and residues
-    mod s <= 2.  The table holds about (H + 1)^2/s pairs, the same order as
-    the units the box returns, and roughly doubles the peak memory of a
-    large box."""
+    """The numerators (u, v, w, z) of the norm-one (u + vi + wj + zk)/s
+    with u = v and w = z mod s whose height lies in (above, B], in
+    (height, coordinates) order.  The norm is N(u, v) - b N(w, z) with
+    N(x, y) = x^2 - a y^2, and both pairs obey the same parity rule, so one
+    table serves both sides: it maps N(x, y) to its pairs 0 <= x, y <= H =
+    sB with x = y mod s, and each key n with b dividing n - s^2 is joined
+    with the pairs under (n - s^2)/b.  That gives the quadrant with every
+    coordinate >= 0, and the signs are then expanded: the norm and both
+    parity tests see only squares and residues mod s <= 2.  The table holds
+    about (H + 1)^2/s pairs, the same order as the units the box returns,
+    and roughly doubles the peak memory of a large box."""
     a, b = _require_integral_constants(D)
     H, ss = s * B, s * s
     pairs = {}
@@ -76,18 +69,13 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
              for w, z in pairs.get((n - ss) // b, ()) for u, v in uvs]
     # the height of the numerators c is ceil(max |c| / s)
     keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
-    # each coordinate value becomes a Fraction once, not once per unit
-    value = [Fraction(t, s) for t in range(-H, H + 1)]
-    return tuple(Quaternion(D, value[u + H], value[v + H], value[w + H], value[z + H])
-                 for h, (u, v, w, z) in keyed if h > above)
-
-
-_SCALE = {STANDARD: 1, SATURATED: 2}
+    return tuple(signed for h, signed in keyed if h > above)
 
 
 class UnitStream:
-    """The norm-one units of one order with height at most cap, in
-    (height, coordinates) order, enumerated on demand.
+    """The norm-one units of one order with height at most cap, as their
+    numerators over scale, in (height, coordinates) order, enumerated on
+    demand.
 
     grow(B) enumerates the box at B and appends the units above the height
     already reached, so a prefix once read never changes.  Iteration grows
@@ -102,7 +90,7 @@ class UnitStream:
             raise ValueError("2-saturated order needs a = 1 mod 4")
         if cap < 1:
             raise ValueError("bound must be >= 1")
-        self.algebra, self.scale, self.cap = algebra, _SCALE[order_kind], cap
+        self.algebra, self.scale, self.cap = algebra, SCALE[order_kind], cap
         self.reached = 0
         self.units = []
 
@@ -122,20 +110,20 @@ class UnitStream:
             i += 1
 
 
-def _box(D: QuaternionAlgebra, order_kind: str, B: int) -> UnitSlice:
-    """A stream's prefix up to height B: one box, enumerated at once."""
+def _box(D: QuaternionAlgebra, order_kind: str, B: int) -> UnitStream:
+    """A stream grown to its cap B: one box, enumerated at once."""
     stream = UnitStream(D, order_kind, B)
     stream.grow(B)
-    return UnitSlice(D, B, tuple(stream.units))
+    return stream
 
 
-def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitSlice:
+def enumerate_units(D: QuaternionAlgebra, B: int) -> UnitStream:
     """All integral quaternions of reduced norm 1 with every |coordinate|
     at most B, in (height, coordinates) order."""
     return _box(D, STANDARD, B)
 
 
-def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
+def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitStream:
     """Norm-one elements (u + vi + wj + zk)/2 of the 2-saturated order with
     |u|,|v|,|w|,|z| <= 2B, in (height, coordinates) order; a superset of
     the standard slice at bound B.
@@ -146,14 +134,14 @@ def enumerate_units_saturated(D: QuaternionAlgebra, B: int) -> UnitSlice:
     return _box(D, SATURATED, B)
 
 
-def reduce_units(units, split: SplittingMap, k: int):
-    """Image of each unit in SL2(Z/2^k) through the splitting.
+def reduce_units(units, split: SplittingMap, k: int, s: int):
+    """Image of each unit x/s in SL2(Z/2^k) through the splitting.
 
     The determinant-1 invariant is asserted per element by the
     ResidueMatrix constructor.
     """
     m = 2 ** k
-    return [ResidueMatrix(*split.residues(q, k), m) for q in units]
+    return [ResidueMatrix(*split.residues(x, k, s), m) for x in units]
 
 
 def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
@@ -165,14 +153,15 @@ def mod2_image_obstruction(D: QuaternionAlgebra) -> str:
     return f"standard-order units reduce mod 2 to {shape}; at most 2 of the 6 elements of SL2(Z/2) are reachable"
 
 
-def surjects_at_level(slice_: UnitSlice, k: int):
-    """Whether the slice already generates all of SL2(Z/2^k).
+def surjects_at_level(stream: UnitStream, k: int):
+    """Whether the units the stream holds already generate all of
+    SL2(Z/2^k).
 
-    Returns (flag, image_table).  Pass a saturated slice to certify
+    Returns (flag, image_table).  Pass a saturated stream to certify
     surjectivity; the standard order provably cannot reach level 1 (see
-    mod2_image_obstruction), so a standard slice shows the failure.
+    mod2_image_obstruction), so a standard stream shows the failure.
     """
-    return images_surject(reduce_units(slice_.elements, split_2adic(slice_.algebra), k), k)
+    return images_surject(reduce_units(stream.units, split_2adic(stream.algebra), k, stream.scale), k)
 
 
 def images_surject(mats, k: int):
@@ -187,11 +176,11 @@ def images_surject(mats, k: int):
     return table.order == group_order(2, k), table
 
 
-def closing_prefix(units, split: SplittingMap, k: int):
-    """The shortest prefix of units whose images generate SL2(Z/2^k), or
-    every unit when none does, with the closure of its images; one closure
-    is grown as the units are read.  Returns (prefix, used, table), used
-    being the units whose images the closure used, in order.
+def closing_prefix(stream: UnitStream, split: SplittingMap, k: int):
+    """The shortest prefix of the stream whose images generate SL2(Z/2^k),
+    or every unit when none does, with the closure of its images; one
+    closure is grown as the units are read.  Returns (prefix, used, table),
+    used being the units whose images the closure used, in order.
 
     The closure uses an image only when it is not yet in the closure, so
     no unit read before it has that image: used[i] is the first unit read
@@ -199,9 +188,9 @@ def closing_prefix(units, split: SplittingMap, k: int):
     read, first = [], {}
 
     def images():
-        for u in units:
+        for u in stream:
             read.append(u)
-            g = ResidueMatrix(*split.residues(u, k), 2**k)
+            g = ResidueMatrix(*split.residues(u, k, stream.scale), 2**k)
             first.setdefault(g, u)
             yield g
 
@@ -209,35 +198,35 @@ def closing_prefix(units, split: SplittingMap, k: int):
     return read, [first[g] for g in table.generators], table
 
 
-def is_torsion(q) -> bool:
-    """Whether the norm-one q of a division algebra has finite order other
-    than 1 and 2.
+def is_torsion(x, s: int) -> bool:
+    """Whether the norm-one x/s of a division algebra has finite order
+    other than 1 and 2.
 
-    Such a q has finite order iff its reduced trace 2 x0 lies in
-    {-2,-1,0,1,2}, and trace +-2 forces q = +-1 (no nilpotents).  Traces
-    -1, 0, 1 give orders 3 or 6, 4, 3.  |2 x0| < 2 is decided on x0's
-    numerator n and denominator m as |n| < m, and trace +-2 is |n| = m.
+    Such a unit has finite order iff its reduced trace 2 x0/s lies in
+    {-2,-1,0,1,2}, and trace +-2 forces x/s = +-1 (no nilpotents).  Traces
+    -1, 0, 1 give orders 3 or 6, 4, 3.  |2 x0/s| < 2 is |x0| < s, and
+    trace +-2 is |x0| = s.
     """
-    n, m = abs(q.x0.numerator), q.x0.denominator
-    if n == m:
-        assert q in (q.algebra.one(), -q.algebra.one()), "non-central trace +-2 unit"
-    return n < m
+    n = abs(x[0])
+    if n == s:
+        assert not any(x[1:]), "non-central trace +-2 unit"
+    return n < s
 
 
-def torsion_check(slice_: UnitSlice) -> dict:
-    """Finite-order search in the slice (see is_torsion) plus the
-    algebra-level embedding criterion for the slice's algebra.
+def torsion_check(stream: UnitStream) -> dict:
+    """Finite-order search in the units the stream holds (see is_torsion)
+    plus the algebra-level embedding criterion for the stream's algebra.
 
     The embedding verdicts for sqrt(-1) and sqrt(-3) decide orders 4 and
     3/6 for the whole unit group, not just the slice.
     """
-    D = slice_.algebra
+    D = stream.algebra
     if not is_division(D):
         raise ValueError("torsion criterion needs a division algebra")
-    offenders = [q.coords() for q in slice_.elements if is_torsion(q)]
+    offenders = [x for x in stream.units if is_torsion(x, stream.scale)]
     return {
-        "bound": slice_.bound,
-        "slice_size": len(slice_),
+        "bound": stream.reached,
+        "slice_size": len(stream.units),
         "finite_order_in_slice": offenders,
         "slice_torsion_free": not offenders,
         **embedding_flags(D),

@@ -4,9 +4,11 @@ Nothing here may call into covercert's formula implementations: these
 functions decide the same questions by exhaustive search so the two roads
 can be compared in tests.  The imports from covercert are the boundary
 type ResidueMatrix, whose checked per-object products (identity and mul
-below) the reference closure is built from, the SubgroupTable it returns,
-and the Quaternion that the reference unit enumerator and the element
-arithmetic here (quat_add, quat_mul, quat_conjugate) return.
+below) the reference closure is built from, and the SubgroupTable it
+returns.  Quaternion is the tests' own element type over Fraction, which
+the element arithmetic here (quat_add, quat_mul, quat_conjugate) returns;
+covercert itself holds a quaternion as integer numerators over a power
+of 2.
 """
 
 from fractions import Fraction
@@ -16,7 +18,34 @@ from math import gcd, isqrt
 import numpy as np
 
 from covercert.modgroup import ResidueMatrix, SubgroupTable
-from covercert.quatalg import Quaternion
+
+
+class Quaternion:
+    """x0 + x1 i + x2 j + x3 k in algebra, with Fraction coordinates."""
+
+    __slots__ = ("algebra", "x0", "x1", "x2", "x3")
+
+    def __init__(self, algebra, x0, x1=0, x2=0, x3=0):
+        self.algebra = algebra
+        self.x0, self.x1, self.x2, self.x3 = (Fraction(x) for x in (x0, x1, x2, x3))
+
+    @classmethod
+    def over(cls, algebra, x, s: int = 1):
+        """The quaternion x/s for numerators x."""
+        return cls(algebra, *(Fraction(c, s) for c in x))
+
+    def __eq__(self, other):
+        return isinstance(other, Quaternion) and self.algebra == other.algebra and self.coords() == other.coords()
+
+    def coords(self):
+        return (self.x0, self.x1, self.x2, self.x3)
+
+    def __neg__(self):
+        return Quaternion(self.algebra, -self.x0, -self.x1, -self.x2, -self.x3)
+
+    def nrd(self) -> Fraction:
+        a, b = self.algebra.a, self.algebra.b
+        return self.x0 ** 2 - a * self.x1 ** 2 - b * self.x2 ** 2 + a * b * self.x3 ** 2
 
 
 def conic_square_class(r, p: int) -> int:
@@ -223,8 +252,8 @@ def _signs(x: int) -> tuple:
 
 def band_norm_one(D, B: int, s: int, above: int = 0) -> tuple:
     """units._norm_one as it was written with one _band call per (v, w):
-    the norm-one (u + vi + wj + zk)/s with u = v and w = z mod s whose
-    height lies in (above, B], as Quaternions in (height, coordinates)
+    the numerators of the norm-one (u + vi + wj + zk)/s with u = v and
+    w = z mod s whose height lies in (above, B], in (height, coordinates)
     order, z running over every r of the band and skipping z != w mod s."""
     a, b = int(D.a), int(D.b)
     H, ab = s * B, a * b
@@ -241,8 +270,7 @@ def band_norm_one(D, B: int, s: int, above: int = 0) -> tuple:
                 if u * u == rhs and (u - v) % s == 0:
                     found.append((u, v, w, z))
     keyed = sorted((-(-max(c) // s), signed) for c in found for signed in product(*map(_signs, c)))
-    value = [Fraction(t, s) for t in range(-H, H + 1)]
-    return tuple(Quaternion(D, *(value[t + H] for t in c)) for h, c in keyed if h > above)
+    return tuple(c for h, c in keyed if h > above)
 
 
 def _p_val(n: int, p: int) -> int:

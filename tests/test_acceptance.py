@@ -15,7 +15,6 @@ import pytest
 
 from covercert import certify
 from covercert.certify import load_config, render_bundle
-from covercert.core import parse_frac
 from covercert.commens import Conjugator, local_intersection, sl2z_case
 from covercert.fuchsian import NOT_FOUND, find_infinite_elliptic
 from covercert.mobius import (
@@ -178,7 +177,7 @@ def test_criterion_5_rational_conjugator(capsys):
 def test_criterion_6_unit_group_pipeline(capsys, default_quat):
     bundle, dt = default_quat
     alg = claim_by_id(bundle, "quaternionic.algebra")["witness"]
-    ok = alg is not None and parse_frac(alg["b"]) <= 100
+    ok = alg is not None and Fraction(alg["b"]) <= 100
     ok = ok and alg["division"] and alg["symbol_at_2"] == 1 and alg["symbol_at_inf"] == 1
     tors = claim_by_id(bundle, "quaternionic.torsion-free")["witness"]
     ok = ok and tors["embeds_sqrt_minus_1"] is False and tors["embeds_sqrt_minus_3"] is False

@@ -33,7 +33,6 @@ from covercert.core import (
     frac_str,
     load_config,
     parse_conjugator_spec,
-    parse_frac,
     render_bundle,
     reverify_bundle,
 )
@@ -154,7 +153,7 @@ def test_config_hash_frozen_and_sensitive():
 
 def test_frac_round_trip():
     for x in (Fraction(3), Fraction(-1, 2), Fraction(106673, 4), 7):
-        assert parse_frac(frac_str(x)) == Fraction(x)
+        assert Fraction(frac_str(x)) == Fraction(x)
     assert frac_str(Fraction(-1, 2)) == "-1/2"
     assert frac_str(3) == "3/1"
 
@@ -427,11 +426,11 @@ def test_layer_witness_matches_full_closure(height):
     # 3 surject exactly when every level up to 5 is full; height 1 fails at
     # level 1
     D = QuaternionAlgebra(17, 7)
-    slice_ = units.enumerate_units_saturated(D, height)
+    saturated = units.enumerate_units_saturated(D, height).units
     split = split_2adic(D)
     cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
     levels = quaternionic._surjectivity_claim(cfg, quaternionic._surjectivity_search(cfg, split)).witness["levels"]
-    oracle = [reference_closure(units.reduce_units(slice_.elements, split, k)).order for k in range(1, 6)]
+    oracle = [reference_closure(units.reduce_units(saturated, split, k, 2)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
     assert all(lv["surjects"] for lv in levels) == (oracle == [modgroup.group_order(2, k) for k in range(1, 6)])
@@ -448,9 +447,9 @@ def test_reduced_levels_match_an_independent_closure(overrides):
     cfg = load_config(None, overrides)
     w = claim_by_id(certify.run_quaternionic(cfg), "quaternionic.congruence-surjectivity")["witness"]
     split = split_2adic(cfg.algebra)
-    recorded = [cfg.algebra.element(*(parse_frac(c) for c in g["coords"])) for g in w["generators"]]
+    recorded = [[int(2 * Fraction(c)) for c in g["coords"]] for g in w["generators"]]
     top = min(cfg.k_max, 3)
-    assert [g["matrix"] for g in w["generators"]] == [[[x.a, x.b], [x.c, x.d]] for x in units.reduce_units(recorded, split, top)]
+    assert [g["matrix"] for g in w["generators"]] == [[[x.a, x.b], [x.c, x.d]] for x in units.reduce_units(recorded, split, top, 2)]
     for lv in w["levels"]:
         m = 2 ** lv["level"]
         images = [tuple(e % m for row in g["matrix"] for e in row) for g in w["generators"]]
@@ -523,6 +522,19 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
     assert surjectivity_reason(raise_a_generator) == (False, "unit ['-101/2', '-79/2', '-20/1', '-15/1'] lies above unit_height 50")
 
 
+@pytest.mark.parametrize("coords, reason", [
+    (["2/1", "0/1", "0/1", "0/1"], "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one 2-saturated-order element"),
+    (["1/4", "0/1", "0/1", "0/1"], "unit ['1/4', '0/1', '0/1', '0/1'] is not a norm-one 2-saturated-order element"),
+    # norm one, but (-4 - 5i - 3j - 2k)/2 has u != v mod 2: outside the order
+    (["-2/1", "-5/2", "-3/2", "-1/1"], "ValueError: the image is not integral at 2"),
+])
+def test_saturated_reader_rejects_non_members(quat_bundle, coords, reason):
+    def record(w):
+        w["generators"][0]["coords"] = coords
+
+    assert _tampered(quat_bundle, "quaternionic.congruence-surjectivity", record) == (False, reason)
+
+
 def test_a_shorter_refuted_search_is_read_again():
     # stage 4 built from the first saturated unit alone refutes at level 1
     # and says it read every unit up to unit_height; with stages 5 and 6
@@ -531,7 +543,7 @@ def test_a_shorter_refuted_search_is_read_again():
     cfg = core._cfg_from_bundle(parsed)
     split = split_2adic(cfg.algebra)
     first = next(iter(units.UnitStream(cfg.algebra, SATURATED_KIND, cfg.unit_height)))
-    _, table = units.images_surject(units.reduce_units([first], split, 3), 3)
+    _, table = units.images_surject(units.reduce_units([first], split, 3, 2), 3)
     short = json.loads(json.dumps(quaternionic._surjectivity_claim(cfg, ([first], table)).as_dict()))
     assert short["verdict"] == REFUTED and [lv["level"] for lv in short["witness"]["levels"]] == [1]
     blocker = "quaternionic.congruence-surjectivity"
@@ -604,7 +616,7 @@ def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
     monkeypatch.setattr(quaternionic, "_trace_frame", spied_frame)
     claim = quaternionic._nondiscrete_stage(cfg, stream)
     assert claim.verdict == VERIFIED
-    assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2].coords()]] * 2
+    assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2]]] * 2
     assert (stream.reached, len(stream.units)) == (8, 46)
     assert embedded == {tuple(int(k == m) for k in range(4)) for m in range(4)}
 
@@ -634,9 +646,9 @@ def test_nondiscrete_reverify_checks_the_recorded_pair(monkeypatch, h):
     reason = "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one standard-order element"
     assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, reason)
     # a unit above unit_height = 6, of norm one all the same
-    high = next(u for u in units.UnitStream(QuaternionAlgebra(17, 7), units.STANDARD, 20) if units.height(u) > 6)
+    high = next(x for x in units.UnitStream(QuaternionAlgebra(17, 7), units.STANDARD, 20) if units.height(x, 1) > 6)
     w.update(json.loads(json.dumps(good)))
-    w["units"][0] = [frac_str(c) for c in high.coords()]
+    w["units"][0] = [frac_str(c) for c in high]
     reason = f"unit {w['units'][0]} lies above unit_height 6"
     assert _reverify_by_id(parsed)["quaternionic.nondiscrete"] == (False, reason)
     # U = V = 1 gives tr(h h^-1) = 2
@@ -686,7 +698,7 @@ def test_nondiscrete_trace_matches_oracle(h, census):
     claim = claim_by_id(bundle, "quaternionic.nondiscrete")
     assert claim["verdict"] in (VERIFIED, SEARCH_EXHAUSTED)
     if claim["verdict"] == VERIFIED:
-        u, v = ([parse_frac(c) for c in coords] for coords in claim["witness"]["units"])
+        u, v = ([Fraction(c) for c in coords] for coords in claim["witness"]["units"])
         p, q = conjugated_unit_trace(d, b, h, u, v)
         assert claim["witness"]["trace"] == {"d": d, "u": frac_str(p), "v": frac_str(q)}
         assert not is_integral_quadratic(p, q, d)
@@ -909,7 +921,7 @@ def test_sl2z_trace_decides_every_rational_h(h):
     claim = claim_by_id(bundle, "sl2z.nondiscrete")
     assert (claim["verdict"] == VERIFIED) == (index > 1)
     if claim["verdict"] == VERIFIED:
-        x, y = ([parse_frac(e) for e in entries] for entries in claim["witness"]["units"])
+        x, y = ([Fraction(e) for e in entries] for entries in claim["witness"]["units"])
         assert all(e.denominator == 1 for e in x + y) and x[0] * x[3] - x[1] * x[2] == y[0] * y[3] - y[1] * y[2] == 1
         t = rational_pair_trace(rows, x, y)
         assert t.denominator != 1 and claim["witness"]["trace"] == frac_str(t)
@@ -1243,7 +1255,8 @@ _VALID_VALUES = {
     "b": ["7", "14"],
     "unit_height": ["1", "2", "3", "4"],
     "k_max": ["1", "2", "5"],
-    "h": ["1,-1/2,0,1", "2,0,0,1", "1,1/3,0,1", "quat:3/2,1/2,0,0", "quat:1,0,1,0"],
+    "h": ["1,-1/2,0,1", "2,0,0,1", "1,1/3,0,1", "quat:3/2,1/2,0,0", "quat:1,0,1,0",
+          "quat:1/2,1/2,1/2,1/2", "quat:1/4,0,1/4,0", "quat:3/8,1/8,0,0"],
     "invariant_degree": ["1", "4", "8"],
     "claimed_index": ["3", "4"],
     "pair": ["17,7", "-1,-1", "2,5"],
@@ -1732,7 +1745,7 @@ def test_unit_stages_stop_at_their_witness(quat_bundle):
     }
     # (-1, -1) admits sqrt(-1); the torsion scan stops at -i, of height 1
     stream = units.UnitStream(QuaternionAlgebra(-1, -1), units.STANDARD, 1000)
-    assert next(q for q in stream if units.is_torsion(q)).coords() == (0, -1, 0, 0)
+    assert next(x for x in stream if units.is_torsion(x, 1)) == (0, -1, 0, 0)
     assert stream.reached == 1
 
 
@@ -1814,7 +1827,7 @@ def test_obstruction_span_holds_every_standard_unit_image(overrides):
     one, j = [[1, 0], [0, 1]], [[0, 1], [int(cfg.algebra.b) % 2, 0]]
     assert claim.witness["basis_images_mod_2"] == [one, one, j, j]
     span = {tuple(e for row in m for e in row) for m in claim.witness["det_one_in_span_mod_2"]}
-    images = {g.entries() for g in units.reduce_units(units.enumerate_units(cfg.algebra, 12).elements, split_2adic(cfg.algebra), 1)}
+    images = {g.entries() for g in units.reduce_units(units.enumerate_units(cfg.algebra, 12).units, split_2adic(cfg.algebra), 1, 1)}
     assert images <= span and len(span) == 2
 
 

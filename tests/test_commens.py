@@ -57,12 +57,12 @@ def test_conjugator_validation():
     with pytest.raises(ValueError):
         Conjugator.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        Conjugator.from_quaternion(D.element(0))
+        Conjugator.from_quaternion(D, (0, 0, 0, 0))
     with pytest.raises(ValueError):
-        Conjugator.from_quaternion(D.element(0, Fraction(1, 3)))
+        Conjugator.from_quaternion(D, (0, Fraction(1, 3), 0, 0))
     # 3 is not a 2-adic square: no diagonal splitting at 2
     with pytest.raises(ValueError, match="2-adic square"):
-        Conjugator.from_quaternion(QuaternionAlgebra(3, 5).element(1, 1))
+        Conjugator.from_quaternion(QuaternionAlgebra(3, 5), (1, 1, 0, 0))
 
 
 def test_psi_values():
@@ -199,8 +199,7 @@ def test_quaternions_at_2_match_oracle():
     box = [Fraction(n, 2) for n in range(-2, 4)]
     checked = 0
     for coords in product(box, repeat=4):
-        q = D.element(*coords)
-        n = q.nrd()
+        n = D.nrd(coords)
         if n == 0:
             continue
         den = 2 if any(c.denominator == 2 for c in coords) else 1
@@ -209,7 +208,7 @@ def test_quaternions_at_2_match_oracle():
             V += 1
         if 2 ** V > 32:
             continue
-        res = local_intersection(Conjugator.from_quaternion(q))
+        res = local_intersection(Conjugator.from_quaternion(D, coords))
         assert _factor(res, 2) == quaternion_conjugation_index(coords, 17, 7, 2), coords
         checked += 1
     assert checked > 500
@@ -218,7 +217,7 @@ def test_quaternions_at_2_match_oracle():
 def test_quaternion_with_odd_norm_prime():
     # h = 1 + j has nrd -6: psi(2) at 2 and psi(3) at 3, where (17, 7) is
     # split and the standard order maximal
-    res = local_intersection(Conjugator.from_quaternion(D.element(1, 0, 1, 0)))
+    res = local_intersection(Conjugator.from_quaternion(D, (1, 0, 1, 0)))
     assert res.index == 12
     assert [(p, n) for p, n, _ in res.factors] == [(2, 1), (3, 1)]
     assert _factor(res, 2) == quaternion_conjugation_index((1, 0, 1, 0), 17, 7, 2) == 3
@@ -226,10 +225,12 @@ def test_quaternion_with_odd_norm_prime():
 
 
 def test_quaternionic_conjugator_scan():
-    res = local_intersection(Conjugator.from_quaternion(D.element(Fraction(3, 2), Fraction(1, 2))))
+    h = Conjugator.from_quaternion(D, (Fraction(3, 2), Fraction(1, 2), 0, 0))
+    assert h.quaternion == (D, (3, 1, 0, 0), 1)  # (3 + i)/2^1
+    res = local_intersection(h)
     assert (res.index, res.modulus) == (3, 2)
     # j has nrd -7 and 7 ramifies: the factor there is 1, and at 2 j is a unit
-    res = local_intersection(Conjugator.from_quaternion(D.element(0, 0, 1)))
+    res = local_intersection(Conjugator.from_quaternion(D, (0, 0, 1, 0)))
     assert res.index == 1 and res.modulus == 1
     assert res.factors[1] == (7, 0, (("nrd_valuation", 1), ("ramified", True)))
 
@@ -238,8 +239,8 @@ def test_order_not_maximal_at_norm_prime_rejected():
     # (17, 91) is ramified at 7 and 17 but split at 13, which divides b
     # and nrd(j) = -91: the standard order is not maximal there
     with pytest.raises(ValueError, match="not maximal at 13"):
-        Conjugator.from_quaternion(QuaternionAlgebra(17, 91).element(0, 0, 1))
+        Conjugator.from_quaternion(QuaternionAlgebra(17, 91), (0, 0, 1, 0))
     # a norm prime off ab is fine in the same algebra
-    res = local_intersection(Conjugator.from_quaternion(QuaternionAlgebra(17, 91).element(1, 0, 1)))
+    res = local_intersection(Conjugator.from_quaternion(QuaternionAlgebra(17, 91), (1, 0, 1, 0)))
     assert res.index == psi(2, 1) * psi(3, 2) * psi(5, 1)
     assert _factor(res, 3) == quaternion_conjugation_index((1, 0, 1, 0), 17, 91, 3) == 12

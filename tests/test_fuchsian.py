@@ -9,17 +9,13 @@ from covercert.fuchsian import (INCONCLUSIVE, NO_VIOLATION, NOT_FOUND, VIOLATION
 from covercert.mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from covercert.pipelines.sl2z import _trace_frame, find_nonintegral_trace, is_integral_trace, pair_trace
 from covercert.quatalg import QuaternionAlgebra
-from covercert.units import enumerate_units, enumerate_units_saturated
+from covercert.units import enumerate_units
 
-from oracles import conjugated_unit_trace, is_integral_quadratic, quat_mul
+from oracles import Quaternion, conjugated_unit_trace, is_integral_quadratic, quat_mul
 from wordsearch import RealQuadElem, lift_rational_matrix, quad, real_embed, seed, verify_elliptic
 
 ALG = QuaternionAlgebra(17, 7)
 HALF_SHIFT = [[1, Fraction(-1, 2)], [0, 1]]
-
-
-def coords(units):
-    return [u.coords() for u in units]
 
 
 def quaternionic_frame(h, d=17):
@@ -72,26 +68,26 @@ def test_quad_field_exact_signs():
 
 
 def test_real_embed_basics():
-    assert real_embed(ALG.one()) == lift_rational_matrix([[1, 0], [0, 1]], 17)
-    im_i = real_embed(ALG.element(0, 1))
+    assert real_embed(Quaternion(ALG, 1)) == lift_rational_matrix([[1, 0], [0, 1]], 17)
+    im_i = real_embed(Quaternion(ALG, 0, 1))
     assert im_i == ((quad(17, 0, 1), quad(17, 0)), (quad(17, 0), quad(17, 0, -1)))
     # det of the image equals the reduced norm, here -17 for i
-    assert mat_det(im_i) == ALG.element(0, 1).nrd()
+    assert mat_det(im_i) == Quaternion(ALG, 0, 1).nrd()
     with pytest.raises(ValueError):
-        real_embed(QuaternionAlgebra(-1, -1).element(0, 1))
+        real_embed(Quaternion(QuaternionAlgebra(-1, -1), 0, 1))
     with pytest.raises(ValueError):
-        real_embed(QuaternionAlgebra(4, 7).element(0, 1))
+        real_embed(Quaternion(QuaternionAlgebra(4, 7), 0, 1))
 
 
 def test_real_embed_homomorphism():
-    q1 = ALG.element(Fraction(1, 2), 2, -1, 3)
-    q2 = ALG.element(-1, Fraction(2, 3), 5, 0)
+    q1 = Quaternion(ALG, Fraction(1, 2), 2, -1, 3)
+    q2 = Quaternion(ALG, -1, Fraction(2, 3), 5, 0)
     assert real_embed(quat_mul(q1, q2)) == mat_mul(real_embed(q1), real_embed(q2))
     assert mat_det(real_embed(q1)) == q1.nrd()
 
 
 def test_unit_images_and_trace_invariance():
-    units = enumerate_units(ALG, 6).elements
+    units = [Quaternion.over(ALG, x) for x in enumerate_units(ALG, 6).units]
     for u in units[:12]:
         M = mat_det(real_embed(u))
         assert M == 1
@@ -168,7 +164,7 @@ def test_jorgensen_identity_pair_inconclusive():
 
 def test_jorgensen_quaternionic_violation_frozen():
     A = seed("h", lift_rational_matrix(HALF_SHIFT, 17))
-    partner = ALG.element(-29, -7, -33, -8)
+    partner = Quaternion(ALG, -29, -7, -33, -8)
     rep = jorgensen_violation(A, seed("u", real_embed(partner)))
     assert rep.verdict == VIOLATION
     assert "parabolic" in rep.reason
@@ -182,13 +178,13 @@ def test_jorgensen_pair_and_trace_witness_agree():
     # the half shift violates the inequality with unit 420 of the height-50
     # slice; the trace search certifies the same h at shell 2
     H = lift_rational_matrix(HALF_SHIFT, 17)
-    units = enumerate_units(ALG, 50).elements
-    assert units[420].coords() == (-29, -7, -33, -8)
-    rep = jorgensen_violation(seed("h", H), seed("u", real_embed(units[420])))
+    units = enumerate_units(ALG, 50).units
+    assert units[420] == (-29, -7, -33, -8)
+    rep = jorgensen_violation(seed("h", H), seed("u", real_embed(Quaternion.over(ALG, units[420]))))
     assert rep.verdict == VIOLATION
     frame = quaternionic_frame("1,-1/2,0,1")
-    u, v, t = find_nonintegral_trace(frame, coords(units))
-    assert u == v == units[2].coords()
+    u, v, t = find_nonintegral_trace(frame, units)
+    assert u == v == units[2]
     assert t == pair_trace(frame, u, v) and value(t) == (Fraction(343, 4), 0)
     assert not is_integral_trace(17, t)
 
@@ -212,7 +208,7 @@ def test_trace_form_agrees_with_pair_trace(H):
         assert value(t) == (p, q) and is_integral_trace(d, t) == is_integral_quadratic(p, q, d)
         return is_integral_trace(d, t)
 
-    units = coords(enumerate_units(algebra, height).elements)
+    units = enumerate_units(algebra, height).units
     u, v, t = find_nonintegral_trace(frame, units)
     i, j = units.index(u), units.index(v)
     assert t == pair_trace(frame, u, v) and not integral(u, v)
@@ -234,20 +230,21 @@ def test_algebraic_integer_test():
 def test_trace_search_controls():
     frame = quaternionic_frame("1,-1/2,0,1")
     # +-1 alone give trace +-2 with any conjugate of +-1
-    assert find_nonintegral_trace(frame, coords(enumerate_units(ALG, 1).elements)) is None
+    assert find_nonintegral_trace(frame, enumerate_units(ALG, 1).units) is None
     assert find_nonintegral_trace(frame, ()) is None
-    saturated = coords(enumerate_units_saturated(ALG, 2).elements)
-    with pytest.raises(ValueError, match="integral coordinates"):
-        find_nonintegral_trace(frame, saturated)
+
+    def unread():
+        raise AssertionError("a vector was read")
+        yield
+
     # the identity and j (which normalises the order) give an integral trace
-    # form, so nothing is scanned, not even the half-integral units
+    # form, so no vector is read
     for h in ("1,0,0,1", "quat:0,0,1,0"):
-        assert find_nonintegral_trace(quaternionic_frame(h), saturated) is None
+        assert find_nonintegral_trace(quaternionic_frame(h), unread()) is None
 
 
 def test_jorgensen_discrete_pair_control():
-    units = [u for u in enumerate_units(ALG, 20).elements
-             if u.coords()[1:] != (0, 0, 0)]
+    units = [Quaternion.over(ALG, x) for x in enumerate_units(ALG, 20).units if x[1:] != (0, 0, 0)]
     A = seed("a", real_embed(units[0]))
     B = seed("b", real_embed(units[1]))
     rep = jorgensen_violation(A, B)

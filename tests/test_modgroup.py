@@ -194,4 +194,4 @@ def test_recorded_stage_4_generators_fill_sl2_mod_32(d):
     split = split_2adic(cfg.algebra)
     used, table = quaternionic._surjectivity_search(cfg, split)
     assert table.order == group_order(2, 3)
-    assert generated_order([g.entries() for g in units.reduce_units(used, split, 5)], 32) == group_order(2, 5)
+    assert generated_order([g.entries() for g in units.reduce_units(used, split, 5, 2)], 32) == group_order(2, 5)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
                                split_2adic)
 from covercert.util import odd_prime_factors
 
-from oracles import (_repr_mask, _squares, conic_solvable_mod, conic_square_class,
+from oracles import (Quaternion, _repr_mask, _squares, conic_solvable_mod, conic_square_class,
                      hilbert_oracle, quat_add, quat_conjugate, quat_mul)
 from wordsearch import mat_scale
 
 
 def rand_quat(D, rng, span=9):
-    return D.element(*(Fraction(rng.randrange(-span, span + 1),
+    return Quaternion(D, *(Fraction(rng.randrange(-span, span + 1),
                                 rng.choice([1, 1, 2, 3])) for _ in range(4)))
 
 
@@ -25,7 +26,7 @@ def rand_quat(D, rng, span=9):
 def test_mult_associative_and_unital():
     rng = random.Random(2)
     D = QuaternionAlgebra(17, 7)
-    one = D.one()
+    one = Quaternion(D, 1)
     for _ in range(40):
         q, r, s = (rand_quat(D, rng) for _ in range(3))
         assert quat_mul(quat_mul(q, r), s) == quat_mul(q, quat_mul(r, s))
@@ -39,6 +40,7 @@ def test_nrd_multiplicative_and_trace_symmetric():
         for _ in range(30):
             q, r = rand_quat(D, rng), rand_quat(D, rng)
             assert quat_mul(q, r).nrd() == q.nrd() * r.nrd()
+            assert D.nrd(q.coords()) == q.nrd()
             assert quat_mul(q, r).x0 == quat_mul(r, q).x0  # the reduced trace is 2 x0
             assert quat_conjugate(quat_mul(q, r)) == quat_mul(quat_conjugate(r), quat_conjugate(q))
 
@@ -47,15 +49,15 @@ def test_inverse():
     # q times its conjugate is nrd(q): a norm-one unit is inverted by its
     # conjugate, and a norm-zero element has no inverse
     D = QuaternionAlgebra(17, 7)
-    q = D.element(5, 1, 1, 0)
+    q = Quaternion(D, 5, 1, 1, 0)
     assert q.nrd() == 1
-    assert quat_mul(q, quat_conjugate(q)) == D.one() == quat_mul(quat_conjugate(q), q)
+    assert quat_mul(q, quat_conjugate(q)) == Quaternion(D, 1) == quat_mul(quat_conjugate(q), q)
     rng = random.Random(4)
     for _ in range(20):
         r = rand_quat(D, rng)
-        assert quat_mul(r, quat_conjugate(r)) == D.element(r.nrd())
-    zero_norm = QuaternionAlgebra(1, 1).element(1, 1, 0, 0)
-    assert quat_mul(zero_norm, quat_conjugate(zero_norm)) == QuaternionAlgebra(1, 1).element(0)
+        assert quat_mul(r, quat_conjugate(r)) == Quaternion(D, r.nrd())
+    zero_norm = Quaternion(QuaternionAlgebra(1, 1), 1, 1, 0, 0)
+    assert quat_mul(zero_norm, quat_conjugate(zero_norm)) == Quaternion(QuaternionAlgebra(1, 1), 0)
 
 
 # --- Hilbert symbol ----------------------------------------------------------
@@ -183,6 +185,13 @@ def _mat(entries):
     return ((entries[0], entries[1]), (entries[2], entries[3]))
 
 
+def _residues(sm, q, k):
+    """The image mod 2^k of the Fraction quaternion q, read as integer
+    numerators over the power of 2 that clears its denominators."""
+    den = lcm(*(c.denominator for c in q.coords()))
+    return sm.residues([c.numerator * (den // c.denominator) for c in q.coords()], k, den)
+
+
 def _mat_mod(A, m):
     return tuple(tuple(x % m for x in row) for row in A)
 
@@ -192,7 +201,7 @@ def _saturated(D, rng, span=9):
     u, v, w, z = (rng.randrange(-span, span + 1) for _ in range(4))
     v += (u - v) % 2
     z += (w - z) % 2
-    return D.element(*(Fraction(c, 2) for c in (u, v, w, z)))
+    return Quaternion.over(D, (u, v, w, z), 2)
 
 
 def _eighths(D, rng, span=9):
@@ -200,42 +209,42 @@ def _eighths(D, rng, span=9):
     i/8 squares to 17, so these map to integral matrices."""
     x0, x2 = rng.randrange(-span, span + 1), rng.randrange(-span, span + 1)
     x1, x3 = (Fraction(rng.randrange(-span, span + 1), 8) for _ in range(2))
-    return D.element(x0, x1, x2, x3)
+    return Quaternion(D, x0, x1, x2, x3)
 
 
 def test_split_2adic_relations_and_det():
     D = QuaternionAlgebra(17, 7)
     rng = random.Random(8)
     sm = split_2adic(D)
-    i, j, k = D.element(0, 1), D.element(0, 0, 1), D.element(0, 0, 0, 1)
-    samples = [D.one(), -D.one(), D.element(5, 1, 1, 0),
-               D.element(Fraction(7, 2), Fraction(1, 2), 1, 0)]
+    i, j, k = Quaternion(D, 0, 1), Quaternion(D, 0, 0, 1), Quaternion(D, 0, 0, 0, 1)
+    samples = [Quaternion(D, 1), -Quaternion(D, 1), Quaternion(D, 5, 1, 1, 0),
+               Quaternion(D, Fraction(7, 2), Fraction(1, 2), 1, 0)]
     samples += [_saturated(D, rng, span=5) for _ in range(10)]
     for n in range(1, 10):
         m = 2 ** n
         # i is diagonal with the canonical 2-adic root of 17 on the
         # diagonal: 745 mod 2^n, the stage-1 witness at d = 17
         s = 745 % m
-        assert sm.residues(i, n) == (s, 0, 0, -s % m)
-        assert sm.residues(j, n) == (0, 1, 7 % m, 0)
-        I, J = _mat(sm.residues(i, n)), _mat(sm.residues(j, n))
+        assert _residues(sm, i, n) == (s, 0, 0, -s % m)
+        assert _residues(sm, j, n) == (0, 1, 7 % m, 0)
+        I, J = _mat(_residues(sm, i, n)), _mat(_residues(sm, j, n))
         assert _mat_mod(mat_mul(I, I), m) == _mat_mod(((17, 0), (0, 17)), m)
         assert _mat_mod(mat_mul(J, J), m) == _mat_mod(((7, 0), (0, 7)), m)
         assert _mat_mod(mat_mul(I, J), m) == _mat_mod(mat_scale(-1, mat_mul(J, I)), m)
-        assert _mat(sm.residues(k, n)) == _mat_mod(mat_mul(I, J), m)
+        assert _mat(_residues(sm, k, n)) == _mat_mod(mat_mul(I, J), m)
         for q in samples:
-            assert (mat_det(_mat(sm.residues(q, n))) - q.nrd()) % m == 0
+            assert (mat_det(_mat(_residues(sm, q, n))) - q.nrd()) % m == 0
 
 
 def test_split_2adic_exact_square():
     # a = 1 is an exact square, so s = 1 at every level
     sm = split_2adic(QuaternionAlgebra(1, 5))
-    I = QuaternionAlgebra(1, 5).element(0, 1)
+    I = Quaternion(QuaternionAlgebra(1, 5), 0, 1)
     for n in (1, 4, 9):
-        assert sm.residues(I, n) == (1, 0, 0, 2 ** n - 1)
+        assert _residues(sm, I, n) == (1, 0, 0, 2 ** n - 1)
     # a = 25: the exact root 5, not the 1-or-3-mod-8 branch -5
     D = QuaternionAlgebra(25, 3)
-    assert split_2adic(D).residues(D.element(0, 1), 6) == (5, 0, 0, 64 - 5)
+    assert split_2adic(D).residues((0, 1, 0, 0), 6) == (5, 0, 0, 64 - 5)
 
 
 def test_split_2adic_is_a_ring_homomorphism_mod_2k():
@@ -247,21 +256,24 @@ def test_split_2adic_is_a_ring_homomorphism_mod_2k():
         assert max(c.denominator for q, _ in pairs for c in q.coords()) == (2 if draw is _saturated else 8)
         for k in range(1, 7):
             m = 2 ** k
-            assert sm.residues(D.one(), k) == (1, 0, 0, 1 % m)
+            assert _residues(sm, Quaternion(D, 1), k) == (1, 0, 0, 1 % m)
             for q, r in pairs:
-                Q, R = _mat(sm.residues(q, k)), _mat(sm.residues(r, k))
-                assert _mat(sm.residues(quat_mul(q, r), k)) == _mat_mod(mat_mul(Q, R), m)
-                assert sm.residues(quat_add(q, r), k) == tuple((x + y) % m for x, y in zip(sm.residues(q, k), sm.residues(r, k)))
+                Q, R = _mat(_residues(sm, q, k)), _mat(_residues(sm, r, k))
+                assert _mat(_residues(sm, quat_mul(q, r), k)) == _mat_mod(mat_mul(Q, R), m)
+                assert _residues(sm, quat_add(q, r), k) == tuple((x + y) % m for x, y in zip(_residues(sm, q, k), _residues(sm, r, k)))
                 assert (mat_det(Q) - q.nrd()) % m == 0
 
 
 def test_split_2adic_rejects_non_integral_images():
     D = QuaternionAlgebra(17, 7)
     sm = split_2adic(D)
-    with pytest.raises(ValueError):
-        sm.residues(D.element(Fraction(1, 2)), 3)  # image diag(1/2, 1/2)
-    with pytest.raises(ValueError):
-        sm.residues(D.element(Fraction(1, 3)), 3)  # denominator away from 2
+    with pytest.raises(ValueError, match="not integral at 2"):
+        sm.residues((1, 0, 0, 0), 3, 2)  # image diag(1/2, 1/2)
+    # (1 + i)/2 lies in the 2-saturated order, (2 + i)/2 does not; read
+    # mod 2^4, the root is s = 745 = 9, so (1 + i)/2 maps to diag(5, -4)
+    assert sm.residues((1, 1, 0, 0), 3, 2) == (5, 0, 0, 4)
+    with pytest.raises(ValueError, match="not integral at 2"):
+        sm.residues((2, 1, 0, 0), 3, 2)
 
 
 def test_split_2adic_rejects():

@@ -13,33 +13,28 @@ from covercert.units import (SATURATED, STANDARD, UnitStream, _norm_one, closing
                              images_surject, is_torsion, reduce_units, surjects_at_level,
                              torsion_check)
 
-from oracles import (band_norm_one, box_height, brute_norm_one_box, dirichlet_prime, identity, in_saturated_order,
-                     mul, norm_one_triple_loop, quat_mul)
+from oracles import (Quaternion, band_norm_one, box_height, brute_norm_one_box, dirichlet_prime, identity,
+                     in_saturated_order, mul, norm_one_triple_loop, quat_mul)
 
 D17 = QuaternionAlgebra(17, 7)
 
 
 def test_slice_contains_center():
     for ab in ((17, 7), (-1, -1), (2, 3)):
-        D = QuaternionAlgebra(*ab)
-        s = enumerate_units(D, 1)
-        assert D.one() in s.elements
-        assert -D.one() in s.elements
+        units = enumerate_units(QuaternionAlgebra(*ab), 1).units
+        assert (1, 0, 0, 0) in units
+        assert (-1, 0, 0, 0) in units
 
 
 def test_lipschitz_units():
-    s = enumerate_units(QuaternionAlgebra(-1, -1), 1)
-    assert len(s) == 8
-    coords = {tuple(int(c) for c in q.coords()) for q in s.elements}
-    assert (0, 1, 0, 0) in coords and (0, 0, 0, -1) in coords
+    units = enumerate_units(QuaternionAlgebra(-1, -1), 1).units
+    assert len(units) == 8
+    assert (0, 1, 0, 0) in units and (0, 0, 0, -1) in units
 
 
 def test_enumeration_complete_for_box():
     for ab, B in (((-1, -1), 3), ((17, 7), 6), ((2, 3), 4)):
-        D = QuaternionAlgebra(*ab)
-        got = [tuple(int(c) for c in q.coords())
-               for q in enumerate_units(D, B).elements]
-        assert got == brute_norm_one_box(*ab, B)
+        assert enumerate_units(QuaternionAlgebra(*ab), B).units == brute_norm_one_box(*ab, B)
 
 
 @pytest.mark.parametrize("ab, B, saturated", [
@@ -51,11 +46,7 @@ def test_enumeration_complete_for_box():
 def test_enumerators_match_the_triple_loop(ab, B, saturated):
     # matching the table of N(x, y) against itself drops no unit and
     # keeps the order
-    D = QuaternionAlgebra(*ab)
-    if saturated:
-        got = [tuple(int(2 * c) for c in q.coords()) for q in enumerate_units_saturated(D, B).elements]
-    else:
-        got = [tuple(int(c) for c in q.coords()) for q in enumerate_units(D, B).elements]
+    got = (enumerate_units_saturated if saturated else enumerate_units)(QuaternionAlgebra(*ab), B).units
     assert got == norm_one_triple_loop(*ab, B, saturated)
     assert len(got) > 2
 
@@ -74,7 +65,7 @@ def test_norm_one_matches_the_band_loop(ab, s):
         for above in (0, B // 2, B - 1):
             got = _norm_one(D, B, s, above)
             assert got == band_norm_one(D, B, s, above)
-            assert [is_torsion(q) for q in got] == [-2 < 2 * q.x0 < 2 for q in got]
+            assert [is_torsion(x, s) for x in got] == [-2 < 2 * Quaternion.over(D, x, s).x0 < 2 for x in got]
 
 
 # (a, b) with a = 1 mod 4 also carry the 2-saturated order
@@ -94,18 +85,14 @@ def test_stream_prefix_matches_the_box_oracle(case, B, first):
     ab, s = case
     stream = UnitStream(QuaternionAlgebra(*ab), SATURATED if s == 2 else STANDARD, 10)
     want = brute_norm_one_box(*ab, max(B, first), s)
-
-    def numerators(q):
-        return tuple(int(s * c) for c in q.coords())
-
     read = []
-    for q in stream:
-        if box_height(numerators(q), s) > first:
+    for x in stream:
+        if box_height(x, s) > first:
             break
-        read.append(q)
-    assert [numerators(q) for q in read] == [c for c in want if box_height(c, s) <= first]
+        read.append(x)
+    assert read == [c for c in want if box_height(c, s) <= first]
     stream.grow(B)
-    got = [numerators(q) for q in stream.units if box_height(numerators(q), s) <= B]
+    got = [x for x in stream.units if box_height(x, s) <= B]
     assert len(set(got)) == len(got)
     assert got == [c for c in want if box_height(c, s) <= B]
     assert stream.units[: len(read)] == read
@@ -119,46 +106,47 @@ def test_closing_prefix_is_the_shortest(k, length):
     prefix, used, table = closing_prefix(stream, split, k)
     assert len(prefix) == length and stream.reached == 2
     # the units the closure used are the first with each generator's image
-    images = reduce_units(prefix, split, k)
+    images = reduce_units(prefix, split, k, 2)
     assert used == [prefix[images.index(g)] for g in table.generators]
-    assert reduce_units(used, split, k) == list(table.generators)
+    assert reduce_units(used, split, k, 2) == list(table.generators)
     group = set(enumerate_group(2, k).elements)
-    assert images_surject(reduce_units(prefix, split, k), k)[1] == table
+    assert images_surject(reduce_units(prefix, split, k, 2), k)[1] == table
     assert set(table.elements) == group
-    assert not images_surject(reduce_units(prefix[:-1], split, k), k)[0]
+    assert not images_surject(reduce_units(prefix[:-1], split, k, 2), k)[0]
     # the standard order never closes mod 2: the whole stream is read
     standard = UnitStream(D17, STANDARD, 6)
     prefix, used, table = closing_prefix(standard, split, 1)
-    assert prefix == list(enumerate_units(D17, 6).elements)
-    assert reduce_units(used, split, 1) == list(table.generators)
-    assert images_surject(reduce_units(prefix, split, 1), 1)[1] == table
+    assert prefix == enumerate_units(D17, 6).units
+    assert reduce_units(used, split, 1, 1) == list(table.generators)
+    assert images_surject(reduce_units(prefix, split, 1, 1), 1)[1] == table
 
 
 def test_slice_17_7():
-    s = enumerate_units(D17, 20)
-    assert len(s) == 174
-    for q in s.elements:
+    units = enumerate_units(D17, 20).units
+    assert len(units) == 174
+    for x in units:
+        q = Quaternion.over(D17, x)
         assert q.nrd() == 1
-        if q not in (D17.one(), -D17.one()):
+        if x not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
             assert abs(2 * q.x0) > 2  # the reduced trace
 
 
 def test_saturated_slice():
     s = enumerate_units_saturated(D17, 20)
-    assert len(s) == 510
-    std = {q.coords() for q in enumerate_units(D17, 20).elements}
-    assert std <= {q.coords() for q in s.elements}
-    q = D17.element(Fraction(7, 2), Fraction(1, 2), 1, 0)
+    assert len(s.units) == 510 and s.scale == 2
+    std = {Quaternion.over(D17, x).coords() for x in enumerate_units(D17, 20).units}
+    els = [Quaternion.over(D17, x, 2) for x in s.units]
+    assert std <= {q.coords() for q in els}
+    q = Quaternion(D17, Fraction(7, 2), Fraction(1, 2), 1, 0)
     assert q.nrd() == 1
-    assert q in s.elements
-    for u in s.elements:
+    assert q in els
+    for u in els:
         assert in_saturated_order(u)
         assert u.nrd() == 1
 
 
 def test_saturated_order_closed_under_product():
-    s = enumerate_units_saturated(D17, 4)
-    els = s.elements
+    els = [Quaternion.over(D17, x, 2) for x in enumerate_units_saturated(D17, 4).units]
     for q in els[::7]:
         for r in els[::11]:
             assert in_saturated_order(quat_mul(q, r))
@@ -171,13 +159,14 @@ def test_saturated_requires_1_mod_4():
 
 def test_reduce_units_basics():
     split = split_2adic(D17)
-    s = enumerate_units(D17, 8)
-    mats = reduce_units(s.elements, split, 2)
-    lookup = {q.coords(): g for q, g in zip(s.elements, mats)}
-    assert lookup[D17.one().coords()] == identity(4)
-    assert lookup[(-D17.one()).coords()] == ResidueMatrix(3, 0, 0, 3, 4)
-    # homomorphism whenever the product stays in the slice
-    els = s.elements
+    units = enumerate_units(D17, 8).units
+    mats = reduce_units(units, split, 2, 1)
+    lookup = dict(zip(units, mats))
+    assert lookup[(1, 0, 0, 0)] == identity(4)
+    assert lookup[(-1, 0, 0, 0)] == ResidueMatrix(3, 0, 0, 3, 4)
+    # homomorphism whenever the product stays in the slice; an integral
+    # Fraction tuple looks up its integer tuple
+    els = [Quaternion.over(D17, x) for x in units]
     for q in els[::5]:
         for r in els[::7]:
             if quat_mul(q, r).coords() in lookup:
@@ -212,7 +201,7 @@ def test_surjectivity_by_order_matches_element_sets():
     cases.append((enumerate_units(D17, 6), 1))
     decided = []
     for s, k in cases:
-        ok, table = images_surject(reduce_units(s.elements, split, k), k)
+        ok, table = images_surject(reduce_units(s.units, split, k, s.scale), k)
         assert ok == (set(table.elements) == set(enumerate_group(2, k).elements))
         decided.append(ok)
     assert True in decided and False in decided
@@ -221,10 +210,10 @@ def test_surjectivity_by_order_matches_element_sets():
 def test_reduction_projects_from_top_level():
     s = enumerate_units_saturated(D17, 6)
     split = split_2adic(D17)
-    top = reduce_units(s.elements, split, 5)
+    top = reduce_units(s.units, split, 5, 2)
     for k in range(1, 6):
         projected = [ResidueMatrix(x.a, x.b, x.c, x.d, 2 ** k) for x in top]
-        assert projected == reduce_units(s.elements, split, k)
+        assert projected == reduce_units(s.units, split, k, 2)
 
 
 def test_torsion_check_negative_control():
