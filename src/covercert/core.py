@@ -13,16 +13,19 @@ the bundle alone.  Verdicts come from a fixed four-word vocabulary:
 
 Each pipeline lives in its own module, covercert.pipelines.<name>.  Its
 CLAIM_KINDS table gives each claim id its one builder, which the pipeline
-and re-verification both call, and its one rule, which decides the verdict
-from the witness: no witness gives not-found, and otherwise the verdict is
-verified when the rule holds and refuted-at-this-level when it does not.
-Only context (the module's CONTEXTS) and stages that did not run are
-assumptions.  A pipeline whose stages rest on each other lists them in
-STAGES, claim id -> the method that the stub of a stage that did not run
-records, and a stage that is not verified stops the run unless it is in
-NON_BLOCKING; the stages that did not run are still listed (verdict
-"assumption", with a note saying why) so the bundle always shows the full
-stage plan.
+and re-verification both call, its one rule, which decides the verdict
+from the witness, and for a search claim its one finder, which is both the
+search and the reader of what the search found.  No witness gives
+not-found, and otherwise the verdict is verified when the rule holds and
+refuted-at-this-level when it does not.  Only context (the module's
+CONTEXTS) and stages that did not run are assumptions.  A pipeline whose
+stages rest on each other lists them in STAGES, claim id -> the method
+that the stub of a stage that did not run records, and a stage that is not
+verified stops the run unless it is in NON_BLOCKING; the stages that did
+not run are still listed (verdict "assumption", with a note saying why) so
+the bundle always shows the full stage plan.  run_pipeline is the one
+claim loop of every pipeline, and it and reverify_bundle place the stubs
+by one rule (_stub).
 
 A pipeline module is imported only when a run or a claim id names it, and
 only through PIPELINE_NAMES, so one run loads the code of its own pipeline
@@ -300,12 +303,14 @@ def pipeline_runner(name):
     return getattr(pipeline_module(name), f"run_{name}")
 
 
-# A pipeline module's CLAIM_KINDS maps claim id -> (holds, build, read), in
+# A pipeline module's CLAIM_KINDS maps claim id -> (holds, build, find), in
 # bundle order.  holds(witness, inputs) is the rule that decides a witnessed
 # claim's verdict, in the pipelines and in re-verification alike.  build is
-# the claim's one builder, which its pipeline calls too: build(cfg) for a
-# computed claim, whose read is None, and build(cfg, found) for a search
-# claim, whose read(claim, cfg) reads found back from the witness.
+# the claim's one builder: build(cfg) for a computed claim, whose find is
+# None, and build(cfg, found) for a search claim.  find(cfg) runs the
+# search; find(cfg, claim) reads found back from the claim's witness and
+# checks it, and searches again only where the claim rests on the search's
+# exhaustion.
 
 
 def _table(claim_id, name):
@@ -377,6 +382,14 @@ def _context(claim: str) -> Certificate:
     return Certificate(claim=claim, verdict=ASSUMPTION, method="recorded, not computed", inputs={}, notes=(note,))
 
 
+def _stub(claim_id: str, blocker) -> Certificate | None:
+    """The _not_run stub that a stage must be once the stage blocker has
+    stopped the run, or None for a claim that runs: no stage has blocked,
+    or the claim is not in its pipeline's STAGES."""
+    methods = _table(claim_id, "STAGES")
+    return _not_run(claim_id, methods[claim_id], blocker) if blocker and claim_id in methods else None
+
+
 def _blocks(claim_id: str, verdict: str) -> bool:
     """Whether a stage with this verdict stops the run: one in its
     pipeline's STAGES that is not verified and not NON_BLOCKING."""
@@ -400,6 +413,23 @@ def make_bundle(pipeline: str, cfg: RunConfig, claims) -> dict:
     return bundle
 
 
+def run_pipeline(name: str, cfg: RunConfig) -> dict:
+    """The bundle of the pipeline called name, a name in PIPELINE_NAMES: each
+    claim of its CLAIM_KINDS in order, built by build(cfg) or, for a search
+    claim, build(cfg, find(cfg)); each stage after the first one that
+    blocks is its stub, and the CONTEXTS follow.  A stage may use what the
+    stages before it checked, as none runs after one that blocks."""
+    module = pipeline_module(name)
+    claims, blocker = [], None
+    for cid, (_, build, find) in module.CLAIM_KINDS.items():
+        claim = _stub(cid, blocker) or (build(cfg) if find is None else build(cfg, find(cfg)))
+        claims.append(claim)
+        if not blocker and _blocks(cid, claim.verdict):
+            blocker = cid
+    claims += [_context(cid) for cid in getattr(module, "CONTEXTS", {})]
+    return make_bundle(name, cfg, claims)
+
+
 def render_bundle(bundle: dict) -> str:
     _require_plain(bundle)
     return json.dumps(bundle, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -418,12 +448,13 @@ def bundle_exit_code(bundle: dict) -> int:
 #
 # Every claim is re-checked by rebuilding it.  The bundle's config is read
 # once, and it must round-trip and match config_hash.  A search claim's
-# found objects are read back from its witness and checked to be what they
-# claim to be, and what the pipeline took from its search (a closure, a
-# trace) is recomputed.  A search runs again only where the claim rests on
-# its exhaustion: a refuted surjectivity search, and a torsion or trace
-# search that recorded no unit or pair.  A computed claim, such as a
-# complete listing of invariants, is rebuilt whole.
+# finder reads its found objects back from its witness and checks them to
+# be what they claim to be, and what the pipeline took from its search (a
+# closure, a trace) is recomputed.  The finder searches again only where
+# the claim rests on the search's exhaustion: a refuted surjectivity
+# search, and a torsion or trace search that recorded no unit or pair.  A
+# computed claim, such as a complete listing of invariants, is rebuilt
+# whole.
 # The claim's builder rebuilds it, every field but the verdict must match,
 # and the claim's rule checks the verdict.  The pipelines re-verify in
 # make_bundle before returning, and a fresh process can call
@@ -468,14 +499,14 @@ def _expected(claim, cfg, stub) -> dict:
         return _context(cid).as_dict()
     kinds = _table(cid, "CLAIM_KINDS")
     _expect(cid in kinds, "no re-verifier for this claim")
-    holds, build, read = kinds[cid]
+    holds, build, find = kinds[cid]
     if claim["witness"] is None:
         _expect(claim["verdict"] != ASSUMPTION, "only context and stages that did not run are assumptions")
         _expect(claim["verdict"] == SEARCH_EXHAUSTED, f"a claim without a witness cannot be {claim['verdict']}")
-        _expect(read is None or holds is _witnessed, "this claim always records a witness")
+        _expect(find is None or holds is _witnessed, "this claim always records a witness")
     if isinstance(cfg, Exception):
         raise cfg
-    want = (build(cfg) if read is None else build(cfg, read(claim, cfg))).as_dict()
+    want = (build(cfg) if find is None else build(cfg, find(cfg, claim))).as_dict()
     _require_plain(want)  # Fraction(1) == 1: a builder's Fraction would match a file's int
     return want
 
@@ -539,8 +570,8 @@ def reverify_bundle(bundle: dict):
     results, blocker = [], None
     for claim in bundle["claims"]:
         cid, reason, verdict = claim["id"], None, claim["verdict"]
-        methods = _table(cid, "STAGES")
-        stub = _not_run(cid, methods[cid], blocker).as_dict() if blocker and cid in methods else None
+        stub = _stub(cid, blocker)
+        stub = stub and stub.as_dict()
         try:
             want = _expected(claim, cfg, stub)
             verdict = want["verdict"]  # a claim that cannot be rebuilt keeps its own

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from ..core import Certificate, RunConfig, frac_str, make_bundle, rows_json
+from ..core import Certificate, RunConfig, frac_str, rows_json, run_pipeline
 from ..mobius import INFINITE_ORDER, MobiusMap, commutator, compose, finite_order, invariant_search
 
 
@@ -110,7 +110,7 @@ def _joint_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_dihedral(cfg: RunConfig) -> dict:
-    return make_bundle("dihedral", cfg, [build(cfg) for _, build, _ in CLAIM_KINDS.values()])
+    return run_pipeline("dihedral", cfg)
 
 
 def _scales_by_a_squared(witness, inputs):
@@ -118,7 +118,7 @@ def _scales_by_a_squared(witness, inputs):
     return MobiusMap.from_rows(witness["matrix"]) == MobiusMap.from_rows(((1, 0), (0, a * a)))
 
 
-# claim id -> (holds, build, read), in bundle order; see core.  Each claim is
+# claim id -> (holds, build, find), in bundle order; see core.  Each claim is
 # computed: re-verification rebuilds it from the config, and a listing of
 # invariants is checked by listing them again
 CLAIM_KINDS = {

@@ -6,7 +6,7 @@ which the quaternionic and units pipelines share."""
 
 from __future__ import annotations
 
-from ..core import Certificate, ConfigError, RunConfig, frac_str, make_bundle
+from ..core import Certificate, ConfigError, RunConfig, frac_str, run_pipeline
 from ..quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, symbol_table
 
 # what the construction asks of (d, b): a division algebra split at 2 and
@@ -54,10 +54,10 @@ def _symbol_table_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_hilbert(cfg: RunConfig) -> dict:
-    return make_bundle("hilbert", cfg, [_symbol_table_claim(cfg)])
+    return run_pipeline("hilbert", cfg)
 
 
-# claim id -> (holds, build, read); see core
+# claim id -> (holds, build, find); see core
 CLAIM_KINDS = {
     "hilbert.symbol-table": (lambda w, _: w["product_over_places"] == 1, _symbol_table_claim, None),
 }

@@ -5,7 +5,7 @@ the quaternionic and sl2z pipelines record too; it needs commens alone."""
 from __future__ import annotations
 
 from ..commens import Conjugator, local_intersection, psi
-from ..core import Certificate, ConfigError, RunConfig, make_bundle, parse_conjugator_spec
+from ..core import Certificate, ConfigError, RunConfig, parse_conjugator_spec, run_pipeline
 
 INDEX_METHOD = "closed form: psi of the local elementary divisors of h, multiplied over the primes"
 RATIONAL_INDEX_NOTE = "the primitive integral multiple of h has elementary divisors 1 and N, and the index is psi(N) (Shimura 1971, 3.1)"
@@ -69,10 +69,10 @@ def _intersect_index_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_intersect(cfg: RunConfig) -> dict:
-    return make_bundle("intersect", cfg, [_intersect_index_claim(cfg)])
+    return run_pipeline("intersect", cfg)
 
 
-# claim id -> (holds, build, read); see core
+# claim id -> (holds, build, find); see core
 CLAIM_KINDS = {
     "intersect.index": (_index_agrees, _intersect_index_claim, None),
 }

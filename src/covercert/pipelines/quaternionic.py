@@ -15,18 +15,7 @@ from functools import partial
 from itertools import product
 from math import isqrt
 
-from ..core import (
-    Certificate,
-    RunConfig,
-    _blocks,
-    _context,
-    _expect,
-    _not_run,
-    _witnessed,
-    frac_str,
-    make_bundle,
-    unit_json,
-)
+from ..core import Certificate, RunConfig, _expect, _witnessed, frac_str, run_pipeline, unit_json
 from ..exact import sqrt_2adic
 from ..modgroup import group_order
 from ..quatalg import ramified_places, split_2adic
@@ -45,7 +34,7 @@ from ..units import (
 )
 from .hilbert import _ADMISSIBLE, _algebra_symbols, _require_saturated_order
 from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
-from .sl2z import BASIS_VECTORS, TRACE_METHOD, _nondiscrete_claim, _read_trace_pair, _trace_frame, find_nonintegral_trace
+from .sl2z import BASIS_VECTORS, TRACE_METHOD, _find_trace_pair, _nondiscrete_claim
 
 # Precision used for the 2-adic square-root witness in stage 1.
 SQUARE_PRECISION = 10
@@ -114,14 +103,6 @@ def _surjectivity_claim(cfg: RunConfig, found) -> Certificate:
         depends_on=("quaternionic.torsion-free",),
         notes=TOWER_NOTES if tower else (BASE_NOTE,),
     )
-
-
-def _surjectivity_search(cfg: RunConfig, split):
-    """Stage 4's search: the saturated stream read until its images close
-    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do.
-    Returns the units whose images the closure used and the closure."""
-    _, units, table = closing_prefix(UnitStream(split.algebra, SATURATED, cfg.unit_height), split, min(cfg.k_max, BASE_LEVEL))
-    return units, table
 
 
 SQUARE_METHOD = "Hensel lift of a square root of d in the 2-adic integers"
@@ -195,41 +176,7 @@ def _quaternionic_index_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_quaternionic(cfg: RunConfig) -> dict:
-    claims = []
-    for claim in _quaternionic_stages(cfg):
-        claims.append(claim)
-        if _blocks(claim.claim, claim.verdict):
-            break
-    claims += [_not_run(cid, method, claims[-1].claim) for cid, method in list(STAGES.items())[len(claims):]]
-    claims += [_context(cid) for cid in CONTEXTS]
-    return make_bundle("quaternionic", cfg, claims)
-
-
-def _quaternionic_stages(cfg: RunConfig):
-    """Yield the claims of STAGES in order.  run_quaternionic reads no
-    further than a blocking stage that is not verified, so each stage may
-    use what the stages before it computed."""
-    yield _square_claim(cfg)
-    yield _algebra_claim(cfg)
-    algebra = cfg.algebra
-    # a d without a 2-saturated order (stage 4 reads that order) and an h
-    # the closed form cannot decide are input errors: reject them before
-    # the unit stages enumerate
-    _require_saturated_order(cfg.d)
-    _conjugator(cfg.h, lambda: algebra)
-
-    # stage 3: only when sqrt(-1) embeds are the standard units read, up to
-    # the first one of finite order (see _torsion_claim).  The torsion scan and
-    # the trace stage read one standard stream, each only as far as its witness
-    std = UnitStream(algebra, STANDARD, cfg.unit_height)
-    yield _torsion_claim(cfg, _torsion_search(cfg, std))
-
-    yield _obstruction_claim(cfg)
-
-    yield _surjectivity_claim(cfg, _surjectivity_search(cfg, split_2adic(algebra)))
-
-    yield _quaternionic_index_claim(cfg)
-    yield _nondiscrete_stage(cfg, std)
+    return run_pipeline("quaternionic", cfg)
 
 
 def _torsion_claim(cfg: RunConfig, found) -> Certificate:
@@ -251,14 +198,6 @@ def _torsion_claim(cfg: RunConfig, found) -> Certificate:
         depends_on=("quaternionic.algebra",),
         notes=("no finite-order units means the group acts freely, so the covers carry no ramification",),
     )
-
-
-def _torsion_search(cfg: RunConfig, std: UnitStream):
-    """Stage 3's search: the first standard unit of finite order, or None;
-    the stream is read only when sqrt(-1) embeds (see _torsion_claim)."""
-    if not embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"]:
-        return None
-    return next((x for x in std if is_torsion(x, std.scale)), None)
 
 
 def _obstruction_claim(cfg: RunConfig) -> Certificate:
@@ -291,77 +230,81 @@ def _height_reached(stop, cfg: RunConfig, kind) -> int:
     return cfg.unit_height if stop is None else height(stop, SCALE[kind])
 
 
-def _nondiscrete_stage(cfg: RunConfig, std: UnitStream) -> Certificate:
-    """The trace stage, reading the standard stream in shells up to the
-    first pair with a non-integral trace."""
-    found = find_nonintegral_trace(_trace_frame("quaternionic", cfg), std)
-    return _nondiscrete_claim("quaternionic", cfg, found)
-
-
 # --------------------------------------------------------------------------
-# re-verification
+# the searches, each also the reader of what it found
 
 
 def _read_unit(coords, cfg: RunConfig, kind=STANDARD):
     """A recorded unit x/s of the kind's order, as its numerators x over
-    that order's scale s: x must be integral with norm s^2, and x/s of
-    height at most unit_height.  A 2-saturated x/2 must also be integral
-    at 2, which reducing it checks."""
+    that order's scale s: x must be integral with u = v and w = z mod s
+    and norm s^2, and x/s of height at most unit_height."""
     s = SCALE[kind]
     x = [Fraction(c) * s for c in coords]
     shown = unit_json(x, s)
-    integral = all(c.denominator == 1 for c in x)
-    _expect(integral and cfg.algebra.nrd(x) == s * s, f"unit {shown} is not a norm-one {kind}-order element")
+    member = all(c.denominator == 1 for c in x) and (x[0] - x[1]) % s == 0 == (x[2] - x[3]) % s
+    _expect(member and cfg.algebra.nrd(x) == s * s, f"unit {shown} is not a norm-one {kind}-order element")
     _expect(height(x, s) <= cfg.unit_height, f"unit {shown} lies above unit_height {cfg.unit_height}")
     return tuple(c.numerator for c in x)
 
 
-def _read_torsion_unit(claim, cfg: RunConfig):
-    """The recorded finite-order unit, checked by its norm and trace.  With
-    no unit recorded, the search runs again, which reads the standard units
-    up to unit_height only when sqrt(-1) embeds."""
-    coords = claim["witness"]["finite_order_unit"]
+def _find_torsion_unit(cfg: RunConfig, claim=None):
+    """Stage 3's search: the first standard unit of finite order, or None;
+    the standard units up to unit_height are read only when sqrt(-1) embeds
+    (see _torsion_claim).  Given the claim, the unit it records is checked
+    by its norm and trace, and with none recorded the search runs again.
+
+    A d without a 2-saturated order (stage 4 reads that order) and an h the
+    closed form cannot decide are input errors, rejected here, before any
+    unit is enumerated."""
+    _require_saturated_order(cfg.d)
+    _conjugator(cfg.h, lambda: cfg.algebra)
+    coords = None if claim is None else claim["witness"]["finite_order_unit"]
     if coords is None:
-        return _torsion_search(cfg, UnitStream(cfg.algebra, STANDARD, cfg.unit_height))
+        if not embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"]:
+            return None
+        return next((x for x in UnitStream(cfg.algebra, STANDARD, cfg.unit_height) if is_torsion(x, 1)), None)
     _expect(embedding_flags(cfg.algebra)["embeds_sqrt_minus_1"], "a finite-order unit is recorded, but sqrt(-1) does not embed")
     u = _read_unit(coords, cfg)
     _expect(is_torsion(u, 1), f"recorded unit {unit_json(u)} has trace {2 * u[0]}, not -1, 0 or 1")
     return u
 
 
-def _read_surjectivity(claim, cfg: RunConfig):
-    """The recorded saturated units and the closure of their images at
-    min(k_max, BASE_LEVEL), recomputed.  Levels that end in one that does
-    not surject say that the search read every unit up to unit_height, so
-    the search runs again."""
-    witness, split = claim["witness"], split_2adic(cfg.algebra)
-    if not witness["levels"][-1]["surjects"]:
-        return _surjectivity_search(cfg, split)
-    units = [_read_unit(g["coords"], cfg, SATURATED) for g in witness["generators"]]
-    k_top = min(cfg.k_max, BASE_LEVEL)
+def _find_closing_units(cfg: RunConfig, claim=None):
+    """Stage 4's search: the saturated stream read until its images close
+    mod 2^min(k_max, BASE_LEVEL), or up to unit_height when they never do.
+    Returns the units whose images the closure used and the closure.  Given
+    the claim, the closure of the units it records is recomputed; levels
+    that end in one that does not surject say that the search read every
+    unit up to unit_height, so the search runs again."""
+    split, k_top = split_2adic(cfg.algebra), min(cfg.k_max, BASE_LEVEL)
+    if claim is None or not claim["witness"]["levels"][-1]["surjects"]:
+        _, units, table = closing_prefix(UnitStream(cfg.algebra, SATURATED, cfg.unit_height), split, k_top)
+        return units, table
+    units = [_read_unit(g["coords"], cfg, SATURATED) for g in claim["witness"]["generators"]]
     _, table = images_surject(reduce_units(units, split, k_top, SCALE[SATURATED]), k_top)
     _expect(len(table.generators) == len(units), "a recorded generator lies in the closure of the ones before it")
     return units, table
 
 
-def _read_trace_units(claim, cfg: RunConfig):
-    """The trace claim's pair of standard units; with no pair recorded, the
-    standard units up to unit_height are searched again."""
+def _find_trace_units(cfg: RunConfig, claim=None):
+    """The trace stage's search over the standard units up to unit_height,
+    read in shells up to the first pair with a non-integral trace; given
+    the claim, its pair of standard units (see _find_trace_pair)."""
     stream = UnitStream(cfg.algebra, STANDARD, cfg.unit_height)
-    return _read_trace_pair("quaternionic", claim, cfg, stream, lambda c: _read_unit(c, cfg))
+    return _find_trace_pair("quaternionic", cfg, claim, stream, lambda c: _read_unit(c, cfg))
 
 
-# claim id -> (holds, build, read), in bundle order; see core
+# claim id -> (holds, build, find), in bundle order; see core
 CLAIM_KINDS = {
     "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _square_claim, None),
     "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _algebra_claim, None),
-    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _read_torsion_unit),
+    "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _find_torsion_unit),
     "quaternionic.standard-order-obstruction":
         (lambda w, _: len(w["det_one_in_span_mod_2"]) < w["group_order_mod_2"], _obstruction_claim, None),
     "quaternionic.congruence-surjectivity":
-        (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _read_surjectivity),
+        (lambda w, _: all(e["surjects"] for e in w["levels"]), _surjectivity_claim, _find_closing_units),
     "quaternionic.intersection-index": (_index_agrees, _quaternionic_index_claim, None),
-    "quaternionic.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "quaternionic"), _read_trace_units),
+    "quaternionic.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "quaternionic"), _find_trace_units),
 }
 # claim id -> note, listed after the claims
 CONTEXTS = {

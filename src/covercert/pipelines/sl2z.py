@@ -12,18 +12,7 @@ from functools import partial
 from math import lcm
 
 from ..commens import Conjugator
-from ..core import (
-    Certificate,
-    ConfigError,
-    RunConfig,
-    _context,
-    _expect,
-    _witnessed,
-    frac_str,
-    make_bundle,
-    parse_conjugator_spec,
-    unit_json,
-)
+from ..core import Certificate, ConfigError, RunConfig, _expect, _witnessed, frac_str, parse_conjugator_spec, run_pipeline, unit_json
 from ..mat2 import mat_adj, mat_det, mat_mul, mat_tr
 from .intersect import _explicit_claim, _index_agrees, _index_certificate
 
@@ -80,7 +69,7 @@ def _trace_frame(pipeline: str, cfg: RunConfig):
     and its re-verification both take them from here."""
     if pipeline == "sl2z":
         return 0, _over_z, _over_z(_integral([x for row in _sl2z_rows(cfg) for x in row]))
-    d, b = int(cfg.algebra.a), int(cfg.algebra.b)
+    d, b = cfg.algebra
 
     def embed(x):
         return ((x[0], x[2]), (b * x[2], x[0])), ((x[1], x[3]), (-b * x[3], -x[1]))
@@ -186,13 +175,11 @@ def _sl2z_index_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_sl2z(cfg: RunConfig) -> dict:
-    index = _sl2z_index_claim(cfg)
-    found = find_nonintegral_trace(_trace_frame("sl2z", cfg), SL2Z_SPAN)  # at most 16 pairs
-    return make_bundle("sl2z", cfg, [index, _nondiscrete_claim("sl2z", cfg, found), _context("sl2z.ramification-context")])
+    return run_pipeline("sl2z", cfg)
 
 
 # --------------------------------------------------------------------------
-# re-verification
+# the trace search, also the reader of the pair it found
 
 
 def _read_sl2z_element(entries):
@@ -203,24 +190,25 @@ def _read_sl2z_element(entries):
     return x
 
 
-def _read_trace_pair(pipeline: str, claim, cfg: RunConfig, vectors=SL2Z_SPAN, read=_read_sl2z_element):
-    """The recorded pair X, Y, each checked by read to lie in Gamma, as
-    coordinate vectors, and the trace of X h Y h^-1 recomputed by three
-    matrix products; no slice is enumerated.  With no pair recorded, the
-    search runs again over vectors: the 16 sl2z pairs by default, and for
+def _find_trace_pair(pipeline: str, cfg: RunConfig, claim=None, vectors=SL2Z_SPAN, read=_read_sl2z_element):
+    """The trace search over vectors: the 16 sl2z pairs by default, and for
     quaternionic the standard units up to unit_height, which it reads only
-    when the trace form is not integral."""
+    when the trace form is not integral.  Given a claim that records a
+    pair X, Y, each is checked by read to lie in Gamma, as coordinate
+    vectors, and the trace of X h Y h^-1 recomputed by three matrix
+    products; no slice is enumerated.  With no pair recorded, the search
+    runs again."""
     frame = _trace_frame(pipeline, cfg)
-    if claim["witness"] is None:
+    if claim is None or claim["witness"] is None:
         return find_nonintegral_trace(frame, vectors)
     u, v = (tuple(int(c) for c in read(entry)) for entry in claim["witness"]["units"])
     return u, v, pair_trace(frame, u, v)
 
 
-# claim id -> (holds, build, read), in bundle order; see core
+# claim id -> (holds, build, find), in bundle order; see core
 CLAIM_KINDS = {
     "sl2z.intersection-index": (_index_agrees, _sl2z_index_claim, None),
-    "sl2z.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "sl2z"), partial(_read_trace_pair, "sl2z")),
+    "sl2z.nondiscrete": (_witnessed, partial(_nondiscrete_claim, "sl2z"), partial(_find_trace_pair, "sl2z")),
 }
 # claim id -> note, listed after the claims
 CONTEXTS = {

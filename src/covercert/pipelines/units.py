@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import Certificate, RunConfig, _witnessed, frac_str, make_bundle, unit_json
+from ..core import Certificate, RunConfig, _witnessed, frac_str, run_pipeline, unit_json
 from ..units import SATURATED, enumerate_units, enumerate_units_saturated, mod2_image_obstruction, torsion_check
 from .hilbert import _require_saturated_order, _resolve_algebra
 
@@ -39,10 +39,10 @@ def _units_slice_claim(cfg: RunConfig) -> Certificate:
 
 
 def run_units(cfg: RunConfig) -> dict:
-    return make_bundle("units", cfg, [_units_slice_claim(cfg)])
+    return run_pipeline("units", cfg)
 
 
-# claim id -> (holds, build, read); see core
+# claim id -> (holds, build, find); see core
 CLAIM_KINDS = {
     "units.slice": (_witnessed, _units_slice_claim, None),
 }

@@ -18,13 +18,17 @@ INF = "inf"
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
+    """The algebra (a, b | Q) with integer structure constants a and b."""
+
     __slots__ = ()
 
     def __new__(cls, a, b):
         a, b = Fraction(a), Fraction(b)
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError("structure constants must be integers")
         if a == 0 or b == 0:
             raise ValueError("structure constants must be nonzero")
-        return super().__new__(cls, a, b)
+        return super().__new__(cls, int(a), int(b))
 
     def nrd(self, x):
         """The reduced norm x0^2 - a x1^2 - b x2^2 + a b x3^2 of
@@ -154,10 +158,10 @@ class SplittingMap:
     the map computes.  roots caches s mod 2^n by n.
     """
 
-    __slots__ = ("algebra", "b", "roots")
+    __slots__ = ("algebra", "roots")
 
-    def __init__(self, algebra: QuaternionAlgebra, b: int):
-        self.algebra, self.b, self.roots = algebra, b, {}
+    def __init__(self, algebra: QuaternionAlgebra):
+        self.algebra, self.roots = algebra, {}
 
     def _root(self, n: int) -> int:
         s = self.roots.get(n)
@@ -178,7 +182,7 @@ class SplittingMap:
         s = self._root(k + t)
         mask = (1 << (k + t)) - 1
         entries = ((x0 + s * x1) & mask, (x2 + s * x3) & mask,
-                   self.b * (x2 - s * x3) & mask, (x0 - s * x1) & mask)
+                   self.algebra.b * (x2 - s * x3) & mask, (x0 - s * x1) & mask)
         if any(e & (scale - 1) for e in entries):
             raise ValueError("the image is not integral at 2")
         return tuple(e >> t for e in entries)
@@ -190,6 +194,4 @@ def split_2adic(D: QuaternionAlgebra) -> SplittingMap:
     if not is_square_padic(D.a, 2):
         raise ValueError("a is not a 2-adic square; this construction "
                          "requires the diagonal form of i")
-    if D.a.denominator != 1 or D.b.denominator != 1:
-        raise ValueError("the splitting needs integral structure constants")
-    return SplittingMap(D, int(D.b))
+    return SplittingMap(D)

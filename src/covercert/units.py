@@ -32,12 +32,6 @@ SATURATED = "2-saturated"
 SCALE = {STANDARD: 1, SATURATED: 2}
 
 
-def _require_integral_constants(D: QuaternionAlgebra):
-    if D.a.denominator != 1 or D.b.denominator != 1:
-        raise ValueError("integral orders need integral structure constants")
-    return int(D.a), int(D.b)
-
-
 def height(x, s: int) -> int:
     """The least B whose box |coordinate| <= B holds x/s."""
     return -(-max(map(abs, x)) // s)
@@ -59,7 +53,7 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     parity tests see only squares and residues mod s <= 2.  The table holds
     about (H + 1)^2/s pairs, the same order as the units the box returns,
     and roughly doubles the peak memory of a large box."""
-    a, b = _require_integral_constants(D)
+    a, b = D
     H, ss = s * B, s * s
     pairs = {}
     for x in range(H + 1):
@@ -225,8 +219,6 @@ def torsion_check(stream: UnitStream) -> dict:
         raise ValueError("torsion criterion needs a division algebra")
     offenders = [x for x in stream.units if is_torsion(x, stream.scale)]
     return {
-        "bound": stream.reached,
-        "slice_size": len(stream.units),
         "finite_order_in_slice": offenders,
         "slice_torsion_free": not offenders,
         **embedding_flags(D),

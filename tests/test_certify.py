@@ -429,7 +429,7 @@ def test_layer_witness_matches_full_closure(height):
     saturated = units.enumerate_units_saturated(D, height).units
     split = split_2adic(D)
     cfg = load_config(None, ["k_max=5", f"unit_height={height}"])
-    levels = quaternionic._surjectivity_claim(cfg, quaternionic._surjectivity_search(cfg, split)).witness["levels"]
+    levels = quaternionic._surjectivity_claim(cfg, quaternionic._find_closing_units(cfg)).witness["levels"]
     oracle = [reference_closure(units.reduce_units(saturated, split, k, 2)).order for k in range(1, 6)]
     recorded = [lv["image_order"] for lv in levels]
     assert recorded == oracle[: len(recorded)]
@@ -526,7 +526,8 @@ def test_layer_witness_tampering_names_the_level(quat_bundle):
     (["2/1", "0/1", "0/1", "0/1"], "unit ['2/1', '0/1', '0/1', '0/1'] is not a norm-one 2-saturated-order element"),
     (["1/4", "0/1", "0/1", "0/1"], "unit ['1/4', '0/1', '0/1', '0/1'] is not a norm-one 2-saturated-order element"),
     # norm one, but (-4 - 5i - 3j - 2k)/2 has u != v mod 2: outside the order
-    (["-2/1", "-5/2", "-3/2", "-1/1"], "ValueError: the image is not integral at 2"),
+    pytest.param(["-2/1", "-5/2", "-3/2", "-1/1"],
+                 "unit ['-2/1', '-5/2', '-3/2', '-1/1'] is not a norm-one 2-saturated-order element", id="u-v-odd"),
 ])
 def test_saturated_reader_rejects_non_members(quat_bundle, coords, reason):
     def record(w):
@@ -604,21 +605,61 @@ def test_rational_conjugator_embeds_units_only_up_to_its_partner(monkeypatch):
     # height at most 50; only the four basis elements are embedded, to
     # build the trace form
     cfg = load_config()
-    algebra = QuaternionAlgebra(17, 7)
-    stream = units.UnitStream(algebra, units.STANDARD, cfg.unit_height)
+    streams = []
     embedded = set()
     frame = sl2z._trace_frame
+
+    class KeptStream(units.UnitStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
 
     def spied_frame(pipeline, cfg):
         d, embed, M = frame(pipeline, cfg)
         return d, lambda x: embedded.add(tuple(x)) or embed(x), M
 
-    monkeypatch.setattr(quaternionic, "_trace_frame", spied_frame)
-    claim = quaternionic._nondiscrete_stage(cfg, stream)
+    monkeypatch.setattr(quaternionic, "UnitStream", KeptStream)
+    monkeypatch.setattr(sl2z, "_trace_frame", spied_frame)
+    _, build, find = quaternionic.CLAIM_KINDS["quaternionic.nondiscrete"]
+    claim = build(cfg, find(cfg))
+    [stream] = streams
+    assert (stream.algebra, stream.scale) == (QuaternionAlgebra(17, 7), 1)
     assert claim.verdict == VERIFIED
     assert claim.witness["units"] == [[frac_str(c) for c in stream.units[2]]] * 2
     assert (stream.reached, len(stream.units)) == (8, 46)
     assert embedded == {tuple(int(k == m) for k in range(4)) for m in range(4)}
+
+
+def test_no_standard_stream_is_shared_between_the_torsion_and_trace_stages(monkeypatch):
+    # each finder builds its own stream: stage 3 reads the standard units
+    # only where sqrt(-1) embeds, and there it refutes and blocks the run,
+    # so the trace stage is a stub; elsewhere stage 3 builds no standard
+    # stream at all
+    built = []
+
+    class CountedStream(units.UnitStream):
+        def __init__(self, algebra, kind, cap):
+            super().__init__(algebra, kind, cap)
+            built.append(kind)
+
+    monkeypatch.setattr(quaternionic, "UnitStream", CountedStream)
+    _, _, find = quaternionic.CLAIM_KINDS["quaternionic.torsion-free"]
+    embeds = []
+    for b in range(1, 41):
+        cfg = load_config(None, ["d=17", f"b={b}", "k_max=2", "unit_height=6"])
+        bundle = certify.run_quaternionic(cfg)
+        if claim_by_id(bundle, "quaternionic.algebra")["verdict"] != VERIFIED:
+            continue
+        torsion = claim_by_id(bundle, "quaternionic.torsion-free")
+        embeds.append(torsion["witness"]["embeds_sqrt_minus_1"])
+        if embeds[-1]:
+            assert torsion["verdict"] == REFUTED
+            assert claim_by_id(bundle, "quaternionic.nondiscrete") == _stub("quaternionic.nondiscrete", torsion["id"])
+        else:
+            built.clear()
+            find(cfg)
+            assert units.STANDARD not in built
+    assert True in embeds and False in embeds
 
 
 def _nondiscrete_bundle(overrides):
@@ -932,8 +973,16 @@ def test_sl2z_trace_decides_every_rational_h(h):
 
 def test_failed_reverification_names_id_and_reason(monkeypatch):
     # the exit-3 line carries each failing id with its reason
-    holds, _, read = hilbert.CLAIM_KINDS["hilbert.symbol-table"]
-    monkeypatch.setitem(hilbert.CLAIM_KINDS, "hilbert.symbol-table", (holds, lambda cfg: 1 // 0, read))
+    # the builder that the pipeline and re-verification share fails only
+    # when re-verification calls it
+    holds, build, find = hilbert.CLAIM_KINDS["hilbert.symbol-table"]
+    calls = []
+
+    def build_once(cfg):
+        calls.append(cfg)
+        return build(cfg) if len(calls) == 1 else 1 // 0
+
+    monkeypatch.setitem(hilbert.CLAIM_KINDS, "hilbert.symbol-table", (holds, build_once, find))
     with pytest.raises(AssertionError, match=r"hilbert\.symbol-table \(ZeroDivisionError: integer division or modulo by zero\)"):
         certify.run_hilbert(load_config())
 
@@ -1589,8 +1638,7 @@ def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
     def no_search(*args):
         raise RuntimeError("a search ran")
 
-    for module, name in ((quaternionic, "find_nonintegral_trace"), (sl2z, "find_nonintegral_trace"),
-                         (quaternionic, "closing_prefix")):
+    for module, name in ((sl2z, "find_nonintegral_trace"), (quaternionic, "closing_prefix")):
         monkeypatch.setattr(module, name, no_search)
     # every dihedral claim is computed: its rebuild lists each involution's
     # invariants again, and at a = 2 nothing jointly

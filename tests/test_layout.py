@@ -3,8 +3,10 @@ layers that pipeline reaches, and nothing else: neither dataclasses nor
 the inspect module it imports, nor argparse, nor OpenSSL; its output is
 the golden bundle byte for byte.  A name read from a bundle is never
 imported, and the traced benchmark run still finds every function it
-wraps."""
+wraps.  The claim loop lives in core alone: no pipeline module places
+stages, stubs or contexts itself."""
 
+import ast
 import json
 import os
 import subprocess
@@ -151,3 +153,50 @@ def test_traced_run_records_its_spans(pipeline, layer, tmp_path):
     assert proc.stdout == expected
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"cli.main", "certify.pipeline", "certify.reverify_bundle", "certify.render_bundle", layer} <= names
+
+
+# the names of core's claim loop: a pipeline module that references one
+# places stages, stubs or contexts itself
+LOOP_NAMES = {"make_bundle", "_not_run", "_context", "_blocks", "_stub"}
+
+
+def second_loop_sites(source: str):
+    """(line, why) for each reference to a name of LOOP_NAMES in a pipeline
+    module's source, and for each run_<name> whose body is not the single
+    statement return run_pipeline("<name>", cfg)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        out += [(node.lineno, f"references {name}") for name in sorted(names & LOOP_NAMES)]
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("run_"):
+            want = ast.parse(f"return run_pipeline({node.name[4:]!r}, cfg)").body
+            if [ast.dump(s) for s in node.body] != [ast.dump(s) for s in want]:
+                out.append((node.lineno, f"{node.name} is not the single run_pipeline call"))
+    return sorted(out)
+
+
+def test_second_loop_lint_catches_each_kind():
+    code = (
+        "from ..core import make_bundle, run_pipeline\n"
+        "def run_x(cfg):\n    return make_bundle('x', cfg, [core._context('x.c')])\n"
+        "def run_y(cfg):\n    'doc'\n    return run_pipeline('y', cfg)\n"
+        "def run_z(cfg):\n    return run_pipeline('y', cfg)\n"
+        "def run_w(cfg):\n    return run_pipeline('w', cfg)\n"
+    )
+    assert second_loop_sites(code) == [
+        (1, "references make_bundle"),
+        (2, "run_x is not the single run_pipeline call"),
+        (3, "references _context"),
+        (3, "references make_bundle"),
+        (4, "run_y is not the single run_pipeline call"),
+        (7, "run_z is not the single run_pipeline call"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "covercert" / "pipelines").glob("*.py")), ids=lambda p: p.name)
+def test_the_claim_loop_is_core_s_alone(path):
+    source = path.read_text(encoding="utf-8")
+    assert second_loop_sites(source) == []
+    assert path.stem not in core.PIPELINE_NAMES or f"def run_{path.stem}(cfg" in source

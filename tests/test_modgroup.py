@@ -192,6 +192,6 @@ def test_recorded_stage_4_generators_fill_sl2_mod_32(d):
     # the units stage 4 records, which fill SL2(Z/8), fill SL2(Z/32) too
     cfg = load_config(None, [f"d={d}"])
     split = split_2adic(cfg.algebra)
-    used, table = quaternionic._surjectivity_search(cfg, split)
+    used, table = quaternionic._find_closing_units(cfg)
     assert table.order == group_order(2, 3)
     assert generated_order([g.entries() for g in units.reduce_units(used, split, 5, 2)], 32) == group_order(2, 5)

@@ -60,6 +60,17 @@ def test_inverse():
     assert quat_mul(zero_norm, quat_conjugate(zero_norm)) == Quaternion(QuaternionAlgebra(1, 1), 0)
 
 
+def test_structure_constants_are_nonzero_integers():
+    # stored as ints, whatever exact form they came in
+    D = QuaternionAlgebra(Fraction(17), Fraction(-14, 2))
+    assert D == (17, -7) and all(type(c) is int for c in D)
+    for ab in ((Fraction(17, 4), 7), (17, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="must be integers"):
+            QuaternionAlgebra(*ab)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        QuaternionAlgebra(17, 0)
+
+
 # --- Hilbert symbol ----------------------------------------------------------
 
 def test_hilbert_fixed_values():
