@@ -53,7 +53,6 @@ class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, Non
     @staticmethod
     def from_quaternion(algebra, coords) -> "Conjugator":
         """The quaternion of algebra with the rational coordinates coords."""
-        from .quatalg import hilbert_symbol  # imported here, so a rational h loads no quatalg
         coords = [Fraction(c) for c in coords]
         den = lcm(*(c.denominator for c in coords))
         if den & (den - 1):
@@ -68,7 +67,7 @@ class Conjugator(namedtuple("Conjugator", "rows quaternion", defaults=(None, Non
                              "no diagonal splitting at 2")
         for p in odd_prime_factors(n.numerator):
             v = frac_valuation(a * b, p)
-            if v and not (v == 1 and hilbert_symbol(a, b, p) == -1):
+            if v and not (v == 1 and p in algebra.ramified):
                 raise ValueError(f"the standard order is not maximal at {p}, "
                                  "which divides nrd(h)")
         return Conjugator(quaternion=(algebra, x, den.bit_length() - 1))
@@ -115,7 +114,7 @@ def sl2z_case(rows) -> IndexResult:
 
 
 def _quaternion_case(algebra, x, t) -> IndexResult:
-    from .quatalg import split_2adic  # see from_quaternion
+    from .quatalg import split_2adic  # imported here, so a rational h loads no quatalg
     a, b = algebra.a, algebra.b
     n = algebra.nrd(x)  # nrd(h) times 4^t
     v = frac_valuation(n, 2) - 2 * t

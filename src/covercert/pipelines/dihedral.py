@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from ..core import Certificate, RunConfig, frac_str, rows_json, run_pipeline
+from ..core import Certificate, RunConfig, _expect, frac_str, rows_json, run_pipeline
 from ..mobius import INFINITE_ORDER, MobiusMap, commutator, compose, finite_order, invariant_search
 
 
@@ -37,6 +37,13 @@ JOINT_ORDER_NOTE = (
     "Q(f), and [Q(x) : Q(f)] = deg f, x being a root of P(T) - f Q(T) (the degree formula behind Luroth's theorem); "
     "the commutator has infinite order, so the two involutions generate an infinite group and their fixed fields "
     "meet in the constants in every degree"
+)
+JOINT_FINITE_NOTES = (
+    "the two involutions generate a finite group G of order |G| = 2 ord(sigma sigma_a), and a joint invariant f of "
+    "degree |G| generates the whole fixed field Q(x)^G: Q(f) lies in Q(x)^G, [Q(x) : Q(f)] = deg f = |G| (the "
+    "degree formula behind Luroth's theorem) and [Q(x) : Q(x)^G] = |G| (Artin), so Q(f) = Q(x)^G and no degree "
+    "above |G| is searched",
+    "the two fixed fields share a nonconstant function; their intersection is larger than the constants",
 )
 
 
@@ -85,20 +92,19 @@ def _joint_claim(cfg: RunConfig) -> Certificate:
     """(4) no joint invariant.  The two involutions generate an infinite
     group G exactly when rho = sigma sigma_a has infinite order (every
     a != +-1), and the order bound of JOINT_ORDER_NOTE then rules out every
-    degree at once, with no search.  At a = +-1, G is finite of order
-    2 ord(rho) and has a joint invariant of degree |G|, so the complete
-    search runs to max(invariant_degree, |G|): a cap never decides
-    verified."""
+    degree at once, with no search.  At a = +-1, G is finite and the
+    complete search runs to degree |G|, where it finds the invariant that
+    generates the joint fixed field (JOINT_FINITE_NOTES), whatever
+    invariant_degree is."""
     gens = (MobiusMap.sigma(), MobiusMap.sigma_a(cfg.a))
     order = finite_order(compose(*gens))
     method, bound, found = JOINT_ORDER_METHOD, cfg.invariant_degree, []
     rests_on, notes = ("dihedral.commutator-order",), (JOINT_ORDER_NOTE,)
     if order != INFINITE_ORDER:
-        method, bound = JOINT_SEARCH_METHOD, max(cfg.invariant_degree, 2 * order)
+        method, bound = JOINT_SEARCH_METHOD, 2 * order
         found = invariant_search(gens, bound)
-        rests_on, notes = (), ()
-        if found:
-            notes = ("the two fixed fields share a nonconstant function; their intersection is larger than the constants",)
+        _expect(any(f.degree == bound for f in found), f"no joint invariant of degree |G| = {bound}")
+        rests_on, notes = (), JOINT_FINITE_NOTES
     return Certificate(
         claim="dihedral.invariant-intersection",
         method=method,

@@ -1,22 +1,13 @@
 """The hilbert pipeline: one Hilbert-symbol table with the product-formula
-check.  It also holds the Hilbert symbols that make an algebra admissible,
-which the quaternionic, units and intersect pipelines read: they need
-quatalg alone.  And it holds the config check for the 2-saturated order,
-which the quaternionic and units pipelines share."""
+check.  It also holds the config checks that the units and intersect
+pipelines share with the quaternionic one: an explicit b must give an
+admissible algebra (QuaternionAlgebra.admissible), and the 2-saturated
+order needs d = 1 mod 4."""
 
 from __future__ import annotations
 
 from ..core import Certificate, ConfigError, RunConfig, frac_str, run_pipeline
-from ..quatalg import INF, QuaternionAlgebra, hilbert_symbol, is_division, symbol_table
-
-# what the construction asks of (d, b): a division algebra split at 2 and
-# at infinity is exactly one whose _algebra_symbols equal these
-_ADMISSIBLE = {"symbol_at_2": 1, "symbol_at_inf": 1, "division": True}
-
-
-def _algebra_symbols(algebra: QuaternionAlgebra) -> dict:
-    a, b = algebra.a, algebra.b
-    return {"symbol_at_2": hilbert_symbol(a, b, 2), "symbol_at_inf": hilbert_symbol(a, b, INF), "division": is_division(algebra)}
+from ..quatalg import symbol_table
 
 
 def _resolve_algebra(cfg: RunConfig):
@@ -24,7 +15,7 @@ def _resolve_algebra(cfg: RunConfig):
         algebra = cfg.algebra
     except ValueError as e:
         raise ConfigError(str(e))
-    if _algebra_symbols(algebra) != _ADMISSIBLE:
+    if not algebra.admissible:
         raise ConfigError(f"b={cfg.b} does not give a division algebra split at 2 and at infinity")
     return algebra
 

@@ -18,7 +18,7 @@ from math import isqrt
 from ..core import Certificate, RunConfig, _expect, _witnessed, frac_str, run_pipeline, unit_json
 from ..exact import sqrt_2adic
 from ..modgroup import group_order
-from ..quatalg import ramified_places, split_2adic
+from ..quatalg import INF, split_2adic
 from ..units import (
     SATURATED,
     SCALE,
@@ -32,7 +32,7 @@ from ..units import (
     mod2_image_obstruction,
     reduce_units,
 )
-from .hilbert import _ADMISSIBLE, _algebra_symbols, _require_saturated_order
+from .hilbert import _require_saturated_order
 from .intersect import INDEX_METHOD, _conjugator, _index_agrees, _index_certificate
 from .sl2z import BASIS_VECTORS, TRACE_METHOD, _find_trace_pair, _nondiscrete_claim
 
@@ -153,11 +153,12 @@ def _algebra_claim(cfg: RunConfig) -> Certificate:
         return Certificate(claim="quaternionic.algebra", method=SQUARE_D_METHOD, inputs=inputs, witness=witness,
                            depends_on=("quaternionic.2adic-square",), notes=(SQUARE_D_NOTE,))
     algebra = cfg.algebra
-    witness = _algebra_symbols(algebra)
-    if witness != _ADMISSIBLE:  # only an explicit b can miss
+    ram = algebra.ramified
+    witness = {"symbol_at_2": -1 if 2 in ram else 1, "symbol_at_inf": -1 if INF in ram else 1, "division": bool(ram)}
+    if not algebra.admissible:  # only an explicit b can miss
         inputs, notes = dict(inputs, b=cfg.b), ("the requested b fails division or splitting at 2 or infinity",)
     else:
-        witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": ramified_places(algebra), **witness}
+        witness = {"a": frac_str(algebra.a), "b": frac_str(algebra.b), "ramified_places": list(ram), **witness}
         notes = ("the first parameter is d itself, so the real quadratic field of d embeds and splits the algebra",)
     return Certificate(claim="quaternionic.algebra", method=ALGEBRA_METHOD, inputs=inputs, witness=witness,
                        depends_on=("quaternionic.2adic-square",), notes=notes)
@@ -297,7 +298,7 @@ def _find_trace_units(cfg: RunConfig, claim=None):
 # claim id -> (holds, build, find), in bundle order; see core
 CLAIM_KINDS = {
     "quaternionic.2adic-square": (lambda w, _: "square_root_residue" in w, _square_claim, None),
-    "quaternionic.algebra": (lambda w, _: all(w[key] == v for key, v in _ADMISSIBLE.items()), _algebra_claim, None),
+    "quaternionic.algebra": (lambda w, _: w["division"] and w["symbol_at_2"] == w["symbol_at_inf"] == 1, _algebra_claim, None),
     "quaternionic.torsion-free": (lambda w, _: w["algebra_torsion_free"], _torsion_claim, _find_torsion_unit),
     "quaternionic.standard-order-obstruction":
         (lambda w, _: len(w["det_one_in_span_mod_2"]) < w["group_order_mod_2"], _obstruction_claim, None),

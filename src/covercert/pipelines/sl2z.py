@@ -69,7 +69,7 @@ def _trace_frame(pipeline: str, cfg: RunConfig):
     and its re-verification both take them from here."""
     if pipeline == "sl2z":
         return 0, _over_z, _over_z(_integral([x for row in _sl2z_rows(cfg) for x in row]))
-    d, b = cfg.algebra
+    d, b = cfg.algebra.a, cfg.algebra.b
 
     def embed(x):
         return ((x[0], x[2]), (b * x[2], x[0])), ((x[1], x[3]), (-b * x[3], -x[1]))

@@ -4,7 +4,9 @@ Basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.  Everything here is
 exact: the reduced norm of a coordinate vector, ramification via the local
 Hilbert symbol formulas, and an explicit splitting over Q_2 (when a is a
 2-adic square) whose images of integer vectors over a power of 2 are read
-as integer residues mod 2^k.
+as integer residues mod 2^k.  An algebra's Hilbert symbols are computed
+once, when it is built: every local fact about it is read from its
+ramified places.
 """
 
 from collections import namedtuple
@@ -17,8 +19,13 @@ from .util import is_perfect_square, is_prime, is_rational_square, odd_prime_fac
 INF = "inf"
 
 
-class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
-    """The algebra (a, b | Q) with integer structure constants a and b."""
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b ramified")):
+    """The algebra (a, b | Q) with integer structure constants a and b.
+
+    ramified holds the places of symbol_table(a, b) whose symbol is -1,
+    primes ascending and "inf" last; the algebra is division exactly when
+    it is nonempty.  The product formula is asserted as a self-check.
+    """
 
     __slots__ = ()
 
@@ -28,7 +35,15 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
             raise ValueError("structure constants must be integers")
         if a == 0 or b == 0:
             raise ValueError("structure constants must be nonzero")
-        return super().__new__(cls, int(a), int(b))
+        ramified = tuple(v for v, s in symbol_table(a, b) if s == -1)
+        assert len(ramified) % 2 == 0, "Hilbert product formula violated"
+        return super().__new__(cls, int(a), int(b), ramified)
+
+    @property
+    def admissible(self) -> bool:
+        """What the quaternionic construction asks of (d, b): a division
+        algebra split at 2 and at infinity."""
+        return bool(self.ramified) and 2 not in self.ramified and INF not in self.ramified
 
     def nrd(self, x):
         """The reduced norm x0^2 - a x1^2 - b x2^2 + a b x3^2 of
@@ -92,18 +107,6 @@ def symbol_table(a, b):
     return [(v, hilbert_symbol(a, b, v)) for v in (2, *sorted(odd), INF)]
 
 
-def ramified_places(D: QuaternionAlgebra):
-    """The places of symbol_table with symbol -1; primes ascending, "inf"
-    last.  The product formula is asserted as a self-check."""
-    ram = [v for v, s in symbol_table(D.a, D.b) if s == -1]
-    assert len(ram) % 2 == 0, "Hilbert product formula violated"
-    return ram
-
-
-def is_division(D: QuaternionAlgebra) -> bool:
-    return bool(ramified_places(D))
-
-
 def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
     """Whether Q(sqrt(e)) embeds into D.
 
@@ -114,7 +117,7 @@ def quadratic_embeds(D: QuaternionAlgebra, e) -> bool:
     e = Fraction(e)
     if e == 0 or is_rational_square(e):
         raise ValueError("e must generate a quadratic field")
-    for v in ramified_places(D):
+    for v in D.ramified:
         if v == INF:
             if e > 0:
                 return False
@@ -138,12 +141,8 @@ def find_example_algebra(d: int) -> QuaternionAlgebra:
         raise ValueError("d must be a 2-adic square")
     for b in count(3, 2):
         D = QuaternionAlgebra(d, b)
-        ram = ramified_places(D)
-        if not ram or 2 in ram or INF in ram:
-            continue
-        if quadratic_embeds(D, -1) or quadratic_embeds(D, -3):
-            continue
-        return D
+        if D.admissible and not (quadratic_embeds(D, -1) or quadratic_embeds(D, -3)):
+            return D
 
 
 class SplittingMap:
@@ -189,7 +188,7 @@ class SplittingMap:
 
 
 def split_2adic(D: QuaternionAlgebra) -> SplittingMap:
-    if hilbert_symbol(D.a, D.b, 2) != 1:
+    if 2 in D.ramified:
         raise ValueError("algebra is ramified at 2; no splitting exists")
     if not is_square_padic(D.a, 2):
         raise ValueError("a is not a 2-adic square; this construction "

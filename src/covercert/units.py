@@ -24,7 +24,7 @@ decides which order it works on in one place.
 from itertools import product
 
 from .modgroup import ResidueMatrix, closure, group_order
-from .quatalg import QuaternionAlgebra, SplittingMap, is_division, quadratic_embeds, split_2adic
+from .quatalg import QuaternionAlgebra, SplittingMap, quadratic_embeds, split_2adic
 
 STANDARD = "standard"
 SATURATED = "2-saturated"
@@ -53,7 +53,7 @@ def _norm_one(D: QuaternionAlgebra, B: int, s: int, above: int = 0) -> tuple:
     parity tests see only squares and residues mod s <= 2.  The table holds
     about (H + 1)^2/s pairs, the same order as the units the box returns,
     and roughly doubles the peak memory of a large box."""
-    a, b = D
+    a, b = D.a, D.b
     H, ss = s * B, s * s
     pairs = {}
     for x in range(H + 1):
@@ -215,7 +215,7 @@ def torsion_check(stream: UnitStream) -> dict:
     3/6 for the whole unit group, not just the slice.
     """
     D = stream.algebra
-    if not is_division(D):
+    if not D.ramified:
         raise ValueError("torsion criterion needs a division algebra")
     offenders = [x for x in stream.units if is_torsion(x, stream.scale)]
     return {

@@ -66,7 +66,6 @@ def conic_square_class(r, p: int) -> int:
 
 
 _sq_cache = {}
-_repr_cache = {}
 
 
 def _squares(m: int) -> np.ndarray:
@@ -83,39 +82,25 @@ def _squares(m: int) -> np.ndarray:
     return _sq_cache[m]
 
 
-def _repr_mask(C: int, m: int) -> np.ndarray:
-    """Boolean mask over Z/m of the residues z^2 - C*x^2, z and x in Z/m.
-
-    z^2 - C*x^2 depends on z and x only through z^2 and x^2, so the set is
-    {s - C*t : s, t distinct squares of Z/m}; the mask is built from that
-    grid by scattering every value into it.  Every pair of squares is still
-    visited, so the oracle stays an exhaustive scan.
-    """
-    key = (C % m, m)
-    if key not in _repr_cache:
-        sq = _squares(m)
-        vals = (sq[:, None] - (C % m) * sq[None, :]) % m
-        mask = np.zeros(m, dtype=bool)
-        mask[vals.ravel()] = True
-        _repr_cache[key] = mask
-    return _repr_cache[key]
-
-
 def conic_solvable_mod(A: int, B: int, p: int, K: int) -> bool:
     """Primitive solvability of z^2 = A x^2 + B y^2 mod p^K.
 
     A primitive triple has a unit coordinate; scaling the triple by its
     inverse pins that coordinate to 1, so solvability is equivalent to
     B = z^2 - A x^2, or A = z^2 - B y^2, or 1 = A x^2 + B y^2 mod p^K.
-    Each test scans the distinct squares of Z/m (see _repr_mask).
+    Each depends on x and y only through x^2 and y^2, so each test runs t
+    over the distinct squares of Z/m and asks whether B + A t is a square,
+    A + B t is a square, or 1 - A t is B times a square: one pass over the
+    squares, where listing every z^2 - A x^2 would cost their number
+    squared (a gigabyte at p = 29).
     """
     m = p ** K
-    if _repr_mask(A, m)[B % m] or _repr_mask(B, m)[A % m]:
-        return True
     sq = _squares(m)
-    by_mask = np.zeros(m, dtype=bool)
+    is_sq, by_mask = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    is_sq[sq] = True
     by_mask[(B % m) * sq % m] = True
-    return bool(by_mask[(1 - (A % m) * sq) % m].any())
+    A, B = A % m, B % m
+    return bool(is_sq[(B + A * sq) % m].any() or is_sq[(A + B * sq) % m].any() or by_mask[(1 - A * sq) % m].any())
 
 
 def hilbert_oracle(a, b, p: int) -> int:

@@ -329,7 +329,7 @@ def test_refuted_joint_invariant_reverify_lists_again(monkeypatch):
     assert claim["verdict"] == REFUTED
     calls = _count_invariant_searches(monkeypatch)
     assert _reverify_by_id(parsed)["dihedral.invariant-intersection"] == (True, None)
-    assert _searches(calls) == [(1, 2), (1, 2), (2, 8)]
+    assert _searches(calls) == [(1, 2), (1, 2), (2, 2)]
     recorded = claim["witness"]["joint_invariants"]
     first = dict(recorded[0])
     tampered = [
@@ -341,10 +341,9 @@ def test_refuted_joint_invariant_reverify_lists_again(monkeypatch):
         [dict(first, numerator=first["numerator"][:-1])] + recorded[1:],
         [dict(first, numerator=first["numerator"] + [1])] + recorded[1:],
         [dict(first, numerator=first["denominator"] + [5])] + recorded[1:],
-        # each invariant true, but not the complete listing: cut to its
-        # first entry, reversed, with the first entry twice, or empty
-        recorded[:1],
-        recorded[::-1],
+        # each invariant true, but not the complete listing: with the
+        # reciprocal of the first entry added, the first entry twice, or empty
+        recorded + [dict(first, numerator=first["denominator"], denominator=first["numerator"])],
         recorded + recorded[:1],
         [],
     ]
@@ -1652,6 +1651,19 @@ def test_reverify_reads_the_config_once_and_repeats_no_search(monkeypatch):
     assert _searches(searches) == [(1, 2), (1, 2)]
 
 
+def test_each_algebra_computes_its_symbol_table_once(monkeypatch):
+    # the default d = 17 scans b = 3, 5, 7, once for the run and once for
+    # its in-process re-verification: six algebras, each with one table of
+    # four places (2, the odd primes of 17 and b, infinity)
+    tables, symbols = [], []
+    table, symbol = quatalg.symbol_table, quatalg.hilbert_symbol
+    monkeypatch.setattr(quatalg, "symbol_table", lambda *args: tables.append(args) or table(*args))
+    monkeypatch.setattr(quatalg, "hilbert_symbol", lambda *args: symbols.append(args) or symbol(*args))
+    certify.run_quaternionic(load_config(None, []))
+    assert tables == [(17, 3), (17, 5), (17, 7)] * 2
+    assert len(symbols) == 24
+
+
 @pytest.mark.parametrize("a, degree, order", [("1", 1, 2), ("-1", 3, 4)])
 def test_a_cap_never_decides_a_finite_group(a, degree, order):
     # at a = +-1 the two involutions generate a group G of order 2 or 4,
@@ -1663,6 +1675,18 @@ def test_a_cap_never_decides_a_finite_group(a, degree, order):
     assert min(f["degree"] for f in claim["witness"]["joint_invariants"]) == order
     assert _failures(json.loads(render_bundle(bundle))) == []
     assert bundle_exit_code(bundle) == 1
+
+
+@pytest.mark.parametrize("a, order", [(1, 2), (-1, 4)])
+def test_the_joint_search_stops_at_the_group_order(a, order):
+    # the degree-|G| invariant generates the fixed field of the finite group
+    # G, so no invariant_degree changes the claim (see test_mobius for the
+    # invariants above |G|)
+    claims = [claim_by_id(certify.run_dihedral(load_config(None, [f"a={a}", f"invariant_degree={degree}"])),
+                          "dihedral.invariant-intersection") for degree in (1, 3, 8, 24)]
+    assert all(claim == claims[0] for claim in claims)
+    assert claims[0]["inputs"]["degree_bound"] == order
+    assert [f["degree"] for f in claims[0]["witness"]["joint_invariants"]] == [order]
 
 
 def _stub(cid, blocker):

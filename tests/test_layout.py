@@ -4,7 +4,8 @@ the inspect module it imports, nor argparse, nor OpenSSL; its output is
 the golden bundle byte for byte.  A name read from a bundle is never
 imported, and the traced benchmark run still finds every function it
 wraps.  The claim loop lives in core alone: no pipeline module places
-stages, stubs or contexts itself."""
+stages, stubs or contexts itself.  And an algebra's Hilbert symbols are
+computed in one place: only quatalg.symbol_table calls hilbert_symbol."""
 
 import ast
 import json
@@ -200,3 +201,42 @@ def test_the_claim_loop_is_core_s_alone(path):
     source = path.read_text(encoding="utf-8")
     assert second_loop_sites(source) == []
     assert path.stem not in core.PIPELINE_NAMES or f"def run_{path.stem}(cfg" in source
+
+
+def symbol_sites(source: str, module: str):
+    """(line, where) for each reference to hilbert_symbol, by name,
+    attribute or import, in the source of the module at the path module
+    under covercert, other than in quatalg.py's symbol_table; where names
+    the enclosing function or class, or is "module"."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+            names = {getattr(child, "id", None), getattr(child, "attr", None)}
+            if isinstance(child, ast.alias):
+                names.add(child.name)
+            if "hilbert_symbol" in names and (module, inner) != ("quatalg.py", "symbol_table"):
+                out.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), "module")
+    return out
+
+
+def test_symbol_lint_catches_each_kind():
+    code = (
+        "from .quatalg import hilbert_symbol as hs\n"
+        "def symbol_table(a, b):\n    return hilbert_symbol(a, b, 2)\n"
+        "class A:\n    def f(self):\n        return quatalg.hilbert_symbol(self.a, self.b, 2)\n"
+    )
+    assert symbol_sites(code, "units.py") == [(1, "module"), (3, "symbol_table"), (6, "f")]
+    assert symbol_sites(code, "quatalg.py") == [(1, "module"), (6, "f")]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "covercert").rglob("*.py")), ids=lambda p: p.relative_to(SRC / "covercert").as_posix())
+def test_only_symbol_table_calls_hilbert_symbol(path):
+    # an algebra reads its symbols from QuaternionAlgebra.ramified, which
+    # symbol_table fills once per algebra
+    module = path.relative_to(SRC / "covercert").as_posix()
+    assert symbol_sites(path.read_text(encoding="utf-8"), module) == []

@@ -270,6 +270,19 @@ def test_search_matches_an_independent_nullspace(a):
         assert emitted == expected
 
 
+@pytest.mark.parametrize("a, order", [(1, 2), (-1, 4)])
+def test_finite_group_invariants_lie_in_the_field_of_the_first(a, order):
+    # at a = +-1 the involutions generate a group G of order |G| with a
+    # joint invariant f of degree |G| and Q(f) = Q(x)^G, so every joint
+    # invariant is R(f), of degree deg R * |G|.  The search lists ratios of
+    # forms that may share a factor, so each is reduced by sympy's gcd
+    found = invariant_search((SIGMA, MobiusMap.sigma_a(a)), 3 * order)
+    assert min(f.degree for f in found) == order and len(found) > 1
+    for f in found:
+        P, Q = (sum(c * X ** (f.degree - i) * Y ** i for i, c in enumerate(cs)) for cs in (f.numerator, f.denominator))
+        assert (f.degree - sympy.Poly(sympy.gcd(P, Q), X, Y).total_degree()) % order == 0, f.dehomogenized()
+
+
 @pytest.mark.parametrize("a", [2, -1, Fraction(1, 4), Fraction(3, 5), 3**10])
 def test_act_matches_the_expansion(a):
     # the index swap is the substitution P(gv) that sympy expands, column

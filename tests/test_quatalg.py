@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from covercert.mat2 import mat_det, mat_mul
-from covercert.quatalg import (INF, QuaternionAlgebra, hilbert_symbol,
-                               is_division, quadratic_embeds, ramified_places,
-                               split_2adic)
+from covercert.quatalg import INF, QuaternionAlgebra, hilbert_symbol, quadratic_embeds, split_2adic
 from covercert.util import odd_prime_factors
 
-from oracles import (Quaternion, _repr_mask, _squares, conic_solvable_mod, conic_square_class,
-                     hilbert_oracle, quat_add, quat_conjugate, quat_mul)
+from oracles import (Quaternion, _squares, conic_solvable_mod, conic_square_class, hilbert_oracle,
+                     hilbert_oracle_inf, quat_add, quat_conjugate, quat_mul)
 from wordsearch import mat_scale
 
 
@@ -63,7 +61,7 @@ def test_inverse():
 def test_structure_constants_are_nonzero_integers():
     # stored as ints, whatever exact form they came in
     D = QuaternionAlgebra(Fraction(17), Fraction(-14, 2))
-    assert D == (17, -7) and all(type(c) is int for c in D)
+    assert (D.a, D.b) == (17, -7) and all(type(c) is int for c in (D.a, D.b))
     for ab in ((Fraction(17, 4), 7), (17, Fraction(1, 2))):
         with pytest.raises(ValueError, match="must be integers"):
             QuaternionAlgebra(*ab)
@@ -134,7 +132,6 @@ def test_conic_oracle_matches_full_grid():
         full = {}
         for C in range(m):
             full[C] = _full_grid_mask((sq_all[:, None] - C * sq_all[None, :]) % m, m)
-            assert np.array_equal(_repr_mask(C, m), full[C]), (C, m)
         for A in coeffs:
             for B in coeffs:
                 by = _full_grid_mask(B % m * sq_all % m, m)
@@ -160,9 +157,9 @@ def test_product_formula_sampled():
 # --- ramification ------------------------------------------------------------
 
 def test_ramified_places_known_algebras():
-    assert ramified_places(QuaternionAlgebra(-1, -1)) == [2, INF]
-    assert ramified_places(QuaternionAlgebra(1, 5)) == []
-    assert ramified_places(QuaternionAlgebra(17, 7)) == [7, 17]
+    assert QuaternionAlgebra(-1, -1).ramified == (2, INF)
+    assert QuaternionAlgebra(1, 5).ramified == ()
+    assert QuaternionAlgebra(17, 7).ramified == (7, 17)
     # cross-check the (17,7) set against the exhaustive conic oracle
     for p in (2, 7, 17):
         want = -1 if p in (7, 17) else 1
@@ -170,9 +167,21 @@ def test_ramified_places_known_algebras():
 
 
 def test_is_division():
-    assert is_division(QuaternionAlgebra(-1, -1))
-    assert is_division(QuaternionAlgebra(17, 7))
-    assert not is_division(QuaternionAlgebra(1, 5))
+    assert QuaternionAlgebra(-1, -1).ramified
+    assert QuaternionAlgebra(17, 7).ramified
+    assert not QuaternionAlgebra(1, 5).ramified
+
+
+def test_ramified_matches_the_conic_oracles():
+    # every place that can ramify for |a|, |b| <= 30 is a prime below 30 or
+    # infinity; each symbol is decided by exhaustive conic search
+    primes = [p for p in range(2, 30) if all(p % q for q in range(2, p))]
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if a and b:
+                want = [p for p in primes if hilbert_oracle(a, b, p) == -1]
+                want += [INF] * (hilbert_oracle_inf(a, b) == -1)
+                assert QuaternionAlgebra(a, b).ramified == tuple(want), (a, b)
 
 
 def test_quadratic_embeds():

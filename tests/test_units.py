@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert.modgroup import ResidueMatrix, enumerate_group
-from covercert.quatalg import (INF, QuaternionAlgebra, find_example_algebra, quadratic_embeds,
-                               ramified_places, split_2adic)
+from covercert.quatalg import INF, QuaternionAlgebra, find_example_algebra, quadratic_embeds, split_2adic
 from covercert.units import (SATURATED, STANDARD, UnitStream, _norm_one, closing_prefix,
                              enumerate_units, enumerate_units_saturated,
                              images_surject, is_torsion, reduce_units, surjects_at_level,
@@ -250,7 +249,7 @@ def test_find_example_algebra_searches_past_b_100(d, b):
 
 
 def _admissible(D):
-    ram = ramified_places(D)
+    ram = D.ramified
     return bool(ram) and 2 not in ram and INF not in ram and not (quadratic_embeds(D, -1) or quadratic_embeds(D, -3))
 
 
